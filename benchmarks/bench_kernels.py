@@ -29,15 +29,9 @@ def rand_int_matrix(rng, n, m, p):
 
 
 def structure_rows(rng, n, p):
-    """A random sparse structure tensor: dense rows and sparse rows."""
-    drows = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in rng.sample(range(n), 3):
-                drows[i][j][k] = rng.randrange(1, p)
-    srows = [[[(k, c) for k, c in enumerate(row) if c != 0]
-              for row in plane] for plane in drows]
-    return srows, drows
+    """The sparse rows of a random structure tensor."""
+    return [[sorted((k, rng.randrange(1, p)) for k in rng.sample(range(n), 3))
+             for _ in range(n)] for _ in range(n)]
 
 
 def workloads():
@@ -51,7 +45,7 @@ def workloads():
     ka = rand_int_matrix(rng, 18, 18, p)
     kb = rand_int_matrix(rng, 14, 14, p)
     n = 24
-    srows, drows = structure_rows(rng, n, p)
+    srows = structure_rows(rng, n, p)
     u1 = [rng.randrange(p) for _ in range(n)]
     u2 = [rng.randrange(p) for _ in range(n)]
     return [
@@ -66,8 +60,6 @@ def workloads():
         ("bilinear dim 24 x2000",
          lambda k: [k.bilinear(srows, u1, u2, n, mod=p)
                     for _ in range(2000)]),
-        ("assoc_defects dim 24 full scan",
-         lambda k: k.assoc_defects(srows, drows, n, mod=p)),
     ]
 
 

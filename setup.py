@@ -1,8 +1,8 @@
 """Build script for the optional compiled kernel extension.
 
 The package works without the extension (a pure-Python fallback is
-selected at import time); building it just speeds up the exhaustive
-basis scans.
+selected at import time); building it just speeds up the matrix
+kernels.
 """
 
 from setuptools import setup

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a mathematical check fails, 2 input or
 usage error.  Reports go to stdout, human readable by default, JSON
-with --json.  QHF_THREADS caps internal workers.
+with --json.
 """
 
 from __future__ import annotations

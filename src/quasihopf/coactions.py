@@ -702,7 +702,8 @@ def omega_from_coaction(d: TwoSidedCoaction, primed: bool = False) -> TensorElt:
 def verify_omega(d: TwoSidedCoaction, Om: TensorElt,
                  primed: bool = False) -> Report:
     """The intertwining identity (per basis element) and the seven-slot
-    cocycle identity of an exchange element, plus invertibility."""
+    cocycle identity of an exchange element, its counit normalisation
+    (eps (x) eps (x) id (x) eps (x) eps)(Om) = 1_A, and invertibility."""
     rep = Report()
     Hq, A = d.Hq, d.A
     H = Hq.H
@@ -754,6 +755,10 @@ def verify_omega(d: TwoSidedCoaction, Om: TensorElt,
         tA2 = Om.apply_at(2, d.delta).apply_at(2, Hq.SInv)
         rhs = _mulseq([tB2, tA2], algs7)
         rep.check(lhs == rhs, "omega-cocycle")
+    t = Om
+    for pos in (4, 3, 1, 0):
+        t = t.drop_slot(pos, Hq.counit)
+    rep.check(t == d.unit_elt(), "omega-counit")
     rep.check(_invert_mixed(Om, [H, H, A, H, H]) is not None,
               "omega-invertible")
     return rep
@@ -915,12 +920,15 @@ def verify_pq_delta(d: TwoSidedCoaction, pq: PQDelta) -> Report:
     #   = S(Pb1) qL1 Pb2_1 x qL2 Pb2_2 x Pb3 x qR1 Pb4_1
     #     x S^{-1}(Pb5) qR2 Pb4_2
     lhs = slotwise_mul(q.apply_at(1, d.delta), d.Psi, algs5)
-    qL, qR = Hq.canonical_qL(), Hq.canonical_qR()
     t = d.PsiInv.apply_at(1, Hq.Delta).apply_at(4, Hq.Delta)
     t = t.apply_at(0, Hq.S).apply_at(6, Hq.SInv)
-    t = t.insert(1, qL).insert(6, qR)
-    t = t.permute((0, 1, 3, 2, 4, 5, 6, 8, 10, 7, 9))
-    rhs = _runs(t, [(3, H), (2, H), (1, A), (2, H), (3, H)])
+    # [S(Pb1), Pb2_1, Pb2_2, Pb3, Pb4_1, Pb4_2, S^{-1}(Pb5)]; each of
+    # qL, qR is multiplied into its neighbours as soon as it enters
+    t = t.insert(1, Hq.canonical_qL())
+    t = t.mul_slots(0, 1, H).mul_slots(0, 2, H).mul_slots(1, 2, H)
+    # [(S(Pb1) qL1) Pb2_1, qL2 Pb2_2, Pb3, Pb4_1, Pb4_2, S^{-1}(Pb5)]
+    t = t.insert(3, Hq.canonical_qR())
+    rhs = t.mul_slots(3, 5, H).mul_slots(6, 4, H).mul_slots(5, 4, H)
     rep.check(lhs == rhs, "q-factorization")
     return rep
 

@@ -7,11 +7,11 @@ algebras, element inversion and (anti)morphism checking live here.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from math import lcm
 
 from . import kernels
 from .fields import Field
-from .linalg import Mat, flat_index, prod, solve, unflatten, worker_count
+from .linalg import Mat, prod, solve, unflatten
 from .tensors import TensorElt
 
 
@@ -48,11 +48,6 @@ class Report:
 
     def __repr__(self):
         return "Report(pass)" if self.ok else f"Report({self.failures!r})"
-
-
-def _assoc_chunk(args):
-    srows, drows, n, mod, lo, hi = args
-    return kernels.assoc_defects(srows, drows, n, mod, lo, hi)
 
 
 class FinAlgebra:
@@ -163,25 +158,52 @@ def verify_associative_unital(A: FinAlgebra, limit: int | None = 10) -> Report:
             rep.add("unit-left", f"1*e_{i} != e_{i}")
         if A.multiply(e, A.unit) != e:
             rep.add("unit-right", f"e_{i}*1 != e_{i}")
-    srows = A.sparse_rows()
-    workers = worker_count()
-    if workers > 1 and n >= 16:
-        chunks = []
-        step = max(1, (n + workers - 1) // workers)
-        for lo in range(0, n, step):
-            chunks.append((srows, A.mul, n, A.field.p, lo, min(lo + step, n)))
-        bad = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_assoc_chunk, chunks):
-                bad.extend(part)
-        bad.sort()
-        if limit is not None:
-            bad = bad[:limit]
-    else:
-        bad = kernels.assoc_defects(srows, A.mul, n, A.field.p, limit=limit)
-    for (i, j, k) in bad:
+    for i, j, k in _assoc_defects(A, limit):
         rep.add("associativity", f"(e_{i} e_{j}) e_{k} != e_{i} (e_{j} e_{k})")
     return rep
+
+
+def _assoc_defects(A: FinAlgebra, limit: int | None) -> list:
+    """The basis triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
+    in lexicographic order, stopping after ``limit`` of them.
+
+    Over QQ every structure constant is scaled once by the common
+    denominator D of the table, so both sides carry the factor D^2 and
+    are compared as integers.  Over GF(p) the entries may be unreduced,
+    so the sides are compared mod p.  Both sides are summed over the
+    sparse rows only, into one dict holding their difference.
+    """
+    n = A.dim
+    p = A.field.p
+    rows = A.sparse_rows()
+    if p is None:
+        D = lcm(*{c.denominator for plane in rows for row in plane
+                  for _, c in row})
+        rows = [[[(k, c.numerator * (D // c.denominator)) for k, c in row]
+                 for row in plane] for plane in rows]
+    bad = []
+    for i in range(n):
+        rows_i = rows[i]
+        for j in range(n):
+            rows_ij = rows_i[j]
+            rows_j = rows[j]
+            for k in range(n):
+                diff = {}
+                for l, c in rows_ij:
+                    for t, x in rows[l][k]:
+                        diff[t] = diff.get(t, 0) + c * x
+                for m, c in rows_j[k]:
+                    for t, x in rows_i[m]:
+                        diff[t] = diff.get(t, 0) - c * x
+                if p is None:
+                    defect = any(diff.values())
+                else:
+                    defect = any(v % p for v in diff.values())
+                if defect:
+                    bad.append((i, j, k))
+                    if limit is not None and len(bad) >= limit:
+                        return bad
+    return bad
 
 
 def opposite(A: FinAlgebra) -> FinAlgebra:

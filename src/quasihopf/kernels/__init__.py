@@ -18,6 +18,5 @@ mat_mul = impl.mat_mul
 mat_vec = impl.mat_vec
 kron = impl.kron
 bilinear = impl.bilinear
-assoc_defects = impl.assoc_defects
 
-__all__ = ["BACKEND", "mat_mul", "mat_vec", "kron", "bilinear", "assoc_defects"]
+__all__ = ["BACKEND", "mat_mul", "mat_vec", "kron", "bilinear"]

@@ -87,48 +87,3 @@ def bilinear(srows, u, v, n, mod=None):
         acc = [x % mod for x in acc]
     return acc
 
-
-def assoc_defects(srows, drows, n, mod=None, i_start=0, i_end=None, limit=None):
-    cdef Py_ssize_t nn = n
-    cdef Py_ssize_t i0 = i_start
-    cdef Py_ssize_t i1 = nn if i_end is None else i_end
-    cdef Py_ssize_t i, j, k, t, l, m
-    bad = []
-    for i in range(i0, i1):
-        srows_i = srows[i]
-        drows_i = drows[i]
-        for j in range(nn):
-            sij = srows_i[j]
-            srows_j = srows[j]
-            for k in range(nn):
-                left = [0] * nn
-                for pair in sij:
-                    l = pair[0]
-                    c = pair[1]
-                    row = drows[l][k]
-                    for t in range(nn):
-                        x = row[t]
-                        if x != 0:
-                            left[t] = left[t] + c * x
-                right = [0] * nn
-                for pair in srows_j[k]:
-                    m = pair[0]
-                    c = pair[1]
-                    row = drows_i[m]
-                    for t in range(nn):
-                        x = row[t]
-                        if x != 0:
-                            right[t] = right[t] + c * x
-                if mod is None:
-                    ok = left == right
-                else:
-                    ok = True
-                    for t in range(nn):
-                        if (left[t] - right[t]) % mod != 0:
-                            ok = False
-                            break
-                if not ok:
-                    bad.append((i, j, k))
-                    if limit is not None and len(bad) >= limit:
-                        return bad
-    return bad

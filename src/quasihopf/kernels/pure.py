@@ -91,43 +91,3 @@ def bilinear(srows, u, v, n, mod=None):
         acc = [x % mod for x in acc]
     return acc
 
-
-def assoc_defects(srows, drows, n, mod=None, i_start=0, i_end=None, limit=None):
-    """Exhaustive associativity scan over basis triples.
-
-    Returns the list of triples (i, j, k) where (e_i e_j) e_k differs
-    from e_i (e_j e_k).  ``drows[i][j]`` is the dense structure row.
-    """
-    if i_end is None:
-        i_end = n
-    bad = []
-    for i in range(i_start, i_end):
-        srows_i = srows[i]
-        drows_i = drows[i]
-        for j in range(n):
-            sij = srows_i[j]
-            srows_j = srows[j]
-            for k in range(n):
-                left = [0] * n
-                for l, c in sij:
-                    row = drows[l][k]
-                    for t in range(n):
-                        x = row[t]
-                        if x != 0:
-                            left[t] = left[t] + c * x
-                right = [0] * n
-                for m, c in srows_j[k]:
-                    row = drows_i[m]
-                    for t in range(n):
-                        x = row[t]
-                        if x != 0:
-                            right[t] = right[t] + c * x
-                if mod is None:
-                    ok = left == right
-                else:
-                    ok = all((left[t] - right[t]) % mod == 0 for t in range(n))
-                if not ok:
-                    bad.append((i, j, k))
-                    if limit is not None and len(bad) >= limit:
-                        return bad
-    return bad

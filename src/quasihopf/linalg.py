@@ -10,18 +10,8 @@ map V1 (x) ... (x) Vk -> W1 (x) ... (x) Wm is an (prod dim W) x
 
 from __future__ import annotations
 
-import os
-
 from . import kernels
 from .fields import Field
-
-
-def worker_count() -> int:
-    """Worker cap for the exhaustive scans (QHF_THREADS, default 1)."""
-    try:
-        return max(1, int(os.environ.get("QHF_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- flat indexing --------------------------------------------------------

@@ -103,6 +103,31 @@ def test_pq_delta_detects_corrupted_q(name):
     assert any(f.startswith("q-coproduct") for f in rep.failures)
 
 
+def test_pq_delta_detects_corrupted_qL(monkeypatch):
+    # q-factorization is the only identity that reads q_L; a corrupted
+    # q fails it too, through its left side
+    Ab = entry("FpZn(5,2)")["bicomodule"]
+    d = two_sided_from_bicomodule(Ab, "l", check=False)
+    pq = pq_delta(d, check=False)
+    rep = verify_pq_delta(d, PQDelta(pq.p, _corrupt_one(pq.q)))
+    assert "q-factorization" in rep.failures
+    bad_qL = _corrupt_one(d.Hq.canonical_qL())
+    monkeypatch.setattr(d.Hq, "canonical_qL", lambda: bad_qL)
+    assert verify_pq_delta(d, pq).failures == ["q-factorization"]
+
+
+@pytest.mark.parametrize("name", ["QZ2", "Sweedler4"])
+@pytest.mark.parametrize("primed", [False, True])
+def test_omega_rejects_scaled_element(name, primed):
+    # every identity but the counit normalisation is homogeneous in Om
+    Ab = entry(name)["bicomodule"]
+    d = two_sided_from_bicomodule(Ab, "l", check=False)
+    Om = omega_from_coaction(d, primed=primed)
+    verify_omega(d, Om, primed=primed).require(name)
+    rep = verify_omega(d, Om.scale(d.field.of_int(2)), primed=primed)
+    assert rep.failures == ["omega-counit"]
+
+
 @pytest.mark.parametrize("name", PRIME)
 @pytest.mark.parametrize("primed", [False, True])
 def test_omega_detects_corrupted_element(name, primed):

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasihopf.corpus import group_algebra_z2, sweedler4
 from quasihopf.fields import GF, QQ
@@ -132,3 +135,126 @@ def test_prime_field_algebra():
             for j in range(3)] for i in range(3)]
     A = FinAlgebra(F, mul, [one, zero, zero], check=True)
     assert verify_associative_unital(A).ok
+
+
+# -- the associativity scan against a dense per-triple reference -----------
+
+def dense_defects(A, limit=None):
+    """Triples where (e_i e_j) e_k != e_i (e_j e_k), both sides recomputed
+    densely in Fraction per triple and compared exactly or mod p."""
+    n, p, m = A.dim, A.field.p, A.mul
+    bad = []
+    for i, j, k in product(range(n), repeat=3):
+        left = [sum(Fraction(m[i][j][l]) * m[l][k][t] for l in range(n))
+                for t in range(n)]
+        right = [sum(Fraction(m[j][k][l]) * m[i][l][t] for l in range(n))
+                 for t in range(n)]
+        if p is None:
+            differ = left != right
+        else:
+            differ = any((a - b) % p for a, b in zip(left, right))
+        if differ:
+            bad.append((i, j, k))
+            if limit is not None and len(bad) >= limit:
+                break
+    return bad
+
+
+def scan_defects(A, limit=None):
+    rep = verify_associative_unital(A, limit=limit)
+    return [f for f in rep.failures if f.startswith("associativity")]
+
+
+def as_failures(triples):
+    return [f"associativity: (e_{i} e_{j}) e_{k} != e_{i} (e_{j} e_{k})"
+            for i, j, k in triples]
+
+
+def _base_tables():
+    """(mul, unit) of small associative algebras, entries 0, 1 and -1."""
+    z3 = [[[int(k == (i + j) % 3) for k in range(3)] for j in range(3)]
+          for i in range(3)]
+    # 2x2 matrix units E_ab, basis index 2a + b: E_ab E_cd = [b == c] E_ad
+    mat2 = [[[int(b == c and k == 2 * a + d) for k in range(4)]
+             for c in range(2) for d in range(2)]
+            for a in range(2) for b in range(2)]
+    # k + m with m^2 = 0
+    km = [[[int(k == i + j) if 0 in (i, j) else 0 for k in range(3)]
+           for j in range(3)] for i in range(3)]
+    sw = [[[int(c) for c in row] for row in plane] for plane in h4().mul]
+    return [(z3, [1, 0, 0]), (mat2, [1, 0, 0, 1]), (km, [1, 0, 0]),
+            (sw, [int(c) for c in h4().unit])]
+
+
+QQ_SCALARS = [0, 1, -1, 2, Fraction(1, 3), Fraction(-1, 6), Fraction(5, 6),
+              Fraction(-3, 2)]
+
+
+@st.composite
+def scan_tables(draw, field):
+    """A base algebra in a unitriangular change of basis, with int and
+    Fraction entries side by side over QQ and unreduced entries over
+    GF(p), optionally with one entry shifted."""
+    mul, unit = draw(st.sampled_from(_base_tables()))
+    rng = draw(st.randoms(use_true_random=False))
+    n = len(mul)
+
+    def entry(a, b):
+        if a == b:
+            return field.one()
+        if a > b:
+            return field.zero()
+        if field.p is None:
+            return Fraction(rng.choice(QQ_SCALARS))
+        return rng.randrange(field.p)
+
+    P = Mat(field, [[entry(a, b) for b in range(n)] for a in range(n)])
+    Pinv = P.inv()
+    cols = [[P.rows[a][i] for a in range(n)] for i in range(n)]
+
+    def raw(c):
+        if field.p is not None:
+            return c + field.p * rng.randrange(3)
+        return int(c) if c.denominator == 1 and rng.random() < 0.5 else c
+
+    base = FinAlgebra(field, [[[field.of_int(c) for c in row] for row in pl]
+                              for pl in mul],
+                      [field.of_int(c) for c in unit], check=False)
+    table = [[[raw(c) for c in Pinv.vec(base.multiply(cols[i], cols[j]))]
+              for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        delta = draw(st.sampled_from(QQ_SCALARS[1:] if field.p is None
+                                     else range(1, 2 * field.p)))
+        table[i][j][k] = table[i][j][k] + delta
+    return FinAlgebra(field, table, Pinv.vec(base.unit), check=False)
+
+
+@given(scan_tables(QQ), st.sampled_from([None, 1, 3]))
+@settings(max_examples=60, deadline=None)
+def test_scan_matches_dense_reference_qq(A, limit):
+    assert scan_defects(A, limit) == as_failures(dense_defects(A, limit))
+
+
+@given(st.sampled_from([GF(5), GF(7)]).flatmap(scan_tables),
+       st.sampled_from([None, 1, 3]))
+@settings(max_examples=60, deadline=None)
+def test_scan_matches_dense_reference_gfp(A, limit):
+    assert scan_defects(A, limit) == as_failures(dense_defects(A, limit))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_scan_flags_the_single_broken_triple(field):
+    # k + m with m^2 = 0 is associative; e_1 e_2 = c e_2 breaks only
+    # (e_1 e_1) e_2 = 0 != c e_2 = e_1 (e_1 e_2)
+    km, unit = _base_tables()[2]
+    mul = [[[field.of_int(c) for c in row] for row in plane] for plane in km]
+    assert scan_defects(FinAlgebra(field, mul, unit, check=False)) == []
+    mul[1][2][2] = Fraction(1, 3) if field.p is None else 6
+    A = FinAlgebra(field, mul, unit, check=False)
+    assert dense_defects(A) == [(1, 1, 2)]
+    assert scan_defects(A, limit=None) == as_failures([(1, 1, 2)])
+    # an unreduced multiple of p is zero, so nothing breaks
+    if field.p is not None:
+        mul[1][2][2] = 2 * field.p
+        assert scan_defects(FinAlgebra(field, mul, unit, check=False)) == []

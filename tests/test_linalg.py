@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasihopf.fields import GF, QQ
-from quasihopf.linalg import (LinMap, Mat, flat_index, prod, solve, unflatten,
-                              worker_count)
+from quasihopf.linalg import LinMap, Mat, flat_index, prod, solve, unflatten
 
 entries = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 
@@ -110,9 +109,3 @@ def test_linmap_shape_check():
     with pytest.raises(ValueError):
         LinMap(m, (2, 2), (6,))
 
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("QHF_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("QHF_THREADS", "garbage")
-    assert worker_count() == 1
