@@ -10,16 +10,35 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic for
+# every n below this bound (Sorenson and Webster, 2015)
+MAX_MODULUS = 3317044064679887385961981 - 1
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
+    if p > MAX_MODULUS:
+        raise ValueError(f"modulus {p} exceeds the supported maximum "
+                         f"{MAX_MODULUS}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -84,10 +103,6 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def reduce(self, a):
-        """Normalize a raw scalar (used after unreduced int accumulation)."""
-        return a if self.p is None else a % self.p
 
     # -- text encoding ---------------------------------------------------
 

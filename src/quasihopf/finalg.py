@@ -1,7 +1,8 @@
 """Finite-dimensional unital algebras by structure constants.
 
 The multiplication is the dense 3-tensor mul[i][j] = dense row of
-e_i e_j; sparse rows are cached for the exhaustive scans.  Tensor-power
+e_i e_j; sparse rows, and their integer form over one denominator, are
+cached for the slot combinators and the exhaustive scans.  Tensor-power
 algebras, element inversion and (anti)morphism checking live here.
 """
 
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 from math import lcm
 
-from . import kernels
 from .fields import Field
 from .linalg import Mat, prod, solve, unflatten
 from .tensors import TensorElt
@@ -53,7 +53,7 @@ class Report:
 class FinAlgebra:
     """Unital associative algebra given by structure constants."""
 
-    __slots__ = ("field", "dim", "mul", "unit", "name", "_srows")
+    __slots__ = ("field", "dim", "mul", "unit", "name", "_srows", "_irows")
 
     def __init__(self, field: Field, mul, unit, name: str = "",
                  check: bool = True):
@@ -63,6 +63,7 @@ class FinAlgebra:
         self.unit = list(unit)
         self.name = name
         self._srows = None
+        self._irows = None
         if check:
             verify_associative_unital(self).require(name or "algebra")
 
@@ -76,16 +77,49 @@ class FinAlgebra:
                 and self.unit == other.unit)
 
     def sparse_rows(self):
+        """``rows[i][j]``: e_i e_j as [(k, c), ...], zeros skipped; cached."""
         if self._srows is None:
             self._srows = [
-                [[(k, c) for k, c in enumerate(row) if c != 0]
-                 for row in plane]
+                [[(k, c) for k, c in enumerate(row) if c] for row in plane]
                 for plane in self.mul]
         return self._srows
 
+    def int_rows(self):
+        """``(D, rows)``: the sparse rows as integers over one denominator,
+        ``rows[i][j] = [(k, D * c), ...]``.  Over GF(p) D is 1 and the
+        entries are residues, with zero residues skipped; cached."""
+        if self._irows is None:
+            rows = self.sparse_rows()
+            p = self.field.p
+            if p is None:
+                D = lcm(*{c.denominator for plane in rows for row in plane
+                          for _, c in row})
+                rows = [[[(k, c.numerator * (D // c.denominator))
+                          for k, c in row] for row in plane]
+                        for plane in rows]
+            else:
+                D = 1
+                rows = [[[(k, r) for k, c in row if (r := c % p)]
+                         for row in plane] for plane in rows]
+            self._irows = (D, rows)
+        return self._irows
+
     def multiply(self, u, v):
-        return kernels.bilinear(self.sparse_rows(), u, v, self.dim,
-                                self.field.p)
+        """Coordinates of the product of the coordinate vectors u, v."""
+        acc = [0] * self.dim
+        srows = self.sparse_rows()
+        for i, cu in enumerate(u):
+            if cu == 0:
+                continue
+            srow_i = srows[i]
+            for j, cv in enumerate(v):
+                if cv == 0:
+                    continue
+                cuv = cu * cv
+                for k, c in srow_i[j]:
+                    acc[k] = acc[k] + cuv * c
+        p = self.field.p
+        return acc if p is None else [x % p for x in acc]
 
     def element(self, coords) -> "AlgElement":
         return AlgElement(self, list(coords))
@@ -167,20 +201,14 @@ def _assoc_defects(A: FinAlgebra, limit: int | None) -> list:
     """The basis triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
     in lexicographic order, stopping after ``limit`` of them.
 
-    Over QQ every structure constant is scaled once by the common
-    denominator D of the table, so both sides carry the factor D^2 and
-    are compared as integers.  Over GF(p) the entries may be unreduced,
-    so the sides are compared mod p.  Both sides are summed over the
-    sparse rows only, into one dict holding their difference.
+    The scan runs on ``A.int_rows()``: over QQ both sides carry the
+    factor D^2 and are compared as integers, over GF(p) they are compared
+    mod p.  Both sides are summed over the sparse rows only, into one
+    dict holding their difference.
     """
     n = A.dim
     p = A.field.p
-    rows = A.sparse_rows()
-    if p is None:
-        D = lcm(*{c.denominator for plane in rows for row in plane
-                  for _, c in row})
-        rows = [[[(k, c.numerator * (D // c.denominator)) for k, c in row]
-                 for row in plane] for plane in rows]
+    _, rows = A.int_rows()
     bad = []
     for i in range(n):
         rows_i = rows[i]
@@ -216,34 +244,35 @@ def opposite(A: FinAlgebra) -> FinAlgebra:
 
 def tensor_algebra(A: FinAlgebra, B: FinAlgebra,
                    op_flags=(False, False)) -> FinAlgebra:
-    """Componentwise product algebra on the flat tensor coordinates."""
+    """Componentwise product algebra on the flat tensor coordinates.
+
+    The product's sparse rows are formed from the factors' sparse rows
+    and seed its cache; the dense table is filled from them."""
     if A.field != B.field:
         raise ValueError("field mismatch")
-    fa = opposite(A) if op_flags[0] else A
-    fb = opposite(B) if op_flags[1] else B
+    fld = A.field
     na, nb = A.dim, B.dim
     n = na * nb
-    fld = A.field
+    sa, sb = A.sparse_rows(), B.sparse_rows()
+    if op_flags[0]:
+        sa = [[sa[j][i] for j in range(na)] for i in range(na)]
+    if op_flags[1]:
+        sb = [[sb[j][i] for j in range(nb)] for i in range(nb)]
+    srows = [[[(ka * nb + kb, c)
+               for ka, ca in row_a for kb, cb in row_b
+               if (c := fld.mul(ca, cb))]
+              for row_a in sa[ia] for row_b in sb[ib]]
+             for ia in range(na) for ib in range(nb)]
     zero = fld.zero()
     mul = []
-    for ia in range(na):
-        rows_a = fa.mul[ia]
-        for ib in range(nb):
-            plane = []
-            for ja in range(na):
-                row_a = rows_a[ja]
-                for jb in range(nb):
-                    row_b = fb.mul[ib][jb]
-                    dense = [zero] * n
-                    for ka, ca in enumerate(row_a):
-                        if ca == 0:
-                            continue
-                        base = ka * nb
-                        for kb, cb in enumerate(row_b):
-                            if cb != 0:
-                                dense[base + kb] = fld.mul(ca, cb)
-                    plane.append(dense)
-            mul.append(plane)
+    for plane in srows:
+        dense_plane = []
+        for row in plane:
+            dense = [zero] * n
+            for k, c in row:
+                dense[k] = c
+            dense_plane.append(dense)
+        mul.append(dense_plane)
     unit = [zero] * n
     for ia, ca in enumerate(A.unit):
         if ca == 0:
@@ -251,7 +280,9 @@ def tensor_algebra(A: FinAlgebra, B: FinAlgebra,
         for ib, cb in enumerate(B.unit):
             if cb != 0:
                 unit[ia * nb + ib] = fld.mul(ca, cb)
-    return FinAlgebra(A.field, mul, unit, check=False)
+    out = FinAlgebra(fld, mul, unit, check=False)
+    out._srows = srows
+    return out
 
 
 def tensor_power(A: FinAlgebra, k: int) -> FinAlgebra:

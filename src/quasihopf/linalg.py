@@ -10,7 +10,8 @@ map V1 (x) ... (x) Vk -> W1 (x) ... (x) Wm is an (prod dim W) x
 
 from __future__ import annotations
 
-from . import kernels
+from math import lcm, prod
+
 from .fields import Field
 
 
@@ -29,13 +30,6 @@ def unflatten(dims, flat: int):
         idx.append(flat % d)
         flat //= d
     return tuple(reversed(idx))
-
-
-def prod(dims) -> int:
-    out = 1
-    for d in dims:
-        out *= d
-    return out
 
 
 def _flatten_shape(shape):
@@ -107,20 +101,54 @@ class Mat:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        return Mat(self.field,
-                   kernels.mat_mul(self.rows, other.rows, self.field.p),
-                   other.ncols)
+        mod = self.field.p
+        k = other.ncols
+        out = []
+        for arow in self.rows:
+            acc = [0] * k
+            for c, brow in zip(arow, other.rows):
+                if c == 0:
+                    continue
+                for j, x in enumerate(brow):
+                    if x != 0:
+                        acc[j] = acc[j] + c * x
+            if mod is not None:
+                acc = [x % mod for x in acc]
+            out.append(acc)
+        return Mat(self.field, out, k)
 
     def vec(self, v):
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        return kernels.mat_vec(self.rows, v, self.field.p)
+        mod = self.field.p
+        out = []
+        for row in self.rows:
+            s = 0
+            for c, x in zip(row, v):
+                if c != 0 and x != 0:
+                    s = s + c * x
+            out.append(s if mod is None else s % mod)
+        return out
 
     def kron(self, other: "Mat") -> "Mat":
+        """Kronecker product: block (i, j) is other scaled by self[i][j]."""
         if self.field != other.field:
             raise ValueError("field mismatch")
-        return Mat(self.field, kernels.kron(self.rows, other.rows, self.field.p),
-                   self.ncols * other.ncols)
+        mod = self.field.p
+        bk = other.ncols
+        out = []
+        for arow in self.rows:
+            for brow in other.rows:
+                row = []
+                for c in arow:
+                    if c == 0:
+                        row.extend([0] * bk)
+                    elif mod is None:
+                        row.extend([c * x for x in brow])
+                    else:
+                        row.extend([(c * x) % mod for x in brow])
+                out.append(row)
+        return Mat(self.field, out, self.ncols * other.ncols)
 
     def transpose(self) -> "Mat":
         return Mat(self.field,
@@ -232,7 +260,7 @@ class LinMap:
     empty ``out_dims`` are functionals (one output coordinate).
     """
 
-    __slots__ = ("mat", "in_dims", "out_dims")
+    __slots__ = ("mat", "in_dims", "out_dims", "_plan")
 
     def __init__(self, mat: Mat, in_dims, out_dims):
         self.mat = mat
@@ -240,6 +268,31 @@ class LinMap:
         self.out_dims = tuple(out_dims)
         if mat.ncols != prod(self.in_dims) or mat.nrows != prod(self.out_dims):
             raise ValueError("matrix shape does not match factor dims")
+        self._plan = None
+
+    def int_plan(self):
+        """``(D, {input index: [(output index, D * entry), ...]})``: the
+        nonzero entries of each column as integers over one denominator
+        D (1 over GF(p), where they are residues); cached."""
+        if self._plan is None:
+            cols = [[] for _ in range(self.mat.ncols)]
+            for r, row in enumerate(self.mat.rows):
+                out = unflatten(self.out_dims, r)
+                for j, c in enumerate(row):
+                    if c:
+                        cols[j].append((out, c))
+            p = self.mat.field.p
+            if p is None:
+                D = lcm(*(c.denominator for col in cols for _, c in col))
+                cols = [[(out, c.numerator * (D // c.denominator))
+                         for out, c in col] for col in cols]
+            else:
+                D = 1
+                cols = [[(out, r) for out, c in col if (r := c % p)]
+                        for col in cols]
+            self._plan = (D, {unflatten(self.in_dims, j): col
+                              for j, col in enumerate(cols)})
+        return self._plan
 
     def __eq__(self, other):
         return (isinstance(other, LinMap) and self.in_dims == other.in_dims

@@ -137,19 +137,14 @@ def _algebra_fields(A: FinAlgebra):
 
 
 def _algebra_from_fields(field: Field, dim: int, doc, name: str) -> FinAlgebra:
-    mul_arr, unit_arr = doc.get("mul"), doc.get("unit")
-    mul = [[[field.zero()] * dim for _ in range(dim)] for _ in range(dim)]
-
-    def vm(idx, c):
-        mul[idx[0]][idx[1]][idx[2]] = c
-
-    _unnest(field, (dim, dim, dim), mul_arr, vm)
-    unit = [field.zero()] * dim
-
-    def vu(idx, c):
-        unit[idx[0]] = c
-
-    _unnest(field, (dim,), unit_arr, vu)
+    # the arrays are walked, and so checked against ``dim``, before any
+    # table of that size is allocated
+    flat, unit = [], []
+    _unnest(field, (dim, dim, dim), doc.get("mul"),
+            lambda idx, c: flat.append(c))
+    _unnest(field, (dim,), doc.get("unit"), lambda idx, c: unit.append(c))
+    mul = [[flat[(i * dim + j) * dim:(i * dim + j + 1) * dim]
+            for j in range(dim)] for i in range(dim)]
     return FinAlgebra(field, mul, unit, name=name, check=False)
 
 
@@ -234,26 +229,33 @@ def _dim(doc) -> int:
     return d
 
 
-def _parent(doc, base_dir, check):
+def _parent(doc, base_dir, check, seen):
+    """The quasi-Hopf parent of a dependent document; ``seen`` holds the
+    resolved paths of the files already on the parent chain."""
     par = _need(doc, "parent")
     if isinstance(par, str):
         path = par if os.path.isabs(par) else os.path.join(base_dir, par)
+        if os.path.realpath(path) in seen:
+            raise DocumentError(f"cyclic parent reference to {par!r}")
+        seen = seen | {os.path.realpath(path)}
         par = load_document(path)
         base_dir = os.path.dirname(os.path.abspath(path))
     if not isinstance(par, dict):
         raise DocumentError(f"bad parent {par!r}")
-    Hq = from_document(par, base_dir=base_dir, check=check)
+    Hq = from_document(par, base_dir=base_dir, check=check, _seen=seen)
     if not isinstance(Hq, QuasiHopfAlgebra):
         raise DocumentError("parent must be a quasi-Hopf definition")
     return Hq
 
 
-def from_document(doc, base_dir: str = ".", check: bool = False):
+def from_document(doc, base_dir: str = ".", check: bool = False,
+                  _seen=frozenset()):
     """Rebuild the structure a document defines.
 
-    Shape or scalar problems raise DocumentError; mathematically
-    inconsistent data (non-invertible associators, failed axioms when
-    ``check`` is set) raise ValueError from the constructors.
+    Shape or scalar problems, and a parent chain that returns to a file
+    already on it, raise DocumentError; mathematically inconsistent data
+    (non-invertible associators, failed axioms when ``check`` is set)
+    raise ValueError from the constructors.
     """
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
@@ -284,7 +286,7 @@ def from_document(doc, base_dir: str = ".", check: bool = False):
             Hq.verify().require(name or "quasi-Hopf algebra")
         return Hq
 
-    Hq = _parent(doc, base_dir, check)
+    Hq = _parent(doc, base_dir, check, _seen)
     n, m = Hq.n, dim
     if Hq.field != field:
         raise DocumentError("field differs from the parent's")
@@ -343,4 +345,4 @@ def load_document(path: str):
 def load_structure(path: str, check: bool = False):
     doc = load_document(path)
     return from_document(doc, base_dir=os.path.dirname(os.path.abspath(path)),
-                         check=check)
+                         check=check, _seen=frozenset({os.path.realpath(path)}))

@@ -9,47 +9,120 @@ a short program over these combinators:
 * ``permute``     - reorder slots
 * ``tensor``      - juxtapose elements
 
-Elements are stored sparsely as {multi-index tuple: scalar}; the flat
-coordinate order is the row-major convention from linalg.
+An element is stored as integer numerators over one shared denominator:
+``num`` maps multi-index tuples to nonzero ints and ``den`` is a
+positive int, so the coefficient at ``idx`` is ``num[idx] / den``.  Over
+the rationals the pair is kept in lowest terms (``gcd(den, *num) == 1``);
+over GF(p) ``den`` is 1 and the numerators are residues in ``[0, p)``.
+The combinators accumulate plain ints, using the integer views that
+``LinMap.int_plan`` and ``FinAlgebra.int_rows`` cache, and normalise
+once at the end.  Field scalars (``Fraction`` over the rationals) appear
+only at the boundary: the constructor takes them, and ``terms`` (a
+read-only {multi-index tuple: scalar} view) and ``to_flat`` return them.
+The flat coordinate order is the row-major convention from linalg.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
+from operator import itemgetter
 
 from .fields import Field
 from .linalg import LinMap, flat_index, prod, unflatten
 
 
+class _Terms(Mapping):
+    """Read-only {multi-index tuple: field scalar} view of a TensorElt."""
+
+    __slots__ = ("_num", "_den", "_rational")
+
+    def __init__(self, t: "TensorElt"):
+        self._num = t.num
+        self._den = t.den
+        self._rational = t.field.p is None
+
+    def __getitem__(self, idx):
+        n = self._num[idx]
+        return Fraction(n, self._den) if self._rational else n
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __contains__(self, idx):
+        return idx in self._num
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+def _new(field: Field, dims, num, den) -> "TensorElt":
+    """An element from numerators already in canonical form."""
+    t = object.__new__(TensorElt)
+    t.field = field
+    t.dims = dims
+    t.num = num
+    t.den = den
+    return t
+
+
+def _normal(field: Field, dims, num, den) -> "TensorElt":
+    """An element from accumulated int numerators over ``den`` > 0:
+    zeros dropped, then reduced mod p or divided by the common gcd."""
+    p = field.p
+    if p is not None:
+        return _new(field, dims, {idx: r for idx, c in num.items()
+                                  if (r := c % p)}, 1)
+    if 0 in num.values():
+        num = {idx: c for idx, c in num.items() if c}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {idx: c // g for idx, c in num.items()}
+    return _new(field, dims, num, den)
+
+
 class TensorElt:
     """Sparse element of V1 (x) ... (x) Vk (dims = factor dimensions)."""
 
-    __slots__ = ("field", "dims", "terms")
+    __slots__ = ("field", "dims", "num", "den")
 
-    def __init__(self, field: Field, dims, terms=None, *, _clean=False):
+    def __init__(self, field: Field, dims, terms=None):
+        """``terms`` maps multi-indices to field scalars (ints or
+        Fractions); denominators are cleared once, here."""
         self.field = field
         self.dims = tuple(dims)
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = terms
+        terms = terms or {}
+        if field.p is None:
+            den = lcm(*(c.denominator for c in terms.values()))
+            num = {tuple(idx): c.numerator * (den // c.denominator)
+                   for idx, c in terms.items()}
         else:
-            cleaned = {}
-            for idx, c in terms.items():
-                c = field.reduce(c)
-                if c != 0:
-                    cleaned[tuple(idx)] = c
-            self.terms = cleaned
+            den = 1
+            num = {tuple(idx): c for idx, c in terms.items()}
+        canon = _normal(field, self.dims, num, den)
+        self.num, self.den = canon.num, canon.den
+
+    @property
+    def terms(self) -> Mapping:
+        """The nonzero coefficients as field scalars, read-only."""
+        return _Terms(self)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(field: Field, dims) -> "TensorElt":
-        return TensorElt(field, dims, {}, _clean=True)
+        return _new(field, tuple(dims), {}, 1)
 
     @staticmethod
     def basis(field: Field, dims, idx) -> "TensorElt":
-        return TensorElt(field, dims, {tuple(idx): field.one()}, _clean=True)
+        return _new(field, tuple(dims), {tuple(idx): 1}, 1)
 
     @staticmethod
     def scalar(field: Field, value) -> "TensorElt":
@@ -58,11 +131,8 @@ class TensorElt:
     @staticmethod
     def from_flat(field: Field, dims, vec) -> "TensorElt":
         dims = tuple(dims)
-        terms = {}
-        for f, c in enumerate(vec):
-            if c != 0:
-                terms[unflatten(dims, f)] = c
-        return TensorElt(field, dims, terms)
+        return TensorElt(field, dims, {
+            idx: c for idx, c in zip(product(*map(range, dims)), vec) if c})
 
     @staticmethod
     def from_vector(field: Field, vec) -> "TensorElt":
@@ -71,68 +141,73 @@ class TensorElt:
 
     def to_flat(self):
         out = [self.field.zero()] * prod(self.dims)
-        for idx, c in self.terms.items():
-            out[flat_index(self.dims, idx)] = c
+        den = self.den if self.field.p is None else None
+        for idx, c in self.num.items():
+            out[flat_index(self.dims, idx)] = c if den is None \
+                else Fraction(c, den)
         return out
 
     # -- ring-module operations ---------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, TensorElt) and self.field == other.field
-                and self.dims == other.dims and self.terms == other.terms)
+                and self.dims == other.dims and self.den == other.den
+                and self.num == other.num)
 
     def __repr__(self):
-        return f"TensorElt(dims={self.dims}, {len(self.terms)} terms)"
+        return f"TensorElt(dims={self.dims}, {len(self.num)} terms)"
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __add__(self, other: "TensorElt") -> "TensorElt":
         if self.dims != other.dims:
             raise ValueError("slot shape mismatch")
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            terms[idx] = terms.get(idx, 0) + c
-        return TensorElt(self.field, self.dims, terms)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        num = {idx: c * fa for idx, c in self.num.items()}
+        for idx, c in other.num.items():
+            num[idx] = num.get(idx, 0) + c * fb
+        return _normal(self.field, self.dims, num, den)
 
     def __sub__(self, other: "TensorElt") -> "TensorElt":
-        return self + other.scale(self.field.neg(self.field.one()))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "TensorElt":
-        if c == 0:
-            return TensorElt.zero(self.field, self.dims)
-        return TensorElt(self.field, self.dims,
-                         {idx: v * c for idx, v in self.terms.items()})
+        """Multiply by a field scalar (an int or a Fraction)."""
+        cn, cd = c.numerator, c.denominator
+        return _normal(self.field, self.dims,
+                       {idx: v * cn for idx, v in self.num.items()},
+                       self.den * cd)
 
     # -- combinators ---------------------------------------------------------
 
     def tensor(self, other: "TensorElt") -> "TensorElt":
         if self.field != other.field:
             raise ValueError("field mismatch")
-        terms = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                terms[ia + ib] = ca * cb
-        return TensorElt(self.field, self.dims + other.dims, terms)
+        num = {ia + ib: ca * cb for ia, ca in self.num.items()
+               for ib, cb in other.num.items()}
+        return _normal(self.field, self.dims + other.dims, num,
+                       self.den * other.den)
 
     def apply_at(self, pos: int, lm: LinMap) -> "TensorElt":
         """Apply ``lm`` to the ``len(lm.in_dims)`` slots starting at ``pos``."""
         a = len(lm.in_dims)
-        if self.dims[pos:pos + a] != lm.in_dims:
+        end = pos + a
+        if self.dims[pos:end] != lm.in_dims:
             raise ValueError(
-                f"slots {self.dims[pos:pos + a]} do not match map input "
+                f"slots {self.dims[pos:end]} do not match map input "
                 f"{lm.in_dims}")
-        out_dims = lm.out_dims
-        new_dims = self.dims[:pos] + out_dims + self.dims[pos + a:]
-        mat = lm.mat
-        terms = {}
-        for idx, c in self.terms.items():
-            col = flat_index(lm.in_dims, idx[pos:pos + a])
-            head, tail = idx[:pos], idx[pos + a:]
-            for r, mc in mat.sparse_col(col):
-                nid = head + unflatten(out_dims, r) + tail
-                terms[nid] = terms.get(nid, 0) + c * mc
-        return TensorElt(self.field, new_dims, terms)
+        new_dims = self.dims[:pos] + lm.out_dims + self.dims[end:]
+        D, plan = lm.int_plan()
+        num = {}
+        get = num.get
+        for idx, c in self.num.items():
+            head, tail = idx[:pos], idx[end:]
+            for out, mc in plan[idx[pos:end]]:
+                nid = head + out + tail
+                num[nid] = get(nid, 0) + c * mc
+        return _normal(self.field, new_dims, num, self.den * D)
 
     def mul_slots(self, pos_a: int, pos_b: int, algebra) -> "TensorElt":
         """Multiply slot ``pos_a`` by slot ``pos_b`` (in that order) inside
@@ -143,27 +218,29 @@ class TensorElt:
         n = algebra.dim
         if self.dims[pos_a] != n or self.dims[pos_b] != n:
             raise ValueError("slot dimension does not match algebra")
-        srows = algebra.sparse_rows()
+        D, rows = algebra.int_rows()
         dst = pos_a if pos_a < pos_b else pos_a - 1
         new_dims = tuple(d for t, d in enumerate(self.dims) if t != pos_b)
-        terms = {}
-        for idx, c in self.terms.items():
-            i, j = idx[pos_a], idx[pos_b]
+        num = {}
+        get = num.get
+        for idx, c in self.num.items():
             base = list(idx)
             del base[pos_b]
-            for k, mc in srows[i][j]:
+            for k, mc in rows[idx[pos_a]][idx[pos_b]]:
                 base[dst] = k
                 nid = tuple(base)
-                terms[nid] = terms.get(nid, 0) + c * mc
-        return TensorElt(self.field, new_dims, terms)
+                num[nid] = get(nid, 0) + c * mc
+        return _normal(self.field, new_dims, num, self.den * D)
 
     def permute(self, perm) -> "TensorElt":
         """Reorder slots: output slot r carries the old slot ``perm[r]``."""
         if sorted(perm) != list(range(len(self.dims))):
             raise ValueError("not a permutation of the slots")
-        new_dims = tuple(self.dims[p] for p in perm)
-        terms = {tuple(idx[p] for p in perm): c for idx, c in self.terms.items()}
-        return TensorElt(self.field, new_dims, terms, _clean=True)
+        if len(perm) < 2:
+            return self
+        pick = itemgetter(*perm)
+        return _new(self.field, pick(self.dims),
+                    {pick(idx): c for idx, c in self.num.items()}, self.den)
 
     def drop_slot(self, pos: int, functional: LinMap) -> "TensorElt":
         """Apply a functional (out_dims = ()) to one slot."""
@@ -173,16 +250,11 @@ class TensorElt:
 
     def insert(self, pos: int, other: "TensorElt") -> "TensorElt":
         """Tensor ``other`` into position ``pos``."""
-        left_dims = self.dims[:pos]
-        k = len(left_dims)
-        terms = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                nid = ia[:k] + ib + ia[k:]
-                terms[nid] = terms.get(nid, 0) + ca * cb
-        return TensorElt(self.field, left_dims + other.dims + self.dims[pos:],
-                         terms)
-
+        num = {ia[:pos] + ib + ia[pos:]: ca * cb
+               for ia, ca in self.num.items() for ib, cb in other.num.items()}
+        return _normal(self.field,
+                       self.dims[:pos] + other.dims + self.dims[pos:], num,
+                       self.den * other.den)
 
     def merge_slots(self, groups) -> "TensorElt":
         """Fuse consecutive runs of slots into single slots of product
@@ -196,12 +268,10 @@ class TensorElt:
             new_dims.append(prod(self.dims[pos:pos + g]))
             bounds.append((pos, pos + g))
             pos += g
-        terms = {}
-        for idx, c in self.terms.items():
-            nid = tuple(flat_index(self.dims[lo:hi], idx[lo:hi])
-                        for lo, hi in bounds)
-            terms[nid] = terms.get(nid, 0) + c
-        return TensorElt(self.field, tuple(new_dims), terms)
+        num = {tuple(flat_index(self.dims[lo:hi], idx[lo:hi])
+                     for lo, hi in bounds): c
+               for idx, c in self.num.items()}
+        return _new(self.field, tuple(new_dims), num, self.den)
 
     def split_slot(self, pos: int, factors) -> "TensorElt":
         """Refine slot ``pos`` into tensor factors (flat indexing)."""
@@ -209,11 +279,9 @@ class TensorElt:
         if prod(factors) != self.dims[pos]:
             raise ValueError("factor dimensions do not match the slot")
         new_dims = self.dims[:pos] + factors + self.dims[pos + 1:]
-        terms = {}
-        for idx, c in self.terms.items():
-            nid = idx[:pos] + unflatten(factors, idx[pos]) + idx[pos + 1:]
-            terms[nid] = c
-        return TensorElt(self.field, new_dims, terms, _clean=True)
+        num = {idx[:pos] + unflatten(factors, idx[pos]) + idx[pos + 1:]: c
+               for idx, c in self.num.items()}
+        return _new(self.field, new_dims, num, self.den)
 
 
 def slotwise_mul(a: TensorElt, b: TensorElt, algebras) -> TensorElt:
@@ -229,16 +297,21 @@ def slotwise_mul(a: TensorElt, b: TensorElt, algebras) -> TensorElt:
         raise ValueError("slot count mismatch")
     if not isinstance(algebras, (list, tuple)):
         algebras = [algebras] * k
-    srows = [alg.sparse_rows() for alg in algebras]
+    den = a.den * b.den
+    srows = []
+    for alg in algebras:
+        D, rows = alg.int_rows()
+        den *= D
+        srows.append(rows)
     # nonzero[t][i]: the right indices j with e_i e_j != 0 in slot t
     nonzero = [[[j for j, row in enumerate(rows_i) if row] for rows_i in sr]
                for sr in srows]
-    bterms = b.terms
+    bterms = b.num
     groups = None
     out = {}
-    for ia, ca in a.terms.items():
+    for ia, ca in a.num.items():
         cands = [nonzero[t][ia[t]] for t in range(k)]
-        if prod(len(c) for c in cands) <= len(bterms):
+        if prod(map(len, cands)) <= len(bterms):
             # enumerate the right indices that are nonzero in every slot
             matches = [(ib, bterms[ib]) for ib in product(*cands)
                        if ib in bterms]
@@ -270,7 +343,7 @@ def slotwise_mul(a: TensorElt, b: TensorElt, algebras) -> TensorElt:
                                for kk, mc in row]
             for idx, coef in partial:
                 out[idx] = out.get(idx, 0) + coef
-    return TensorElt(a.field, a.dims, out)
+    return _normal(a.field, a.dims, out, den)
 
 
 def linmap_from_fn(field: Field, in_dims, out_dims, fn) -> LinMap:

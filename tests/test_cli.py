@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from quasihopf import serialize
+from quasihopf import cli, serialize
 from quasihopf.cli import main
 
 from conftest import entry
@@ -143,3 +146,47 @@ def test_theorem_non_gauge_twist(tmp_path, capsys):
                              "tensor": [["1", "0"], ["0", "2"]]}))
     assert main(["theorem", "twist-invariance", "QZ2",
                  "--twist", str(f)]) == 2
+
+
+# -- hostile documents: each must end in exit 2 with one line --------------
+
+def _hostile_documents(module_doc, out_dir):
+    """The hostile variants of a module-algebra document: a parent that
+    names the file itself, a 20-digit prime field, a declared dimension
+    of one million and a structure array cut short."""
+    docs = {
+        "cyclic-parent": dict(module_doc, parent="hostile-cyclic-parent.json"),
+        "huge-prime": dict(module_doc["parent"], field={"Fp": 10 ** 19 + 51}),
+        "huge-dim": dict(module_doc["parent"], dim=1000000),
+        "truncated-array": dict(module_doc["parent"],
+                                mul=module_doc["parent"]["mul"][:-1]),
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = out_dir / f"hostile-{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return paths
+
+
+@pytest.mark.parametrize("name", ["cyclic-parent", "huge-prime", "huge-dim",
+                                  "truncated-array"])
+def test_hostile_document_exits_2(tmp_path, name):
+    module_doc = serialize.to_document(entry("H2")["module"])
+    path = _hostile_documents(module_doc, tmp_path)[name]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasihopf.cli", "verify", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_parent_cycle_through_two_files(tmp_path):
+    module_doc = serialize.to_document(entry("H2")["module"])
+    for here, there in (("a", "b"), ("b", "a")):
+        (tmp_path / f"{here}.json").write_text(
+            json.dumps(dict(module_doc, parent=f"{there}.json")))
+    with pytest.raises(serialize.DocumentError, match="cyclic parent"):
+        serialize.load_structure(str(tmp_path / "a.json"))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasihopf.fields import GF, QQ, Field
+from quasihopf.fields import GF, MAX_MODULUS, QQ, Field, _is_prime
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
@@ -31,6 +31,31 @@ def test_rejects_composite_modulus():
         GF(6)
     with pytest.raises(ValueError):
         GF(1)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert all(_is_prime(n) == _trial_division(n) for n in range(-3, 20000))
+
+
+def test_primality_of_large_moduli():
+    # 10^19 + 51 and 2^61 - 1 are prime; the others are strong
+    # pseudoprimes to every base up to 23, 37 and 41 respectively
+    assert _is_prime(10 ** 19 + 51)
+    assert _is_prime(2 ** 61 - 1)
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    assert GF(10 ** 19 + 51).p == 10 ** 19 + 51
+
+
+def test_rejects_modulus_past_the_maximum():
+    # the least strong pseudoprime to all 13 bases is refused, not
+    # mistaken for a prime
+    with pytest.raises(ValueError, match=str(MAX_MODULUS)):
+        GF(MAX_MODULUS + 1)
 
 
 @given(rationals, rationals)

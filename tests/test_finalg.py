@@ -258,3 +258,68 @@ def test_scan_flags_the_single_broken_triple(field):
     if field.p is not None:
         mul[1][2][2] = 2 * field.p
         assert scan_defects(FinAlgebra(field, mul, unit, check=False)) == []
+
+
+# -- tensor_algebra against the dense construction -------------------------
+
+def _dense_tensor_algebra(A, B, op_flags):
+    """tensor_algebra as it was written on the dense tables."""
+    fa = opposite(A) if op_flags[0] else A
+    fb = opposite(B) if op_flags[1] else B
+    na, nb = A.dim, B.dim
+    n = na * nb
+    fld = A.field
+    zero = fld.zero()
+    mul = []
+    for ia in range(na):
+        for ib in range(nb):
+            plane = []
+            for ja in range(na):
+                row_a = fa.mul[ia][ja]
+                for jb in range(nb):
+                    row_b = fb.mul[ib][jb]
+                    dense = [zero] * n
+                    for ka, ca in enumerate(row_a):
+                        if ca == 0:
+                            continue
+                        for kb, cb in enumerate(row_b):
+                            if cb != 0:
+                                dense[ka * nb + kb] = fld.mul(ca, cb)
+                    plane.append(dense)
+            mul.append(plane)
+    unit = [zero] * n
+    for ia, ca in enumerate(A.unit):
+        for ib, cb in enumerate(B.unit):
+            if ca != 0 and cb != 0:
+                unit[ia * nb + ib] = fld.mul(ca, cb)
+    return FinAlgebra(fld, mul, unit, check=False)
+
+
+OP_FLAGS = list(product([False, True], repeat=2))
+
+
+def _assert_same_tensor_algebra(A, B, op_flags):
+    got = tensor_algebra(A, B, op_flags)
+    want = _dense_tensor_algebra(A, B, op_flags)
+    # repr compares entry for entry, the scalar types included
+    assert repr(got.mul) == repr(want.mul)
+    assert repr(got.unit) == repr(want.unit)
+    # the seeded sparse rows are the ones the dense table gives
+    assert got.sparse_rows() == FinAlgebra(
+        want.field, want.mul, want.unit, check=False).sparse_rows()
+
+
+@given(st.sampled_from([QQ, GF(5), GF(7)]).flatmap(
+    lambda f: st.tuples(scan_tables(f), scan_tables(f))),
+    st.sampled_from(OP_FLAGS))
+@settings(max_examples=40, deadline=None)
+def test_tensor_algebra_matches_dense_reference(pair, op_flags):
+    _assert_same_tensor_algebra(*pair, op_flags)
+
+
+@pytest.mark.parametrize("op_flags", OP_FLAGS)
+def test_tensor_algebra_corpus_matches_dense_reference(op_flags):
+    from quasihopf.corpus import cyclic_with_cocycle, twisted_z2
+    _assert_same_tensor_algebra(twisted_z2().H, h4(), op_flags)
+    fp = cyclic_with_cocycle(5, 2).H
+    _assert_same_tensor_algebra(fp, fp, op_flags)

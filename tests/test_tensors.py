@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,9 @@ from hypothesis import strategies as st
 
 from quasihopf.corpus import (cyclic_with_cocycle, group_algebra_z2,
                               sweedler4, twisted_z2)
-from quasihopf.fields import QQ
-from quasihopf.linalg import LinMap, Mat, prod
+from quasihopf.fields import GF, QQ
+from quasihopf.finalg import FinAlgebra
+from quasihopf.linalg import LinMap, Mat, flat_index, prod, unflatten
 from quasihopf.tensors import TensorElt, linmap_from_fn, slotwise_mul
 
 entries = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -206,3 +208,211 @@ def test_scale_and_zero():
     assert t.scale(Fraction(0)).is_zero()
     assert t.scale(Fraction(2)).terms == {(1,): Fraction(2)}
     assert TensorElt.zero(QQ, (3,)).is_zero()
+
+
+# -- the integer core against the dict-of-scalars algorithm -----------------
+#
+# Each reference below is the combinator as it was written on
+# {multi-index: field scalar} dicts, reducing mod p and dropping zeros
+# after every step.
+
+def _ref_clean(field, terms):
+    out = {}
+    for idx, c in terms.items():
+        if field.p is not None:
+            c = c % field.p
+        if c != 0:
+            out[tuple(idx)] = c
+    return out
+
+
+def _ref_accumulate(field, pairs):
+    out = {}
+    for idx, c in pairs:
+        out[idx] = out.get(idx, 0) + c
+    return _ref_clean(field, out)
+
+
+def _ref_insert(field, ta, pos, tb):
+    return _ref_accumulate(field, ((ia[:pos] + ib + ia[pos:], ca * cb)
+                                   for ia, ca in ta.items()
+                                   for ib, cb in tb.items()))
+
+
+def _ref_apply_at(field, dims, ta, pos, lm):
+    a = len(lm.in_dims)
+    pairs = []
+    for idx, c in ta.items():
+        col = flat_index(lm.in_dims, idx[pos:pos + a])
+        for r, mc in lm.mat.sparse_col(col):
+            pairs.append((idx[:pos] + unflatten(lm.out_dims, r)
+                          + idx[pos + a:], c * mc))
+    return _ref_accumulate(field, pairs)
+
+
+def _ref_rows(alg):
+    return [[[(k, c) for k, c in enumerate(row) if c != 0] for row in plane]
+            for plane in alg.mul]
+
+
+def _ref_mul_slots(field, ta, pos_a, pos_b, alg):
+    srows = _ref_rows(alg)
+    dst = pos_a if pos_a < pos_b else pos_a - 1
+    pairs = []
+    for idx, c in ta.items():
+        base = list(idx)
+        del base[pos_b]
+        for k, mc in srows[idx[pos_a]][idx[pos_b]]:
+            base[dst] = k
+            pairs.append((tuple(base), c * mc))
+    return _ref_accumulate(field, pairs)
+
+
+def _ref_slotwise(field, ta, tb, alg):
+    srows = _ref_rows(alg)
+    pairs = []
+    for ia, ca in ta.items():
+        for ib, cb in tb.items():
+            partial = [((), ca * cb)]
+            for i, j in zip(ia, ib):
+                partial = [(pref + (k,), coef * mc) for pref, coef in partial
+                           for k, mc in srows[i][j]]
+            pairs.extend(partial)
+    return _ref_accumulate(field, pairs)
+
+
+def _ref_add(field, ta, tb):
+    return _ref_accumulate(field, list(ta.items()) + list(tb.items()))
+
+
+def _ref_scale(field, ta, c):
+    return _ref_clean(field, {idx: v * c for idx, v in ta.items()})
+
+
+def _ref_permute(ta, perm):
+    return {tuple(idx[p] for p in perm): c for idx, c in ta.items()}
+
+
+def _ref_merge(dims, ta, groups):
+    bounds, pos = [], 0
+    for g in groups:
+        bounds.append((pos, pos + g))
+        pos += g
+    return {tuple(flat_index(dims[lo:hi], idx[lo:hi]) for lo, hi in bounds): c
+            for idx, c in ta.items()}
+
+
+def _ref_split(ta, pos, factors):
+    return {idx[:pos] + unflatten(factors, idx[pos]) + idx[pos + 1:]: c
+            for idx, c in ta.items()}
+
+
+def _assert_canonical(t):
+    assert t.den > 0
+    if t.field.p is None:
+        assert gcd(t.den, *t.num.values()) == 1
+    else:
+        assert t.den == 1
+        assert all(0 < c < t.field.p for c in t.num.values())
+    assert all(t.num.values())
+
+
+def field_scalars(field):
+    """Over QQ: ints next to Fractions with denominators 1, 2, 3 and 6,
+    negatives included; over GF(p): unreduced ints, negatives included."""
+    if field.p is None:
+        return st.one_of(
+            st.integers(-6, 6),
+            st.builds(Fraction, st.integers(-6, 6),
+                      st.sampled_from([1, 2, 3, 6])))
+    return st.integers(-3 * field.p, 3 * field.p)
+
+
+def sparse_scalars(field):
+    return st.one_of(st.just(0), st.just(0), field_scalars(field))
+
+
+def raw_terms(field, dims, max_terms=6):
+    index = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    return st.dictionaries(index, field_scalars(field), max_size=max_terms)
+
+
+@given(data=st.data(), field=st.sampled_from([QQ, GF(5), GF(7)]))
+@settings(max_examples=60, deadline=None)
+def test_integer_core_matches_scalar_dicts(data, field):
+    n = data.draw(st.integers(2, 3), label="n")
+    k = data.draw(st.integers(1, 3), label="slots")
+    dims = (n,) * k
+    ta = data.draw(raw_terms(field, dims), label="a")
+    tb = data.draw(raw_terms(field, dims), label="b")
+    a, b = TensorElt(field, dims, ta), TensorElt(field, dims, tb)
+    ra, rb = _ref_clean(field, ta), _ref_clean(field, tb)
+    other_dims = data.draw(st.sampled_from([(), (2,), (n, 2)]), label="c")
+    tc = data.draw(raw_terms(field, other_dims), label="c terms")
+    c, rc = TensorElt(field, other_dims, tc), _ref_clean(field, tc)
+    # random structure constants: mul_slots and slotwise_mul need no axioms
+    mul = data.draw(st.lists(st.lists(st.lists(
+        sparse_scalars(field), min_size=n, max_size=n), min_size=n,
+        max_size=n), min_size=n, max_size=n), label="mul")
+    alg = FinAlgebra(field, mul, [field.one()] + [field.zero()] * (n - 1),
+                     check=False)
+    width = data.draw(st.integers(1, k), label="map width")
+    out_dims = data.draw(st.sampled_from([(), (2,), (n, 3)]), label="out")
+    rows = data.draw(st.lists(st.lists(
+        sparse_scalars(field), min_size=n ** width, max_size=n ** width),
+        min_size=prod(out_dims), max_size=prod(out_dims)), label="map")
+    lm = LinMap(Mat(field, rows), (n,) * width, out_dims)
+    pos = data.draw(st.integers(0, k - width), label="pos")
+    scalar = data.draw(field_scalars(field), label="scalar")
+    perm = data.draw(st.permutations(range(k)), label="perm")
+    groups = data.draw(st.sampled_from([g for g in ((k,), (1, k - 1),
+                                                    (k - 1, 1)) if all(g)]),
+                       label="groups")
+
+    cases = [
+        (a.tensor(c), _ref_insert(field, ra, k, rc)),
+        (a.insert(pos, c), _ref_insert(field, ra, pos, rc)),
+        (a.apply_at(pos, lm), _ref_apply_at(field, dims, ra, pos, lm)),
+        (a + b, _ref_add(field, ra, rb)),
+        (a - b, _ref_add(field, ra, _ref_scale(field, rb, -1))),
+        (a.scale(scalar), _ref_scale(field, ra, scalar)),
+        (a.permute(perm), _ref_permute(ra, perm)),
+        (a.merge_slots(groups), _ref_merge(dims, ra, groups)),
+        (a.merge_slots((k,)).split_slot(0, dims), ra),
+        (slotwise_mul(a, b, alg), _ref_slotwise(field, ra, rb, alg)),
+    ]
+    if k > 1:
+        pa, pb = data.draw(st.permutations(range(k)), label="slots")[:2]
+        cases.append((a.mul_slots(pa, pb, alg),
+                      _ref_mul_slots(field, ra, pa, pb, alg)))
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.terms == want
+        assert TensorElt(field, got.dims, got.terms) == got
+
+
+@given(data=st.data(), field=st.sampled_from([QQ, GF(5), GF(7)]))
+@settings(max_examples=40, deadline=None)
+def test_canonical_form(data, field):
+    dims = (2, 3)
+    t = TensorElt(field, dims, data.draw(raw_terms(field, dims)))
+    _assert_canonical(t)
+    assert t.scale(2).scale(Fraction(1, 2) if field.p is None
+                            else pow(2, -1, field.p)) == t
+    assert (t - t).is_zero()
+    assert (t - t) == TensorElt.zero(field, dims)
+    assert TensorElt(field, t.dims, t.terms) == t
+    assert TensorElt.from_flat(field, dims, t.to_flat()) == t
+
+
+def test_mixed_denominators_share_one_denominator():
+    t = TensorElt(QQ, (3,), {(0,): Fraction(1, 3), (1,): Fraction(-1, 6),
+                             (2,): 2})
+    assert (t.num, t.den) == ({(0,): 2, (1,): -1, (2,): 12}, 6)
+    assert t.terms == {(0,): Fraction(1, 3), (1,): Fraction(-1, 6),
+                       (2,): Fraction(2)}
+    assert all(isinstance(c, Fraction) for c in t.to_flat())
+    # a sum whose terms cancel the denominator drops back to lowest terms
+    u = t + TensorElt(QQ, (3,), {(0,): Fraction(2, 3), (1,): Fraction(1, 6)})
+    assert (u.num, u.den) == ({(0,): 1, (2,): 2}, 1)
+    assert TensorElt(GF(5), (2,), {(0,): 7, (1,): -5}).terms == {(0,): 2}
