@@ -18,10 +18,11 @@ those slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .finalg import (FinAlgebra, Report, check_algebra_map, opposite,
                      tensor_algebra)
-from .linalg import LinMap, Mat, prod, solve, unflatten
+from .linalg import LinMap, Mat, prod, solve
 from .quasihopf import QuasiHopfAlgebra, tensor_qh
 from .tensors import TensorElt, linmap_from_fn, slotwise_mul
 
@@ -61,12 +62,31 @@ def _invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
         return t
     dims = t.dims
     n = prod(dims)
-    cols = []
-    for f in range(n):
-        e = TensorElt.basis(field, dims, unflatten(dims, f))
-        cols.append(slotwise_mul(t, e, algebras).to_flat())
-    mat = Mat(field, [[cols[j][i] for j in range(n)] for i in range(n)])
-    y = solve(mat, unit.to_flat())
+    # the matrix of e_f -> t e_f in one pass over the terms of t, as
+    # integers over one denominator: each term expands slot by slot into
+    # (column f, row, coefficient) triples
+    den = t.den
+    srows = []
+    for alg in algebras:
+        D, rows = alg.int_rows()
+        den *= D
+        srows.append(rows)
+    acc = [[0] * n for _ in range(n)]
+    for ia, ca in t.num.items():
+        partial = [(0, 0, ca)]
+        for d, slot_rows, i in zip(dims, srows, ia):
+            row = slot_rows[i]
+            partial = [(f * d + j, r * d + k, c * mc)
+                       for f, r, c in partial
+                       for j in range(d) for k, mc in row[j]]
+        for f, r, c in partial:
+            acc[r][f] += c
+    zero, p = field.zero(), field.p
+    if p is None:
+        entries = [[Fraction(c, den) if c else zero for c in r] for r in acc]
+    else:
+        entries = [[c % p for c in r] for r in acc]
+    y = solve(Mat(field, entries), unit.to_flat())
     if y is None:
         return None
     inv = TensorElt.from_flat(field, dims, y)

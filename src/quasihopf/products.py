@@ -21,6 +21,17 @@ Kinds:
 * ``GenTwoSidedCrossed``                - comodule # bimodule # comodule
 * ``TwoSidedGenSmash`` / ``TwoSidedSmash``
                                         - module # bicomodule # module
+
+Pair programs are staged.  Each factor of a formula reads only some of
+the basis indices of the pair, so a constructor runs its program in
+nested loops, one loop per index, and each stage of the program sits in
+the loop of the last index it reads.  Work that reads (a, a') alone, for
+instance, runs once per (a, a'), not once per pair.  The innermost stage
+fills a table keyed by the indices it has read, and the per-pair
+function only finishes the product from that table.  Every algebra
+product keeps the bracketing of the formula, so the structure tensor is
+the same as running the whole program on each pair, also when a factor
+is not associative.
 """
 
 from __future__ import annotations
@@ -59,11 +70,15 @@ class ProductAlgebra:
         return t.merge_slots((len(self.dims),)).to_flat()
 
 
-def _basis(field, dims, idx_i, idx_j, sizes):
-    """The two factor tuples of basis tensors for a pair of indices."""
-    lhs = [TensorElt.basis(field, (m,), (i,)) for m, i in zip(sizes, idx_i)]
-    rhs = [TensorElt.basis(field, (m,), (i,)) for m, i in zip(sizes, idx_j)]
-    return lhs, rhs
+def _e(field, m, i) -> TensorElt:
+    """The basis vector e_i of one m-dimensional slot."""
+    return TensorElt.basis(field, (m,), (i,))
+
+
+def _times_basis(t: TensorElt, alg: FinAlgebra, i: int) -> TensorElt:
+    """``t`` with its last slot multiplied on the right by e_i of ``alg``."""
+    k = len(t.dims)
+    return t.insert(k, _e(t.field, alg.dim, i)).mul_slots(k - 1, k, alg)
 
 
 def _slot_embedding(field, dims, units, pos) -> Mat:
@@ -97,6 +112,63 @@ def _same_parent(*objs):
 
 # -- one- and two-factor smash products ---------------------------------------
 
+def _act_then_coact(fld, dims, Phi, action, Aalg, lam, Balg, H):
+    """Pair program of (a x b)(a' x b') = (x1.a)(x2 b_-1 . a') x x3 b_0 b'
+    for a left H-action on A, a left coaction ``lam`` on B and an
+    associator ``Phi`` = x1 x x2 x x3 in H (x) H (x) B."""
+    mA, mB = dims
+    # everything but b' once per (a, b, a'); each pair multiplies b' in
+    table = {}
+    for ia in range(mA):
+        x = Phi.insert(1, _e(fld, mA, ia)).apply_at(0, action)
+        # [x1.a, x2, x3]
+        for ib in range(mB):
+            t = x.insert(2, _e(fld, mB, ib)).apply_at(2, lam)
+            t = t.mul_slots(1, 2, H)
+            # [x1.a, x2 b-1, b0, x3]
+            for ia2 in range(mA):
+                s = t.insert(2, _e(fld, mA, ia2)).apply_at(1, action)
+                # [x1.a, x2 b-1.a', b0, x3]
+                table[ia, ib, ia2] = s.mul_slots(0, 1, Aalg) \
+                    .mul_slots(2, 1, Balg)
+                # [A, x3 b0]
+
+    def pair(idx_i, idx_j):
+        return _times_basis(table[idx_i + idx_j[:1]], Balg, idx_j[1])
+
+    return pair
+
+
+def _coact_then_act(fld, dims, rho, Phi, Aalg, action, Balg, H):
+    """Pair program of (a x b)(a' x b') = a a'_0 x1 x (b.a'_1 x2)(b'.x3)
+    for a right coaction ``rho`` on A, a right H-action on B and an
+    associator ``Phi`` = x1 x x2 x x3 in A (x) H (x) H."""
+    mA, mB = dims
+    # rho(a') x Phi once per a', everything but a once per (b, a', b');
+    # each pair multiplies a in
+    table = {}
+    for ia2 in range(mA):
+        x = _e(fld, mA, ia2).apply_at(0, rho).tensor(Phi)
+        # [a'0, a'1, x1, x2, x3]
+        x = x.mul_slots(1, 3, H)
+        # [a'0, a'1 x2, x1, x3]
+        for ib2 in range(mB):
+            t = x.insert(3, _e(fld, mB, ib2)).apply_at(3, action)
+            # [a'0, a'1 x2, x1, b'.x3]
+            for ib in range(mB):
+                s = t.insert(1, _e(fld, mB, ib)).apply_at(1, action)
+                # [a'0, b.a'1 x2, x1, b'.x3]
+                table[ib, ia2, ib2] = s.mul_slots(1, 3, Balg)
+                # [a'0, B, x1]
+
+    def pair(idx_i, idx_j):
+        t = table[idx_i[1:] + idx_j].insert(0, _e(fld, mA, idx_i[0]))
+        # [a, a'0, B, x1]
+        return t.mul_slots(0, 1, Aalg).mul_slots(0, 2, Aalg)
+
+    return pair
+
+
 def smash(Am: LeftModuleAlgebra, check: bool = True) -> ProductAlgebra:
     """A#H: (a#h)(a'#h') = (x1.a)(x2 h_1.a') # x3 h_2 h'."""
     Hq = Am.Hq
@@ -105,15 +177,8 @@ def smash(Am: LeftModuleAlgebra, check: bool = True) -> ProductAlgebra:
     n, mA = Hq.n, Aalg.dim
     fld = Hq.field
     dims = (mA, n)
-
-    def pair(idx_i, idx_j):
-        (a, h), (a2, h2) = _basis(fld, dims, idx_i, idx_j, dims)
-        t = Hq.PhiInv.insert(1, a).apply_at(0, Am.action)
-        t = t.insert(3, h).apply_at(3, Hq.Delta).mul_slots(1, 3, H)
-        t = t.insert(2, a2).apply_at(1, Am.action).mul_slots(0, 1, Aalg)
-        t = t.mul_slots(1, 2, H)
-        return t.insert(2, h2).mul_slots(1, 2, H)
-
+    pair = _act_then_coact(fld, dims, Hq.PhiInv, Am.action, Aalg, Hq.Delta,
+                           H, H)
     unit = Am.unit_elt().tensor(Hq.unit_elt())
     name = f"{Am.name}#{Hq.name}"
     alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
@@ -153,16 +218,8 @@ def right_smash(Bm: RightModuleAlgebra, check: bool = True) -> ProductAlgebra:
     n, mB = Hq.n, Balg.dim
     fld = Hq.field
     dims = (n, mB)
-
-    def pair(idx_i, idx_j):
-        (h, b), (h2, b2) = _basis(fld, dims, idx_i, idx_j, dims)
-        t = h.tensor(b).tensor(h2).tensor(b2).apply_at(2, Hq.Delta)
-        t = t.insert(5, Hq.PhiInv)
-        t = t.mul_slots(0, 2, H).mul_slots(0, 4, H)
-        t = t.mul_slots(2, 4, H)
-        t = t.apply_at(1, Bm.action).apply_at(2, Bm.action)
-        return t.mul_slots(1, 2, Balg)
-
+    pair = _coact_then_act(fld, dims, Hq.Delta, Hq.PhiInv, H, Bm.action,
+                           Balg, H)
     unit = Hq.unit_elt().tensor(Bm.unit_elt())
     name = f"{Hq.name}#{Bm.name}"
     alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
@@ -189,20 +246,11 @@ def gen_smash(Am: LeftModuleAlgebra, Bfr, check: bool = True,
     (a x b)(a' x b') = (xl1.a)(xl2 b_-1 . a') x xl3 b_0 b'."""
     Bco = _left_part(Bfr)
     Hq = _same_parent(Am, Bco)
-    H = Hq.H
     Aalg, Balg = Am.A, Bco.B
-    mA, mB = Aalg.dim, Balg.dim
     fld = Hq.field
-    dims = (mA, mB)
-
-    def pair(idx_i, idx_j):
-        (a, b), (a2, b2) = _basis(fld, dims, idx_i, idx_j, dims)
-        t = Bco.PhiLamInv.insert(1, a).apply_at(0, Am.action)
-        t = t.insert(2, b).apply_at(2, Bco.lam).mul_slots(1, 2, H)
-        t = t.insert(2, a2).apply_at(1, Am.action).mul_slots(0, 1, Aalg)
-        t = t.mul_slots(2, 1, Balg)
-        return t.insert(2, b2).mul_slots(1, 2, Balg)
-
+    dims = (Aalg.dim, Balg.dim)
+    pair = _act_then_coact(fld, dims, Bco.PhiLamInv, Am.action, Aalg,
+                           Bco.lam, Balg, Hq.H)
     unit = Am.unit_elt().tensor(Bco.unit_elt())
     name = f"{Am.name}>*<{Bco.name}"
     alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
@@ -221,21 +269,11 @@ def right_gen_smash(Afr, Bm: RightModuleAlgebra, check: bool = True,
     (a x b)(a' x b') = a a'_0 xr1 x (b.a'_1 xr2)(b'.xr3)."""
     Aco = _right_part(Afr)
     Hq = _same_parent(Aco, Bm)
-    H = Hq.H
     Aalg, Balg = Aco.A, Bm.B
-    mA, mB = Aalg.dim, Balg.dim
     fld = Hq.field
-    dims = (mA, mB)
-
-    def pair(idx_i, idx_j):
-        (a, b), (a2, b2) = _basis(fld, dims, idx_i, idx_j, dims)
-        t = a.tensor(b).tensor(a2).tensor(b2).apply_at(2, Aco.rho)
-        t = t.insert(5, Aco.PhiRhoInv)
-        t = t.mul_slots(0, 2, Aalg).mul_slots(0, 4, Aalg)
-        t = t.mul_slots(2, 4, H)
-        t = t.apply_at(1, Bm.action).apply_at(2, Bm.action)
-        return t.mul_slots(1, 2, Balg)
-
+    dims = (Aalg.dim, Balg.dim)
+    pair = _coact_then_act(fld, dims, Aco.rho, Aco.PhiRhoInv, Aalg,
+                           Bm.action, Balg, Hq.H)
     unit = Aco.unit_elt().tensor(Bm.unit_elt())
     name = f"{Aco.name}>!<{Bm.name}"
     alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
@@ -257,21 +295,12 @@ def quasi_smash(Afr, Abi: BimoduleAlgebra,
     with H acting through the bimodule slot."""
     Aco = _right_part(Afr)
     Hq = _same_parent(Aco, Abi)
-    H = Hq.H
     Aalg, Palg = Aco.A, Abi.A
     mA, mP = Aalg.dim, Palg.dim
     fld = Hq.field
     dims = (mA, mP)
-
-    def pair(idx_i, idx_j):
-        (a, p), (a2, p2) = _basis(fld, dims, idx_i, idx_j, dims)
-        t = a.tensor(p).tensor(a2).tensor(p2).apply_at(2, Aco.rho)
-        t = t.insert(5, Aco.PhiRhoInv)
-        t = t.mul_slots(0, 2, Aalg).mul_slots(0, 4, Aalg)
-        t = t.mul_slots(2, 4, H)
-        t = t.apply_at(1, Abi.right).apply_at(2, Abi.right)
-        return t.mul_slots(1, 2, Palg)
-
+    pair = _coact_then_act(fld, dims, Aco.rho, Aco.PhiRhoInv, Aalg,
+                           Abi.right, Palg, Hq.H)
     unit = Aco.unit_elt().tensor(Abi.unit_elt())
     name = f"{Aco.name}#~{Abi.name}"
     alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
@@ -289,20 +318,12 @@ def left_quasi_smash(Abi: BimoduleAlgebra, Bfr,
     algebra: (p x b)(p' x b') = (xl1.p)(xl2 b_-1.p') x xl3 b_0 b'."""
     Bco = _left_part(Bfr)
     Hq = _same_parent(Abi, Bco)
-    H = Hq.H
     Palg, Balg = Abi.A, Bco.B
     mP, mB = Palg.dim, Balg.dim
     fld = Hq.field
     dims = (mP, mB)
-
-    def pair(idx_i, idx_j):
-        (p, b), (p2, b2) = _basis(fld, dims, idx_i, idx_j, dims)
-        t = Bco.PhiLamInv.insert(1, p).apply_at(0, Abi.left)
-        t = t.insert(2, b).apply_at(2, Bco.lam).mul_slots(1, 2, H)
-        t = t.insert(2, p2).apply_at(1, Abi.left).mul_slots(0, 1, Palg)
-        t = t.mul_slots(2, 1, Balg)
-        return t.insert(2, b2).mul_slots(1, 2, Balg)
-
+    pair = _act_then_coact(fld, dims, Bco.PhiLamInv, Abi.left, Palg,
+                           Bco.lam, Balg, Hq.H)
     unit = Abi.unit_elt().tensor(Bco.unit_elt())
     name = f"{Abi.name}#~{Bco.name}"
     alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
@@ -322,20 +343,32 @@ def _diag_left_pair(Abi, d, Om):
     Hq = Abi.Hq
     H = Hq.H
     Palg, Ualg = Abi.A, d.A
+    mP, mU = Palg.dim, Ualg.dim
     fld = Hq.field
-    dims = (Palg.dim, d.A.dim)
+    dims = (mP, mU)
+    # O1.p.O5 once per p, delta(u) once per (p, u), everything but u'
+    # once per (p, u, p'); each pair multiplies u' in
+    table = {}
+    for ip in range(mP):
+        x = Om.insert(1, _e(fld, mP, ip)).apply_at(0, Abi.left)
+        x = x.permute((0, 4, 1, 2, 3)).apply_at(0, Abi.right)
+        # [O1.p.O5, O2, O3, O4]
+        for iu in range(mU):
+            t = x.insert(4, _e(fld, mU, iu)).apply_at(4, d.delta)
+            # [P, O2, O3, O4, u-1, u0, u1]
+            t = t.mul_slots(1, 4, H)
+            t = t.apply_at(5, Hq.SInv).mul_slots(5, 3, H)
+            # [P, O2 u-1, O3, u0, S^{-1}(u1) O4]
+            for ip2 in range(mP):
+                s = t.insert(2, _e(fld, mP, ip2)).apply_at(1, Abi.left)
+                s = s.permute((0, 1, 4, 2, 3)).apply_at(1, Abi.right)
+                # [P, O2 u-1.p'.S^{-1}(u1) O4, O3, u0]
+                table[ip, iu, ip2] = s.mul_slots(0, 1, Palg) \
+                    .mul_slots(1, 2, Ualg)
+                # [P P', O3 u0]
 
     def pair(idx_i, idx_j):
-        (p, u), (p2, u2) = _basis(fld, dims, idx_i, idx_j, dims)
-        t = Om.insert(1, p).apply_at(0, Abi.left)
-        t = t.permute((0, 4, 1, 2, 3)).apply_at(0, Abi.right)
-        t = t.insert(4, u).apply_at(4, d.delta)
-        t = t.mul_slots(1, 4, H)
-        t = t.apply_at(5, Hq.SInv).mul_slots(5, 3, H)
-        t = t.insert(2, p2).apply_at(1, Abi.left)
-        t = t.permute((0, 1, 4, 2, 3)).apply_at(1, Abi.right)
-        t = t.mul_slots(0, 1, Palg).mul_slots(1, 2, Ualg)
-        return t.insert(2, u2).mul_slots(1, 2, Ualg)
+        return _times_basis(table[idx_i + idx_j[:1]], Ualg, idx_j[1])
 
     return dims, pair
 
@@ -346,18 +379,31 @@ def _diag_right_pair(Abi, d, Omp):
     Hq = Abi.Hq
     H = Hq.H
     Palg, Ualg = Abi.A, d.A
+    mU, mP = Ualg.dim, Palg.dim
     fld = Hq.field
-    dims = (d.A.dim, Palg.dim)
+    dims = (mU, mP)
+    # delta(u') and its H products once per u', u once per (u, u'), p
+    # once per (u, p, u'); each pair acts with p'
+    table = {}
+    for iu2 in range(mU):
+        x = Omp.insert(0, _e(fld, mU, iu2)).apply_at(0, d.delta)
+        # [u'-1, u'0, u'1, O'1, O'2, O'3, O'4, O'5]
+        x = x.apply_at(0, Hq.SInv).mul_slots(4, 0, H)
+        x = x.mul_slots(1, 5, H)
+        # [u'0, u'1 O'4, O'1, O'2 S^{-1}(u'-1), O'3, O'5]
+        for iu in range(mU):
+            t = x.insert(0, _e(fld, mU, iu))
+            t = t.mul_slots(0, 1, Ualg).mul_slots(0, 4, Ualg)
+            # [u u'0 O'3, u'1 O'4, O'1, O'2 S^{-1}(u'-1), O'5]
+            for ip in range(mP):
+                s = t.insert(4, _e(fld, mP, ip)).apply_at(3, Abi.left)
+                s = s.permute((0, 2, 3, 1, 4)).apply_at(2, Abi.right)
+                table[iu, ip, iu2] = s
+                # [U, O'1, O'2 S^{-1}(u'-1).p.u'1 O'4, O'5]
 
     def pair(idx_i, idx_j):
-        (u, p), (u2, p2) = _basis(fld, dims, idx_i, idx_j, dims)
-        t = Omp.insert(0, u2).apply_at(0, d.delta).insert(0, u)
-        t = t.mul_slots(0, 2, Ualg).mul_slots(0, 5, Ualg)
-        t = t.apply_at(1, Hq.SInv).mul_slots(4, 1, H)
-        t = t.mul_slots(1, 4, H)
-        t = t.insert(4, p).apply_at(3, Abi.left)
-        t = t.permute((0, 2, 3, 1, 4)).apply_at(2, Abi.right)
-        t = t.insert(2, p2).apply_at(1, Abi.left)
+        t = table[idx_i + idx_j[:1]]
+        t = t.insert(2, _e(fld, mP, idx_j[1])).apply_at(1, Abi.left)
         t = t.permute((0, 2, 1, 3)).apply_at(2, Abi.right)
         return t.mul_slots(1, 2, Palg)
 
@@ -455,7 +501,7 @@ def gen_two_sided_crossed(Afr, Abi: BimoduleAlgebra, Bfr,
     fld = Hq.field
     dims = (mA, mP, mB)
     # the halves that depend on part of the pair only: PhiRhoInv enters
-    # once per (a, a'), PhiLamInv once per b
+    # once per (a, a'), PhiLamInv once per b and p once per (p, b)
     outer = {}
     for ia in range(mA):
         for ia2 in range(mA):
@@ -465,28 +511,34 @@ def gen_two_sided_crossed(Afr, Abi: BimoduleAlgebra, Bfr,
             t = t.mul_slots(0, 1, Aalg).mul_slots(0, 2, Aalg)
             outer[ia, ia2] = t.mul_slots(1, 2, H)
             # [a a'0 xr1, a'1 xr2, xr3]
-    inner = []
+    inner = {}
     for ib in range(mB):
-        t = Bco.PhiLamInv.insert(3, TensorElt.basis(fld, (mB,), (ib,)))
-        t = t.apply_at(3, Bco.lam)
+        t = Bco.PhiLamInv.insert(3, _e(fld, mB, ib)).apply_at(3, Bco.lam)
         # [xl1, xl2, xl3, b-1, b0]
-        inner.append(t.mul_slots(1, 3, H).mul_slots(2, 3, Balg))
+        t = t.mul_slots(1, 3, H).mul_slots(2, 3, Balg)
         # [xl1, xl2 b-1, xl3 b0]
+        for ip in range(mP):
+            inner[ip, ib] = t.insert(1, _e(fld, mP, ip)) \
+                .apply_at(0, Abi.left)
+            # [xl1.p, xl2 b-1, xl3 b0]
+    # everything but b' once per (a, p, b, a', p'); each pair
+    # multiplies b' in
+    table = {}
+    for (ia, ia2), a_half in outer.items():
+        for (ip, ib), b_half in inner.items():
+            t = a_half.tensor(b_half).permute((0, 3, 1, 2, 4, 5))
+            # [A, xl1.p, a'1 xr2, xr3, xl2 b-1, xl3 b0]
+            t = t.apply_at(1, Abi.right)
+            # [A, P1, xr3, xl2 b-1, xl3 b0]
+            for ip2 in range(mP):
+                s = t.insert(4, _e(fld, mP, ip2)).apply_at(3, Abi.left)
+                # [A, P1, xr3, P2, xl3 b0]
+                s = s.permute((0, 1, 3, 2, 4)).apply_at(2, Abi.right)
+                table[ia, ip, ib, ia2, ip2] = s.mul_slots(1, 2, Palg)
+                # [A, P1 P2, xl3 b0]
 
     def pair(idx_i, idx_j):
-        (_, p, _), (_, p2, b2) = _basis(fld, dims, idx_i, idx_j, dims)
-        t = inner[idx_i[2]].insert(1, p).apply_at(0, Abi.left)
-        # [xl1.p, xl2 b-1, xl3 b0]
-        t = outer[idx_i[0], idx_j[0]].tensor(t).permute((0, 3, 1, 2, 4, 5))
-        # [A, xl1.p, a'1 xr2, xr3, xl2 b-1, xl3 b0]
-        t = t.apply_at(1, Abi.right)
-        # [A, P1, xr3, xl2 b-1, xl3 b0]
-        t = t.insert(4, p2).apply_at(3, Abi.left)
-        # [A, P1, xr3, P2, xl3 b0]
-        t = t.permute((0, 1, 3, 2, 4)).apply_at(2, Abi.right)
-        # [A, P1, P2, xl3 b0]
-        t = t.mul_slots(1, 2, Palg).insert(3, b2)
-        return t.mul_slots(2, 3, Balg)
+        return _times_basis(table[idx_i + idx_j[:2]], Balg, idx_j[2])
 
     unit = Aco.unit_elt().tensor(Abi.unit_elt()).tensor(Bco.unit_elt())
     name = f"{Aco.name}><{Abi.name}><{Bco.name}"
@@ -516,37 +568,44 @@ def two_sided_gen_smash(Am: LeftModuleAlgebra, Ab: BicomoduleAlgebra,
     mA, mU, mB = Aalg.dim, Ualg.dim, Balg.dim
     fld = Hq.field
     dims = (mA, mU, mB)
-    # PhiLamInv and PhiLRInv enter once per u; rho(u') x PhiRhoInv enters
-    # once per u', in each pair only after the A products
-    xt = Ab.left.PhiLamInv.tensor(Ab.PhiLRInv)
-    left_u = []
-    for iu in range(mU):
-        t = xt.insert(3, TensorElt.basis(fld, (mU,), (iu,)))
-        t = t.apply_at(3, Ab.lam)
-        # [xl1, xl2, xl3, u-1, u0, t1, t2, t3]
-        t = t.mul_slots(1, 3, H).mul_slots(1, 4, H)
-        left_u.append(t.mul_slots(2, 3, Ualg).mul_slots(2, 3, Ualg))
-        # [xl1, xl2 u-1 t1, xl3 u0 t2, t3]
     right_u = []
     for iu in range(mU):
-        t = TensorElt.basis(fld, (mU,), (iu,)).apply_at(0, Ab.rho)
+        t = _e(fld, mU, iu).apply_at(0, Ab.rho)
         right_u.append(t.tensor(Ab.right.PhiRhoInv))
         # [u'0, u'1, xr1, xr2, xr3]
+    # PhiLamInv and PhiLRInv enter once per u, a once per (a, u), a' once
+    # per (a, u, a'), rho(u') x PhiRhoInv once per (a, u, a', u') after
+    # the A products, and b once per (a, u, b, a', u'); each pair acts
+    # with b'
+    xt = Ab.left.PhiLamInv.tensor(Ab.PhiLRInv)
+    table = {}
+    for iu in range(mU):
+        x = xt.insert(3, _e(fld, mU, iu)).apply_at(3, Ab.lam)
+        # [xl1, xl2, xl3, u-1, u0, t1, t2, t3]
+        x = x.mul_slots(1, 3, H).mul_slots(1, 4, H)
+        x = x.mul_slots(2, 3, Ualg).mul_slots(2, 3, Ualg)
+        # [xl1, xl2 u-1 t1, xl3 u0 t2, t3]
+        for ia in range(mA):
+            y = x.insert(1, _e(fld, mA, ia)).apply_at(0, Am.action)
+            for ia2 in range(mA):
+                t = y.insert(2, _e(fld, mA, ia2)).apply_at(1, Am.action)
+                t = t.mul_slots(0, 1, Aalg)
+                # [A, xl3 u0 t2, t3]
+                for iu2 in range(mU):
+                    s = t.insert(3, right_u[iu2])
+                    # [A, xl3 u0 t2, t3, u'0, u'1, xr1, xr2, xr3]
+                    s = s.mul_slots(1, 3, Ualg).mul_slots(1, 4, Ualg)
+                    # [A, U, t3, u'1, xr2, xr3]
+                    s = s.mul_slots(2, 3, H).mul_slots(2, 3, H)
+                    # [A, U, t3 u'1 xr2, xr3]
+                    for ib in range(mB):
+                        table[ia, iu, ib, ia2, iu2] = s.insert(
+                            2, _e(fld, mB, ib)).apply_at(2, Bm.action)
+                        # [A, U, b.t3 u'1 xr2, xr3]
 
     def pair(idx_i, idx_j):
-        (a, _, b), (a2, _, b2) = _basis(fld, dims, idx_i, idx_j, dims)
-        t = left_u[idx_i[1]].insert(1, a).apply_at(0, Am.action)
-        t = t.insert(2, a2).apply_at(1, Am.action).mul_slots(0, 1, Aalg)
-        # [A, xl3 u0 t2, t3]
-        t = t.insert(3, right_u[idx_j[1]])
-        # [A, xl3 u0 t2, t3, u'0, u'1, xr1, xr2, xr3]
-        t = t.mul_slots(1, 3, Ualg).mul_slots(1, 4, Ualg)
-        # [A, U, t3, u'1, xr2, xr3]
-        t = t.mul_slots(2, 3, H).mul_slots(2, 3, H)
-        # [A, U, t3 u'1 xr2, xr3]
-        t = t.insert(2, b).apply_at(2, Bm.action)
-        t = t.insert(3, b2).apply_at(3, Bm.action)
-        return t.mul_slots(2, 3, Balg)
+        t = table[idx_i + idx_j[:2]].insert(3, _e(fld, mB, idx_j[2]))
+        return t.apply_at(3, Bm.action).mul_slots(2, 3, Balg)
 
     unit = Am.unit_elt().tensor(Ab.unit_elt()).tensor(Bm.unit_elt())
     name = f"{Am.name}#{Ab.name}#{Bm.name}"

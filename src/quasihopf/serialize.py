@@ -229,31 +229,45 @@ def _dim(doc) -> int:
     return d
 
 
-def _parent(doc, base_dir, check, seen):
-    """The quasi-Hopf parent of a dependent document; ``seen`` holds the
-    resolved paths of the files already on the parent chain."""
+# A valid parent is a quasi-Hopf definition, which has no parent of its
+# own, so a parent chain holds at most a document and its parent.
+MAX_PARENT_CHAIN = 2
+
+
+def _parent(doc, base_dir, check, chain):
+    """The quasi-Hopf parent of a dependent document; ``chain`` holds the
+    documents on the parent chain down to this one, each by its resolved
+    path (None for a document not read from a file)."""
     par = _need(doc, "parent")
+    real = None
     if isinstance(par, str):
         path = par if os.path.isabs(par) else os.path.join(base_dir, par)
-        if os.path.realpath(path) in seen:
+        real = os.path.realpath(path)
+        if real in chain:
             raise DocumentError(f"cyclic parent reference to {par!r}")
-        seen = seen | {os.path.realpath(path)}
+    if len(chain) >= MAX_PARENT_CHAIN:
+        raise DocumentError(f"parent chain longer than {MAX_PARENT_CHAIN} "
+                            "documents: a parent must be a quasi-Hopf "
+                            "definition")
+    if real is not None:
         par = load_document(path)
         base_dir = os.path.dirname(os.path.abspath(path))
     if not isinstance(par, dict):
         raise DocumentError(f"bad parent {par!r}")
-    Hq = from_document(par, base_dir=base_dir, check=check, _seen=seen)
+    Hq = from_document(par, base_dir=base_dir, check=check,
+                       _chain=chain + (real,))
     if not isinstance(Hq, QuasiHopfAlgebra):
         raise DocumentError("parent must be a quasi-Hopf definition")
     return Hq
 
 
 def from_document(doc, base_dir: str = ".", check: bool = False,
-                  _seen=frozenset()):
+                  _chain=(None,)):
     """Rebuild the structure a document defines.
 
     Shape or scalar problems, and a parent chain that returns to a file
-    already on it, raise DocumentError; mathematically inconsistent data
+    already on it or runs past ``MAX_PARENT_CHAIN`` documents, raise
+    DocumentError; mathematically inconsistent data
     (non-invertible associators, failed axioms when ``check`` is set)
     raise ValueError from the constructors.
     """
@@ -286,7 +300,7 @@ def from_document(doc, base_dir: str = ".", check: bool = False,
             Hq.verify().require(name or "quasi-Hopf algebra")
         return Hq
 
-    Hq = _parent(doc, base_dir, check, _seen)
+    Hq = _parent(doc, base_dir, check, _chain)
     n, m = Hq.n, dim
     if Hq.field != field:
         raise DocumentError("field differs from the parent's")
@@ -337,6 +351,8 @@ def load_document(path: str):
         raise DocumentError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError(f"{path} is nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError(f"{path} must hold a JSON object")
     return doc
@@ -345,4 +361,4 @@ def load_document(path: str):
 def load_structure(path: str, check: bool = False):
     doc = load_document(path)
     return from_document(doc, base_dir=os.path.dirname(os.path.abspath(path)),
-                         check=check, _seen=frozenset({os.path.realpath(path)}))
+                         check=check, _chain=(os.path.realpath(path),))

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from quasihopf import cli, serialize
+from quasihopf.actions import LeftModuleAlgebra
 from quasihopf.cli import main
 
 from conftest import entry
@@ -168,11 +169,9 @@ def _hostile_documents(module_doc, out_dir):
     return paths
 
 
-@pytest.mark.parametrize("name", ["cyclic-parent", "huge-prime", "huge-dim",
-                                  "truncated-array"])
-def test_hostile_document_exits_2(tmp_path, name):
-    module_doc = serialize.to_document(entry("H2")["module"])
-    path = _hostile_documents(module_doc, tmp_path)[name]
+def _verify_in_child(path):
+    """Run ``quasihopf verify`` on ``path`` in a child process and check
+    that it ends in exit 2 with one line on stderr; return that line."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "quasihopf.cli", "verify", str(path)],
@@ -181,6 +180,55 @@ def test_hostile_document_exits_2(tmp_path, name):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+    return proc.stderr.strip()
+
+
+@pytest.mark.parametrize("name", ["cyclic-parent", "huge-prime", "huge-dim",
+                                  "truncated-array"])
+def test_hostile_document_exits_2(tmp_path, name):
+    module_doc = serialize.to_document(entry("H2")["module"])
+    _verify_in_child(_hostile_documents(module_doc, tmp_path)[name])
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_long_parent_chain_exits_2(tmp_path, inline):
+    # 600 module-algebra documents, each naming the next as its parent,
+    # either as 600 files or nested in one document
+    module_doc = serialize.to_document(entry("H2")["module"])
+    n = 600
+    if inline:
+        doc = module_doc["parent"]
+        for _ in range(n):
+            doc = dict(module_doc, parent=doc)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+    else:
+        for i in range(n):
+            par = f"m{i + 1}.json" if i + 1 < n else module_doc["parent"]
+            (tmp_path / f"m{i}.json").write_text(
+                json.dumps(dict(module_doc, parent=par)))
+        path = tmp_path / "m0.json"
+    assert "parent chain" in _verify_in_child(path)
+
+
+def test_parent_of_a_parent_refused(tmp_path):
+    module_doc = serialize.to_document(entry("H2")["module"])
+    (tmp_path / "b.json").write_text(json.dumps(module_doc))
+    (tmp_path / "a.json").write_text(
+        json.dumps(dict(module_doc, parent="b.json")))
+    assert isinstance(serialize.load_structure(str(tmp_path / "b.json")),
+                      LeftModuleAlgebra)
+    with pytest.raises(serialize.DocumentError, match="parent chain"):
+        serialize.load_structure(str(tmp_path / "a.json"))
+
+
+def test_deeply_nested_document_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    depth = 100000
+    path.write_text('{"kind": "algebra", "field": "Q", "dim": 1, '
+                    '"unit": ["1"], "mul": ' + "[" * depth + "]" * depth
+                    + "}")
+    assert "nested too deeply" in _verify_in_child(path)
 
 
 def test_parent_cycle_through_two_files(tmp_path):

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                                 PQDelta, bicomodule_tensor_with_algebra,
+                                 PQDelta, _invert_mixed, _unit_tensor,
+                                 bicomodule_tensor_with_algebra,
                                  lambda12_structures, omega_closed_left,
                                  omega_closed_right, omega_from_coaction,
                                  pq_delta, regular_bicomodule, regular_left,
@@ -11,8 +14,10 @@ from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  twist_coaction, twist_equivalence_U,
                                  two_sided_from_bicomodule, verify_omega,
                                  verify_pq_delta, verify_tilde_pq)
-from quasihopf.fields import QQ
-from quasihopf.tensors import TensorElt, linmap_from_fn
+from quasihopf.fields import GF, QQ
+from quasihopf.finalg import FinAlgebra
+from quasihopf.linalg import Mat, prod, solve, unflatten
+from quasihopf.tensors import TensorElt, linmap_from_fn, slotwise_mul
 
 from conftest import entry
 
@@ -204,3 +209,123 @@ def test_noninvertible_mixed_associator_rejected():
                                     (1, 0, 1): Fraction(1)})
     with pytest.raises(ValueError):
         LeftComoduleAlgebra(Hq, Hq.H, Ab.lam, bad, check=False)
+
+
+# -- _invert_mixed against the column-by-column construction -----------------
+
+def _invert_by_columns(t, algebras):
+    """The inverse as it was found before the one-pass matrix build: one
+    slotwise product t e_f per basis tensor e_f gives the columns."""
+    field = t.field
+    unit = _unit_tensor(field, algebras)
+    if t == unit:
+        return t
+    dims = t.dims
+    n = prod(dims)
+    cols = []
+    for f in range(n):
+        e = TensorElt.basis(field, dims, unflatten(dims, f))
+        cols.append(slotwise_mul(t, e, algebras).to_flat())
+    mat = Mat(field, [[cols[j][i] for j in range(n)] for i in range(n)])
+    y = solve(mat, unit.to_flat())
+    if y is None:
+        return None
+    inv = TensorElt.from_flat(field, dims, y)
+    if slotwise_mul(inv, t, algebras) != unit:
+        return None
+    return inv
+
+
+def _random_algebra(field, dim, scalars, draw):
+    """A random unital table, not associative in general, with its unit
+    at a random basis index."""
+    one, zero = field.one(), field.zero()
+    u = draw(st.integers(0, dim - 1))
+
+    def product(i, j):
+        if u in (i, j):
+            k = i + j - u
+            return [one if r == k else zero for r in range(dim)]
+        return [draw(scalars) for _ in range(dim)]
+
+    mul = [[product(i, j) for j in range(dim)] for i in range(dim)]
+    unit = [one if r == u else zero for r in range(dim)]
+    return FinAlgebra(field, mul, unit, check=False)
+
+
+QQ_SCALARS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# QQ[Z/2] on the basis 1, g/2: structure constants with denominator 4
+HALF_G = FinAlgebra(QQ, [[[1, 0], [0, 1]], [[0, 1], [Fraction(1, 4), 0]]],
+                    [1, 0], check=False)
+
+
+def _slot_algebras(field, draw):
+    """Two or three slots: corpus algebras over ``field`` and random
+    tables with entries drawn from ``_scalars(field)``."""
+    if field.p is None:
+        pool = [entry(n)["H"].H for n in SMALL] + [HALF_G]
+    else:
+        pool = [entry(n)["H"].H for n in PRIME if entry(n)["H"].field == field]
+    k = draw(st.integers(2, 3))
+    algs = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            algs.append(draw(st.sampled_from(pool)))
+        else:
+            algs.append(_random_algebra(field, draw(st.integers(1, 2)),
+                                        _scalars(field), draw))
+    return algs
+
+
+def _scalars(field):
+    if field.p is None:
+        return QQ_SCALARS
+    return st.integers(-field.p, 2 * field.p)
+
+
+@given(st.data(), st.sampled_from([QQ, GF(5), GF(7)]))
+@settings(max_examples=60, deadline=None)
+def test_invert_mixed_matches_columns(data, field):
+    draw = data.draw
+    algs = _slot_algebras(field, draw)
+    dims = tuple(a.dim for a in algs)
+    # a random element, or a random perturbation of the unit
+    vec = draw(st.lists(_scalars(field), min_size=prod(dims),
+                        max_size=prod(dims)))
+    t = TensorElt.from_flat(field, dims, vec)
+    if draw(st.booleans()):
+        t = t + _unit_tensor(field, algs)
+    got, want = _invert_mixed(t, algs), _invert_by_columns(t, algs)
+    assert got == want
+    if got is not None:
+        assert slotwise_mul(got, t, algs) == _unit_tensor(field, algs)
+
+
+# a zero divisor of each H: 1 + g, the nilpotent x, an idempotent e_0
+ZERO_DIVISORS = {"QZ2": [1, 1], "Sweedler4": [0, 1, 0, 0],
+                 "FpZn(5,2)": [1, 0], "FpZn(7,3)": [1, 0, 0]}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_DIVISORS))
+def test_invert_mixed_corpus_cases(name):
+    Hq = entry(name)["H"]
+    fld, algs = Hq.field, [Hq.H] * 3
+    unit = _unit_tensor(fld, algs)
+    assert _invert_mixed(unit, algs) is unit
+    inv = _invert_mixed(Hq.Phi, algs)
+    assert inv is not None and inv == _invert_by_columns(Hq.Phi, algs)
+    zero_div = TensorElt.from_vector(fld, ZERO_DIVISORS[name]).tensor(
+        _unit_tensor(fld, algs[1:]))
+    assert _invert_by_columns(zero_div, algs) is None
+    assert _invert_mixed(zero_div, algs) is None
+
+
+def test_invert_mixed_reduces_sums_mod_p():
+    # in GF(5)e0 + GF(5)e1 with unit e1 and e0 e0 = e0 + e1, the first
+    # entry of the operator of t = 2 e0 + 3 e1 sums to 2 + 3 = 0 mod 5
+    F = GF(5)
+    A = FinAlgebra(F, [[[1, 1], [1, 0]], [[1, 0], [0, 1]]], [0, 1],
+                   check=False)
+    t = TensorElt.from_vector(F, [2, 3])
+    inv = _invert_mixed(t, [A])
+    assert inv is not None and inv == _invert_by_columns(t, [A])

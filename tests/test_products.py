@@ -1,14 +1,16 @@
 import pytest
 
 from quasihopf.actions import RightModuleAlgebra, trivial_right_action
-from quasihopf.coactions import tensor_bicomodule, two_sided_from_bicomodule
-from quasihopf.finalg import verify_associative_unital
+from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
+                                 RightComoduleAlgebra, omega_from_coaction, tensor_bicomodule,
+                                 two_sided_from_bicomodule)
+from quasihopf.finalg import algebra_from_pair_fn, verify_associative_unital
 from quasihopf.products import (diag_crossed, diag_crossed_general, gen_smash,
                                 gen_two_sided_crossed, induced_costructures,
                                 left_quasi_smash, quasi_smash, right_gen_smash,
                                 right_smash, smash, two_sided_gen_smash,
                                 two_sided_smash)
-from quasihopf.tensors import TensorElt
+from quasihopf.tensors import TensorElt, slotwise_mul
 
 from conftest import entry
 
@@ -166,3 +168,314 @@ def test_product_units_and_embeddings(name):
     p = smash(Am, check=False)
     want = Am.unit_elt().tensor(Hq.unit_elt()).merge_slots((2,)).to_flat()
     assert list(p.result.unit) == list(want)
+
+
+# -- staged pair programs against the per-pair programs they replace --------
+#
+# Each reference below is a constructor's pair program as it stood before
+# the programs were staged: the whole slot program runs on every basis
+# pair.  The staged constructors must give the same tables entry for
+# entry, also on a broken, non-associative input.
+
+def _basis(fld, dims, idx_i, idx_j):
+    lhs = [TensorElt.basis(fld, (m,), (i,)) for m, i in zip(dims, idx_i)]
+    rhs = [TensorElt.basis(fld, (m,), (i,)) for m, i in zip(dims, idx_j)]
+    return lhs, rhs
+
+
+def ref_smash(Am):
+    Hq = Am.Hq
+    H, Aalg, fld = Hq.H, Am.A, Hq.field
+    dims = (Aalg.dim, Hq.n)
+
+    def pair(idx_i, idx_j):
+        (a, h), (a2, h2) = _basis(fld, dims, idx_i, idx_j)
+        t = Hq.PhiInv.insert(1, a).apply_at(0, Am.action)
+        t = t.insert(3, h).apply_at(3, Hq.Delta).mul_slots(1, 3, H)
+        t = t.insert(2, a2).apply_at(1, Am.action).mul_slots(0, 1, Aalg)
+        t = t.mul_slots(1, 2, H)
+        return t.insert(2, h2).mul_slots(1, 2, H)
+
+    return dims, pair, Am.unit_elt().tensor(Hq.unit_elt())
+
+
+def _ref_coact_then_act(Hq, rho, Phi, Aalg, action, Balg, units):
+    H, fld = Hq.H, Hq.field
+    dims = (Aalg.dim, Balg.dim)
+
+    def pair(idx_i, idx_j):
+        (a, b), (a2, b2) = _basis(fld, dims, idx_i, idx_j)
+        t = a.tensor(b).tensor(a2).tensor(b2).apply_at(2, rho)
+        t = t.insert(5, Phi)
+        t = t.mul_slots(0, 2, Aalg).mul_slots(0, 4, Aalg)
+        t = t.mul_slots(2, 4, H)
+        t = t.apply_at(1, action).apply_at(2, action)
+        return t.mul_slots(1, 2, Balg)
+
+    return dims, pair, units[0].tensor(units[1])
+
+
+def _ref_act_then_coact(Hq, Phi, action, Aalg, lam, Balg, units):
+    H, fld = Hq.H, Hq.field
+    dims = (Aalg.dim, Balg.dim)
+
+    def pair(idx_i, idx_j):
+        (a, b), (a2, b2) = _basis(fld, dims, idx_i, idx_j)
+        t = Phi.insert(1, a).apply_at(0, action)
+        t = t.insert(2, b).apply_at(2, lam).mul_slots(1, 2, H)
+        t = t.insert(2, a2).apply_at(1, action).mul_slots(0, 1, Aalg)
+        t = t.mul_slots(2, 1, Balg)
+        return t.insert(2, b2).mul_slots(1, 2, Balg)
+
+    return dims, pair, units[0].tensor(units[1])
+
+
+def ref_right_smash(Bm):
+    Hq = Bm.Hq
+    return _ref_coact_then_act(Hq, Hq.Delta, Hq.PhiInv, Hq.H, Bm.action,
+                               Bm.B, [Hq.unit_elt(), Bm.unit_elt()])
+
+
+def ref_gen_smash(Am, Ab):
+    Bco = Ab.left
+    return _ref_act_then_coact(Am.Hq, Bco.PhiLamInv, Am.action, Am.A,
+                               Bco.lam, Bco.B,
+                               [Am.unit_elt(), Bco.unit_elt()])
+
+
+def ref_right_gen_smash(Ab, Bm):
+    Aco = Ab.right
+    return _ref_coact_then_act(Bm.Hq, Aco.rho, Aco.PhiRhoInv, Aco.A,
+                               Bm.action, Bm.B,
+                               [Aco.unit_elt(), Bm.unit_elt()])
+
+
+def ref_quasi_smash(Ab, Abi):
+    Aco = Ab.right
+    return _ref_coact_then_act(Abi.Hq, Aco.rho, Aco.PhiRhoInv, Aco.A,
+                               Abi.right, Abi.A,
+                               [Aco.unit_elt(), Abi.unit_elt()])
+
+
+def ref_left_quasi_smash(Abi, Ab):
+    Bco = Ab.left
+    return _ref_act_then_coact(Abi.Hq, Bco.PhiLamInv, Abi.left, Abi.A,
+                               Bco.lam, Bco.B,
+                               [Abi.unit_elt(), Bco.unit_elt()])
+
+
+def ref_diag_left(Abi, d, Om):
+    Hq = Abi.Hq
+    H, fld = Hq.H, Hq.field
+    Palg, Ualg = Abi.A, d.A
+    dims = (Palg.dim, Ualg.dim)
+
+    def pair(idx_i, idx_j):
+        (p, u), (p2, u2) = _basis(fld, dims, idx_i, idx_j)
+        t = Om.insert(1, p).apply_at(0, Abi.left)
+        t = t.permute((0, 4, 1, 2, 3)).apply_at(0, Abi.right)
+        t = t.insert(4, u).apply_at(4, d.delta)
+        t = t.mul_slots(1, 4, H)
+        t = t.apply_at(5, Hq.SInv).mul_slots(5, 3, H)
+        t = t.insert(2, p2).apply_at(1, Abi.left)
+        t = t.permute((0, 1, 4, 2, 3)).apply_at(1, Abi.right)
+        t = t.mul_slots(0, 1, Palg).mul_slots(1, 2, Ualg)
+        return t.insert(2, u2).mul_slots(1, 2, Ualg)
+
+    return dims, pair, Abi.unit_elt().tensor(d.unit_elt())
+
+
+def ref_diag_right(Abi, d, Omp):
+    Hq = Abi.Hq
+    H, fld = Hq.H, Hq.field
+    Palg, Ualg = Abi.A, d.A
+    dims = (Ualg.dim, Palg.dim)
+
+    def pair(idx_i, idx_j):
+        (u, p), (u2, p2) = _basis(fld, dims, idx_i, idx_j)
+        t = Omp.insert(0, u2).apply_at(0, d.delta).insert(0, u)
+        t = t.mul_slots(0, 2, Ualg).mul_slots(0, 5, Ualg)
+        t = t.apply_at(1, Hq.SInv).mul_slots(4, 1, H)
+        t = t.mul_slots(1, 4, H)
+        t = t.insert(4, p).apply_at(3, Abi.left)
+        t = t.permute((0, 2, 3, 1, 4)).apply_at(2, Abi.right)
+        t = t.insert(2, p2).apply_at(1, Abi.left)
+        t = t.permute((0, 2, 1, 3)).apply_at(2, Abi.right)
+        return t.mul_slots(1, 2, Palg)
+
+    return dims, pair, d.unit_elt().tensor(Abi.unit_elt())
+
+
+def ref_gen_two_sided_crossed(Afr, Abi, Bfr):
+    Aco, Bco = Afr.right, Bfr.left
+    Hq = Abi.Hq
+    H, fld = Hq.H, Hq.field
+    Aalg, Palg, Balg = Aco.A, Abi.A, Bco.B
+    mA, mB = Aalg.dim, Balg.dim
+    dims = (mA, Palg.dim, mB)
+    outer = {}
+    for ia in range(mA):
+        for ia2 in range(mA):
+            t = TensorElt.basis(fld, (mA, mA), (ia, ia2))
+            t = t.apply_at(1, Aco.rho).insert(3, Aco.PhiRhoInv)
+            t = t.mul_slots(0, 1, Aalg).mul_slots(0, 2, Aalg)
+            outer[ia, ia2] = t.mul_slots(1, 2, H)
+    inner = []
+    for ib in range(mB):
+        t = Bco.PhiLamInv.insert(3, TensorElt.basis(fld, (mB,), (ib,)))
+        t = t.apply_at(3, Bco.lam)
+        inner.append(t.mul_slots(1, 3, H).mul_slots(2, 3, Balg))
+
+    def pair(idx_i, idx_j):
+        (_, p, _), (_, p2, b2) = _basis(fld, dims, idx_i, idx_j)
+        t = inner[idx_i[2]].insert(1, p).apply_at(0, Abi.left)
+        t = outer[idx_i[0], idx_j[0]].tensor(t).permute((0, 3, 1, 2, 4, 5))
+        t = t.apply_at(1, Abi.right)
+        t = t.insert(4, p2).apply_at(3, Abi.left)
+        t = t.permute((0, 1, 3, 2, 4)).apply_at(2, Abi.right)
+        t = t.mul_slots(1, 2, Palg).insert(3, b2)
+        return t.mul_slots(2, 3, Balg)
+
+    unit = Aco.unit_elt().tensor(Abi.unit_elt()).tensor(Bco.unit_elt())
+    return dims, pair, unit
+
+
+def ref_two_sided_gen_smash(Am, Ab, Bm):
+    Hq = Am.Hq
+    H, fld = Hq.H, Hq.field
+    Aalg, Ualg, Balg = Am.A, Ab.A, Bm.B
+    mU = Ualg.dim
+    dims = (Aalg.dim, mU, Balg.dim)
+    xt = Ab.left.PhiLamInv.tensor(Ab.PhiLRInv)
+    left_u = []
+    for iu in range(mU):
+        t = xt.insert(3, TensorElt.basis(fld, (mU,), (iu,)))
+        t = t.apply_at(3, Ab.lam)
+        t = t.mul_slots(1, 3, H).mul_slots(1, 4, H)
+        left_u.append(t.mul_slots(2, 3, Ualg).mul_slots(2, 3, Ualg))
+    right_u = []
+    for iu in range(mU):
+        t = TensorElt.basis(fld, (mU,), (iu,)).apply_at(0, Ab.rho)
+        right_u.append(t.tensor(Ab.right.PhiRhoInv))
+
+    def pair(idx_i, idx_j):
+        (a, _, b), (a2, _, b2) = _basis(fld, dims, idx_i, idx_j)
+        t = left_u[idx_i[1]].insert(1, a).apply_at(0, Am.action)
+        t = t.insert(2, a2).apply_at(1, Am.action).mul_slots(0, 1, Aalg)
+        t = t.insert(3, right_u[idx_j[1]])
+        t = t.mul_slots(1, 3, Ualg).mul_slots(1, 4, Ualg)
+        t = t.mul_slots(2, 3, H).mul_slots(2, 3, H)
+        t = t.insert(2, b).apply_at(2, Bm.action)
+        t = t.insert(3, b2).apply_at(3, Bm.action)
+        return t.mul_slots(2, 3, Balg)
+
+    unit = Am.unit_elt().tensor(Ab.unit_elt()).tensor(Bm.unit_elt())
+    return dims, pair, unit
+
+
+# where a broken bicomodule has a mixed associator multiplied by a basis
+# tensor: the left one by e_1 (x) e_0 (x) e_0 as in acceptance criterion
+# 6, the left one in its comodule slot, or the right one in its middle slot
+BREAKS = {"criterion-6": ("left", (1, 0, 0)),
+          "left-comodule-slot": ("left", (0, 0, 1)),
+          "right-middle-slot": ("right", (0, 1, 0))}
+
+
+def broken_bicomodule(name, where):
+    """The corpus bicomodule with one mixed associator multiplied by a
+    basis tensor (see BREAKS): not a comodule algebra, so the products
+    built from it need not be associative."""
+    st = entry(name)
+    Hq, Ab = st["H"], st["bicomodule"]
+    side, idx = BREAKS[where]
+    n, m = Hq.n, Ab.A.dim
+    if side == "left":
+        algs = [Hq.H, Hq.H, Ab.A]
+        g = TensorElt.basis(Hq.field, (n, n, m), idx)
+        bad = LeftComoduleAlgebra(
+            Hq, Ab.A, Ab.lam, slotwise_mul(g, Ab.left.PhiLam, algs),
+            PhiLamInv=slotwise_mul(Ab.left.PhiLamInv, g, algs), check=False)
+        return BicomoduleAlgebra(bad, Ab.right, Ab.PhiLR, check=False)
+    algs = [Ab.A, Hq.H, Hq.H]
+    g = TensorElt.basis(Hq.field, (m, n, n), idx)
+    bad = RightComoduleAlgebra(
+        Hq, Ab.A, Ab.rho, slotwise_mul(g, Ab.right.PhiRho, algs),
+        PhiRhoInv=slotwise_mul(Ab.right.PhiRhoInv, g, algs), check=False)
+    return BicomoduleAlgebra(Ab.left, bad, Ab.PhiLR, check=False)
+
+
+def _diag(Du, Ab, nest, primed, side):
+    d = two_sided_from_bicomodule(Ab, nest, check=False)
+    Om = omega_from_coaction(d, primed=primed)
+    ref = ref_diag_left if side == "left" else ref_diag_right
+    return (lambda: diag_crossed_general(Du, d, side, check=False, Om=Om),
+            lambda: ref(Du, d, Om))
+
+
+def staged_cases(name, Ab):
+    """(staged constructor, reference) pairs over the bicomodule ``Ab``."""
+    st = entry(name)
+    Am, Du = st["module"], st["dual"]
+    Bm = right_regular(st["H"])
+    cases = {
+        "smash": (lambda: smash(Am, check=False), lambda: ref_smash(Am)),
+        "right_smash": (lambda: right_smash(Bm, check=False),
+                        lambda: ref_right_smash(Bm)),
+        "gen_smash": (lambda: gen_smash(Am, Ab, check=False),
+                      lambda: ref_gen_smash(Am, Ab)),
+        "right_gen_smash": (lambda: right_gen_smash(Ab, Bm, check=False),
+                            lambda: ref_right_gen_smash(Ab, Bm)),
+        "quasi_smash": (lambda: quasi_smash(Ab, Du, check=False),
+                        lambda: ref_quasi_smash(Ab, Du)),
+        "left_quasi_smash": (lambda: left_quasi_smash(Du, Ab, check=False),
+                             lambda: ref_left_quasi_smash(Du, Ab)),
+        "gen_two_sided_crossed": (
+            lambda: gen_two_sided_crossed(Ab, Du, Ab, check=False),
+            lambda: ref_gen_two_sided_crossed(Ab, Du, Ab)),
+        "two_sided_gen_smash": (
+            lambda: two_sided_gen_smash(Am, Ab, Bm, check=False),
+            lambda: ref_two_sided_gen_smash(Am, Ab, Bm)),
+    }
+    for nest, primed, side in (("l", False, "left"), ("r", False, "left"),
+                               ("l", True, "right"), ("r", True, "right")):
+        cases[f"diag_{nest}_{side}"] = _diag(Du, Ab, nest, primed, side)
+    return cases
+
+
+def _table(built):
+    """The structure table of a product or quasi-smash module algebra."""
+    for attr in ("result", "A", "B"):
+        if hasattr(built, attr):
+            return getattr(built, attr)
+
+
+def assert_same_table(label, got, dims, pair, unit):
+    want = algebra_from_pair_fn(got.field, dims, pair, unit, check=False)
+    assert repr(got.unit) == repr(want.unit), f"{label}: unit"
+    assert len(got.mul) == len(want.mul), f"{label}: dimension"
+    for i, (gplane, wplane) in enumerate(zip(got.mul, want.mul)):
+        for j, (grow, wrow) in enumerate(zip(gplane, wplane)):
+            assert repr(grow) == repr(wrow), f"{label}: e_{i} e_{j}"
+
+
+ALL_ENTRIES = ["QZ2", "H2", "FpZn(5,2)", "FpZn(7,3)", "Sweedler4"]
+
+
+@pytest.mark.parametrize("name", ALL_ENTRIES)
+def test_staged_products_match_per_pair_programs(name):
+    for label, (build, ref) in staged_cases(
+            name, entry(name)["bicomodule"]).items():
+        assert_same_table(label, _table(build()), *ref())
+
+
+@pytest.mark.parametrize("where", sorted(BREAKS))
+@pytest.mark.parametrize("name", ALL_ENTRIES)
+def test_staged_products_match_on_broken_associator(name, where):
+    cases = staged_cases(name, broken_bicomodule(name, where))
+    non_associative = 0
+    for label, (build, ref) in cases.items():
+        got = _table(build())
+        assert_same_table(label, got, *ref())
+        non_associative += not verify_associative_unital(got, limit=1).ok
+    # the broken input really reaches some of the tables
+    assert non_associative
