@@ -11,8 +11,9 @@ of a bimodule algebra as a left module algebra over H (x) H^op.
 
 from __future__ import annotations
 
-from .finalg import FinAlgebra, Report, algebra_from_pair_fn
-from .linalg import LinMap, prod, unflatten
+from .finalg import (FinAlgebra, Report, algebra_from_pair_fn, invert_mixed,
+                     mul_linmap)
+from .linalg import LinMap, Mat, prod, unflatten
 from .quasihopf import QuasiHopfAlgebra
 from .tensors import TensorElt, linmap_from_fn
 
@@ -269,18 +270,15 @@ def dual_bimodule_algebra(Hq: QuasiHopfAlgebra,
     unit = list(Hq.counit.mat.rows[0])
     A = FinAlgebra(fld, mul, unit, name=f"{Hq.name}*" if Hq.name else "dual",
                    check=False)
-    smul = Hq.H.mul
-    # (e_a -> e^i) = sum_j (e_j e_a)[i] e^j ; (e^i <- e_a) = sum_j (e_a e_j)[i] e^j
-    left = linmap_from_fn(
-        fld, (n, n), (n,),
-        lambda idx: TensorElt(fld, (n,),
-                              {(j,): smul[j][idx[0]][idx[1]]
-                               for j in range(n)}))
-    right = linmap_from_fn(
-        fld, (n, n), (n,),
-        lambda idx: TensorElt(fld, (n,),
-                              {(j,): smul[idx[1]][j][idx[0]]
-                               for j in range(n)}))
+    # (e_a -> e^i) = sum_j (e_j e_a)[i] e^j and
+    # (e^i <- e_a) = sum_j (e_a e_j)[i] e^j, read off the product matrix
+    M = mul_linmap(Hq.H).mat.rows
+    left = LinMap(Mat(fld, [[M[i][j * n + a] for a in range(n)
+                             for i in range(n)] for j in range(n)]),
+                  (n, n), (n,))
+    right = LinMap(Mat(fld, [[M[i][a * n + j] for i in range(n)
+                              for a in range(n)] for j in range(n)]),
+                   (n, n), (n,))
     return BimoduleAlgebra(Hq, A, left, right, name=A.name, check=check)
 
 
@@ -367,7 +365,7 @@ def twist_action(x, F: TensorElt, FInv: TensorElt | None = None,
     """
     Hq = x.Hq
     if FInv is None:
-        FInv = Hq._invert_tensor(F)
+        FInv = invert_mixed(F, [Hq.H, Hq.H])
         if FInv is None:
             raise ValueError("twist is not invertible")
     if HF is None:

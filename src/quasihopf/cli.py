@@ -20,7 +20,7 @@ from .actions import (BimoduleAlgebra, LeftModuleAlgebra, RightModuleAlgebra,
                       trivial_right_action)
 from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         RightComoduleAlgebra, verify_tilde_pq, tilde_pq)
-from .finalg import (FinAlgebra, Report, VerificationError,
+from .finalg import (FinAlgebra, Report, VerificationError, invert_mixed,
                      verify_associative_unital)
 from .quasihopf import QuasiHopfAlgebra
 from .serialize import DocumentError
@@ -240,7 +240,7 @@ def _default_gauge(Hq) -> TensorElt:
 
 def _gauge_ok(Hq, F: TensorElt) -> bool:
     """Invertible with counit normalization on both slots."""
-    if Hq._invert_tensor(F) is None:
+    if invert_mixed(F, [Hq.H, Hq.H]) is None:
         return False
     one = Hq.unit_elt()
     eps1 = F.drop_slot(0, Hq.counit)
@@ -263,8 +263,9 @@ def cmd_theorem(args) -> int:
     checks = []
     if name == "hausser-nill":
         from .isomaps import hausser_nill_check
-        rep = hausser_nill_check(Ab, Du, Ab, Ab)
-        dim = Du.A.dim * Ab.A.dim * Hq.n * Ab.A.dim
+        products = {}
+        rep = hausser_nill_check(Ab, Du, Ab, Ab, products=products)
+        dim = products["left-nested"].dim
         checks = _as_checks(f"three-factor coincidence (dim {dim})", rep)
     elif name == "four-diagonal-isos":
         from .isomaps import four_diagonal_isos

@@ -18,81 +18,13 @@ those slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .finalg import (FinAlgebra, Report, check_algebra_map, opposite,
-                     tensor_algebra)
-from .linalg import LinMap, Mat, prod, solve
+from .finalg import (FinAlgebra, Report, check_algebra_map, invert_mixed,
+                     opposite, slotwise_unit, tensor_algebra)
+from .linalg import LinMap
 from .quasihopf import QuasiHopfAlgebra, tensor_qh
-from .tensors import TensorElt, linmap_from_fn, slotwise_mul
-
-
-# -- small combinators --------------------------------------------------------
-
-def _mulseq(factors, algebras) -> TensorElt:
-    out = factors[0]
-    for f in factors[1:]:
-        out = slotwise_mul(out, f, algebras)
-    return out
-
-
-def _runs(t: TensorElt, spec) -> TensorElt:
-    """Collapse consecutive slot runs, each with its own algebra."""
-    pos = 0
-    for length, alg in spec:
-        for _ in range(length - 1):
-            t = t.mul_slots(pos, pos + 1, alg)
-        pos += 1
-    return t
-
-
-def _unit_tensor(field, algebras) -> TensorElt:
-    out = TensorElt.scalar(field, field.one())
-    for alg in algebras:
-        out = out.tensor(TensorElt.from_vector(field, alg.unit))
-    return out
-
-
-def _invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
-    """Two-sided inverse in the slotwise product algebra, found by a
-    linear solve against the left-multiplication operator."""
-    field = t.field
-    unit = _unit_tensor(field, algebras)
-    if t == unit:
-        return t
-    dims = t.dims
-    n = prod(dims)
-    # the matrix of e_f -> t e_f in one pass over the terms of t, as
-    # integers over one denominator: each term expands slot by slot into
-    # (column f, row, coefficient) triples
-    den = t.den
-    srows = []
-    for alg in algebras:
-        D, rows = alg.int_rows()
-        den *= D
-        srows.append(rows)
-    acc = [[0] * n for _ in range(n)]
-    for ia, ca in t.num.items():
-        partial = [(0, 0, ca)]
-        for d, slot_rows, i in zip(dims, srows, ia):
-            row = slot_rows[i]
-            partial = [(f * d + j, r * d + k, c * mc)
-                       for f, r, c in partial
-                       for j in range(d) for k, mc in row[j]]
-        for f, r, c in partial:
-            acc[r][f] += c
-    zero, p = field.zero(), field.p
-    if p is None:
-        entries = [[Fraction(c, den) if c else zero for c in r] for r in acc]
-    else:
-        entries = [[c % p for c in r] for r in acc]
-    y = solve(Mat(field, entries), unit.to_flat())
-    if y is None:
-        return None
-    inv = TensorElt.from_flat(field, dims, y)
-    if slotwise_mul(inv, t, algebras) != unit:
-        return None
-    return inv
+from .tensors import (TensorElt, fold_slots, linmap_from_fn, slotwise_mul,
+                      slotwise_prod)
 
 
 def _tag(rep: Report, prefix: str) -> Report:
@@ -121,7 +53,7 @@ class RightComoduleAlgebra:
         self.PhiRho = PhiRho
         self.name = name or A.name
         if PhiRhoInv is None:
-            PhiRhoInv = _invert_mixed(PhiRho, [A, Hq.H, Hq.H])
+            PhiRhoInv = invert_mixed(PhiRho, [A, Hq.H, Hq.H])
             if PhiRhoInv is None:
                 raise ValueError("mixed associator is not invertible")
         self.PhiRhoInv = PhiRhoInv
@@ -146,10 +78,10 @@ class RightComoduleAlgebra:
         algs3 = [A, H, H]
         rep.merge(_tag(check_algebra_map(self.rho.mat, A,
                                          tensor_algebra(A, H)), "coaction"))
-        one3 = _unit_tensor(self.field, algs3)
-        rep.check(_mulseq([self.PhiRho, self.PhiRhoInv], algs3) == one3,
+        one3 = slotwise_unit(self.field, algs3)
+        rep.check(slotwise_prod([self.PhiRho, self.PhiRhoInv], algs3) == one3,
                   "associator-inverse", "PhiRho PhiRhoInv != 1")
-        rep.check(_mulseq([self.PhiRhoInv, self.PhiRho], algs3) == one3,
+        rep.check(slotwise_prod([self.PhiRhoInv, self.PhiRho], algs3) == one3,
                   "associator-inverse", "PhiRhoInv PhiRho != 1")
         # PhiRho (rho x id)(rho(a)) = (id x Delta)(rho(a)) PhiRho
         for i in range(m):
@@ -160,11 +92,11 @@ class RightComoduleAlgebra:
         # (1 x Phi)(id x Delta x id)(PhiRho)(PhiRho x 1)
         #   = (id x id x Delta)(PhiRho)(rho x id x id)(PhiRho)
         algs4 = [A, H, H, H]
-        lhs = _mulseq([Hq.Phi.insert(0, self.unit_elt()),
-                       self.PhiRho.apply_at(1, Hq.Delta),
-                       self.PhiRho.insert(3, Hq.unit_elt())], algs4)
-        rhs = _mulseq([self.PhiRho.apply_at(2, Hq.Delta),
-                       self.PhiRho.apply_at(0, self.rho)], algs4)
+        lhs = slotwise_prod([Hq.Phi.insert(0, self.unit_elt()),
+                             self.PhiRho.apply_at(1, Hq.Delta),
+                             self.PhiRho.insert(3, Hq.unit_elt())], algs4)
+        rhs = slotwise_prod([self.PhiRho.apply_at(2, Hq.Delta),
+                             self.PhiRho.apply_at(0, self.rho)], algs4)
         rep.check(lhs == rhs, "coaction-pentagon")
         # (id x eps) rho = id; counit kills the mixed associator
         for i in range(m):
@@ -196,7 +128,7 @@ class LeftComoduleAlgebra:
         self.PhiLam = PhiLam
         self.name = name or B.name
         if PhiLamInv is None:
-            PhiLamInv = _invert_mixed(PhiLam, [Hq.H, Hq.H, B])
+            PhiLamInv = invert_mixed(PhiLam, [Hq.H, Hq.H, B])
             if PhiLamInv is None:
                 raise ValueError("mixed associator is not invertible")
         self.PhiLamInv = PhiLamInv
@@ -221,10 +153,10 @@ class LeftComoduleAlgebra:
         algs3 = [H, H, B]
         rep.merge(_tag(check_algebra_map(self.lam.mat, B,
                                          tensor_algebra(H, B)), "coaction"))
-        one3 = _unit_tensor(self.field, algs3)
-        rep.check(_mulseq([self.PhiLam, self.PhiLamInv], algs3) == one3,
+        one3 = slotwise_unit(self.field, algs3)
+        rep.check(slotwise_prod([self.PhiLam, self.PhiLamInv], algs3) == one3,
                   "associator-inverse", "PhiLam PhiLamInv != 1")
-        rep.check(_mulseq([self.PhiLamInv, self.PhiLam], algs3) == one3,
+        rep.check(slotwise_prod([self.PhiLamInv, self.PhiLam], algs3) == one3,
                   "associator-inverse", "PhiLamInv PhiLam != 1")
         # (id x lam)(lam(b)) PhiLam = PhiLam (Delta x id)(lam(b))
         for i in range(m):
@@ -235,11 +167,11 @@ class LeftComoduleAlgebra:
         # (1 x PhiLam)(id x Delta x id)(PhiLam)(Phi x 1)
         #   = (id x id x lam)(PhiLam)(Delta x id x id)(PhiLam)
         algs4 = [H, H, H, B]
-        lhs = _mulseq([self.PhiLam.insert(0, Hq.unit_elt()),
-                       self.PhiLam.apply_at(1, Hq.Delta),
-                       Hq.Phi.insert(3, self.unit_elt())], algs4)
-        rhs = _mulseq([self.PhiLam.apply_at(2, self.lam),
-                       self.PhiLam.apply_at(0, Hq.Delta)], algs4)
+        lhs = slotwise_prod([self.PhiLam.insert(0, Hq.unit_elt()),
+                             self.PhiLam.apply_at(1, Hq.Delta),
+                             Hq.Phi.insert(3, self.unit_elt())], algs4)
+        rhs = slotwise_prod([self.PhiLam.apply_at(2, self.lam),
+                             self.PhiLam.apply_at(0, Hq.Delta)], algs4)
         rep.check(lhs == rhs, "coaction-pentagon")
         for i in range(m):
             l = self.basis_elt(i).apply_at(0, self.lam)
@@ -272,7 +204,7 @@ class BicomoduleAlgebra:
         self.PhiLR = PhiLR
         self.name = name or left.name
         if PhiLRInv is None:
-            PhiLRInv = _invert_mixed(PhiLR, [Hq.H, left.B, Hq.H])
+            PhiLRInv = invert_mixed(PhiLR, [Hq.H, left.B, Hq.H])
             if PhiLRInv is None:
                 raise ValueError("gluing element is not invertible")
         self.PhiLRInv = PhiLRInv
@@ -314,10 +246,10 @@ class BicomoduleAlgebra:
         H = Hq.H
         PhiLam, PhiRho = self.left.PhiLam, self.right.PhiRho
         algs3 = [H, A, H]
-        one3 = _unit_tensor(self.field, algs3)
-        rep.check(_mulseq([self.PhiLR, self.PhiLRInv], algs3) == one3,
+        one3 = slotwise_unit(self.field, algs3)
+        rep.check(slotwise_prod([self.PhiLR, self.PhiLRInv], algs3) == one3,
                   "gluing-inverse", "PhiLR PhiLRInv != 1")
-        rep.check(_mulseq([self.PhiLRInv, self.PhiLR], algs3) == one3,
+        rep.check(slotwise_prod([self.PhiLRInv, self.PhiLR], algs3) == one3,
                   "gluing-inverse", "PhiLRInv PhiLR != 1")
         # PhiLR (lam x id)(rho(u)) = (id x rho)(lam(u)) PhiLR
         for i in range(A.dim):
@@ -331,20 +263,20 @@ class BicomoduleAlgebra:
         # (1 x PhiLR)(id x lam x id)(PhiLR)(PhiLam x 1)
         #   = (id x id x rho)(PhiLam)(Delta x id x id)(PhiLR)
         algsL = [H, H, A, H]
-        lhs = _mulseq([self.PhiLR.insert(0, Hq.unit_elt()),
-                       self.PhiLR.apply_at(1, self.lam),
-                       PhiLam.insert(3, Hq.unit_elt())], algsL)
-        rhs = _mulseq([PhiLam.apply_at(2, self.rho),
-                       self.PhiLR.apply_at(0, Hq.Delta)], algsL)
+        lhs = slotwise_prod([self.PhiLR.insert(0, Hq.unit_elt()),
+                             self.PhiLR.apply_at(1, self.lam),
+                             PhiLam.insert(3, Hq.unit_elt())], algsL)
+        rhs = slotwise_prod([PhiLam.apply_at(2, self.rho),
+                             self.PhiLR.apply_at(0, Hq.Delta)], algsL)
         rep.check(lhs == rhs, "mixed-pentagon-left")
         # (1 x PhiRho)(id x rho x id)(PhiLR)(PhiLR x 1)
         #   = (id x id x Delta)(PhiLR)(lam x id x id)(PhiRho)
         algsR = [H, A, H, H]
-        lhs = _mulseq([PhiRho.insert(0, Hq.unit_elt()),
-                       self.PhiLR.apply_at(1, self.rho),
-                       self.PhiLR.insert(3, Hq.unit_elt())], algsR)
-        rhs = _mulseq([self.PhiLR.apply_at(2, Hq.Delta),
-                       PhiRho.apply_at(0, self.lam)], algsR)
+        lhs = slotwise_prod([PhiRho.insert(0, Hq.unit_elt()),
+                             self.PhiLR.apply_at(1, self.rho),
+                             self.PhiLR.insert(3, Hq.unit_elt())], algsR)
+        rhs = slotwise_prod([self.PhiLR.apply_at(2, Hq.Delta),
+                             PhiRho.apply_at(0, self.lam)], algsR)
         rep.check(lhs == rhs, "mixed-pentagon-right")
         # counit kills the gluing element on either outer slot
         rep.check(self.PhiLR.drop_slot(2, Hq.counit)
@@ -406,7 +338,7 @@ class TwoSidedCoaction:
         self.Psi = Psi
         self.name = name or A.name
         if PsiInv is None:
-            PsiInv = _invert_mixed(Psi, [Hq.H, Hq.H, A, Hq.H, Hq.H])
+            PsiInv = invert_mixed(Psi, [Hq.H, Hq.H, A, Hq.H, Hq.H])
             if PsiInv is None:
                 raise ValueError("Psi is not invertible")
         self.PsiInv = PsiInv
@@ -432,10 +364,10 @@ class TwoSidedCoaction:
         rep.merge(_tag(check_algebra_map(
             self.delta.mat, A,
             tensor_algebra(tensor_algebra(H, A), H)), "coaction"))
-        one5 = _unit_tensor(self.field, algs5)
-        rep.check(_mulseq([self.Psi, self.PsiInv], algs5) == one5,
+        one5 = slotwise_unit(self.field, algs5)
+        rep.check(slotwise_prod([self.Psi, self.PsiInv], algs5) == one5,
                   "psi-inverse", "Psi PsiInv != 1")
-        rep.check(_mulseq([self.PsiInv, self.Psi], algs5) == one5,
+        rep.check(slotwise_prod([self.PsiInv, self.Psi], algs5) == one5,
                   "psi-inverse", "PsiInv Psi != 1")
         # (id x delta x id)(delta(u)) Psi = Psi (Delta x id x Delta)(delta(u))
         for i in range(m):
@@ -449,20 +381,20 @@ class TwoSidedCoaction:
         #   = (id2 x delta x id2)(Psi)(Delta x id x id x id x Delta)(Psi)
         algs7 = [H, H, H, A, H, H, H]
         one1 = Hq.unit_elt()
-        lhs = _mulseq([self.Psi.insert(0, one1).insert(6, one1),
-                       self.Psi.apply_at(1, Hq.Delta).apply_at(4, Hq.Delta),
-                       Hq.Phi.insert(3, self.unit_elt()).tensor(Hq.PhiInv)],
-                      algs7)
-        rhs = _mulseq([self.Psi.apply_at(2, self.delta),
-                       self.Psi.apply_at(0, Hq.Delta).apply_at(5, Hq.Delta)],
-                      algs7)
+        lhs = slotwise_prod(
+            [self.Psi.insert(0, one1).insert(6, one1),
+             self.Psi.apply_at(1, Hq.Delta).apply_at(4, Hq.Delta),
+             Hq.Phi.insert(3, self.unit_elt()).tensor(Hq.PhiInv)], algs7)
+        rhs = slotwise_prod(
+            [self.Psi.apply_at(2, self.delta),
+             self.Psi.apply_at(0, Hq.Delta).apply_at(5, Hq.Delta)], algs7)
         rep.check(lhs == rhs, "psi-cocycle")
         # (eps x id x eps) delta = id; counit kills Psi in matched slots
         for i in range(m):
             d = self.basis_elt(i).apply_at(0, self.delta)
             rep.check(d.drop_slot(2, Hq.counit).drop_slot(0, Hq.counit)
                       == self.basis_elt(i), "coaction-counit", f"basis e_{i}")
-        one3 = _unit_tensor(self.field, [H, A, H])
+        one3 = slotwise_unit(self.field, [H, A, H])
         rep.check(self.Psi.drop_slot(3, Hq.counit).drop_slot(1, Hq.counit)
                   == one3, "psi-counit", "inner slots")
         rep.check(self.Psi.drop_slot(4, Hq.counit).drop_slot(0, Hq.counit)
@@ -524,7 +456,7 @@ def tensor_bicomodule(Afr: RightComoduleAlgebra, Bfr: LeftComoduleAlgebra,
     PhiLamInv = Bfr.PhiLamInv.insert(2, unitA).merge_slots((1, 1, 2))
     PhiRho = Afr.PhiRho.insert(1, unitB).merge_slots((2, 1, 1))
     PhiRhoInv = Afr.PhiRhoInv.insert(1, unitB).merge_slots((2, 1, 1))
-    PhiLR = _unit_tensor(fld, [Hq.H, AB, Hq.H])
+    PhiLR = slotwise_unit(fld, [Hq.H, AB, Hq.H])
     left = LeftComoduleAlgebra(Hq, AB, lam, PhiLam, PhiLamInv=PhiLamInv,
                                name=AB.name, check=False)
     right = RightComoduleAlgebra(Hq, AB, rho, PhiRho, PhiRhoInv=PhiRhoInv,
@@ -580,7 +512,7 @@ def tilde_pq(Afr: RightComoduleAlgebra, check: bool = True) -> PQTilde:
     Hq = Afr.Hq
     H = Hq.H
     t = Afr.PhiRhoInv.apply_at(2, Hq.S).insert(2, Hq.beta)
-    p = _runs(t, [(1, Afr.A), (3, H)])
+    p = fold_slots(t, [(0,), (1, 2, 3)], [Afr.A, H])
     t = Afr.PhiRho.insert(2, Hq.alpha).mul_slots(2, 3, H)
     q = t.apply_at(2, Hq.SInv).mul_slots(2, 1, H)
     pq = PQTilde(p, q)
@@ -594,7 +526,7 @@ def verify_tilde_pq(Afr: RightComoduleAlgebra, pq: PQTilde) -> Report:
     Hq, A = Afr.Hq, Afr.A
     H = Hq.H
     p, q = pq.p, pq.q
-    spec = [(2, A), (3, H)]
+    groups, algs = [(0, 1), (2, 3, 4)], [A, H]
     one2 = Afr.unit_elt().tensor(Hq.unit_elt())
     for i in range(A.dim):
         e = Afr.basis_elt(i)
@@ -602,40 +534,42 @@ def verify_tilde_pq(Afr: RightComoduleAlgebra, pq: PQTilde) -> Report:
         # rho(a00) p [1 x S(a1)] = p [a x 1]
         t = rr.apply_at(2, Hq.S).insert(2, p).permute((0, 2, 1, 3, 4))
         rhs = slotwise_mul(p, e.insert(1, Hq.unit_elt()), [A, H])
-        rep.check(_runs(t, spec) == rhs, "p-intertwiner", f"basis e_{i}")
+        rep.check(fold_slots(t, groups, algs) == rhs, "p-intertwiner",
+                  f"basis e_{i}")
         # [1 x S^{-1}(a1)] q rho(a00) = [a x 1] q
         t = rr.apply_at(2, Hq.SInv).insert(3, q).permute((3, 0, 2, 4, 1))
         rhs = slotwise_mul(e.insert(1, Hq.unit_elt()), q, [A, H])
-        rep.check(_runs(t, spec) == rhs, "q-intertwiner", f"basis e_{i}")
+        rep.check(fold_slots(t, groups, algs) == rhs, "q-intertwiner",
+                  f"basis e_{i}")
     # rho(q1) p [1 x S(q2)] = 1 x 1
     t = q.apply_at(0, Afr.rho).apply_at(2, Hq.S)
     t = t.insert(2, p).permute((0, 2, 1, 3, 4))
-    rep.check(_runs(t, spec) == one2, "qp-cancel")
+    rep.check(fold_slots(t, groups, algs) == one2, "qp-cancel")
     # [1 x S^{-1}(p2)] q rho(p1) = 1 x 1
     t = p.apply_at(0, Afr.rho).apply_at(2, Hq.SInv)
     t = t.insert(3, q).permute((3, 0, 2, 4, 1))
-    rep.check(_runs(t, spec) == one2, "pq-cancel")
+    rep.check(fold_slots(t, groups, algs) == one2, "pq-cancel")
     # PhiRho (rho x id)(p)(p x 1)
     #   = (id x Delta)(rho(x~1) p)(1 x g1 S(x~3) x g2 S(x~2))
     algs3 = [A, H, H]
     g = Hq.drinfeld_twist().f_inv
-    lhs = _mulseq([Afr.PhiRho, p.apply_at(0, Afr.rho),
-                   p.insert(2, Hq.unit_elt())], algs3)
+    lhs = slotwise_prod([Afr.PhiRho, p.apply_at(0, Afr.rho),
+                         p.insert(2, Hq.unit_elt())], algs3)
     t = Afr.PhiRhoInv.apply_at(0, Afr.rho)
     t = t.insert(2, p).permute((0, 2, 1, 3, 4, 5))
-    t = _runs(t, [(2, A), (2, H), (1, H), (1, H)])
+    t = fold_slots(t, [(0, 1), (2, 3), (4,), (5,)], [A, H, H, H])
     t = t.apply_at(1, Hq.Delta).apply_at(3, Hq.S).apply_at(4, Hq.S)
     t = t.insert(3, g).permute((0, 1, 3, 6, 2, 4, 5))
-    rhs = _runs(t, [(1, A), (3, H), (3, H)])
+    rhs = fold_slots(t, [(0,), (1, 2, 3), (4, 5, 6)], [A, H, H])
     rep.check(lhs == rhs, "p-coproduct")
     # (q x 1)(rho x id)(q) PhiRhoInv
     #   = [1 x S^{-1}(f2 X~3) x S^{-1}(f1 X~2)](id x Delta)(q rho(X~1))
     f = Hq.drinfeld_twist().f
-    lhs = _mulseq([q.insert(2, Hq.unit_elt()), q.apply_at(0, Afr.rho),
-                   Afr.PhiRhoInv], algs3)
+    lhs = slotwise_prod([q.insert(2, Hq.unit_elt()), q.apply_at(0, Afr.rho),
+                         Afr.PhiRhoInv], algs3)
     t = Afr.PhiRho.apply_at(0, Afr.rho)
     t = t.insert(0, q).permute((0, 2, 1, 3, 4, 5))
-    t = _runs(t, [(2, A), (2, H), (1, H), (1, H)])
+    t = fold_slots(t, [(0, 1), (2, 3), (4,), (5,)], [A, H, H, H])
     t = t.apply_at(1, Hq.Delta)
     t = t.insert(3, f).permute((0, 4, 6, 1, 3, 5, 2))
     t = t.mul_slots(1, 2, H).apply_at(1, Hq.SInv).mul_slots(1, 2, H)
@@ -746,11 +680,11 @@ def verify_omega(d: TwoSidedCoaction, Om: TensorElt,
         tB = Om.apply_at(0, Hq.Delta).apply_at(5, Hq.Delta)
         tB = tB.permute((0, 1, 2, 3, 4, 6, 5))
         tA = Om.apply_at(2, d.delta).apply_at(4, Hq.SInv)
-        lhs = _mulseq([tX, tB, tA], algs7)
+        lhs = slotwise_prod([tX, tB, tA], algs7)
         tB2 = Om.apply_at(1, Hq.Delta).apply_at(4, Hq.Delta)
         tB2 = tB2.permute((0, 1, 2, 3, 5, 4, 6))
         tA2 = Om.insert(0, one1).insert(6, one1)
-        rhs = _mulseq([tB2, tA2], algs7)
+        rhs = slotwise_prod([tB2, tA2], algs7)
         rep.check(lhs == rhs, "omega-cocycle")
     else:
         Aop = opposite(A)
@@ -770,16 +704,16 @@ def verify_omega(d: TwoSidedCoaction, Om: TensorElt,
         tB = Om.apply_at(1, Hq.Delta).apply_at(4, Hq.Delta)
         tB = tB.permute((0, 2, 1, 3, 4, 5, 6))
         tA = Om.insert(0, one1).insert(6, one1)
-        lhs = _mulseq([tX, tB, tA], algs7)
+        lhs = slotwise_prod([tX, tB, tA], algs7)
         tB2 = Om.apply_at(0, Hq.Delta).apply_at(5, Hq.Delta)
         tA2 = Om.apply_at(2, d.delta).apply_at(2, Hq.SInv)
-        rhs = _mulseq([tB2, tA2], algs7)
+        rhs = slotwise_prod([tB2, tA2], algs7)
         rep.check(lhs == rhs, "omega-cocycle")
     t = Om
     for pos in (4, 3, 1, 0):
         t = t.drop_slot(pos, Hq.counit)
     rep.check(t == d.unit_elt(), "omega-counit")
-    rep.check(_invert_mixed(Om, [H, H, A, H, H]) is not None,
+    rep.check(invert_mixed(Om, [H, H, A, H, H]) is not None,
               "omega-invertible")
     return rep
 
@@ -793,7 +727,7 @@ def omega_closed_left(Ab: BicomoduleAlgebra) -> TensorElt:
     tP = Ab.right.PhiRho.apply_at(0, Ab.lam).apply_at(0, Hq.Delta)
     tL = Ab.left.PhiLamInv.insert(3, Hq.unit_elt()).insert(4, Hq.unit_elt())
     tT = Ab.PhiLRInv.apply_at(1, Ab.lam).insert(4, Hq.unit_elt())
-    t = _mulseq([tP, tL, tT], algs5)
+    t = slotwise_prod([tP, tL, tT], algs5)
     t = t.insert(3, Hq.drinfeld_twist().f).permute((0, 1, 2, 3, 5, 4, 6))
     t = t.mul_slots(3, 4, H).mul_slots(4, 5, H)
     return t.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv)
@@ -808,7 +742,7 @@ def omega_closed_right(Ab: BicomoduleAlgebra) -> TensorElt:
     tL = Ab.left.PhiLamInv.apply_at(2, Ab.rho).apply_at(3, Hq.Delta)
     tP = Ab.right.PhiRho.insert(0, Hq.unit_elt()).insert(0, Hq.unit_elt())
     tT = Ab.PhiLR.apply_at(1, Ab.rho).insert(0, Hq.unit_elt())
-    t = _mulseq([tL, tP, tT], algs5)
+    t = slotwise_prod([tL, tP, tT], algs5)
     t = t.insert(3, Hq.drinfeld_twist().f).permute((0, 1, 2, 3, 5, 4, 6))
     t = t.mul_slots(3, 4, H).mul_slots(4, 5, H)
     return t.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv)
@@ -889,8 +823,8 @@ def verify_pq_delta(d: TwoSidedCoaction, pq: PQDelta) -> Report:
     H = Hq.H
     p, q = pq.p, pq.q
     oneH = Hq.unit_elt()
-    spec = [(3, H), (2, A), (3, H)]
-    one3 = _unit_tensor(d.field, [H, A, H])
+    groups, algs = [(0, 1, 2), (3, 4), (5, 6, 7)], [H, A, H]
+    one3 = slotwise_unit(d.field, [H, A, H])
     for i in range(A.dim):
         e = d.basis_elt(i)
         u3 = e.insert(0, oneH).insert(2, oneH)
@@ -899,26 +833,29 @@ def verify_pq_delta(d: TwoSidedCoaction, pq: PQDelta) -> Report:
         lhs = slotwise_mul(p, u3, [H, A, H])
         t = dd.apply_at(0, Hq.SInv).apply_at(4, Hq.S)
         t = t.insert(5, p).permute((1, 5, 0, 2, 6, 3, 7, 4))
-        rep.check(lhs == _runs(t, spec), "p-conjugation", f"basis e_{i}")
+        rep.check(lhs == fold_slots(t, groups, algs), "p-conjugation",
+                  f"basis e_{i}")
         # (1 x u x 1) q = [S(u-1) x 1 x S^{-1}(u1)] q delta(u0)
         lhs = slotwise_mul(u3, q, [H, A, H])
         t = dd.apply_at(0, Hq.S).apply_at(4, Hq.SInv)
         t = t.insert(1, q).permute((0, 1, 4, 2, 5, 7, 3, 6))
-        rep.check(lhs == _runs(t, spec), "q-conjugation", f"basis e_{i}")
+        rep.check(lhs == fold_slots(t, groups, algs), "q-conjugation",
+                  f"basis e_{i}")
     # delta(q2) p [S^{-1}(q1) x 1 x S(q3)] = 1
     t = q.apply_at(1, d.delta).apply_at(0, Hq.SInv).apply_at(4, Hq.S)
     t = t.insert(5, p).permute((1, 5, 0, 2, 6, 3, 7, 4))
-    rep.check(_runs(t, spec) == one3, "qp-cancel")
+    rep.check(fold_slots(t, groups, algs) == one3, "qp-cancel")
     # [S(p1) x 1 x S^{-1}(p3)] q delta(p2) = 1
     t = p.apply_at(1, d.delta).apply_at(0, Hq.S).apply_at(4, Hq.SInv)
     t = t.insert(1, q).permute((0, 1, 4, 2, 5, 7, 3, 6))
-    rep.check(_runs(t, spec) == one3, "pq-cancel")
+    rep.check(fold_slots(t, groups, algs) == one3, "pq-cancel")
     # [S(Pb2)f1 x S(Pb1)f2 x 1 x S^{-1}(F2 Pb5) x S^{-1}(F1 Pb4)]
     #   (Delta x id x Delta)(q delta(Pb3)) = [1 x q x 1](id x delta x id)(q) Psi
     f = Hq.drinfeld_twist().f
     t = d.PsiInv.apply_at(2, d.delta).insert(2, q)
     t = t.permute((0, 1, 2, 5, 3, 6, 4, 7, 8, 9))
-    t = _runs(t, [(1, H), (1, H), (2, H), (2, A), (2, H), (1, H), (1, H)])
+    t = fold_slots(t, [(0,), (1,), (2, 3), (4, 5), (6, 7), (8,), (9,)],
+                   [H, H, H, A, H, H, H])
     # [Pb1, Pb2, Q1, Q2, Q3, Pb4, Pb5] with Q = q delta(Pb3); each copy
     # of f is contracted as soon as it enters, the first beside S(Pb1)
     t = t.apply_at(0, Hq.S).apply_at(1, Hq.S).insert(2, f)
@@ -931,10 +868,11 @@ def verify_pq_delta(d: TwoSidedCoaction, pq: PQDelta) -> Report:
     t = t.permute((1, 2, 0, 3, 4, 8, 5, 7, 6))
     # [S(Pb2)f1, Q1_1, S(Pb1)f2, Q1_2, Q2, S^{-1}(F2 Pb5), Q3_1,
     #  S^{-1}(F1 Pb4), Q3_2]
-    lhs = _runs(t, [(2, H), (2, H), (1, A), (2, H), (2, H)])
+    lhs = fold_slots(t, [(0, 1), (2, 3), (4,), (5, 6), (7, 8)],
+                     [H, H, A, H, H])
     algs5 = [H, H, A, H, H]
-    rhs = _mulseq([q.insert(0, oneH).insert(4, oneH),
-                   q.apply_at(1, d.delta), d.Psi], algs5)
+    rhs = slotwise_prod([q.insert(0, oneH).insert(4, oneH),
+                         q.apply_at(1, d.delta), d.Psi], algs5)
     rep.check(lhs == rhs, "q-coproduct")
     # q1 Psi1 x (q2)-1 Psi2 x (q2)0 Psi3 x (q2)1 Psi4 x q3 Psi5
     #   = S(Pb1) qL1 Pb2_1 x qL2 Pb2_2 x Pb3 x qR1 Pb4_1
@@ -999,8 +937,8 @@ def lambda12_structures(Ab: BicomoduleAlgebra,
     fRho = Ab.right.PhiRhoInv.apply_at(0, Ab.lam).apply_at(0, Hq.Delta)
     fRho = fRho.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv) \
         .permute((0, 4, 1, 3, 2))
-    claimed1 = _mulseq([fLR, fLam, fRho, gS], mixed)
-    computed1 = _invert_mixed(W1, mixed)
+    claimed1 = slotwise_prod([fLR, fLam, fRho, gS], mixed)
+    computed1 = invert_mixed(W1, mixed)
     rep.check(computed1 is not None, "exchange-invertible", "first structure")
     if computed1 is not None:
         rep.check(claimed1 == computed1, "coaction-associator-closed-form",
@@ -1018,8 +956,8 @@ def lambda12_structures(Ab: BicomoduleAlgebra,
     gTh = Ab.PhiLRInv.apply_at(1, Ab.rho) \
         .apply_at(2, Hq.SInv).apply_at(3, Hq.SInv)
     gTh = gTh.permute((3, 0, 2, 1)).insert(0, Hq.unit_elt())
-    claimed2 = _mulseq([gTh, gRho, gLam, gS], mixed)
-    computed2 = _invert_mixed(W2, mixed)
+    claimed2 = slotwise_prod([gTh, gRho, gLam, gS], mixed)
+    computed2 = invert_mixed(W2, mixed)
     rep.check(computed2 is not None, "exchange-invertible", "second structure")
     if computed2 is not None:
         rep.check(claimed2 == computed2, "coaction-associator-closed-form",
@@ -1073,7 +1011,7 @@ def twist_equivalence_U(Ab: BicomoduleAlgebra, pair=None,
         .permute((0, 2, 1)).insert(0, oneH).insert(0, oneH)
     hf = f.apply_at(0, Hq.SInv).apply_at(1, Hq.SInv).permute((1, 0)) \
         .insert(0, oneA).insert(0, oneH).insert(0, oneH)
-    rhs = _mulseq([hf, hR, hT, hL, hTb], algsG)
+    rhs = slotwise_prod([hf, hR, hT, hL, hTb], algsG)
     rep.check(lhs == rhs, "gluing-exchange")
 
     # exchange identity relating the side-l and side-r elements
@@ -1084,17 +1022,17 @@ def twist_equivalence_U(Ab: BicomoduleAlgebra, pair=None,
     tth = Ab.PhiLRInv.apply_at(1, Ab.rho).apply_at(1, Ab.lam)
     tth = tth.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv) \
         .permute((0, 4, 1, 3, 2))
-    lhs = _mulseq([tT, tO, tth], algsX)
+    lhs = slotwise_prod([tT, tO, tth], algsX)
     tom = om.permute((0, 4, 1, 3, 2))
     tTh = Ab.PhiLR.apply_at(2, Hq.SInv).permute((0, 2, 1)) \
         .insert(0, oneH).insert(0, oneH)
-    rhs = _mulseq([tom, tTh], algsX)
+    rhs = slotwise_prod([tom, tTh], algsX)
     rep.check(lhs == rhs, "sides-exchange")
 
     # U conjugates the first mixed coaction into the second
     U3 = Ab.PhiLR.apply_at(2, Hq.SInv).permute((0, 2, 1))
     algsU = [H, Hop, A]
-    Uinv3 = _invert_mixed(U3, algsU)
+    Uinv3 = invert_mixed(U3, algsU)
     rep.check(Uinv3 is not None, "u-invertible")
     if Uinv3 is not None and pair is None:
         pair = lambda12_structures(Ab, check=False)
@@ -1107,7 +1045,7 @@ def twist_equivalence_U(Ab: BicomoduleAlgebra, pair=None,
                 .split_slot(0, (n, n))
             t2 = TensorElt.basis(fld, (m,), (i,)).apply_at(0, A2.lam) \
                 .split_slot(0, (n, n))
-            rep.check(_mulseq([U3, t1, Uinv3], algsU) == t2,
+            rep.check(slotwise_prod([U3, t1, Uinv3], algsU) == t2,
                       "coaction-conjugation", f"basis e_{i}")
         mixed = [H, Hop, H, Hop, A]
         Phi1 = A1.PhiLam.split_slot(0, (n, n)).split_slot(2, (n, n))
@@ -1116,7 +1054,7 @@ def twist_equivalence_U(Ab: BicomoduleAlgebra, pair=None,
         U5b = U3.apply_at(2, A1.lam).split_slot(2, (n, n))
         U5d = Uinv3.merge_slots((2, 1)).apply_at(0, K.Delta) \
             .split_slot(0, (n, n)).split_slot(2, (n, n))
-        lhs = _mulseq([U5a, U5b, Phi1, U5d], mixed)
+        lhs = slotwise_prod([U5a, U5b, Phi1, U5d], mixed)
         rep.check(lhs == Phi2, "associator-twist")
     if check:
         rep.require(Ab.name or "bicomodule algebra")
@@ -1133,7 +1071,7 @@ def twist_coaction(x, F: TensorElt, FInv: TensorElt | None = None,
     gluing element of a bicomodule algebra survives untouched."""
     Hq = x.Hq
     if FInv is None:
-        FInv = Hq._invert_tensor(F)
+        FInv = invert_mixed(F, [Hq.H, Hq.H])
         if FInv is None:
             raise ValueError("twist is not invertible")
     if HF is None:

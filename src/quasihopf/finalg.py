@@ -1,18 +1,21 @@
 """Finite-dimensional unital algebras by structure constants.
 
-The multiplication is the dense 3-tensor mul[i][j] = dense row of
-e_i e_j; sparse rows, and their integer form over one denominator, are
-cached for the slot combinators and the exhaustive scans.  Tensor-power
-algebras, element inversion and (anti)morphism checking live here.
+An algebra is stored once, as integer sparse rows over one denominator:
+the slot combinators, the exhaustive scans and the algebra-map checks
+all read that form, and a dense table is built only for documents.
+Tensor-product and opposite algebras, the inverse of an element of a
+slotwise product of algebras, and (anti)morphism checking live here.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 
 from .fields import Field
-from .linalg import Mat, prod, solve, unflatten
-from .tensors import TensorElt
+from .linalg import LinMap, Mat, int_entries, prod, solve
+from .tensors import TensorElt, slotwise_mul
 
 
 class VerificationError(Exception):
@@ -51,19 +54,42 @@ class Report:
 
 
 class FinAlgebra:
-    """Unital associative algebra given by structure constants."""
+    """Unital associative algebra given by structure constants.
 
-    __slots__ = ("field", "dim", "mul", "unit", "name", "_srows", "_irows")
+    The product is stored as integer sparse rows over one denominator
+    ``den``: ``rows[i][j]`` lists e_i e_j as ``[(k, den * c), ...]`` in
+    increasing k, zeros skipped.  The form is canonical: over QQ, ``den``
+    is the lcm of the entries' denominators; over GF(p), ``den`` is 1 and
+    the entries are nonzero residues.  ``mul`` is a dense view of it.
+    """
+
+    __slots__ = ("field", "dim", "den", "rows", "unit", "name")
 
     def __init__(self, field: Field, mul, unit, name: str = "",
                  check: bool = True):
+        """``mul[i][j]`` is the coordinate vector of e_i e_j."""
+        n = len(mul)
+        den, rows = int_entries(field, [
+            [(k, c) for k, c in enumerate(row) if c]
+            for plane in mul for row in plane])
+        self._set(field, den, [rows[i * n:(i + 1) * n] for i in range(n)],
+                  unit, name, check)
+
+    @classmethod
+    def from_int_rows(cls, field: Field, den: int, rows, unit,
+                      name: str = "", check: bool = False) -> "FinAlgebra":
+        """An algebra from sparse rows already in canonical form."""
+        A = cls.__new__(cls)
+        A._set(field, den, rows, unit, name, check)
+        return A
+
+    def _set(self, field, den, rows, unit, name, check):
         self.field = field
-        self.dim = len(mul)
-        self.mul = mul
+        self.dim = len(rows)
+        self.den = den
+        self.rows = rows
         self.unit = list(unit)
         self.name = name
-        self._srows = None
-        self._irows = None
         if check:
             verify_associative_unital(self).require(name or "algebra")
 
@@ -73,112 +99,47 @@ class FinAlgebra:
 
     def __eq__(self, other):
         return (isinstance(other, FinAlgebra) and self.field == other.field
-                and self.dim == other.dim and self.mul == other.mul
+                and self.den == other.den and self.rows == other.rows
                 and self.unit == other.unit)
 
-    def sparse_rows(self):
-        """``rows[i][j]``: e_i e_j as [(k, c), ...], zeros skipped; cached."""
-        if self._srows is None:
-            self._srows = [
-                [[(k, c) for k, c in enumerate(row) if c] for row in plane]
-                for plane in self.mul]
-        return self._srows
+    def _scalar(self, c):
+        """The field scalar of the row entry ``c``."""
+        return c if self.field.p is not None else Fraction(c, self.den)
 
-    def int_rows(self):
-        """``(D, rows)``: the sparse rows as integers over one denominator,
-        ``rows[i][j] = [(k, D * c), ...]``.  Over GF(p) D is 1 and the
-        entries are residues, with zero residues skipped; cached."""
-        if self._irows is None:
-            rows = self.sparse_rows()
-            p = self.field.p
-            if p is None:
-                D = lcm(*{c.denominator for plane in rows for row in plane
-                          for _, c in row})
-                rows = [[[(k, c.numerator * (D // c.denominator))
-                          for k, c in row] for row in plane]
-                        for plane in rows]
-            else:
-                D = 1
-                rows = [[[(k, r) for k, c in row if (r := c % p)]
-                         for row in plane] for plane in rows]
-            self._irows = (D, rows)
-        return self._irows
+    @property
+    def mul(self):
+        """Dense view, built on each read: ``mul[i][j]`` is the coordinate
+        vector of e_i e_j."""
+        zero, n = self.field.zero(), self.dim
+        out = []
+        for plane in self.rows:
+            dense_plane = []
+            for row in plane:
+                dense = [zero] * n
+                for k, c in row:
+                    dense[k] = self._scalar(c)
+                dense_plane.append(dense)
+            out.append(dense_plane)
+        return out
 
     def multiply(self, u, v):
         """Coordinates of the product of the coordinate vectors u, v."""
         acc = [0] * self.dim
-        srows = self.sparse_rows()
+        rows = self.rows
         for i, cu in enumerate(u):
             if cu == 0:
                 continue
-            srow_i = srows[i]
+            rows_i = rows[i]
             for j, cv in enumerate(v):
                 if cv == 0:
                     continue
                 cuv = cu * cv
-                for k, c in srow_i[j]:
+                for k, c in rows_i[j]:
                     acc[k] = acc[k] + cuv * c
         p = self.field.p
-        return acc if p is None else [x % p for x in acc]
-
-    def element(self, coords) -> "AlgElement":
-        return AlgElement(self, list(coords))
-
-    def basis_element(self, i: int) -> "AlgElement":
-        coords = [self.field.zero()] * self.dim
-        coords[i] = self.field.one()
-        return AlgElement(self, coords)
-
-    def one(self) -> "AlgElement":
-        return AlgElement(self, list(self.unit))
-
-    def zero(self) -> "AlgElement":
-        return AlgElement(self, [self.field.zero()] * self.dim)
-
-
-class AlgElement:
-    """An element of a FinAlgebra, as a flat coordinate vector."""
-
-    __slots__ = ("parent", "coords")
-
-    def __init__(self, parent: FinAlgebra, coords):
-        if len(coords) != parent.dim:
-            raise ValueError("coordinate length does not match algebra dim")
-        self.parent = parent
-        self.coords = coords
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgElement) and self.parent == other.parent
-                and self.coords == other.coords)
-
-    def __repr__(self):
-        return f"AlgElement({self.coords})"
-
-    def __add__(self, other: "AlgElement") -> "AlgElement":
-        fld = self.parent.field
-        return AlgElement(self.parent,
-                          [fld.add(a, b)
-                           for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        fld = self.parent.field
-        return AlgElement(self.parent,
-                          [fld.sub(a, b)
-                           for a, b in zip(self.coords, other.coords)])
-
-    def __mul__(self, other: "AlgElement") -> "AlgElement":
-        return AlgElement(self.parent,
-                          self.parent.multiply(self.coords, other.coords))
-
-    def scale(self, c) -> "AlgElement":
-        fld = self.parent.field
-        return AlgElement(self.parent, [fld.mul(c, x) for x in self.coords])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def to_tensor(self, dims) -> TensorElt:
-        return TensorElt.from_flat(self.parent.field, dims, self.coords)
+        if p is not None:
+            return [x % p for x in acc]
+        return acc if self.den == 1 else [Fraction(x, self.den) for x in acc]
 
 
 def verify_associative_unital(A: FinAlgebra, limit: int | None = 10) -> Report:
@@ -201,14 +162,14 @@ def _assoc_defects(A: FinAlgebra, limit: int | None) -> list:
     """The basis triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
     in lexicographic order, stopping after ``limit`` of them.
 
-    The scan runs on ``A.int_rows()``: over QQ both sides carry the
+    The scan runs on the integer rows: over QQ both sides carry the
     factor D^2 and are compared as integers, over GF(p) they are compared
     mod p.  Both sides are summed over the sparse rows only, into one
     dict holding their difference.
     """
     n = A.dim
     p = A.field.p
-    _, rows = A.int_rows()
+    rows = A.rows
     bad = []
     for i in range(n):
         rows_i = rows[i]
@@ -235,96 +196,125 @@ def _assoc_defects(A: FinAlgebra, limit: int | None) -> list:
 
 
 def opposite(A: FinAlgebra) -> FinAlgebra:
-    """Same space, reversed multiplication (mul indices 0 and 1 swapped)."""
+    """Same space, reversed multiplication."""
     n = A.dim
-    mul = [[A.mul[j][i] for j in range(n)] for i in range(n)]
-    return FinAlgebra(A.field, mul, A.unit,
-                      name=f"{A.name}^op" if A.name else "", check=False)
+    rows = [[A.rows[j][i] for j in range(n)] for i in range(n)]
+    return FinAlgebra.from_int_rows(A.field, A.den, rows, A.unit,
+                                    name=f"{A.name}^op" if A.name else "")
 
 
 def tensor_algebra(A: FinAlgebra, B: FinAlgebra,
                    op_flags=(False, False)) -> FinAlgebra:
-    """Componentwise product algebra on the flat tensor coordinates.
-
-    The product's sparse rows are formed from the factors' sparse rows
-    and seed its cache; the dense table is filled from them."""
+    """Componentwise product algebra on the flat tensor coordinates."""
     if A.field != B.field:
         raise ValueError("field mismatch")
     fld = A.field
+    p = fld.p
     na, nb = A.dim, B.dim
-    n = na * nb
-    sa, sb = A.sparse_rows(), B.sparse_rows()
+    ra, rb = A.rows, B.rows
     if op_flags[0]:
-        sa = [[sa[j][i] for j in range(na)] for i in range(na)]
+        ra = [[ra[j][i] for j in range(na)] for i in range(na)]
     if op_flags[1]:
-        sb = [[sb[j][i] for j in range(nb)] for i in range(nb)]
-    srows = [[[(ka * nb + kb, c)
-               for ka, ca in row_a for kb, cb in row_b
-               if (c := fld.mul(ca, cb))]
-              for row_a in sa[ia] for row_b in sb[ib]]
-             for ia in range(na) for ib in range(nb)]
-    zero = fld.zero()
-    mul = []
-    for plane in srows:
-        dense_plane = []
-        for row in plane:
-            dense = [zero] * n
-            for k, c in row:
-                dense[k] = c
-            dense_plane.append(dense)
-        mul.append(dense_plane)
-    unit = [zero] * n
+        rb = [[rb[j][i] for j in range(nb)] for i in range(nb)]
+    rows = [[[(ka * nb + kb, ca * cb if p is None else ca * cb % p)
+              for ka, ca in row_a for kb, cb in row_b]
+             for row_a in ra[ia] for row_b in rb[ib]]
+            for ia in range(na) for ib in range(nb)]
+    den = A.den * B.den
+    if den != 1:
+        g = gcd(den, *(c for plane in rows for row in plane for _, c in row))
+        if g != 1:
+            den //= g
+            rows = [[[(k, c // g) for k, c in row] for row in plane]
+                    for plane in rows]
+    unit = [fld.zero()] * (na * nb)
     for ia, ca in enumerate(A.unit):
         if ca == 0:
             continue
         for ib, cb in enumerate(B.unit):
             if cb != 0:
                 unit[ia * nb + ib] = fld.mul(ca, cb)
-    out = FinAlgebra(fld, mul, unit, check=False)
-    out._srows = srows
+    return FinAlgebra.from_int_rows(fld, den, rows, unit)
+
+
+def slotwise_unit(field: Field, algebras) -> TensorElt:
+    """1 (x) ... (x) 1, one unit per algebra."""
+    out = TensorElt.scalar(field, field.one())
+    for alg in algebras:
+        out = out.tensor(TensorElt.from_vector(field, alg.unit))
     return out
 
 
-def tensor_power(A: FinAlgebra, k: int) -> FinAlgebra:
-    out = A
-    for _ in range(k - 1):
-        out = tensor_algebra(out, A)
-    return out
-
-
-def invert_element(A: FinAlgebra, x: AlgElement):
-    """Two-sided inverse of x, or None when x is not invertible."""
-    n = A.dim
-    cols = [A.multiply(x.coords, [A.field.one() if t == j else A.field.zero()
-                                  for t in range(n)]) for j in range(n)]
-    left_mult = Mat(A.field, [[cols[j][i] for j in range(n)] for i in range(n)])
-    y = solve(left_mult, A.unit)
+def invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
+    """Two-sided inverse of ``t`` in the slotwise product of
+    ``algebras``, or None when ``t`` is not invertible; found by a linear
+    solve against the left-multiplication operator."""
+    field = t.field
+    unit = slotwise_unit(field, algebras)
+    if t == unit:
+        return t
+    dims = t.dims
+    n = prod(dims)
+    # the matrix of e_f -> t e_f in one pass over the terms of t, as
+    # integers over one denominator: each term expands slot by slot into
+    # (column f, row, coefficient) triples
+    den = t.den
+    for alg in algebras:
+        den *= alg.den
+    acc = [[0] * n for _ in range(n)]
+    for ia, ca in t.num.items():
+        partial = [(0, 0, ca)]
+        for d, alg, i in zip(dims, algebras, ia):
+            row = alg.rows[i]
+            partial = [(f * d + j, r * d + k, c * mc)
+                       for f, r, c in partial
+                       for j in range(d) for k, mc in row[j]]
+        for f, r, c in partial:
+            acc[r][f] += c
+    zero, p = field.zero(), field.p
+    if p is None:
+        entries = [[Fraction(c, den) if c else zero for c in r] for r in acc]
+    else:
+        entries = [[c % p for c in r] for r in acc]
+    y = solve(Mat(field, entries), unit.to_flat())
     if y is None:
         return None
-    if A.multiply(y, x.coords) != list(A.unit):
+    inv = TensorElt.from_flat(field, dims, y)
+    if slotwise_mul(inv, t, algebras) != unit:
         return None
-    return AlgElement(A, y)
+    return inv
 
 
 def check_algebra_map(f: Mat, A: FinAlgebra, B: FinAlgebra,
                       anti: bool = False, unital: bool = True) -> Report:
     """Verify f: A -> B is an (anti)algebra map on all basis pairs;
-    reports bijectivity via rank."""
+    reports bijectivity via rank.
+
+    With f = F / Df over integer columns F, both sides of
+    f(e_i e_j) = f(e_i) f(e_j) are scaled by Df^2 A.den B.den and
+    compared as integers (mod p over GF(p))."""
     rep = Report()
     if f.nrows != B.dim or f.ncols != A.dim:
         rep.add("shape", f"expected {B.dim}x{A.dim}, got {f.nrows}x{f.ncols}")
         return rep
     n = A.dim
-    imgs = [f.vec([A.field.one() if t == i else A.field.zero()
-                   for t in range(n)]) for i in range(n)]
+    p = A.field.p
+    Df, cols = int_entries(f.field, [f.sparse_col(j) for j in range(n)])
+    lscale, rscale = Df * B.den, A.den
     for i in range(n):
         for j in range(n):
-            lhs = f.vec(A.mul[i][j])
-            if anti:
-                rhs = B.multiply(imgs[j], imgs[i])
-            else:
-                rhs = B.multiply(imgs[i], imgs[j])
-            if lhs != rhs:
+            diff = {}
+            for k, c in A.rows[i][j]:
+                for r, x in cols[k]:
+                    diff[r] = diff.get(r, 0) + lscale * c * x
+            left, right = (cols[j], cols[i]) if anti else (cols[i], cols[j])
+            for r1, x1 in left:
+                rows_r1 = B.rows[r1]
+                for r2, x2 in right:
+                    x12 = rscale * x1 * x2
+                    for t, c in rows_r1[r2]:
+                        diff[t] = diff.get(t, 0) - x12 * c
+            if any(v if p is None else v % p for v in diff.values()):
                 rep.add("multiplicative", f"pair (e_{i}, e_{j})")
     if unital and f.vec(list(A.unit)) != list(B.unit):
         rep.add("unital", "f(1) != 1")
@@ -333,23 +323,37 @@ def check_algebra_map(f: Mat, A: FinAlgebra, B: FinAlgebra,
     return rep
 
 
-# -- helpers for building algebras on tensor coordinate spaces -------------
+def mul_linmap(A: FinAlgebra) -> LinMap:
+    """The multiplication of A as a LinMap (n, n) -> (n,)."""
+    n = A.dim
+    zero = A.field.zero()
+    mat = [[zero] * (n * n) for _ in range(n)]
+    for col, row in enumerate(row for plane in A.rows for row in plane):
+        for k, c in row:
+            mat[k][col] = A._scalar(c)
+    return LinMap(Mat(A.field, mat, n * n), (n, n), (n,))
+
 
 def algebra_from_pair_fn(field: Field, dims, pair_fn, unit_tensor: TensorElt,
                          name: str = "", check: bool = True) -> FinAlgebra:
-    """Fill a structure tensor by evaluating ``pair_fn(idx_i, idx_j)``
-    (a TensorElt on ``dims``) on every basis pair of the flat space."""
+    """The algebra on the flat space of ``dims`` whose product of basis
+    elements is ``pair_fn(idx_i, idx_j)`` (a TensorElt on ``dims``); its
+    rows are read off each pair's numerators."""
     dims = tuple(dims)
-    n = prod(dims)
-    mul = []
-    for fi in range(n):
-        idx_i = unflatten(dims, fi)
-        plane = []
-        for fj in range(n):
-            idx_j = unflatten(dims, fj)
+    basis = list(product(*map(range, dims)))
+    flat = {idx: f for f, idx in enumerate(basis)}
+    pairs = []
+    for idx_i in basis:
+        for idx_j in basis:
             res = pair_fn(idx_i, idx_j)
             if res.dims != dims:
                 raise ValueError("pair_fn returned wrong slot shape")
-            plane.append(res.to_flat())
-        mul.append(plane)
-    return FinAlgebra(field, mul, unit_tensor.to_flat(), name=name, check=check)
+            pairs.append((res.den, sorted((flat[idx], c)
+                                          for idx, c in res.num.items())))
+    den = lcm(*(d for d, _ in pairs))
+    rows = [row if d == den else [(k, c * (den // d)) for k, c in row]
+            for d, row in pairs]
+    n = len(basis)
+    return FinAlgebra.from_int_rows(
+        field, den, [rows[i * n:(i + 1) * n] for i in range(n)],
+        unit_tensor.to_flat(), name=name, check=check)

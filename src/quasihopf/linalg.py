@@ -32,23 +32,18 @@ def unflatten(dims, flat: int):
     return tuple(reversed(idx))
 
 
-def _flatten_shape(shape):
-    """Flatten a (possibly nested) parenthesized shape to a factor list."""
-    if isinstance(shape, int):
-        return [shape]
-    out = []
-    for part in shape:
-        out.extend(_flatten_shape(part))
-    return out
-
-
-def reassociate(v, from_shape, to_shape):
-    """Identity on coordinates; exists so call sites document intent."""
-    if _flatten_shape(from_shape) != _flatten_shape(to_shape):
-        raise ValueError(
-            f"shapes {from_shape} and {to_shape} have different factor lists"
-        )
-    return v
+def int_entries(field: Field, lists):
+    """``(D, lists)`` with every scalar ``c`` of the ``[(key, c), ...]``
+    lists replaced by the integer ``D * c``.  Over QQ, D is the lcm of
+    the denominators and the lists must skip zeros; over GF(p), D is 1
+    and the entries become residues, with zero residues dropped."""
+    p = field.p
+    if p is not None:
+        return 1, [[(key, r) for key, c in lst if (r := c % p)]
+                   for lst in lists]
+    D = lcm(*(c.denominator for lst in lists for _, c in lst))
+    return D, [[(key, c.numerator * (D // c.denominator)) for key, c in lst]
+               for lst in lists]
 
 
 # -- matrices --------------------------------------------------------------
@@ -80,10 +75,6 @@ class Mat:
     def zero(field: Field, nrows: int, ncols: int) -> "Mat":
         z = field.zero()
         return Mat(field, [[z] * ncols for _ in range(nrows)], ncols)
-
-    @staticmethod
-    def from_rows(field: Field, rows, ncols: int | None = None) -> "Mat":
-        return Mat(field, [list(r) for r in rows], ncols)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field == other.field
@@ -281,15 +272,7 @@ class LinMap:
                 for j, c in enumerate(row):
                     if c:
                         cols[j].append((out, c))
-            p = self.mat.field.p
-            if p is None:
-                D = lcm(*(c.denominator for col in cols for _, c in col))
-                cols = [[(out, c.numerator * (D // c.denominator))
-                         for out, c in col] for col in cols]
-            else:
-                D = 1
-                cols = [[(out, r) for out, c in col if (r := c % p)]
-                        for col in cols]
+            D, cols = int_entries(self.mat.field, cols)
             self._plan = (D, {unflatten(self.in_dims, j): col
                               for j, col in enumerate(cols)})
         return self._plan

@@ -16,23 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finalg import (FinAlgebra, Report, check_algebra_map, invert_element,
-                     opposite, tensor_algebra, tensor_power)
+from .finalg import (FinAlgebra, Report, check_algebra_map, invert_mixed,
+                     opposite, slotwise_unit, tensor_algebra)
 from .linalg import LinMap
-from .tensors import TensorElt, linmap_from_fn, slotwise_mul
-
-
-def _reduce_runs(t: TensorElt, alg, runs) -> TensorElt:
-    """Multiply consecutive runs of slots: run lengths must sum to the
-    slot count; each run collapses left to right into one slot."""
-    if sum(runs) != len(t.dims):
-        raise ValueError("run lengths do not cover the slots")
-    pos = 0
-    for r in runs:
-        for _ in range(r - 1):
-            t = t.mul_slots(pos, pos + 1, alg)
-        pos += 1
-    return t
+from .tensors import TensorElt, fold_slots, linmap_from_fn, slotwise_prod
 
 
 class QuasiBialgebra:
@@ -54,9 +41,8 @@ class QuasiBialgebra:
         self.counit = counit
         self.Phi = Phi
         self.name = name or H.name
-        self._powers: dict[int, FinAlgebra] = {1: H}
         if PhiInv is None:
-            PhiInv = self._invert_tensor(Phi)
+            PhiInv = invert_mixed(Phi, [H] * 3)
             if PhiInv is None:
                 raise ValueError("associator is not invertible")
         self.PhiInv = PhiInv
@@ -71,47 +57,22 @@ class QuasiBialgebra:
     def n(self) -> int:
         return self.H.dim
 
-    def power_algebra(self, k: int) -> FinAlgebra:
-        """H tensor itself k times, as a FinAlgebra (cached)."""
-        if k not in self._powers:
-            self._powers[k] = tensor_power(self.H, k)
-        return self._powers[k]
-
     def unit_elt(self, k: int = 1) -> TensorElt:
-        one = TensorElt.from_vector(self.field, self.H.unit)
-        out = one
-        for _ in range(k - 1):
-            out = out.tensor(one)
-        return out
+        return slotwise_unit(self.field, [self.H] * k)
 
     def basis_elt(self, i: int) -> TensorElt:
         return TensorElt.basis(self.field, (self.n,), (i,))
 
-    def tmul(self, *factors: TensorElt) -> TensorElt:
-        """Product of elements of the same tensor power, slot by slot."""
-        out = factors[0]
-        for f in factors[1:]:
-            out = slotwise_mul(out, f, self.H)
-        return out
-
     def eps_scalar(self, t: TensorElt):
         """Value of the counit on a single-slot element."""
         return t.drop_slot(0, self.counit).terms.get((), self.field.zero())
-
-    def _invert_tensor(self, t: TensorElt) -> TensorElt | None:
-        k = len(t.dims)
-        alg = self.power_algebra(k)
-        inv = invert_element(alg, alg.element(t.to_flat()))
-        if inv is None:
-            return None
-        return TensorElt.from_flat(self.field, t.dims, inv.coords)
 
     # -- verification --------------------------------------------------------
 
     def verify(self) -> Report:
         rep = Report()
         n = self.n
-        H2 = self.power_algebra(2)
+        H2 = tensor_algebra(self.H, self.H)
         rep.merge(_tag(check_algebra_map(self.Delta.mat, self.H, H2),
                        "coproduct"))
         # counit multiplicativity and normalization
@@ -128,15 +89,16 @@ class QuasiBialgebra:
                   "counit-unital", "eps(1) != 1")
         # Phi is invertible with the stored inverse
         one3 = self.unit_elt(3)
-        rep.check(self.tmul(self.Phi, self.PhiInv) == one3,
+        rep.check(slotwise_prod([self.Phi, self.PhiInv], self.H) == one3,
                   "associator-inverse", "Phi PhiInv != 1")
-        rep.check(self.tmul(self.PhiInv, self.Phi) == one3,
+        rep.check(slotwise_prod([self.PhiInv, self.Phi], self.H) == one3,
                   "associator-inverse", "PhiInv Phi != 1")
         # (id x Delta)Delta(h) = Phi ((Delta x id)Delta(h)) Phi^{-1}
         for i in range(n):
             d = self.basis_elt(i).apply_at(0, self.Delta)
             lhs = d.apply_at(1, self.Delta)
-            rhs = self.tmul(self.Phi, d.apply_at(0, self.Delta), self.PhiInv)
+            rhs = slotwise_prod(
+                [self.Phi, d.apply_at(0, self.Delta), self.PhiInv], self.H)
             rep.check(lhs == rhs, "coassociativity", f"basis e_{i}")
         # (eps x id)Delta = id = (id x eps)Delta
         for i in range(n):
@@ -149,11 +111,11 @@ class QuasiBialgebra:
         # pentagon:
         # (1 x Phi)(id x Delta x id)(Phi)(Phi x 1)
         #   = (id x id x Delta)(Phi) (Delta x id x id)(Phi)
-        lhs = self.tmul(self.unit_elt().tensor(self.Phi),
-                        self.Phi.apply_at(1, self.Delta),
-                        self.Phi.tensor(self.unit_elt()))
-        rhs = self.tmul(self.Phi.apply_at(2, self.Delta),
-                        self.Phi.apply_at(0, self.Delta))
+        lhs = slotwise_prod([self.unit_elt().tensor(self.Phi),
+                             self.Phi.apply_at(1, self.Delta),
+                             self.Phi.tensor(self.unit_elt())], self.H)
+        rhs = slotwise_prod([self.Phi.apply_at(2, self.Delta),
+                             self.Phi.apply_at(0, self.Delta)], self.H)
         rep.check(lhs == rhs, "pentagon")
         # counit kills the associator in every slot
         one2 = self.unit_elt(2)
@@ -207,23 +169,23 @@ class QuasiHopfAlgebra(QuasiBialgebra):
             ei = self.basis_elt(i)
             d = ei.apply_at(0, self.Delta)
             eps = self.eps_scalar(ei)
-            lhs = _reduce_runs(d.apply_at(0, self.S).insert(1, self.alpha),
-                               self.H, (3,))
+            lhs = fold_slots(d.apply_at(0, self.S).insert(1, self.alpha),
+                             [(0, 1, 2)], self.H)
             rep.check(lhs == self.alpha.scale(eps), "antipode-alpha",
                       f"basis e_{i}")
-            lhs = _reduce_runs(d.apply_at(1, self.S).insert(1, self.beta),
-                               self.H, (3,))
+            lhs = fold_slots(d.apply_at(1, self.S).insert(1, self.beta),
+                             [(0, 1, 2)], self.H)
             rep.check(lhs == self.beta.scale(eps), "antipode-beta",
                       f"basis e_{i}")
         # X^1 beta S(X^2) alpha X^3 = 1,  S(x^1) alpha x^2 beta S(x^3) = 1
         one = self.unit_elt()
         t = self.Phi.apply_at(1, self.S).insert(1, self.beta) \
             .insert(3, self.alpha)
-        rep.check(_reduce_runs(t, self.H, (5,)) == one, "zigzag",
+        rep.check(fold_slots(t, [(0, 1, 2, 3, 4)], self.H) == one, "zigzag",
                   "on the associator")
         t = self.PhiInv.apply_at(0, self.S).apply_at(2, self.S) \
             .insert(1, self.alpha).insert(3, self.beta)
-        rep.check(_reduce_runs(t, self.H, (5,)) == one, "zigzag",
+        rep.check(fold_slots(t, [(0, 1, 2, 3, 4)], self.H) == one, "zigzag",
                   "on the inverse associator")
         return rep
 
@@ -280,23 +242,24 @@ class QuasiHopfAlgebra(QuasiBialgebra):
                 or F.drop_slot(1, self.counit) != one:
             raise ValueError("twist is not counit-normalized")
         if FInv is None:
-            FInv = self._invert_tensor(F)
+            FInv = invert_mixed(F, [self.H] * 2)
             if FInv is None:
                 raise ValueError("twist is not invertible")
         Delta_F = linmap_from_fn(
             self.field, (n,), (n, n),
-            lambda idx: self.tmul(
+            lambda idx: slotwise_prod([
                 F, TensorElt.basis(self.field, (n,), idx).apply_at(
-                    0, self.Delta), FInv))
-        Phi_F = self.tmul(one.tensor(F), F.apply_at(1, self.Delta), self.Phi,
-                          FInv.apply_at(0, self.Delta), FInv.tensor(one))
-        PhiInv_F = self.tmul(F.tensor(one), F.apply_at(0, self.Delta),
-                             self.PhiInv, FInv.apply_at(1, self.Delta),
-                             one.tensor(FInv))
-        alpha_F = _reduce_runs(FInv.apply_at(0, self.S).insert(1, self.alpha),
-                               self.H, (3,))
-        beta_F = _reduce_runs(F.apply_at(1, self.S).insert(1, self.beta),
-                              self.H, (3,))
+                    0, self.Delta), FInv], self.H))
+        Phi_F = slotwise_prod([one.tensor(F), F.apply_at(1, self.Delta),
+                               self.Phi, FInv.apply_at(0, self.Delta),
+                               FInv.tensor(one)], self.H)
+        PhiInv_F = slotwise_prod([F.tensor(one), F.apply_at(0, self.Delta),
+                                  self.PhiInv, FInv.apply_at(1, self.Delta),
+                                  one.tensor(FInv)], self.H)
+        alpha_F = fold_slots(FInv.apply_at(0, self.S).insert(1, self.alpha),
+                             [(0, 1, 2)], self.H)
+        beta_F = fold_slots(F.apply_at(1, self.S).insert(1, self.beta),
+                            [(0, 1, 2)], self.H)
         name = f"{self.name}_F" if self.name else ""
         return QuasiHopfAlgebra(self.H, Delta_F, self.counit, Phi_F, self.S,
                                 alpha_F, beta_F, PhiInv=PhiInv_F,
@@ -310,32 +273,32 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         if self._drinfeld is not None:
             return self._drinfeld
         one = self.unit_elt()
-        A4 = self.tmul(self.Phi.tensor(one),
-                       self.PhiInv.apply_at(0, self.Delta))
-        B4 = self.tmul(self.Phi.apply_at(0, self.Delta),
-                       self.PhiInv.tensor(one))
+        A4 = slotwise_prod([self.Phi.tensor(one),
+                            self.PhiInv.apply_at(0, self.Delta)], self.H)
+        B4 = slotwise_prod([self.Phi.apply_at(0, self.Delta),
+                            self.PhiInv.tensor(one)], self.H)
         # gamma = S(A^2) alpha A^3 (x) S(A^1) alpha A^4
         t = A4.apply_at(0, self.S).apply_at(1, self.S).permute((1, 2, 0, 3))
-        gamma = _reduce_runs(t.insert(1, self.alpha).insert(4, self.alpha),
-                             self.H, (3, 3))
+        gamma = fold_slots(t.insert(1, self.alpha).insert(4, self.alpha),
+                           [(0, 1, 2), (3, 4, 5)], self.H)
         # delta = B^1 beta S(B^4) (x) B^2 beta S(B^3)
         t = B4.apply_at(2, self.S).apply_at(3, self.S).permute((0, 3, 1, 2))
-        delta = _reduce_runs(t.insert(1, self.beta).insert(4, self.beta),
-                             self.H, (3, 3))
+        delta = fold_slots(t.insert(1, self.beta).insert(4, self.beta),
+                           [(0, 1, 2), (3, 4, 5)], self.H)
         # f = (S x S)(swap Delta(x^1)) gamma Delta(x^2 beta S(x^3))
         t = self.PhiInv.apply_at(2, self.S).insert(2, self.beta)
-        t = _reduce_runs(t, self.H, (1, 3))
+        t = fold_slots(t, [(0,), (1, 2, 3)], self.H)
         t = t.apply_at(1, self.Delta).apply_at(0, self.Delta)
         t = t.apply_at(0, self.S).apply_at(1, self.S).permute((1, 0, 2, 3))
         t = t.insert(2, gamma).permute((0, 2, 4, 1, 3, 5))
-        f = _reduce_runs(t, self.H, (3, 3))
+        f = fold_slots(t, [(0, 1, 2), (3, 4, 5)], self.H)
         # f^{-1} = Delta(S(x^1) alpha x^2) delta (S x S)(swap Delta(x^3))
         t = self.PhiInv.apply_at(0, self.S).insert(1, self.alpha)
-        t = _reduce_runs(t, self.H, (3, 1))
+        t = fold_slots(t, [(0, 1, 2), (3,)], self.H)
         t = t.apply_at(0, self.Delta).apply_at(2, self.Delta)
         t = t.apply_at(2, self.S).apply_at(3, self.S).permute((0, 1, 3, 2))
         t = t.insert(2, delta).permute((0, 2, 4, 1, 3, 5))
-        f_inv = _reduce_runs(t, self.H, (3, 3))
+        f_inv = fold_slots(t, [(0, 1, 2), (3, 4, 5)], self.H)
         self._drinfeld = DrinfeldTwist(f, f_inv, gamma, delta)
         return self._drinfeld
 
@@ -343,20 +306,20 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         rep = Report()
         dt = self.drinfeld_twist()
         one2 = self.unit_elt(2)
-        rep.check(self.tmul(dt.f, dt.f_inv) == one2, "twist-inverse",
-                  "f f^{-1} != 1")
-        rep.check(self.tmul(dt.f_inv, dt.f) == one2, "twist-inverse",
-                  "f^{-1} f != 1")
-        rep.check(self.tmul(dt.f, self.alpha.apply_at(0, self.Delta))
+        H = self.H
+        rep.check(slotwise_prod([dt.f, dt.f_inv], H) == one2,
+                  "twist-inverse", "f f^{-1} != 1")
+        rep.check(slotwise_prod([dt.f_inv, dt.f], H) == one2,
+                  "twist-inverse", "f^{-1} f != 1")
+        rep.check(slotwise_prod([dt.f, self.alpha.apply_at(0, self.Delta)], H)
                   == dt.gamma, "twist-gamma")
-        rep.check(self.tmul(self.beta.apply_at(0, self.Delta), dt.f_inv)
-                  == dt.delta, "twist-delta")
+        rep.check(slotwise_prod([self.beta.apply_at(0, self.Delta), dt.f_inv],
+                                H) == dt.delta, "twist-delta")
         # f Delta(S(h)) f^{-1} = (S x S)(swap Delta(h))
         for i in range(self.n):
             ei = self.basis_elt(i)
-            lhs = self.tmul(dt.f,
-                            ei.apply_at(0, self.S).apply_at(0, self.Delta),
-                            dt.f_inv)
+            dS = ei.apply_at(0, self.S).apply_at(0, self.Delta)
+            lhs = slotwise_prod([dt.f, dS, dt.f_inv], H)
             rhs = ei.apply_at(0, self.Delta).permute((1, 0)) \
                 .apply_at(0, self.S).apply_at(1, self.S)
             rep.check(lhs == rhs, "antipode-anticoalgebra", f"basis e_{i}")
@@ -372,7 +335,7 @@ class QuasiHopfAlgebra(QuasiBialgebra):
     def canonical_qL(self) -> TensorElt:
         """q_L = S(x^1) alpha x^2 (x) x^3."""
         t = self.PhiInv.apply_at(0, self.S).insert(1, self.alpha)
-        return _reduce_runs(t, self.H, (3, 1))
+        return fold_slots(t, [(0, 1, 2), (3,)], self.H)
 
     def canonical_qR(self) -> TensorElt:
         """q_R = X^1 (x) S^{-1}(alpha X^3) X^2."""
@@ -382,7 +345,7 @@ class QuasiHopfAlgebra(QuasiBialgebra):
     def canonical_pR(self) -> TensorElt:
         """p_R = x^1 (x) x^2 beta S(x^3)."""
         t = self.PhiInv.apply_at(2, self.S).insert(2, self.beta)
-        return _reduce_runs(t, self.H, (1, 3))
+        return fold_slots(t, [(0,), (1, 2, 3)], self.H)
 
     def verify_canonical(self) -> Report:
         rep = Report()
@@ -394,21 +357,21 @@ class QuasiHopfAlgebra(QuasiBialgebra):
             # (S(h_1) (x) 1) q_L Delta(h_2) = (1 (x) h) q_L
             t = d.apply_at(0, self.S).apply_at(1, self.Delta)
             t = t.insert(1, qL).permute((0, 1, 3, 2, 4))
-            lhs = _reduce_runs(t, self.H, (3, 2))
+            lhs = fold_slots(t, [(0, 1, 2), (3, 4)], self.H)
             rhs = qL.insert(2, ei).mul_slots(2, 1, self.H)
             rep.check(lhs == rhs, "left-intertwiner", f"basis e_{i}")
             # (1 (x) S^{-1}(h_2)) q_R Delta(h_1) = (h (x) 1) q_R
             t = d.apply_at(1, self.SInv).apply_at(0, self.Delta)
             t = t.insert(2, qR).permute((2, 0, 4, 3, 1))
-            lhs = _reduce_runs(t, self.H, (2, 3))
+            lhs = fold_slots(t, [(0, 1), (2, 3, 4)], self.H)
             rhs = qR.insert(0, ei).mul_slots(0, 1, self.H)
             rep.check(lhs == rhs, "right-intertwiner", f"basis e_{i}")
         # X^1 p^1_1 (x) X^2 p^1_2 (x) X^3 p^2
         #   = y^1 (x) y^2_1 p^1 (x) y^2_2 p^2 S(y^3)
-        lhs = self.tmul(self.Phi, pR.apply_at(0, self.Delta))
+        lhs = slotwise_prod([self.Phi, pR.apply_at(0, self.Delta)], self.H)
         t = self.PhiInv.apply_at(1, self.Delta).apply_at(3, self.S)
         t = t.insert(3, pR).permute((0, 1, 3, 2, 4, 5))
-        rhs = _reduce_runs(t, self.H, (1, 2, 3))
+        rhs = fold_slots(t, [(0,), (1, 2), (3, 4, 5)], self.H)
         rep.check(lhs == rhs, "pentagon-p")
         # q^1_1 y^1 (x) q^1_2 y^2 (x) S(q^2 y^3)
         #   = X^1 (x) q^1 X^2_1 (x) S(q^2 X^2_2) X^3

@@ -20,7 +20,7 @@ from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         RightComoduleAlgebra)
 from .fields import GF, QQ, Field
 from .finalg import FinAlgebra
-from .linalg import LinMap, Mat, flat_index, prod, unflatten
+from .linalg import LinMap, Mat, flat_index, prod
 from .quasihopf import QuasiHopfAlgebra
 from .tensors import TensorElt
 
@@ -255,14 +255,14 @@ def _parent(doc, base_dir, check, chain):
     if not isinstance(par, dict):
         raise DocumentError(f"bad parent {par!r}")
     Hq = from_document(par, base_dir=base_dir, check=check,
-                       _chain=chain + (real,))
+                       _ancestors=chain + (real,))
     if not isinstance(Hq, QuasiHopfAlgebra):
         raise DocumentError("parent must be a quasi-Hopf definition")
     return Hq
 
 
 def from_document(doc, base_dir: str = ".", check: bool = False,
-                  _chain=(None,)):
+                  _ancestors=(None,)):
     """Rebuild the structure a document defines.
 
     Shape or scalar problems, and a parent chain that returns to a file
@@ -300,7 +300,7 @@ def from_document(doc, base_dir: str = ".", check: bool = False,
             Hq.verify().require(name or "quasi-Hopf algebra")
         return Hq
 
-    Hq = _parent(doc, base_dir, check, _chain)
+    Hq = _parent(doc, base_dir, check, _ancestors)
     n, m = Hq.n, dim
     if Hq.field != field:
         raise DocumentError("field differs from the parent's")
@@ -361,4 +361,4 @@ def load_document(path: str):
 def load_structure(path: str, check: bool = False):
     doc = load_document(path)
     return from_document(doc, base_dir=os.path.dirname(os.path.abspath(path)),
-                         check=check, _chain=(os.path.realpath(path),))
+                         check=check, _ancestors=(os.path.realpath(path),))

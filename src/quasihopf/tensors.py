@@ -8,17 +8,20 @@ a short program over these combinators:
 * ``mul_slots``   - multiply two slots inside an algebra factor
 * ``permute``     - reorder slots
 * ``tensor``      - juxtapose elements
+* ``fold_slots``  - permute, then multiply runs of slots into one slot
+* ``slotwise_prod`` - multiply elements of one tensor power slot by slot
 
 An element is stored as integer numerators over one shared denominator:
 ``num`` maps multi-index tuples to nonzero ints and ``den`` is a
 positive int, so the coefficient at ``idx`` is ``num[idx] / den``.  Over
 the rationals the pair is kept in lowest terms (``gcd(den, *num) == 1``);
 over GF(p) ``den`` is 1 and the numerators are residues in ``[0, p)``.
-The combinators accumulate plain ints, using the integer views that
-``LinMap.int_plan`` and ``FinAlgebra.int_rows`` cache, and normalise
-once at the end.  Field scalars (``Fraction`` over the rationals) appear
-only at the boundary: the constructor takes them, and ``terms`` (a
-read-only {multi-index tuple: scalar} view) and ``to_flat`` return them.
+The combinators accumulate plain ints, using the integer view that
+``LinMap.int_plan`` caches and the integer rows a ``FinAlgebra`` holds,
+and normalise once at the end.  Field scalars (``Fraction`` over the
+rationals) appear only at the boundary: the constructor takes them, and
+``terms`` (a read-only {multi-index tuple: scalar} view) and ``to_flat``
+return them.
 The flat coordinate order is the row-major convention from linalg.
 """
 
@@ -218,7 +221,7 @@ class TensorElt:
         n = algebra.dim
         if self.dims[pos_a] != n or self.dims[pos_b] != n:
             raise ValueError("slot dimension does not match algebra")
-        D, rows = algebra.int_rows()
+        D, rows = algebra.den, algebra.rows
         dst = pos_a if pos_a < pos_b else pos_a - 1
         new_dims = tuple(d for t, d in enumerate(self.dims) if t != pos_b)
         num = {}
@@ -300,9 +303,8 @@ def slotwise_mul(a: TensorElt, b: TensorElt, algebras) -> TensorElt:
     den = a.den * b.den
     srows = []
     for alg in algebras:
-        D, rows = alg.int_rows()
-        den *= D
-        srows.append(rows)
+        den *= alg.den
+        srows.append(alg.rows)
     # nonzero[t][i]: the right indices j with e_i e_j != 0 in slot t
     nonzero = [[[j for j, row in enumerate(rows_i) if row] for rows_i in sr]
                for sr in srows]
@@ -344,6 +346,31 @@ def slotwise_mul(a: TensorElt, b: TensorElt, algebras) -> TensorElt:
             for idx, coef in partial:
                 out[idx] = out.get(idx, 0) + coef
     return _normal(a.field, a.dims, out, den)
+
+
+def slotwise_prod(factors, algebras) -> TensorElt:
+    """The slotwise product of ``factors``, taken left to right."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = slotwise_mul(out, f, algebras)
+    return out
+
+
+def fold_slots(t: TensorElt, groups, algebras) -> TensorElt:
+    """Permute the slots into the concatenation of ``groups``, then fold
+    each group into one slot by left-to-right multiplication; group r
+    multiplies inside ``algebras[r]`` (a single algebra serves all)."""
+    perm = tuple(s for g in groups for s in g)
+    if len(perm) != len(t.dims):
+        raise ValueError("groups do not cover the slots")
+    if perm != tuple(range(len(perm))):
+        t = t.permute(perm)
+    if not isinstance(algebras, (list, tuple)):
+        algebras = [algebras] * len(groups)
+    for pos, (g, alg) in enumerate(zip(groups, algebras)):
+        for _ in range(len(g) - 1):
+            t = t.mul_slots(pos, pos + 1, alg)
+    return t
 
 
 def linmap_from_fn(field: Field, in_dims, out_dims, fn) -> LinMap:

@@ -23,29 +23,14 @@ with both round trips the identity.
 
 from __future__ import annotations
 
-from .actions import (BimoduleAlgebra, LeftModuleAlgebra, RightModuleAlgebra,
-                      bar_construction, dual_bimodule_algebra)
+from .actions import BimoduleAlgebra, LeftModuleAlgebra, bar_construction
 from .coactions import BicomoduleAlgebra, tilde_pq
 from .fields import Field
-from .finalg import FinAlgebra, Report
-from .linalg import LinMap, Mat, prod, unflatten
+from .finalg import FinAlgebra, Report, mul_linmap
+from .linalg import LinMap, prod, unflatten
 from .products import ProductAlgebra, diag_crossed, two_sided_smash
 from .quasihopf import QuasiHopfAlgebra
 from .tensors import TensorElt, linmap_from_fn, slotwise_mul
-
-
-def _mul_linmap(alg: FinAlgebra) -> LinMap:
-    """Multiplication of ``alg`` as a LinMap (N, N) -> (N,)."""
-    n = alg.dim
-    fld = alg.field
-
-    srows = alg.sparse_rows()
-
-    def fn(idx):
-        return TensorElt(fld, (n,),
-                         {(k,): v for k, v in srows[idx[0]][idx[1]]})
-
-    return linmap_from_fn(fld, (n, n), (n,), fn)
 
 
 # -- bimodule coalgebras -----------------------------------------------------
@@ -157,7 +142,7 @@ class BimoduleCoalgebra:
 def regular_bimodule_coalgebra(Hq: QuasiHopfAlgebra,
                                check: bool = True) -> BimoduleCoalgebra:
     """H itself, with its comultiplication and multiplication actions."""
-    mul = _mul_linmap(Hq.H)
+    mul = mul_linmap(Hq.H)
     return BimoduleCoalgebra(Hq, Hq.n, Hq.Delta, Hq.counit, mul, mul,
                              name=Hq.name, check=check)
 
@@ -243,7 +228,7 @@ class YDModule:
         Hq, Ab, C = self.Hq, self.Ab, self.C
         fld = self.field
         mU, mM = Ab.A.dim, self.dim
-        mulU = _mul_linmap(Ab.A)
+        mulU = mul_linmap(Ab.A)
         unitU = Ab.unit_elt()
         th = Ab.PhiLRInv
         xl = Ab.left.PhiLamInv
@@ -385,7 +370,7 @@ class FinModule:
         alg = self.algebra
         fld = self.field
         N, mM = alg.dim, self.dim
-        mul = _mul_linmap(alg)
+        mul = mul_linmap(alg)
         unit = TensorElt.from_vector(fld, alg.unit)
         for im in range(mM):
             em = self.basis_elt(im)
@@ -403,7 +388,7 @@ class FinModule:
 
 def regular_module(alg: FinAlgebra, check: bool = True) -> FinModule:
     """The algebra acting on itself by left multiplication."""
-    return FinModule(alg, alg.dim, _mul_linmap(alg), name=alg.name,
+    return FinModule(alg, alg.dim, mul_linmap(alg), name=alg.name,
                      check=check)
 
 

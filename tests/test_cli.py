@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -130,6 +131,68 @@ def test_construct_mismatched_parents(tmp_path):
 def test_theorem_commands_qz2(name, capsys):
     assert main(["theorem", name, "QZ2"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_hausser_nill_label_is_the_product_dim(capsys):
+    # the three-factor products over FpZn(5,2) have dimension 32
+    assert main(["theorem", "hausser-nill", "FpZn(5,2)"]) == 0
+    out = capsys.readouterr().out
+    assert "three-factor coincidence (dim 32)" in out and "PASS" in out
+
+
+# SHA-256 of each exported corpus document, recorded when the algebras
+# still kept a dense table: exports must stay byte for byte the same
+EXPORT_SHA256 = {
+    ("QZ2", "H"):
+        "cad2aa6c1205f3e4df0a706817e5a06fe2902b4b2a78c8faf8170f72c00b9b30",
+    ("QZ2", "module"):
+        "9e3a8ef02035582c56c1d767a9605b0e57b981012dccd64d2202b5e5cba9d2c8",
+    ("QZ2", "bicomodule"):
+        "2bf6708e2eb051683166f04a288377464a794d41da9d090c44800404cbf7a7a1",
+    ("QZ2", "dual"):
+        "e113f1dd4ab50c3042b2023c41affdaea54333067a7505e477d3f82350446b59",
+    ("H2", "H"):
+        "dd4e4a962ad9b2f34a921d05863cd37547a0340ac66b7b29ece9e96a623b23d8",
+    ("H2", "module"):
+        "d754be6223010490a56372ed63a954a48e18f4023013f3becde3b46a800b815c",
+    ("H2", "bicomodule"):
+        "9778e114111a711f6d766df638f1f9427192c6f50b535b15f2d5ffd3462424c0",
+    ("H2", "dual"):
+        "3a799d47c53f2a6f8e005a3a07bf04903cded9719543c6912f842033b5fe6c6b",
+    ("Sweedler4", "H"):
+        "4cc7a7375ada54344dacb1efb41626bc16b343332c448bdbd9def1ff0fe00c3c",
+    ("Sweedler4", "module"):
+        "e954c52e7d80d9534af42797a90cde67a54de863bdd90de588f5c20d1d7fe40e",
+    ("Sweedler4", "bicomodule"):
+        "422bd552b1fb2d7592e9b37d3bc8ff14f19286718861fae11fbabf7968ae0c38",
+    ("Sweedler4", "dual"):
+        "4ca021f78c88969c0f3088997ca26bd517b2633ed2fbceb41a8dd93082f9c421",
+    ("FpZn(7,3)", "H"):
+        "b9f704334aaa2466aec0b02996b4ed85ba94eb2eba024df8f38610d7e48be5d0",
+    ("FpZn(7,3)", "module"):
+        "0a53d6d5e8cb3c1ecd9080b76d106e59bab2d1d0048f0a115a9806c91c3c5d75",
+    ("FpZn(7,3)", "bicomodule"):
+        "79e36ce1279e836abb27dae71ae9943ceb106adff62b630a52c8575cb010c79a",
+    ("FpZn(7,3)", "dual"):
+        "9a9cd5b5a7464e147d0e15c5bf6be3110b0853d90f965473668778f1a3181911",
+    ("FpZn(5,2)", "H"):
+        "a47cf7069e9ddff43b86086f55ef57ffcd9c21c536717a15d29603ecd5cd1aa0",
+    ("FpZn(5,2)", "module"):
+        "4ad89aa82367d9c9b2f786310a936a5fbad4ba7d172498db0b29ac5d4835ea82",
+    ("FpZn(5,2)", "bicomodule"):
+        "ebb01f7011399396a7f8b9e9468de90958c7494de081adb278b6b0d180b62438",
+    ("FpZn(5,2)", "dual"):
+        "d6fa96987be1ca178f5a8f751161f034777c823cd909801020f83e7e14e09003",
+}
+
+
+@pytest.mark.parametrize("entry_name,what", sorted(EXPORT_SHA256))
+def test_corpus_export_bytes_are_pinned(tmp_path, entry_name, what):
+    out = tmp_path / "doc.json"
+    assert main(["corpus", "export", entry_name, "--what", what,
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == EXPORT_SHA256[(entry_name, what)]
 
 
 def test_theorem_twist_invariance(capsys):

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                                 PQDelta, _invert_mixed, _unit_tensor,
-                                 bicomodule_tensor_with_algebra,
+                                 PQDelta, bicomodule_tensor_with_algebra,
                                  lambda12_structures, omega_closed_left,
                                  omega_closed_right, omega_from_coaction,
                                  pq_delta, regular_bicomodule, regular_left,
@@ -15,7 +14,7 @@ from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  two_sided_from_bicomodule, verify_omega,
                                  verify_pq_delta, verify_tilde_pq)
 from quasihopf.fields import GF, QQ
-from quasihopf.finalg import FinAlgebra
+from quasihopf.finalg import FinAlgebra, invert_mixed, slotwise_unit
 from quasihopf.linalg import Mat, prod, solve, unflatten
 from quasihopf.tensors import TensorElt, linmap_from_fn, slotwise_mul
 
@@ -211,13 +210,13 @@ def test_noninvertible_mixed_associator_rejected():
         LeftComoduleAlgebra(Hq, Hq.H, Ab.lam, bad, check=False)
 
 
-# -- _invert_mixed against the column-by-column construction -----------------
+# -- invert_mixed against the column-by-column construction -----------------
 
 def _invert_by_columns(t, algebras):
     """The inverse as it was found before the one-pass matrix build: one
     slotwise product t e_f per basis tensor e_f gives the columns."""
     field = t.field
-    unit = _unit_tensor(field, algebras)
+    unit = slotwise_unit(field, algebras)
     if t == unit:
         return t
     dims = t.dims
@@ -294,11 +293,11 @@ def test_invert_mixed_matches_columns(data, field):
                         max_size=prod(dims)))
     t = TensorElt.from_flat(field, dims, vec)
     if draw(st.booleans()):
-        t = t + _unit_tensor(field, algs)
-    got, want = _invert_mixed(t, algs), _invert_by_columns(t, algs)
+        t = t + slotwise_unit(field, algs)
+    got, want = invert_mixed(t, algs), _invert_by_columns(t, algs)
     assert got == want
     if got is not None:
-        assert slotwise_mul(got, t, algs) == _unit_tensor(field, algs)
+        assert slotwise_mul(got, t, algs) == slotwise_unit(field, algs)
 
 
 # a zero divisor of each H: 1 + g, the nilpotent x, an idempotent e_0
@@ -310,14 +309,14 @@ ZERO_DIVISORS = {"QZ2": [1, 1], "Sweedler4": [0, 1, 0, 0],
 def test_invert_mixed_corpus_cases(name):
     Hq = entry(name)["H"]
     fld, algs = Hq.field, [Hq.H] * 3
-    unit = _unit_tensor(fld, algs)
-    assert _invert_mixed(unit, algs) is unit
-    inv = _invert_mixed(Hq.Phi, algs)
+    unit = slotwise_unit(fld, algs)
+    assert invert_mixed(unit, algs) is unit
+    inv = invert_mixed(Hq.Phi, algs)
     assert inv is not None and inv == _invert_by_columns(Hq.Phi, algs)
     zero_div = TensorElt.from_vector(fld, ZERO_DIVISORS[name]).tensor(
-        _unit_tensor(fld, algs[1:]))
+        slotwise_unit(fld, algs[1:]))
     assert _invert_by_columns(zero_div, algs) is None
-    assert _invert_mixed(zero_div, algs) is None
+    assert invert_mixed(zero_div, algs) is None
 
 
 def test_invert_mixed_reduces_sums_mod_p():
@@ -327,5 +326,5 @@ def test_invert_mixed_reduces_sums_mod_p():
     A = FinAlgebra(F, [[[1, 1], [1, 0]], [[1, 0], [0, 1]]], [0, 1],
                    check=False)
     t = TensorElt.from_vector(F, [2, 3])
-    inv = _invert_mixed(t, [A])
+    inv = invert_mixed(t, [A])
     assert inv is not None and inv == _invert_by_columns(t, [A])

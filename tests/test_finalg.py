@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,13 @@ from quasihopf.corpus import group_algebra_z2, sweedler4
 from quasihopf.fields import GF, QQ
 from quasihopf.finalg import (FinAlgebra, Report, VerificationError,
                               algebra_from_pair_fn, check_algebra_map,
-                              invert_element, opposite, tensor_algebra,
-                              tensor_power, verify_associative_unital)
-from quasihopf.linalg import Mat
-from quasihopf.tensors import TensorElt
+                              invert_mixed, mul_linmap, opposite,
+                              slotwise_unit, tensor_algebra,
+                              verify_associative_unital)
+from quasihopf.linalg import Mat, solve
+from quasihopf.tensors import TensorElt, slotwise_mul
+
+from conftest import entry
 
 
 def z2():
@@ -35,14 +39,17 @@ def test_report_accumulates():
         rep.require("context")
 
 
+def basis_vec(field, n, i):
+    return [field.one() if k == i else field.zero() for k in range(n)]
+
+
 def test_multiply_and_elements():
     A = h4()
-    g, x = A.basis_element(2), A.basis_element(1)
-    assert g * g == A.one()
-    assert x * x == A.zero()
+    g, x, gx = (basis_vec(QQ, 4, i) for i in (2, 1, 3))
+    assert A.multiply(g, g) == A.unit
+    assert A.multiply(x, x) == [0] * 4
     # xg = -gx
-    gx = A.basis_element(3)
-    assert x * g == gx.scale(Fraction(-1))
+    assert A.multiply(x, g) == [-c for c in gx]
 
 
 def test_verify_flags_broken_unit():
@@ -64,9 +71,10 @@ def test_opposite():
     A = h4()
     Aop = opposite(A)
     assert verify_associative_unital(Aop).ok
+    mul, mul_op = A.mul, Aop.mul
     for i in range(4):
         for j in range(4):
-            assert (Aop.mul[i][j] == A.mul[j][i])
+            assert mul_op[i][j] == mul[j][i]
     # xg = -gx distinguishes A from Aop
     assert Aop.mul != A.mul
 
@@ -86,25 +94,24 @@ def test_tensor_algebra_and_power():
                         .merge_slots((2,)).to_flat(),
                         TensorElt.basis(QQ, (2, 4), (k, l))
                         .merge_slots((2,)).to_flat())
-                    a = A.multiply(A.basis_element(i).coords,
-                                   A.basis_element(k).coords)
-                    b = B.multiply(B.basis_element(j).coords,
-                                   B.basis_element(l).coords)
+                    a = A.multiply(basis_vec(QQ, 2, i), basis_vec(QQ, 2, k))
+                    b = B.multiply(basis_vec(QQ, 4, j), basis_vec(QQ, 4, l))
                     want = TensorElt.from_flat(QQ, (2,), a).tensor(
                         TensorElt.from_flat(QQ, (4,), b))
                     assert list(lhs) == list(want.merge_slots((2,)).to_flat())
-    sq = tensor_power(A, 2)
+    sq = tensor_algebra(A, A)
     assert sq.dim == 4
     assert verify_associative_unital(sq).ok
+    assert sq == tensor_algebra(A, A, (True, True))
 
 
 def test_invert_element():
     A = z2()
-    g = A.basis_element(1)
-    inv = invert_element(A, g)
-    assert inv * g == A.one()
-    x = h4().basis_element(1)
-    assert invert_element(h4(), x) is None
+    g = TensorElt.basis(QQ, (2,), (1,))
+    inv = invert_mixed(g, [A])
+    assert slotwise_mul(inv, g, [A]) == slotwise_unit(QQ, [A])
+    x = TensorElt.basis(QQ, (4,), (1,))
+    assert invert_mixed(x, [h4()]) is None
 
 
 def test_check_algebra_map():
@@ -126,6 +133,7 @@ def test_algebra_from_pair_fn():
     alg = algebra_from_pair_fn(QQ, (2,), pair,
                                TensorElt.basis(QQ, (2,), (0,)), check=True)
     assert alg.mul == A.mul
+    assert alg == A and (alg.den, alg.rows) == (1, A.rows)
 
 
 def test_prime_field_algebra():
@@ -270,14 +278,15 @@ def _dense_tensor_algebra(A, B, op_flags):
     n = na * nb
     fld = A.field
     zero = fld.zero()
+    mul_a, mul_b = fa.mul, fb.mul
     mul = []
     for ia in range(na):
         for ib in range(nb):
             plane = []
             for ja in range(na):
-                row_a = fa.mul[ia][ja]
+                row_a = mul_a[ia][ja]
                 for jb in range(nb):
-                    row_b = fb.mul[ib][jb]
+                    row_b = mul_b[ib][jb]
                     dense = [zero] * n
                     for ka, ca in enumerate(row_a):
                         if ca == 0:
@@ -304,9 +313,9 @@ def _assert_same_tensor_algebra(A, B, op_flags):
     # repr compares entry for entry, the scalar types included
     assert repr(got.mul) == repr(want.mul)
     assert repr(got.unit) == repr(want.unit)
-    # the seeded sparse rows are the ones the dense table gives
-    assert got.sparse_rows() == FinAlgebra(
-        want.field, want.mul, want.unit, check=False).sparse_rows()
+    # the integer rows are the ones the dense table gives
+    assert (got.den, got.rows) == (want.den, want.rows)
+    assert got == want
 
 
 @given(st.sampled_from([QQ, GF(5), GF(7)]).flatmap(
@@ -323,3 +332,281 @@ def test_tensor_algebra_corpus_matches_dense_reference(op_flags):
     _assert_same_tensor_algebra(twisted_z2().H, h4(), op_flags)
     fp = cyclic_with_cocycle(5, 2).H
     _assert_same_tensor_algebra(fp, fp, op_flags)
+
+
+# -- the integer-row FinAlgebra against the dense implementation -----------
+
+class DenseAlgebra:
+    """FinAlgebra as it was written on a dense Fraction table, with its
+    cached sparse and integer rows (copied, element helpers left out)."""
+
+    def __init__(self, field, mul, unit):
+        self.field = field
+        self.dim = len(mul)
+        self.mul = mul
+        self.unit = list(unit)
+        self._srows = None
+        self._irows = None
+
+    def __eq__(self, other):
+        return (self.field == other.field and self.dim == other.dim
+                and self.mul == other.mul and self.unit == other.unit)
+
+    def sparse_rows(self):
+        if self._srows is None:
+            self._srows = [
+                [[(k, c) for k, c in enumerate(row) if c] for row in plane]
+                for plane in self.mul]
+        return self._srows
+
+    def int_rows(self):
+        if self._irows is None:
+            rows = self.sparse_rows()
+            p = self.field.p
+            if p is None:
+                D = lcm(*{c.denominator for plane in rows for row in plane
+                          for _, c in row})
+                rows = [[[(k, c.numerator * (D // c.denominator))
+                          for k, c in row] for row in plane]
+                        for plane in rows]
+            else:
+                D = 1
+                rows = [[[(k, r) for k, c in row if (r := c % p)]
+                         for row in plane] for plane in rows]
+            self._irows = (D, rows)
+        return self._irows
+
+    def multiply(self, u, v):
+        acc = [0] * self.dim
+        srows = self.sparse_rows()
+        for i, cu in enumerate(u):
+            if cu == 0:
+                continue
+            srow_i = srows[i]
+            for j, cv in enumerate(v):
+                if cv == 0:
+                    continue
+                cuv = cu * cv
+                for k, c in srow_i[j]:
+                    acc[k] = acc[k] + cuv * c
+        p = self.field.p
+        return acc if p is None else [x % p for x in acc]
+
+
+def dense_opposite(A):
+    n = A.dim
+    mul = A.mul
+    return DenseAlgebra(A.field, [[mul[j][i] for j in range(n)]
+                                  for i in range(n)], A.unit)
+
+
+def dense_tensor(A, B):
+    fld = A.field
+    na, nb = A.dim, B.dim
+    n = na * nb
+    sa, sb = A.sparse_rows(), B.sparse_rows()
+    mul = []
+    for ia in range(na):
+        for ib in range(nb):
+            plane = []
+            for ja in range(na):
+                for jb in range(nb):
+                    dense = [fld.zero()] * n
+                    for ka, ca in sa[ia][ja]:
+                        for kb, cb in sb[ib][jb]:
+                            if (c := fld.mul(ca, cb)):
+                                dense[ka * nb + kb] = c
+                    plane.append(dense)
+            mul.append(plane)
+    unit = [fld.zero()] * n
+    for ia, ca in enumerate(A.unit):
+        for ib, cb in enumerate(B.unit):
+            if ca != 0 and cb != 0:
+                unit[ia * nb + ib] = fld.mul(ca, cb)
+    return DenseAlgebra(fld, mul, unit)
+
+
+def dense_tensor_power(A, k):
+    out = A
+    for _ in range(k - 1):
+        out = dense_tensor(out, A)
+    return out
+
+
+def dense_invert_element(A, x):
+    """invert_element on coordinate vectors: the inverse's coordinates,
+    or None."""
+    n = A.dim
+    cols = [A.multiply(x, [A.field.one() if t == j else A.field.zero()
+                           for t in range(n)]) for j in range(n)]
+    left_mult = Mat(A.field, [[cols[j][i] for j in range(n)]
+                              for i in range(n)])
+    y = solve(left_mult, A.unit)
+    if y is None:
+        return None
+    if A.multiply(y, x) != list(A.unit):
+        return None
+    return y
+
+
+def _values(field, rows):
+    """Sparse rows as {(k): field value}, zeros dropped."""
+    p = field.p
+    return [[[(k, c % p if p else c) for k, c in row if (c % p if p else c)]
+             for row in plane] for plane in rows]
+
+
+def _same_values(field, u, v):
+    p = field.p
+    return all(((a - b) % p == 0) if p else a == b for a, b in zip(u, v))
+
+
+@st.composite
+def algebra_tables(draw, field):
+    """(field, table, unit): a table of ``scan_tables`` with its raw
+    entries (ints and Fractions side by side over QQ, unreduced over
+    GF(p)), or a random non-associative table with such entries."""
+    if draw(st.booleans()):
+        A = draw(scan_tables(field))
+        mul, unit = A.mul, A.unit
+    else:
+        n = draw(st.integers(1, 3))
+        mul = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k in product(range(n), repeat=3):
+            if draw(st.booleans()):
+                mul[i][j][k] = draw(st.sampled_from(QQ_SCALARS)) \
+                    if field.p is None else field.of_int(draw(
+                        st.integers(1, field.p - 1)))
+        unit = basis_vec(field, n, 0)
+    rng = draw(st.randoms(use_true_random=False))
+
+    def raw(c):
+        if field.p is not None:
+            return c + field.p * rng.randrange(3)
+        return int(c) if Fraction(c).denominator == 1 \
+            and rng.random() < 0.5 else Fraction(c)
+
+    return [[[raw(c) for c in row] for row in plane] for plane in mul], unit
+
+
+FIELDS = st.sampled_from([QQ, GF(5), GF(7)])
+
+
+@given(FIELDS.flatmap(lambda f: st.tuples(st.just(f), algebra_tables(f))),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_finalg_matches_dense_implementation(ft, data):
+    field, (table, unit) = ft
+    A = FinAlgebra(field, table, unit, check=False)
+    old = DenseAlgebra(field, table, unit)
+    n = A.dim
+    # the stored rows are the old cached integer rows, and give back
+    # the old sparse rows as field values
+    assert (A.den, A.rows) == old.int_rows()
+    p = field.p
+    as_values = [[[(k, c if p else Fraction(c, A.den)) for k, c in row]
+                  for row in plane] for plane in A.rows]
+    assert as_values == _values(field, old.sparse_rows())
+    # the dense view holds field scalars and round-trips
+    assert _same_values(field, sum(sum(A.mul, []), []),
+                        sum(sum(table, []), []))
+    assert all(type(c) is (int if p else Fraction)
+               for plane in A.mul for row in plane for c in row)
+    assert FinAlgebra(field, A.mul, A.unit, check=False) == A
+    # products of random vectors
+    vec = st.lists(st.sampled_from(QQ_SCALARS) if p is None
+                   else st.integers(-p, 2 * p), min_size=n, max_size=n)
+    u, v = data.draw(vec), data.draw(vec)
+    assert _same_values(field, A.multiply(u, v), old.multiply(u, v))
+    # the opposite algebra
+    Aop = opposite(A)
+    assert (Aop.den, Aop.rows) == dense_opposite(old).int_rows()
+    # equality: another representation of the same values is equal, a
+    # change of one entry is not
+    same = FinAlgebra(field, [[[c + p if p else Fraction(c) for c in row]
+                               for row in plane] for plane in table],
+                      unit, check=False)
+    assert same == A
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    changed = [[list(row) for row in plane] for plane in table]
+    changed[i][j][k] = changed[i][j][k] + 1
+    assert FinAlgebra(field, changed, unit, check=False) != A
+
+
+@given(FIELDS.flatmap(lambda f: st.tuples(st.just(f), algebra_tables(f),
+                                          algebra_tables(f))),
+       st.sampled_from(OP_FLAGS))
+@settings(max_examples=40, deadline=None)
+def test_tensor_algebra_matches_dense_implementation(triple, op_flags):
+    field, (ta, ua), (tb, ub) = triple
+    oa, ob = DenseAlgebra(field, ta, ua), DenseAlgebra(field, tb, ub)
+    if op_flags[0]:
+        oa = dense_opposite(oa)
+    if op_flags[1]:
+        ob = dense_opposite(ob)
+    got = tensor_algebra(FinAlgebra(field, ta, ua, check=False),
+                         FinAlgebra(field, tb, ub, check=False), op_flags)
+    want = dense_tensor(oa, ob)
+    assert (got.den, got.rows) == want.int_rows()
+    assert got.unit == want.unit
+
+
+# -- the one inverter against invert_element over the tensor power --------
+
+def _old_inverse(t, H):
+    """The inverse of ``t`` in H^(x)k by the old route: invert_element
+    over the dense tensor-power algebra."""
+    k = len(t.dims)
+    old = DenseAlgebra(H.field, H.mul, H.unit)
+    y = dense_invert_element(dense_tensor_power(old, k), t.to_flat())
+    return None if y is None else TensorElt.from_flat(t.field, t.dims, y)
+
+
+CORPUS = ["QZ2", "H2", "Sweedler4", "FpZn(5,2)", "FpZn(7,3)"]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_inverter_matches_old_route_on_associators(name):
+    Hq = entry(name)["H"]
+    H = Hq.H
+    for t in (Hq.Phi, Hq.PhiInv):
+        got = invert_mixed(t, [H] * 3)
+        assert got is not None and got == _old_inverse(t, H)
+
+
+@given(st.sampled_from(CORPUS), st.sampled_from(["gauge", "raw", "zero"]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_inverter_matches_old_route_on_random_twists(name, kind, data):
+    Hq = entry(name)["H"]
+    H, fld, n = Hq.H, Hq.field, Hq.n
+    scalars = st.sampled_from(QQ_SCALARS) if fld.p is None \
+        else st.integers(0, fld.p - 1)
+    vec = data.draw(st.lists(scalars, min_size=n * n, max_size=n * n))
+    t = TensorElt.from_flat(fld, (n, n), [fld.of_int(0) + c for c in vec])
+    if kind == "gauge":
+        # (id - 1 eps) in each slot, plus 1 (x) 1: counit-normalized
+        one = Hq.unit_elt()
+        for pos in (0, 1):
+            t = t - t.drop_slot(pos, Hq.counit).insert(pos, one)
+        t = t + Hq.unit_elt(2)
+    elif kind == "zero":
+        # a zero divisor tensored with anything is not invertible
+        zd = {"QZ2": [1, 1], "H2": [1, 1], "Sweedler4": [0, 1, 0, 0],
+              "FpZn(5,2)": [1, 0], "FpZn(7,3)": [1, 0, 0]}[name]
+        t = TensorElt.from_vector(fld, [fld.of_int(c) for c in zd]) \
+            .tensor(TensorElt.from_flat(fld, (n,), vec[:n]))
+    got = invert_mixed(t, [H, H])
+    assert got == _old_inverse(t, H)
+    if kind == "zero":
+        assert got is None
+
+
+def test_mul_linmap_matches_products():
+    for A in (z2(), h4(), entry("FpZn(5,2)")["H"].H):
+        n, fld = A.dim, A.field
+        M = mul_linmap(A)
+        for i, j in product(range(n), repeat=2):
+            t = TensorElt.basis(fld, (n, n), (i, j)).apply_at(0, M)
+            assert t.to_flat() == A.multiply(basis_vec(fld, n, i),
+                                             basis_vec(fld, n, j))

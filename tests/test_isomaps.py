@@ -142,12 +142,13 @@ def test_hausser_nill_coincidence_qz2():
     hausser_nill_check(Ab, Du, Ab, Ab).require("QZ2")
 
 
-def test_hausser_nill_detects_broken_costructure():
-    # slotwise-perturbing one mixed associator of the middle factor must
-    # break the three-way coincidence
+def _hausser_nill_broken(scale):
+    """hausser_nill_check on QZ2 with one mixed associator of the middle
+    factor slotwise-perturbed by ``scale`` e_(1,0,0); returns the
+    report and the three products."""
     st = entry("QZ2")
     Hq, Ab, Du = st["H"], st["bicomodule"], st["dual"]
-    g = TensorElt.basis(QQ, (2, 2, 2), (1, 0, 0))
+    g = TensorElt.basis(QQ, (2, 2, 2), (1, 0, 0)).scale(scale)
     algs = [Hq.H, Hq.H, Ab.A]
     Lbad = LeftComoduleAlgebra(
         Hq, Ab.A, Ab.lam,
@@ -155,9 +156,42 @@ def test_hausser_nill_detects_broken_costructure():
         PhiLamInv=slotwise_mul(Ab.left.PhiLamInv, g, algs),
         check=False)
     AbBad = BicomoduleAlgebra(Lbad, Ab.right, Ab.PhiLR, check=False)
-    rep = hausser_nill_check(Ab, Du, AbBad, Ab, check_costructures=False)
+    products = {}
+    rep = hausser_nill_check(Ab, Du, AbBad, Ab, check_costructures=False,
+                             products=products)
+    return rep, products
+
+
+def _first_differences(products):
+    """The failure lines naming, per product, the first basis pair whose
+    dense rows differ from the left-nested ones."""
+    base = products["left-nested"].mul
+    want = []
+    for label, alg in products.items():
+        mul = alg.mul
+        pairs = [(i, j) for i in range(len(base)) for j in range(len(base))
+                 if mul[i][j] != base[i][j]]
+        if pairs:
+            want.append(f"three-factor coincidence: {label} differs from "
+                        f"left-nested at pair {pairs[0]}")
+    return want
+
+
+def test_hausser_nill_detects_broken_costructure():
+    # slotwise-perturbing one mixed associator of the middle factor must
+    # break the three-way coincidence
+    rep, products = _hausser_nill_broken(1)
     assert not rep.ok
     assert any("three-factor coincidence" in f for f in rep.failures)
+    assert rep.failures == _first_differences(products)
+
+
+def test_hausser_nill_names_first_pair_across_denominators():
+    # scaling by 1/3 gives the products different denominators, so the
+    # first differing pair must be found by value, not by numerator
+    rep, products = _hausser_nill_broken(Fraction(1, 3))
+    assert len({alg.den for alg in products.values()}) > 1
+    assert rep.failures and rep.failures == _first_differences(products)
 
 
 @pytest.mark.parametrize("kind", ["gen-smash", "diag", "two-sided-smash"])
