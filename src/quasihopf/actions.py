@@ -11,9 +11,8 @@ of a bimodule algebra as a left module algebra over H (x) H^op.
 
 from __future__ import annotations
 
-from .finalg import (FinAlgebra, Report, algebra_from_pair_fn, invert_mixed,
-                     mul_linmap)
-from .linalg import LinMap, Mat, prod, unflatten
+from .finalg import FinAlgebra, Report, algebra_from_pair_fn, invert_mixed
+from .linalg import LinMap, prod, unflatten
 from .quasihopf import QuasiHopfAlgebra
 from .tensors import TensorElt, linmap_from_fn
 
@@ -263,41 +262,43 @@ def dual_bimodule_algebra(Hq: QuasiHopfAlgebra,
     <h -> p, h'> = p(h'h), <p <- h, h'> = p(hh')."""
     n = Hq.n
     fld = Hq.field
-    mul_rows = Hq.Delta.mat.rows
     # e^i e^j = sum_k Delta(e_k)[(i, j)] e^k
-    mul = [[[mul_rows[i * n + j][k] for k in range(n)] for j in range(n)]
-           for i in range(n)]
-    unit = list(Hq.counit.mat.rows[0])
-    A = FinAlgebra(fld, mul, unit, name=f"{Hq.name}*" if Hq.name else "dual",
-                   check=False)
+    rows = [[[] for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for (i, j), c in Hq.Delta.cols[(k,)]:
+            rows[i][j].append((k, c))
+    unit = [Hq.eps_scalar(Hq.basis_elt(k)) for k in range(n)]
+    A = FinAlgebra.from_int_rows(fld, Hq.Delta.den, rows, unit,
+                                 name=f"{Hq.name}*" if Hq.name else "dual")
     # (e_a -> e^i) = sum_j (e_j e_a)[i] e^j and
-    # (e^i <- e_a) = sum_j (e_a e_j)[i] e^j, read off the product matrix
-    M = mul_linmap(Hq.H).mat.rows
-    left = LinMap(Mat(fld, [[M[i][j * n + a] for a in range(n)
-                             for i in range(n)] for j in range(n)]),
-                  (n, n), (n,))
-    right = LinMap(Mat(fld, [[M[i][a * n + j] for i in range(n)
-                              for a in range(n)] for j in range(n)]),
-                   (n, n), (n,))
+    # (e^i <- e_a) = sum_j (e_a e_j)[i] e^j, read off the product rows
+    left = {(a, i): [] for a in range(n) for i in range(n)}
+    right = {(i, a): [] for i in range(n) for a in range(n)}
+    for j in range(n):
+        for a in range(n):
+            for i, c in Hq.H.rows[j][a]:
+                left[(a, i)].append(((j,), c))
+            for i, c in Hq.H.rows[a][j]:
+                right[(i, a)].append(((j,), c))
+    left = LinMap(fld, (n, n), (n,), Hq.H.den, left)
+    right = LinMap(fld, (n, n), (n,), Hq.H.den, right)
     return BimoduleAlgebra(Hq, A, left, right, name=A.name, check=check)
 
 
 def trivial_left_action(Hq: QuasiHopfAlgebra, A: FinAlgebra) -> LinMap:
     """h.a = eps(h) a."""
-    eps_row = Hq.counit.mat.rows[0]
     return linmap_from_fn(
         Hq.field, (Hq.n, A.dim), (A.dim,),
-        lambda idx: TensorElt.basis(Hq.field, (A.dim,), (idx[1],))
-        .scale(eps_row[idx[0]]))
+        lambda idx: TensorElt.basis(Hq.field, (Hq.n, A.dim), idx)
+        .drop_slot(0, Hq.counit))
 
 
 def trivial_right_action(Hq: QuasiHopfAlgebra, A: FinAlgebra) -> LinMap:
     """a.h = eps(h) a."""
-    eps_row = Hq.counit.mat.rows[0]
     return linmap_from_fn(
         Hq.field, (A.dim, Hq.n), (A.dim,),
-        lambda idx: TensorElt.basis(Hq.field, (A.dim,), (idx[0],))
-        .scale(eps_row[idx[1]]))
+        lambda idx: TensorElt.basis(Hq.field, (A.dim, Hq.n), idx)
+        .drop_slot(1, Hq.counit))
 
 
 def left_to_bimodule(A: LeftModuleAlgebra,
@@ -318,7 +319,7 @@ def right_to_bimodule(B: RightModuleAlgebra,
 def bimodule_to_left(A: BimoduleAlgebra,
                      check: bool = True) -> LeftModuleAlgebra:
     """Forget a trivial right action (error when it is not trivial)."""
-    if A.right.mat != trivial_right_action(A.Hq, A.A).mat:
+    if A.right != trivial_right_action(A.Hq, A.A):
         raise ValueError("right action is not the counit action")
     return LeftModuleAlgebra(A.Hq, A.A, A.left, name=A.name, check=check)
 
@@ -326,7 +327,7 @@ def bimodule_to_left(A: BimoduleAlgebra,
 def bimodule_to_right(A: BimoduleAlgebra,
                       check: bool = True) -> RightModuleAlgebra:
     """Forget a trivial left action (error when it is not trivial)."""
-    if A.left.mat != trivial_left_action(A.Hq, A.A).mat:
+    if A.left != trivial_left_action(A.Hq, A.A):
         raise ValueError("left action is not the counit action")
     return RightModuleAlgebra(A.Hq, A.A, A.right, name=A.name, check=check)
 

@@ -76,7 +76,7 @@ class RightComoduleAlgebra:
         H = Hq.H
         m = A.dim
         algs3 = [A, H, H]
-        rep.merge(_tag(check_algebra_map(self.rho.mat, A,
+        rep.merge(_tag(check_algebra_map(self.rho, A,
                                          tensor_algebra(A, H)), "coaction"))
         one3 = slotwise_unit(self.field, algs3)
         rep.check(slotwise_prod([self.PhiRho, self.PhiRhoInv], algs3) == one3,
@@ -151,7 +151,7 @@ class LeftComoduleAlgebra:
         H = Hq.H
         m = B.dim
         algs3 = [H, H, B]
-        rep.merge(_tag(check_algebra_map(self.lam.mat, B,
+        rep.merge(_tag(check_algebra_map(self.lam, B,
                                          tensor_algebra(H, B)), "coaction"))
         one3 = slotwise_unit(self.field, algs3)
         rep.check(slotwise_prod([self.PhiLam, self.PhiLamInv], algs3) == one3,
@@ -362,7 +362,7 @@ class TwoSidedCoaction:
         m = A.dim
         algs5 = [H, H, A, H, H]
         rep.merge(_tag(check_algebra_map(
-            self.delta.mat, A,
+            self.delta, A,
             tensor_algebra(tensor_algebra(H, A), H)), "coaction"))
         one5 = slotwise_unit(self.field, algs5)
         rep.check(slotwise_prod([self.Psi, self.PsiInv], algs5) == one5,

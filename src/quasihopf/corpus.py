@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .fields import GF, QQ, Field
 from .finalg import FinAlgebra
-from .linalg import LinMap, Mat
 from .quasihopf import QuasiHopfAlgebra
 from .tensors import TensorElt, linmap_from_fn
 
@@ -40,7 +39,9 @@ def _maps_from_tables(field: Field, n: int, coprod, counit_vals, antipode):
     Delta = linmap_from_fn(
         field, (n,), (n, n),
         lambda idx: TensorElt(field, (n, n), coprod[idx[0]]))
-    counit = LinMap(Mat(field, [list(counit_vals)]), (n,), ())
+    counit = linmap_from_fn(
+        field, (n,), (),
+        lambda idx: TensorElt.scalar(field, counit_vals[idx[0]]))
     S = linmap_from_fn(
         field, (n,), (n,),
         lambda idx: TensorElt(field, (n,),

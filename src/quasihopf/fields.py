@@ -80,29 +80,8 @@ class Field:
 
     # -- arithmetic ------------------------------------------------------
 
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
     def mul(self, a, b):
         return a * b if self.p is None else (a * b) % self.p
-
-    def inv(self, a):
-        if self.p is None:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 / a
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     # -- text encoding ---------------------------------------------------
 

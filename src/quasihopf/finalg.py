@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 from .fields import Field
-from .linalg import LinMap, Mat, int_entries, prod, solve
-from .tensors import TensorElt, slotwise_mul
+from .linalg import LinMap, flat_index, int_entries, prod, solve
+from .tensors import TensorElt, over_one_den, slotwise_mul
 
 
 class VerificationError(Exception):
@@ -271,21 +271,24 @@ def invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
                        for j in range(d) for k, mc in row[j]]
         for f, r, c in partial:
             acc[r][f] += c
-    zero, p = field.zero(), field.p
-    if p is None:
-        entries = [[Fraction(c, den) if c else zero for c in r] for r in acc]
-    else:
-        entries = [[c % p for c in r] for r in acc]
-    y = solve(Mat(field, entries), unit.to_flat())
-    if y is None:
+    b = [[0] for _ in range(n)]
+    for idx, c in unit.num.items():
+        b[flat_index(dims, idx)][0] = c
+    # (acc / den) y = unit is acc z = unit.num with y = den z / unit.den
+    sol = solve(field.p, acc, b)
+    if sol is None:
         return None
-    inv = TensorElt.from_flat(field, dims, y)
+    D, z = sol
+    inv = TensorElt.from_num(field, dims, {
+        idx: zr[0] * den
+        for idx, zr in zip(product(*map(range, dims)), z) if zr[0]},
+        D * unit.den)
     if slotwise_mul(inv, t, algebras) != unit:
         return None
     return inv
 
 
-def check_algebra_map(f: Mat, A: FinAlgebra, B: FinAlgebra,
+def check_algebra_map(f: LinMap, A: FinAlgebra, B: FinAlgebra,
                       anti: bool = False, unital: bool = True) -> Report:
     """Verify f: A -> B is an (anti)algebra map on all basis pairs;
     reports bijectivity via rank.
@@ -294,13 +297,16 @@ def check_algebra_map(f: Mat, A: FinAlgebra, B: FinAlgebra,
     f(e_i e_j) = f(e_i) f(e_j) are scaled by Df^2 A.den B.den and
     compared as integers (mod p over GF(p))."""
     rep = Report()
-    if f.nrows != B.dim or f.ncols != A.dim:
-        rep.add("shape", f"expected {B.dim}x{A.dim}, got {f.nrows}x{f.ncols}")
+    nrows, n = prod(f.out_dims), prod(f.in_dims)
+    if nrows != B.dim or n != A.dim:
+        rep.add("shape", f"expected {B.dim}x{A.dim}, got {nrows}x{n}")
         return rep
-    n = A.dim
     p = A.field.p
-    Df, cols = int_entries(f.field, [f.sparse_col(j) for j in range(n)])
-    lscale, rscale = Df * B.den, A.den
+    cols = [None] * n
+    for idx, col in f.cols.items():
+        cols[flat_index(f.in_dims, idx)] = [
+            (flat_index(f.out_dims, out), c) for out, c in col]
+    lscale, rscale = f.den * B.den, A.den
     for i in range(n):
         for j in range(n):
             diff = {}
@@ -316,22 +322,23 @@ def check_algebra_map(f: Mat, A: FinAlgebra, B: FinAlgebra,
                         diff[t] = diff.get(t, 0) - x12 * c
             if any(v if p is None else v % p for v in diff.values()):
                 rep.add("multiplicative", f"pair (e_{i}, e_{j})")
-    if unital and f.vec(list(A.unit)) != list(B.unit):
-        rep.add("unital", "f(1) != 1")
-    if A.dim == B.dim and f.rank() != A.dim:
-        rep.add("bijective", f"rank {f.rank()} < {A.dim}")
+    if unital:
+        image = TensorElt.from_flat(A.field, f.in_dims, A.unit).apply_at(0, f)
+        if image != TensorElt.from_flat(B.field, f.out_dims, B.unit):
+            rep.add("unital", "f(1) != 1")
+    if A.dim == B.dim:
+        rank = f.rank()
+        if rank != A.dim:
+            rep.add("bijective", f"rank {rank} < {A.dim}")
     return rep
 
 
 def mul_linmap(A: FinAlgebra) -> LinMap:
     """The multiplication of A as a LinMap (n, n) -> (n,)."""
     n = A.dim
-    zero = A.field.zero()
-    mat = [[zero] * (n * n) for _ in range(n)]
-    for col, row in enumerate(row for plane in A.rows for row in plane):
-        for k, c in row:
-            mat[k][col] = A._scalar(c)
-    return LinMap(Mat(A.field, mat, n * n), (n, n), (n,))
+    return LinMap(A.field, (n, n), (n,), A.den, {
+        (i, j): [((k,), c) for k, c in A.rows[i][j]]
+        for i in range(n) for j in range(n)})
 
 
 def algebra_from_pair_fn(field: Field, dims, pair_fn, unit_tensor: TensorElt,
@@ -342,17 +349,16 @@ def algebra_from_pair_fn(field: Field, dims, pair_fn, unit_tensor: TensorElt,
     dims = tuple(dims)
     basis = list(product(*map(range, dims)))
     flat = {idx: f for f, idx in enumerate(basis)}
-    pairs = []
-    for idx_i in basis:
-        for idx_j in basis:
-            res = pair_fn(idx_i, idx_j)
-            if res.dims != dims:
-                raise ValueError("pair_fn returned wrong slot shape")
-            pairs.append((res.den, sorted((flat[idx], c)
-                                          for idx, c in res.num.items())))
-    den = lcm(*(d for d, _ in pairs))
-    rows = [row if d == den else [(k, c * (den // d)) for k, c in row]
-            for d, row in pairs]
+
+    def values():
+        for idx_i in basis:
+            for idx_j in basis:
+                res = pair_fn(idx_i, idx_j)
+                if res.dims != dims:
+                    raise ValueError("pair_fn returned wrong slot shape")
+                yield res
+
+    den, rows = over_one_den(values(), flat)
     n = len(basis)
     return FinAlgebra.from_int_rows(
         field, den, [rows[i * n:(i + 1) * n] for i in range(n)],

@@ -45,7 +45,7 @@ from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         two_sided_from_bicomodule)
 from .finalg import (FinAlgebra, Report, algebra_from_pair_fn,
                      check_algebra_map, verify_associative_unital)
-from .linalg import Mat, prod, unflatten
+from .linalg import LinMap, prod, unflatten
 from .tensors import TensorElt, linmap_from_fn
 
 KINDS = ("Smash", "RightSmash", "GenSmash", "RightGenSmash", "QuasiSmash",
@@ -81,23 +81,21 @@ def _times_basis(t: TensorElt, alg: FinAlgebra, i: int) -> TensorElt:
     return t.insert(k, _e(t.field, alg.dim, i)).mul_slots(k - 1, k, alg)
 
 
-def _slot_embedding(field, dims, units, pos) -> Mat:
-    """Matrix of e_i -> 1 (x) ... (x) e_i (x) ... (x) 1 at slot pos."""
-    m = dims[pos]
-    cols = []
-    for i in range(m):
-        t = TensorElt.basis(field, (m,), (i,))
-        for s in range(pos):
-            t = t.insert(0, units[pos - 1 - s])
-        for s in range(pos + 1, len(dims)):
-            t = t.insert(len(t.dims), units[s])
-        cols.append(t.to_flat())
-    rows = [[cols[j][r] for j in range(m)] for r in range(prod(dims))]
-    return Mat(field, rows, m)
+def _slot_embedding(field, dims, units, pos) -> LinMap:
+    """The map e_i -> 1 (x) ... (x) e_i (x) ... (x) 1 at slot pos."""
+    def fn(idx):
+        t = TensorElt.basis(field, (dims[pos],), idx)
+        for u in reversed(units[:pos]):
+            t = t.insert(0, u)
+        for u in units[pos + 1:]:
+            t = t.insert(len(t.dims), u)
+        return t
+
+    return linmap_from_fn(field, (dims[pos],), dims, fn)
 
 
-def _require_embedding(rep, mat, sub, result, label):
-    emb = check_algebra_map(mat, sub, result)
+def _require_embedding(rep, f, sub, result, label):
+    emb = check_algebra_map(f, sub, result)
     for msg in emb.failures:
         rep.add(f"embedding {label}", msg)
 
@@ -630,21 +628,12 @@ def two_sided_smash(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     mA, n, mB = p.dims
     # i(a#h) = a#h#1 and j(h#b) = 1#h#b
     unitA, unitB = Am.unit_elt(), Bm.unit_elt()
-    icols = []
-    for f in range(mA * n):
-        ia, ih = unflatten((mA, n), f)
-        t = TensorElt.basis(fld, (mA, n), (ia, ih)).insert(2, unitB)
-        icols.append(t.to_flat())
-    jcols = []
-    for f in range(n * mB):
-        ih, ib = unflatten((n, mB), f)
-        t = TensorElt.basis(fld, (n, mB), (ih, ib)).insert(0, unitA)
-        jcols.append(t.to_flat())
-    N = mA * n * mB
-    imat = Mat(fld, [[icols[j][r] for j in range(mA * n)] for r in range(N)],
-               mA * n)
-    jmat = Mat(fld, [[jcols[j][r] for j in range(n * mB)] for r in range(N)],
-               n * mB)
+    imat = linmap_from_fn(
+        fld, (mA, n), p.dims,
+        lambda idx: TensorElt.basis(fld, (mA, n), idx).insert(2, unitB))
+    jmat = linmap_from_fn(
+        fld, (n, mB), p.dims,
+        lambda idx: TensorElt.basis(fld, (n, mB), idx).insert(0, unitA))
     if check:
         rep = Report()
         _require_embedding(rep, imat, smash(Am, check=False).result,

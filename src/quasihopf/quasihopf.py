@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .finalg import (FinAlgebra, Report, check_algebra_map, invert_mixed,
                      opposite, slotwise_unit, tensor_algebra)
 from .linalg import LinMap
-from .tensors import TensorElt, fold_slots, linmap_from_fn, slotwise_prod
+from .tensors import (TensorElt, compose, fold_slots, linmap_from_fn,
+                      slotwise_prod)
 
 
 class QuasiBialgebra:
@@ -73,7 +74,7 @@ class QuasiBialgebra:
         rep = Report()
         n = self.n
         H2 = tensor_algebra(self.H, self.H)
-        rep.merge(_tag(check_algebra_map(self.Delta.mat, self.H, H2),
+        rep.merge(_tag(check_algebra_map(self.Delta, self.H, H2),
                        "coproduct"))
         # counit multiplicativity and normalization
         for i in range(n):
@@ -140,7 +141,9 @@ class QuasiHopfAlgebra(QuasiBialgebra):
             raise ValueError("alpha and beta are single-slot elements")
         self.S = S
         if SInv is None:
-            SInv = LinMap(S.mat.inv(), (n,), (n,))
+            SInv = S.inverse()
+            if SInv is None:
+                raise ValueError("antipode is not invertible")
         self.SInv = SInv
         self.alpha = alpha
         self.beta = beta
@@ -151,9 +154,9 @@ class QuasiHopfAlgebra(QuasiBialgebra):
     def verify(self) -> Report:
         rep = super().verify()
         n = self.n
-        rep.merge(_tag(check_algebra_map(self.S.mat, self.H, self.H,
+        rep.merge(_tag(check_algebra_map(self.S, self.H, self.H,
                                          anti=True, unital=True), "antipode"))
-        rep.check(self.S.mat.mul(self.SInv.mat).is_identity(),
+        rep.check(compose(self.S, self.SInv).is_identity(),
                   "antipode-inverse")
         for i in range(n):
             ei = self.basis_elt(i)
@@ -197,11 +200,10 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         n = self.n
         H = opposite(self.H) if op else self.H
         if cop:
-            swap = linmap_from_fn(
-                self.field, (n, n), (n, n),
-                lambda idx: TensorElt.basis(self.field, (n, n),
-                                            (idx[1], idx[0])))
-            Delta = LinMap(swap.mat.mul(self.Delta.mat), (n,), (n, n))
+            Delta = linmap_from_fn(
+                self.field, (n,), (n, n),
+                lambda idx: self.basis_elt(idx[0]).apply_at(0, self.Delta)
+                .permute((1, 0)))
         else:
             Delta = self.Delta
         if op and cop:
@@ -407,9 +409,18 @@ def tensor_qh(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra,
         return t.permute((0, 2, 1, 3)).merge_slots((2, 2))
 
     Delta = linmap_from_fn(field, (N,), (N, N), coprod)
-    counit = LinMap(H1.counit.mat.kron(H2.counit.mat), (N,), ())
-    S = LinMap(H1.S.mat.kron(H2.S.mat), (N,), (N,))
-    SInv = LinMap(H1.SInv.mat.kron(H2.SInv.mat), (N,), (N,))
+
+    def kron(f1, f2):
+        # f1 (x) f2 on the flat slot; k = 1 for antipodes, 0 for counits
+        k = len(f1.out_dims)
+        return linmap_from_fn(
+            field, (N,), (N,) * k,
+            lambda idx: TensorElt.basis(field, (n1, n2), divmod(idx[0], n2))
+            .apply_at(1, f2).apply_at(0, f1).merge_slots((2,) * k))
+
+    counit = kron(H1.counit, H2.counit)
+    S = kron(H1.S, H2.S)
+    SInv = kron(H1.SInv, H2.SInv)
 
     def interleave(a, b):
         return a.tensor(b).permute((0, 3, 1, 4, 2, 5)).merge_slots((2, 2, 2))

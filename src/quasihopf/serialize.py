@@ -20,9 +20,9 @@ from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         RightComoduleAlgebra)
 from .fields import GF, QQ, Field
 from .finalg import FinAlgebra
-from .linalg import LinMap, Mat, flat_index, prod
+from .linalg import LinMap
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import TensorElt
+from .tensors import TensorElt, linmap_from_fn
 
 KINDS = ("quasi-hopf", "algebra", "module-algebra-left",
          "module-algebra-right", "bimodule-algebra", "comodule-algebra-left",
@@ -102,28 +102,25 @@ def tensor_from_json(field: Field, dims, arr) -> TensorElt:
 
 def map_to_json(lm: LinMap):
     """Dense array over in_dims + out_dims, input indices leading."""
-    dims = tuple(lm.in_dims) + tuple(lm.out_dims)
-    k = len(lm.in_dims)
-
-    def at(idx):
-        col = flat_index(lm.in_dims, idx[:k])
-        row = flat_index(lm.out_dims, idx[k:])
-        return lm.mat.rows[row][col]
-
-    return _nest(lm.mat.field, dims, at)
+    return tensor_to_json(TensorElt.from_num(
+        lm.field, lm.in_dims + lm.out_dims,
+        {idx + out: c for idx, col in lm.cols.items() for out, c in col},
+        lm.den))
 
 
 def map_from_json(field: Field, in_dims, out_dims, arr) -> LinMap:
     in_dims, out_dims = tuple(in_dims), tuple(out_dims)
     k = len(in_dims)
-    mat = Mat.zero(field, prod(out_dims), prod(in_dims))
+    cols = {}
 
     def visit(idx, c):
-        mat.rows[flat_index(out_dims, idx[k:])][flat_index(in_dims,
-                                                           idx[:k])] = c
+        if c != field.zero():
+            cols.setdefault(idx[:k], {})[idx[k:]] = c
 
     _unnest(field, in_dims + out_dims, arr, visit)
-    return LinMap(mat, in_dims, out_dims)
+    return linmap_from_fn(
+        field, in_dims, out_dims,
+        lambda idx: TensorElt(field, out_dims, cols.get(idx)))
 
 
 # -- plain algebras --------------------------------------------------------

@@ -11,14 +11,17 @@ a short program over these combinators:
 * ``fold_slots``  - permute, then multiply runs of slots into one slot
 * ``slotwise_prod`` - multiply elements of one tensor power slot by slot
 
+Linear maps are built from their values on basis tensors
+(``linmap_from_fn``) and composed through ``apply_at`` (``compose``).
+
 An element is stored as integer numerators over one shared denominator:
 ``num`` maps multi-index tuples to nonzero ints and ``den`` is a
 positive int, so the coefficient at ``idx`` is ``num[idx] / den``.  Over
 the rationals the pair is kept in lowest terms (``gcd(den, *num) == 1``);
 over GF(p) ``den`` is 1 and the numerators are residues in ``[0, p)``.
-The combinators accumulate plain ints, using the integer view that
-``LinMap.int_plan`` caches and the integer rows a ``FinAlgebra`` holds,
-and normalise once at the end.  Field scalars (``Fraction`` over the
+The combinators accumulate plain ints, reading the integer columns a
+``LinMap`` holds and the integer rows a ``FinAlgebra`` holds, and
+normalise once at the end.  Field scalars (``Fraction`` over the
 rationals) appear only at the boundary: the constructor takes them, and
 ``terms`` (a read-only {multi-index tuple: scalar} view) and ``to_flat``
 return them.
@@ -128,6 +131,12 @@ class TensorElt:
         return _new(field, tuple(dims), {tuple(idx): 1}, 1)
 
     @staticmethod
+    def from_num(field: Field, dims, num, den: int) -> "TensorElt":
+        """The element with coefficients ``num[idx] / den`` for int
+        numerators and ``den`` > 0."""
+        return _normal(field, tuple(dims), num, den)
+
+    @staticmethod
     def scalar(field: Field, value) -> "TensorElt":
         return TensorElt(field, (), {(): value})
 
@@ -202,15 +211,15 @@ class TensorElt:
                 f"slots {self.dims[pos:end]} do not match map input "
                 f"{lm.in_dims}")
         new_dims = self.dims[:pos] + lm.out_dims + self.dims[end:]
-        D, plan = lm.int_plan()
+        cols = lm.cols
         num = {}
         get = num.get
         for idx, c in self.num.items():
             head, tail = idx[:pos], idx[end:]
-            for out, mc in plan[idx[pos:end]]:
+            for out, mc in cols[idx[pos:end]]:
                 nid = head + out + tail
                 num[nid] = get(nid, 0) + c * mc
-        return _normal(self.field, new_dims, num, self.den * D)
+        return _normal(self.field, new_dims, num, self.den * lm.den)
 
     def mul_slots(self, pos_a: int, pos_b: int, algebra) -> "TensorElt":
         """Multiply slot ``pos_a`` by slot ``pos_b`` (in that order) inside
@@ -373,21 +382,41 @@ def fold_slots(t: TensorElt, groups, algebras) -> TensorElt:
     return t
 
 
-def linmap_from_fn(field: Field, in_dims, out_dims, fn) -> LinMap:
-    """Build the matrix of a linear map from its values on basis tensors.
-
-    ``fn(idx)`` must return a TensorElt with dims == out_dims.
+def over_one_den(values, key=None):
+    """``(D, lists)`` for the elements ``values``: each becomes its terms
+    ``[(key[idx], D * coefficient), ...]`` sorted by key (by ``idx``
+    when ``key`` is None), over D, the lcm of their denominators.  For
+    canonical elements this is the canonical form of the table they fill.
     """
-    from .linalg import Mat
+    pairs = [(t.den, sorted(t.num.items() if key is None else
+                            [(key[idx], c) for idx, c in t.num.items()]))
+             for t in values]
+    D = lcm(*(d for d, _ in pairs))
+    return D, [lst if d == D else [(k, c * (D // d)) for k, c in lst]
+               for d, lst in pairs]
+
+
+def linmap_from_fn(field: Field, in_dims, out_dims, fn) -> LinMap:
+    """The linear map whose value on the basis tensor at ``idx`` is
+    ``fn(idx)``, a TensorElt with dims == out_dims."""
     in_dims, out_dims = tuple(in_dims), tuple(out_dims)
-    ncols = prod(in_dims)
-    nrows = prod(out_dims)
-    zero = field.zero()
-    cols = []
-    for f in range(ncols):
-        res = fn(unflatten(in_dims, f))
-        if res.dims != out_dims:
-            raise ValueError("fn returned wrong slot shape")
-        cols.append(res.to_flat())
-    rows = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
-    return LinMap(Mat(field, rows, ncols), in_dims, out_dims)
+    basis = list(product(*map(range, in_dims)))
+
+    def values():
+        for idx in basis:
+            res = fn(idx)
+            if res.dims != out_dims:
+                raise ValueError("fn returned wrong slot shape")
+            yield res
+
+    den, cols = over_one_den(values())
+    return LinMap(field, in_dims, out_dims, den, dict(zip(basis, cols)))
+
+
+def compose(f: LinMap, g: LinMap) -> LinMap:
+    """f o g, read off ``apply_at`` on each basis tensor."""
+    field = g.field
+    return linmap_from_fn(
+        field, g.in_dims, f.out_dims,
+        lambda idx: TensorElt.basis(field, g.in_dims, idx)
+        .apply_at(0, g).apply_at(0, f))

@@ -453,19 +453,17 @@ def yd_roundtrip_check(Hq: QuasiHopfAlgebra, Ab: BicomoduleAlgebra,
                 "the canonical-pair rearrangement fails")
     yd = module_to_yd(M, Ab, C, check=True)
     back = yd_to_module(yd, prod, check=True)
-    rep.check(back.act.mat == M.act.mat, "roundtrip",
+    rep.check(back.act == M.act, "roundtrip",
               "module -> YD -> module changed the action")
     yd2 = module_to_yd(back, Ab, C, check=False)
-    rep.check(yd2.act.mat == yd.act.mat and yd2.coact.mat == yd.coact.mat,
+    rep.check(yd2.act == yd.act and yd2.coact == yd.coact,
               "roundtrip", "YD -> module -> YD changed the structures")
     # the bimodule embedding acts by <c*, m_(1)> m_(0)
     fld = Hq.field
     mC, mM = C.dim, yd.dim
     gamma = gamma_map(dual, Ab, check=False)
     for i in range(mC):
-        g = TensorElt(fld, (mC, Ab.A.dim),
-                      {unflatten((mC, Ab.A.dim), r): v
-                       for r, v in gamma.sparse_col(i)})
+        g = TensorElt.basis(fld, (mC,), (i,)).apply_at(0, gamma)
         for im in range(mM):
             m = yd.basis_elt(im)
             t = g.merge_slots((2,)).insert(1, m).apply_at(0, back.act)

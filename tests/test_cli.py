@@ -57,6 +57,16 @@ def test_verify_corrupted_associator(tmp_path, capsys):
     assert "FAIL" in out and "pentagon" in out
 
 
+def test_verify_singular_antipode(tmp_path, capsys):
+    doc = serialize.to_document(entry("H2")["H"])
+    doc["antipode"] = [["0", "0"], ["0", "0"]]
+    path = tmp_path / "bad.json"
+    serialize.save_document(doc, str(path))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "verification failed: antipode is not invertible"
+
+
 def test_verify_json_output(tmp_path, capsys):
     path = tmp_path / "h.json"
     serialize.save_document(serialize.to_document(entry("QZ2")["H"]),
@@ -193,6 +203,36 @@ def test_corpus_export_bytes_are_pinned(tmp_path, entry_name, what):
                  "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == EXPORT_SHA256[(entry_name, what)]
+
+
+# SHA-256 of ``construct`` output, recorded when linear maps were still
+# dense matrices: the module-algebra result serializes its action and the
+# inlined parent's coproduct, counit and antipode through map_to_json
+CONSTRUCT_SHA256 = {
+    ("H2", "quasi-smash"):
+        "9c54ed90b500ca2c1538cfc70d36a3d3742336a51c9dca8bc56674a3b86dfcb5",
+    ("H2", "diag-bowtie"):
+        "6ec9508ea92178bbc39e0ef011148cef3ee507685b524ccb9e92ec4b5f8b8836",
+    ("FpZn(5,2)", "quasi-smash"):
+        "ed226d785e83bf94caa56d963bff8668f181701cf132760dc31566533b1b2838",
+    ("FpZn(5,2)", "diag-bowtie"):
+        "70b12d92e483f6fd08ab6cf92b34ea243b20c85ceb825e59e91798ec445cf3aa",
+}
+
+
+@pytest.mark.parametrize("entry_name,kind", sorted(CONSTRUCT_SHA256))
+def test_construct_bytes_are_pinned(tmp_path, monkeypatch, entry_name, kind):
+    # relative paths, so that the provenance does not name tmp_path
+    monkeypatch.chdir(tmp_path)
+    for what in ("bicomodule", "dual"):
+        assert main(["corpus", "export", entry_name, "--what", what,
+                     "--out", f"{what}.json"]) == 0
+    inputs = ["bicomodule.json", "dual.json"]
+    if kind == "diag-bowtie":
+        inputs.reverse()
+    assert main(["construct", kind, *inputs, "--out", "out.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+    assert digest == CONSTRUCT_SHA256[(entry_name, kind)]
 
 
 def test_theorem_twist_invariance(capsys):

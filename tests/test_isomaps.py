@@ -13,7 +13,7 @@ from quasihopf.isomaps import (diag_as_gen_smash, diag_flavor_twist_iso,
                                iso_smash_twist, iso_theta,
                                iso_twist_invariance, quantum_double_gen_smash,
                                tensoring_iso, twist_comodule_by_U)
-from quasihopf.linalg import flat_index, unflatten
+from quasihopf.linalg import flat_index, prod, unflatten
 from quasihopf.tensors import TensorElt, slotwise_mul
 
 from conftest import entry
@@ -26,19 +26,18 @@ def right_regular(Hq):
                               name="Ht", check=False)
 
 
-def is_permutation(mat):
-    ones = 0
-    for row in mat.rows:
-        nz = [c for c in row if c != 0]
-        if len(nz) != 1 or nz[0] != mat.field.one():
-            return False
-        ones += 1
-    cols = set()
-    for i, row in enumerate(mat.rows):
-        for j, c in enumerate(row):
-            if c != 0:
-                cols.add(j)
-    return ones == mat.nrows and len(cols) == mat.ncols
+def flat_col(lm, j):
+    """Column j of the flat matrix of ``lm``, as [(row, den * entry)]."""
+    return [(flat_index(lm.out_dims, out), c)
+            for out, c in lm.cols[unflatten(lm.in_dims, j)]]
+
+
+def is_permutation(lm):
+    n = prod(lm.in_dims)
+    cols = [flat_col(lm, j) for j in range(n)]
+    return (lm.den == 1 and prod(lm.out_dims) == n
+            and all(len(col) == 1 and col[0][1] == 1 for col in cols)
+            and len({col[0][0] for col in cols}) == n)
 
 
 @pytest.mark.parametrize("name", CHEAP)
@@ -82,18 +81,17 @@ def test_degenerate_closed_forms_on_group_algebra():
     mP, mU = Du.A.dim, Ab.A.dim
     for ip in range(mP):
         for iu in range(mU):
-            col = th.f.sparse_col(flat_index((mP, mU), (ip, iu)))
-            assert col == [(flat_index((mU, mP), (iu, ip)), Fraction(1))]
+            col = flat_col(th.f, flat_index((mP, mU), (ip, iu)))
+            assert col == [(flat_index((mU, mP), (iu, ip)), 1)]
     nu = iso_nu(Ab, Du, Ab)
     assert is_permutation(nu.f)
     Bm = right_regular(Hq)
     mu = iso_mu(Am, Bm, Ab)
     assert is_permutation(mu.f)
     dims = (2, 2, 2, 2)
-    for j in range(mu.f.ncols):
+    for j in range(prod(mu.f.in_dims)):
         a, h, b, u = unflatten(dims, j)
-        assert mu.f.sparse_col(j) == [(flat_index(dims, (a, h, u, b)),
-                                       Fraction(1))]
+        assert flat_col(mu.f, j) == [(flat_index(dims, (a, h, u, b)), 1)]
 
 
 @pytest.mark.parametrize("name", CHEAP + ["H2"])
@@ -133,7 +131,8 @@ def test_smash_twist_equivalence():
     U = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
                                (1, 0): -q, (1, 1): q})
     iso = iso_smash_twist(Am, Bco, U)
-    assert iso.f.nrows == 4
+    assert prod(iso.f.out_dims) == 4
+    assert iso.apply(iso.source.unit) == iso.target.unit
 
 
 def test_hausser_nill_coincidence_qz2():

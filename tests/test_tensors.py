@@ -9,8 +9,10 @@ from quasihopf.corpus import (cyclic_with_cocycle, group_algebra_z2,
                               sweedler4, twisted_z2)
 from quasihopf.fields import GF, QQ
 from quasihopf.finalg import FinAlgebra
-from quasihopf.linalg import LinMap, Mat, flat_index, prod, unflatten
+from quasihopf.linalg import flat_index, prod, unflatten
 from quasihopf.tensors import TensorElt, linmap_from_fn, slotwise_mul
+
+from test_linalg import dense, linmap_from_rows, ref_matmul
 
 entries = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
@@ -74,8 +76,11 @@ def test_apply_at_matches_matrix(t):
     u = t.apply_at(0, H.Delta)
     assert u.dims == (2, 2, 2)
     # flat coordinates transform by Delta x id
-    big = H.Delta.mat.kron(Mat.identity(QQ, 2))
-    assert u.to_flat() == big.vec(t.to_flat())
+    delta = dense(H.Delta)
+    big = [[delta[r // 2][c // 2] * (r % 2 == c % 2) for c in range(4)]
+           for r in range(8)]
+    assert u.to_flat() == [row[0] for row in
+                           ref_matmul(None, big, [[c] for c in t.to_flat()])]
 
 
 def test_apply_at_shape_mismatch():
@@ -239,14 +244,15 @@ def _ref_insert(field, ta, pos, tb):
                                    for ib, cb in tb.items()))
 
 
-def _ref_apply_at(field, dims, ta, pos, lm):
-    a = len(lm.in_dims)
+def _ref_apply_at(field, dims, ta, pos, rows, in_dims, out_dims):
+    a = len(in_dims)
     pairs = []
     for idx, c in ta.items():
-        col = flat_index(lm.in_dims, idx[pos:pos + a])
-        for r, mc in lm.mat.sparse_col(col):
-            pairs.append((idx[:pos] + unflatten(lm.out_dims, r)
-                          + idx[pos + a:], c * mc))
+        col = flat_index(in_dims, idx[pos:pos + a])
+        for r, row in enumerate(rows):
+            if row[col] != 0:
+                pairs.append((idx[:pos] + unflatten(out_dims, r)
+                              + idx[pos + a:], c * row[col]))
     return _ref_accumulate(field, pairs)
 
 
@@ -361,7 +367,7 @@ def test_integer_core_matches_scalar_dicts(data, field):
     rows = data.draw(st.lists(st.lists(
         sparse_scalars(field), min_size=n ** width, max_size=n ** width),
         min_size=prod(out_dims), max_size=prod(out_dims)), label="map")
-    lm = LinMap(Mat(field, rows), (n,) * width, out_dims)
+    lm = linmap_from_rows(field, rows, (n,) * width, out_dims)
     pos = data.draw(st.integers(0, k - width), label="pos")
     scalar = data.draw(field_scalars(field), label="scalar")
     perm = data.draw(st.permutations(range(k)), label="perm")
@@ -372,7 +378,8 @@ def test_integer_core_matches_scalar_dicts(data, field):
     cases = [
         (a.tensor(c), _ref_insert(field, ra, k, rc)),
         (a.insert(pos, c), _ref_insert(field, ra, pos, rc)),
-        (a.apply_at(pos, lm), _ref_apply_at(field, dims, ra, pos, lm)),
+        (a.apply_at(pos, lm),
+         _ref_apply_at(field, dims, ra, pos, rows, lm.in_dims, out_dims)),
         (a + b, _ref_add(field, ra, rb)),
         (a - b, _ref_add(field, ra, _ref_scale(field, rb, -1))),
         (a.scale(scalar), _ref_scale(field, ra, scalar)),

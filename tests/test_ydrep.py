@@ -30,8 +30,8 @@ def test_convolution_dual_matches_dual_bimodule(name):
     Du = st["dual"]
     assert dual.A.mul == Du.A.mul
     assert dual.A.unit == Du.A.unit
-    assert dual.left.mat == Du.left.mat
-    assert dual.right.mat == Du.right.mat
+    assert dual.left == Du.left
+    assert dual.right == Du.right
 
 
 @pytest.mark.parametrize("name", ALL)
