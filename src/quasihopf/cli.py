@@ -176,7 +176,8 @@ def cmd_construct(args) -> int:
     if len(args.paths) != len(expect):
         raise UsageError(f"{kind} takes {len(expect)} input files, "
                          f"got {len(args.paths)}")
-    inputs = [serialize.load_structure(p, check=False) for p in args.paths]
+    parents = {}
+    inputs = [serialize.load_structure(p, parents=parents) for p in args.paths]
     for obj, want, path in zip(inputs, expect, args.paths):
         if not isinstance(obj, want):
             names = (want.__name__ if isinstance(want, type)

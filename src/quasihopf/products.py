@@ -1,10 +1,11 @@
 """Product algebra constructors.
 
 Each constructor evaluates one multiplication formula on every basis
-pair with the slot combinators, fills a structure tensor, verifies
-associativity and the asserted factor embeddings, and returns a
-ProductAlgebra.  The quasi-smash constructors return module algebras
-instead (their products are only quasi-associative).
+pair with the slot combinators, fills a structure tensor and returns a
+ProductAlgebra; with ``check`` it also verifies associativity and that
+each asserted factor embeds as a subalgebra.  The quasi-smash
+constructors return module algebras instead (their products are only
+quasi-associative).
 
 Kinds:
 
@@ -36,7 +37,9 @@ is not associative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 
 from .actions import BimoduleAlgebra, LeftModuleAlgebra, RightModuleAlgebra
 from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
@@ -61,13 +64,6 @@ class ProductAlgebra:
     kind: str
     factors: tuple
     dims: tuple
-    embeddings: dict = dc_field(default_factory=dict)
-
-    def flat(self, t: TensorElt):
-        """Coordinates of a slot tensor inside the product algebra."""
-        if t.dims != self.dims:
-            t = t.split_slot(0, self.dims) if len(t.dims) == 1 else t
-        return t.merge_slots((len(self.dims),)).to_flat()
 
 
 def _e(field, m, i) -> TensorElt:
@@ -76,28 +72,54 @@ def _e(field, m, i) -> TensorElt:
 
 
 def _times_basis(t: TensorElt, alg: FinAlgebra, i: int) -> TensorElt:
-    """``t`` with its last slot multiplied on the right by e_i of ``alg``."""
-    k = len(t.dims)
-    return t.insert(k, _e(t.field, alg.dim, i)).mul_slots(k - 1, k, alg)
+    """``t`` with its last slot multiplied on the right by e_i of ``alg``,
+    read straight off the rows ``alg.rows[.][i]``."""
+    rows = alg.rows
+    num = {}
+    get = num.get
+    for idx, c in t.num.items():
+        head = idx[:-1]
+        for k, mc in rows[idx[-1]][i]:
+            nid = head + (k,)
+            num[nid] = get(nid, 0) + c * mc
+    return TensorElt.from_num(t.field, t.dims, num, t.den * alg.den)
 
 
-def _slot_embedding(field, dims, units, pos) -> LinMap:
-    """The map e_i -> 1 (x) ... (x) e_i (x) ... (x) 1 at slot pos."""
+def _slot_embedding(field, dims, units, pos, width=1) -> LinMap:
+    """The map e_i -> 1 (x) ... (x) e_i (x) ... (x) 1 on the ``width``
+    slots from ``pos``, with ``units[s]`` in every other slot s."""
+    sub = dims[pos:pos + width]
+
     def fn(idx):
-        t = TensorElt.basis(field, (dims[pos],), idx)
+        t = TensorElt.basis(field, sub, idx)
         for u in reversed(units[:pos]):
             t = t.insert(0, u)
-        for u in units[pos + 1:]:
+        for u in units[pos + width:]:
             t = t.insert(len(t.dims), u)
         return t
 
-    return linmap_from_fn(field, (dims[pos],), dims, fn)
+    return linmap_from_fn(field, sub, dims, fn)
 
 
-def _require_embedding(rep, f, sub, result, label):
-    emb = check_algebra_map(f, sub, result)
-    for msg in emb.failures:
-        rep.add(f"embedding {label}", msg)
+def _check_subalgebras(rep, alg, dims, units, subs, width=1):
+    """Add to ``rep`` where the slot embedding of each (slot, subalgebra,
+    label) of ``subs`` into ``alg`` fails to be an algebra map."""
+    for pos, sub, label in subs:
+        f = _slot_embedding(alg.field, dims, units, pos, width)
+        for msg in check_algebra_map(f, sub, alg).failures:
+            rep.add(f"embedding {label}", msg)
+
+
+def _build(fld, dims, pair, units, name, check, subs=()):
+    """The algebra of ``pair`` with unit ``units[0] (x) units[1] ...``, and
+    with ``check`` the report of its associativity and ``subs`` slot maps."""
+    unit = reduce(TensorElt.tensor, units)
+    alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
+    if not check:
+        return alg, Report()
+    rep = verify_associative_unital(alg, limit=None)
+    _check_subalgebras(rep, alg, dims, units, subs)
+    return alg, rep
 
 
 def _same_parent(*objs):
@@ -177,35 +199,28 @@ def smash(Am: LeftModuleAlgebra, check: bool = True) -> ProductAlgebra:
     dims = (mA, n)
     pair = _act_then_coact(fld, dims, Hq.PhiInv, Am.action, Aalg, Hq.Delta,
                            H, H)
-    unit = Am.unit_elt().tensor(Hq.unit_elt())
-    name = f"{Am.name}#{Hq.name}"
-    alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
-    rep = Report()
-    hopf = _slot_embedding(fld, dims, [Am.unit_elt(), Hq.unit_elt()], 1)
+    alg, rep = _build(fld, dims, pair, [Am.unit_elt(), Hq.unit_elt()],
+                      f"{Am.name}#{Hq.name}", check, [(1, H, "H")])
     if check:
-        rep.merge(verify_associative_unital(alg, limit=None))
-        _require_embedding(rep, hopf, H, alg, "H")
         # (a#h)(1#h') = a#hh' and (1#h)(a#h') = h_1.a # h_2 h'
-        for ia in range(mA):
-            for ih in range(n):
-                for ih2 in range(n):
-                    a = TensorElt.basis(fld, (mA,), (ia,))
-                    h = TensorElt.basis(fld, (n,), (ih,))
-                    h2 = TensorElt.basis(fld, (n,), (ih2,))
-                    got = alg.multiply(a.tensor(h).to_flat(),
-                                       Am.unit_elt().tensor(h2).to_flat())
-                    want = a.tensor(h.insert(1, h2).mul_slots(0, 1, H))
-                    rep.check(got == want.to_flat(), "absorb-right",
-                              f"(e_{ia}#e_{ih})(1#e_{ih2})")
-                    got = alg.multiply(Am.unit_elt().tensor(h).to_flat(),
-                                       a.tensor(h2).to_flat())
-                    w = h.apply_at(0, Hq.Delta).insert(1, a)
-                    w = w.apply_at(0, Am.action)
-                    w = w.insert(2, h2).mul_slots(1, 2, H)
-                    rep.check(got == w.to_flat(), "absorb-left",
-                              f"(1#e_{ih})(e_{ia}#e_{ih2})")
-        rep.require(name)
-    return ProductAlgebra(alg, "Smash", (Am,), dims, {"H": hopf})
+        for ia, ih, ih2 in product(range(mA), range(n), range(n)):
+            a = TensorElt.basis(fld, (mA,), (ia,))
+            h = TensorElt.basis(fld, (n,), (ih,))
+            h2 = TensorElt.basis(fld, (n,), (ih2,))
+            got = alg.multiply(a.tensor(h).to_flat(),
+                               Am.unit_elt().tensor(h2).to_flat())
+            want = a.tensor(h.insert(1, h2).mul_slots(0, 1, H))
+            rep.check(got == want.to_flat(), "absorb-right",
+                      f"(e_{ia}#e_{ih})(1#e_{ih2})")
+            got = alg.multiply(Am.unit_elt().tensor(h).to_flat(),
+                               a.tensor(h2).to_flat())
+            w = h.apply_at(0, Hq.Delta).insert(1, a)
+            w = w.apply_at(0, Am.action)
+            w = w.insert(2, h2).mul_slots(1, 2, H)
+            rep.check(got == w.to_flat(), "absorb-left",
+                      f"(1#e_{ih})(e_{ia}#e_{ih2})")
+    rep.require(alg.name)
+    return ProductAlgebra(alg, "Smash", (Am,), dims)
 
 
 def right_smash(Bm: RightModuleAlgebra, check: bool = True) -> ProductAlgebra:
@@ -218,16 +233,10 @@ def right_smash(Bm: RightModuleAlgebra, check: bool = True) -> ProductAlgebra:
     dims = (n, mB)
     pair = _coact_then_act(fld, dims, Hq.Delta, Hq.PhiInv, H, Bm.action,
                            Balg, H)
-    unit = Hq.unit_elt().tensor(Bm.unit_elt())
-    name = f"{Hq.name}#{Bm.name}"
-    alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
-    rep = Report()
-    hopf = _slot_embedding(fld, dims, [Hq.unit_elt(), Bm.unit_elt()], 0)
-    if check:
-        rep.merge(verify_associative_unital(alg, limit=None))
-        _require_embedding(rep, hopf, H, alg, "H")
-        rep.require(name)
-    return ProductAlgebra(alg, "RightSmash", (Bm,), dims, {"H": hopf})
+    alg, rep = _build(fld, dims, pair, [Hq.unit_elt(), Bm.unit_elt()],
+                      f"{Hq.name}#{Bm.name}", check, [(0, H, "H")])
+    rep.require(alg.name)
+    return ProductAlgebra(alg, "RightSmash", (Bm,), dims)
 
 
 def _left_part(x) -> LeftComoduleAlgebra:
@@ -249,16 +258,11 @@ def gen_smash(Am: LeftModuleAlgebra, Bfr, check: bool = True,
     dims = (Aalg.dim, Balg.dim)
     pair = _act_then_coact(fld, dims, Bco.PhiLamInv, Am.action, Aalg,
                            Bco.lam, Balg, Hq.H)
-    unit = Am.unit_elt().tensor(Bco.unit_elt())
-    name = f"{Am.name}>*<{Bco.name}"
-    alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
-    rep = Report()
-    sub = _slot_embedding(fld, dims, [Am.unit_elt(), Bco.unit_elt()], 1)
-    if check:
-        rep.merge(verify_associative_unital(alg, limit=None))
-        _require_embedding(rep, sub, Balg, alg, "comodule")
-        rep.require(name)
-    return ProductAlgebra(alg, kind, (Am, Bfr), dims, {"comodule": sub})
+    alg, rep = _build(fld, dims, pair, [Am.unit_elt(), Bco.unit_elt()],
+                      f"{Am.name}>*<{Bco.name}", check,
+                      [(1, Balg, "comodule")])
+    rep.require(alg.name)
+    return ProductAlgebra(alg, kind, (Am, Bfr), dims)
 
 
 def right_gen_smash(Afr, Bm: RightModuleAlgebra, check: bool = True,
@@ -272,16 +276,11 @@ def right_gen_smash(Afr, Bm: RightModuleAlgebra, check: bool = True,
     dims = (Aalg.dim, Balg.dim)
     pair = _coact_then_act(fld, dims, Aco.rho, Aco.PhiRhoInv, Aalg,
                            Bm.action, Balg, Hq.H)
-    unit = Aco.unit_elt().tensor(Bm.unit_elt())
-    name = f"{Aco.name}>!<{Bm.name}"
-    alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
-    rep = Report()
-    sub = _slot_embedding(fld, dims, [Aco.unit_elt(), Bm.unit_elt()], 0)
-    if check:
-        rep.merge(verify_associative_unital(alg, limit=None))
-        _require_embedding(rep, sub, Aalg, alg, "comodule")
-        rep.require(name)
-    return ProductAlgebra(alg, kind, (Afr, Bm), dims, {"comodule": sub})
+    alg, rep = _build(fld, dims, pair, [Aco.unit_elt(), Bm.unit_elt()],
+                      f"{Aco.name}>!<{Bm.name}", check,
+                      [(0, Aalg, "comodule")])
+    rep.require(alg.name)
+    return ProductAlgebra(alg, kind, (Afr, Bm), dims)
 
 
 # -- quasi-smash products (module algebras, not associative in general) -------
@@ -299,15 +298,14 @@ def quasi_smash(Afr, Abi: BimoduleAlgebra,
     dims = (mA, mP)
     pair = _coact_then_act(fld, dims, Aco.rho, Aco.PhiRhoInv, Aalg,
                            Abi.right, Palg, Hq.H)
-    unit = Aco.unit_elt().tensor(Abi.unit_elt())
-    name = f"{Aco.name}#~{Abi.name}"
-    alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
+    alg, _ = _build(fld, dims, pair, [Aco.unit_elt(), Abi.unit_elt()],
+                    f"{Aco.name}#~{Abi.name}", False)
     action = linmap_from_fn(
         fld, (Hq.n, mA * mP), (mA * mP,),
         lambda idx: TensorElt.basis(fld, (Hq.n, mA, mP),
                                     (idx[0],) + divmod(idx[1], mP))
         .permute((1, 0, 2)).apply_at(1, Abi.left).merge_slots((2,)))
-    return LeftModuleAlgebra(Hq, alg, action, name=name, check=check)
+    return LeftModuleAlgebra(Hq, alg, action, name=alg.name, check=check)
 
 
 def left_quasi_smash(Abi: BimoduleAlgebra, Bfr,
@@ -322,15 +320,14 @@ def left_quasi_smash(Abi: BimoduleAlgebra, Bfr,
     dims = (mP, mB)
     pair = _act_then_coact(fld, dims, Bco.PhiLamInv, Abi.left, Palg,
                            Bco.lam, Balg, Hq.H)
-    unit = Abi.unit_elt().tensor(Bco.unit_elt())
-    name = f"{Abi.name}#~{Bco.name}"
-    alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
+    alg, _ = _build(fld, dims, pair, [Abi.unit_elt(), Bco.unit_elt()],
+                    f"{Abi.name}#~{Bco.name}", False)
     action = linmap_from_fn(
         fld, (mP * mB, Hq.n), (mP * mB,),
         lambda idx: TensorElt.basis(fld, (mP, mB, Hq.n),
                                     divmod(idx[0], mB) + (idx[1],))
         .permute((0, 2, 1)).apply_at(0, Abi.right).merge_slots((2,)))
-    return RightModuleAlgebra(Hq, alg, action, name=name, check=check)
+    return RightModuleAlgebra(Hq, alg, action, name=alg.name, check=check)
 
 
 # -- diagonal crossed products ------------------------------------------------
@@ -433,34 +430,28 @@ def diag_crossed_general(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
         kind = kind or "DiagRGeneralDelta"
     else:
         raise ValueError("side must be 'left' or 'right'")
-    unit = units[0].tensor(units[1])
     name = f"{Abi.name}><{d.name}" if side == "left" \
         else f"{d.name}><{Abi.name}"
-    alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
-    rep = Report()
-    sub = _slot_embedding(fld, dims, units, sub_pos)
+    alg, rep = _build(fld, dims, pair, units, name, check,
+                      [(sub_pos, d.A, "middle")])
     if check:
-        rep.merge(verify_associative_unital(alg, limit=None))
-        _require_embedding(rep, sub, d.A, alg, "middle")
         # mixed products of the two unital copies recover the generators
         mP, mU = Abi.A.dim, d.A.dim
-        for ip in range(mP):
-            for iu in range(mU):
-                p = TensorElt.basis(fld, (mP,), (ip,))
-                u = TensorElt.basis(fld, (mU,), (iu,))
-                if side == "left":
-                    got = alg.multiply(p.tensor(units[1]).to_flat(),
-                                       units[0].tensor(u).to_flat())
-                    want = p.tensor(u)
-                else:
-                    got = alg.multiply(u.tensor(units[1]).to_flat(),
-                                       units[0].tensor(p).to_flat())
-                    want = u.tensor(p)
-                rep.check(got == want.to_flat(), "generator-recombination",
-                          f"pair ({ip},{iu})")
-        rep.require(name)
-    return ProductAlgebra(alg, kind, factors or (Abi, d), dims,
-                          {"middle": sub})
+        for ip, iu in product(range(mP), range(mU)):
+            p = TensorElt.basis(fld, (mP,), (ip,))
+            u = TensorElt.basis(fld, (mU,), (iu,))
+            if side == "left":
+                got = alg.multiply(p.tensor(units[1]).to_flat(),
+                                   units[0].tensor(u).to_flat())
+                want = p.tensor(u)
+            else:
+                got = alg.multiply(u.tensor(units[1]).to_flat(),
+                                   units[0].tensor(p).to_flat())
+                want = u.tensor(p)
+            rep.check(got == want.to_flat(), "generator-recombination",
+                      f"pair ({ip},{iu})")
+    rep.require(name)
+    return ProductAlgebra(alg, kind, factors or (Abi, d), dims)
 
 
 _DIAG_FLAVORS = {
@@ -538,20 +529,12 @@ def gen_two_sided_crossed(Afr, Abi: BimoduleAlgebra, Bfr,
     def pair(idx_i, idx_j):
         return _times_basis(table[idx_i + idx_j[:2]], Balg, idx_j[2])
 
-    unit = Aco.unit_elt().tensor(Abi.unit_elt()).tensor(Bco.unit_elt())
-    name = f"{Aco.name}><{Abi.name}><{Bco.name}"
-    alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
-    rep = Report()
-    units = [Aco.unit_elt(), Abi.unit_elt(), Bco.unit_elt()]
-    left = _slot_embedding(fld, dims, units, 0)
-    right = _slot_embedding(fld, dims, units, 2)
-    if check:
-        rep.merge(verify_associative_unital(alg, limit=None))
-        _require_embedding(rep, left, Aalg, alg, "outer-left")
-        _require_embedding(rep, right, Balg, alg, "outer-right")
-        rep.require(name)
-    return ProductAlgebra(alg, "GenTwoSidedCrossed", (Afr, Abi, Bfr), dims,
-                          {"outer-left": left, "outer-right": right})
+    alg, rep = _build(fld, dims, pair,
+                      [Aco.unit_elt(), Abi.unit_elt(), Bco.unit_elt()],
+                      f"{Aco.name}><{Abi.name}><{Bco.name}", check,
+                      [(0, Aalg, "outer-left"), (2, Balg, "outer-right")])
+    rep.require(alg.name)
+    return ProductAlgebra(alg, "GenTwoSidedCrossed", (Afr, Abi, Bfr), dims)
 
 
 def two_sided_gen_smash(Am: LeftModuleAlgebra, Ab: BicomoduleAlgebra,
@@ -605,44 +588,29 @@ def two_sided_gen_smash(Am: LeftModuleAlgebra, Ab: BicomoduleAlgebra,
         t = table[idx_i + idx_j[:2]].insert(3, _e(fld, mB, idx_j[2]))
         return t.apply_at(3, Bm.action).mul_slots(2, 3, Balg)
 
-    unit = Am.unit_elt().tensor(Ab.unit_elt()).tensor(Bm.unit_elt())
-    name = f"{Am.name}#{Ab.name}#{Bm.name}"
-    alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
-    rep = Report()
-    units = [Am.unit_elt(), Ab.unit_elt(), Bm.unit_elt()]
-    mid = _slot_embedding(fld, dims, units, 1)
-    if check:
-        rep.merge(verify_associative_unital(alg, limit=None))
-        _require_embedding(rep, mid, Ualg, alg, "middle")
-        rep.require(name)
-    return ProductAlgebra(alg, kind, (Am, Ab, Bm), dims, {"middle": mid})
+    alg, rep = _build(fld, dims, pair,
+                      [Am.unit_elt(), Ab.unit_elt(), Bm.unit_elt()],
+                      f"{Am.name}#{Ab.name}#{Bm.name}", check,
+                      [(1, Ualg, "middle")])
+    rep.require(alg.name)
+    return ProductAlgebra(alg, kind, (Am, Ab, Bm), dims)
 
 
 def two_sided_smash(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
                     check: bool = True) -> ProductAlgebra:
-    """A#H#B, with the canonical unital embeddings of A#H and H#B."""
+    """A#H#B; with ``check``, the canonical unital maps of A#H and H#B
+    into it are verified to be algebra maps too."""
     Hq = _same_parent(Am, Bm)
     Ab = regular_bicomodule(Hq, check=False)
     p = two_sided_gen_smash(Am, Ab, Bm, check=check, kind="TwoSidedSmash")
-    fld = Hq.field
-    mA, n, mB = p.dims
-    # i(a#h) = a#h#1 and j(h#b) = 1#h#b
-    unitA, unitB = Am.unit_elt(), Bm.unit_elt()
-    imat = linmap_from_fn(
-        fld, (mA, n), p.dims,
-        lambda idx: TensorElt.basis(fld, (mA, n), idx).insert(2, unitB))
-    jmat = linmap_from_fn(
-        fld, (n, mB), p.dims,
-        lambda idx: TensorElt.basis(fld, (n, mB), idx).insert(0, unitA))
     if check:
+        # i(a#h) = a#h#1 and j(h#b) = 1#h#b
+        units = [Am.unit_elt(), Hq.unit_elt(), Bm.unit_elt()]
         rep = Report()
-        _require_embedding(rep, imat, smash(Am, check=False).result,
-                           p.result, "left-smash")
-        _require_embedding(rep, jmat, right_smash(Bm, check=False).result,
-                           p.result, "right-smash")
+        _check_subalgebras(rep, p.result, p.dims, units, [
+            (0, smash(Am, check=False).result, "left-smash"),
+            (1, right_smash(Bm, check=False).result, "right-smash")], 2)
         rep.require(p.result.name)
-    p.embeddings["left-smash"] = imat
-    p.embeddings["right-smash"] = jmat
     return p
 
 

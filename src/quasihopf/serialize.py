@@ -231,7 +231,7 @@ def _dim(doc) -> int:
 MAX_PARENT_CHAIN = 2
 
 
-def _parent(doc, base_dir, check, chain):
+def _parent(doc, base_dir, check, chain, parents):
     """The quasi-Hopf parent of a dependent document; ``chain`` holds the
     documents on the parent chain down to this one, each by its resolved
     path (None for a document not read from a file)."""
@@ -247,6 +247,8 @@ def _parent(doc, base_dir, check, chain):
                             "documents: a parent must be a quasi-Hopf "
                             "definition")
     if real is not None:
+        if real in parents:
+            return parents[real]
         par = load_document(path)
         base_dir = os.path.dirname(os.path.abspath(path))
     if not isinstance(par, dict):
@@ -255,12 +257,15 @@ def _parent(doc, base_dir, check, chain):
                        _ancestors=chain + (real,))
     if not isinstance(Hq, QuasiHopfAlgebra):
         raise DocumentError("parent must be a quasi-Hopf definition")
+    if real is not None:
+        parents[real] = Hq
     return Hq
 
 
 def from_document(doc, base_dir: str = ".", check: bool = False,
-                  _ancestors=(None,)):
-    """Rebuild the structure a document defines.
+                  parents: dict | None = None, _ancestors=(None,)):
+    """Rebuild the structure a document defines.  Loads that share one
+    ``parents`` dict build each parent file once, keyed by resolved path.
 
     Shape or scalar problems, and a parent chain that returns to a file
     already on it or runs past ``MAX_PARENT_CHAIN`` documents, raise
@@ -297,7 +302,8 @@ def from_document(doc, base_dir: str = ".", check: bool = False,
             Hq.verify().require(name or "quasi-Hopf algebra")
         return Hq
 
-    Hq = _parent(doc, base_dir, check, _ancestors)
+    Hq = _parent(doc, base_dir, check, _ancestors,
+                 {} if parents is None else parents)
     n, m = Hq.n, dim
     if Hq.field != field:
         raise DocumentError("field differs from the parent's")
@@ -355,7 +361,9 @@ def load_document(path: str):
     return doc
 
 
-def load_structure(path: str, check: bool = False):
+def load_structure(path: str, check: bool = False,
+                   parents: dict | None = None):
     doc = load_document(path)
     return from_document(doc, base_dir=os.path.dirname(os.path.abspath(path)),
-                         check=check, _ancestors=(os.path.realpath(path),))
+                         check=check, parents=parents,
+                         _ancestors=(os.path.realpath(path),))

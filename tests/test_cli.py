@@ -124,6 +124,51 @@ def test_construct_wrong_kind_or_count(h2_files, tmp_path):
                  "--out", out]) == 2
 
 
+def _with_parent_file(tmp_path, obj, doc_name, parent_name):
+    """Save ``obj`` as ``doc_name`` naming its parent by the file
+    ``parent_name``, and that parent there."""
+    serialize.save_document(serialize.to_document(obj.Hq),
+                            str(tmp_path / parent_name))
+    serialize.save_document(serialize.to_document(obj, parent=parent_name),
+                            str(tmp_path / doc_name))
+    return str(tmp_path / doc_name)
+
+
+def test_construct_builds_a_shared_parent_once(tmp_path, monkeypatch):
+    st = entry("H2")
+    a = _with_parent_file(tmp_path, st["module"], "a.json", "h.json")
+    b = _with_parent_file(tmp_path, st["bicomodule"], "b.json", "h.json")
+    built = []
+    from_document = serialize.from_document
+
+    def counting(doc, *args, **kwargs):
+        obj = from_document(doc, *args, **kwargs)
+        if doc.get("kind") == "quasi-hopf":
+            built.append(obj)
+        return obj
+
+    monkeypatch.setattr(serialize, "from_document", counting)
+    assert main(["construct", "gen-smash", a, b,
+                 "--out", str(tmp_path / "x.json")]) == 0
+    assert len(built) == 1
+    # separate loads still build one parent each
+    built.clear()
+    serialize.load_structure(a)
+    serialize.load_structure(b)
+    assert len(built) == 2
+
+
+def test_construct_parent_files_that_differ(tmp_path, capsys):
+    a = _with_parent_file(tmp_path, entry("QZ2")["module"], "a.json",
+                          "pa.json")
+    b = _with_parent_file(tmp_path, entry("H2")["bicomodule"], "b.json",
+                          "pb.json")
+    assert main(["construct", "gen-smash", a, b,
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert "inputs live over different quasi-Hopf algebras" \
+        in capsys.readouterr().err
+
+
 def test_construct_mismatched_parents(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -217,6 +262,17 @@ CONSTRUCT_SHA256 = {
         "ed226d785e83bf94caa56d963bff8668f181701cf132760dc31566533b1b2838",
     ("FpZn(5,2)", "diag-bowtie"):
         "70b12d92e483f6fd08ab6cf92b34ea243b20c85ceb825e59e91798ec445cf3aa",
+    # the largest product the command scans (dim 64), recorded before the
+    # scan packed its rows and before the pair programs' last step read
+    # the rows directly
+    ("Sweedler4", "gen-two-sided-crossed"):
+        "3dd25d9073909bf46c6343fca9d7f4b4b48f5c8070e1e61a51fec956db0d5ec3",
+}
+
+CONSTRUCT_INPUTS = {
+    "quasi-smash": ["bicomodule", "dual"],
+    "diag-bowtie": ["dual", "bicomodule"],
+    "gen-two-sided-crossed": ["bicomodule", "dual", "bicomodule"],
 }
 
 
@@ -227,9 +283,7 @@ def test_construct_bytes_are_pinned(tmp_path, monkeypatch, entry_name, kind):
     for what in ("bicomodule", "dual"):
         assert main(["corpus", "export", entry_name, "--what", what,
                      "--out", f"{what}.json"]) == 0
-    inputs = ["bicomodule.json", "dual.json"]
-    if kind == "diag-bowtie":
-        inputs.reverse()
+    inputs = [f"{what}.json" for what in CONSTRUCT_INPUTS[kind]]
     assert main(["construct", kind, *inputs, "--out", "out.json"]) == 0
     digest = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
     assert digest == CONSTRUCT_SHA256[(entry_name, kind)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasihopf.corpus import group_algebra_z2, sweedler4
-from quasihopf.fields import GF, QQ
+from quasihopf.fields import GF, MAX_MODULUS, QQ
 from quasihopf.finalg import (FinAlgebra, Report, VerificationError,
                               algebra_from_pair_fn, check_algebra_map,
                               invert_mixed, mul_linmap, opposite,
@@ -292,6 +292,195 @@ def test_scan_flags_the_single_broken_triple(field):
     if field.p is not None:
         mul[1][2][2] = 2 * field.p
         assert scan_defects(FinAlgebra(field, mul, unit, check=False)) == []
+
+
+# -- the packed scan against the dict scan it replaced ---------------------
+
+def dict_defects(A, limit=None):
+    """finalg._assoc_defects as it was before rows were packed: one dict
+    per triple holding the difference of the two sides (copied)."""
+    n = A.dim
+    p = A.field.p
+    rows = A.rows
+    bad = []
+    for i in range(n):
+        rows_i = rows[i]
+        for j in range(n):
+            rows_ij = rows_i[j]
+            rows_j = rows[j]
+            for k in range(n):
+                diff = {}
+                for l, c in rows_ij:
+                    for t, x in rows[l][k]:
+                        diff[t] = diff.get(t, 0) + c * x
+                for m, c in rows_j[k]:
+                    for t, x in rows_i[m]:
+                        diff[t] = diff.get(t, 0) - c * x
+                if p is None:
+                    defect = any(diff.values())
+                else:
+                    defect = any(v % p for v in diff.values())
+                if defect:
+                    bad.append((i, j, k))
+                    if limit is not None and len(bad) >= limit:
+                        return bad
+    return bad
+
+
+def old_failures(A, limit):
+    """verify_associative_unital's failure lines as they were: the unit
+    laws through ``multiply``, then the dict scan."""
+    rep = Report()
+    n = A.dim
+    for i in range(n):
+        e = [A.field.zero()] * n
+        e[i] = A.field.one()
+        if A.multiply(A.unit, e) != e:
+            rep.add("unit-left", f"1*e_{i} != e_{i}")
+        if A.multiply(e, A.unit) != e:
+            rep.add("unit-right", f"e_{i}*1 != e_{i}")
+    return rep.failures + as_failures(dict_defects(A, limit))
+
+
+# 2^61 - 1 and the largest prime below fields.MAX_MODULUS
+BIG_PRIMES = [2 ** 61 - 1, 3317044064679887385961813]
+
+
+def test_big_primes_are_the_ones_named():
+    assert [GF(p).p for p in BIG_PRIMES] == BIG_PRIMES
+    for q in range(BIG_PRIMES[1] + 1, MAX_MODULUS + 1):
+        with pytest.raises(ValueError):
+            GF(q)
+
+
+def _unitriangular(rng, n, lower, bound):
+    return [[1 if a == b else (rng.randint(-bound, bound)
+                               if (a > b) == lower else 0)
+             for b in range(n)] for a in range(n)]
+
+
+def _change_basis(mul, unit, P):
+    """The table and unit of the same algebra on the basis f_a = sum_i
+    P[i][a] e_i, for an integer P of determinant 1 (integer entries)."""
+    n = len(mul)
+    Pinv = [[int(c) for c in row] for row in ref_inv(None, P)]
+
+    def coords(v):
+        return [sum(Pinv[a][i] * v[i] for i in range(n)) for a in range(n)]
+
+    table = [[coords([sum(P[i][a] * P[j][b] * mul[i][j][k]
+                          for i in range(n) for j in range(n))
+                      for k in range(n)])
+              for b in range(n)] for a in range(n)]
+    return table, coords(unit)
+
+
+@st.composite
+def wide_tables(draw, field):
+    """Integer rows that stress the slot width: over QQ numerators up to
+    about 10^40 of both signs, over GF(p) residues of a large p.  Either
+    every entry is drawn nonzero, or a base algebra is taken to a dense
+    basis of determinant 1 (over GF(p), left and right then differ as
+    integers by multiples of p), optionally with one entry shifted."""
+    p = field.p
+    rng = draw(st.randoms(use_true_random=False))
+    big = 10 ** 40 if p is None else p - 1
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        table = [[[rng.randint(1, big) * rng.choice((1, -1))
+                   for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        unit = [int(a == 0) for a in range(n)]
+    else:
+        mul, unit = draw(st.sampled_from(_base_tables()))
+        n = len(mul)
+        P = ref_matmul(None, _unitriangular(rng, n, True, 10 ** 6),
+                       _unitriangular(rng, n, False, 10 ** 6))
+        table, unit = _change_basis(mul, unit, P)
+        if draw(st.booleans()):
+            i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+            table[i][j][k] += draw(st.sampled_from([1, -1, big, -big]))
+    rows = [[[(k, c if p is None else c % p) for k, c in enumerate(row)
+              if (c if p is None else c % p)] for row in plane]
+            for plane in table]
+    return FinAlgebra.from_int_rows(field, 1, rows,
+                                    [field.of_int(c) for c in unit])
+
+
+@given(st.sampled_from([QQ] + [GF(q) for q in BIG_PRIMES])
+       .flatmap(wide_tables), st.sampled_from([None, 1, 3]))
+@settings(max_examples=80, deadline=None)
+def test_packed_scan_matches_dict_scan_on_wide_entries(A, limit):
+    want = dict_defects(A, limit)
+    assert dense_defects(A, limit) == want
+    assert verify_associative_unital(A, limit).failures \
+        == old_failures(A, limit)
+
+
+@given(st.sampled_from([QQ, GF(5), GF(7)]).flatmap(
+    lambda f: st.one_of(scan_tables(f), algebra_tables(f).map(
+        lambda t: FinAlgebra(f, t[0], t[1], check=False)))),
+    st.sampled_from([None, 1, 3]))
+@settings(max_examples=80, deadline=None)
+def test_verify_failures_match_old_scan(A, limit):
+    assert verify_associative_unital(A, limit).failures \
+        == old_failures(A, limit)
+
+
+@pytest.mark.parametrize("p", [None] + BIG_PRIMES)
+def test_packed_scan_at_the_slot_bound(p):
+    # every 2-dim table with entries +-M over QQ (M = 10^40), or 0 and
+    # p - 1 over GF(p); over QQ some triple's sides differ by 2 n M^2
+    # in a slot, the most the slot width allows for
+    field, M = (QQ, 10 ** 40) if p is None else (GF(p), p - 1)
+    widest = 0
+    for entries in product([M, -M] if p is None else [0, M], repeat=8):
+        it = iter(entries)
+        rows = [[[(k, c) for k in range(2) if (c := next(it))]
+                 for _ in range(2)] for _ in range(2)]
+        A = FinAlgebra.from_int_rows(field, 1, rows, [1, 0])
+        assert scan_defects(A, limit=None) == as_failures(dict_defects(A))
+        widest = max([widest] + [abs(v) for diff in _triple_diffs(A)
+                                 for v in diff.values()])
+    assert widest == (4 * M * M if p is None else 2 * M * M)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_multiples_of_p_are_not_defects(p):
+    # Sweedler's algebra mod p on a dense basis: its entries are residues
+    # of integers of both signs, so the two sides of each triple differ
+    # as integers by multiples of p, nonzero in several slots
+    mul, unit = _base_tables()[3]
+    P = ref_matmul(None, [[1, 0, 0, 0], [3, 1, 0, 0], [-2, 5, 1, 0],
+                          [7, -1, 4, 1]],
+                   [[1, -4, 2, 9], [0, 1, -3, 1], [0, 0, 1, 6], [0, 0, 0, 1]])
+    table, unit = _change_basis(mul, unit, P)
+    rows = [[[(k, c % p) for k, c in enumerate(row) if c % p]
+             for row in plane] for plane in table]
+    A = FinAlgebra.from_int_rows(GF(p), 1, rows, [c % p for c in unit])
+    as_ints = FinAlgebra.from_int_rows(QQ, 1, rows, A.unit)
+    multiples = [sum(1 for v in diffs.values() if v)
+                 for diffs in _triple_diffs(as_ints)]
+    assert sum(m >= 2 for m in multiples) > 10
+    assert verify_associative_unital(A, limit=None).ok
+    assert dict_defects(A) == [] and dense_defects(A) == []
+    # a shift by less than p is caught at the triples it touches
+    rows[1][2] = [(k, (c + 1) % p) for k, c in rows[1][2]]
+    B = FinAlgebra.from_int_rows(GF(p), 1, rows, A.unit)
+    assert scan_defects(B, limit=None) == as_failures(dense_defects(B)) != []
+
+
+def _triple_diffs(A):
+    """Per basis triple, the integer difference of the two sides."""
+    n, rows = A.dim, A.rows
+    for i, j, k in product(range(n), repeat=3):
+        diff = {}
+        for l, c in rows[i][j]:
+            for t, x in rows[l][k]:
+                diff[t] = diff.get(t, 0) + c * x
+        for m, c in rows[j][k]:
+            for t, x in rows[i][m]:
+                diff[t] = diff.get(t, 0) - c * x
+        yield diff
 
 
 # -- tensor_algebra against the dense construction -------------------------

@@ -1,15 +1,22 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from quasihopf import products
 from quasihopf.actions import RightModuleAlgebra, trivial_right_action
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  RightComoduleAlgebra, omega_from_coaction, tensor_bicomodule,
                                  two_sided_from_bicomodule)
-from quasihopf.finalg import algebra_from_pair_fn, verify_associative_unital
+from quasihopf.fields import QQ
+from quasihopf.finalg import (FinAlgebra, Report, algebra_from_pair_fn,
+                              opposite, verify_associative_unital)
 from quasihopf.products import (diag_crossed, diag_crossed_general, gen_smash,
                                 gen_two_sided_crossed, induced_costructures,
                                 left_quasi_smash, quasi_smash, right_gen_smash,
                                 right_smash, smash, two_sided_gen_smash,
-                                two_sided_smash)
+                                two_sided_smash, _times_basis)
 from quasihopf.tensors import TensorElt, slotwise_mul
 
 from conftest import entry
@@ -168,6 +175,83 @@ def test_product_units_and_embeddings(name):
     p = smash(Am, check=False)
     want = Am.unit_elt().tensor(Hq.unit_elt()).merge_slots((2,)).to_flat()
     assert list(p.result.unit) == list(want)
+
+
+def test_unchecked_products_build_no_embedding_maps(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("embedding map built without check")
+
+    monkeypatch.setattr(products, "_slot_embedding", refuse)
+    st = entry("H2")
+    Hq, Am, Ab, Du = st["H"], st["module"], st["bicomodule"], st["dual"]
+    Bm = right_regular(Hq)
+    for build in (lambda: smash(Am, check=False),
+                  lambda: right_smash(Bm, check=False),
+                  lambda: gen_smash(Am, Ab, check=False),
+                  lambda: right_gen_smash(Ab, Bm, check=False),
+                  lambda: diag_crossed(Du, Ab, "rbowtie", check=False),
+                  lambda: gen_two_sided_crossed(Ab, Du, Ab, check=False),
+                  lambda: two_sided_smash(Am, Bm, check=False)):
+        assert build().result.dim > 1
+    with pytest.raises(AssertionError, match="without check"):
+        smash(Am, check=True)
+
+
+def test_embedding_check_flags_a_wrong_subalgebra():
+    # Sweedler's algebra is not commutative, so its opposite does not
+    # embed into A >*< H4 as the comodule slot
+    st = entry("Sweedler4")
+    Am, Ab = st["module"], st["bicomodule"]
+    p = gen_smash(Am, Ab, check=False)
+    units = [Am.unit_elt(), Ab.unit_elt()]
+    rep = Report()
+    products._check_subalgebras(rep, p.result, p.dims, units, [
+        (1, Ab.A, "right"), (1, opposite(Ab.A), "op")])
+    assert rep.failures and all(f.startswith("embedding op: multiplicative")
+                                for f in rep.failures)
+
+
+# -- the direct last step against insert + mul_slots ------------------------
+
+def old_times_basis(t, alg, i):
+    """products._times_basis as it was: tensor e_i in, then multiply the
+    last two slots (copied)."""
+    k = len(t.dims)
+    return t.insert(k, TensorElt.basis(t.field, (alg.dim,), (i,))) \
+        .mul_slots(k - 1, k, alg)
+
+
+def _times_basis_algebras(field):
+    if field == "GF5":
+        return [entry("FpZn(5,2)")["H"].H, entry("FpZn(5,2)")["dual"].A,
+                entry("FpZn(5,2)")["bicomodule"].A]
+    # Q[Z2] on the basis 2, g has den 2
+    halves = FinAlgebra(QQ, [[[2, 0], [0, 2]], [[0, 2], [Fraction(1, 2), 0]]],
+                        [Fraction(1, 2), 0])
+    return [entry("H2")["H"].H, entry("Sweedler4")["H"].H,
+            entry("Sweedler4")["dual"].A, halves]
+
+
+SCALARS = [1, -1, 2, Fraction(1, 3), Fraction(-5, 6), Fraction(7, 4)]
+
+
+@given(hs.sampled_from(["QQ", "GF5"]), hs.data())
+@settings(max_examples=80, deadline=None)
+def test_times_basis_matches_insert_then_mul_slots(field, data):
+    alg = data.draw(hs.sampled_from(_times_basis_algebras(field)))
+    fld = alg.field
+    head = tuple(data.draw(hs.lists(hs.integers(1, 3), max_size=2)))
+    dims = head + (alg.dim,)
+    idx = hs.tuples(*(hs.integers(0, d - 1) for d in dims))
+    scalar = hs.sampled_from(SCALARS) if fld.p is None \
+        else hs.integers(0, 2 * fld.p)
+    terms = data.draw(hs.dictionaries(idx, scalar, max_size=12))
+    t = TensorElt(fld, dims, terms)
+    i = data.draw(hs.integers(0, alg.dim - 1))
+    got, want = _times_basis(t, alg, i), old_times_basis(t, alg, i)
+    assert got == want
+    assert (got.dims, got.den, list(got.num.items())) \
+        == (want.dims, want.den, list(want.num.items()))
 
 
 # -- staged pair programs against the per-pair programs they replace --------
