@@ -3,30 +3,81 @@
 Left/right module algebras are algebras in the module category: their
 multiplication is associative only up to the associator acting on the
 factors, so plain associativity is never asserted here.  Bimodule
-algebras carry commuting left and right actions.  The module also
-builds the dual H* with convolution, the twisted structures over a
-gauge-twisted parent, the reversed ("bar") module algebra, and the view
-of a bimodule algebra as a left module algebra over H (x) H^op.
+algebras carry commuting left and right actions.  Each law is checked
+as two slot programs compared on every basis tuple.  The module also
+builds the twisted structures over a gauge-twisted parent, the reversed
+("bar") module algebra, and the view of a bimodule algebra as a left
+module algebra over H (x) H^op.
 """
 
 from __future__ import annotations
 
-from .finalg import FinAlgebra, Report, algebra_from_pair_fn, invert_mixed
-from .linalg import LinMap, prod, unflatten
+from .finalg import (FinAlgebra, Report, algebra_from_program,
+                     invert_mixed)
+from .linalg import LinMap
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import TensorElt, linmap_from_fn
+from .tensors import (Program, TensorElt, Var, linmap_from_fn,
+                      program_mismatches)
 
 
-def _scan(rep: Report, tag: str, dims, lhs_fn, rhs_fn, limit: int = 10):
-    """Compare two TensorElt-valued basis functions on every index."""
-    count = 0
-    for flat in range(prod(dims)):
-        idx = unflatten(dims, flat)
-        if lhs_fn(idx) != rhs_fn(idx):
+def _report(checks) -> Report:
+    """For each (tag, (lhs, rhs, variables)) the first 10 basis indices,
+    in lexicographic order of the variables, where the programs differ."""
+    rep = Report()
+    for tag, (lhs, rhs, order) in checks:
+        for idx in program_mismatches(lhs, rhs, order, 10):
             rep.add(tag, f"basis {idx}")
-            count += 1
-            if count >= limit:
-                return
+    return rep
+
+
+def _action_laws(Hq: QuasiHopfAlgebra, A: FinAlgebra, act: LinMap,
+                 left: bool, unit: TensorElt):
+    """The unit, associativity, multiplicativity and unitality laws of a
+    left (or right) H-action on A, as (lhs, rhs, variables):
+    1.a = a, h.(h'.a) = (hh').a, h.(aa') = (h_1.a)(h_2.a'),
+    h.1 = eps(h) 1, and their mirror images."""
+    fld, n, m = A.field, Hq.n, A.dim
+    h, h2, a, a2 = Var("h", n), Var("h'", n), Var("a", m), Var("a'", m)
+    one = Program(Hq.unit_elt())
+    unital = Program(unit).insert(0, h).apply_at(0, Hq.counit)
+    if left:
+        return [
+            (one.tensor(a).apply_at(0, act), Program.basis(fld, a), (a,)),
+            (Program.basis(fld, h, h2, a).apply_at(1, act).apply_at(0, act),
+             Program.basis(fld, h, h2).mul_slots(0, 1, Hq.H).tensor(a)
+             .apply_at(0, act), (h, h2, a)),
+            (Program.basis(fld, h, a, a2).mul_slots(1, 2, A).apply_at(0, act),
+             Program.basis(fld, h).apply_at(0, Hq.Delta).insert(1, a)
+             .apply_at(0, act).insert(2, a2).apply_at(1, act)
+             .mul_slots(0, 1, A), (h, a, a2)),
+            (Program(unit).insert(0, h).apply_at(0, act), unital, (h,))]
+    return [
+        (one.insert(0, a).apply_at(0, act), Program.basis(fld, a), (a,)),
+        (Program.basis(fld, a, h).apply_at(0, act).tensor(h2)
+         .apply_at(0, act),
+         Program.basis(fld, a, h, h2).mul_slots(1, 2, Hq.H).apply_at(0, act),
+         (a, h, h2)),
+        (Program.basis(fld, a, a2).mul_slots(0, 1, A).tensor(h)
+         .apply_at(0, act),
+         Program.basis(fld, h).apply_at(0, Hq.Delta).insert(0, a)
+         .apply_at(0, act).insert(1, a2).apply_at(1, act)
+         .mul_slots(0, 1, A), (a, a2, h)),
+        (Program(unit).tensor(h).apply_at(0, act), unital, (h,))]
+
+
+def _pentagon(A: FinAlgebra, start: TensorElt, offset: int, *acts):
+    """(aa')a'' against (X^1.a)[(X^2.a')(X^3.a'')] as (lhs, rhs,
+    variables), with the k-th factor of the three-slot ``start`` acting
+    on the k-th element, inserted at slot k + ``offset``, by ``acts``."""
+    a = [Var(f"a{k}", A.dim) for k in range(3)]
+    rhs = Program(start)
+    for k, v in enumerate(a):
+        rhs = rhs.insert(k + offset, v)
+        for act in acts:
+            rhs = rhs.apply_at(k, act)
+    return (Program.basis(A.field, *a[:2]).mul_slots(0, 1, A).tensor(a[2])
+            .mul_slots(0, 1, A), rhs.mul_slots(1, 2, A).mul_slots(0, 1, A),
+            a)
 
 
 class LeftModuleAlgebra:
@@ -55,45 +106,13 @@ class LeftModuleAlgebra:
         return TensorElt.from_vector(self.field, self.A.unit)
 
     def verify(self) -> Report:
-        rep = Report()
         Hq, A, act = self.Hq, self.A, self.action
-        n, m = Hq.n, A.dim
-        fld = self.field
-        # left module laws
-        _scan(rep, "unit-action", (m,),
-              lambda idx: Hq.unit_elt().tensor(self.basis_elt(idx[0]))
-              .apply_at(0, act),
-              lambda idx: self.basis_elt(idx[0]))
-        _scan(rep, "action-associative", (n, n, m),
-              lambda idx: TensorElt.basis(fld, (n, n, m), idx)
-              .apply_at(1, act).apply_at(0, act),
-              lambda idx: TensorElt.basis(fld, (n, n, m), idx)
-              .mul_slots(0, 1, Hq.H).apply_at(0, act))
-        # (aa')a'' = (X^1.a)[(X^2.a')(X^3.a'')]
-        def ma1_rhs(idx):
-            t = Hq.Phi.tensor(TensorElt.basis(fld, (m, m, m), idx))
-            t = t.permute((0, 3, 1, 4, 2, 5))
-            t = t.apply_at(0, act).apply_at(1, act).apply_at(2, act)
-            return t.mul_slots(1, 2, A).mul_slots(0, 1, A)
-
-        _scan(rep, "product-pentagon", (m, m, m),
-              lambda idx: TensorElt.basis(fld, (m, m, m), idx)
-              .mul_slots(0, 1, A).mul_slots(0, 1, A),
-              ma1_rhs)
-        # h.(aa') = (h_1.a)(h_2.a')
-        _scan(rep, "action-multiplicative", (n, m, m),
-              lambda idx: TensorElt.basis(fld, (n, m, m), idx)
-              .mul_slots(1, 2, A).apply_at(0, act),
-              lambda idx: TensorElt.basis(fld, (n, m, m), idx)
-              .apply_at(0, Hq.Delta).permute((0, 2, 1, 3))
-              .apply_at(0, act).apply_at(1, act).mul_slots(0, 1, A))
-        # h.1 = eps(h) 1
-        _scan(rep, "action-unital", (n,),
-              lambda idx: Hq.basis_elt(idx[0]).tensor(self.unit_elt())
-              .apply_at(0, act),
-              lambda idx: self.unit_elt().scale(
-                  Hq.eps_scalar(Hq.basis_elt(idx[0]))))
-        return rep
+        unit, assoc, mult, unital = _action_laws(Hq, A, act, True,
+                                                 self.unit_elt())
+        return _report([("unit-action", unit), ("action-associative", assoc),
+                        ("product-pentagon", _pentagon(A, Hq.Phi, 1, act)),
+                        ("action-multiplicative", mult),
+                        ("action-unital", unital)])
 
 
 class RightModuleAlgebra:
@@ -121,43 +140,13 @@ class RightModuleAlgebra:
         return TensorElt.from_vector(self.field, self.B.unit)
 
     def verify(self) -> Report:
-        rep = Report()
         Hq, B, act = self.Hq, self.B, self.action
-        n, m = Hq.n, B.dim
-        fld = self.field
-        _scan(rep, "unit-action", (m,),
-              lambda idx: self.basis_elt(idx[0]).tensor(Hq.unit_elt())
-              .apply_at(0, act),
-              lambda idx: self.basis_elt(idx[0]))
-        _scan(rep, "action-associative", (m, n, n),
-              lambda idx: TensorElt.basis(fld, (m, n, n), idx)
-              .apply_at(0, act).apply_at(0, act),
-              lambda idx: TensorElt.basis(fld, (m, n, n), idx)
-              .mul_slots(1, 2, Hq.H).apply_at(0, act))
-        # (bb')b'' = (b.x^1)[(b'.x^2)(b''.x^3)]
-        def rma1_rhs(idx):
-            t = TensorElt.basis(fld, (m, m, m), idx).tensor(Hq.PhiInv)
-            t = t.permute((0, 3, 1, 4, 2, 5))
-            t = t.apply_at(0, act).apply_at(1, act).apply_at(2, act)
-            return t.mul_slots(1, 2, B).mul_slots(0, 1, B)
-
-        _scan(rep, "product-pentagon", (m, m, m),
-              lambda idx: TensorElt.basis(fld, (m, m, m), idx)
-              .mul_slots(0, 1, B).mul_slots(0, 1, B),
-              rma1_rhs)
-        # (bb').h = (b.h_1)(b'.h_2)
-        _scan(rep, "action-multiplicative", (m, m, n),
-              lambda idx: TensorElt.basis(fld, (m, m, n), idx)
-              .mul_slots(0, 1, B).apply_at(0, act),
-              lambda idx: TensorElt.basis(fld, (m, m, n), idx)
-              .apply_at(2, Hq.Delta).permute((0, 2, 1, 3))
-              .apply_at(0, act).apply_at(1, act).mul_slots(0, 1, B))
-        _scan(rep, "action-unital", (n,),
-              lambda idx: self.unit_elt().tensor(Hq.basis_elt(idx[0]))
-              .apply_at(0, act),
-              lambda idx: self.unit_elt().scale(
-                  Hq.eps_scalar(Hq.basis_elt(idx[0]))))
-        return rep
+        unit, assoc, mult, unital = _action_laws(Hq, B, act, False,
+                                                 self.unit_elt())
+        return _report([("unit-action", unit), ("action-associative", assoc),
+                        ("product-pentagon", _pentagon(B, Hq.PhiInv, 0, act)),
+                        ("action-multiplicative", mult),
+                        ("action-unital", unital)])
 
 
 class BimoduleAlgebra:
@@ -188,102 +177,27 @@ class BimoduleAlgebra:
         return TensorElt.from_vector(self.field, self.A.unit)
 
     def verify(self) -> Report:
-        rep = Report()
-        Hq, A = self.Hq, self.A
-        left, right = self.left, self.right
-        n, m = Hq.n, A.dim
-        fld = self.field
-        _scan(rep, "unit-action-left", (m,),
-              lambda idx: Hq.unit_elt().tensor(self.basis_elt(idx[0]))
-              .apply_at(0, left),
-              lambda idx: self.basis_elt(idx[0]))
-        _scan(rep, "unit-action-right", (m,),
-              lambda idx: self.basis_elt(idx[0]).tensor(Hq.unit_elt())
-              .apply_at(0, right),
-              lambda idx: self.basis_elt(idx[0]))
-        _scan(rep, "left-action-associative", (n, n, m),
-              lambda idx: TensorElt.basis(fld, (n, n, m), idx)
-              .apply_at(1, left).apply_at(0, left),
-              lambda idx: TensorElt.basis(fld, (n, n, m), idx)
-              .mul_slots(0, 1, Hq.H).apply_at(0, left))
-        _scan(rep, "right-action-associative", (m, n, n),
-              lambda idx: TensorElt.basis(fld, (m, n, n), idx)
-              .apply_at(0, right).apply_at(0, right),
-              lambda idx: TensorElt.basis(fld, (m, n, n), idx)
-              .mul_slots(1, 2, Hq.H).apply_at(0, right))
-        _scan(rep, "actions-commute", (n, m, n),
-              lambda idx: TensorElt.basis(fld, (n, m, n), idx)
-              .apply_at(0, left).apply_at(0, right),
-              lambda idx: TensorElt.basis(fld, (n, m, n), idx)
-              .apply_at(1, right).apply_at(0, left))
+        Hq, A, left, right = self.Hq, self.A, self.left, self.right
+        lu, la, lm, l1 = _action_laws(Hq, A, left, True, self.unit_elt())
+        ru, ra, rm, r1 = _action_laws(Hq, A, right, False, self.unit_elt())
+        h, p, h2 = Var("h", Hq.n), Var("p", A.dim), Var("h'", Hq.n)
+        commute = (Program.basis(A.field, h, p).apply_at(0, left).tensor(h2)
+                   .apply_at(0, right),
+                   Program.basis(A.field, h, p, h2).apply_at(1, right)
+                   .apply_at(0, left), (h, p, h2))
         # (pp')p'' = (X^1.p.x^1)[(X^2.p'.x^2)(X^3.p''.x^3)]
-        def bma1_rhs(idx):
-            t = Hq.Phi.tensor(TensorElt.basis(fld, (m, m, m), idx)) \
-                .tensor(Hq.PhiInv)
-            t = t.permute((0, 3, 6, 1, 4, 7, 2, 5, 8))
-            for k in range(3):
-                t = t.apply_at(k, left).apply_at(k, right)
-            return t.mul_slots(1, 2, A).mul_slots(0, 1, A)
-
-        _scan(rep, "product-pentagon", (m, m, m),
-              lambda idx: TensorElt.basis(fld, (m, m, m), idx)
-              .mul_slots(0, 1, A).mul_slots(0, 1, A),
-              bma1_rhs)
-        _scan(rep, "left-action-multiplicative", (n, m, m),
-              lambda idx: TensorElt.basis(fld, (n, m, m), idx)
-              .mul_slots(1, 2, A).apply_at(0, left),
-              lambda idx: TensorElt.basis(fld, (n, m, m), idx)
-              .apply_at(0, Hq.Delta).permute((0, 2, 1, 3))
-              .apply_at(0, left).apply_at(1, left).mul_slots(0, 1, A))
-        _scan(rep, "right-action-multiplicative", (m, m, n),
-              lambda idx: TensorElt.basis(fld, (m, m, n), idx)
-              .mul_slots(0, 1, A).apply_at(0, right),
-              lambda idx: TensorElt.basis(fld, (m, m, n), idx)
-              .apply_at(2, Hq.Delta).permute((0, 2, 1, 3))
-              .apply_at(0, right).apply_at(1, right).mul_slots(0, 1, A))
-        _scan(rep, "action-unital-left", (n,),
-              lambda idx: Hq.basis_elt(idx[0]).tensor(self.unit_elt())
-              .apply_at(0, left),
-              lambda idx: self.unit_elt().scale(
-                  Hq.eps_scalar(Hq.basis_elt(idx[0]))))
-        _scan(rep, "action-unital-right", (n,),
-              lambda idx: self.unit_elt().tensor(Hq.basis_elt(idx[0]))
-              .apply_at(0, right),
-              lambda idx: self.unit_elt().scale(
-                  Hq.eps_scalar(Hq.basis_elt(idx[0]))))
-        return rep
+        start = Hq.Phi.tensor(Hq.PhiInv).permute((0, 3, 1, 4, 2, 5))
+        return _report([
+            ("unit-action-left", lu), ("unit-action-right", ru),
+            ("left-action-associative", la),
+            ("right-action-associative", ra), ("actions-commute", commute),
+            ("product-pentagon", _pentagon(A, start, 1, left, right)),
+            ("left-action-multiplicative", lm),
+            ("right-action-multiplicative", rm),
+            ("action-unital-left", l1), ("action-unital-right", r1)])
 
 
 # -- constructions ------------------------------------------------------------
-
-def dual_bimodule_algebra(Hq: QuasiHopfAlgebra,
-                          check: bool = True) -> BimoduleAlgebra:
-    """H* with convolution <pq, h> = p(h_1)q(h_2), unit eps, and actions
-    <h -> p, h'> = p(h'h), <p <- h, h'> = p(hh')."""
-    n = Hq.n
-    fld = Hq.field
-    # e^i e^j = sum_k Delta(e_k)[(i, j)] e^k
-    rows = [[[] for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for (i, j), c in Hq.Delta.cols[(k,)]:
-            rows[i][j].append((k, c))
-    unit = [Hq.eps_scalar(Hq.basis_elt(k)) for k in range(n)]
-    A = FinAlgebra.from_int_rows(fld, Hq.Delta.den, rows, unit,
-                                 name=f"{Hq.name}*" if Hq.name else "dual")
-    # (e_a -> e^i) = sum_j (e_j e_a)[i] e^j and
-    # (e^i <- e_a) = sum_j (e_a e_j)[i] e^j, read off the product rows
-    left = {(a, i): [] for a in range(n) for i in range(n)}
-    right = {(i, a): [] for i in range(n) for a in range(n)}
-    for j in range(n):
-        for a in range(n):
-            for i, c in Hq.H.rows[j][a]:
-                left[(a, i)].append(((j,), c))
-            for i, c in Hq.H.rows[a][j]:
-                right[(i, a)].append(((j,), c))
-    left = LinMap(fld, (n, n), (n,), Hq.H.den, left)
-    right = LinMap(fld, (n, n), (n,), Hq.H.den, right)
-    return BimoduleAlgebra(Hq, A, left, right, name=A.name, check=check)
-
 
 def trivial_left_action(Hq: QuasiHopfAlgebra, A: FinAlgebra) -> LinMap:
     """h.a = eps(h) a."""
@@ -371,43 +285,26 @@ def twist_action(x, F: TensorElt, FInv: TensorElt | None = None,
             raise ValueError("twist is not invertible")
     if HF is None:
         HF = Hq.gauge_twist(F, FInv=FInv)
-    fld = Hq.field
     if isinstance(x, LeftModuleAlgebra):
-        m = x.A.dim
-
-        def pair(i, j):
-            t = FInv.tensor(TensorElt.basis(fld, (m, m), i + j))
-            t = t.permute((0, 2, 1, 3))
-            t = t.apply_at(0, x.action).apply_at(1, x.action)
-            return t.mul_slots(0, 1, x.A)
-
-        A2 = algebra_from_pair_fn(fld, (m,), pair, x.unit_elt(),
-                                  name=x.name, check=False)
+        a, a2 = Var("a", x.A.dim), Var("a'", x.A.dim)
+        prog = Program(FInv).insert(1, a).apply_at(0, x.action) \
+            .insert(2, a2).apply_at(1, x.action).mul_slots(0, 1, x.A)
+        A2 = algebra_from_program(prog, [a], [a2], x.unit_elt(), x.name)
         return LeftModuleAlgebra(HF, A2, x.action, name=x.name, check=check)
     if isinstance(x, RightModuleAlgebra):
-        m = x.B.dim
-
-        def pair(i, j):
-            t = TensorElt.basis(fld, (m, m), i + j).tensor(F)
-            t = t.permute((0, 2, 1, 3))
-            t = t.apply_at(0, x.action).apply_at(1, x.action)
-            return t.mul_slots(0, 1, x.B)
-
-        B2 = algebra_from_pair_fn(fld, (m,), pair, x.unit_elt(),
-                                  name=x.name, check=False)
+        b, b2 = Var("b", x.B.dim), Var("b'", x.B.dim)
+        prog = Program(F).insert(0, b).apply_at(0, x.action) \
+            .insert(1, b2).apply_at(1, x.action).mul_slots(0, 1, x.B)
+        B2 = algebra_from_program(prog, [b], [b2], x.unit_elt(), x.name)
         return RightModuleAlgebra(HF, B2, x.action, name=x.name, check=check)
     if isinstance(x, BimoduleAlgebra):
-        m = x.A.dim
-
-        def pair(i, j):
-            t = FInv.tensor(TensorElt.basis(fld, (m, m), i + j)).tensor(F)
-            t = t.permute((0, 2, 4, 1, 3, 5))
-            t = t.apply_at(0, x.left).apply_at(0, x.right)
-            t = t.apply_at(1, x.left).apply_at(1, x.right)
-            return t.mul_slots(0, 1, x.A)
-
-        A2 = algebra_from_pair_fn(fld, (m,), pair, x.unit_elt(),
-                                  name=x.name, check=False)
+        p, p2 = Var("p", x.A.dim), Var("p'", x.A.dim)
+        prog = Program(FInv.tensor(F).permute((0, 2, 1, 3)))
+        for k, v in enumerate((p, p2)):
+            prog = prog.insert(k + 1, v).apply_at(k, x.left) \
+                .apply_at(k, x.right)
+        A2 = algebra_from_program(prog.mul_slots(0, 1, x.A), [p], [p2],
+                                  x.unit_elt(), x.name)
         return BimoduleAlgebra(HF, A2, x.left, x.right, name=x.name,
                                check=check)
     raise TypeError("not a (bi)module algebra")
@@ -421,17 +318,12 @@ def bar_construction(A: LeftModuleAlgebra,
     Hq = A.Hq
     fld = Hq.field
     m = A.A.dim
-    g = Hq.drinfeld_twist().f_inv
-
-    def pair(i, j):
-        t = g.tensor(TensorElt.basis(fld, (m, m), j + i))
-        t = t.permute((0, 2, 1, 3))
-        t = t.apply_at(0, A.action).apply_at(1, A.action)
-        return t.mul_slots(0, 1, A.A)
-
-    Abar = algebra_from_pair_fn(fld, (m,), pair, A.unit_elt(),
-                                name=f"{A.name}-bar" if A.name else "",
-                                check=False)
+    a, a2 = Var("a", m), Var("a'", m)
+    prog = Program(Hq.drinfeld_twist().f_inv).insert(1, a2) \
+        .apply_at(0, A.action).insert(2, a).apply_at(1, A.action) \
+        .mul_slots(0, 1, A.A)
+    Abar = algebra_from_program(prog, [a], [a2], A.unit_elt(),
+                                f"{A.name}-bar" if A.name else "")
     action = linmap_from_fn(
         fld, (m, Hq.n), (m,),
         lambda idx: TensorElt.basis(fld, (Hq.n, m), (idx[1], idx[0]))

@@ -107,56 +107,36 @@ def cmd_verify(args) -> int:
 
 # -- construct -------------------------------------------------------------
 
+_COMODULE_L = (LeftComoduleAlgebra, BicomoduleAlgebra)
+_COMODULE_R = (RightComoduleAlgebra, BicomoduleAlgebra)
+# kind: (input types, function in ``products``, its extra arguments, whether
+# the result carries a factor H besides the inputs)
 _CONSTRUCT = {
-    "smash": ((LeftModuleAlgebra,), None),
-    "right-smash": ((RightModuleAlgebra,), None),
-    "gen-smash": ((LeftModuleAlgebra,
-                   (LeftComoduleAlgebra, BicomoduleAlgebra)), None),
-    "right-gen-smash": (((RightComoduleAlgebra, BicomoduleAlgebra),
-                         RightModuleAlgebra), None),
-    "quasi-smash": (((RightComoduleAlgebra, BicomoduleAlgebra),
-                     BimoduleAlgebra), None),
-    "left-quasi-smash": ((BimoduleAlgebra,
-                          (LeftComoduleAlgebra, BicomoduleAlgebra)), None),
-    "diag-bowtie": ((BimoduleAlgebra, BicomoduleAlgebra), "bowtie"),
-    "diag-btrl": ((BimoduleAlgebra, BicomoduleAlgebra), "btrl"),
-    "rdiag-bowtie": ((BimoduleAlgebra, BicomoduleAlgebra), "rbowtie"),
-    "rdiag-btrl": ((BimoduleAlgebra, BicomoduleAlgebra), "rbtrl"),
-    "gen-two-sided-crossed": (((RightComoduleAlgebra, BicomoduleAlgebra),
-                               BimoduleAlgebra,
-                               (LeftComoduleAlgebra, BicomoduleAlgebra)),
-                              None),
+    "smash": ((LeftModuleAlgebra,), "smash", (), True),
+    "right-smash": ((RightModuleAlgebra,), "right_smash", (), True),
+    "gen-smash": ((LeftModuleAlgebra, _COMODULE_L), "gen_smash", (), False),
+    "right-gen-smash": ((_COMODULE_R, RightModuleAlgebra),
+                        "right_gen_smash", (), False),
+    "quasi-smash": ((_COMODULE_R, BimoduleAlgebra), "quasi_smash", (),
+                    False),
+    "left-quasi-smash": ((BimoduleAlgebra, _COMODULE_L), "left_quasi_smash",
+                         (), False),
+    "diag-bowtie": ((BimoduleAlgebra, BicomoduleAlgebra), "diag_crossed",
+                    ("bowtie",), False),
+    "diag-btrl": ((BimoduleAlgebra, BicomoduleAlgebra), "diag_crossed",
+                  ("btrl",), False),
+    "rdiag-bowtie": ((BimoduleAlgebra, BicomoduleAlgebra), "diag_crossed",
+                     ("rbowtie",), False),
+    "rdiag-btrl": ((BimoduleAlgebra, BicomoduleAlgebra), "diag_crossed",
+                   ("rbtrl",), False),
+    "gen-two-sided-crossed": ((_COMODULE_R, BimoduleAlgebra, _COMODULE_L),
+                              "gen_two_sided_crossed", (), False),
     "two-sided-gen-smash": ((LeftModuleAlgebra, BicomoduleAlgebra,
-                             RightModuleAlgebra), None),
-    "two-sided-smash": ((LeftModuleAlgebra, RightModuleAlgebra), None),
+                             RightModuleAlgebra), "two_sided_gen_smash", (),
+                            False),
+    "two-sided-smash": ((LeftModuleAlgebra, RightModuleAlgebra),
+                        "two_sided_smash", (), True),
 }
-
-
-def _construct_product(kind, inputs, check=True):
-    from . import products
-    if kind == "smash":
-        return products.smash(*inputs, check=check)
-    if kind == "right-smash":
-        return products.right_smash(*inputs, check=check)
-    if kind == "gen-smash":
-        return products.gen_smash(*inputs, check=check)
-    if kind == "right-gen-smash":
-        return products.right_gen_smash(*inputs, check=check)
-    if kind == "quasi-smash":
-        return products.quasi_smash(*inputs, check=check)
-    if kind == "left-quasi-smash":
-        return products.left_quasi_smash(*inputs, check=check)
-    if kind.startswith(("diag-", "rdiag-")):
-        flavor = _CONSTRUCT[kind][1]
-        return products.diag_crossed(inputs[0], inputs[1], flavor,
-                                     check=check)
-    if kind == "gen-two-sided-crossed":
-        return products.gen_two_sided_crossed(*inputs, check=check)
-    if kind == "two-sided-gen-smash":
-        return products.two_sided_gen_smash(*inputs, check=check)
-    if kind == "two-sided-smash":
-        return products.two_sided_smash(*inputs, check=check)
-    raise UsageError(f"unknown construction {kind!r}")
 
 
 def _sha256(path: str) -> str:
@@ -172,7 +152,7 @@ def cmd_construct(args) -> int:
     if kind not in _CONSTRUCT:
         raise UsageError(f"unknown construction {kind!r}; choose from "
                          + ", ".join(sorted(_CONSTRUCT)))
-    expect = _CONSTRUCT[kind][0]
+    expect, fn_name, extra, with_h = _CONSTRUCT[kind]
     if len(args.paths) != len(expect):
         raise UsageError(f"{kind} takes {len(expect)} input files, "
                          f"got {len(args.paths)}")
@@ -190,22 +170,24 @@ def cmd_construct(args) -> int:
                                   != serialize.to_document(hq0)):
             raise UsageError("inputs live over different quasi-Hopf "
                              "algebras")
+    # the result's dimension, known before anything is built
+    dim = hq0.n if with_h else 1
+    for obj in inputs:
+        dim *= (obj.A if hasattr(obj, "A") else obj.B).dim
+    if dim > corpus.MAX_DIM:
+        raise UsageError(f"result dimension {dim} exceeds the "
+                         f"{corpus.MAX_DIM}-dimensional envelope")
+    from . import products
     t0 = time.time()
-    prod = _construct_product(kind, inputs, check=False)
+    prod = getattr(products, fn_name)(*inputs, *extra, check=False)
     if isinstance(prod, (LeftModuleAlgebra, RightModuleAlgebra)):
         # the quasi-smash products are module algebras, not plain algebras
         alg = prod.A if isinstance(prod, LeftModuleAlgebra) else prod.B
-        if alg.dim > 64:
-            raise UsageError(f"result dimension {alg.dim} exceeds the "
-                             "64-dimensional envelope")
         prod.verify().require(f"{kind} result")
         doc = serialize.to_document(prod)
         dims = [alg.dim]
     else:
         alg = prod.result
-        if alg.dim > 64:
-            raise UsageError(f"result dimension {alg.dim} exceeds the "
-                             "64-dimensional envelope")
         verify_associative_unital(alg, limit=10).require(f"{kind} result")
         doc = serialize.to_document(alg)
         dims = list(prod.dims)

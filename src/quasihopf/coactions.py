@@ -22,15 +22,9 @@ from dataclasses import dataclass
 from .finalg import (FinAlgebra, Report, check_algebra_map, invert_mixed,
                      opposite, slotwise_unit, tensor_algebra)
 from .linalg import LinMap
-from .quasihopf import QuasiHopfAlgebra, tensor_qh
+from .quasihopf import QuasiHopfAlgebra, _tag, tensor_qh
 from .tensors import (TensorElt, fold_slots, linmap_from_fn, slotwise_mul,
                       slotwise_prod)
-
-
-def _tag(rep: Report, prefix: str) -> Report:
-    out = Report()
-    out.failures = [f"{prefix}/{msg}" for msg in rep.failures]
-    return out
 
 
 # -- comodule algebras --------------------------------------------------------

@@ -22,6 +22,10 @@ from .finalg import FinAlgebra
 from .quasihopf import QuasiHopfAlgebra
 from .tensors import TensorElt, linmap_from_fn
 
+# The largest dimension the command line builds: of a constructed product,
+# and of H in a named FpZn(p, n) entry (whose associator has n^3 terms).
+MAX_DIM = 64
+
 
 def _algebra_from_table(field: Field, table, unit_index: int,
                         name: str) -> FinAlgebra:
@@ -213,16 +217,16 @@ def structures(name: str, check: bool = True) -> dict:
     """The named entry with its canonical derived structures: the
     adjoint module algebra, H as a bicomodule algebra over itself, and
     the dual bimodule algebra."""
-    from .actions import dual_bimodule_algebra
     from .coactions import regular_bicomodule
-    from .ydrep import regular_bimodule_coalgebra
+    from .ydrep import dual_of_bimodule_coalgebra, regular_bimodule_coalgebra
     Hq = quasi_hopf(name)
+    coalgebra = regular_bimodule_coalgebra(Hq, check=check)
     return {
         "H": Hq,
         "module": adjoint_module_algebra(Hq, check=check),
         "bicomodule": regular_bicomodule(Hq, check=check),
-        "dual": dual_bimodule_algebra(Hq, check=check),
-        "coalgebra": regular_bimodule_coalgebra(Hq, check=check),
+        "dual": dual_of_bimodule_coalgebra(coalgebra, check=check),
+        "coalgebra": coalgebra,
     }
 
 
@@ -250,5 +254,8 @@ def quasi_hopf(name: str) -> QuasiHopfAlgebra:
             p, n = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"bad cyclic-corpus name {name!r}") from None
+        if n > MAX_DIM:
+            raise ValueError(f"{name}: n = {n} exceeds the "
+                             f"{MAX_DIM}-dimensional envelope")
         return cyclic_with_cocycle(p, n)
     raise ValueError(f"unknown corpus entry {name!r}")

@@ -16,7 +16,8 @@ from math import gcd
 
 from .fields import Field
 from .linalg import LinMap, flat_index, int_entries, prod, solve
-from .tensors import TensorElt, over_one_den, slotwise_mul
+from .tensors import (Program, TensorElt, one_den, run_program,
+                      slotwise_mul)
 
 
 class VerificationError(Exception):
@@ -364,25 +365,26 @@ def mul_linmap(A: FinAlgebra) -> LinMap:
         for i in range(n) for j in range(n)})
 
 
-def algebra_from_pair_fn(field: Field, dims, pair_fn, unit_tensor: TensorElt,
-                         name: str = "", check: bool = True) -> FinAlgebra:
-    """The algebra on the flat space of ``dims`` whose product of basis
-    elements is ``pair_fn(idx_i, idx_j)`` (a TensorElt on ``dims``); its
-    rows are read off each pair's numerators."""
-    dims = tuple(dims)
-    basis = list(product(*map(range, dims)))
-    flat = {idx: f for f, idx in enumerate(basis)}
+def algebra_from_program(prog: Program, left, right, unit_tensor: TensorElt,
+                         name: str = "") -> FinAlgebra:
+    """The algebra on the flat space of ``prog.dims`` whose product of
+    basis elements e_i e_j is the value of ``prog`` with the variables
+    ``left`` at the multi-index of i and ``right`` at that of j; each
+    value streams into its sparse row as it is computed."""
+    dims = tuple(v.dim for v in left)
+    if tuple(v.dim for v in right) != dims or prog.dims != dims:
+        raise ValueError("program does not map pairs of basis elements "
+                         "into their space")
+    flat = {idx: f for f, idx in enumerate(product(*map(range, dims)))}
+    n = len(flat)
+    values = [None] * (n * n)
 
-    def values():
-        for idx_i in basis:
-            for idx_j in basis:
-                res = pair_fn(idx_i, idx_j)
-                if res.dims != dims:
-                    raise ValueError("pair_fn returned wrong slot shape")
-                yield res
+    def keep(off, t):
+        values[off] = (t.den, sorted([(flat[idx], c)
+                                      for idx, c in t.num.items()]))
 
-    den, rows = over_one_den(values(), flat)
-    n = len(basis)
+    run_program(prog, tuple(left) + tuple(right), keep)
+    den, rows = one_den(values)
     return FinAlgebra.from_int_rows(
-        field, den, [rows[i * n:(i + 1) * n] for i in range(n)],
-        unit_tensor.to_flat(), name=name, check=check)
+        prog.field, den, [rows[i * n:(i + 1) * n] for i in range(n)],
+        unit_tensor.to_flat(), name=name)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import (BimoduleAlgebra, LeftModuleAlgebra, RightModuleAlgebra,
-                      tensor_bimodule, twist_action)
+                      as_module_over_tensor, tensor_bimodule, twist_action)
 from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         TwoSidedCoaction, bicomodule_tensor_with_algebra,
                         lambda12_structures, omega_from_coaction, pq_delta,
@@ -46,8 +46,8 @@ from .products import (diag_crossed, diag_crossed_general, gen_smash,
                        left_quasi_smash, quasi_smash, two_sided_gen_smash,
                        two_sided_smash)
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import (TensorElt, compose, fold_slots, linmap_from_fn,
-                      slotwise_mul)
+from .tensors import (Program, TensorElt, Var, compose, fold_slots,
+                      linmap_from_fn, program_mismatches, slotwise_mul)
 
 
 @dataclass
@@ -290,60 +290,54 @@ def _mu_identity_of3(Ab: BicomoduleAlgebra, q: TensorElt) -> Report:
     Hq = Ab.Hq
     H = Hq.H
     Ualg = Ab.A
-    mU = Ualg.dim
-    fld = Hq.field
     Th = Ab.PhiLR
     xr = Ab.right.PhiRhoInv
+    u, v = Var("u", Ualg.dim), Var("u'", Ualg.dim)
 
-    for iu in range(mU):
-        for iv in range(mU):
-            u = TensorElt.basis(fld, (mU,), (iu,))
-            v = TensorElt.basis(fld, (mU,), (iv,))
+    # lhs: Th1 u0m (x) (Q1 Th2_0)_0 xr1 u000 v0
+    #      (x) (Q1 Th2_0)_1 xr2 u001(1) v1(1)
+    #      (x) S^-1(Th3 u1) Q2 Th2_1 xr3 u001(2) v1(2)
+    t = Program(Th).apply_at(1, Ab.rho)
+    # [T1, T20, T21, T3]
+    t = t.insert(1, q).mul_slots(1, 3, Ualg)
+    # [T1, M, Q2, T21, T3]              M = Q1 Th2_0
+    t = t.apply_at(1, Ab.rho)
+    # [T1, M0, M1, Q2, T21, T3]
+    t = t.insert(6, xr)
+    # [T1, M0, M1, Q2, T21, T3, X1, X2, X3]
+    t = t.insert(9, u).apply_at(9, Ab.rho).apply_at(9, Ab.lam)
+    # 9=u0m, 10=u00, 11=u1
+    t = t.apply_at(10, Ab.rho).apply_at(11, Hq.Delta)
+    # 10=u000, 11=u001a, 12=u001b, 13=u1
+    t = t.insert(14, v).apply_at(14, Ab.rho).apply_at(15, Hq.Delta)
+    # 14=v0, 15=v1a, 16=v1b
+    t = t.mul_slots(5, 13, H)
+    # 5 = T3 u1; then 13=v0, 14=v1a, 15=v1b
+    t = t.apply_at(5, Hq.SInv)
+    lhs = fold_slots(t, [(0, 9), (1, 6, 10, 13), (2, 7, 11, 14),
+                         (5, 3, 4, 8, 12, 15)], [H, Ualg, H, H])
 
-            # lhs: Th1 u0m (x) (Q1 Th2_0)_0 xr1 u000 v0
-            #      (x) (Q1 Th2_0)_1 xr2 u001(1) v1(1)
-            #      (x) S^-1(Th3 u1) Q2 Th2_1 xr3 u001(2) v1(2)
-            t = Th.apply_at(1, Ab.rho)
-            # [T1, T20, T21, T3]
-            t = t.insert(1, q).mul_slots(1, 3, Ualg)
-            # [T1, M, Q2, T21, T3]              M = Q1 Th2_0
-            t = t.apply_at(1, Ab.rho)
-            # [T1, M0, M1, Q2, T21, T3]
-            t = t.insert(6, xr)
-            # [T1, M0, M1, Q2, T21, T3, X1, X2, X3]
-            t = t.insert(9, u).apply_at(9, Ab.rho).apply_at(9, Ab.lam)
-            # 9=u0m, 10=u00, 11=u1
-            t = t.apply_at(10, Ab.rho).apply_at(11, Hq.Delta)
-            # 10=u000, 11=u001a, 12=u001b, 13=u1
-            t = t.insert(14, v).apply_at(14, Ab.rho).apply_at(15, Hq.Delta)
-            # 14=v0, 15=v1a, 16=v1b
-            t = t.mul_slots(5, 13, H)
-            # 5 = T3 u1; then 13=v0, 14=v1a, 15=v1b
-            t = t.apply_at(5, Hq.SInv)
-            lhs = fold_slots(t, [(0, 9), (1, 6, 10, 13), (2, 7, 11, 14),
-                                 (5, 3, 4, 8, 12, 15)], [H, Ualg, H, H])
+    # rhs: um Th1 (x) (u0 Q1)_0 (Th2 v)_00 xr1
+    #      (x) (u0 Q1)_1 (Th2 v)_01 xr2
+    #      (x) S^-1(Th3) Q2 (Th2 v)_1 xr3
+    t = Program(Th).insert(2, v).mul_slots(1, 2, Ualg)
+    # [T1, T2v, T3]
+    t = t.apply_at(1, Ab.rho).apply_at(1, Ab.rho)
+    # [T1, M00, M01, M1, T3]
+    t = t.insert(1, u).apply_at(1, Ab.lam)
+    # [T1, um, u0, M00, M01, M1, T3]
+    t = t.insert(3, q).mul_slots(2, 3, Ualg)
+    # [T1, um, N, Q2, M00, M01, M1, T3]   N = u0 Q1
+    t = t.apply_at(2, Ab.rho)
+    # 0=T1 1=um 2=N0 3=N1 4=Q2 5=M00 6=M01 7=M1 8=T3
+    t = t.apply_at(8, Hq.SInv)
+    t = t.insert(9, xr)
+    # 9=X1, 10=X2, 11=X3
+    rhs = fold_slots(t, [(1, 0), (2, 5, 9), (3, 6, 10),
+                         (8, 4, 7, 11)], [H, Ualg, H, H])
 
-            # rhs: um Th1 (x) (u0 Q1)_0 (Th2 v)_00 xr1
-            #      (x) (u0 Q1)_1 (Th2 v)_01 xr2
-            #      (x) S^-1(Th3) Q2 (Th2 v)_1 xr3
-            t = Th.insert(2, v).mul_slots(1, 2, Ualg)
-            # [T1, T2v, T3]
-            t = t.apply_at(1, Ab.rho).apply_at(1, Ab.rho)
-            # [T1, M00, M01, M1, T3]
-            t = t.insert(1, u).apply_at(1, Ab.lam)
-            # [T1, um, u0, M00, M01, M1, T3]
-            t = t.insert(3, q).mul_slots(2, 3, Ualg)
-            # [T1, um, N, Q2, M00, M01, M1, T3]   N = u0 Q1
-            t = t.apply_at(2, Ab.rho)
-            # 0=T1 1=um 2=N0 3=N1 4=Q2 5=M00 6=M01 7=M1 8=T3
-            t = t.apply_at(8, Hq.SInv)
-            t = t.insert(9, xr)
-            # 9=X1, 10=X2, 11=X3
-            rhs = fold_slots(t, [(1, 0), (2, 5, 9), (3, 6, 10),
-                                 (8, 4, 7, 11)], [H, Ualg, H, H])
-
-            rep.check(lhs == rhs, "mu-rearrangement-2",
-                      f"basis pair ({iu},{iv})")
+    for iu, iv in program_mismatches(lhs, rhs, (u, v)):
+        rep.add("mu-rearrangement-2", f"basis pair ({iu},{iv})")
     return rep
 
 
@@ -613,14 +607,6 @@ def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
 
 # -- diagonal products as generalized smash products over H (x) H^op ---------
 
-def bimodule_as_kmodule(Abi: BimoduleAlgebra, K: QuasiHopfAlgebra,
-                        check: bool = True) -> LeftModuleAlgebra:
-    """A bimodule algebra as a left module algebra over H (x) H^op via
-    (h x h').phi = h.phi.h'."""
-    from .actions import as_module_over_tensor
-    return as_module_over_tensor(Abi, K, check=check)
-
-
 def diag_as_gen_smash(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
                       check: bool = True) -> Report:
     """Each left diagonal product of a bicomodule algebra equals, bit
@@ -628,7 +614,7 @@ def diag_as_gen_smash(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
     corresponding induced comodule structure."""
     rep = Report()
     A1, A2, K = lambda12_structures(Ab, check=False)
-    Kmod = bimodule_as_kmodule(Abi, K, check=check)
+    Kmod = as_module_over_tensor(Abi, K, check=check)
     bow = diag_crossed(Abi, Ab, "bowtie", check=False)
     btr = diag_crossed(Abi, Ab, "btrl", check=False)
     s1 = gen_smash(Kmod, A1, check=False)
@@ -645,7 +631,7 @@ def diag_flavor_twist_iso(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
     """The two left diagonal products are isomorphic through the smash
     twist by the equivalence element of the two induced structures."""
     A1, A2, K = lambda12_structures(Ab, check=False)
-    Kmod = bimodule_as_kmodule(Abi, K, check=False)
+    Kmod = as_module_over_tensor(Abi, K, check=False)
     U = twist_equivalence_U(Ab, pair=(A1, A2, K), check=False)
     iso = iso_smash_twist(Kmod, A1, U, check=check)
     if check:
@@ -663,9 +649,10 @@ def quantum_double_gen_smash(Hq: QuasiHopfAlgebra,
                              check: bool = True) -> Report:
     """The quantum double, realized as the diagonal product of the dual
     with H, written as a generalized smash product over H (x) H^op."""
-    from .actions import dual_bimodule_algebra
     from .coactions import regular_bicomodule
-    dual = dual_bimodule_algebra(Hq, check=False)
+    from .ydrep import dual_of_bimodule_coalgebra, regular_bimodule_coalgebra
+    dual = dual_of_bimodule_coalgebra(
+        regular_bimodule_coalgebra(Hq, check=False), check=False)
     Ab = regular_bicomodule(Hq, check=False)
     return diag_as_gen_smash(dual, Ab, check=check)
 

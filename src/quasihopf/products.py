@@ -23,13 +23,15 @@ Kinds:
 * ``TwoSidedGenSmash`` / ``TwoSidedSmash``
                                         - module # bicomodule # module
 
-Pair programs are staged.  Each factor of a formula reads only some of
-the basis indices of the pair, so a constructor runs its program in
-nested loops, one loop per index, and each stage of the program sits in
-the loop of the last index it reads.  Work that reads (a, a') alone, for
-instance, runs once per (a, a'), not once per pair.  The innermost stage
-fills a table keyed by the indices it has read, and the per-pair
-function only finishes the product from that table.  Every algebra
+Each multiplication formula is written once, as a slot program
+(``tensors.Program``) over the basis indices of a pair: the chained
+``insert``, ``apply_at``, ``mul_slots`` and ``permute`` calls of the
+formula, with each inserted basis vector a variable.  The executor opens
+each variable's loop at the first step that reads it, so the order of
+the steps stages the work: a factor that reads (a, a') alone runs once
+per (a, a'), not once per pair.  A factor that reads only some indices
+but enters late (the (p, b) half of ``gen_two_sided_crossed``) is a
+sub-program, computed once per value of its own indices.  Every algebra
 product keeps the bracketing of the formula, so the structure tensor is
 the same as running the whole program on each pair, also when a factor
 is not associative.
@@ -46,15 +48,10 @@ from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         RightComoduleAlgebra, TwoSidedCoaction,
                         omega_from_coaction, regular_bicomodule,
                         two_sided_from_bicomodule)
-from .finalg import (FinAlgebra, Report, algebra_from_pair_fn,
+from .finalg import (FinAlgebra, Report, algebra_from_program,
                      check_algebra_map, verify_associative_unital)
 from .linalg import LinMap, prod, unflatten
-from .tensors import TensorElt, linmap_from_fn
-
-KINDS = ("Smash", "RightSmash", "GenSmash", "RightGenSmash", "QuasiSmash",
-         "LeftQuasiSmash", "DiagLGeneralDelta", "DiagRGeneralDelta",
-         "DiagBowtie", "DiagBtrl", "RDiagBowtie", "RDiagBtrl",
-         "GenTwoSidedCrossed", "TwoSidedGenSmash", "TwoSidedSmash")
+from .tensors import Program, TensorElt, Var, linmap_from_fn
 
 
 @dataclass
@@ -64,25 +61,6 @@ class ProductAlgebra:
     kind: str
     factors: tuple
     dims: tuple
-
-
-def _e(field, m, i) -> TensorElt:
-    """The basis vector e_i of one m-dimensional slot."""
-    return TensorElt.basis(field, (m,), (i,))
-
-
-def _times_basis(t: TensorElt, alg: FinAlgebra, i: int) -> TensorElt:
-    """``t`` with its last slot multiplied on the right by e_i of ``alg``,
-    read straight off the rows ``alg.rows[.][i]``."""
-    rows = alg.rows
-    num = {}
-    get = num.get
-    for idx, c in t.num.items():
-        head = idx[:-1]
-        for k, mc in rows[idx[-1]][i]:
-            nid = head + (k,)
-            num[nid] = get(nid, 0) + c * mc
-    return TensorElt.from_num(t.field, t.dims, num, t.den * alg.den)
 
 
 def _slot_embedding(field, dims, units, pos, width=1) -> LinMap:
@@ -110,15 +88,23 @@ def _check_subalgebras(rep, alg, dims, units, subs, width=1):
             rep.add(f"embedding {label}", msg)
 
 
-def _build(fld, dims, pair, units, name, check, subs=()):
-    """The algebra of ``pair`` with unit ``units[0] (x) units[1] ...``, and
-    with ``check`` the report of its associativity and ``subs`` slot maps."""
+def _pair_vars(dims):
+    """Variables for the basis indices of the left and the right factor
+    of a product on ``dims``."""
+    return ([Var(f"i{s}", m) for s, m in enumerate(dims)],
+            [Var(f"j{s}", m) for s, m in enumerate(dims)])
+
+
+def _build(prog, pair_vars, units, name, check, subs=()):
+    """The algebra of ``prog`` on the basis pairs ``pair_vars`` with unit
+    ``units[0] (x) units[1] ...``, and with ``check`` the report of its
+    associativity and ``subs`` slot maps."""
     unit = reduce(TensorElt.tensor, units)
-    alg = algebra_from_pair_fn(fld, dims, pair, unit, name=name, check=False)
+    alg = algebra_from_program(prog, *pair_vars, unit, name)
     if not check:
         return alg, Report()
     rep = verify_associative_unital(alg, limit=None)
-    _check_subalgebras(rep, alg, dims, units, subs)
+    _check_subalgebras(rep, alg, prog.dims, units, subs)
     return alg, rep
 
 
@@ -132,61 +118,30 @@ def _same_parent(*objs):
 
 # -- one- and two-factor smash products ---------------------------------------
 
-def _act_then_coact(fld, dims, Phi, action, Aalg, lam, Balg, H):
-    """Pair program of (a x b)(a' x b') = (x1.a)(x2 b_-1 . a') x x3 b_0 b'
-    for a left H-action on A, a left coaction ``lam`` on B and an
-    associator ``Phi`` = x1 x x2 x x3 in H (x) H (x) B."""
-    mA, mB = dims
-    # everything but b' once per (a, b, a'); each pair multiplies b' in
-    table = {}
-    for ia in range(mA):
-        x = Phi.insert(1, _e(fld, mA, ia)).apply_at(0, action)
-        # [x1.a, x2, x3]
-        for ib in range(mB):
-            t = x.insert(2, _e(fld, mB, ib)).apply_at(2, lam)
-            t = t.mul_slots(1, 2, H)
-            # [x1.a, x2 b-1, b0, x3]
-            for ia2 in range(mA):
-                s = t.insert(2, _e(fld, mA, ia2)).apply_at(1, action)
-                # [x1.a, x2 b-1.a', b0, x3]
-                table[ia, ib, ia2] = s.mul_slots(0, 1, Aalg) \
-                    .mul_slots(2, 1, Balg)
-                # [A, x3 b0]
-
-    def pair(idx_i, idx_j):
-        return _times_basis(table[idx_i + idx_j[:1]], Balg, idx_j[1])
-
-    return pair
+def _act_then_coact(dims, Phi, action, Aalg, lam, Balg, H):
+    """(a x b)(a' x b') = (x1.a)(x2 b_-1 . a') x x3 b_0 b' for a left
+    H-action on A, a left coaction ``lam`` on B and an associator ``Phi``
+    = x1 x x2 x x3 in H (x) H (x) B."""
+    (a, b), (a2, b2) = pv = _pair_vars(dims)
+    prog = Program(Phi).insert(1, a).apply_at(0, action) \
+        .insert(2, b).apply_at(2, lam).mul_slots(1, 2, H) \
+        .insert(2, a2).apply_at(1, action) \
+        .mul_slots(0, 1, Aalg).mul_slots(2, 1, Balg) \
+        .insert(2, b2).mul_slots(1, 2, Balg)
+    return prog, pv
 
 
-def _coact_then_act(fld, dims, rho, Phi, Aalg, action, Balg, H):
-    """Pair program of (a x b)(a' x b') = a a'_0 x1 x (b.a'_1 x2)(b'.x3)
-    for a right coaction ``rho`` on A, a right H-action on B and an
-    associator ``Phi`` = x1 x x2 x x3 in A (x) H (x) H."""
-    mA, mB = dims
-    # rho(a') x Phi once per a', everything but a once per (b, a', b');
-    # each pair multiplies a in
-    table = {}
-    for ia2 in range(mA):
-        x = _e(fld, mA, ia2).apply_at(0, rho).tensor(Phi)
-        # [a'0, a'1, x1, x2, x3]
-        x = x.mul_slots(1, 3, H)
-        # [a'0, a'1 x2, x1, x3]
-        for ib2 in range(mB):
-            t = x.insert(3, _e(fld, mB, ib2)).apply_at(3, action)
-            # [a'0, a'1 x2, x1, b'.x3]
-            for ib in range(mB):
-                s = t.insert(1, _e(fld, mB, ib)).apply_at(1, action)
-                # [a'0, b.a'1 x2, x1, b'.x3]
-                table[ib, ia2, ib2] = s.mul_slots(1, 3, Balg)
-                # [a'0, B, x1]
-
-    def pair(idx_i, idx_j):
-        t = table[idx_i[1:] + idx_j].insert(0, _e(fld, mA, idx_i[0]))
-        # [a, a'0, B, x1]
-        return t.mul_slots(0, 1, Aalg).mul_slots(0, 2, Aalg)
-
-    return pair
+def _coact_then_act(dims, rho, Phi, Aalg, action, Balg, H):
+    """(a x b)(a' x b') = a a'_0 x1 x (b.a'_1 x2)(b'.x3) for a right
+    coaction ``rho`` on A, a right H-action on B and an associator
+    ``Phi`` = x1 x x2 x x3 in A (x) H (x) H."""
+    (a, b), (a2, b2) = pv = _pair_vars(dims)
+    prog = Program.basis(Phi.field, a2).apply_at(0, rho).tensor(Phi) \
+        .mul_slots(1, 3, H) \
+        .insert(3, b2).apply_at(3, action) \
+        .insert(1, b).apply_at(1, action).mul_slots(1, 3, Balg) \
+        .insert(0, a).mul_slots(0, 1, Aalg).mul_slots(0, 2, Aalg)
+    return prog, pv
 
 
 def smash(Am: LeftModuleAlgebra, check: bool = True) -> ProductAlgebra:
@@ -197,9 +152,8 @@ def smash(Am: LeftModuleAlgebra, check: bool = True) -> ProductAlgebra:
     n, mA = Hq.n, Aalg.dim
     fld = Hq.field
     dims = (mA, n)
-    pair = _act_then_coact(fld, dims, Hq.PhiInv, Am.action, Aalg, Hq.Delta,
-                           H, H)
-    alg, rep = _build(fld, dims, pair, [Am.unit_elt(), Hq.unit_elt()],
+    prog = _act_then_coact(dims, Hq.PhiInv, Am.action, Aalg, Hq.Delta, H, H)
+    alg, rep = _build(*prog, [Am.unit_elt(), Hq.unit_elt()],
                       f"{Am.name}#{Hq.name}", check, [(1, H, "H")])
     if check:
         # (a#h)(1#h') = a#hh' and (1#h)(a#h') = h_1.a # h_2 h'
@@ -229,11 +183,9 @@ def right_smash(Bm: RightModuleAlgebra, check: bool = True) -> ProductAlgebra:
     H = Hq.H
     Balg = Bm.B
     n, mB = Hq.n, Balg.dim
-    fld = Hq.field
     dims = (n, mB)
-    pair = _coact_then_act(fld, dims, Hq.Delta, Hq.PhiInv, H, Bm.action,
-                           Balg, H)
-    alg, rep = _build(fld, dims, pair, [Hq.unit_elt(), Bm.unit_elt()],
+    prog = _coact_then_act(dims, Hq.Delta, Hq.PhiInv, H, Bm.action, Balg, H)
+    alg, rep = _build(*prog, [Hq.unit_elt(), Bm.unit_elt()],
                       f"{Hq.name}#{Bm.name}", check, [(0, H, "H")])
     rep.require(alg.name)
     return ProductAlgebra(alg, "RightSmash", (Bm,), dims)
@@ -254,11 +206,10 @@ def gen_smash(Am: LeftModuleAlgebra, Bfr, check: bool = True,
     Bco = _left_part(Bfr)
     Hq = _same_parent(Am, Bco)
     Aalg, Balg = Am.A, Bco.B
-    fld = Hq.field
     dims = (Aalg.dim, Balg.dim)
-    pair = _act_then_coact(fld, dims, Bco.PhiLamInv, Am.action, Aalg,
-                           Bco.lam, Balg, Hq.H)
-    alg, rep = _build(fld, dims, pair, [Am.unit_elt(), Bco.unit_elt()],
+    prog = _act_then_coact(dims, Bco.PhiLamInv, Am.action, Aalg, Bco.lam,
+                           Balg, Hq.H)
+    alg, rep = _build(*prog, [Am.unit_elt(), Bco.unit_elt()],
                       f"{Am.name}>*<{Bco.name}", check,
                       [(1, Balg, "comodule")])
     rep.require(alg.name)
@@ -272,11 +223,10 @@ def right_gen_smash(Afr, Bm: RightModuleAlgebra, check: bool = True,
     Aco = _right_part(Afr)
     Hq = _same_parent(Aco, Bm)
     Aalg, Balg = Aco.A, Bm.B
-    fld = Hq.field
     dims = (Aalg.dim, Balg.dim)
-    pair = _coact_then_act(fld, dims, Aco.rho, Aco.PhiRhoInv, Aalg,
-                           Bm.action, Balg, Hq.H)
-    alg, rep = _build(fld, dims, pair, [Aco.unit_elt(), Bm.unit_elt()],
+    prog = _coact_then_act(dims, Aco.rho, Aco.PhiRhoInv, Aalg, Bm.action,
+                           Balg, Hq.H)
+    alg, rep = _build(*prog, [Aco.unit_elt(), Bm.unit_elt()],
                       f"{Aco.name}>!<{Bm.name}", check,
                       [(0, Aalg, "comodule")])
     rep.require(alg.name)
@@ -296,9 +246,9 @@ def quasi_smash(Afr, Abi: BimoduleAlgebra,
     mA, mP = Aalg.dim, Palg.dim
     fld = Hq.field
     dims = (mA, mP)
-    pair = _coact_then_act(fld, dims, Aco.rho, Aco.PhiRhoInv, Aalg,
-                           Abi.right, Palg, Hq.H)
-    alg, _ = _build(fld, dims, pair, [Aco.unit_elt(), Abi.unit_elt()],
+    prog = _coact_then_act(dims, Aco.rho, Aco.PhiRhoInv, Aalg, Abi.right,
+                           Palg, Hq.H)
+    alg, _ = _build(*prog, [Aco.unit_elt(), Abi.unit_elt()],
                     f"{Aco.name}#~{Abi.name}", False)
     action = linmap_from_fn(
         fld, (Hq.n, mA * mP), (mA * mP,),
@@ -318,9 +268,9 @@ def left_quasi_smash(Abi: BimoduleAlgebra, Bfr,
     mP, mB = Palg.dim, Balg.dim
     fld = Hq.field
     dims = (mP, mB)
-    pair = _act_then_coact(fld, dims, Bco.PhiLamInv, Abi.left, Palg,
-                           Bco.lam, Balg, Hq.H)
-    alg, _ = _build(fld, dims, pair, [Abi.unit_elt(), Bco.unit_elt()],
+    prog = _act_then_coact(dims, Bco.PhiLamInv, Abi.left, Palg, Bco.lam,
+                           Balg, Hq.H)
+    alg, _ = _build(*prog, [Abi.unit_elt(), Bco.unit_elt()],
                     f"{Abi.name}#~{Bco.name}", False)
     action = linmap_from_fn(
         fld, (mP * mB, Hq.n), (mP * mB,),
@@ -332,77 +282,38 @@ def left_quasi_smash(Abi: BimoduleAlgebra, Bfr,
 
 # -- diagonal crossed products ------------------------------------------------
 
-def _diag_left_pair(Abi, d, Om):
+def _diag_left_program(Abi, d, Om):
     """(p >< u)(p' >< u') = (O1.p.O5)(O2 u_-1 . p' . S^{-1}(u_1) O4)
     >< O3 u_0 u'."""
-    Hq = Abi.Hq
-    H = Hq.H
+    Hq, H = Abi.Hq, Abi.Hq.H
     Palg, Ualg = Abi.A, d.A
-    mP, mU = Palg.dim, Ualg.dim
-    fld = Hq.field
-    dims = (mP, mU)
-    # O1.p.O5 once per p, delta(u) once per (p, u), everything but u'
-    # once per (p, u, p'); each pair multiplies u' in
-    table = {}
-    for ip in range(mP):
-        x = Om.insert(1, _e(fld, mP, ip)).apply_at(0, Abi.left)
-        x = x.permute((0, 4, 1, 2, 3)).apply_at(0, Abi.right)
-        # [O1.p.O5, O2, O3, O4]
-        for iu in range(mU):
-            t = x.insert(4, _e(fld, mU, iu)).apply_at(4, d.delta)
-            # [P, O2, O3, O4, u-1, u0, u1]
-            t = t.mul_slots(1, 4, H)
-            t = t.apply_at(5, Hq.SInv).mul_slots(5, 3, H)
-            # [P, O2 u-1, O3, u0, S^{-1}(u1) O4]
-            for ip2 in range(mP):
-                s = t.insert(2, _e(fld, mP, ip2)).apply_at(1, Abi.left)
-                s = s.permute((0, 1, 4, 2, 3)).apply_at(1, Abi.right)
-                # [P, O2 u-1.p'.S^{-1}(u1) O4, O3, u0]
-                table[ip, iu, ip2] = s.mul_slots(0, 1, Palg) \
-                    .mul_slots(1, 2, Ualg)
-                # [P P', O3 u0]
-
-    def pair(idx_i, idx_j):
-        return _times_basis(table[idx_i + idx_j[:1]], Ualg, idx_j[1])
-
-    return dims, pair
+    (p, u), (p2, u2) = pv = _pair_vars((Palg.dim, Ualg.dim))
+    prog = Program(Om).insert(1, p).apply_at(0, Abi.left) \
+        .permute((0, 4, 1, 2, 3)).apply_at(0, Abi.right) \
+        .insert(4, u).apply_at(4, d.delta).mul_slots(1, 4, H) \
+        .apply_at(5, Hq.SInv).mul_slots(5, 3, H) \
+        .insert(2, p2).apply_at(1, Abi.left) \
+        .permute((0, 1, 4, 2, 3)).apply_at(1, Abi.right) \
+        .mul_slots(0, 1, Palg).mul_slots(1, 2, Ualg) \
+        .insert(2, u2).mul_slots(1, 2, Ualg)
+    return prog, pv
 
 
-def _diag_right_pair(Abi, d, Omp):
+def _diag_right_program(Abi, d, Omp):
     """(u >< p)(u' >< p') = u u'_0 O'3 ><
     (O'2 S^{-1}(u'_-1).p.u'_1 O'4)(O'1.p'.O'5)."""
-    Hq = Abi.Hq
-    H = Hq.H
+    Hq, H = Abi.Hq, Abi.Hq.H
     Palg, Ualg = Abi.A, d.A
-    mU, mP = Ualg.dim, Palg.dim
-    fld = Hq.field
-    dims = (mU, mP)
-    # delta(u') and its H products once per u', u once per (u, u'), p
-    # once per (u, p, u'); each pair acts with p'
-    table = {}
-    for iu2 in range(mU):
-        x = Omp.insert(0, _e(fld, mU, iu2)).apply_at(0, d.delta)
-        # [u'-1, u'0, u'1, O'1, O'2, O'3, O'4, O'5]
-        x = x.apply_at(0, Hq.SInv).mul_slots(4, 0, H)
-        x = x.mul_slots(1, 5, H)
-        # [u'0, u'1 O'4, O'1, O'2 S^{-1}(u'-1), O'3, O'5]
-        for iu in range(mU):
-            t = x.insert(0, _e(fld, mU, iu))
-            t = t.mul_slots(0, 1, Ualg).mul_slots(0, 4, Ualg)
-            # [u u'0 O'3, u'1 O'4, O'1, O'2 S^{-1}(u'-1), O'5]
-            for ip in range(mP):
-                s = t.insert(4, _e(fld, mP, ip)).apply_at(3, Abi.left)
-                s = s.permute((0, 2, 3, 1, 4)).apply_at(2, Abi.right)
-                table[iu, ip, iu2] = s
-                # [U, O'1, O'2 S^{-1}(u'-1).p.u'1 O'4, O'5]
-
-    def pair(idx_i, idx_j):
-        t = table[idx_i + idx_j[:1]]
-        t = t.insert(2, _e(fld, mP, idx_j[1])).apply_at(1, Abi.left)
-        t = t.permute((0, 2, 1, 3)).apply_at(2, Abi.right)
-        return t.mul_slots(1, 2, Palg)
-
-    return dims, pair
+    (u, p), (u2, p2) = pv = _pair_vars((Ualg.dim, Palg.dim))
+    prog = Program(Omp).insert(0, u2).apply_at(0, d.delta) \
+        .apply_at(0, Hq.SInv).mul_slots(4, 0, H).mul_slots(1, 5, H) \
+        .insert(0, u).mul_slots(0, 1, Ualg).mul_slots(0, 4, Ualg) \
+        .insert(4, p).apply_at(3, Abi.left) \
+        .permute((0, 2, 3, 1, 4)).apply_at(2, Abi.right) \
+        .insert(2, p2).apply_at(1, Abi.left) \
+        .permute((0, 2, 1, 3)).apply_at(2, Abi.right) \
+        .mul_slots(1, 2, Palg)
+    return prog, pv
 
 
 def diag_crossed_general(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
@@ -417,14 +328,14 @@ def diag_crossed_general(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
     if side == "left":
         if Om is None:
             Om = omega_from_coaction(d)
-        dims, pair = _diag_left_pair(Abi, d, Om)
+        prog = _diag_left_program(Abi, d, Om)
         units = [Abi.unit_elt(), d.unit_elt()]
         sub_pos = 1
         kind = kind or "DiagLGeneralDelta"
     elif side == "right":
         if Om is None:
             Om = omega_from_coaction(d, primed=True)
-        dims, pair = _diag_right_pair(Abi, d, Om)
+        prog = _diag_right_program(Abi, d, Om)
         units = [d.unit_elt(), Abi.unit_elt()]
         sub_pos = 0
         kind = kind or "DiagRGeneralDelta"
@@ -432,8 +343,7 @@ def diag_crossed_general(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
         raise ValueError("side must be 'left' or 'right'")
     name = f"{Abi.name}><{d.name}" if side == "left" \
         else f"{d.name}><{Abi.name}"
-    alg, rep = _build(fld, dims, pair, units, name, check,
-                      [(sub_pos, d.A, "middle")])
+    alg, rep = _build(*prog, units, name, check, [(sub_pos, d.A, "middle")])
     if check:
         # mixed products of the two unital copies recover the generators
         mP, mU = Abi.A.dim, d.A.dim
@@ -451,7 +361,7 @@ def diag_crossed_general(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
             rep.check(got == want.to_flat(), "generator-recombination",
                       f"pair ({ip},{iu})")
     rep.require(name)
-    return ProductAlgebra(alg, kind, factors or (Abi, d), dims)
+    return ProductAlgebra(alg, kind, factors or (Abi, d), prog[0].dims)
 
 
 _DIAG_FLAVORS = {
@@ -486,50 +396,21 @@ def gen_two_sided_crossed(Afr, Abi: BimoduleAlgebra, Bfr,
     Hq = _same_parent(Aco, Abi, Bco)
     H = Hq.H
     Aalg, Palg, Balg = Aco.A, Abi.A, Bco.B
-    mA, mP, mB = Aalg.dim, Palg.dim, Balg.dim
     fld = Hq.field
-    dims = (mA, mP, mB)
-    # the halves that depend on part of the pair only: PhiRhoInv enters
-    # once per (a, a'), PhiLamInv once per b and p once per (p, b)
-    outer = {}
-    for ia in range(mA):
-        for ia2 in range(mA):
-            t = TensorElt.basis(fld, (mA, mA), (ia, ia2))
-            t = t.apply_at(1, Aco.rho).insert(3, Aco.PhiRhoInv)
-            # [a, a'0, a'1, xr1, xr2, xr3]
-            t = t.mul_slots(0, 1, Aalg).mul_slots(0, 2, Aalg)
-            outer[ia, ia2] = t.mul_slots(1, 2, H)
-            # [a a'0 xr1, a'1 xr2, xr3]
-    inner = {}
-    for ib in range(mB):
-        t = Bco.PhiLamInv.insert(3, _e(fld, mB, ib)).apply_at(3, Bco.lam)
-        # [xl1, xl2, xl3, b-1, b0]
-        t = t.mul_slots(1, 3, H).mul_slots(2, 3, Balg)
-        # [xl1, xl2 b-1, xl3 b0]
-        for ip in range(mP):
-            inner[ip, ib] = t.insert(1, _e(fld, mP, ip)) \
-                .apply_at(0, Abi.left)
-            # [xl1.p, xl2 b-1, xl3 b0]
-    # everything but b' once per (a, p, b, a', p'); each pair
-    # multiplies b' in
-    table = {}
-    for (ia, ia2), a_half in outer.items():
-        for (ip, ib), b_half in inner.items():
-            t = a_half.tensor(b_half).permute((0, 3, 1, 2, 4, 5))
-            # [A, xl1.p, a'1 xr2, xr3, xl2 b-1, xl3 b0]
-            t = t.apply_at(1, Abi.right)
-            # [A, P1, xr3, xl2 b-1, xl3 b0]
-            for ip2 in range(mP):
-                s = t.insert(4, _e(fld, mP, ip2)).apply_at(3, Abi.left)
-                # [A, P1, xr3, P2, xl3 b0]
-                s = s.permute((0, 1, 3, 2, 4)).apply_at(2, Abi.right)
-                table[ia, ip, ib, ia2, ip2] = s.mul_slots(1, 2, Palg)
-                # [A, P1 P2, xl3 b0]
-
-    def pair(idx_i, idx_j):
-        return _times_basis(table[idx_i + idx_j[:2]], Balg, idx_j[2])
-
-    alg, rep = _build(fld, dims, pair,
+    dims = (Aalg.dim, Palg.dim, Balg.dim)
+    (a, p, b), (a2, p2, b2) = pv = _pair_vars(dims)
+    # the half that reads (p, b) alone is computed once per (p, b)
+    inner = Program(Bco.PhiLamInv).insert(3, b).apply_at(3, Bco.lam) \
+        .mul_slots(1, 3, H).mul_slots(2, 3, Balg) \
+        .insert(1, p).apply_at(0, Abi.left)
+    prog = Program.basis(fld, a, a2).apply_at(1, Aco.rho) \
+        .insert(3, Aco.PhiRhoInv) \
+        .mul_slots(0, 1, Aalg).mul_slots(0, 2, Aalg).mul_slots(1, 2, H) \
+        .tensor(inner).permute((0, 3, 1, 2, 4, 5)).apply_at(1, Abi.right) \
+        .insert(4, p2).apply_at(3, Abi.left) \
+        .permute((0, 1, 3, 2, 4)).apply_at(2, Abi.right) \
+        .mul_slots(1, 2, Palg).insert(3, b2).mul_slots(2, 3, Balg)
+    alg, rep = _build(prog, pv,
                       [Aco.unit_elt(), Abi.unit_elt(), Bco.unit_elt()],
                       f"{Aco.name}><{Abi.name}><{Bco.name}", check,
                       [(0, Aalg, "outer-left"), (2, Balg, "outer-right")])
@@ -546,49 +427,23 @@ def two_sided_gen_smash(Am: LeftModuleAlgebra, Ab: BicomoduleAlgebra,
     Hq = _same_parent(Am, Ab, Bm)
     H = Hq.H
     Aalg, Ualg, Balg = Am.A, Ab.A, Bm.B
-    mA, mU, mB = Aalg.dim, Ualg.dim, Balg.dim
     fld = Hq.field
-    dims = (mA, mU, mB)
-    right_u = []
-    for iu in range(mU):
-        t = _e(fld, mU, iu).apply_at(0, Ab.rho)
-        right_u.append(t.tensor(Ab.right.PhiRhoInv))
-        # [u'0, u'1, xr1, xr2, xr3]
-    # PhiLamInv and PhiLRInv enter once per u, a once per (a, u), a' once
-    # per (a, u, a'), rho(u') x PhiRhoInv once per (a, u, a', u') after
-    # the A products, and b once per (a, u, b, a', u'); each pair acts
-    # with b'
-    xt = Ab.left.PhiLamInv.tensor(Ab.PhiLRInv)
-    table = {}
-    for iu in range(mU):
-        x = xt.insert(3, _e(fld, mU, iu)).apply_at(3, Ab.lam)
-        # [xl1, xl2, xl3, u-1, u0, t1, t2, t3]
-        x = x.mul_slots(1, 3, H).mul_slots(1, 4, H)
-        x = x.mul_slots(2, 3, Ualg).mul_slots(2, 3, Ualg)
-        # [xl1, xl2 u-1 t1, xl3 u0 t2, t3]
-        for ia in range(mA):
-            y = x.insert(1, _e(fld, mA, ia)).apply_at(0, Am.action)
-            for ia2 in range(mA):
-                t = y.insert(2, _e(fld, mA, ia2)).apply_at(1, Am.action)
-                t = t.mul_slots(0, 1, Aalg)
-                # [A, xl3 u0 t2, t3]
-                for iu2 in range(mU):
-                    s = t.insert(3, right_u[iu2])
-                    # [A, xl3 u0 t2, t3, u'0, u'1, xr1, xr2, xr3]
-                    s = s.mul_slots(1, 3, Ualg).mul_slots(1, 4, Ualg)
-                    # [A, U, t3, u'1, xr2, xr3]
-                    s = s.mul_slots(2, 3, H).mul_slots(2, 3, H)
-                    # [A, U, t3 u'1 xr2, xr3]
-                    for ib in range(mB):
-                        table[ia, iu, ib, ia2, iu2] = s.insert(
-                            2, _e(fld, mB, ib)).apply_at(2, Bm.action)
-                        # [A, U, b.t3 u'1 xr2, xr3]
-
-    def pair(idx_i, idx_j):
-        t = table[idx_i + idx_j[:2]].insert(3, _e(fld, mB, idx_j[2]))
-        return t.apply_at(3, Bm.action).mul_slots(2, 3, Balg)
-
-    alg, rep = _build(fld, dims, pair,
+    dims = (Aalg.dim, Ualg.dim, Balg.dim)
+    (a, u, b), (a2, u2, b2) = pv = _pair_vars(dims)
+    # rho(u') x PhiRhoInv is computed once per u'
+    right_u = Program.basis(fld, u2).apply_at(0, Ab.rho) \
+        .tensor(Ab.right.PhiRhoInv)
+    prog = Program(Ab.left.PhiLamInv.tensor(Ab.PhiLRInv)) \
+        .insert(3, u).apply_at(3, Ab.lam) \
+        .mul_slots(1, 3, H).mul_slots(1, 4, H) \
+        .mul_slots(2, 3, Ualg).mul_slots(2, 3, Ualg) \
+        .insert(1, a).apply_at(0, Am.action) \
+        .insert(2, a2).apply_at(1, Am.action).mul_slots(0, 1, Aalg) \
+        .insert(3, right_u).mul_slots(1, 3, Ualg).mul_slots(1, 4, Ualg) \
+        .mul_slots(2, 3, H).mul_slots(2, 3, H) \
+        .insert(2, b).apply_at(2, Bm.action) \
+        .insert(3, b2).apply_at(3, Bm.action).mul_slots(2, 3, Balg)
+    alg, rep = _build(prog, pv,
                       [Am.unit_elt(), Ab.unit_elt(), Bm.unit_elt()],
                       f"{Am.name}#{Ab.name}#{Bm.name}", check,
                       [(1, Ualg, "middle")])

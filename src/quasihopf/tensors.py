@@ -14,6 +14,19 @@ a short program over these combinators:
 Linear maps are built from their values on basis tensors
 (``linmap_from_fn``) and composed through ``apply_at`` (``compose``).
 
+A formula evaluated on every basis tuple (a product on basis pairs, the
+two sides of an axiom on basis triples) is a slot program: a ``Program``
+chains the same combinator calls, and each basis vector it inserts is a
+variable (``Var``).  One executor, ``run_program``, runs a program for
+every value of its variables.  It opens each variable's loop at the
+first step that reads it, so each step runs once per value of the
+variables read up to it; an inserted sub-program is computed once per
+value of its own variables and kept for the run; and a basis vector is
+never built, its insert and a contraction right after it read the map's
+columns or the algebra's rows directly.  The values stream to a sink:
+``finalg.algebra_from_program`` keeps each as a sparse row, and
+``program_mismatches`` compares two programs in lexicographic order.
+
 An element is stored as integer numerators over one shared denominator:
 ``num`` maps multi-index tuples to nonzero ints and ``den`` is a
 positive int, so the coefficient at ``idx`` is ``num[idx] / den``.  Over
@@ -34,7 +47,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, methodcaller
+from typing import NamedTuple
 
 from .fields import Field
 from .linalg import LinMap, flat_index, prod, unflatten
@@ -382,15 +396,242 @@ def fold_slots(t: TensorElt, groups, algebras) -> TensorElt:
     return t
 
 
-def over_one_den(values, key=None):
-    """``(D, lists)`` for the elements ``values``: each becomes its terms
-    ``[(key[idx], D * coefficient), ...]`` sorted by key (by ``idx``
-    when ``key`` is None), over D, the lcm of their denominators.  For
-    canonical elements this is the canonical form of the table they fill.
+# -- slot programs -------------------------------------------------------------
+
+class Var(NamedTuple):
+    """A basis index of a slot program: inserting it inserts the basis
+    vector e_i of a ``dim``-dimensional slot, once for each value i."""
+    name: str
+    dim: int
+
+
+class Program:
+    """A start element and a chain of ``insert``, ``apply_at``,
+    ``mul_slots`` and ``permute`` steps; an inserted operand is a
+    TensorElt, a Var or a Program.  ``dims`` are the slot dimensions of
+    the result, ``vars`` the variables in the order steps first read them.
     """
-    pairs = [(t.den, sorted(t.num.items() if key is None else
-                            [(key[idx], c) for idx, c in t.num.items()]))
-             for t in values]
+
+    __slots__ = ("start", "steps", "dims", "vars")
+
+    def __init__(self, start: TensorElt, steps=(), dims=None, vars=()):
+        self.start = start
+        self.steps = steps
+        self.dims = start.dims if dims is None else tuple(dims)
+        self.vars = vars
+
+    @property
+    def field(self) -> Field:
+        return self.start.field
+
+    @staticmethod
+    def basis(field: Field, *variables) -> "Program":
+        """e_v1 (x) ... (x) e_vk for the variables ``variables``."""
+        prog = Program(TensorElt.scalar(field, field.one()))
+        for v in variables:
+            prog = prog.tensor(v)
+        return prog
+
+    def fix(self, v: Var, i: int) -> "Program":
+        """The program with the variable ``v`` fixed to the value ``i``."""
+        e = TensorElt.basis(self.field, (v.dim,), (i,))
+        steps = tuple(
+            s if s[0] != "insert" else s[:2] + (
+                e if s[2] == v else s[2].fix(v, i)
+                if isinstance(s[2], Program) and v in s[2].vars else s[2],)
+            for s in self.steps)
+        return Program(self.start, steps, self.dims,
+                       tuple(w for w in self.vars if w != v))
+
+    def _then(self, step, dims, reads=()) -> "Program":
+        new = tuple(v for v in reads if v not in self.vars)
+        return Program(self.start, self.steps + (step,), dims,
+                       self.vars + new)
+
+    def insert(self, pos: int, x) -> "Program":
+        """Tensor ``x`` (a TensorElt, a Var or a Program) into ``pos``."""
+        dims, reads = ((x.dim,), (x,)) if isinstance(x, Var) \
+            else (x.dims, getattr(x, "vars", ()))
+        return self._then(("insert", pos, x),
+                          self.dims[:pos] + dims + self.dims[pos:], reads)
+
+    def tensor(self, x) -> "Program":
+        return self.insert(len(self.dims), x)
+
+    def apply_at(self, pos: int, lm: LinMap) -> "Program":
+        end = pos + len(lm.in_dims)
+        if self.dims[pos:end] != lm.in_dims:
+            raise ValueError(f"slots {self.dims[pos:end]} do not match map "
+                             f"input {lm.in_dims}")
+        return self._then(("apply_at", pos, lm),
+                          self.dims[:pos] + lm.out_dims + self.dims[end:])
+
+    def mul_slots(self, pos_a: int, pos_b: int, algebra) -> "Program":
+        if pos_a == pos_b or not (self.dims[pos_a] == self.dims[pos_b]
+                                  == algebra.dim):
+            raise ValueError("slots must differ and match the algebra")
+        return self._then(("mul_slots", pos_a, pos_b, algebra),
+                          [d for t, d in enumerate(self.dims) if t != pos_b])
+
+    def permute(self, perm) -> "Program":
+        return self._then(("permute", tuple(perm)),
+                          [self.dims[s] for s in perm])
+
+
+def _read_basis(t: TensorElt, plan, cols, den: int, dims, i: int):
+    """Insert e_i and contract it, reading the images off ``cols`` (over
+    ``den``): ``plan`` lists the terms of ``t`` as (slots before the
+    ones read, key slots before e_i, key slots after e_i, slots after,
+    coefficient); ``dims`` are the result's."""
+    num = {}
+    get = num.get
+    for head, pre, post, tail, c in plan:
+        for out, mc in cols[pre + (i,) + post]:
+            nid = head + out + tail
+            num[nid] = get(nid, 0) + c * mc
+    return _normal(t.field, dims, num, t.den * den)
+
+
+def _reader(pos: int, step, dim: int, vals, s: int):
+    """``(prepare, used)``: ``prepare(t)`` gives the function that
+    inserts e_i, i = ``vals[s]``, into ``t`` at ``pos`` through
+    ``_read_basis`` and, when ``step`` contracts e_i (``used``), runs
+    ``step`` too.  A contraction reads e_i as key position ``at`` with
+    the ``w`` slots of ``t`` from ``lo``, and writes its images in their
+    place."""
+    lo, w, at, den, out, used = pos, 0, 0, 1, (dim,), False
+    cols = {(i,): [((i,), 1)] for i in range(dim)}
+    kind = step[0] if step else None
+    if kind == "apply_at" and step[1] <= pos < step[1] + len(step[2].in_dims):
+        lm = step[2]
+        lo, w, at, used = step[1], len(lm.in_dims) - 1, pos - step[1], True
+        cols, den, out = lm.cols, lm.den, lm.out_dims
+    elif kind == "mul_slots":
+        _, a, b, alg = step
+        b_pre = b if b < pos else b - 1
+        if b == pos:                    # t[a] e_i
+            lo, at, used = (a if a < pos else a - 1), 1, True
+        elif a == pos and (a if a < b else a - 1) == b_pre:
+            lo, at, used = b_pre, 0, True   # e_i t[b], where t[b] was
+        if used:
+            n, rows = alg.dim, alg.rows
+            w, den, out = 1, alg.den, (n,)
+            cols = {(x, y): [((k,), c) for k, c in rows[x][y]]
+                    for x in range(n) for y in range(n)}
+
+    def prepare(t):
+        plan = [(idx[:lo], idx[lo:lo + at], idx[lo + at:lo + w],
+                 idx[lo + w:], c) for idx, c in t.num.items()]
+        dims = t.dims[:lo] + out + t.dims[lo + w:]
+        return lambda: _read_basis(t, plan, cols, den, dims, vals[s])
+    return prepare, used
+
+
+def run_program(prog: Program, order, sink) -> None:
+    """Evaluate ``prog`` for every value of the variables ``order`` (each
+    variable it reads, once) and call ``sink(offset, value)`` for each,
+    ``offset`` being the row-major position of the value tuple.  The
+    steps are compiled once into nested loops, each variable's opened at
+    the first step that reads it (see the module docstring)."""
+    order = tuple(order)
+    if len(set(order)) != len(order) or set(order) != set(prog.vars):
+        raise ValueError("order must list each variable the program reads")
+    slot = {v: s for s, v in enumerate(order)}
+    vals = [0] * len(order)     # the current value of each variable
+    offs = [0] * len(order)     # its share of the row-major position
+
+    def strides(variables):
+        """{slot: row-major stride} of ``variables``."""
+        out, size = {}, 1
+        for v in reversed(variables):
+            out[slot[v]] = size
+            size *= v.dim
+        return out
+
+    stride = strides(order)
+
+    def inserter(pos, sub):
+        """Insert the value of ``sub`` at its variables' current values;
+        all of its values are computed first, once."""
+        values = [None] * prod(v.dim for v in sub.vars)
+        run_program(sub, sub.vars, values.__setitem__)
+        key = strides(sub.vars).items()
+        return lambda t: lambda: t.insert(
+            pos, values[sum(vals[s] * st for s, st in key)])
+
+    def stage(ops, new, prepare, nxt):
+        """Run ``ops``, then ``nxt`` on ``prepare(t)()`` per value of ``new``."""
+        combos = [tuple((slot[v], i, i * stride[slot[v]])
+                        for v, i in zip(new, combo))
+                  for combo in product(*(range(v.dim) for v in new))]
+
+        def run(t):
+            for op in ops:
+                t = op(t)
+            value = prepare(t)
+            for combo in combos:
+                for s, i, off in combo:
+                    vals[s] = i
+                    offs[s] = off
+                nxt(value())
+        return run
+
+    # each segment: the steps that read no variable, then one that does,
+    # in the loops of the variables it reads first
+    segments, ops, bound = [], [], set()
+    steps = prog.steps + (None,)
+    k = 0
+    while steps[k] is not None:
+        step, k = steps[k], k + 1
+        x = step[2] if step[0] == "insert" else None
+        if isinstance(x, Var):
+            prepare, used = _reader(step[1], steps[k], x.dim, vals, slot[x])
+            k += used
+        elif isinstance(x, Program):
+            prepare = inserter(step[1], x)
+        else:
+            ops.append(methodcaller(*step))
+            continue
+        new = [v for v in getattr(x, "vars", (x,)) if v not in bound]
+        segments.append((ops, new, prepare))
+        bound.update(new)
+        ops = []
+    run = lambda t: sink(sum(offs), t)
+    if ops:
+        run = stage(ops, (), lambda t: lambda: t, run)
+    for ops, new, prepare in reversed(segments):
+        run = stage(ops, new, prepare, run)
+    run(prog.start)
+
+
+def program_mismatches(lhs: Program, rhs: Program, order,
+                       limit: int | None = None) -> list:
+    """The value tuples of ``order`` at which the two programs differ, in
+    lexicographic order, stopping after ``limit`` of them.  The programs
+    run once per value of the first variable of ``order``, so only that
+    share of one program's values is held at a time."""
+    if lhs.dims != rhs.dims:
+        raise ValueError("programs differ in slot shape")
+    head, rest = order[0], tuple(order[1:])
+    dims = tuple(v.dim for v in order)
+    chunk = prod(dims[1:])
+    want = [None] * chunk
+    bad = []
+    for i in range(head.dim):
+        def compare(off, t, base=i * chunk):
+            if t != want[off]:
+                bad.append(base + off)
+
+        run_program(lhs.fix(head, i), rest, want.__setitem__)
+        run_program(rhs.fix(head, i), rest, compare)
+        if limit is not None and len(bad) >= limit:
+            break
+    return [unflatten(dims, off) for off in sorted(bad)[:limit]]
+
+
+def one_den(pairs):
+    """``(D, lists)`` for ``(den, terms)`` pairs: each list scaled from
+    its ``den`` to D, the lcm of them all."""
     D = lcm(*(d for d, _ in pairs))
     return D, [lst if d == D else [(k, c * (D // d)) for k, c in lst]
                for d, lst in pairs]
@@ -409,7 +650,7 @@ def linmap_from_fn(field: Field, in_dims, out_dims, fn) -> LinMap:
                 raise ValueError("fn returned wrong slot shape")
             yield res
 
-    den, cols = over_one_den(values())
+    den, cols = one_den([(t.den, sorted(t.num.items())) for t in values()])
     return LinMap(field, in_dims, out_dims, den, dict(zip(basis, cols)))
 
 

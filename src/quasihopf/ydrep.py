@@ -150,45 +150,33 @@ def regular_bimodule_coalgebra(Hq: QuasiHopfAlgebra,
 def dual_of_bimodule_coalgebra(C: BimoduleCoalgebra,
                                check: bool = True) -> BimoduleAlgebra:
     """The convolution algebra on the dual coordinates of C, a bimodule
-    algebra with (h -> c* <- h')(c) = c*(h'.c.h)."""
-    Hq = C.Hq
+    algebra with (h -> c* <- h')(c) = c*(h'.c.h), read off the integer
+    columns of C's structure maps."""
     fld = C.field
-    n, m = Hq.n, C.dim
-    zero = fld.zero()
-    # (e^i e^j)(c_k) = coefficient of (i, j) in comul(c_k)
-    mul = [[[zero] * m for _ in range(m)] for _ in range(m)]
+    n, m = C.Hq.n, C.dim
+    # e^i e^j = sum_k comul(c_k)[(i, j)] e^k
+    rows = [[[] for _ in range(m)] for _ in range(m)]
     for k in range(m):
-        d = C.basis_elt(k).apply_at(0, C.comul)
-        for (i, j), v in d.terms.items():
-            mul[i][j][k] = v
-    unit = [C.basis_elt(k).drop_slot(0, C.counit).terms.get((), zero)
-            for k in range(m)]
-    dual = FinAlgebra(fld, mul, unit,
-                      name=f"{C.name}*" if C.name else "", check=False)
-
-    def left_fn(idx):
-        ih, i = idx
-        out = {}
-        for k in range(m):
-            t = TensorElt.basis(fld, (m, n), (k, ih)).apply_at(0, C.right)
-            v = t.terms.get((i,))
-            if v:
-                out[(k,)] = v
-        return TensorElt(fld, (m,), out)
-
-    def right_fn(idx):
-        i, ih = idx
-        out = {}
-        for k in range(m):
-            t = TensorElt.basis(fld, (n, m), (ih, k)).apply_at(0, C.left)
-            v = t.terms.get((i,))
-            if v:
-                out[(k,)] = v
-        return TensorElt(fld, (m,), out)
-
-    left = linmap_from_fn(fld, (n, m), (m,), left_fn)
-    right = linmap_from_fn(fld, (m, n), (m,), right_fn)
-    return BimoduleAlgebra(Hq, dual, left, right, name=dual.name,
+        for (i, j), c in C.comul.cols[(k,)]:
+            rows[i][j].append((k, c))
+    unit = TensorElt.from_num(fld, (m,), {
+        idx: c for idx, col in C.counit.cols.items() for _, c in col},
+        C.counit.den).to_flat()
+    dual = FinAlgebra.from_int_rows(fld, C.comul.den, rows, unit,
+                                    name=f"{C.name}*" if C.name else "")
+    # (e_a -> e^i) = sum_k (c_k . e_a)[i] e^k and
+    # (e^i <- e_a) = sum_k (e_a . c_k)[i] e^k
+    left = {(a, i): [] for a in range(n) for i in range(m)}
+    right = {(i, a): [] for i in range(m) for a in range(n)}
+    for k in range(m):
+        for a in range(n):
+            for (i,), c in C.right.cols[(k, a)]:
+                left[(a, i)].append(((k,), c))
+            for (i,), c in C.left.cols[(a, k)]:
+                right[(i, a)].append(((k,), c))
+    left = LinMap(fld, (n, m), (m,), C.right.den, left)
+    right = LinMap(fld, (m, n), (m,), C.left.den, right)
+    return BimoduleAlgebra(C.Hq, dual, left, right, name=dual.name,
                            check=check)
 
 

@@ -5,15 +5,15 @@ import pytest
 from quasihopf.actions import (BimoduleAlgebra, LeftModuleAlgebra,
                                RightModuleAlgebra, as_module_over_tensor,
                                bar_construction, bimodule_to_left,
-                               bimodule_to_right, dual_bimodule_algebra,
+                               bimodule_to_right,
                                left_to_bimodule, right_to_bimodule,
                                tensor_bimodule, trivial_left_action,
                                trivial_right_action, twist_action)
 from quasihopf.corpus import adjoint_module_algebra
 from quasihopf.fields import QQ
-from quasihopf.finalg import opposite
+from quasihopf.finalg import mul_linmap, opposite
 from quasihopf.quasihopf import tensor_qh
-from quasihopf.tensors import TensorElt
+from quasihopf.tensors import TensorElt, linmap_from_fn
 
 from conftest import entry
 
@@ -124,3 +124,79 @@ def test_as_module_over_tensor(name):
                 want = h.tensor(phi).apply_at(0, Du.left).tensor(hp) \
                     .apply_at(0, Du.right)
                 assert got == want
+
+
+# -- corrupted actions: the failure lines, recorded from the per-index scan
+# that the staged comparison replaced (same witnesses, order and limit) --
+
+def _h_acting_by_multiplication(name):
+    Hq = entry(name)["H"]
+    return Hq, mul_linmap(Hq.H)
+
+
+def test_left_module_verify_reports_a_corrupted_action():
+    # H2 acting on itself by left multiplication
+    Hq, mul = _h_acting_by_multiplication("H2")
+    rep = LeftModuleAlgebra(Hq, Hq.H, mul, check=False).verify()
+    assert rep.failures == [
+        "product-pentagon: basis (0, 0, 0)",
+        "product-pentagon: basis (0, 0, 1)",
+        "product-pentagon: basis (0, 1, 0)",
+        "product-pentagon: basis (0, 1, 1)",
+        "product-pentagon: basis (1, 0, 0)",
+        "product-pentagon: basis (1, 0, 1)",
+        "product-pentagon: basis (1, 1, 0)",
+        "product-pentagon: basis (1, 1, 1)",
+        "action-multiplicative: basis (1, 0, 0)",
+        "action-multiplicative: basis (1, 0, 1)",
+        "action-multiplicative: basis (1, 1, 0)",
+        "action-multiplicative: basis (1, 1, 1)",
+        "action-unital: basis (1,)"]
+
+
+def test_right_module_verify_reports_a_corrupted_action():
+    # Sweedler's algebra acting on itself by right multiplication: more
+    # than 10 multiplicative failures, of which the first 10 are named
+    Hq, mul = _h_acting_by_multiplication("Sweedler4")
+    rep = RightModuleAlgebra(Hq, Hq.H, mul, check=False).verify()
+    assert rep.failures == [
+        "action-multiplicative: basis (0, 0, 1)",
+        "action-multiplicative: basis (0, 0, 2)",
+        "action-multiplicative: basis (0, 0, 3)",
+        "action-multiplicative: basis (0, 1, 2)",
+        "action-multiplicative: basis (0, 2, 1)",
+        "action-multiplicative: basis (0, 2, 2)",
+        "action-multiplicative: basis (0, 2, 3)",
+        "action-multiplicative: basis (0, 3, 2)",
+        "action-multiplicative: basis (1, 0, 2)",
+        "action-multiplicative: basis (1, 2, 2)",
+        "action-unital: basis (1,)",
+        "action-unital: basis (2,)",
+        "action-unital: basis (3,)"]
+
+
+def test_bimodule_verify_reports_a_corrupted_action():
+    # the dual of H2 with the left action of e_1 on e^0 halved
+    st = entry("H2")
+    Hq, Du = st["H"], st["dual"]
+
+    def fn(idx):
+        v = TensorElt.basis(QQ, (2, 2), idx).apply_at(0, Du.left)
+        return v.scale(Fraction(1, 2)) if idx == (1, 0) else v
+
+    left = linmap_from_fn(QQ, (2, 2), (2,), fn)
+    rep = BimoduleAlgebra(Hq, Du.A, left, Du.right, check=False).verify()
+    assert rep.failures == [
+        "left-action-associative: basis (1, 1, 0)",
+        "left-action-associative: basis (1, 1, 1)",
+        "actions-commute: basis (1, 0, 1)",
+        "actions-commute: basis (1, 1, 1)",
+        "product-pentagon: basis (0, 0, 0)",
+        "product-pentagon: basis (0, 0, 1)",
+        "product-pentagon: basis (0, 1, 0)",
+        "product-pentagon: basis (0, 1, 1)",
+        "product-pentagon: basis (1, 0, 0)",
+        "product-pentagon: basis (1, 0, 1)",
+        "product-pentagon: basis (1, 1, 0)",
+        "left-action-multiplicative: basis (1, 0, 0)",
+        "action-unital-left: basis (1,)"]

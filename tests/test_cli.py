@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from quasihopf import cli, serialize
+from quasihopf import cli, corpus, products, serialize
 from quasihopf.actions import LeftModuleAlgebra
 from quasihopf.cli import main
 
@@ -178,6 +178,51 @@ def test_construct_mismatched_parents(tmp_path):
         entry("Sweedler4")["bicomodule"]), str(b))
     assert main(["construct", "gen-smash", str(a), str(b),
                  "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_construct_refuses_a_large_result_before_building(tmp_path, monkeypatch,
+                                                        capsys):
+    # over Sweedler4 the quasi-smash products are 16-dimensional, so both
+    # three-factor constructions below would be 16 * 4 * 16 = 1024
+    st = entry("Sweedler4")
+    Ab, Du = st["bicomodule"], st["dual"]
+    paths = []
+    for key, obj in (("qa", products.quasi_smash(Ab, Du, check=False)),
+                     ("ab", Ab),
+                     ("qc", products.left_quasi_smash(Du, Ab, check=False))):
+        path = tmp_path / f"{key}.json"
+        serialize.save_document(serialize.to_document(obj), str(path))
+        paths.append(str(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("product built")
+
+    monkeypatch.setattr(products, "two_sided_gen_smash", refuse)
+    monkeypatch.setattr(products, "two_sided_smash", refuse)
+    out = tmp_path / "x.json"
+    for argv in (["two-sided-gen-smash"] + paths,
+                 ["two-sided-smash", paths[0], paths[2]]):
+        assert main(["construct"] + argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: result dimension 1024 exceeds the 64-dimensional "
+            "envelope\n")
+    assert not out.exists()
+
+
+def test_large_cyclic_entry_refused_before_building(tmp_path, monkeypatch,
+                                                    capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("associator built")
+
+    monkeypatch.setattr(corpus, "cyclic_with_cocycle", refuse)
+    out = tmp_path / "x.json"
+    for argv in (["corpus", "export", "FpZn(181,180)", "--out", str(out)],
+                 ["theorem", "hausser-nill", "FpZn(601,600)"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "exceeds the 64-dimensional envelope" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["four-diagonal-isos", "yd-roundtrip",

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from quasihopf.corpus import group_algebra_z2, sweedler4
 from quasihopf.fields import GF, MAX_MODULUS, QQ
 from quasihopf.finalg import (FinAlgebra, Report, VerificationError,
-                              algebra_from_pair_fn, check_algebra_map,
+                              algebra_from_program, check_algebra_map,
                               invert_mixed, mul_linmap, opposite,
                               slotwise_unit, tensor_algebra,
                               verify_associative_unital)
-from quasihopf.tensors import TensorElt, linmap_from_fn, slotwise_mul
+from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_fn,
+                               slotwise_mul)
 
 from conftest import entry
 from test_linalg import identity, ref_inv, ref_matmul, ref_solve
@@ -147,14 +148,15 @@ def test_check_algebra_map():
     assert check_algebra_map(f, A, A).failures == ["bijective: rank 1 < 4"]
 
 
-def test_algebra_from_pair_fn():
+def test_algebra_from_program():
     A = z2()
-
-    def pair(idx_i, idx_j):
-        return TensorElt.basis(QQ, (2,), ((idx_i[0] + idx_j[0]) % 2,))
-
-    alg = algebra_from_pair_fn(QQ, (2,), pair,
-                               TensorElt.basis(QQ, (2,), (0,)), check=True)
+    # e_i e_j = e_{i+j mod 2}, read off a map rather than A's rows
+    add = linmap_from_fn(QQ, (2, 2), (2,), lambda idx: TensorElt.basis(
+        QQ, (2,), ((idx[0] + idx[1]) % 2,)))
+    i, j = Var("i", 2), Var("j", 2)
+    alg = algebra_from_program(Program.basis(QQ, i, j).apply_at(0, add),
+                               [i], [j], TensorElt.basis(QQ, (2,), (0,)))
+    assert verify_associative_unital(alg).ok
     assert alg.mul == A.mul
     assert alg == A and (alg.den, alg.rows) == (1, A.rows)
 

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,14 @@ from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  RightComoduleAlgebra, omega_from_coaction, tensor_bicomodule,
                                  two_sided_from_bicomodule)
 from quasihopf.fields import QQ
-from quasihopf.finalg import (FinAlgebra, Report, algebra_from_pair_fn,
-                              opposite, verify_associative_unital)
+from quasihopf.finalg import (FinAlgebra, Report, opposite,
+                              verify_associative_unital)
 from quasihopf.products import (diag_crossed, diag_crossed_general, gen_smash,
                                 gen_two_sided_crossed, induced_costructures,
                                 left_quasi_smash, quasi_smash, right_gen_smash,
                                 right_smash, smash, two_sided_gen_smash,
-                                two_sided_smash, _times_basis)
-from quasihopf.tensors import TensorElt, slotwise_mul
+                                two_sided_smash)
+from quasihopf.tensors import Program, TensorElt, Var, run_program, slotwise_mul
 
 from conftest import entry
 
@@ -211,15 +213,7 @@ def test_embedding_check_flags_a_wrong_subalgebra():
                                 for f in rep.failures)
 
 
-# -- the direct last step against insert + mul_slots ------------------------
-
-def old_times_basis(t, alg, i):
-    """products._times_basis as it was: tensor e_i in, then multiply the
-    last two slots (copied)."""
-    k = len(t.dims)
-    return t.insert(k, TensorElt.basis(t.field, (alg.dim,), (i,))) \
-        .mul_slots(k - 1, k, alg)
-
+# -- the direct basis product against insert + mul_slots -------------------
 
 def _times_basis_algebras(field):
     if field == "GF5":
@@ -235,9 +229,11 @@ def _times_basis_algebras(field):
 SCALARS = [1, -1, 2, Fraction(1, 3), Fraction(-5, 6), Fraction(7, 4)]
 
 
-@given(hs.sampled_from(["QQ", "GF5"]), hs.data())
+@given(hs.sampled_from(["QQ", "GF5"]), hs.booleans(), hs.data())
 @settings(max_examples=80, deadline=None)
-def test_times_basis_matches_insert_then_mul_slots(field, data):
+def test_times_basis_matches_insert_then_mul_slots(field, left, data):
+    # the executor reads e_i multiplied into the last slot (on either
+    # side) straight off the rows; the reference inserts e_i, multiplies
     alg = data.draw(hs.sampled_from(_times_basis_algebras(field)))
     fld = alg.field
     head = tuple(data.draw(hs.lists(hs.integers(1, 3), max_size=2)))
@@ -247,11 +243,18 @@ def test_times_basis_matches_insert_then_mul_slots(field, data):
         else hs.integers(0, 2 * fld.p)
     terms = data.draw(hs.dictionaries(idx, scalar, max_size=12))
     t = TensorElt(fld, dims, terms)
-    i = data.draw(hs.integers(0, alg.dim - 1))
-    got, want = _times_basis(t, alg, i), old_times_basis(t, alg, i)
-    assert got == want
-    assert (got.dims, got.den, list(got.num.items())) \
-        == (want.dims, want.den, list(want.num.items()))
+    k = len(dims)
+    pos = k - 1 if left else k
+    v = Var("i", alg.dim)
+    got = {}
+    run_program(Program(t).insert(pos, v).mul_slots(k - 1, k, alg), [v],
+                got.__setitem__)
+    for i in range(alg.dim):
+        e = TensorElt.basis(fld, (alg.dim,), (i,))
+        want = t.insert(pos, e).mul_slots(k - 1, k, alg)
+        assert got[i] == want
+        assert (got[i].dims, got[i].den, list(got[i].num.items())) \
+            == (want.dims, want.den, list(want.num.items()))
 
 
 # -- staged pair programs against the per-pair programs they replace --------
@@ -533,8 +536,31 @@ def _table(built):
             return getattr(built, attr)
 
 
+def algebra_from_pair_fn(field, dims, pair_fn, unit_tensor):
+    """The algebra whose product of basis elements is ``pair_fn(idx_i,
+    idx_j)``, one whole slot program per pair (the constructor the
+    executor replaced, copied)."""
+    dims = tuple(dims)
+    basis = list(product(*map(range, dims)))
+    flat = {idx: f for f, idx in enumerate(basis)}
+    values = []
+    for idx_i in basis:
+        for idx_j in basis:
+            res = pair_fn(idx_i, idx_j)
+            assert res.dims == dims
+            values.append((res.den, sorted((flat[idx], c)
+                                           for idx, c in res.num.items())))
+    den = lcm(*(d for d, _ in values))
+    rows = [[(k, c * (den // d)) for k, c in lst] for d, lst in values]
+    n = len(basis)
+    return FinAlgebra.from_int_rows(
+        field, den, [rows[i * n:(i + 1) * n] for i in range(n)],
+        unit_tensor.to_flat())
+
+
 def assert_same_table(label, got, dims, pair, unit):
-    want = algebra_from_pair_fn(got.field, dims, pair, unit, check=False)
+    want = algebra_from_pair_fn(got.field, dims, pair, unit)
+    assert (got.den, got.rows) == (want.den, want.rows), label
     assert repr(got.unit) == repr(want.unit), f"{label}: unit"
     assert len(got.mul) == len(want.mul), f"{label}: dimension"
     for i, (gplane, wplane) in enumerate(zip(got.mul, want.mul)):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -10,7 +11,9 @@ from quasihopf.corpus import (cyclic_with_cocycle, group_algebra_z2,
 from quasihopf.fields import GF, QQ
 from quasihopf.finalg import FinAlgebra
 from quasihopf.linalg import flat_index, prod, unflatten
-from quasihopf.tensors import TensorElt, linmap_from_fn, slotwise_mul
+from quasihopf import tensors as tensors_module
+from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_fn,
+                               program_mismatches, run_program, slotwise_mul)
 
 from test_linalg import dense, linmap_from_rows, ref_matmul
 
@@ -423,3 +426,180 @@ def test_mixed_denominators_share_one_denominator():
     u = t + TensorElt(QQ, (3,), {(0,): Fraction(2, 3), (1,): Fraction(1, 6)})
     assert (u.num, u.den) == ({(0,): 1, (2,): 2}, 1)
     assert TensorElt(GF(5), (2,), {(0,): 7, (1,): -5}).terms == {(0,): 2}
+
+
+# -- the slot-program executor against per-tuple evaluation ----------------
+
+PROGRAM_FIELDS = {"QQ": QQ, "GF5": GF(5), "GF7": GF(7)}
+MIXED = [1, -1, 2, Fraction(1, 3), Fraction(-5, 6), Fraction(7, 4),
+         Fraction(2, 9)]
+
+
+def _scalar(field):
+    return st.sampled_from(MIXED) if field.p is None \
+        else st.integers(1, field.p - 1)
+
+
+def _element(data, field, dims, max_terms=5):
+    idx = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    return TensorElt(field, dims, data.draw(
+        st.dictionaries(idx, _scalar(field), max_size=max_terms)))
+
+
+def _map(data, field, in_dims, out_dims):
+    cols = {idx: _element(data, field, out_dims, 3)
+            for idx in product(*map(range, in_dims))}
+    return linmap_from_fn(field, in_dims, out_dims, cols.__getitem__)
+
+
+def _algebra(data, field, n):
+    """Any bilinear product on n basis vectors: not associative."""
+    zero = field.zero()
+    mul = [[[data.draw(st.sampled_from([zero, zero]) | _scalar(field))
+             for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return FinAlgebra(field, mul, [field.one()] + [zero] * (n - 1),
+                      check=False)
+
+
+def _program(data, field, pool, steps, depth=0):
+    """A random program over the variables ``pool``: inserts of variables
+    (some read twice), constants and memoised sub-programs, maps on runs
+    of slots, products of slots and permutations, on at most four slots
+    of dimension at most three."""
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+    prog = Program(_element(data, field, dims))
+    kinds = ["var", "const", "apply", "mul", "permute"] \
+        + (["sub"] if depth == 0 else [])
+    for _ in range(steps):
+        kind = data.draw(st.sampled_from(kinds))
+        dims = prog.dims
+        pos = data.draw(st.integers(0, len(dims)))
+        if kind in ("var", "const", "sub") and len(dims) < 4:
+            if kind == "var":
+                x = data.draw(st.sampled_from(pool))
+            elif kind == "const":
+                x = _element(data, field, (data.draw(st.integers(1, 3)),))
+            else:
+                x = _program(data, field, pool, 2, depth + 1)
+                if len(dims) + len(x.dims) > 4:
+                    continue
+            prog = prog.insert(pos, x)
+        elif kind == "apply" and dims:
+            pos = min(pos, len(dims) - 1)
+            width = data.draw(st.integers(1, min(2, len(dims) - pos)))
+            out = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                           max_size=2)))
+            prog = prog.apply_at(pos, _map(data, field,
+                                           dims[pos:pos + width], out))
+        elif kind == "mul":
+            pairs = [(a, b) for a in range(len(dims)) for b in range(len(dims))
+                     if a != b and dims[a] == dims[b]]
+            if pairs:
+                a, b = data.draw(st.sampled_from(pairs))
+                prog = prog.mul_slots(a, b, _algebra(data, field, dims[a]))
+        elif kind == "permute":
+            prog = prog.permute(data.draw(st.permutations(range(len(dims)))))
+    return prog
+
+
+def _evaluate(prog, env):
+    """The program run step by step at one value of its variables."""
+    t = prog.start
+    for step in prog.steps:
+        if step[0] != "insert":
+            t = getattr(t, step[0])(*step[1:])
+            continue
+        x = step[2]
+        if isinstance(x, Var):
+            x = TensorElt.basis(prog.field, (x.dim,), (env[x],))
+        elif isinstance(x, Program):
+            x = _evaluate(x, env)
+        t = t.insert(step[1], x)
+    return t
+
+
+def _last_read(data, field, prog, last):
+    """``prog`` with a variable read by its last step only: inserted, and
+    maybe contracted by the next step."""
+    pos = data.draw(st.integers(0, len(prog.dims)))
+    prog = prog.insert(pos, last)
+    others = [s for s, d in enumerate(prog.dims) if s != pos and d == last.dim]
+    if others and data.draw(st.booleans()):
+        other = data.draw(st.sampled_from(others))
+        pair = (other, pos) if data.draw(st.booleans()) else (pos, other)
+        prog = prog.mul_slots(*pair, _algebra(data, field, last.dim))
+    elif data.draw(st.booleans()):
+        prog = prog.apply_at(pos, _map(data, field, (last.dim,), (2,)))
+    return prog
+
+
+@given(st.sampled_from(sorted(PROGRAM_FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_executor_matches_per_tuple_evaluation(field_name, data):
+    field = PROGRAM_FIELDS[field_name]
+    pool = [Var("u", data.draw(st.integers(1, 3))),
+            Var("v", data.draw(st.integers(1, 3)))]
+    last = Var("w", data.draw(st.integers(1, 3)))
+    prog = _last_read(data, field, _program(
+        data, field, pool, data.draw(st.integers(1, 6))), last)
+    order = data.draw(st.permutations(prog.vars))
+    got = {}
+    run_program(prog, order, got.__setitem__)
+    dims = tuple(v.dim for v in order)
+    assert sorted(got) == list(range(prod(dims)))
+    for off, t in got.items():
+        want = _evaluate(prog, dict(zip(order, unflatten(dims, off))))
+        assert t == want and t.dims == prog.dims
+    # two programs that differ in one map, compared in lexicographic order
+    if prog.dims:
+        d = prog.dims[0]
+        lhs = prog.apply_at(0, _map(data, field, (d,), (d,)))
+        rhs = prog.apply_at(0, _map(data, field, (d,), (d,)))
+        limit = data.draw(st.sampled_from([None, 1, 3]))
+        want = [idx for idx in product(*map(range, dims))
+                if _evaluate(lhs, dict(zip(order, idx)))
+                != _evaluate(rhs, dict(zip(order, idx)))][:limit]
+        assert program_mismatches(lhs, rhs, order, limit) == want
+
+
+def test_executor_runs_each_step_once_per_value_read(monkeypatch):
+    # u, v, w of dimensions 2, 3, 2; a step runs once per value of the
+    # variables read up to it, a sub-program's once per value of its own
+    fld = QQ
+    u, v, w = Var("u", 2), Var("v", 3), Var("w", 2)
+
+    def scaled(c, in_dim=2):
+        return linmap_from_fn(fld, (in_dim,), (2,), lambda idx: TensorElt(
+            fld, (2,), {(idx[0] % 2,): c}))
+
+    maps = {"none": scaled(1), "u": scaled(2), "uv": scaled(3, 3),
+            "sub u": scaled(5), "sub uw": scaled(7), "uvw": scaled(11)}
+    sub = Program.basis(fld, u).apply_at(0, maps["sub u"]).tensor(w) \
+        .apply_at(1, maps["sub uw"])
+    prog = Program(TensorElt.basis(fld, (2,), (0,))) \
+        .apply_at(0, maps["none"]) \
+        .insert(1, u).permute((1, 0)).apply_at(0, maps["u"]) \
+        .insert(0, v).apply_at(0, maps["uv"]) \
+        .insert(3, sub).apply_at(0, maps["uvw"])
+    calls = dict.fromkeys(maps, 0)
+    label = {id(lm): key for key, lm in maps.items()}
+    apply_at, read = TensorElt.apply_at, tensors_module._read_basis
+
+    def counting_apply(t, pos, lm):
+        calls[label[id(lm)]] += 1
+        return apply_at(t, pos, lm)
+
+    def counting_read(t, plan, cols, *args):
+        # a basis vector inserted alone, or read straight off the columns
+        # of the map that contracts it
+        key = next((k for k, lm in maps.items() if lm.cols is cols), "e_u")
+        calls[key] = calls.get(key, 0) + 1
+        return read(t, plan, cols, *args)
+
+    monkeypatch.setattr(TensorElt, "apply_at", counting_apply)
+    monkeypatch.setattr(tensors_module, "_read_basis", counting_read)
+    offsets = []
+    run_program(prog, (u, v, w), lambda off, t: offsets.append(off))
+    assert sorted(offsets) == list(range(12))
+    assert calls == {"none": 1, "e_u": 2, "u": 2, "uv": 6, "sub u": 2,
+                     "sub uw": 4, "uvw": 12}
