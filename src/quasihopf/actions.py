@@ -13,21 +13,10 @@ module algebra over H (x) H^op.
 from __future__ import annotations
 
 from .finalg import (FinAlgebra, Report, algebra_from_program,
-                     invert_mixed)
+                     invert_mixed, program_report)
 from .linalg import LinMap
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import (Program, TensorElt, Var, linmap_from_fn,
-                      program_mismatches)
-
-
-def _report(checks) -> Report:
-    """For each (tag, (lhs, rhs, variables)) the first 10 basis indices,
-    in lexicographic order of the variables, where the programs differ."""
-    rep = Report()
-    for tag, (lhs, rhs, order) in checks:
-        for idx in program_mismatches(lhs, rhs, order, 10):
-            rep.add(tag, f"basis {idx}")
-    return rep
+from .tensors import Program, TensorElt, Var, linmap_from_fn
 
 
 def _action_laws(Hq: QuasiHopfAlgebra, A: FinAlgebra, act: LinMap,
@@ -99,9 +88,6 @@ class LeftModuleAlgebra:
     def field(self):
         return self.A.field
 
-    def basis_elt(self, i: int) -> TensorElt:
-        return TensorElt.basis(self.field, (self.A.dim,), (i,))
-
     def unit_elt(self) -> TensorElt:
         return TensorElt.from_vector(self.field, self.A.unit)
 
@@ -109,10 +95,10 @@ class LeftModuleAlgebra:
         Hq, A, act = self.Hq, self.A, self.action
         unit, assoc, mult, unital = _action_laws(Hq, A, act, True,
                                                  self.unit_elt())
-        return _report([("unit-action", unit), ("action-associative", assoc),
-                        ("product-pentagon", _pentagon(A, Hq.Phi, 1, act)),
-                        ("action-multiplicative", mult),
-                        ("action-unital", unital)])
+        return program_report([
+            ("unit-action", *unit), ("action-associative", *assoc),
+            ("product-pentagon", *_pentagon(A, Hq.Phi, 1, act)),
+            ("action-multiplicative", *mult), ("action-unital", *unital)])
 
 
 class RightModuleAlgebra:
@@ -133,9 +119,6 @@ class RightModuleAlgebra:
     def field(self):
         return self.B.field
 
-    def basis_elt(self, i: int) -> TensorElt:
-        return TensorElt.basis(self.field, (self.B.dim,), (i,))
-
     def unit_elt(self) -> TensorElt:
         return TensorElt.from_vector(self.field, self.B.unit)
 
@@ -143,10 +126,10 @@ class RightModuleAlgebra:
         Hq, B, act = self.Hq, self.B, self.action
         unit, assoc, mult, unital = _action_laws(Hq, B, act, False,
                                                  self.unit_elt())
-        return _report([("unit-action", unit), ("action-associative", assoc),
-                        ("product-pentagon", _pentagon(B, Hq.PhiInv, 0, act)),
-                        ("action-multiplicative", mult),
-                        ("action-unital", unital)])
+        return program_report([
+            ("unit-action", *unit), ("action-associative", *assoc),
+            ("product-pentagon", *_pentagon(B, Hq.PhiInv, 0, act)),
+            ("action-multiplicative", *mult), ("action-unital", *unital)])
 
 
 class BimoduleAlgebra:
@@ -187,14 +170,14 @@ class BimoduleAlgebra:
                    .apply_at(0, left), (h, p, h2))
         # (pp')p'' = (X^1.p.x^1)[(X^2.p'.x^2)(X^3.p''.x^3)]
         start = Hq.Phi.tensor(Hq.PhiInv).permute((0, 3, 1, 4, 2, 5))
-        return _report([
-            ("unit-action-left", lu), ("unit-action-right", ru),
-            ("left-action-associative", la),
-            ("right-action-associative", ra), ("actions-commute", commute),
-            ("product-pentagon", _pentagon(A, start, 1, left, right)),
-            ("left-action-multiplicative", lm),
-            ("right-action-multiplicative", rm),
-            ("action-unital-left", l1), ("action-unital-right", r1)])
+        return program_report([
+            ("unit-action-left", *lu), ("unit-action-right", *ru),
+            ("left-action-associative", *la),
+            ("right-action-associative", *ra), ("actions-commute", *commute),
+            ("product-pentagon", *_pentagon(A, start, 1, left, right)),
+            ("left-action-multiplicative", *lm),
+            ("right-action-multiplicative", *rm),
+            ("action-unital-left", *l1), ("action-unital-right", *r1)])
 
 
 # -- constructions ------------------------------------------------------------

@@ -321,15 +321,7 @@ def cmd_corpus(args) -> int:
         st = corpus.structures(args.entry, check=False)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    what = args.what
-    if what == "H":
-        doc = serialize.to_document(st["H"])
-    elif what == "coalgebra":
-        raise UsageError("the coalgebra entry has no document form; "
-                         "export H and rebuild it")
-    else:
-        doc = serialize.to_document(st[what])
-    serialize.save_document(doc, args.out)
+    serialize.save_document(serialize.to_document(st[args.what]), args.out)
     print(f"wrote {args.out}")
     return PASS
 

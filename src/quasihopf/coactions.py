@@ -9,10 +9,14 @@ cocycle identities, the two mixed comodule structures over H (x) H^op
 together with the twist equivalence between them, and the transport of
 every structure across a gauge twist.
 
-Working layouts are spelled out per formula; the recurring one is the
-five-slot layout (H, H, A, H, H).  Products whose written order runs
-right-to-left in some slots are evaluated with the opposite algebra in
-those slots.
+An identity with a basis variable (coassociativity of a coaction on
+each basis element, the intertwining relations) is a pair of slot
+programs compared on every value by ``finalg.program_report``; an
+identity between fixed tensors (pentagons, cocycles, cancellations) is
+compared once.  Working layouts are spelled out per formula; the
+recurring one is the five-slot layout (H, H, A, H, H).  Products whose
+written order runs right-to-left in some slots are evaluated with the
+opposite algebra in those slots.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finalg import (FinAlgebra, Report, check_algebra_map, invert_mixed,
-                     opposite, slotwise_unit, tensor_algebra)
-from .linalg import LinMap
+                     opposite, program_report, slotwise_unit, tensor_algebra)
+from .linalg import LinMap, reshape_map
 from .quasihopf import QuasiHopfAlgebra, _tag, tensor_qh
-from .tensors import (TensorElt, fold_slots, linmap_from_fn, slotwise_mul,
-                      slotwise_prod)
+from .tensors import (Program, TensorElt, Var, fold_slots, linmap_from_fn,
+                      slotwise_mul, slotwise_prod)
 
 
 # -- comodule algebras --------------------------------------------------------
@@ -58,9 +62,6 @@ class RightComoduleAlgebra:
     def field(self):
         return self.A.field
 
-    def basis_elt(self, i: int) -> TensorElt:
-        return TensorElt.basis(self.field, (self.A.dim,), (i,))
-
     def unit_elt(self) -> TensorElt:
         return TensorElt.from_vector(self.field, self.A.unit)
 
@@ -68,7 +69,6 @@ class RightComoduleAlgebra:
         rep = Report()
         Hq, A = self.Hq, self.A
         H = Hq.H
-        m = A.dim
         algs3 = [A, H, H]
         rep.merge(_tag(check_algebra_map(self.rho, A,
                                          tensor_algebra(A, H)), "coaction"))
@@ -78,11 +78,15 @@ class RightComoduleAlgebra:
         rep.check(slotwise_prod([self.PhiRhoInv, self.PhiRho], algs3) == one3,
                   "associator-inverse", "PhiRhoInv PhiRho != 1")
         # PhiRho (rho x id)(rho(a)) = (id x Delta)(rho(a)) PhiRho
-        for i in range(m):
-            r = self.basis_elt(i).apply_at(0, self.rho)
-            lhs = slotwise_mul(self.PhiRho, r.apply_at(0, self.rho), algs3)
-            rhs = slotwise_mul(r.apply_at(1, Hq.Delta), self.PhiRho, algs3)
-            rep.check(lhs == rhs, "coaction-coassociative", f"basis e_{i}")
+        a = Var("a", A.dim)
+        e = Program.basis(self.field, a)
+        r = e.apply_at(0, self.rho)
+        rep.merge(program_report([
+            ("coaction-coassociative",
+             r.apply_at(0, self.rho)
+             .slotwise_mul(self.PhiRho, algs3, left=True),
+             r.apply_at(1, Hq.Delta).slotwise_mul(self.PhiRho, algs3),
+             (a,))]))
         # (1 x Phi)(id x Delta x id)(PhiRho)(PhiRho x 1)
         #   = (id x id x Delta)(PhiRho)(rho x id x id)(PhiRho)
         algs4 = [A, H, H, H]
@@ -93,10 +97,8 @@ class RightComoduleAlgebra:
                              self.PhiRho.apply_at(0, self.rho)], algs4)
         rep.check(lhs == rhs, "coaction-pentagon")
         # (id x eps) rho = id; counit kills the mixed associator
-        for i in range(m):
-            r = self.basis_elt(i).apply_at(0, self.rho)
-            rep.check(r.drop_slot(1, Hq.counit) == self.basis_elt(i),
-                      "coaction-counit", f"basis e_{i}")
+        rep.merge(program_report([
+            ("coaction-counit", r.apply_at(1, Hq.counit), e, (a,))]))
         one2 = self.unit_elt().tensor(Hq.unit_elt())
         for pos in (1, 2):
             rep.check(self.PhiRho.drop_slot(pos, Hq.counit) == one2,
@@ -133,9 +135,6 @@ class LeftComoduleAlgebra:
     def field(self):
         return self.B.field
 
-    def basis_elt(self, i: int) -> TensorElt:
-        return TensorElt.basis(self.field, (self.B.dim,), (i,))
-
     def unit_elt(self) -> TensorElt:
         return TensorElt.from_vector(self.field, self.B.unit)
 
@@ -143,7 +142,6 @@ class LeftComoduleAlgebra:
         rep = Report()
         Hq, B = self.Hq, self.B
         H = Hq.H
-        m = B.dim
         algs3 = [H, H, B]
         rep.merge(_tag(check_algebra_map(self.lam, B,
                                          tensor_algebra(H, B)), "coaction"))
@@ -153,11 +151,15 @@ class LeftComoduleAlgebra:
         rep.check(slotwise_prod([self.PhiLamInv, self.PhiLam], algs3) == one3,
                   "associator-inverse", "PhiLamInv PhiLam != 1")
         # (id x lam)(lam(b)) PhiLam = PhiLam (Delta x id)(lam(b))
-        for i in range(m):
-            l = self.basis_elt(i).apply_at(0, self.lam)
-            lhs = slotwise_mul(l.apply_at(1, self.lam), self.PhiLam, algs3)
-            rhs = slotwise_mul(self.PhiLam, l.apply_at(0, Hq.Delta), algs3)
-            rep.check(lhs == rhs, "coaction-coassociative", f"basis e_{i}")
+        b = Var("b", B.dim)
+        e = Program.basis(self.field, b)
+        lb = e.apply_at(0, self.lam)
+        rep.merge(program_report([
+            ("coaction-coassociative",
+             lb.apply_at(1, self.lam).slotwise_mul(self.PhiLam, algs3),
+             lb.apply_at(0, Hq.Delta)
+             .slotwise_mul(self.PhiLam, algs3, left=True),
+             (b,))]))
         # (1 x PhiLam)(id x Delta x id)(PhiLam)(Phi x 1)
         #   = (id x id x lam)(PhiLam)(Delta x id x id)(PhiLam)
         algs4 = [H, H, H, B]
@@ -167,10 +169,8 @@ class LeftComoduleAlgebra:
         rhs = slotwise_prod([self.PhiLam.apply_at(2, self.lam),
                              self.PhiLam.apply_at(0, Hq.Delta)], algs4)
         rep.check(lhs == rhs, "coaction-pentagon")
-        for i in range(m):
-            l = self.basis_elt(i).apply_at(0, self.lam)
-            rep.check(l.drop_slot(0, Hq.counit) == self.basis_elt(i),
-                      "coaction-counit", f"basis e_{i}")
+        rep.merge(program_report([
+            ("coaction-counit", lb.apply_at(0, Hq.counit), e, (b,))]))
         one2 = Hq.unit_elt().tensor(self.unit_elt())
         for pos in (0, 1):
             rep.check(self.PhiLam.drop_slot(pos, Hq.counit) == one2,
@@ -225,9 +225,6 @@ class BicomoduleAlgebra:
     def field(self):
         return self.A.field
 
-    def basis_elt(self, i: int) -> TensorElt:
-        return self.left.basis_elt(i)
-
     def unit_elt(self) -> TensorElt:
         return self.left.unit_elt()
 
@@ -246,14 +243,14 @@ class BicomoduleAlgebra:
         rep.check(slotwise_prod([self.PhiLRInv, self.PhiLR], algs3) == one3,
                   "gluing-inverse", "PhiLRInv PhiLR != 1")
         # PhiLR (lam x id)(rho(u)) = (id x rho)(lam(u)) PhiLR
-        for i in range(A.dim):
-            e = self.basis_elt(i)
-            lhs = slotwise_mul(self.PhiLR,
-                               e.apply_at(0, self.rho).apply_at(0, self.lam),
-                               algs3)
-            rhs = slotwise_mul(e.apply_at(0, self.lam).apply_at(1, self.rho),
-                               self.PhiLR, algs3)
-            rep.check(lhs == rhs, "coactions-quasi-commute", f"basis e_{i}")
+        u = Var("u", A.dim)
+        e = Program.basis(self.field, u)
+        rep.merge(program_report([
+            ("coactions-quasi-commute",
+             e.apply_at(0, self.rho).apply_at(0, self.lam)
+             .slotwise_mul(self.PhiLR, algs3, left=True),
+             e.apply_at(0, self.lam).apply_at(1, self.rho)
+             .slotwise_mul(self.PhiLR, algs3), (u,))]))
         # (1 x PhiLR)(id x lam x id)(PhiLR)(PhiLam x 1)
         #   = (id x id x rho)(PhiLam)(Delta x id x id)(PhiLR)
         algsL = [H, H, A, H]
@@ -343,9 +340,6 @@ class TwoSidedCoaction:
     def field(self):
         return self.A.field
 
-    def basis_elt(self, i: int) -> TensorElt:
-        return TensorElt.basis(self.field, (self.A.dim,), (i,))
-
     def unit_elt(self) -> TensorElt:
         return TensorElt.from_vector(self.field, self.A.unit)
 
@@ -353,7 +347,6 @@ class TwoSidedCoaction:
         rep = Report()
         Hq, A = self.Hq, self.A
         H = Hq.H
-        m = A.dim
         algs5 = [H, H, A, H, H]
         rep.merge(_tag(check_algebra_map(
             self.delta, A,
@@ -364,13 +357,14 @@ class TwoSidedCoaction:
         rep.check(slotwise_prod([self.PsiInv, self.Psi], algs5) == one5,
                   "psi-inverse", "PsiInv Psi != 1")
         # (id x delta x id)(delta(u)) Psi = Psi (Delta x id x Delta)(delta(u))
-        for i in range(m):
-            d = self.basis_elt(i).apply_at(0, self.delta)
-            lhs = slotwise_mul(d.apply_at(1, self.delta), self.Psi, algs5)
-            rhs = slotwise_mul(
-                self.Psi,
-                d.apply_at(0, Hq.Delta).apply_at(3, Hq.Delta), algs5)
-            rep.check(lhs == rhs, "coaction-coassociative", f"basis e_{i}")
+        u = Var("u", A.dim)
+        e = Program.basis(self.field, u)
+        d = e.apply_at(0, self.delta)
+        rep.merge(program_report([
+            ("coaction-coassociative",
+             d.apply_at(1, self.delta).slotwise_mul(self.Psi, algs5),
+             d.apply_at(0, Hq.Delta).apply_at(3, Hq.Delta)
+             .slotwise_mul(self.Psi, algs5, left=True), (u,))]))
         # (1 x Psi x 1)(id x Delta x id x Delta x id)(Psi)(Phi x id x PhiInv)
         #   = (id2 x delta x id2)(Psi)(Delta x id x id x id x Delta)(Psi)
         algs7 = [H, H, H, A, H, H, H]
@@ -384,10 +378,9 @@ class TwoSidedCoaction:
              self.Psi.apply_at(0, Hq.Delta).apply_at(5, Hq.Delta)], algs7)
         rep.check(lhs == rhs, "psi-cocycle")
         # (eps x id x eps) delta = id; counit kills Psi in matched slots
-        for i in range(m):
-            d = self.basis_elt(i).apply_at(0, self.delta)
-            rep.check(d.drop_slot(2, Hq.counit).drop_slot(0, Hq.counit)
-                      == self.basis_elt(i), "coaction-counit", f"basis e_{i}")
+        rep.merge(program_report([
+            ("coaction-counit",
+             d.apply_at(2, Hq.counit).apply_at(0, Hq.counit), e, (u,))]))
         one3 = slotwise_unit(self.field, [H, A, H])
         rep.check(self.Psi.drop_slot(3, Hq.counit).drop_slot(1, Hq.counit)
                   == one3, "psi-counit", "inner slots")
@@ -522,19 +515,18 @@ def verify_tilde_pq(Afr: RightComoduleAlgebra, pq: PQTilde) -> Report:
     p, q = pq.p, pq.q
     groups, algs = [(0, 1), (2, 3, 4)], [A, H]
     one2 = Afr.unit_elt().tensor(Hq.unit_elt())
-    for i in range(A.dim):
-        e = Afr.basis_elt(i)
-        rr = e.apply_at(0, Afr.rho).apply_at(0, Afr.rho)
+    a = Var("a", A.dim)
+    rr = Program.basis(Afr.field, a).apply_at(0, Afr.rho).apply_at(0, Afr.rho)
+    a1 = Program.basis(Afr.field, a).tensor(Hq.unit_elt())
+    rep.merge(program_report([
         # rho(a00) p [1 x S(a1)] = p [a x 1]
-        t = rr.apply_at(2, Hq.S).insert(2, p).permute((0, 2, 1, 3, 4))
-        rhs = slotwise_mul(p, e.insert(1, Hq.unit_elt()), [A, H])
-        rep.check(fold_slots(t, groups, algs) == rhs, "p-intertwiner",
-                  f"basis e_{i}")
+        ("p-intertwiner", fold_slots(rr.apply_at(2, Hq.S).insert(2, p)
+                                     .permute((0, 2, 1, 3, 4)), groups, algs),
+         a1.slotwise_mul(p, algs, left=True), (a,)),
         # [1 x S^{-1}(a1)] q rho(a00) = [a x 1] q
-        t = rr.apply_at(2, Hq.SInv).insert(3, q).permute((3, 0, 2, 4, 1))
-        rhs = slotwise_mul(e.insert(1, Hq.unit_elt()), q, [A, H])
-        rep.check(fold_slots(t, groups, algs) == rhs, "q-intertwiner",
-                  f"basis e_{i}")
+        ("q-intertwiner", fold_slots(rr.apply_at(2, Hq.SInv).insert(3, q)
+                                     .permute((3, 0, 2, 4, 1)), groups, algs),
+         a1.slotwise_mul(q, algs), (a,))]))
     # rho(q1) p [1 x S(q2)] = 1 x 1
     t = q.apply_at(0, Afr.rho).apply_at(2, Hq.S)
     t = t.insert(2, p).permute((0, 2, 1, 3, 4))
@@ -657,17 +649,17 @@ def verify_omega(d: TwoSidedCoaction, Om: TensorElt,
     H = Hq.H
     Hop = opposite(H)
     one1 = Hq.unit_elt()
+    u = Var("u", A.dim)
+    du = Program.basis(d.field, u).apply_at(0, d.delta)
     if not primed:
         algs5 = [H, H, A, Hop, Hop]
-        for i in range(A.dim):
-            t = d.basis_elt(i).apply_at(0, d.delta).apply_at(1, d.delta)
-            t = t.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv)
-            lhs = slotwise_mul(Om, t, algs5)
-            t2 = d.basis_elt(i).apply_at(0, d.delta).apply_at(0, Hq.Delta)
-            t2 = t2.apply_at(3, Hq.SInv).apply_at(3, Hq.Delta)
-            t2 = t2.permute((0, 1, 2, 4, 3))
-            rhs = slotwise_mul(t2, Om, algs5)
-            rep.check(lhs == rhs, "omega-intertwiner", f"basis e_{i}")
+        rep.merge(program_report([
+            ("omega-intertwiner",
+             du.apply_at(1, d.delta).apply_at(3, Hq.SInv)
+             .apply_at(4, Hq.SInv).slotwise_mul(Om, algs5, left=True),
+             du.apply_at(0, Hq.Delta).apply_at(3, Hq.SInv)
+             .apply_at(3, Hq.Delta).permute((0, 1, 2, 4, 3))
+             .slotwise_mul(Om, algs5), (u,))]))
         algs7 = [H, H, H, A, Hop, Hop, Hop]
         tX = Hq.Phi.insert(3, d.unit_elt()).tensor(
             Hq.PhiInv.permute((2, 1, 0)))
@@ -683,15 +675,13 @@ def verify_omega(d: TwoSidedCoaction, Om: TensorElt,
     else:
         Aop = opposite(A)
         algs5 = [H, H, Aop, Hop, Hop]
-        for i in range(A.dim):
-            t = d.basis_elt(i).apply_at(0, d.delta).apply_at(1, d.delta)
-            t = t.apply_at(0, Hq.SInv).apply_at(1, Hq.SInv)
-            lhs = slotwise_mul(Om, t, algs5)
-            t2 = d.basis_elt(i).apply_at(0, d.delta).apply_at(0, Hq.SInv)
-            t2 = t2.apply_at(0, Hq.Delta).permute((1, 0, 2, 3))
-            t2 = t2.apply_at(3, Hq.Delta)
-            rhs = slotwise_mul(t2, Om, algs5)
-            rep.check(lhs == rhs, "omega-intertwiner", f"basis e_{i}")
+        rep.merge(program_report([
+            ("omega-intertwiner",
+             du.apply_at(1, d.delta).apply_at(0, Hq.SInv)
+             .apply_at(1, Hq.SInv).slotwise_mul(Om, algs5, left=True),
+             du.apply_at(0, Hq.SInv).apply_at(0, Hq.Delta)
+             .permute((1, 0, 2, 3)).apply_at(3, Hq.Delta)
+             .slotwise_mul(Om, algs5), (u,))]))
         algs7 = [H, H, H, Aop, Hop, Hop, Hop]
         tX = Hq.Phi.permute((2, 1, 0)).insert(3, d.unit_elt()) \
             .tensor(Hq.PhiInv)
@@ -819,22 +809,19 @@ def verify_pq_delta(d: TwoSidedCoaction, pq: PQDelta) -> Report:
     oneH = Hq.unit_elt()
     groups, algs = [(0, 1, 2), (3, 4), (5, 6, 7)], [H, A, H]
     one3 = slotwise_unit(d.field, [H, A, H])
-    for i in range(A.dim):
-        e = d.basis_elt(i)
-        u3 = e.insert(0, oneH).insert(2, oneH)
-        dd = e.apply_at(0, d.delta).apply_at(1, d.delta)
+    u = Var("u", A.dim)
+    u3 = Program(oneH).tensor(u).tensor(oneH)
+    dd = Program.basis(d.field, u).apply_at(0, d.delta).apply_at(1, d.delta)
+    rep.merge(program_report([
         # p (1 x u x 1) = delta(u0) p [S^{-1}(u-1) x 1 x S(u1)]
-        lhs = slotwise_mul(p, u3, [H, A, H])
-        t = dd.apply_at(0, Hq.SInv).apply_at(4, Hq.S)
-        t = t.insert(5, p).permute((1, 5, 0, 2, 6, 3, 7, 4))
-        rep.check(lhs == fold_slots(t, groups, algs), "p-conjugation",
-                  f"basis e_{i}")
+        ("p-conjugation", u3.slotwise_mul(p, algs, left=True),
+         fold_slots(dd.apply_at(0, Hq.SInv).apply_at(4, Hq.S).insert(5, p)
+                    .permute((1, 5, 0, 2, 6, 3, 7, 4)), groups, algs), (u,)),
         # (1 x u x 1) q = [S(u-1) x 1 x S^{-1}(u1)] q delta(u0)
-        lhs = slotwise_mul(u3, q, [H, A, H])
-        t = dd.apply_at(0, Hq.S).apply_at(4, Hq.SInv)
-        t = t.insert(1, q).permute((0, 1, 4, 2, 5, 7, 3, 6))
-        rep.check(lhs == fold_slots(t, groups, algs), "q-conjugation",
-                  f"basis e_{i}")
+        ("q-conjugation", u3.slotwise_mul(q, algs),
+         fold_slots(dd.apply_at(0, Hq.S).apply_at(4, Hq.SInv).insert(1, q)
+                    .permute((0, 1, 4, 2, 5, 7, 3, 6)), groups, algs),
+         (u,))]))
     # delta(q2) p [S^{-1}(q1) x 1 x S(q3)] = 1
     t = q.apply_at(1, d.delta).apply_at(0, Hq.SInv).apply_at(4, Hq.S)
     t = t.insert(5, p).permute((1, 5, 0, 2, 6, 3, 7, 4))
@@ -1032,15 +1019,14 @@ def twist_equivalence_U(Ab: BicomoduleAlgebra, pair=None,
         pair = lambda12_structures(Ab, check=False)
     if Uinv3 is not None:
         A1, A2, K = pair
-        m = A.dim
-        fld = Ab.field
-        for i in range(m):
-            t1 = TensorElt.basis(fld, (m,), (i,)).apply_at(0, A1.lam) \
-                .split_slot(0, (n, n))
-            t2 = TensorElt.basis(fld, (m,), (i,)).apply_at(0, A2.lam) \
-                .split_slot(0, (n, n))
-            rep.check(slotwise_prod([U3, t1, Uinv3], algsU) == t2,
-                      "coaction-conjugation", f"basis e_{i}")
+        u = Var("u", A.dim)
+        e = Program.basis(Ab.field, u)
+        split = reshape_map(Ab.field, (n * n,), (n, n))
+        rep.merge(program_report([
+            ("coaction-conjugation",
+             e.apply_at(0, A1.lam).apply_at(0, split)
+             .slotwise_mul(U3, algsU, left=True).slotwise_mul(Uinv3, algsU),
+             e.apply_at(0, A2.lam).apply_at(0, split), (u,))]))
         mixed = [H, Hop, H, Hop, A]
         Phi1 = A1.PhiLam.split_slot(0, (n, n)).split_slot(2, (n, n))
         Phi2 = A2.PhiLam.split_slot(0, (n, n)).split_slot(2, (n, n))

@@ -5,7 +5,9 @@ the slot combinators, the exhaustive scans and the algebra-map checks
 all read that form, and a dense table is built only for documents.  The
 associativity scan packs each row into one int (Kronecker substitution).
 Tensor-product and opposite algebras, the inverse of an element of a
-slotwise product of algebras, and (anti)morphism checking live here.
+slotwise product of algebras, and (anti)morphism checking live here,
+together with ``Report`` and ``program_report``, the one reporter of
+every identity checked as a pair of slot programs on all basis tuples.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from math import gcd
 
 from .fields import Field
 from .linalg import LinMap, flat_index, int_entries, prod, solve
-from .tensors import (Program, TensorElt, one_den, run_program,
-                      slotwise_mul)
+from .tensors import (Program, TensorElt, one_den, program_mismatches,
+                      run_program, slotwise_mul)
 
 
 class VerificationError(Exception):
@@ -53,6 +55,18 @@ class Report:
 
     def __repr__(self):
         return "Report(pass)" if self.ok else f"Report({self.failures!r})"
+
+
+def program_report(checks) -> Report:
+    """The report of identities checked on every basis tuple: for each
+    ``(tag, lhs, rhs, variables)`` of ``checks``, the first 10 value
+    tuples of the variables, in lexicographic order, at which the slot
+    programs ``lhs`` and ``rhs`` differ, each as ``"{tag}: basis {idx}"``."""
+    rep = Report()
+    for tag, lhs, rhs, order in checks:
+        for idx in program_mismatches(lhs, rhs, order, 10):
+            rep.add(tag, f"basis {idx}")
+    return rep
 
 
 class FinAlgebra:

@@ -4,7 +4,10 @@ Every map here is given by a closed formula, evaluated on each basis
 element with the slot combinators, and certified three ways: it is a
 unital algebra map on all basis pairs, the transcribed inverse composes
 to the identity on both sides, and the matrix inverse recomputed by
-Gaussian elimination agrees with the transcription.
+Gaussian elimination agrees with the transcription.  The identities of
+the proofs that hold for every basis tuple (the factorizations of nu
+and Gamma, the second mu rearrangement) are pairs of slot programs
+compared by ``finalg.program_report``.
 
 * ``iso_theta``       - left diagonal product  ->  right diagonal product
 * ``iso_nu``          - three-factor crossed product -> diagonal product
@@ -39,15 +42,15 @@ from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         tensor_bicomodule, tilde_pq, twist_coaction,
                         twist_equivalence_U, two_sided_from_bicomodule)
 from .finalg import (FinAlgebra, Report, check_algebra_map, invert_mixed,
-                     mul_linmap, tensor_algebra)
-from .linalg import LinMap
-from .products import (diag_crossed, diag_crossed_general, gen_smash,
-                       gen_two_sided_crossed, induced_costructures,
-                       left_quasi_smash, quasi_smash, two_sided_gen_smash,
-                       two_sided_smash)
+                     program_report, tensor_algebra)
+from .linalg import LinMap, reshape_map
+from .products import (_left_part, _right_part, diag_crossed,
+                       diag_crossed_general, gen_smash, gen_two_sided_crossed,
+                       induced_costructures, left_quasi_smash, quasi_smash,
+                       two_sided_gen_smash, two_sided_smash)
 from .quasihopf import QuasiHopfAlgebra
 from .tensors import (Program, TensorElt, Var, compose, fold_slots,
-                      linmap_from_fn, program_mismatches, slotwise_mul)
+                      linmap_from_fn, slotwise_prod)
 
 
 @dataclass
@@ -146,7 +149,6 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr,
     the three-factor crossed product to the diagonal product over the
     tensor bicomodule; also certifies the factorization of nu through
     the canonical embedding of the bimodule factor."""
-    from .products import _left_part, _right_part
     Aco, Bco = _right_part(Afr), _left_part(Bfr)
     Hq = Abi.Hq
     H = Hq.H
@@ -159,7 +161,6 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr,
     pq = tilde_pq(Aco, check=False)
 
     def fwd(idx):
-        ia, ip, ib = idx
         t = TensorElt.basis(fld, (mA, mP, mB), idx)
         t = t.apply_at(0, Aco.rho).insert(2, pq.p)
         # [a0, a1, p1, p2, phi, b]
@@ -185,28 +186,21 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr,
         # nu(a >< phi >< b) equals a Gamma(phi) b inside the target,
         # where Gamma(phi) = phi.S^{-1}(p~2) >< (p~1 (x) 1)
         alg = target.result
-        unitA = Aco.unit_elt()
-        unitP = Abi.unit_elt()
-        unitB = Bco.unit_elt()
-
-        def gamma(iphi):
-            phi = TensorElt.basis(fld, (mP,), (iphi,))
-            t = pq.p.apply_at(1, Hq.SInv).insert(0, phi)
-            t = t.permute((0, 2, 1)).apply_at(0, Abi.right)
-            return t.insert(2, unitB)
-
-        for ip in range(mP):
-            g = gamma(ip).to_flat()
-            for ia in range(mA):
-                ea = TensorElt.basis(fld, (mA,), (ia,))
-                left = unitP.tensor(ea).tensor(unitB).to_flat()
-                for ib in range(mB):
-                    eb = TensorElt.basis(fld, (mB,), (ib,))
-                    right = unitP.tensor(unitA).tensor(eb).to_flat()
-                    got = alg.multiply(alg.multiply(left, g), right)
-                    want = fwd((ia, ip, ib)).to_flat()
-                    rep.check(got == want, "nu-factorization",
-                              f"basis ({ia},{ip},{ib})")
+        unitP, unitB = Abi.unit_elt(), Bco.unit_elt()
+        flat = reshape_map(fld, (mP, mA, mB), (alg.dim,))
+        a, p, b = Var("a", mA), Var("p", mP), Var("b", mB)
+        gamma = Program(pq.p.apply_at(1, Hq.SInv)).insert(0, p) \
+            .permute((0, 2, 1)).apply_at(0, Abi.right).insert(2, unitB) \
+            .apply_at(0, flat)
+        # (1 >< a >< 1) Gamma(phi), then times (1 >< 1 >< b), each factor
+        # flattened into the target
+        got = gamma.insert(0, unitB).insert(0, a).insert(0, unitP) \
+            .apply_at(0, flat).mul_slots(0, 1, alg) \
+            .tensor(unitP.tensor(Aco.unit_elt())).tensor(b).apply_at(1, flat) \
+            .mul_slots(0, 1, alg)
+        want = Program.basis(fld, a, p, b).apply_at(0, f).apply_at(0, flat)
+        rep.merge(program_report([("nu-factorization", got, want,
+                                   (p, a, b))]))
         return _certify(f, finv, source.result, target.result,
                         "three-factor to diagonal over tensor", rep)
     return VerifiedIso(f, source.result, target.result, finv,
@@ -286,7 +280,6 @@ def _mu_identity_of2(Ab: BicomoduleAlgebra, Om: TensorElt,
 
 def _mu_identity_of3(Ab: BicomoduleAlgebra, q: TensorElt) -> Report:
     """Second rearrangement identity, checked per basis pair (u, u')."""
-    rep = Report()
     Hq = Ab.Hq
     H = Hq.H
     Ualg = Ab.A
@@ -335,10 +328,7 @@ def _mu_identity_of3(Ab: BicomoduleAlgebra, q: TensorElt) -> Report:
     # 9=X1, 10=X2, 11=X3
     rhs = fold_slots(t, [(1, 0), (2, 5, 9), (3, 6, 10),
                          (8, 4, 7, 11)], [H, Ualg, H, H])
-
-    for iu, iv in program_mismatches(lhs, rhs, (u, v)):
-        rep.add("mu-rearrangement-2", f"basis pair ({iu},{iv})")
-    return rep
+    return program_report([("mu-rearrangement-2", lhs, rhs, (u, v))])
 
 
 def _mu_identity_of4(Ab: BicomoduleAlgebra, q: TensorElt) -> bool:
@@ -376,8 +366,8 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     AB = tensor_bimodule(Am, Bm, check=False)
     source = diag_crossed(AB, Ab, "bowtie", check=False)
     target = two_sided_gen_smash(Am, Ab, Bm, check=False)
-    q = tilde_pq(Ab.right, check=False).q
-    p = tilde_pq(Ab.right, check=False).p
+    pq = tilde_pq(Ab.right, check=False)
+    p, q = pq.p, pq.q
     Th, th = Ab.PhiLR, Ab.PhiLRInv
 
     def fwd(idx):
@@ -438,7 +428,6 @@ def five_corollary(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
                    Afr, Bfr, check: bool = True):
     """A # (FA (x) FB) # B ~ (A (x) B) >< (FA (x) FB) ~ FA >< (A (x) B)
     >< FB, realized by mu and nu over the tensor structures."""
-    from .products import _left_part, _right_part
     TAB = tensor_bicomodule(_right_part(Afr), _left_part(Bfr))
     m = iso_mu(Am, Bm, TAB, check=check)
     AB = tensor_bimodule(Am, Bm, check=False)
@@ -471,50 +460,35 @@ def gamma_map(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
 
     gamma = linmap_from_fn(fld, (mP,), (mP, mU), gfn)
     if check:
-        rep = Report()
-        N = mP * mU
-        mul = mul_linmap(prod_alg)
         unitP = Abi.unit_elt()
-        unitU = Ab.unit_elt()
-
+        flat = reshape_map(fld, (mP, mU), (prod_alg.dim,))
+        phi, u = Var("phi", mP), Var("u", mU)
         # lemma: phi >< 1 = (1 >< q~1)((p~1)_[-1].phi.q~2 S^-1(p~2)
         #                              >< (p~1)_[0])
-        for ip in range(mP):
-            phi = TensorElt.basis(fld, (mP,), (ip,))
-            t = pq.q.insert(2, pq.p)
-            # [q1, q2, p1, p2]
-            t = t.apply_at(2, Ab.lam).apply_at(4, Hq.SInv)
-            # [q1, q2, pm, p0, S]
-            t = t.mul_slots(1, 4, H)
-            # [q1, q2 S^-1(p2), pm, p0]
-            t = t.insert(2, phi)
-            # [q1, K, phi, pm, p0]
-            t = t.permute((0, 3, 2, 1, 4)).apply_at(1, Abi.left)
-            # [q1, phi1, K, p0]
-            t = t.apply_at(1, Abi.right)
-            # [q1, phi2, p0]
-            t = t.insert(0, unitP).merge_slots((2, 2))
-            got = t.apply_at(0, mul).to_flat()
-            want = phi.tensor(unitU).to_flat()
-            rep.check(got == want, "gamma-lemma", f"basis {ip}")
-
-            # generation: phi >< u = (1 >< q~1) Gamma(phi.q~2) (1 >< u)
-            t = pq.q.insert(1, phi)
-            # [q1, phi, q2]
-            t = t.apply_at(1, Abi.right)
-            # [q1, phi q2]
-            t = t.apply_at(1, gamma)
-            # [q1, G1, G2]
-            t = t.insert(0, unitP).merge_slots((2, 2))
-            head = t.apply_at(0, mul).to_flat()
-            for iu in range(mU):
-                u = TensorElt.basis(fld, (mU,), (iu,))
-                right = unitP.tensor(u).to_flat()
-                got = prod_alg.multiply(head, right)
-                want = phi.tensor(u).to_flat()
-                rep.check(got == want, "gamma-generation",
-                          f"basis ({ip},{iu})")
-        rep.require("gamma map")
+        t = pq.q.insert(2, pq.p)
+        # [q1, q2, p1, p2]
+        t = t.apply_at(2, Ab.lam).apply_at(4, Hq.SInv)
+        # [q1, q2, pm, p0, S]
+        t = t.mul_slots(1, 4, H)
+        # [q1, q2 S^-1(p2), pm, p0] -> [q1, K, phi, pm, p0]
+        lemma = Program(t).insert(2, phi).permute((0, 3, 2, 1, 4)) \
+            .apply_at(1, Abi.left).apply_at(1, Abi.right)
+        # [q1, phi2, p0]
+        # generation: phi >< u = (1 >< q~1) Gamma(phi.q~2) (1 >< u)
+        head = Program(pq.q).insert(1, phi).apply_at(1, Abi.right) \
+            .apply_at(1, gamma)
+        # [q1, G1, G2]
+        lemma, head = (x.insert(0, unitP).apply_at(0, flat).apply_at(1, flat)
+                       .mul_slots(0, 1, prod_alg) for x in (lemma, head))
+        program_report([
+            ("gamma-lemma", lemma,
+             Program.basis(fld, phi).tensor(Ab.unit_elt()).apply_at(0, flat),
+             (phi,)),
+            ("gamma-generation",
+             head.tensor(unitP).tensor(u).apply_at(1, flat)
+             .mul_slots(0, 1, prod_alg),
+             Program.basis(fld, phi, u).apply_at(0, flat), (phi, u))]) \
+            .require("gamma map")
     return gamma
 
 
@@ -544,16 +518,11 @@ def twist_comodule_by_U(Bco: LeftComoduleAlgebra, U: TensorElt,
 
     lam = linmap_from_fn(fld, (mB,), (Hq.n, mB), lam_fn)
     algs = [H, H, Balg]
-    terms = [Hq.unit_elt().tensor(U), U.apply_at(1, Bco.lam), Bco.PhiLam,
-             UInv.apply_at(0, Hq.Delta)]
-    PhiLam = terms[0]
-    for x in terms[1:]:
-        PhiLam = slotwise_mul(PhiLam, x, algs)
-    inv_terms = [U.apply_at(0, Hq.Delta), Bco.PhiLamInv,
-                 UInv.apply_at(1, Bco.lam), Hq.unit_elt().tensor(UInv)]
-    PhiLamInv = inv_terms[0]
-    for x in inv_terms[1:]:
-        PhiLamInv = slotwise_mul(PhiLamInv, x, algs)
+    PhiLam = slotwise_prod([Hq.unit_elt().tensor(U), U.apply_at(1, Bco.lam),
+                            Bco.PhiLam, UInv.apply_at(0, Hq.Delta)], algs)
+    PhiLamInv = slotwise_prod([U.apply_at(0, Hq.Delta), Bco.PhiLamInv,
+                               UInv.apply_at(1, Bco.lam),
+                               Hq.unit_elt().tensor(UInv)], algs)
     name = f"{Bco.name}~U" if Bco.name else ""
     return LeftComoduleAlgebra(Hq, Balg, lam, PhiLam, PhiLamInv=PhiLamInv,
                                name=name, check=check)
@@ -565,7 +534,6 @@ def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
                     check: bool = True) -> VerifiedIso:
     """f(a x b) = U1.a x U2 b from A x B to A x B', where B' carries the
     U-twisted coaction; f fixes 1 x b pointwise."""
-    from .products import _left_part
     Bco = _left_part(Bfr)
     Hq = Am.Hq
     H = Hq.H
@@ -594,11 +562,10 @@ def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
     finv = linmap_from_fn(fld, (mA, mB), (mA, mB), make(UInv))
     rep = Report()
     if check:
-        unitA = Am.unit_elt()
-        for ib in range(mB):
-            b = TensorElt.basis(fld, (mB,), (ib,))
-            v = unitA.tensor(b)
-            rep.check(v.apply_at(0, f) == v, "fixes-comodule", f"1 x e_{ib}")
+        b = Var("b", mB)
+        v = Program(Am.unit_elt()).tensor(b)
+        rep.merge(program_report([("fixes-comodule", v.apply_at(0, f), v,
+                                   (b,))]))
         return _certify(f, finv, source.result, target.result,
                         "smash twist equivalence", rep)
     return VerifiedIso(f, source.result, target.result, finv,
@@ -676,7 +643,6 @@ def iso_twist_invariance(kind: str, inputs, F: TensorElt,
             raise ValueError("twist is not invertible")
     if kind == "gen-smash":
         Am, Bfr = inputs
-        from .products import _left_part
         Bco = _left_part(Bfr)
         Hq = Am.Hq
         HF = Hq.gauge_twist(F, FInv=FInv)

@@ -192,3 +192,15 @@ class LinMap:
                 [(unflatten(self.in_dims, i), x[i][j] * scale)
                  for i in range(n) if x[i][j]] for j in range(n)}
         return LinMap(self.field, self.out_dims, self.in_dims, D, cols)
+
+
+def reshape_map(field: Field, in_dims, out_dims) -> LinMap:
+    """The identity on flat coordinates from the slots ``in_dims`` to the
+    slots ``out_dims``: it merges runs of slots or splits a slot."""
+    in_dims, out_dims = tuple(in_dims), tuple(out_dims)
+    n = prod(in_dims)
+    if prod(out_dims) != n:
+        raise ValueError("slot dimensions differ in total")
+    return LinMap(field, in_dims, out_dims, 1, {
+        unflatten(in_dims, f): [(unflatten(out_dims, f), 1)]
+        for f in range(n)})

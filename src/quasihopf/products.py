@@ -2,10 +2,11 @@
 
 Each constructor evaluates one multiplication formula on every basis
 pair with the slot combinators, fills a structure tensor and returns a
-ProductAlgebra; with ``check`` it also verifies associativity and that
-each asserted factor embeds as a subalgebra.  The quasi-smash
-constructors return module algebras instead (their products are only
-quasi-associative).
+ProductAlgebra; with ``check`` it also verifies associativity, that
+each asserted factor embeds as a subalgebra, and the constructor's own
+identities on basis tuples, as pairs of slot programs compared by
+``finalg.program_report``.  The quasi-smash constructors return module
+algebras instead (their products are only quasi-associative).
 
 Kinds:
 
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 
 from .actions import BimoduleAlgebra, LeftModuleAlgebra, RightModuleAlgebra
 from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
@@ -49,8 +49,9 @@ from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         omega_from_coaction, regular_bicomodule,
                         two_sided_from_bicomodule)
 from .finalg import (FinAlgebra, Report, algebra_from_program,
-                     check_algebra_map, verify_associative_unital)
-from .linalg import LinMap, prod, unflatten
+                     check_algebra_map, program_report,
+                     verify_associative_unital)
+from .linalg import LinMap, prod, reshape_map, unflatten
 from .tensors import Program, TensorElt, Var, linmap_from_fn
 
 
@@ -157,22 +158,21 @@ def smash(Am: LeftModuleAlgebra, check: bool = True) -> ProductAlgebra:
                       f"{Am.name}#{Hq.name}", check, [(1, H, "H")])
     if check:
         # (a#h)(1#h') = a#hh' and (1#h)(a#h') = h_1.a # h_2 h'
-        for ia, ih, ih2 in product(range(mA), range(n), range(n)):
-            a = TensorElt.basis(fld, (mA,), (ia,))
-            h = TensorElt.basis(fld, (n,), (ih,))
-            h2 = TensorElt.basis(fld, (n,), (ih2,))
-            got = alg.multiply(a.tensor(h).to_flat(),
-                               Am.unit_elt().tensor(h2).to_flat())
-            want = a.tensor(h.insert(1, h2).mul_slots(0, 1, H))
-            rep.check(got == want.to_flat(), "absorb-right",
-                      f"(e_{ia}#e_{ih})(1#e_{ih2})")
-            got = alg.multiply(Am.unit_elt().tensor(h).to_flat(),
-                               a.tensor(h2).to_flat())
-            w = h.apply_at(0, Hq.Delta).insert(1, a)
-            w = w.apply_at(0, Am.action)
-            w = w.insert(2, h2).mul_slots(1, 2, H)
-            rep.check(got == w.to_flat(), "absorb-left",
-                      f"(1#e_{ih})(e_{ia}#e_{ih2})")
+        a, h, h2 = Var("a", mA), Var("h", n), Var("h'", n)
+        flat = reshape_map(fld, dims, (alg.dim,))
+        unitA = Am.unit_elt()
+        rep.merge(program_report([
+            ("absorb-right",
+             Program.basis(fld, a, h).apply_at(0, flat).tensor(unitA)
+             .tensor(h2).apply_at(1, flat).mul_slots(0, 1, alg),
+             Program.basis(fld, a, h, h2).mul_slots(1, 2, H)
+             .apply_at(0, flat), (a, h, h2)),
+            ("absorb-left",
+             Program(unitA).tensor(h).apply_at(0, flat).tensor(a)
+             .tensor(h2).apply_at(1, flat).mul_slots(0, 1, alg),
+             Program.basis(fld, h).apply_at(0, Hq.Delta).insert(1, a)
+             .apply_at(0, Am.action).insert(2, h2).mul_slots(1, 2, H)
+             .apply_at(0, flat), (a, h, h2))]))
     rep.require(alg.name)
     return ProductAlgebra(alg, "Smash", (Am,), dims)
 
@@ -346,20 +346,15 @@ def diag_crossed_general(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
     alg, rep = _build(*prog, units, name, check, [(sub_pos, d.A, "middle")])
     if check:
         # mixed products of the two unital copies recover the generators
-        mP, mU = Abi.A.dim, d.A.dim
-        for ip, iu in product(range(mP), range(mU)):
-            p = TensorElt.basis(fld, (mP,), (ip,))
-            u = TensorElt.basis(fld, (mU,), (iu,))
-            if side == "left":
-                got = alg.multiply(p.tensor(units[1]).to_flat(),
-                                   units[0].tensor(u).to_flat())
-                want = p.tensor(u)
-            else:
-                got = alg.multiply(u.tensor(units[1]).to_flat(),
-                                   units[0].tensor(p).to_flat())
-                want = u.tensor(p)
-            rep.check(got == want.to_flat(), "generator-recombination",
-                      f"pair ({ip},{iu})")
+        p, u = Var("p", Abi.A.dim), Var("u", d.A.dim)
+        first, second = (p, u) if side == "left" else (u, p)
+        flat = reshape_map(fld, prog[0].dims, (alg.dim,))
+        rep.merge(program_report([
+            ("generator-recombination",
+             Program.basis(fld, first).tensor(units[1]).apply_at(0, flat)
+             .tensor(units[0]).tensor(second).apply_at(1, flat)
+             .mul_slots(0, 1, alg),
+             Program.basis(fld, first, second).apply_at(0, flat), (p, u))]))
     rep.require(name)
     return ProductAlgebra(alg, kind, factors or (Abi, d), prog[0].dims)
 

@@ -16,16 +16,18 @@ Linear maps are built from their values on basis tensors
 
 A formula evaluated on every basis tuple (a product on basis pairs, the
 two sides of an axiom on basis triples) is a slot program: a ``Program``
-chains the same combinator calls, and each basis vector it inserts is a
-variable (``Var``).  One executor, ``run_program``, runs a program for
-every value of its variables.  It opens each variable's loop at the
+chains the same combinator calls, slotwise multiplication by a fixed
+element included, and each basis vector it inserts is a variable
+(``Var``).  One executor, ``run_program``, runs a program for every
+value of its variables.  It opens each variable's loop at the
 first step that reads it, so each step runs once per value of the
 variables read up to it; an inserted sub-program is computed once per
 value of its own variables and kept for the run; and a basis vector is
 never built, its insert and a contraction right after it read the map's
 columns or the algebra's rows directly.  The values stream to a sink:
 ``finalg.algebra_from_program`` keeps each as a sparse row, and
-``program_mismatches`` compares two programs in lexicographic order.
+``program_mismatches`` compares two programs in lexicographic order
+(``finalg.program_report`` turns the mismatches into report lines).
 
 An element is stored as integer numerators over one shared denominator:
 ``num`` maps multi-index tuples to nonzero ints and ``den`` is a
@@ -379,10 +381,11 @@ def slotwise_prod(factors, algebras) -> TensorElt:
     return out
 
 
-def fold_slots(t: TensorElt, groups, algebras) -> TensorElt:
+def fold_slots(t, groups, algebras):
     """Permute the slots into the concatenation of ``groups``, then fold
     each group into one slot by left-to-right multiplication; group r
-    multiplies inside ``algebras[r]`` (a single algebra serves all)."""
+    multiplies inside ``algebras[r]`` (a single algebra serves all).
+    ``t`` is a TensorElt, or a Program that gains the same steps."""
     perm = tuple(s for g in groups for s in g)
     if len(perm) != len(t.dims):
         raise ValueError("groups do not cover the slots")
@@ -407,9 +410,10 @@ class Var(NamedTuple):
 
 class Program:
     """A start element and a chain of ``insert``, ``apply_at``,
-    ``mul_slots`` and ``permute`` steps; an inserted operand is a
-    TensorElt, a Var or a Program.  ``dims`` are the slot dimensions of
-    the result, ``vars`` the variables in the order steps first read them.
+    ``mul_slots``, ``permute`` and ``slotwise_mul`` steps; an inserted
+    operand is a TensorElt, a Var or a Program.  ``dims`` are the slot
+    dimensions of the result, ``vars`` the variables in the order steps
+    first read them.
     """
 
     __slots__ = ("start", "steps", "dims", "vars")
@@ -431,17 +435,6 @@ class Program:
         for v in variables:
             prog = prog.tensor(v)
         return prog
-
-    def fix(self, v: Var, i: int) -> "Program":
-        """The program with the variable ``v`` fixed to the value ``i``."""
-        e = TensorElt.basis(self.field, (v.dim,), (i,))
-        steps = tuple(
-            s if s[0] != "insert" else s[:2] + (
-                e if s[2] == v else s[2].fix(v, i)
-                if isinstance(s[2], Program) and v in s[2].vars else s[2],)
-            for s in self.steps)
-        return Program(self.start, steps, self.dims,
-                       tuple(w for w in self.vars if w != v))
 
     def _then(self, step, dims, reads=()) -> "Program":
         new = tuple(v for v in reads if v not in self.vars)
@@ -476,6 +469,15 @@ class Program:
     def permute(self, perm) -> "Program":
         return self._then(("permute", tuple(perm)),
                           [self.dims[s] for s in perm])
+
+    def slotwise_mul(self, x: TensorElt, algebras,
+                     left: bool = False) -> "Program":
+        """Multiply the value slot by slot by the fixed element ``x``:
+        ``slotwise_mul(x, t, algebras)`` when ``left``, else
+        ``slotwise_mul(t, x, algebras)``."""
+        if x.dims != self.dims:
+            raise ValueError("slot shape mismatch")
+        return self._then(("slotwise_mul", x, algebras, left), self.dims)
 
 
 def _read_basis(t: TensorElt, plan, cols, den: int, dims, i: int):
@@ -527,12 +529,25 @@ def _reader(pos: int, step, dim: int, vals, s: int):
     return prepare, used
 
 
-def run_program(prog: Program, order, sink) -> None:
-    """Evaluate ``prog`` for every value of the variables ``order`` (each
-    variable it reads, once) and call ``sink(offset, value)`` for each,
+def _op(step):
+    """A step that reads no variable, as a function of the value."""
+    if step[0] != "slotwise_mul":
+        return methodcaller(*step)
+    _, x, algebras, left = step
+    if left:
+        return lambda t: slotwise_mul(x, t, algebras)
+    return lambda t: slotwise_mul(t, x, algebras)
+
+
+def _compile(prog: Program, order, sink, head: bool = False):
+    """``(run, vals)``: ``run()`` evaluates ``prog`` for every value of
+    the variables ``order`` and calls ``sink(offset, value)`` for each,
     ``offset`` being the row-major position of the value tuple.  The
     steps are compiled once into nested loops, each variable's opened at
-    the first step that reads it (see the module docstring)."""
+    the first step that reads it (see the module docstring).  With
+    ``head`` the first variable of ``order`` has no loop: its steps read
+    ``vals[0]``, set by the caller before each ``run()``, and it adds
+    nothing to the offsets."""
     order = tuple(order)
     if len(set(order)) != len(order) or set(order) != set(prog.vars):
         raise ValueError("order must list each variable the program reads")
@@ -578,7 +593,7 @@ def run_program(prog: Program, order, sink) -> None:
 
     # each segment: the steps that read no variable, then one that does,
     # in the loops of the variables it reads first
-    segments, ops, bound = [], [], set()
+    segments, ops, bound = [], [], set(order[:1] if head else ())
     steps = prog.steps + (None,)
     k = 0
     while steps[k] is not None:
@@ -590,7 +605,7 @@ def run_program(prog: Program, order, sink) -> None:
         elif isinstance(x, Program):
             prepare = inserter(step[1], x)
         else:
-            ops.append(methodcaller(*step))
+            ops.append(_op(step))
             continue
         new = [v for v in getattr(x, "vars", (x,)) if v not in bound]
         segments.append((ops, new, prepare))
@@ -601,29 +616,42 @@ def run_program(prog: Program, order, sink) -> None:
         run = stage(ops, (), lambda t: lambda: t, run)
     for ops, new, prepare in reversed(segments):
         run = stage(ops, new, prepare, run)
-    run(prog.start)
+    return lambda: run(prog.start), vals
+
+
+def run_program(prog: Program, order, sink) -> None:
+    """Evaluate ``prog`` for every value of the variables ``order`` (each
+    variable it reads, once) and call ``sink(offset, value)`` for each,
+    ``offset`` being the row-major position of the value tuple; see
+    ``_compile``."""
+    _compile(prog, order, sink)[0]()
 
 
 def program_mismatches(lhs: Program, rhs: Program, order,
                        limit: int | None = None) -> list:
     """The value tuples of ``order`` at which the two programs differ, in
-    lexicographic order, stopping after ``limit`` of them.  The programs
-    run once per value of the first variable of ``order``, so only that
-    share of one program's values is held at a time."""
+    lexicographic order, stopping after ``limit`` of them.  Each program
+    is compiled once, with the first variable of ``order`` bound from
+    outside, and both run once per value of it, so only that share of
+    one program's values is held at a time."""
     if lhs.dims != rhs.dims:
         raise ValueError("programs differ in slot shape")
-    head, rest = order[0], tuple(order[1:])
     dims = tuple(v.dim for v in order)
     chunk = prod(dims[1:])
     want = [None] * chunk
-    bad = []
-    for i in range(head.dim):
-        def compare(off, t, base=i * chunk):
-            if t != want[off]:
-                bad.append(base + off)
+    bad, base = [], 0
 
-        run_program(lhs.fix(head, i), rest, want.__setitem__)
-        run_program(rhs.fix(head, i), rest, compare)
+    def compare(off, t):
+        if t != want[off]:
+            bad.append(base + off)
+
+    run_lhs, vals_lhs = _compile(lhs, order, want.__setitem__, head=True)
+    run_rhs, vals_rhs = _compile(rhs, order, compare, head=True)
+    for i in range(dims[0]):
+        vals_lhs[0] = vals_rhs[0] = i
+        base = i * chunk
+        run_lhs()
+        run_rhs()
         if limit is not None and len(bad) >= limit:
             break
     return [unflatten(dims, off) for off in sorted(bad)[:limit]]

@@ -18,7 +18,9 @@ Three layers:
 
 Categories are never reified: a "category isomorphism" is exercised as a
 translation of structure matrices that lands in the target axiom set,
-with both round trips the identity.
+with both round trips the identity.  Each axiom stated for every basis
+tuple is a pair of slot programs, its two sides, compared on all tuples
+by ``finalg.program_report``.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from __future__ import annotations
 from .actions import BimoduleAlgebra, LeftModuleAlgebra, bar_construction
 from .coactions import BicomoduleAlgebra, tilde_pq
 from .fields import Field
-from .finalg import FinAlgebra, Report, mul_linmap
-from .linalg import LinMap, prod, unflatten
+from .finalg import FinAlgebra, Report, mul_linmap, program_report
+from .linalg import LinMap, prod, reshape_map, unflatten
 from .products import ProductAlgebra, diag_crossed, two_sided_smash
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import TensorElt, linmap_from_fn, slotwise_mul
+from .tensors import Program, TensorElt, Var, linmap_from_fn, slotwise_mul
 
 
 # -- bimodule coalgebras -----------------------------------------------------
@@ -69,7 +71,7 @@ class BimoduleCoalgebra:
     def basis_elt(self, i: int) -> TensorElt:
         return TensorElt.basis(self.field, (self.dim,), (i,))
 
-    def _act_phi(self, t: TensorElt, phi: TensorElt, side: str) -> TensorElt:
+    def _act_phi(self, t: Program, phi: TensorElt, side: str) -> Program:
         """Multiply the three slots of ``t`` by the components of ``phi``
         through the left or right H-action."""
         if side == "left":
@@ -85,58 +87,46 @@ class BimoduleCoalgebra:
         return t.apply_at(0, self.right)
 
     def verify(self) -> Report:
-        rep = Report()
         Hq = self.Hq
-        n, m = Hq.n, self.dim
         fld = self.field
-        for i in range(m):
-            c = self.basis_elt(i)
-            d = c.apply_at(0, self.comul)
-            rep.check(d.drop_slot(0, self.counit) == c,
-                      "counit-left", f"basis c_{i}")
-            rep.check(d.drop_slot(1, self.counit) == c,
-                      "counit-right", f"basis c_{i}")
-            # conjugating the twice-iterated comultiplication by the
-            # associator moves the inner copy to the other side
-            lhs = d.apply_at(0, self.comul)
-            lhs = self._act_phi(lhs, Hq.Phi, "left")
-            lhs = self._act_phi(lhs, Hq.PhiInv, "right")
-            rhs = d.apply_at(1, self.comul)
-            rep.check(lhs == rhs, "comul-coassociative", f"basis c_{i}")
-        for ih in range(n):
-            for i in range(m):
-                hc = TensorElt.basis(fld, (n, m), (ih, i))
-                ch = TensorElt.basis(fld, (m, n), (i, ih))
-                # comultiplication intertwines both actions
-                lhs = hc.apply_at(0, self.left).apply_at(0, self.comul)
-                rhs = hc.apply_at(0, Hq.Delta).permute((0, 2, 1)) \
-                    .apply_at(1, self.comul).permute((0, 1, 3, 2)) \
-                    .apply_at(2, self.left).apply_at(0, self.left)
-                rep.check(lhs == rhs, "comul-left-module",
-                          f"basis (e_{ih}, c_{i})")
-                lhs = ch.apply_at(0, self.right).apply_at(0, self.comul)
-                rhs = ch.apply_at(1, Hq.Delta).apply_at(0, self.comul) \
-                    .permute((0, 2, 1, 3)) \
-                    .apply_at(2, self.right).apply_at(0, self.right)
-                rep.check(lhs == rhs, "comul-right-module",
-                          f"basis (c_{i}, e_{ih})")
-                # counit is a morphism of modules on both sides
-                lv = hc.apply_at(0, self.left).drop_slot(0, self.counit)
-                rv = hc.drop_slot(1, self.counit).drop_slot(0, Hq.counit)
-                rep.check(lv == rv, "counit-left-module",
-                          f"basis (e_{ih}, c_{i})")
-                lv = ch.apply_at(0, self.right).drop_slot(0, self.counit)
-                rv = ch.drop_slot(0, self.counit).drop_slot(0, Hq.counit)
-                rep.check(lv == rv, "counit-right-module",
-                          f"basis (c_{i}, e_{ih})")
-                # the two actions commute
-                for jh in range(n):
-                    hch = TensorElt.basis(fld, (n, m, n), (ih, i, jh))
-                    lhs = hch.apply_at(1, self.right).apply_at(0, self.left)
-                    rhs = hch.apply_at(0, self.left).apply_at(0, self.right)
-                    rep.check(lhs == rhs, "actions-commute",
-                              f"basis (e_{ih}, c_{i}, e_{jh})")
-        return rep
+        c, h, h2 = Var("c", self.dim), Var("h", Hq.n), Var("h'", Hq.n)
+        e = Program.basis(fld, c)
+        d = e.apply_at(0, self.comul)
+        hc, ch = Program.basis(fld, h, c), Program.basis(fld, c, h)
+        hch = Program.basis(fld, h, c, h2)
+        # conjugating the twice-iterated comultiplication by the
+        # associator moves the inner copy to the other side
+        coassoc = self._act_phi(self._act_phi(d.apply_at(0, self.comul),
+                                              Hq.Phi, "left"),
+                                Hq.PhiInv, "right")
+        return program_report([
+            ("counit-left", d.apply_at(0, self.counit), e, (c,)),
+            ("counit-right", d.apply_at(1, self.counit), e, (c,)),
+            ("comul-coassociative", coassoc, d.apply_at(1, self.comul),
+             (c,)),
+            # comultiplication intertwines both actions
+            ("comul-left-module",
+             hc.apply_at(0, self.left).apply_at(0, self.comul),
+             hc.apply_at(0, Hq.Delta).permute((0, 2, 1))
+             .apply_at(1, self.comul).permute((0, 1, 3, 2))
+             .apply_at(2, self.left).apply_at(0, self.left), (h, c)),
+            ("comul-right-module",
+             ch.apply_at(0, self.right).apply_at(0, self.comul),
+             ch.apply_at(1, Hq.Delta).apply_at(0, self.comul)
+             .permute((0, 2, 1, 3))
+             .apply_at(2, self.right).apply_at(0, self.right), (h, c)),
+            # counit is a morphism of modules on both sides
+            ("counit-left-module",
+             hc.apply_at(0, self.left).apply_at(0, self.counit),
+             hc.apply_at(1, self.counit).apply_at(0, Hq.counit), (h, c)),
+            ("counit-right-module",
+             ch.apply_at(0, self.right).apply_at(0, self.counit),
+             ch.apply_at(0, self.counit).apply_at(0, Hq.counit), (h, c)),
+            # the two actions commute
+            ("actions-commute",
+             hch.apply_at(1, self.right).apply_at(0, self.left),
+             hch.apply_at(0, self.left).apply_at(0, self.right),
+             (h, c, h2))])
 
 
 def regular_bimodule_coalgebra(Hq: QuasiHopfAlgebra,
@@ -208,71 +198,64 @@ class YDModule:
     def field(self) -> Field:
         return self.Hq.field
 
-    def basis_elt(self, i: int) -> TensorElt:
-        return TensorElt.basis(self.field, (self.dim,), (i,))
-
     def verify(self) -> Report:
-        rep = Report()
-        Hq, Ab, C = self.Hq, self.Ab, self.C
+        Ab, C = self.Ab, self.C
         fld = self.field
-        mU, mM = Ab.A.dim, self.dim
-        mulU = mul_linmap(Ab.A)
-        unitU = Ab.unit_elt()
-        th = Ab.PhiLRInv
-        xl = Ab.left.PhiLamInv
-        xr = Ab.right.PhiRhoInv
-        for im in range(mM):
-            em = self.basis_elt(im)
-            rep.check(unitU.tensor(em).apply_at(0, self.act) == em,
-                      "unit-action", f"basis m_{im}")
-            rep.check(em.apply_at(0, self.coact).drop_slot(1, C.counit)
-                      == em, "coaction-counit", f"basis m_{im}")
-            # coassociativity up to the three mixed associators:
-            # coact twice on th2.m, then decorate with th1/th3, equals
-            # comul after one coact on xl3.m decorated with the inverse
-            # lambda and rho associators
-            t = em.apply_at(0, self.coact).insert(0, th)
-            # [t1, t2, t3, m0, m1]
-            t = t.permute((0, 1, 3, 2, 4)).apply_at(1, self.act)
-            t = t.apply_at(1, self.coact)
-            # [t1, n0, n1, t3, m1]
-            t = t.permute((1, 2, 0, 3, 4)).apply_at(1, C.right)
-            lhs = t.apply_at(2, C.left)
-            t = xl.insert(3, em).apply_at(2, self.act)
-            t = t.apply_at(2, self.coact).apply_at(3, C.comul)
-            # [x1l, x2l, w0, w11, w12]
-            t = t.insert(0, xr)
-            # [xr1, xr2, xr3, x1l, x2l, w0, w11, w12]
-            t = t.permute((0, 5, 1, 2, 3, 4, 6, 7)).apply_at(0, self.act)
-            # [W0, xr2, xr3, x1l, x2l, w11, w12]
-            t = t.permute((0, 1, 5, 2, 3, 4, 6)).apply_at(1, C.left)
-            # [W0, A1, xr3, x1l, x2l, w12]
-            t = t.permute((0, 1, 3, 2, 4, 5)).apply_at(1, C.right)
-            # [W0, C1, xr3, x2l, w12]
-            t = t.permute((0, 1, 2, 4, 3)).apply_at(2, C.left)
-            rhs = t.apply_at(2, C.right)
-            rep.check(lhs == rhs, "mixed-coassociativity", f"basis m_{im}")
-            for iu in range(mU):
-                u = TensorElt.basis(fld, (mU,), (iu,))
-                # associativity of the A-action
-                for ju in range(mU):
-                    t = TensorElt.basis(fld, (mU, mU, mM), (iu, ju, im))
-                    lhs = t.apply_at(0, mulU).apply_at(0, self.act)
-                    rhs = t.apply_at(1, self.act).apply_at(0, self.act)
-                    rep.check(lhs == rhs, "action-associative",
-                              f"basis (u_{iu}, u_{ju}, m_{im})")
-                # the coaction intertwines the action through the two
-                # one-sided coactions of A
-                t = u.apply_at(0, Ab.rho).insert(2, em)
-                t = t.apply_at(2, self.coact).permute((0, 2, 1, 3))
-                t = t.apply_at(0, self.act)
-                lhs = t.apply_at(1, C.left)
-                t = u.apply_at(0, Ab.lam).insert(2, em)
-                t = t.apply_at(1, self.act).apply_at(1, self.coact)
-                rhs = t.permute((1, 2, 0)).apply_at(1, C.right)
-                rep.check(lhs == rhs, "action-coaction-exchange",
-                          f"basis (u_{iu}, m_{im})")
-        return rep
+        mU = Ab.A.dim
+        m, u, u2 = Var("m", self.dim), Var("u", mU), Var("u'", mU)
+        em = Program.basis(fld, m)
+        # coassociativity up to the three mixed associators:
+        # coact twice on th2.m, then decorate with th1/th3, equals
+        # comul after one coact on xl3.m decorated with the inverse
+        # lambda and rho associators
+        t = em.apply_at(0, self.coact).insert(0, Ab.PhiLRInv)
+        # [t1, t2, t3, m0, m1]
+        t = t.permute((0, 1, 3, 2, 4)).apply_at(1, self.act)
+        t = t.apply_at(1, self.coact)
+        # [t1, n0, n1, t3, m1]
+        t = t.permute((1, 2, 0, 3, 4)).apply_at(1, C.right)
+        lhs = t.apply_at(2, C.left)
+        t = Program(Ab.left.PhiLamInv).insert(3, m).apply_at(2, self.act)
+        t = t.apply_at(2, self.coact).apply_at(3, C.comul)
+        # [x1l, x2l, w0, w11, w12]
+        t = t.insert(0, Ab.right.PhiRhoInv)
+        # [xr1, xr2, xr3, x1l, x2l, w0, w11, w12]
+        t = t.permute((0, 5, 1, 2, 3, 4, 6, 7)).apply_at(0, self.act)
+        # [W0, xr2, xr3, x1l, x2l, w11, w12]
+        t = t.permute((0, 1, 5, 2, 3, 4, 6)).apply_at(1, C.left)
+        # [W0, A1, xr3, x1l, x2l, w12]
+        t = t.permute((0, 1, 3, 2, 4, 5)).apply_at(1, C.right)
+        # [W0, C1, xr3, x2l, w12]
+        t = t.permute((0, 1, 2, 4, 3)).apply_at(2, C.left)
+        rhs = t.apply_at(2, C.right)
+        return program_report([
+            ("unit-action",
+             Program(Ab.unit_elt()).tensor(m).apply_at(0, self.act), em,
+             (m,)),
+            ("coaction-counit",
+             em.apply_at(0, self.coact).apply_at(1, C.counit), em, (m,)),
+            ("mixed-coassociativity", lhs, rhs, (m,)),
+            ("action-associative", *_associativity(mul_linmap(Ab.A),
+                                                   self.act, m, u, u2)),
+            # the coaction intertwines the action through the two
+            # one-sided coactions of A
+            ("action-coaction-exchange",
+             Program.basis(fld, u).apply_at(0, Ab.rho).insert(2, m)
+             .apply_at(2, self.coact).permute((0, 2, 1, 3))
+             .apply_at(0, self.act).apply_at(1, C.left),
+             Program.basis(fld, u).apply_at(0, Ab.lam).insert(2, m)
+             .apply_at(1, self.act).apply_at(1, self.coact)
+             .permute((1, 2, 0)).apply_at(1, C.right), (m, u))])
+
+
+def _associativity(mul: LinMap, act: LinMap, m: Var, a: Var, a2: Var):
+    """(a a').m = a.(a'.m) as (lhs, rhs, variables), the variables in
+    the order (m, a, a')."""
+    fld = act.field
+    return (Program.basis(fld, a, a2).apply_at(0, mul).tensor(m)
+            .apply_at(0, act),
+            Program.basis(fld, a2, m).apply_at(0, act).insert(0, a)
+            .apply_at(0, act), (m, a, a2))
 
 
 def mixed_translation_identity(Ab: BicomoduleAlgebra) -> bool:
@@ -308,7 +291,7 @@ def yd_to_module(M: YDModule, prod: ProductAlgebra | None = None,
                  check: bool = True):
     """(c* >< u) m = <c*, q~2 . (u.m)_(1)> q~1 . (u.m)_(0): the left
     module over C* >< A carried by a Yetter-Drinfeld module."""
-    Hq, Ab, C = M.Hq, M.Ab, M.C
+    Ab, C = M.Ab, M.C
     fld = M.field
     mU, mC, mM = Ab.A.dim, C.dim, M.dim
     if prod is None:
@@ -354,24 +337,15 @@ class FinModule:
         return TensorElt.basis(self.field, (self.dim,), (i,))
 
     def verify(self) -> Report:
-        rep = Report()
         alg = self.algebra
         fld = self.field
-        N, mM = alg.dim, self.dim
-        mul = mul_linmap(alg)
+        m, a, a2 = Var("m", self.dim), Var("a", alg.dim), Var("a'", alg.dim)
         unit = TensorElt.from_vector(fld, alg.unit)
-        for im in range(mM):
-            em = self.basis_elt(im)
-            rep.check(unit.tensor(em).apply_at(0, self.act) == em,
-                      "unit-action", f"basis m_{im}")
-            for i in range(N):
-                for j in range(N):
-                    t = TensorElt.basis(fld, (N, N, mM), (i, j, im))
-                    lhs = t.apply_at(0, mul).apply_at(0, self.act)
-                    rhs = t.apply_at(1, self.act).apply_at(0, self.act)
-                    rep.check(lhs == rhs, "action-associative",
-                              f"basis (a_{i}, a_{j}, m_{im})")
-        return rep
+        return program_report([
+            ("unit-action", Program(unit).tensor(m).apply_at(0, self.act),
+             Program.basis(fld, m), (m,)),
+            ("action-associative", *_associativity(mul_linmap(alg),
+                                                   self.act, m, a, a2))])
 
 
 def regular_module(alg: FinAlgebra, check: bool = True) -> FinModule:
@@ -448,19 +422,19 @@ def yd_roundtrip_check(Hq: QuasiHopfAlgebra, Ab: BicomoduleAlgebra,
               "roundtrip", "YD -> module -> YD changed the structures")
     # the bimodule embedding acts by <c*, m_(1)> m_(0)
     fld = Hq.field
-    mC, mM = C.dim, yd.dim
+    mC = C.dim
+    c, m = Var("c", mC), Var("m", yd.dim)
     gamma = gamma_map(dual, Ab, check=False)
-    for i in range(mC):
-        g = TensorElt.basis(fld, (mC,), (i,)).apply_at(0, gamma)
-        for im in range(mM):
-            m = yd.basis_elt(im)
-            t = g.merge_slots((2,)).insert(1, m).apply_at(0, back.act)
-            want = m.apply_at(0, yd.coact)
-            want = TensorElt(fld, (mM,),
-                             {(a,): v for (a, c), v in want.terms.items()
-                              if c == i})
-            rep.check(t == want, "embedding-pairing",
-                      f"basis (c^{i}, m_{im})")
+    pairing = LinMap(fld, (mC, mC), (), 1, {
+        (i, j): [((), 1)] if i == j else []
+        for i in range(mC) for j in range(mC)})
+    rep.merge(program_report([
+        ("embedding-pairing",
+         Program.basis(fld, c).apply_at(0, gamma)
+         .apply_at(0, reshape_map(fld, (mC, Ab.A.dim), (prod.result.dim,)))
+         .insert(1, m).apply_at(0, back.act),
+         Program.basis(fld, m).apply_at(0, yd.coact).insert(2, c)
+         .apply_at(1, pairing), (c, m))]))
     return rep
 
 
@@ -502,80 +476,53 @@ def sec8_correspondences(Hq: QuasiHopfAlgebra, Am: LeftModuleAlgebra,
     actH = partial(1, n)
     actB = partial(2, mD)
 
-    for im in range(mM):
-        em = M.basis_elt(im)
+    Aact, Bact, X = Am.action, Dbar.action, Hq.PhiInv
+    m, h = Var("m", mM), Var("h", n)
+    a, a2 = Var("a", mA), Var("a'", mA)
+    b, b2 = Var("b", mD), Var("b'", mD)
+    rep.merge(program_report([
         # recombination: acting by a # h # b equals acting by the three
         # parts in order
-        for k in range(prod.result.dim):
-            ia, ih, ib = unflatten((mA, n, mD), k)
-            t = TensorElt.basis(fld, (mA, n, mD, mM), (ia, ih, ib, im))
-            got = t.apply_at(2, actB).apply_at(1, actH).apply_at(0, actA)
-            want = t.merge_slots((3, 1)).apply_at(0, M.act)
-            rep.check(got == want, "recombination",
-                      f"basis ({ia},{ih},{ib},{im})")
-        for ia in range(mA):
-            for ja in range(mA):
-                # left weak action relation against the associator
-                t = TensorElt.basis(fld, (mA, mA, mM), (ia, ja, im))
-                lhs = t.apply_at(1, actA).apply_at(0, actA)
-                s = Hq.PhiInv.insert(3, t)
-                # [x1, x2, x3, a, a', m]
-                s = s.permute((0, 3, 1, 4, 2, 5))
-                s = s.apply_at(2, Am.action).apply_at(0, Am.action)
-                s = s.mul_slots(0, 1, Am.A)
-                # [(x1 a)(x2 a'), x3, m]
-                s = s.apply_at(1, actH)
-                rhs = s.apply_at(0, actA)
-                rep.check(lhs == rhs, "left-action-associator",
-                          f"basis ({ia},{ja},{im})")
-            for ih in range(n):
-                # H compatibility of the left weak action
-                t = TensorElt.basis(fld, (n, mA, mM), (ih, ia, im))
-                lhs = t.apply_at(1, actA).apply_at(0, actH)
-                s = t.apply_at(0, Hq.Delta).permute((1, 0, 2, 3))
-                # [h2, h1, a, m]
-                s = s.apply_at(1, Am.action).permute((1, 0, 2))
-                rhs = s.apply_at(1, actH).apply_at(0, actA)
-                rep.check(lhs == rhs, "left-action-H-compat",
-                          f"basis ({ih},{ia},{im})")
-        for ib in range(mD):
-            b = TensorElt.basis(fld, (mD,), (ib,))
-            for jb in range(mD):
-                # right-module weak action relation
-                t = TensorElt.basis(fld, (mD, mD, mM), (ib, jb, im))
-                lhs = t.apply_at(1, actB).apply_at(0, actB)
-                s = t.insert(2, Hq.PhiInv)
-                # [b, b', x1, x2, x3, m]
-                s = s.permute((2, 0, 3, 1, 4, 5))
-                s = s.apply_at(3, Dbar.action).apply_at(1, Dbar.action)
-                s = s.mul_slots(1, 2, Dbar.B)
-                s = s.apply_at(1, actB)
-                rhs = s.apply_at(0, actH)
-                rep.check(lhs == rhs, "right-action-associator",
-                          f"basis ({ib},{jb},{im})")
-            for ih in range(n):
-                t = TensorElt.basis(fld, (mD, n, mM), (ib, ih, im))
-                lhs = t.apply_at(1, actH).apply_at(0, actB)
-                s = t.apply_at(1, Hq.Delta).permute((1, 0, 2, 3))
-                s = s.apply_at(1, Dbar.action).apply_at(1, actB)
-                rhs = s.apply_at(0, actH)
-                rep.check(lhs == rhs, "right-action-H-compat",
-                          f"basis ({ib},{ih},{im})")
-            for ia in range(mA):
-                # exchanging the two weak actions across the associator
-                t = TensorElt.basis(fld, (mD, mA, mM), (ib, ia, im))
-                lhs = t.apply_at(1, actA).apply_at(0, actB)
-                s = Hq.PhiInv.insert(3, t)
-                # [y1, y2, y3, b, a, m]
-                s = s.permute((0, 4, 1, 3, 2, 5))
-                # [y1, a, y2, b, y3, m]
-                s = s.apply_at(0, Am.action)
-                s = s.apply_at(2, Dbar.action)
-                # [y1 a, y2, b y3, m]
-                s = s.apply_at(2, actB).apply_at(1, actH)
-                rhs = s.apply_at(0, actA)
-                rep.check(lhs == rhs, "weak-actions-exchange",
-                          f"basis ({ib},{ia},{im})")
+        ("recombination",
+         Program.basis(fld, b, m).apply_at(0, actB).insert(0, h)
+         .apply_at(0, actH).insert(0, a).apply_at(0, actA),
+         Program.basis(fld, a, h, b)
+         .apply_at(0, reshape_map(fld, (mA, n, mD), (M.algebra.dim,)))
+         .tensor(m).apply_at(0, M.act), (m, a, h, b)),
+        # left weak action relation against the associator
+        ("left-action-associator",
+         Program.basis(fld, a2, m).apply_at(0, actA).insert(0, a)
+         .apply_at(0, actA),
+         Program(X).insert(1, a).apply_at(0, Aact).insert(2, a2)
+         .apply_at(1, Aact).mul_slots(0, 1, Am.A).insert(2, m)
+         .apply_at(1, actH).apply_at(0, actA), (m, a, a2)),
+        # H compatibility of the left weak action
+        ("left-action-H-compat",
+         Program.basis(fld, a, m).apply_at(0, actA).insert(0, h)
+         .apply_at(0, actH),
+         Program.basis(fld, h).apply_at(0, Hq.Delta).insert(1, a)
+         .apply_at(0, Aact).insert(2, m).apply_at(1, actH)
+         .apply_at(0, actA), (m, a, h)),
+        # right-module weak action relation
+        ("right-action-associator",
+         Program.basis(fld, b2, m).apply_at(0, actB).insert(0, b)
+         .apply_at(0, actB),
+         Program(X).insert(1, b).apply_at(1, Bact).insert(2, b2)
+         .apply_at(2, Bact).mul_slots(1, 2, Dbar.B).insert(2, m)
+         .apply_at(1, actB).apply_at(0, actH), (m, b, b2)),
+        ("right-action-H-compat",
+         Program.basis(fld, h, m).apply_at(0, actH).insert(0, b)
+         .apply_at(0, actB),
+         Program.basis(fld, h).apply_at(0, Hq.Delta).insert(1, b)
+         .apply_at(1, Bact).insert(2, m).apply_at(1, actB)
+         .apply_at(0, actH), (m, b, h)),
+        # exchanging the two weak actions across the associator
+        ("weak-actions-exchange",
+         Program.basis(fld, a, m).apply_at(0, actA).insert(0, b)
+         .apply_at(0, actB),
+         Program(X).insert(1, a).apply_at(0, Aact).insert(2, b)
+         .apply_at(2, Bact).insert(3, m).apply_at(2, actB)
+         .apply_at(1, actH).apply_at(0, actA), (m, b, a))]))
 
     # the derived right D-action m.d = q1 |> ((S(q2).d) * m)
     qR = Hq.canonical_qR()
@@ -590,67 +537,40 @@ def sec8_correspondences(Hq: QuasiHopfAlgebra, Am: LeftModuleAlgebra,
         return t.apply_at(0, actH)
 
     actR = linmap_from_fn(fld, (mM, mD), (mM,), right_fn)
-    X = Hq.Phi
-    for im in range(mM):
-        for idd in range(mD):
-            d = TensorElt.basis(fld, (mD,), (idd,))
-            for jd in range(mD):
-                # the right action associates across the associator
-                t = TensorElt.basis(fld, (mM, mD, mD), (im, idd, jd))
-                lhs = t.apply_at(0, actR).apply_at(0, actR)
-                s = X.insert(3, t)
-                # [X1, X2, X3, m, d, d']
-                s = s.permute((0, 3, 1, 4, 2, 5))
-                s = s.apply_at(4, Dm.action).apply_at(2, Dm.action)
-                s = s.apply_at(0, actH).mul_slots(1, 2, Dm.A)
-                rhs = s.apply_at(0, actR)
-                rep.check(lhs == rhs, "derived-right-associator",
-                          f"basis ({im},{idd},{jd})")
-            for ih in range(n):
-                t = TensorElt.basis(fld, (n, mM, mD), (ih, im, idd))
-                lhs = t.apply_at(1, actR).apply_at(0, actH)
-                s = t.apply_at(0, Hq.Delta).permute((0, 2, 1, 3))
-                # [h1, m, h2, d]
-                s = s.apply_at(2, Dm.action).apply_at(0, actH)
-                rhs = s.apply_at(0, actR)
-                rep.check(lhs == rhs, "derived-right-H-compat",
-                          f"basis ({ih},{im},{idd})")
-            # round trip one: translating back through the canonical
-            # pair recovers the weak action
-            t = pR.insert(2, TensorElt.basis(fld, (mD, mM), (idd, im)))
-            # [p1, p2, d, m]
-            t = t.apply_at(1, Dm.action).permute((0, 2, 1))
-            t = t.apply_at(0, actH).apply_at(0, actR)
-            want = TensorElt.basis(fld, (mD, mM), (idd, im)) \
-                .apply_at(0, actB)
-            rep.check(t == want, "roundtrip-weak-action",
-                      f"basis ({idd},{im})")
-            # round trip two: rebuilding the right action from the
-            # recovered weak action is the identity
-            s = qR.apply_at(1, Hq.S)
-            s = s.insert(2, TensorElt.basis(fld, (mD, mM), (idd, im)))
-            s = s.apply_at(1, Dm.action)
-            # [q1, S(q2) d, m] ; feed through the back-translated action
-            s2 = s.insert(2, pR).permute((0, 2, 3, 1, 4))
-            # [q1, p1, p2, S(q2) d, m]
-            s2 = s2.apply_at(2, Dm.action).permute((0, 1, 3, 2))
-            s2 = s2.apply_at(1, actH).apply_at(1, actR)
-            got = s2.apply_at(0, actH)
-            want = TensorElt.basis(fld, (mM, mD), (im, idd)) \
-                .apply_at(0, actR)
-            rep.check(got == want, "roundtrip-right-action",
-                      f"basis ({im},{idd})")
-            for ia in range(mA):
-                # two-sided exchange across the associator
-                t = TensorElt.basis(fld, (mA, mM, mD), (ia, im, idd))
-                lhs = t.apply_at(0, actA).apply_at(0, actR)
-                s = X.insert(3, t)
-                # [X1, X2, X3, a, m, d]
-                s = s.permute((0, 3, 1, 4, 2, 5))
-                s = s.apply_at(0, Am.action).apply_at(3, Dm.action)
-                # [X1 a, X2, m, X3 d]
-                s = s.apply_at(1, actH).apply_at(1, actR)
-                rhs = s.apply_at(0, actA)
-                rep.check(lhs == rhs, "two-sided-exchange",
-                          f"basis ({ia},{im},{idd})")
+    Dact = Dm.action
+    d, d2 = Var("d", mD), Var("d'", mD)
+    rep.merge(program_report([
+        # the right action associates across the associator
+        ("derived-right-associator",
+         Program.basis(fld, m, d).apply_at(0, actR).insert(1, d2)
+         .apply_at(0, actR),
+         Program(Hq.Phi).insert(1, m).apply_at(0, actH).insert(2, d)
+         .apply_at(1, Dact).insert(3, d2).apply_at(2, Dact)
+         .mul_slots(1, 2, Dm.A).apply_at(0, actR), (m, d, d2)),
+        ("derived-right-H-compat",
+         Program.basis(fld, m, d).apply_at(0, actR).insert(0, h)
+         .apply_at(0, actH),
+         Program.basis(fld, h).apply_at(0, Hq.Delta).insert(1, m)
+         .apply_at(0, actH).insert(2, d).apply_at(1, Dact)
+         .apply_at(0, actR), (m, d, h)),
+        # round trip one: translating back through the canonical pair
+        # recovers the weak action
+        ("roundtrip-weak-action",
+         Program(pR).insert(2, d).apply_at(1, Dact).insert(1, m)
+         .apply_at(0, actH).apply_at(0, actR),
+         Program.basis(fld, d, m).apply_at(0, actB), (m, d)),
+        # round trip two: rebuilding the right action from the
+        # recovered weak action is the identity
+        ("roundtrip-right-action",
+         Program(qR.apply_at(1, Hq.S)).insert(2, d).apply_at(1, Dact)
+         .insert(1, pR).apply_at(2, Dact).insert(2, m).apply_at(1, actH)
+         .apply_at(1, actR).apply_at(0, actH),
+         Program.basis(fld, m, d).apply_at(0, actR), (m, d)),
+        # two-sided exchange across the associator
+        ("two-sided-exchange",
+         Program.basis(fld, a, m).apply_at(0, actA).insert(1, d)
+         .apply_at(0, actR),
+         Program(Hq.Phi).insert(1, a).apply_at(0, Aact).insert(3, d)
+         .apply_at(2, Dact).insert(2, m).apply_at(1, actH)
+         .apply_at(1, actR).apply_at(0, actA), (m, d, a))]))
     return rep

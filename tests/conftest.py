@@ -3,6 +3,7 @@ import functools
 import pytest
 
 from quasihopf import corpus
+from quasihopf.tensors import TensorElt, linmap_from_fn
 
 
 @functools.lru_cache(maxsize=None)
@@ -34,3 +35,22 @@ def fp52():
 @pytest.fixture(scope="session")
 def fp73():
     return entry("FpZn(7,3)")
+
+
+def doubled_column(lm, key):
+    """``lm`` with the image of the input basis tensor ``key`` doubled: a
+    corrupted structure map for the witness tests."""
+
+    def col(idx):
+        t = TensorElt.basis(lm.field, lm.in_dims, idx).apply_at(0, lm)
+        return t.scale(2) if idx == key else t
+
+    return linmap_from_fn(lm.field, lm.in_dims, lm.out_dims, col)
+
+
+def corrupt_one(t):
+    """``t`` with one added to its coefficient at the least index."""
+    terms = dict(t.terms)
+    idx = min(terms)
+    terms[idx] += 1
+    return TensorElt(t.field, t.dims, terms)

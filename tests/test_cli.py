@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -55,6 +56,31 @@ def test_verify_corrupted_associator(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "pentagon" in out
+
+
+def test_verify_all_failures_in_one_format(tmp_path, capsys):
+    # the Sweedler4 bicomodule with one entry of phi_rho changed: every
+    # per-basis line reads "{tag}: basis {idx}", whichever check made it
+    doc = serialize.to_document(entry("Sweedler4")["bicomodule"])
+    doc["phi_rho"][0][0][1] = "1"
+    path = tmp_path / "bad.json"
+    serialize.save_document(doc, str(path))
+    assert main(["verify", str(path), "--suite=all", "--json",
+                 "--all-failures"]) == 1
+    checks = {c["name"]: c["failures"]
+              for c in json.loads(capsys.readouterr().out)["checks"]}
+    lines = [line for failures in checks.values() for line in failures
+             if "basis" in line]
+    assert lines and all(re.fullmatch(r"[a-z/-]+: basis \((\d+, )*\d+,?\)",
+                                      line) for line in lines)
+    assert checks["axioms"] == [
+        "right/coaction-coassociative: basis (2,)",
+        "right/coaction-coassociative: basis (3,)",
+        "right/coaction-pentagon", "right/associator-counit: slot 1"]
+    assert checks["coaction translation elements"] == [
+        "p-intertwiner: basis (2,)", "p-intertwiner: basis (3,)",
+        "q-intertwiner: basis (2,)", "q-intertwiner: basis (3,)",
+        "qp-cancel", "pq-cancel", "p-coproduct", "q-coproduct"]
 
 
 def test_verify_singular_antipode(tmp_path, capsys):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                                 PQDelta, bicomodule_tensor_with_algebra,
+                                 PQDelta, RightComoduleAlgebra,
+                                 bicomodule_tensor_with_algebra,
                                  lambda12_structures, omega_closed_left,
                                  omega_closed_right, omega_from_coaction,
                                  pq_delta, regular_bicomodule, regular_left,
@@ -14,11 +15,12 @@ from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  two_sided_from_bicomodule, verify_omega,
                                  verify_pq_delta, verify_tilde_pq)
 from quasihopf.fields import GF, QQ
-from quasihopf.finalg import FinAlgebra, invert_mixed, slotwise_unit
+from quasihopf.finalg import (FinAlgebra, VerificationError, invert_mixed,
+                              slotwise_unit)
 from quasihopf.linalg import prod, unflatten
 from quasihopf.tensors import TensorElt, linmap_from_fn, slotwise_mul
 
-from conftest import entry
+from conftest import corrupt_one, doubled_column, entry
 from test_linalg import ref_solve
 
 ALL = ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
@@ -90,21 +92,13 @@ def test_pq_delta(name):
     verify_pq_delta(d, pq).require(name)
 
 
-def _corrupt_one(t: TensorElt) -> TensorElt:
-    """``t`` with one added to its coefficient at the least index."""
-    terms = dict(t.terms)
-    idx = min(terms)
-    terms[idx] += 1
-    return TensorElt(t.field, t.dims, terms)
-
-
 @pytest.mark.parametrize("name", PRIME)
 def test_pq_delta_detects_corrupted_q(name):
     Ab = entry(name)["bicomodule"]
     d = two_sided_from_bicomodule(Ab, "l", check=False)
     pq = pq_delta(d, check=False)
     verify_pq_delta(d, pq).require(name)
-    rep = verify_pq_delta(d, PQDelta(pq.p, _corrupt_one(pq.q)))
+    rep = verify_pq_delta(d, PQDelta(pq.p, corrupt_one(pq.q)))
     assert any(f.startswith("q-coproduct") for f in rep.failures)
 
 
@@ -114,9 +108,9 @@ def test_pq_delta_detects_corrupted_qL(monkeypatch):
     Ab = entry("FpZn(5,2)")["bicomodule"]
     d = two_sided_from_bicomodule(Ab, "l", check=False)
     pq = pq_delta(d, check=False)
-    rep = verify_pq_delta(d, PQDelta(pq.p, _corrupt_one(pq.q)))
+    rep = verify_pq_delta(d, PQDelta(pq.p, corrupt_one(pq.q)))
     assert "q-factorization" in rep.failures
-    bad_qL = _corrupt_one(d.Hq.canonical_qL())
+    bad_qL = corrupt_one(d.Hq.canonical_qL())
     monkeypatch.setattr(d.Hq, "canonical_qL", lambda: bad_qL)
     assert verify_pq_delta(d, pq).failures == ["q-factorization"]
 
@@ -140,7 +134,7 @@ def test_omega_detects_corrupted_element(name, primed):
     d = two_sided_from_bicomodule(Ab, "l", check=False)
     Om = omega_from_coaction(d, primed=primed)
     verify_omega(d, Om, primed=primed).require(name)
-    rep = verify_omega(d, _corrupt_one(Om), primed=primed)
+    rep = verify_omega(d, corrupt_one(Om), primed=primed)
     assert any(f.startswith("omega-cocycle") for f in rep.failures)
 
 
@@ -329,3 +323,65 @@ def test_invert_mixed_reduces_sums_mod_p():
     t = TensorElt.from_vector(F, [2, 3])
     inv = invert_mixed(t, [A])
     assert inv is not None and inv == _invert_by_columns(t, [A])
+
+
+# -- per-basis identities on corrupted inputs: the (tag, basis tuple)
+# pairs are the ones the hand-written loops reported before these checks
+# became slot-program pairs, first 10 per tag --------------------------------
+
+def _sweedler_with_doubled_rho():
+    """The Sweedler4 bicomodule algebra with rho(e_2) doubled."""
+    Ab = entry("Sweedler4")["bicomodule"]
+    right = RightComoduleAlgebra(Ab.Hq, Ab.A, doubled_column(Ab.rho, (2,)),
+                                 Ab.right.PhiRho,
+                                 PhiRhoInv=Ab.right.PhiRhoInv, check=False)
+    return right, BicomoduleAlgebra(Ab.left, right, Ab.PhiLR,
+                                    PhiLRInv=Ab.PhiLRInv, check=False)
+
+
+def test_comodule_verifiers_report_a_corrupted_coaction():
+    right, Ab = _sweedler_with_doubled_rho()
+    multiplicative = [f"coaction/multiplicative: pair (e_{i}, e_{j})"
+                      for i, j in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2))]
+    assert right.verify().failures == multiplicative + [
+        "coaction-coassociative: basis (1,)",
+        "coaction-coassociative: basis (2,)",
+        "coaction-counit: basis (2,)"]
+    assert Ab.verify().failures == ["coactions-quasi-commute: basis (3,)"]
+    assert verify_tilde_pq(right, tilde_pq(right, check=False)).failures \
+        == ["p-intertwiner: basis (1,)", "p-intertwiner: basis (2,)",
+            "q-intertwiner: basis (1,)", "q-intertwiner: basis (2,)"]
+    d = two_sided_from_bicomodule(Ab, "l", check=False)
+    all3 = [f"basis ({i},)" for i in (1, 2, 3)]
+    assert d.verify().failures == multiplicative + [
+        f"coaction-coassociative: {b}" for b in all3] + [
+        "coaction-counit: basis (2,)"]
+    assert verify_pq_delta(d, pq_delta(d, check=False)).failures == [
+        f"{tag}: {b}" for tag in ("p-conjugation", "q-conjugation")
+        for b in all3]
+    for primed in (False, True):
+        Om = omega_from_coaction(d, primed=primed)
+        assert verify_omega(d, Om, primed=primed).failures == [
+            f"omega-intertwiner: {b}" for b in all3]
+
+
+def test_left_comodule_verify_reports_a_corrupted_coaction():
+    Ab = entry("Sweedler4")["bicomodule"]
+    left = LeftComoduleAlgebra(Ab.Hq, Ab.A, doubled_column(Ab.lam, (2,)),
+                               Ab.left.PhiLam, PhiLamInv=Ab.left.PhiLamInv,
+                               check=False)
+    assert left.verify().failures == [
+        f"coaction/multiplicative: pair (e_{i}, e_{j})"
+        for i, j in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2))] + [
+        "coaction-coassociative: basis (2,)",
+        "coaction-coassociative: basis (3,)", "coaction-counit: basis (2,)"]
+
+
+def test_twist_equivalence_reports_a_corrupted_second_structure():
+    Ab = entry("Sweedler4")["bicomodule"]
+    A1, A2, K = lambda12_structures(Ab, check=False)
+    bad = LeftComoduleAlgebra(K, A2.B, doubled_column(A2.lam, (1,)),
+                              A2.PhiLam, PhiLamInv=A2.PhiLamInv, check=False)
+    with pytest.raises(VerificationError) as exc:
+        twist_equivalence_U(Ab, pair=(A1, bad, K))
+    assert str(exc.value) == "Sweedler4: coaction-conjugation: basis (1,)"

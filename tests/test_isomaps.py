@@ -4,11 +4,14 @@ import pytest
 
 from quasihopf.actions import RightModuleAlgebra, trivial_right_action
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                                 regular_left, twist_equivalence_U,
+                                 RightComoduleAlgebra, regular_left, tilde_pq,
+                                 twist_equivalence_U,
                                  two_sided_from_bicomodule)
 from quasihopf.fields import QQ
-from quasihopf.isomaps import (diag_as_gen_smash, diag_flavor_twist_iso,
-                               five_corollary, four_diagonal_isos, gamma_map,
+from quasihopf.finalg import VerificationError
+from quasihopf.isomaps import (_mu_identity_of3, diag_as_gen_smash,
+                               diag_flavor_twist_iso, five_corollary,
+                               four_diagonal_isos, gamma_map,
                                hausser_nill_check, iso_mu, iso_nu,
                                iso_smash_twist, iso_theta,
                                iso_twist_invariance, quantum_double_gen_smash,
@@ -16,7 +19,7 @@ from quasihopf.isomaps import (diag_as_gen_smash, diag_flavor_twist_iso,
 from quasihopf.linalg import flat_index, prod, unflatten
 from quasihopf.tensors import TensorElt, slotwise_mul
 
-from conftest import entry
+from conftest import corrupt_one, doubled_column, entry
 
 CHEAP = ["QZ2", "Sweedler4", "FpZn(5,2)"]
 
@@ -223,3 +226,70 @@ def test_comodule_twist_by_exchange_element():
 def test_twist_equivalence_certificate():
     for name in ("QZ2", "H2"):
         twist_equivalence_U(entry(name)["bicomodule"], check=True)
+
+
+# -- per-basis identities on corrupted inputs: the (tag, basis tuple)
+# pairs are the ones the hand-written loops reported before these checks
+# became slot-program pairs, first 10 per tag --------------------------------
+
+def _with_right(Ab, right):
+    return BicomoduleAlgebra(Ab.left, right, Ab.PhiLR, PhiLRInv=Ab.PhiLRInv,
+                             check=False)
+
+
+def _failures(fn):
+    with pytest.raises(VerificationError) as exc:
+        fn()
+    return str(exc.value)
+
+
+def test_gamma_map_reports_a_corrupted_associator():
+    # the H2 bicomodule with one entry of PhiRho off by one
+    st = entry("H2")
+    Ab = st["bicomodule"]
+    R = Ab.right
+    bad = _with_right(Ab, RightComoduleAlgebra(
+        R.Hq, R.A, R.rho, corrupt_one(R.PhiRho), PhiRhoInv=R.PhiRhoInv,
+        check=False))
+    assert _failures(lambda: gamma_map(st["dual"], bad)) == "gamma map: " \
+        + "; ".join(["gamma-lemma: basis (0,)", "gamma-lemma: basis (1,)"]
+                    + [f"gamma-generation: basis {idx}"
+                       for idx in ((0, 0), (0, 1), (1, 0), (1, 1))])
+
+
+def _sweedler_with_doubled_rho():
+    Ab = entry("Sweedler4")["bicomodule"]
+    return _with_right(Ab, RightComoduleAlgebra(
+        Ab.Hq, Ab.A, doubled_column(Ab.rho, (2,)), Ab.right.PhiRho,
+        PhiRhoInv=Ab.right.PhiRhoInv, check=False))
+
+
+def test_nu_reports_a_corrupted_coaction():
+    # the first 10 failing (p, a, b), of the nu-factorization only
+    st = entry("Sweedler4")
+    bad = _sweedler_with_doubled_rho()
+    assert _failures(lambda: iso_nu(bad, st["dual"], st["bicomodule"])) \
+        == "three-factor to diagonal over tensor: " + "; ".join(
+            f"nu-factorization: basis {idx}" for idx in (
+                (0, 2, 0), (0, 2, 1), (0, 2, 2), (0, 2, 3), (1, 1, 0),
+                (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 0), (1, 2, 1)))
+
+
+def test_mu_rearrangement_reports_a_corrupted_coaction():
+    # 11 failing pairs (u, u'); the first 10 are named
+    bad = _sweedler_with_doubled_rho()
+    rep = _mu_identity_of3(bad, tilde_pq(bad.right, check=False).q)
+    assert rep.failures == [f"mu-rearrangement-2: basis {idx}" for idx in (
+        (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
+        (2, 3), (3, 1))]
+
+
+def test_smash_twist_reports_an_unnormalised_twist():
+    # U = 2 (1 x 1) doubles 1 x b; the target is given, so the twisted
+    # comodule is not checked
+    st = entry("H2")
+    U = TensorElt(QQ, (2, 2), {(0, 0): 2})
+    msg = _failures(lambda: iso_smash_twist(st["module"], st["bicomodule"],
+                                            U, Btwisted=st["bicomodule"].left))
+    assert msg.startswith("smash twist equivalence: fixes-comodule: basis "
+                          "(0,); fixes-comodule: basis (1,); multiplicative:")

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from quasihopf import products
-from quasihopf.actions import RightModuleAlgebra, trivial_right_action
+from quasihopf.actions import (LeftModuleAlgebra, RightModuleAlgebra,
+                               trivial_right_action)
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  RightComoduleAlgebra, omega_from_coaction, tensor_bicomodule,
                                  two_sided_from_bicomodule)
 from quasihopf.fields import QQ
 from quasihopf.finalg import (FinAlgebra, Report, opposite,
                               verify_associative_unital)
+from quasihopf.quasihopf import QuasiHopfAlgebra
 from quasihopf.products import (diag_crossed, diag_crossed_general, gen_smash,
                                 gen_two_sided_crossed, induced_costructures,
                                 left_quasi_smash, quasi_smash, right_gen_smash,
@@ -21,7 +23,7 @@ from quasihopf.products import (diag_crossed, diag_crossed_general, gen_smash,
                                 two_sided_smash)
 from quasihopf.tensors import Program, TensorElt, Var, run_program, slotwise_mul
 
-from conftest import entry
+from conftest import corrupt_one, entry
 
 SMALL = ["QZ2", "H2", "Sweedler4"]
 HOPF = ["QZ2", "Sweedler4"]
@@ -589,3 +591,47 @@ def test_staged_products_match_on_broken_associator(name, where):
         non_associative += not verify_associative_unital(got, limit=1).ok
     # the broken input really reaches some of the tables
     assert non_associative
+
+
+# -- per-basis identities on corrupted inputs: the (tag, basis tuple)
+# pairs are the ones the hand-written loops reported before these checks
+# became slot-program pairs, first 10 per tag --------------------------------
+
+def _lines(monkeypatch, build, prefix):
+    """The failure lines starting with ``prefix`` of the report that
+    ``build`` requires, all of them (``require`` names only 10)."""
+    seen = []
+    monkeypatch.setattr(Report, "require",
+                        lambda rep, context="": seen.append(rep.failures))
+    build()
+    return [f for f in seen[-1] if f.startswith(prefix)]
+
+
+def test_smash_reports_a_corrupted_associator(monkeypatch):
+    # Sweedler's algebra with one entry of PhiInv off by one: 48 and 52
+    # failing (a, h, h') triples, the first 10 of each named
+    st = entry("Sweedler4")
+    Hq, Am = st["H"], st["module"]
+    bad = QuasiHopfAlgebra(Hq.H, Hq.Delta, Hq.counit, Hq.Phi, Hq.S,
+                           Hq.alpha, Hq.beta, PhiInv=corrupt_one(Hq.PhiInv),
+                           SInv=Hq.SInv)
+    first10 = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 0),
+               (0, 1, 2), (0, 2, 0), (0, 2, 1), (0, 2, 2), (0, 2, 3)]
+    assert _lines(monkeypatch, lambda: smash(LeftModuleAlgebra(
+        bad, Am.A, Am.action, check=False)), "absorb") == [
+        f"absorb-{side}: basis {idx}" for side in ("right", "left")
+        for idx in first10]
+
+
+def test_diag_crossed_reports_a_corrupted_coaction(monkeypatch):
+    # the H2 bicomodule with one entry of PhiRho off by one
+    st = entry("H2")
+    Ab = st["bicomodule"]
+    R = Ab.right
+    bad = BicomoduleAlgebra(Ab.left, RightComoduleAlgebra(
+        R.Hq, R.A, R.rho, corrupt_one(R.PhiRho), PhiRhoInv=R.PhiRhoInv,
+        check=False), Ab.PhiLR, PhiLRInv=Ab.PhiLRInv, check=False)
+    assert _lines(monkeypatch, lambda: diag_crossed(st["dual"], bad),
+                  "generator") == [
+        f"generator-recombination: basis {idx}"
+        for idx in ((0, 0), (0, 1), (1, 0), (1, 1))]

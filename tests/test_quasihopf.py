@@ -6,10 +6,10 @@ from quasihopf.corpus import (cyclic_with_cocycle, group_algebra_z2, sweedler4,
                               twisted_z2)
 from quasihopf.fields import QQ
 from quasihopf.finalg import invert_mixed
-from quasihopf.quasihopf import tensor_qh
-from quasihopf.tensors import TensorElt, slotwise_prod
+from quasihopf.quasihopf import QuasiHopfAlgebra, tensor_qh
+from quasihopf.tensors import TensorElt, linmap_from_fn, slotwise_prod
 
-from conftest import entry
+from conftest import doubled_column, entry
 
 ALL = ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
 HOPF = ["QZ2", "Sweedler4"]
@@ -138,3 +138,42 @@ def test_eps_scalar_and_tmul():
     assert Hq.eps_scalar(Hq.basis_elt(1)) == 0
     t = slotwise_prod([Hq.unit_elt(2), Hq.unit_elt(2)], Hq.H)
     assert t == Hq.unit_elt(2)
+
+
+# -- per-basis identities on corrupted inputs: the (tag, basis tuple)
+# pairs are the ones the hand-written loops reported before these checks
+# became slot-program pairs, first 10 per tag --------------------------------
+
+def test_verify_reports_a_corrupted_antipode():
+    # Sweedler's algebra with S(e_1) doubled
+    Hq = entry("Sweedler4")["H"]
+    bad = QuasiHopfAlgebra(Hq.H, Hq.Delta, Hq.counit, Hq.Phi,
+                           doubled_column(Hq.S, (1,)), Hq.alpha, Hq.beta,
+                           PhiInv=Hq.PhiInv)
+    assert bad.verify().failures == [
+        "antipode/multiplicative: pair (e_1, e_2)",
+        "antipode/multiplicative: pair (e_2, e_1)",
+        "antipode/multiplicative: pair (e_2, e_3)",
+        "antipode/multiplicative: pair (e_3, e_2)",
+        "antipode-alpha: basis (1,)",
+        "antipode-beta: basis (1,)"]
+    assert bad.verify_canonical().failures == [
+        "left-intertwiner: basis (1,)", "right-intertwiner: basis (3,)"]
+
+
+def test_verify_reports_a_corrupted_coproduct():
+    # H2 with e_0 (x) e_0 added to Delta(e_1)
+    Hq = entry("H2")["H"]
+
+    def col(idx):
+        t = TensorElt.basis(QQ, (2,), idx).apply_at(0, Hq.Delta)
+        return t + TensorElt.basis(QQ, (2, 2), (0, 0)) if idx == (1,) else t
+
+    Delta = linmap_from_fn(QQ, (2,), (2, 2), col)
+    bad = QuasiHopfAlgebra(Hq.H, Delta, Hq.counit, Hq.Phi, Hq.S, Hq.alpha,
+                           Hq.beta, PhiInv=Hq.PhiInv, SInv=Hq.SInv)
+    assert bad.verify().failures == [
+        "coproduct/multiplicative: pair (e_1, e_1)",
+        "coassociativity: basis (1,)", "counit-left: basis (1,)",
+        "counit-right: basis (1,)", "pentagon",
+        "antipode-alpha: basis (1,)", "antipode-beta: basis (1,)"]

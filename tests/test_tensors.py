@@ -468,7 +468,7 @@ def _program(data, field, pool, steps, depth=0):
     of dimension at most three."""
     dims = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
     prog = Program(_element(data, field, dims))
-    kinds = ["var", "const", "apply", "mul", "permute"] \
+    kinds = ["var", "const", "apply", "mul", "permute", "slotwise"] \
         + (["sub"] if depth == 0 else [])
     for _ in range(steps):
         kind = data.draw(st.sampled_from(kinds))
@@ -499,13 +499,28 @@ def _program(data, field, pool, steps, depth=0):
                 prog = prog.mul_slots(a, b, _algebra(data, field, dims[a]))
         elif kind == "permute":
             prog = prog.permute(data.draw(st.permutations(range(len(dims)))))
+        elif kind == "slotwise" and dims:
+            prog = _slotwise_step(data, field, prog)
     return prog
+
+
+def _slotwise_step(data, field, prog):
+    """``prog`` multiplied slot by slot by a random constant, on the left
+    or on the right, in random algebras of its slots."""
+    x = _element(data, field, prog.dims)
+    algebras = [_algebra(data, field, d) for d in prog.dims]
+    return prog.slotwise_mul(x, algebras, data.draw(st.booleans()))
 
 
 def _evaluate(prog, env):
     """The program run step by step at one value of its variables."""
     t = prog.start
     for step in prog.steps:
+        if step[0] == "slotwise_mul":
+            _, x, algebras, left = step
+            t = slotwise_mul(x, t, algebras) if left \
+                else slotwise_mul(t, x, algebras)
+            continue
         if step[0] != "insert":
             t = getattr(t, step[0])(*step[1:])
             continue
@@ -560,6 +575,81 @@ def test_executor_matches_per_tuple_evaluation(field_name, data):
                 if _evaluate(lhs, dict(zip(order, idx)))
                 != _evaluate(rhs, dict(zip(order, idx)))][:limit]
         assert program_mismatches(lhs, rhs, order, limit) == want
+
+
+@given(st.sampled_from(sorted(PROGRAM_FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_slotwise_step_matches_slotwise_mul(field_name, data):
+    # a memoised sub-program, then the slotwise step with the constant on
+    # either side, then a variable that only a later step reads
+    field = PROGRAM_FIELDS[field_name]
+    u, v, w = (Var(name, data.draw(st.integers(1, 3))) for name in "uvw")
+    sub = Program.basis(field, v).apply_at(
+        0, _map(data, field, (v.dim,), (data.draw(st.integers(1, 2)),)))
+    prog = _program(data, field, [u], data.draw(st.integers(0, 2)), depth=1)
+    if len(prog.dims) > 2:
+        prog = prog.apply_at(0, _map(data, field, prog.dims[:3], (2,)))
+    prog = _last_read(data, field, _slotwise_step(
+        data, field, prog.insert(data.draw(st.integers(0, len(prog.dims))),
+                                 sub)), w)
+    got = {}
+    order = data.draw(st.permutations(prog.vars))
+    run_program(prog, order, got.__setitem__)
+    dims = tuple(x.dim for x in order)
+    assert sorted(got) == list(range(prod(dims)))
+    for off, t in got.items():
+        env = dict(zip(order, unflatten(dims, off)))
+        assert t == _evaluate(prog, env) and t.dims == prog.dims
+    # the step alone, on a value with mixed denominators or residues
+    _, x, algebras, left = next(s for s in prog.steps
+                                if s[0] == "slotwise_mul")
+    t = _element(data, field, x.dims, 6)
+    values = []
+    run_program(Program(t).slotwise_mul(x, algebras, left), (),
+                lambda off, val: values.append(val))
+    assert values == [slotwise_mul(x, t, algebras) if left
+                      else slotwise_mul(t, x, algebras)]
+
+
+def _mismatches_reference(lhs, rhs, order, limit):
+    """program_mismatches unstaged: every value tuple in lexicographic
+    order, both programs evaluated step by step."""
+    bad = []
+    for idx in product(*(range(v.dim) for v in order)):
+        env = dict(zip(order, idx))
+        if _evaluate(lhs, env) != _evaluate(rhs, env):
+            bad.append(idx)
+            if len(bad) == limit:
+                break
+    return bad
+
+
+@given(st.sampled_from(sorted(PROGRAM_FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_program_mismatches_matches_unstaged_reference(field_name, data):
+    # both sides compiled once with the first variable bound from
+    # outside: it may be read first, late, twice, or only inside a
+    # sub-program or by the last step
+    field = PROGRAM_FIELDS[field_name]
+    pool = [Var("u", data.draw(st.integers(1, 3))),
+            Var("v", data.draw(st.integers(1, 3)))]
+    base = _last_read(data, field, _program(
+        data, field, pool, data.draw(st.integers(1, 5))),
+        Var("w", data.draw(st.integers(1, 3))))
+    d = base.dims[0]
+    cols = {(i,): _element(data, field, (d,), 3) for i in range(d)}
+    m1 = linmap_from_fn(field, (d,), (d,), cols.__getitem__)
+    changed = data.draw(st.integers(0, d - 1))
+    cols[(changed,)] = cols[(changed,)] + _element(data, field, (d,), 2)
+    m2 = linmap_from_fn(field, (d,), (d,), cols.__getitem__)
+    lhs = base.apply_at(0, m1)
+    rhs = data.draw(st.sampled_from([base.apply_at(0, m2), lhs]))
+    if data.draw(st.booleans()):
+        lhs, rhs = rhs, lhs
+    order = data.draw(st.permutations(base.vars))
+    limit = data.draw(st.sampled_from([None, 1, 3, 10]))
+    assert program_mismatches(lhs, rhs, order, limit) \
+        == _mismatches_reference(lhs, rhs, order, limit)
 
 
 def test_executor_runs_each_step_once_per_value_read(monkeypatch):

@@ -13,7 +13,7 @@ from quasihopf.ydrep import (BimoduleCoalgebra, FinModule, YDModule,
                              sec8_correspondences, yd_product,
                              yd_roundtrip_check, yd_to_module)
 
-from conftest import entry
+from conftest import doubled_column, entry
 
 ALL = ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
 SMALL = ["QZ2", "H2", "Sweedler4"]
@@ -96,7 +96,12 @@ def test_broken_comultiplication_detected():
                            lambda idx: TensorElt.basis(QQ, (n, n), (0, 0)))
     bad = BimoduleCoalgebra(Hq, n, comul, C.counit, C.left, C.right,
                             check=False)
-    assert not bad.verify().ok
+    # the (tag, basis tuple) pairs the hand-written loops reported
+    assert bad.verify().failures == [
+        "counit-left: basis (1,)", "counit-right: basis (1,)",
+        "comul-left-module: basis (1, 0)", "comul-left-module: basis (1, 1)",
+        "comul-right-module: basis (1, 0)",
+        "comul-right-module: basis (1, 1)"]
 
 
 def test_broken_module_action_detected():
@@ -114,7 +119,11 @@ def test_broken_module_action_detected():
                             linmap_from_fn(QQ, (n, n), (n,), bad_fn),
                             check=False)
     rep = sec8_correspondences(Hq, bad, Am)
-    assert not rep.ok
+    # more than 10 failures, all of one relation: the first 10 in the
+    # order (m, a, h) of the loops this check replaced
+    assert rep.failures == [f"left-action-H-compat: basis {idx}" for idx in (
+        (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 1), (0, 1, 2), (0, 2, 1),
+        (0, 2, 2), (0, 2, 3), (0, 3, 1), (0, 3, 2))]
 
 
 def test_fin_module_verify_rejects_non_action():
@@ -138,3 +147,47 @@ def test_yd_product_dimensions():
     Ab, C = st["bicomodule"], st["coalgebra"]
     dual, prod = yd_product(Ab, C, check=False)
     assert prod.result.dim == C.dim * Ab.A.dim
+
+
+# -- per-basis identities on corrupted inputs: the (tag, basis tuple)
+# pairs are the ones the hand-written loops reported before these checks
+# became slot-program pairs, first 10 per tag --------------------------------
+
+def _h2_yd_module():
+    st = entry("H2")
+    _, prod = yd_product(st["bicomodule"], st["coalgebra"], check=False)
+    M = regular_module(prod.result, check=False)
+    return M, module_to_yd(M, st["bicomodule"], st["coalgebra"], check=False)
+
+
+def test_yd_module_verify_reports_a_corrupted_coaction():
+    _, yd = _h2_yd_module()
+    bad = YDModule(yd.Hq, yd.Ab, yd.C, yd.dim, yd.act,
+                   doubled_column(yd.coact, (1,)), check=False)
+    assert bad.verify().failures == [
+        "coaction-counit: basis (1,)"] + [
+        f"mixed-coassociativity: basis ({i},)" for i in range(4)] + [
+        "action-coaction-exchange: basis (0, 1)",
+        "action-coaction-exchange: basis (1, 1)"]
+
+
+def test_fin_module_verify_reports_a_corrupted_action():
+    # 28 failing (m, a, a') triples; the first 10 are named
+    M, _ = _h2_yd_module()
+    bad = FinModule(M.algebra, M.dim, doubled_column(M.act, (3, 1)),
+                    check=False)
+    assert bad.verify().failures == [
+        f"action-associative: basis {idx}" for idx in (
+            (0, 3, 0), (0, 3, 1), (0, 3, 2), (0, 3, 3), (1, 0, 0), (1, 0, 1),
+            (1, 0, 2), (1, 0, 3), (1, 1, 0), (1, 1, 1))]
+
+
+def test_yd_roundtrip_reports_a_corrupted_embedding(monkeypatch):
+    from quasihopf import isomaps
+    gamma_map = isomaps.gamma_map
+    monkeypatch.setattr(isomaps, "gamma_map", lambda *args, **kw:
+                        doubled_column(gamma_map(*args, **kw), (1,)))
+    st = entry("H2")
+    rep = yd_roundtrip_check(st["H"], st["bicomodule"], st["coalgebra"])
+    assert rep.failures == [f"embedding-pairing: basis (1, {m})"
+                            for m in range(4)]
