@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from .finalg import (FinAlgebra, Report, algebra_from_program,
                      invert_mixed, program_report)
-from .linalg import LinMap
+from .linalg import LinMap, reshape_map
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import Program, TensorElt, Var, linmap_from_fn
+from .tensors import Program, TensorElt, Var, linmap_from_program
 
 
 def _action_laws(Hq: QuasiHopfAlgebra, A: FinAlgebra, act: LinMap,
@@ -184,18 +184,16 @@ class BimoduleAlgebra:
 
 def trivial_left_action(Hq: QuasiHopfAlgebra, A: FinAlgebra) -> LinMap:
     """h.a = eps(h) a."""
-    return linmap_from_fn(
-        Hq.field, (Hq.n, A.dim), (A.dim,),
-        lambda idx: TensorElt.basis(Hq.field, (Hq.n, A.dim), idx)
-        .drop_slot(0, Hq.counit))
+    h, a = Var("h", Hq.n), Var("a", A.dim)
+    return linmap_from_program(
+        Program.basis(Hq.field, h, a).apply_at(0, Hq.counit), (h, a))
 
 
 def trivial_right_action(Hq: QuasiHopfAlgebra, A: FinAlgebra) -> LinMap:
     """a.h = eps(h) a."""
-    return linmap_from_fn(
-        Hq.field, (A.dim, Hq.n), (A.dim,),
-        lambda idx: TensorElt.basis(Hq.field, (A.dim, Hq.n), idx)
-        .drop_slot(1, Hq.counit))
+    a, h = Var("a", A.dim), Var("h", Hq.n)
+    return linmap_from_program(
+        Program.basis(Hq.field, a, h).apply_at(1, Hq.counit), (a, h))
 
 
 def left_to_bimodule(A: LeftModuleAlgebra,
@@ -239,16 +237,14 @@ def tensor_bimodule(A: LeftModuleAlgebra, B: RightModuleAlgebra,
     AB = tensor_algebra(A.A, B.B)
     ma, mb = A.A.dim, B.B.dim
     fld = Hq.field
-    left = linmap_from_fn(
-        fld, (Hq.n, ma * mb), (ma * mb,),
-        lambda idx: TensorElt.basis(fld, (Hq.n, ma, mb),
-                                    (idx[0],) + divmod(idx[1], mb))
-        .apply_at(0, A.action).merge_slots((2,)))
-    right = linmap_from_fn(
-        fld, (ma * mb, Hq.n), (ma * mb,),
-        lambda idx: TensorElt.basis(fld, (ma, mb, Hq.n),
-                                    divmod(idx[0], mb) + (idx[1],))
-        .apply_at(1, B.action).merge_slots((2,)))
+    h, x = Var("h", Hq.n), Var("x", ma * mb)
+    split = reshape_map(fld, (ma * mb,), (ma, mb))
+    merge = reshape_map(fld, (ma, mb), (ma * mb,))
+    e = Program.basis(fld, x).apply_at(0, split)
+    left = linmap_from_program(
+        e.insert(0, h).apply_at(0, A.action).apply_at(0, merge), (h, x))
+    right = linmap_from_program(
+        e.tensor(h).apply_at(1, B.action).apply_at(0, merge), (x, h))
     name = f"{A.name}(x){B.name}" if A.name and B.name else ""
     return BimoduleAlgebra(Hq, AB, left, right, name=name, check=check)
 
@@ -307,10 +303,10 @@ def bar_construction(A: LeftModuleAlgebra,
         .mul_slots(0, 1, A.A)
     Abar = algebra_from_program(prog, [a], [a2], A.unit_elt(),
                                 f"{A.name}-bar" if A.name else "")
-    action = linmap_from_fn(
-        fld, (m, Hq.n), (m,),
-        lambda idx: TensorElt.basis(fld, (Hq.n, m), (idx[1], idx[0]))
-        .apply_at(0, Hq.S).apply_at(0, A.action))
+    h = Var("h", Hq.n)
+    action = linmap_from_program(
+        Program.basis(fld, h).apply_at(0, Hq.S).tensor(a)
+        .apply_at(0, A.action), (a, h))
     return RightModuleAlgebra(Hq, Abar, action, name=Abar.name, check=check)
 
 
@@ -318,13 +314,10 @@ def as_module_over_tensor(A: BimoduleAlgebra, HHop: QuasiHopfAlgebra,
                           check: bool = True) -> LeftModuleAlgebra:
     """View a bimodule algebra as a left module algebra over H (x) H^op
     via (h x h').phi = h.phi.h'."""
-    n, m = A.Hq.n, A.A.dim
+    n = A.Hq.n
     fld = A.field
-
-    def act(idx):
-        i, j = divmod(idx[0], n)
-        t = TensorElt.basis(fld, (n, m, n), (i, idx[1], j))
-        return t.apply_at(1, A.right).apply_at(0, A.left)
-
-    action = linmap_from_fn(fld, (n * n, m), (m,), act)
+    x, p = Var("x", n * n), Var("p", A.A.dim)
+    action = linmap_from_program(
+        Program.basis(fld, x).apply_at(0, reshape_map(fld, (n * n,), (n, n)))
+        .insert(1, p).apply_at(1, A.right).apply_at(0, A.left), (x, p))
     return LeftModuleAlgebra(HHop, A.A, action, name=A.name, check=check)

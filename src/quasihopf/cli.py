@@ -226,8 +226,8 @@ def _gauge_ok(Hq, F: TensorElt) -> bool:
     if invert_mixed(F, [Hq.H, Hq.H]) is None:
         return False
     one = Hq.unit_elt()
-    eps1 = F.drop_slot(0, Hq.counit)
-    eps2 = F.drop_slot(1, Hq.counit)
+    eps1 = F.apply_at(0, Hq.counit)
+    eps2 = F.apply_at(1, Hq.counit)
     return eps1 == one and eps2 == one
 
 

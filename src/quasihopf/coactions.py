@@ -27,8 +27,8 @@ from .finalg import (FinAlgebra, Report, check_algebra_map, invert_mixed,
                      opposite, program_report, slotwise_unit, tensor_algebra)
 from .linalg import LinMap, reshape_map
 from .quasihopf import QuasiHopfAlgebra, _tag, tensor_qh
-from .tensors import (Program, TensorElt, Var, fold_slots, linmap_from_fn,
-                      slotwise_mul, slotwise_prod)
+from .tensors import (Program, TensorElt, Var, fold_slots,
+                      linmap_from_program, slotwise_mul, slotwise_prod)
 
 
 # -- comodule algebras --------------------------------------------------------
@@ -101,7 +101,7 @@ class RightComoduleAlgebra:
             ("coaction-counit", r.apply_at(1, Hq.counit), e, (a,))]))
         one2 = self.unit_elt().tensor(Hq.unit_elt())
         for pos in (1, 2):
-            rep.check(self.PhiRho.drop_slot(pos, Hq.counit) == one2,
+            rep.check(self.PhiRho.apply_at(pos, Hq.counit) == one2,
                       "associator-counit", f"slot {pos}")
         return rep
 
@@ -173,7 +173,7 @@ class LeftComoduleAlgebra:
             ("coaction-counit", lb.apply_at(0, Hq.counit), e, (b,))]))
         one2 = Hq.unit_elt().tensor(self.unit_elt())
         for pos in (0, 1):
-            rep.check(self.PhiLam.drop_slot(pos, Hq.counit) == one2,
+            rep.check(self.PhiLam.apply_at(pos, Hq.counit) == one2,
                       "associator-counit", f"slot {pos}")
         return rep
 
@@ -270,10 +270,10 @@ class BicomoduleAlgebra:
                              PhiRho.apply_at(0, self.lam)], algsR)
         rep.check(lhs == rhs, "mixed-pentagon-right")
         # counit kills the gluing element on either outer slot
-        rep.check(self.PhiLR.drop_slot(2, Hq.counit)
+        rep.check(self.PhiLR.apply_at(2, Hq.counit)
                   == Hq.unit_elt().tensor(self.unit_elt()),
                   "gluing-counit", "last slot")
-        rep.check(self.PhiLR.drop_slot(0, Hq.counit)
+        rep.check(self.PhiLR.apply_at(0, Hq.counit)
                   == self.unit_elt().tensor(Hq.unit_elt()),
                   "gluing-counit", "first slot")
         return rep
@@ -287,16 +287,12 @@ class BicomoduleAlgebra:
         if Hoc is None:
             Hoc = Hq.variant(op=True, cop=True)
         Aop = opposite(self.A)
-        n, m = Hq.n, self.A.dim
-        fld = self.field
-        lam2 = linmap_from_fn(
-            fld, (m,), (n, m),
-            lambda idx: TensorElt.basis(fld, (m,), idx)
-            .apply_at(0, self.rho).permute((1, 0)))
-        rho2 = linmap_from_fn(
-            fld, (m,), (m, n),
-            lambda idx: TensorElt.basis(fld, (m,), idx)
-            .apply_at(0, self.lam).permute((1, 0)))
+        u = Var("u", self.A.dim)
+        e = Program.basis(self.field, u)
+        lam2 = linmap_from_program(e.apply_at(0, self.rho).permute((1, 0)),
+                                   (u,))
+        rho2 = linmap_from_program(e.apply_at(0, self.lam).permute((1, 0)),
+                                   (u,))
         left = LeftComoduleAlgebra(
             Hoc, Aop, lam2, self.right.PhiRho.permute((2, 1, 0)),
             PhiLamInv=self.right.PhiRhoInv.permute((2, 1, 0)),
@@ -382,9 +378,9 @@ class TwoSidedCoaction:
             ("coaction-counit",
              d.apply_at(2, Hq.counit).apply_at(0, Hq.counit), e, (u,))]))
         one3 = slotwise_unit(self.field, [H, A, H])
-        rep.check(self.Psi.drop_slot(3, Hq.counit).drop_slot(1, Hq.counit)
+        rep.check(self.Psi.apply_at(3, Hq.counit).apply_at(1, Hq.counit)
                   == one3, "psi-counit", "inner slots")
-        rep.check(self.Psi.drop_slot(4, Hq.counit).drop_slot(0, Hq.counit)
+        rep.check(self.Psi.apply_at(4, Hq.counit).apply_at(0, Hq.counit)
                   == one3, "psi-counit", "outer slots")
         return rep
 
@@ -423,26 +419,25 @@ def tensor_bicomodule(Afr: RightComoduleAlgebra, Bfr: LeftComoduleAlgebra,
     if Afr.Hq is not Bfr.Hq:
         raise ValueError("factors live over different parents")
     Hq = Afr.Hq
-    n = Hq.n
     A, B = Afr.A, Bfr.B
     ma, mb = A.dim, B.dim
     fld = Hq.field
     AB = tensor_algebra(A, B)
     AB.name = (f"{Afr.name}(x){Bfr.name}"
                if Afr.name and Bfr.name else "")
-    lam = linmap_from_fn(
-        fld, (ma * mb,), (n, ma * mb),
-        lambda idx: TensorElt.basis(fld, (ma, mb), divmod(idx[0], mb))
-        .apply_at(1, Bfr.lam).permute((1, 0, 2)).merge_slots((1, 2)))
-    rho = linmap_from_fn(
-        fld, (ma * mb,), (ma * mb, n),
-        lambda idx: TensorElt.basis(fld, (ma, mb), divmod(idx[0], mb))
-        .apply_at(0, Afr.rho).permute((0, 2, 1)).merge_slots((2, 1)))
+    x = Var("x", ma * mb)
+    merge = reshape_map(fld, (ma, mb), (ma * mb,))
+    e = Program.basis(fld, x).apply_at(0, reshape_map(fld, (ma * mb,),
+                                                      (ma, mb)))
+    lam = linmap_from_program(e.apply_at(1, Bfr.lam).permute((1, 0, 2))
+                              .apply_at(1, merge), (x,))
+    rho = linmap_from_program(e.apply_at(0, Afr.rho).permute((0, 2, 1))
+                              .apply_at(0, merge), (x,))
     unitA, unitB = Afr.unit_elt(), Bfr.unit_elt()
-    PhiLam = Bfr.PhiLam.insert(2, unitA).merge_slots((1, 1, 2))
-    PhiLamInv = Bfr.PhiLamInv.insert(2, unitA).merge_slots((1, 1, 2))
-    PhiRho = Afr.PhiRho.insert(1, unitB).merge_slots((2, 1, 1))
-    PhiRhoInv = Afr.PhiRhoInv.insert(1, unitB).merge_slots((2, 1, 1))
+    PhiLam = Bfr.PhiLam.insert(2, unitA).apply_at(2, merge)
+    PhiLamInv = Bfr.PhiLamInv.insert(2, unitA).apply_at(2, merge)
+    PhiRho = Afr.PhiRho.insert(1, unitB).apply_at(0, merge)
+    PhiRhoInv = Afr.PhiRhoInv.insert(1, unitB).apply_at(0, merge)
     PhiLR = slotwise_unit(fld, [Hq.H, AB, Hq.H])
     left = LeftComoduleAlgebra(Hq, AB, lam, PhiLam, PhiLamInv=PhiLamInv,
                                name=AB.name, check=False)
@@ -458,25 +453,23 @@ def bicomodule_tensor_with_algebra(Ab: BicomoduleAlgebra, C: FinAlgebra,
     if Ab.field != C.field:
         raise ValueError("field mismatch")
     Hq = Ab.Hq
-    n, m, c = Hq.n, Ab.A.dim, C.dim
+    m, c = Ab.A.dim, C.dim
     fld = Ab.field
     AC = tensor_algebra(Ab.A, C)
     AC.name = f"{Ab.name}(x){C.name}" if Ab.name and C.name else ""
     unitC = TensorElt.from_vector(fld, C.unit)
-    lam = linmap_from_fn(
-        fld, (m * c,), (n, m * c),
-        lambda idx: TensorElt.basis(fld, (m, c), divmod(idx[0], c))
-        .apply_at(0, Ab.lam).merge_slots((1, 2)))
-    rho = linmap_from_fn(
-        fld, (m * c,), (m * c, n),
-        lambda idx: TensorElt.basis(fld, (m, c), divmod(idx[0], c))
-        .apply_at(0, Ab.rho).permute((0, 2, 1)).merge_slots((2, 1)))
-    PhiLam = Ab.left.PhiLam.insert(3, unitC).merge_slots((1, 1, 2))
-    PhiLamInv = Ab.left.PhiLamInv.insert(3, unitC).merge_slots((1, 1, 2))
-    PhiRho = Ab.right.PhiRho.insert(1, unitC).merge_slots((2, 1, 1))
-    PhiRhoInv = Ab.right.PhiRhoInv.insert(1, unitC).merge_slots((2, 1, 1))
-    PhiLR = Ab.PhiLR.insert(2, unitC).merge_slots((1, 2, 1))
-    PhiLRInv = Ab.PhiLRInv.insert(2, unitC).merge_slots((1, 2, 1))
+    x = Var("x", m * c)
+    merge = reshape_map(fld, (m, c), (m * c,))
+    e = Program.basis(fld, x).apply_at(0, reshape_map(fld, (m * c,), (m, c)))
+    lam = linmap_from_program(e.apply_at(0, Ab.lam).apply_at(1, merge), (x,))
+    rho = linmap_from_program(e.apply_at(0, Ab.rho).permute((0, 2, 1))
+                              .apply_at(0, merge), (x,))
+    PhiLam = Ab.left.PhiLam.insert(3, unitC).apply_at(2, merge)
+    PhiLamInv = Ab.left.PhiLamInv.insert(3, unitC).apply_at(2, merge)
+    PhiRho = Ab.right.PhiRho.insert(1, unitC).apply_at(0, merge)
+    PhiRhoInv = Ab.right.PhiRhoInv.insert(1, unitC).apply_at(0, merge)
+    PhiLR = Ab.PhiLR.insert(2, unitC).apply_at(1, merge)
+    PhiLRInv = Ab.PhiLRInv.insert(2, unitC).apply_at(1, merge)
     left = LeftComoduleAlgebra(Hq, AC, lam, PhiLam, PhiLamInv=PhiLamInv,
                                name=AC.name, check=False)
     right = RightComoduleAlgebra(Hq, AC, rho, PhiRho, PhiRhoInv=PhiRhoInv,
@@ -573,14 +566,12 @@ def two_sided_from_bicomodule(Ab: BicomoduleAlgebra, side: str = "l",
     Hq = Ab.Hq
     H = Hq.H
     A = Ab.A
-    n, m = Hq.n, A.dim
-    fld = Ab.field
+    u = Var("u", A.dim)
+    e = Program.basis(Ab.field, u)
     oneH = Hq.unit_elt()
     if side == "l":
-        delta = linmap_from_fn(
-            fld, (m,), (n, m, n),
-            lambda idx: TensorElt.basis(fld, (m,), idx)
-            .apply_at(0, Ab.rho).apply_at(0, Ab.lam))
+        delta = linmap_from_program(e.apply_at(0, Ab.rho).apply_at(0, Ab.lam),
+                                    (u,))
         inner = slotwise_mul(Ab.PhiLR.insert(3, oneH),
                              Ab.right.PhiRhoInv.apply_at(0, Ab.lam),
                              [H, A, H, H])
@@ -593,10 +584,8 @@ def two_sided_from_bicomodule(Ab: BicomoduleAlgebra, side: str = "l",
             Ab.left.PhiLamInv.insert(3, oneH).insert(4, oneH),
             inner.apply_at(1, Ab.lam), [H, H, A, H, H])
     elif side == "r":
-        delta = linmap_from_fn(
-            fld, (m,), (n, m, n),
-            lambda idx: TensorElt.basis(fld, (m,), idx)
-            .apply_at(0, Ab.lam).apply_at(1, Ab.rho))
+        delta = linmap_from_program(e.apply_at(0, Ab.lam).apply_at(1, Ab.rho),
+                                    (u,))
         inner = slotwise_mul(Ab.PhiLRInv.insert(0, oneH),
                              Ab.left.PhiLam.apply_at(2, Ab.rho),
                              [H, H, A, H])
@@ -695,7 +684,7 @@ def verify_omega(d: TwoSidedCoaction, Om: TensorElt,
         rep.check(lhs == rhs, "omega-cocycle")
     t = Om
     for pos in (4, 3, 1, 0):
-        t = t.drop_slot(pos, Hq.counit)
+        t = t.apply_at(pos, Hq.counit)
     rep.check(t == d.unit_elt(), "omega-counit")
     rep.check(invert_mixed(Om, [H, H, A, H, H]) is not None,
               "omega-invertible")
@@ -891,18 +880,14 @@ def lambda12_structures(Ab: BicomoduleAlgebra,
     fld = Ab.field
     mixed = [H, Hop, H, Hop, A]
 
-    def lam1_fn(idx):
-        t = TensorElt.basis(fld, (m,), idx).apply_at(0, Ab.rho)
-        t = t.apply_at(0, Ab.lam).apply_at(2, Hq.SInv)
-        return t.permute((0, 2, 1)).merge_slots((2, 1))
-
-    def lam2_fn(idx):
-        t = TensorElt.basis(fld, (m,), idx).apply_at(0, Ab.lam)
-        t = t.apply_at(1, Ab.rho).apply_at(2, Hq.SInv)
-        return t.permute((0, 2, 1)).merge_slots((2, 1))
-
-    lam1 = linmap_from_fn(fld, (m,), (n * n, m), lam1_fn)
-    lam2 = linmap_from_fn(fld, (m,), (n * n, m), lam2_fn)
+    merge = reshape_map(fld, (n, n), (n * n,))
+    u = Var("u", m)
+    e = Program.basis(fld, u)
+    lam1, lam2 = (
+        linmap_from_program(t.apply_at(2, Hq.SInv).permute((0, 2, 1))
+                            .apply_at(0, merge), (u,))
+        for t in (e.apply_at(0, Ab.rho).apply_at(0, Ab.lam),
+                  e.apply_at(0, Ab.lam).apply_at(1, Ab.rho)))
     rep = Report()
     g = Hq.drinfeld_twist().f_inv
     gS = g.apply_at(0, Hq.SInv).apply_at(1, Hq.SInv).permute((1, 0))
@@ -945,14 +930,16 @@ def lambda12_structures(Ab: BicomoduleAlgebra,
                   "second structure")
     if check:
         rep.require(Ab.name or "bicomodule algebra")
-    Phi1 = (computed1 or claimed1).merge_slots((2, 2, 1))
-    Phi2 = (computed2 or claimed2).merge_slots((2, 2, 1))
-    A1 = LeftComoduleAlgebra(K, A, lam1, Phi1,
-                             PhiLamInv=W1.merge_slots((2, 2, 1)),
+
+    def merged(t):
+        return t.apply_at(0, merge).apply_at(1, merge)
+
+    Phi1 = merged(computed1 or claimed1)
+    Phi2 = merged(computed2 or claimed2)
+    A1 = LeftComoduleAlgebra(K, A, lam1, Phi1, PhiLamInv=merged(W1),
                              name=f"{Ab.name}_1" if Ab.name else "",
                              check=check)
-    A2 = LeftComoduleAlgebra(K, A, lam2, Phi2,
-                             PhiLamInv=W2.merge_slots((2, 2, 1)),
+    A2 = LeftComoduleAlgebra(K, A, lam2, Phi2, PhiLamInv=merged(W2),
                              name=f"{Ab.name}_2" if Ab.name else "",
                              check=check)
     return A1, A2, K
@@ -1022,23 +1009,24 @@ def twist_equivalence_U(Ab: BicomoduleAlgebra, pair=None,
         u = Var("u", A.dim)
         e = Program.basis(Ab.field, u)
         split = reshape_map(Ab.field, (n * n,), (n, n))
+        merge = reshape_map(Ab.field, (n, n), (n * n,))
         rep.merge(program_report([
             ("coaction-conjugation",
              e.apply_at(0, A1.lam).apply_at(0, split)
              .slotwise_mul(U3, algsU, left=True).slotwise_mul(Uinv3, algsU),
              e.apply_at(0, A2.lam).apply_at(0, split), (u,))]))
         mixed = [H, Hop, H, Hop, A]
-        Phi1 = A1.PhiLam.split_slot(0, (n, n)).split_slot(2, (n, n))
-        Phi2 = A2.PhiLam.split_slot(0, (n, n)).split_slot(2, (n, n))
+        Phi1 = A1.PhiLam.apply_at(0, split).apply_at(2, split)
+        Phi2 = A2.PhiLam.apply_at(0, split).apply_at(2, split)
         U5a = U3.insert(0, oneH).insert(1, oneH)
-        U5b = U3.apply_at(2, A1.lam).split_slot(2, (n, n))
-        U5d = Uinv3.merge_slots((2, 1)).apply_at(0, K.Delta) \
-            .split_slot(0, (n, n)).split_slot(2, (n, n))
+        U5b = U3.apply_at(2, A1.lam).apply_at(2, split)
+        U5d = Uinv3.apply_at(0, merge).apply_at(0, K.Delta) \
+            .apply_at(0, split).apply_at(2, split)
         lhs = slotwise_prod([U5a, U5b, Phi1, U5d], mixed)
         rep.check(lhs == Phi2, "associator-twist")
     if check:
         rep.require(Ab.name or "bicomodule algebra")
-    return U3.merge_slots((2, 1))
+    return U3.apply_at(0, reshape_map(Ab.field, (n, n), (n * n,)))
 
 
 # -- gauge twisting -----------------------------------------------------------

@@ -19,8 +19,9 @@ from fractions import Fraction
 
 from .fields import GF, QQ, Field
 from .finalg import FinAlgebra
+from .linalg import linmap_from_columns
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import TensorElt, linmap_from_fn
+from .tensors import Program, TensorElt, Var, linmap_from_program
 
 # The largest dimension the command line builds: of a constructed product,
 # and of H in a named FpZn(p, n) entry (whose associator has n^3 terms).
@@ -40,16 +41,13 @@ def _algebra_from_table(field: Field, table, unit_index: int,
 
 def _maps_from_tables(field: Field, n: int, coprod, counit_vals, antipode):
     """Assemble Delta, eps, S from per-basis dictionaries."""
-    Delta = linmap_from_fn(
-        field, (n,), (n, n),
-        lambda idx: TensorElt(field, (n, n), coprod[idx[0]]))
-    counit = linmap_from_fn(
-        field, (n,), (),
-        lambda idx: TensorElt.scalar(field, counit_vals[idx[0]]))
-    S = linmap_from_fn(
-        field, (n,), (n,),
-        lambda idx: TensorElt(field, (n,),
-                              {(k,): v for k, v in antipode[idx[0]].items()}))
+    Delta = linmap_from_columns(field, (n,), (n, n),
+                                {(i,): col for i, col in enumerate(coprod)})
+    counit = linmap_from_columns(field, (n,), (), {
+        (i,): {(): c} for i, c in enumerate(counit_vals)})
+    S = linmap_from_columns(field, (n,), (n,), {
+        (i,): {(k,): c for k, c in col.items()}
+        for i, col in enumerate(antipode)})
     return Delta, counit, S
 
 
@@ -201,15 +199,10 @@ def cyclic_with_cocycle(p: int, n: int) -> QuasiHopfAlgebra:
 def adjoint_module_algebra(Hq: QuasiHopfAlgebra, check: bool = True):
     """H as a left module algebra over itself, h.a = h_1 a S(h_2)."""
     from .actions import LeftModuleAlgebra
-    n = Hq.n
-    fld = Hq.field
-
-    def act(idx):
-        t = TensorElt.basis(fld, (n, n), idx).apply_at(0, Hq.Delta)
-        t = t.apply_at(1, Hq.S).permute((0, 2, 1))
-        return t.mul_slots(0, 1, Hq.H).mul_slots(0, 1, Hq.H)
-
-    action = linmap_from_fn(fld, (n, n), (n,), act)
+    h, a = Var("h", Hq.n), Var("a", Hq.n)
+    action = linmap_from_program(
+        Program.basis(Hq.field, h).apply_at(0, Hq.Delta).apply_at(1, Hq.S)
+        .insert(1, a).mul_slots(0, 1, Hq.H).mul_slots(0, 1, Hq.H), (h, a))
     return LeftModuleAlgebra(Hq, Hq.H, action, name=Hq.name, check=check)
 
 

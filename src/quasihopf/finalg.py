@@ -18,8 +18,8 @@ from math import gcd
 
 from .fields import Field
 from .linalg import LinMap, flat_index, int_entries, prod, solve
-from .tensors import (Program, TensorElt, one_den, program_mismatches,
-                      run_program, slotwise_mul)
+from .tensors import (Program, TensorElt, _columns, program_mismatches,
+                      slotwise_mul)
 
 
 class VerificationError(Exception):
@@ -383,22 +383,16 @@ def algebra_from_program(prog: Program, left, right, unit_tensor: TensorElt,
                          name: str = "") -> FinAlgebra:
     """The algebra on the flat space of ``prog.dims`` whose product of
     basis elements e_i e_j is the value of ``prog`` with the variables
-    ``left`` at the multi-index of i and ``right`` at that of j; each
-    value streams into its sparse row as it is computed."""
+    ``left`` at the multi-index of i and ``right`` at that of j; the rows
+    are read off the column sink of ``linmap_from_program``, in flat
+    indices."""
     dims = tuple(v.dim for v in left)
     if tuple(v.dim for v in right) != dims or prog.dims != dims:
         raise ValueError("program does not map pairs of basis elements "
                          "into their space")
     flat = {idx: f for f, idx in enumerate(product(*map(range, dims)))}
     n = len(flat)
-    values = [None] * (n * n)
-
-    def keep(off, t):
-        values[off] = (t.den, sorted([(flat[idx], c)
-                                      for idx, c in t.num.items()]))
-
-    run_program(prog, tuple(left) + tuple(right), keep)
-    den, rows = one_den(values)
+    den, rows = _columns(prog, tuple(left) + tuple(right), flat)
     return FinAlgebra.from_int_rows(
         prog.field, den, [rows[i * n:(i + 1) * n] for i in range(n)],
         unit_tensor.to_flat(), name=name)

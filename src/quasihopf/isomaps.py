@@ -1,9 +1,11 @@
 """Explicit isomorphisms between the product algebras.
 
-Every map here is given by a closed formula, evaluated on each basis
-element with the slot combinators, and certified three ways: it is a
+Every map here is given by a closed formula, written as a slot program
+over the basis indices of its input and read off column by column
+(``tensors.linmap_from_program``), and certified three ways: it is a
 unital algebra map on all basis pairs, the transcribed inverse composes
-to the identity on both sides, and the matrix inverse recomputed by
+to the identity on both sides (each composite read off the program of
+one map followed by the other), and the matrix inverse recomputed by
 Gaussian elimination agrees with the transcription.  The identities of
 the proofs that hold for every basis tuple (the factorizations of nu
 and Gamma, the second mu rearrangement) are pairs of slot programs
@@ -49,8 +51,8 @@ from .products import (_left_part, _right_part, diag_crossed,
                        induced_costructures, left_quasi_smash, quasi_smash,
                        two_sided_gen_smash, two_sided_smash)
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import (Program, TensorElt, Var, compose, fold_slots,
-                      linmap_from_fn, slotwise_prod)
+from .tensors import (Program, TensorElt, Var, fold_slots,
+                      linmap_from_program, slotwise_prod)
 
 
 @dataclass
@@ -67,16 +69,28 @@ class VerifiedIso:
         return t.apply_at(0, self.f).to_flat()
 
 
+def _composite(f: LinMap, g: LinMap) -> LinMap:
+    """f o g, as the slot program g then f on the basis of g's input."""
+    xs = [Var(f"x{s}", d) for s, d in enumerate(g.in_dims)]
+    return linmap_from_program(
+        Program.basis(g.field, *xs).apply_at(0, g).apply_at(0, f), xs)
+
+
 def _certify(f: LinMap, finv: LinMap, source: FinAlgebra, target: FinAlgebra,
-             provenance: str, rep: Report | None = None) -> VerifiedIso:
-    if rep is None:
-        rep = Report()
-    rep.merge(check_algebra_map(f, source, target))
-    rep.check(compose(f, finv).is_identity(), "inverse", "f o f^-1 != id")
-    rep.check(compose(finv, f).is_identity(), "inverse", "f^-1 o f != id")
-    rep.check(f.inverse() == finv, "inverse",
-              "transcribed inverse differs from the recomputed one")
-    rep.require(provenance)
+             provenance: str, check: bool = True,
+             rep: Report | None = None) -> VerifiedIso:
+    """The isomorphism ``f`` with inverse ``finv``; with ``check``,
+    certified first (failures join those already in ``rep``)."""
+    if check:
+        rep = Report() if rep is None else rep
+        rep.merge(check_algebra_map(f, source, target))
+        rep.check(_composite(f, finv).is_identity(), "inverse",
+                  "f o f^-1 != id")
+        rep.check(_composite(finv, f).is_identity(), "inverse",
+                  "f^-1 o f != id")
+        rep.check(f.inverse() == finv, "inverse",
+                  "transcribed inverse differs from the recomputed one")
+        rep.require(provenance)
     return VerifiedIso(f, source, target, finv, provenance)
 
 
@@ -88,43 +102,31 @@ def iso_theta(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
     left diagonal product to the right one over the same coaction."""
     Hq = Abi.Hq
     H = Hq.H
-    fld = Hq.field
-    Palg, Ualg = Abi.A, d.A
-    mP, mU = Palg.dim, Ualg.dim
+    Ualg = d.A
     source = diag_crossed_general(Abi, d, "left", check=False)
     target = diag_crossed_general(Abi, d, "right", check=False)
     pq = pq_delta(d, check=False)
+    phi, u = Var("phi", Abi.A.dim), Var("u", Ualg.dim)
 
-    def fwd(idx):
-        phi = TensorElt.basis(fld, (mP,), (idx[0],))
-        u = TensorElt.basis(fld, (mU,), (idx[1],))
-        t = pq.q.insert(3, u).apply_at(3, d.delta)
-        # [q1, q2, q3, u-1, u0, u1]
-        t = t.mul_slots(1, 4, Ualg).mul_slots(0, 3, H)
-        t = t.apply_at(0, Hq.SInv).mul_slots(2, 3, H)
-        # [S^-1(q1 u-1), q2 u0, q3 u1]
-        t = t.insert(1, phi).apply_at(0, Abi.left)
-        t = t.permute((0, 2, 1)).apply_at(0, Abi.right)
-        return t.permute((1, 0))
+    t = Program(pq.q).insert(3, u).apply_at(3, d.delta)
+    # [q1, q2, q3, u-1, u0, u1]
+    t = t.mul_slots(1, 4, Ualg).mul_slots(0, 3, H)
+    t = t.apply_at(0, Hq.SInv).mul_slots(2, 3, H)
+    # [S^-1(q1 u-1), q2 u0, q3 u1]
+    t = t.insert(1, phi).apply_at(0, Abi.left)
+    t = t.permute((0, 2, 1)).apply_at(0, Abi.right)
+    f = linmap_from_program(t.permute((1, 0)), (phi, u))
 
-    def bwd(idx):
-        u = TensorElt.basis(fld, (mU,), (idx[0],))
-        phi = TensorElt.basis(fld, (mP,), (idx[1],))
-        t = u.apply_at(0, d.delta).insert(3, pq.p)
-        # [u-1, u0, u1, p1, p2, p3]
-        t = t.mul_slots(0, 3, H).mul_slots(2, 4, H)
-        t = t.apply_at(2, Hq.SInv).mul_slots(1, 3, Ualg)
-        # [u-1 p1, u0 p2, S^-1(u1 p3)]
-        t = t.permute((0, 2, 1)).insert(1, phi).apply_at(0, Abi.left)
-        # [u-1 p1 . phi, S^-1(u1 p3), u0 p2]
-        return t.apply_at(0, Abi.right)
-
-    f = linmap_from_fn(fld, (mP, mU), (mU, mP), fwd)
-    finv = linmap_from_fn(fld, (mU, mP), (mP, mU), bwd)
+    t = Program(pq.p).insert(0, u).apply_at(0, d.delta)
+    # [u-1, u0, u1, p1, p2, p3]
+    t = t.mul_slots(0, 3, H).mul_slots(2, 4, H)
+    t = t.apply_at(2, Hq.SInv).mul_slots(1, 3, Ualg)
+    # [u-1 p1, u0 p2, S^-1(u1 p3)]
+    t = t.permute((0, 2, 1)).insert(1, phi).apply_at(0, Abi.left)
+    # [u-1 p1 . phi, S^-1(u1 p3), u0 p2]
+    finv = linmap_from_program(t.apply_at(0, Abi.right), (u, phi))
     return _certify(f, finv, source.result, target.result,
-                    "left-right diagonal exchange") if check else \
-        VerifiedIso(f, source.result, target.result, finv,
-                    "left-right diagonal exchange")
+                    "left-right diagonal exchange", check)
 
 
 def four_diagonal_isos(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
@@ -160,27 +162,22 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr,
     target = diag_crossed(Abi, TAB, "bowtie", check=False)
     pq = tilde_pq(Aco, check=False)
 
-    def fwd(idx):
-        t = TensorElt.basis(fld, (mA, mP, mB), idx)
-        t = t.apply_at(0, Aco.rho).insert(2, pq.p)
-        # [a0, a1, p1, p2, phi, b]
-        t = t.mul_slots(1, 3, H).apply_at(1, Hq.SInv)
-        t = t.mul_slots(0, 2, Aalg)
-        # [a0 p1, S^-1(a1 p2), phi, b]
-        t = t.permute((2, 1, 0, 3)).apply_at(0, Abi.right)
-        return t
+    a, p, b = Var("a", mA), Var("p", mP), Var("b", mB)
+    t = Program(pq.p).insert(0, a).apply_at(0, Aco.rho).tensor(p).tensor(b)
+    # [a0, a1, p1, p2, phi, b]
+    t = t.mul_slots(1, 3, H).apply_at(1, Hq.SInv)
+    t = t.mul_slots(0, 2, Aalg)
+    # [a0 p1, S^-1(a1 p2), phi, b]
+    f = linmap_from_program(t.permute((2, 1, 0, 3)).apply_at(0, Abi.right),
+                            (a, p, b))
 
-    def bwd(idx):
-        t = TensorElt.basis(fld, (mP, mA, mB), idx)
-        t = t.apply_at(1, Aco.rho).insert(1, pq.q)
-        # [phi, q1, q2, a0, a1, b]
-        t = t.mul_slots(1, 3, Aalg).mul_slots(2, 3, H)
-        # [phi, q1 a0, q2 a1, b]
-        t = t.permute((0, 2, 1, 3)).apply_at(0, Abi.right)
-        return t.permute((1, 0, 2))
-
-    f = linmap_from_fn(fld, (mA, mP, mB), (mP, mA, mB), fwd)
-    finv = linmap_from_fn(fld, (mP, mA, mB), (mA, mP, mB), bwd)
+    t = Program(pq.q).insert(2, a).apply_at(2, Aco.rho).insert(0, p) \
+        .tensor(b)
+    # [phi, q1, q2, a0, a1, b]
+    t = t.mul_slots(1, 3, Aalg).mul_slots(2, 3, H)
+    # [phi, q1 a0, q2 a1, b]
+    t = t.permute((0, 2, 1, 3)).apply_at(0, Abi.right)
+    finv = linmap_from_program(t.permute((1, 0, 2)), (p, a, b))
     rep = Report()
     if check:
         # nu(a >< phi >< b) equals a Gamma(phi) b inside the target,
@@ -188,7 +185,6 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr,
         alg = target.result
         unitP, unitB = Abi.unit_elt(), Bco.unit_elt()
         flat = reshape_map(fld, (mP, mA, mB), (alg.dim,))
-        a, p, b = Var("a", mA), Var("p", mP), Var("b", mB)
         gamma = Program(pq.p.apply_at(1, Hq.SInv)).insert(0, p) \
             .permute((0, 2, 1)).apply_at(0, Abi.right).insert(2, unitB) \
             .apply_at(0, flat)
@@ -201,10 +197,8 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr,
         want = Program.basis(fld, a, p, b).apply_at(0, f).apply_at(0, flat)
         rep.merge(program_report([("nu-factorization", got, want,
                                    (p, a, b))]))
-        return _certify(f, finv, source.result, target.result,
-                        "three-factor to diagonal over tensor", rep)
-    return VerifiedIso(f, source.result, target.result, finv,
-                       "three-factor to diagonal over tensor")
+    return _certify(f, finv, source.result, target.result,
+                    "three-factor to diagonal over tensor", check, rep)
 
 
 # -- mu: diagonal over a tensor bimodule vs two-sided smash ------------------
@@ -360,9 +354,7 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     identities of the proof run as standalone tensor checks."""
     Hq = Ab.Hq
     H = Hq.H
-    fld = Hq.field
     Ualg = Ab.A
-    mA, mB, mU = Am.A.dim, Bm.B.dim, Ualg.dim
     AB = tensor_bimodule(Am, Bm, check=False)
     source = diag_crossed(AB, Ab, "bowtie", check=False)
     target = two_sided_gen_smash(Am, Ab, Bm, check=False)
@@ -370,46 +362,35 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     p, q = pq.p, pq.q
     Th, th = Ab.PhiLR, Ab.PhiLRInv
 
-    def fwd(idx):
-        ia, ib, iu = idx
-        a = TensorElt.basis(fld, (mA,), (ia,))
-        b = TensorElt.basis(fld, (mB,), (ib,))
-        u = TensorElt.basis(fld, (mU,), (iu,))
-        t = Th.apply_at(1, Ab.rho).insert(1, q)
-        # [T1, q1, q2, T20, T21, T3]
-        t = t.mul_slots(1, 3, Ualg)
-        # [T1, Q, q2, T21, T3]
-        t = t.apply_at(4, Hq.SInv).mul_slots(4, 2, H)
-        # [T1, Q, T21, S^-1(T3)q2]
-        t = t.mul_slots(3, 2, H)
-        # [T1, Q, K]                        K = S^-1(T3) q2 T21
-        t = t.insert(3, u).apply_at(3, Ab.rho)
-        t = t.mul_slots(1, 3, Ualg).mul_slots(2, 3, H)
-        # [T1, Q u0, K u1]
-        t = t.insert(1, a).apply_at(0, Am.action)
-        return t.insert(2, b).apply_at(2, Bm.action)
+    a, b, u = Var("a", Am.A.dim), Var("b", Bm.B.dim), Var("u", Ualg.dim)
 
-    def bwd(idx):
-        ia, iu, ib = idx
-        a = TensorElt.basis(fld, (mA,), (ia,))
-        b = TensorElt.basis(fld, (mB,), (ib,))
-        u = TensorElt.basis(fld, (mU,), (iu,))
-        t = th.insert(3, u).apply_at(3, Ab.rho)
-        # [t1, t2, t3, u0, u1]
-        t = t.insert(5, p)
-        # [t1, t2, t3, u0, u1, p1, p2]
-        t = t.mul_slots(1, 3, Ualg).mul_slots(1, 4, Ualg)
-        # [t1, t2 u0 p1, t3, u1, p2]
-        t = t.mul_slots(2, 3, H).mul_slots(2, 3, H)
-        # [t1, M, t3 u1 p2]
-        t = t.apply_at(2, Hq.SInv)
-        t = t.insert(1, a).apply_at(0, Am.action)
-        t = t.insert(2, b).apply_at(2, Bm.action)
-        # [A, M, B] -> source order (A, B, M)
-        return t.permute((0, 2, 1))
+    t = Program(Th).apply_at(1, Ab.rho).insert(1, q)
+    # [T1, q1, q2, T20, T21, T3]
+    t = t.mul_slots(1, 3, Ualg)
+    # [T1, Q, q2, T21, T3]
+    t = t.apply_at(4, Hq.SInv).mul_slots(4, 2, H)
+    # [T1, Q, T21, S^-1(T3)q2]
+    t = t.mul_slots(3, 2, H)
+    # [T1, Q, K]                        K = S^-1(T3) q2 T21
+    t = t.insert(3, u).apply_at(3, Ab.rho)
+    t = t.mul_slots(1, 3, Ualg).mul_slots(2, 3, H)
+    # [T1, Q u0, K u1]
+    t = t.insert(1, a).apply_at(0, Am.action)
+    f = linmap_from_program(t.insert(2, b).apply_at(2, Bm.action), (a, b, u))
 
-    f = linmap_from_fn(fld, (mA, mB, mU), (mA, mU, mB), fwd)
-    finv = linmap_from_fn(fld, (mA, mU, mB), (mA, mB, mU), bwd)
+    t = Program(th).insert(3, u).apply_at(3, Ab.rho)
+    # [t1, t2, t3, u0, u1]
+    t = t.insert(5, p)
+    # [t1, t2, t3, u0, u1, p1, p2]
+    t = t.mul_slots(1, 3, Ualg).mul_slots(1, 4, Ualg)
+    # [t1, t2 u0 p1, t3, u1, p2]
+    t = t.mul_slots(2, 3, H).mul_slots(2, 3, H)
+    # [t1, M, t3 u1 p2]
+    t = t.apply_at(2, Hq.SInv)
+    t = t.insert(1, a).apply_at(0, Am.action)
+    t = t.insert(2, b).apply_at(2, Bm.action)
+    # [A, M, B] -> source order (A, B, M)
+    finv = linmap_from_program(t.permute((0, 2, 1)), (a, u, b))
     rep = Report()
     if check:
         dl = two_sided_from_bicomodule(Ab, "l", check=False)
@@ -417,11 +398,9 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
         rep.check(_mu_identity_of2(Ab, Om, q), "mu-rearrangement-1")
         rep.merge(_mu_identity_of3(Ab, q))
         rep.check(_mu_identity_of4(Ab, q), "mu-rearrangement-3")
-        return _certify(f, finv, source.result, target.result,
-                        "diagonal over tensor bimodule to two-sided smash",
-                        rep)
-    return VerifiedIso(f, source.result, target.result, finv,
-                       "diagonal over tensor bimodule to two-sided smash")
+    return _certify(f, finv, source.result, target.result,
+                    "diagonal over tensor bimodule to two-sided smash", check,
+                    rep)
 
 
 def five_corollary(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
@@ -449,20 +428,16 @@ def gamma_map(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
     pq = tilde_pq(Ab.right, check=False)
     prod_alg = diag_crossed(Abi, Ab, "bowtie", check=False).result
 
-    def gfn(idx):
-        phi = TensorElt.basis(fld, (mP,), (idx[0],))
-        t = pq.p.apply_at(0, Ab.lam).apply_at(2, Hq.SInv)
-        # [pm, p0, S^-1(p2)]
-        t = t.insert(1, phi).apply_at(0, Abi.left)
-        # [phi1, p0, S]
-        t = t.permute((0, 2, 1)).apply_at(0, Abi.right)
-        return t
-
-    gamma = linmap_from_fn(fld, (mP,), (mP, mU), gfn)
+    phi, u = Var("phi", mP), Var("u", mU)
+    t = Program(pq.p.apply_at(0, Ab.lam).apply_at(2, Hq.SInv))
+    # [pm, p0, S^-1(p2)]
+    t = t.insert(1, phi).apply_at(0, Abi.left)
+    # [phi1, p0, S]
+    gamma = linmap_from_program(t.permute((0, 2, 1)).apply_at(0, Abi.right),
+                                (phi,))
     if check:
         unitP = Abi.unit_elt()
         flat = reshape_map(fld, (mP, mU), (prod_alg.dim,))
-        phi, u = Var("phi", mP), Var("u", mU)
         # lemma: phi >< 1 = (1 >< q~1)((p~1)_[-1].phi.q~2 S^-1(p~2)
         #                              >< (p~1)_[0])
         t = pq.q.insert(2, pq.p)
@@ -502,21 +477,16 @@ def twist_comodule_by_U(Bco: LeftComoduleAlgebra, U: TensorElt,
     Hq = Bco.Hq
     H = Hq.H
     Balg = Bco.B
-    fld = Hq.field
     if UInv is None:
         UInv = invert_mixed(U, [H, Balg])
         if UInv is None:
             raise ValueError("U is not invertible")
-    mB = Balg.dim
-
-    def lam_fn(idx):
-        t = TensorElt.basis(fld, (mB,), idx).apply_at(0, Bco.lam)
-        t = U.insert(2, t).insert(4, UInv)
-        # [U1, U2, bm, b0, V1, V2]
-        t = t.mul_slots(0, 2, H).mul_slots(1, 2, Balg)
-        return t.mul_slots(0, 2, H).mul_slots(1, 2, Balg)
-
-    lam = linmap_from_fn(fld, (mB,), (Hq.n, mB), lam_fn)
+    b = Var("b", Balg.dim)
+    t = Program(U.tensor(UInv)).insert(2, b).apply_at(2, Bco.lam)
+    # [U1, U2, bm, b0, V1, V2]
+    t = t.mul_slots(0, 2, H).mul_slots(1, 2, Balg)
+    lam = linmap_from_program(t.mul_slots(0, 2, H).mul_slots(1, 2, Balg),
+                              (b,))
     algs = [H, H, Balg]
     PhiLam = slotwise_prod([Hq.unit_elt().tensor(U), U.apply_at(1, Bco.lam),
                             Bco.PhiLam, UInv.apply_at(0, Hq.Delta)], algs)
@@ -537,9 +507,7 @@ def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
     Bco = _left_part(Bfr)
     Hq = Am.Hq
     H = Hq.H
-    fld = Hq.field
     Balg = Bco.B
-    mA, mB = Am.A.dim, Balg.dim
     if UInv is None:
         UInv = invert_mixed(U, [H, Balg])
         if UInv is None:
@@ -549,27 +517,17 @@ def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
     source = gen_smash(Am, Bco, check=False)
     target = gen_smash(Am, Btwisted, check=False)
 
-    def make(mat_u):
-        def fn(idx):
-            a = TensorElt.basis(fld, (mA,), (idx[0],))
-            b = TensorElt.basis(fld, (mB,), (idx[1],))
-            t = mat_u.insert(1, a).apply_at(0, Am.action)
-            t = t.insert(2, b)
-            return t.mul_slots(1, 2, Balg)
-        return fn
-
-    f = linmap_from_fn(fld, (mA, mB), (mA, mB), make(U))
-    finv = linmap_from_fn(fld, (mA, mB), (mA, mB), make(UInv))
+    a, b = Var("a", Am.A.dim), Var("b", Balg.dim)
+    f, finv = (linmap_from_program(
+        Program(x).insert(1, a).apply_at(0, Am.action).insert(2, b)
+        .mul_slots(1, 2, Balg), (a, b)) for x in (U, UInv))
     rep = Report()
     if check:
-        b = Var("b", mB)
         v = Program(Am.unit_elt()).tensor(b)
         rep.merge(program_report([("fixes-comodule", v.apply_at(0, f), v,
                                    (b,))]))
-        return _certify(f, finv, source.result, target.result,
-                        "smash twist equivalence", rep)
-    return VerifiedIso(f, source.result, target.result, finv,
-                       "smash twist equivalence")
+    return _certify(f, finv, source.result, target.result,
+                    "smash twist equivalence", check, rep)
 
 
 # -- diagonal products as generalized smash products over H (x) H^op ---------
@@ -672,37 +630,25 @@ def iso_twist_invariance(kind: str, inputs, F: TensorElt,
         Am, Bm = inputs
         Hq = Am.Hq
         H = Hq.H
-        fld = Hq.field
         HF = Hq.gauge_twist(F, FInv=FInv)
-        mA, n, mB = Am.A.dim, Hq.n, Bm.B.dim
         source = two_sided_smash(Am, Bm, check=False)
         AmF = twist_action(Am, F, FInv=FInv, HF=HF, check=False)
         BmF = twist_action(Bm, F, FInv=FInv, HF=HF, check=False)
         target = two_sided_smash(AmF, BmF, check=False)
 
-        def make(T, TInv):
-            def fn(idx):
-                ia, ih, ib = idx
-                a = TensorElt.basis(fld, (mA,), (ia,))
-                h = TensorElt.basis(fld, (n,), (ih,))
-                b = TensorElt.basis(fld, (mB,), (ib,))
-                t = T.insert(2, TInv).insert(2, h)
-                # [T1, T2, h, G1, G2]
-                t = t.mul_slots(1, 2, H).mul_slots(1, 2, H)
-                # [T1, T2 h G1, G2]
-                t = t.insert(1, a).apply_at(0, Am.action)
-                t = t.insert(3, b).permute((0, 1, 3, 2))
-                return t.apply_at(2, Bm.action)
-            return fn
+        a, h, b = Var("a", Am.A.dim), Var("h", Hq.n), Var("b", Bm.B.dim)
 
-        dims = (mA, n, mB)
-        f = linmap_from_fn(fld, dims, dims, make(F, FInv))
-        finv = linmap_from_fn(fld, dims, dims, make(FInv, F))
-        if check:
-            return _certify(f, finv, source.result, target.result,
-                            "two-sided smash twist")
-        return VerifiedIso(f, source.result, target.result, finv,
-                           "two-sided smash twist")
+        def twist(T, TInv):
+            t = Program(T.insert(2, TInv)).insert(2, h)
+            # [T1, T2, h, G1, G2]
+            t = t.mul_slots(1, 2, H).mul_slots(1, 2, H)
+            # [T1, T2 h G1, G2]
+            t = t.insert(1, a).apply_at(0, Am.action)
+            return linmap_from_program(
+                t.insert(2, b).apply_at(2, Bm.action), (a, h, b))
+
+        return _certify(twist(F, FInv), twist(FInv, F), source.result,
+                        target.result, "two-sided smash twist", check)
     raise ValueError(f"unknown twist-invariance kind {kind!r}")
 
 

@@ -194,6 +194,18 @@ class LinMap:
         return LinMap(self.field, self.out_dims, self.in_dims, D, cols)
 
 
+def linmap_from_columns(field: Field, in_dims, out_dims, cols) -> LinMap:
+    """The map whose image of the input basis tensor at ``idx`` is
+    ``cols.get(idx)``, an {output multi-index: field scalar} dict
+    (None for zero)."""
+    in_dims, out_dims = tuple(in_dims), tuple(out_dims)
+    keys = [unflatten(in_dims, f) for f in range(prod(in_dims))]
+    den, lists = int_entries(field, [
+        sorted((out, c) for out, c in (cols.get(idx) or {}).items() if c)
+        for idx in keys])
+    return LinMap(field, in_dims, out_dims, den, dict(zip(keys, lists)))
+
+
 def reshape_map(field: Field, in_dims, out_dims) -> LinMap:
     """The identity on flat coordinates from the slots ``in_dims`` to the
     slots ``out_dims``: it merges runs of slots or splits a slot."""

@@ -51,8 +51,8 @@ from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
 from .finalg import (FinAlgebra, Report, algebra_from_program,
                      check_algebra_map, program_report,
                      verify_associative_unital)
-from .linalg import LinMap, prod, reshape_map, unflatten
-from .tensors import Program, TensorElt, Var, linmap_from_fn
+from .linalg import LinMap, prod, reshape_map
+from .tensors import Program, TensorElt, Var, linmap_from_program
 
 
 @dataclass
@@ -67,17 +67,12 @@ class ProductAlgebra:
 def _slot_embedding(field, dims, units, pos, width=1) -> LinMap:
     """The map e_i -> 1 (x) ... (x) e_i (x) ... (x) 1 on the ``width``
     slots from ``pos``, with ``units[s]`` in every other slot s."""
-    sub = dims[pos:pos + width]
-
-    def fn(idx):
-        t = TensorElt.basis(field, sub, idx)
-        for u in reversed(units[:pos]):
-            t = t.insert(0, u)
-        for u in units[pos + width:]:
-            t = t.insert(len(t.dims), u)
-        return t
-
-    return linmap_from_fn(field, sub, dims, fn)
+    xs = [Var(f"x{s}", d) for s, d in enumerate(dims[pos:pos + width])]
+    prog = Program(reduce(TensorElt.tensor, units[:pos] + units[pos + width:],
+                          TensorElt.scalar(field, field.one())))
+    for s, x in enumerate(xs):
+        prog = prog.insert(pos + s, x)
+    return linmap_from_program(prog, xs)
 
 
 def _check_subalgebras(rep, alg, dims, units, subs, width=1):
@@ -250,11 +245,11 @@ def quasi_smash(Afr, Abi: BimoduleAlgebra,
                            Palg, Hq.H)
     alg, _ = _build(*prog, [Aco.unit_elt(), Abi.unit_elt()],
                     f"{Aco.name}#~{Abi.name}", False)
-    action = linmap_from_fn(
-        fld, (Hq.n, mA * mP), (mA * mP,),
-        lambda idx: TensorElt.basis(fld, (Hq.n, mA, mP),
-                                    (idx[0],) + divmod(idx[1], mP))
-        .permute((1, 0, 2)).apply_at(1, Abi.left).merge_slots((2,)))
+    h, x = Var("h", Hq.n), Var("x", alg.dim)
+    action = linmap_from_program(
+        Program.basis(fld, x).apply_at(0, reshape_map(fld, (alg.dim,), dims))
+        .insert(1, h).apply_at(1, Abi.left)
+        .apply_at(0, reshape_map(fld, dims, (alg.dim,))), (h, x))
     return LeftModuleAlgebra(Hq, alg, action, name=alg.name, check=check)
 
 
@@ -272,11 +267,11 @@ def left_quasi_smash(Abi: BimoduleAlgebra, Bfr,
                            Balg, Hq.H)
     alg, _ = _build(*prog, [Abi.unit_elt(), Bco.unit_elt()],
                     f"{Abi.name}#~{Bco.name}", False)
-    action = linmap_from_fn(
-        fld, (mP * mB, Hq.n), (mP * mB,),
-        lambda idx: TensorElt.basis(fld, (mP, mB, Hq.n),
-                                    divmod(idx[0], mB) + (idx[1],))
-        .permute((0, 2, 1)).apply_at(0, Abi.right).merge_slots((2,)))
+    x, h = Var("x", alg.dim), Var("h", Hq.n)
+    action = linmap_from_program(
+        Program.basis(fld, x).apply_at(0, reshape_map(fld, (alg.dim,), dims))
+        .insert(1, h).apply_at(0, Abi.right)
+        .apply_at(0, reshape_map(fld, dims, (alg.dim,))), (x, h))
     return RightModuleAlgebra(Hq, alg, action, name=alg.name, check=check)
 
 
@@ -466,29 +461,29 @@ def two_sided_smash(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
 
 # -- induced comodule algebra structures on products --------------------------
 
+def _flat_basis(p: ProductAlgebra) -> Program:
+    """The basis vector of the flat slot of ``p`` split into the factors,
+    a program over one variable."""
+    fld = p.result.field
+    x = Var("x", p.result.dim)
+    return Program.basis(fld, x).apply_at(
+        0, reshape_map(fld, (p.result.dim,), p.dims))
+
+
 def _induced_right(p: ProductAlgebra, Am: LeftModuleAlgebra,
                    Ab: BicomoduleAlgebra,
                    check: bool = True) -> RightComoduleAlgebra:
     """rho(a x u) = (t1.a x t2 u_0) (x) t3 u_1 on a module-comodule
     smash product."""
     Hq = Ab.Hq
-    H = Hq.H
-    fld = Hq.field
-    dims = p.dims
-    N = prod(dims)
-    theta = Ab.PhiLRInv
-
-    def fn(idx):
-        t = TensorElt.basis(fld, dims, unflatten(dims, idx[0]))
-        t = t.apply_at(1, Ab.rho).insert(0, theta)
-        t = t.permute((0, 3, 1, 2, 4, 5)).apply_at(0, Am.action)
-        t = t.mul_slots(1, 3, Ab.A).mul_slots(2, 3, H)
-        return t.merge_slots((2, 1))
-
-    rho = linmap_from_fn(fld, (N,), (N, Hq.n), fn)
+    merge = reshape_map(Hq.field, p.dims, (p.result.dim,))
+    t = _flat_basis(p).apply_at(1, Ab.rho).insert(0, Ab.PhiLRInv)
+    t = t.permute((0, 3, 1, 2, 4, 5)).apply_at(0, Am.action)
+    t = t.mul_slots(1, 3, Ab.A).mul_slots(2, 3, Hq.H)
+    rho = linmap_from_program(t.apply_at(0, merge), t.vars)
     unitA = Am.unit_elt()
-    PhiRho = Ab.right.PhiRho.insert(0, unitA).merge_slots((2, 1, 1))
-    PhiRhoInv = Ab.right.PhiRhoInv.insert(0, unitA).merge_slots((2, 1, 1))
+    PhiRho = Ab.right.PhiRho.insert(0, unitA).apply_at(0, merge)
+    PhiRhoInv = Ab.right.PhiRhoInv.insert(0, unitA).apply_at(0, merge)
     return RightComoduleAlgebra(Hq, p.result, rho, PhiRho,
                                 PhiRhoInv=PhiRhoInv, name=p.result.name,
                                 check=check)
@@ -499,23 +494,14 @@ def _induced_left(p: ProductAlgebra, Ab: BicomoduleAlgebra,
                   check: bool = True) -> LeftComoduleAlgebra:
     """lam(u x b) = u_-1 t1 (x) (u_0 t2 x b.t3)."""
     Hq = Ab.Hq
-    H = Hq.H
-    fld = Hq.field
-    dims = p.dims
-    N = prod(dims)
-    theta = Ab.PhiLRInv
-
-    def fn(idx):
-        t = TensorElt.basis(fld, dims, unflatten(dims, idx[0]))
-        t = t.apply_at(0, Ab.lam).insert(3, theta)
-        t = t.mul_slots(0, 3, H).mul_slots(1, 3, Ab.A)
-        t = t.apply_at(2, Bm.action)
-        return t.merge_slots((1, 2))
-
-    lam = linmap_from_fn(fld, (N,), (Hq.n, N), fn)
+    merge = reshape_map(Hq.field, p.dims, (p.result.dim,))
+    t = _flat_basis(p).apply_at(0, Ab.lam).insert(3, Ab.PhiLRInv)
+    t = t.mul_slots(0, 3, Hq.H).mul_slots(1, 3, Ab.A)
+    t = t.apply_at(2, Bm.action)
+    lam = linmap_from_program(t.apply_at(1, merge), t.vars)
     unitB = Bm.unit_elt()
-    PhiLam = Ab.left.PhiLam.insert(3, unitB).merge_slots((1, 1, 2))
-    PhiLamInv = Ab.left.PhiLamInv.insert(3, unitB).merge_slots((1, 1, 2))
+    PhiLam = Ab.left.PhiLam.insert(3, unitB).apply_at(2, merge)
+    PhiLamInv = Ab.left.PhiLamInv.insert(3, unitB).apply_at(2, merge)
     return LeftComoduleAlgebra(Hq, p.result, lam, PhiLam,
                                PhiLamInv=PhiLamInv, name=p.result.name,
                                check=check)
@@ -527,27 +513,14 @@ def _induced_right_crossed(p: ProductAlgebra, Abi: BimoduleAlgebra,
     """rho(a x p x b) = (a x t1.p x t2 b_0) (x) t3 b_1 on a
     generalized two-sided crossed product."""
     Hq = Bb.Hq
-    H = Hq.H
-    fld = Hq.field
-    dims = p.dims
-    N = prod(dims)
-    theta = Bb.PhiLRInv
-
-    def fn(idx):
-        t = TensorElt.basis(fld, dims, unflatten(dims, idx[0]))
-        t = t.apply_at(2, Bb.rho).insert(1, theta)
-        t = t.permute((0, 1, 4, 2, 3, 5, 6)).apply_at(1, Abi.left)
-        t = t.mul_slots(2, 4, Bb.A).mul_slots(3, 4, H)
-        return t.merge_slots((3, 1))
-
-    rho = linmap_from_fn(fld, (N,), (N, Hq.n), fn)
-    uA = p.factors[0]
-    uA = _right_part(uA).unit_elt()
-    uP = Abi.unit_elt()
-    PhiRho = Bb.right.PhiRho.insert(0, uP).insert(0, uA) \
-        .merge_slots((3, 1, 1))
-    PhiRhoInv = Bb.right.PhiRhoInv.insert(0, uP).insert(0, uA) \
-        .merge_slots((3, 1, 1))
+    merge = reshape_map(Hq.field, p.dims, (p.result.dim,))
+    t = _flat_basis(p).apply_at(2, Bb.rho).insert(1, Bb.PhiLRInv)
+    t = t.permute((0, 1, 4, 2, 3, 5, 6)).apply_at(1, Abi.left)
+    t = t.mul_slots(2, 4, Bb.A).mul_slots(3, 4, Hq.H)
+    rho = linmap_from_program(t.apply_at(0, merge), t.vars)
+    units = _right_part(p.factors[0]).unit_elt().tensor(Abi.unit_elt())
+    PhiRho = Bb.right.PhiRho.insert(0, units).apply_at(0, merge)
+    PhiRhoInv = Bb.right.PhiRhoInv.insert(0, units).apply_at(0, merge)
     return RightComoduleAlgebra(Hq, p.result, rho, PhiRho,
                                 PhiRhoInv=PhiRhoInv, name=p.result.name,
                                 check=check)
@@ -558,27 +531,14 @@ def _induced_left_crossed(p: ProductAlgebra, Ab: BicomoduleAlgebra,
                           check: bool = True) -> LeftComoduleAlgebra:
     """lam(b x p x c) = b_-1 t1 (x) (b_0 t2 x p.t3 x c)."""
     Hq = Ab.Hq
-    H = Hq.H
-    fld = Hq.field
-    dims = p.dims
-    N = prod(dims)
-    theta = Ab.PhiLRInv
-
-    def fn(idx):
-        t = TensorElt.basis(fld, dims, unflatten(dims, idx[0]))
-        t = t.apply_at(0, Ab.lam).insert(1, theta)
-        t = t.mul_slots(0, 1, H).mul_slots(3, 1, Ab.A)
-        t = t.permute((0, 2, 3, 1, 4)).apply_at(2, Abi.right)
-        return t.merge_slots((1, 3))
-
-    lam = linmap_from_fn(fld, (N,), (Hq.n, N), fn)
-    uC = p.factors[2]
-    uC = _left_part(uC).unit_elt()
-    uP = Abi.unit_elt()
-    PhiLam = Ab.left.PhiLam.insert(3, uP).insert(4, uC) \
-        .merge_slots((1, 1, 3))
-    PhiLamInv = Ab.left.PhiLamInv.insert(3, uP).insert(4, uC) \
-        .merge_slots((1, 1, 3))
+    merge = reshape_map(Hq.field, p.dims, (p.result.dim,))
+    t = _flat_basis(p).apply_at(0, Ab.lam).insert(1, Ab.PhiLRInv)
+    t = t.mul_slots(0, 1, Hq.H).mul_slots(3, 1, Ab.A)
+    t = t.permute((0, 2, 3, 1, 4)).apply_at(2, Abi.right)
+    lam = linmap_from_program(t.apply_at(1, merge), t.vars)
+    units = Abi.unit_elt().tensor(_left_part(p.factors[2]).unit_elt())
+    PhiLam = Ab.left.PhiLam.insert(3, units).apply_at(2, merge)
+    PhiLamInv = Ab.left.PhiLamInv.insert(3, units).apply_at(2, merge)
     return LeftComoduleAlgebra(Hq, p.result, lam, PhiLam,
                                PhiLamInv=PhiLamInv, name=p.result.name,
                                check=check)

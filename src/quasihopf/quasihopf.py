@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 from .finalg import (FinAlgebra, Report, check_algebra_map, invert_mixed,
                      opposite, program_report, slotwise_unit, tensor_algebra)
-from .linalg import LinMap
-from .tensors import (Program, TensorElt, Var, compose, fold_slots,
-                      linmap_from_fn, slotwise_prod)
+from .linalg import LinMap, reshape_map
+from .tensors import (Program, TensorElt, Var, fold_slots,
+                      linmap_from_program, slotwise_prod)
 
 
 class QuasiBialgebra:
@@ -69,7 +69,7 @@ class QuasiBialgebra:
 
     def eps_scalar(self, t: TensorElt):
         """Value of the counit on a single-slot element."""
-        return t.drop_slot(0, self.counit).terms.get((), self.field.zero())
+        return t.apply_at(0, self.counit).terms.get((), self.field.zero())
 
     # -- verification --------------------------------------------------------
 
@@ -120,7 +120,7 @@ class QuasiBialgebra:
         # counit kills the associator in every slot
         one2 = self.unit_elt(2)
         for pos, tag in ((1, "middle"), (0, "first"), (2, "last")):
-            rep.check(self.Phi.drop_slot(pos, self.counit) == one2,
+            rep.check(self.Phi.apply_at(pos, self.counit) == one2,
                       "associator-counit", f"{tag} slot")
         return rep
 
@@ -155,8 +155,9 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         H, S, eps = self.H, self.S, self.counit
         rep.merge(_tag(check_algebra_map(S, H, H, anti=True, unital=True),
                        "antipode"))
-        rep.check(compose(S, self.SInv).is_identity(), "antipode-inverse")
         h, e, d = self._basis_var()
+        rep.check(linmap_from_program(e.apply_at(0, self.SInv).apply_at(0, S),
+                                      (h,)).is_identity(), "antipode-inverse")
         rep.merge(program_report([
             ("counit-antipode", e.apply_at(0, S).apply_at(0, eps),
              e.apply_at(0, eps), (h,))]))
@@ -187,13 +188,10 @@ class QuasiHopfAlgebra(QuasiBialgebra):
     def variant(self, op: bool = False, cop: bool = False) -> "QuasiHopfAlgebra":
         """The same data with multiplication and/or comultiplication
         reversed, carrying the matching associator, antipode, alpha, beta."""
-        n = self.n
         H = opposite(self.H) if op else self.H
         if cop:
-            Delta = linmap_from_fn(
-                self.field, (n,), (n, n),
-                lambda idx: self.basis_elt(idx[0]).apply_at(0, self.Delta)
-                .permute((1, 0)))
+            h, _, d = self._basis_var()
+            Delta = linmap_from_program(d.permute((1, 0)), (h,))
         else:
             Delta = self.Delta
         if op and cop:
@@ -230,18 +228,17 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         if F.dims != (n, n):
             raise ValueError("twist must live in two tensor factors")
         one = self.unit_elt()
-        if F.drop_slot(0, self.counit) != one \
-                or F.drop_slot(1, self.counit) != one:
+        if F.apply_at(0, self.counit) != one \
+                or F.apply_at(1, self.counit) != one:
             raise ValueError("twist is not counit-normalized")
         if FInv is None:
             FInv = invert_mixed(F, [self.H] * 2)
             if FInv is None:
                 raise ValueError("twist is not invertible")
-        Delta_F = linmap_from_fn(
-            self.field, (n,), (n, n),
-            lambda idx: slotwise_prod([
-                F, TensorElt.basis(self.field, (n,), idx).apply_at(
-                    0, self.Delta), FInv], self.H))
+        h, _, d = self._basis_var()
+        Delta_F = linmap_from_program(
+            d.slotwise_mul(F, self.H, left=True).slotwise_mul(FInv, self.H),
+            (h,))
         Phi_F = slotwise_prod([one.tensor(F), F.apply_at(1, self.Delta),
                                self.Phi, FInv.apply_at(0, self.Delta),
                                FInv.tensor(one)], self.H)
@@ -392,33 +389,29 @@ def tensor_qh(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra,
     H.name = name or (f"{H1.name}(x){H2.name}"
                       if H1.name and H2.name else "")
 
-    def coprod(idx):
-        i, j = divmod(idx[0], n2)
-        t = TensorElt.basis(field, (n1,), (i,)).apply_at(0, H1.Delta).tensor(
-            TensorElt.basis(field, (n2,), (j,)).apply_at(0, H2.Delta))
-        return t.permute((0, 2, 1, 3)).merge_slots((2, 2))
+    h = Var("h", N)
+    # e_h is e_i (x) e_j for h = (i, j) flat
+    e = Program.basis(field, h).apply_at(0, reshape_map(field, (N,),
+                                                        (n1, n2)))
 
-    Delta = linmap_from_fn(field, (N,), (N, N), coprod)
+    def interleaved(t, k):
+        """``t`` in H1^k (x) H2^k as k flat slots of H1 (x) H2."""
+        if k > 1:
+            t = t.permute([s for r in range(k) for s in (r, k + r)])
+        return t.apply_at(0, reshape_map(field, (n1, n2) * k, (N,) * k))
 
     def kron(f1, f2):
-        # f1 (x) f2 on the flat slot; k = 1 for antipodes, 0 for counits
-        k = len(f1.out_dims)
-        return linmap_from_fn(
-            field, (N,), (N,) * k,
-            lambda idx: TensorElt.basis(field, (n1, n2), divmod(idx[0], n2))
-            .apply_at(1, f2).apply_at(0, f1).merge_slots((2,) * k))
+        return linmap_from_program(interleaved(
+            e.apply_at(1, f2).apply_at(0, f1), len(f1.out_dims)), (h,))
 
+    Delta = kron(H1.Delta, H2.Delta)
     counit = kron(H1.counit, H2.counit)
     S = kron(H1.S, H2.S)
     SInv = kron(H1.SInv, H2.SInv)
-
-    def interleave(a, b):
-        return a.tensor(b).permute((0, 3, 1, 4, 2, 5)).merge_slots((2, 2, 2))
-
-    Phi = interleave(H1.Phi, H2.Phi)
-    PhiInv = interleave(H1.PhiInv, H2.PhiInv)
-    alpha = H1.alpha.tensor(H2.alpha).merge_slots((2,))
-    beta = H1.beta.tensor(H2.beta).merge_slots((2,))
+    Phi = interleaved(H1.Phi.tensor(H2.Phi), 3)
+    PhiInv = interleaved(H1.PhiInv.tensor(H2.PhiInv), 3)
+    alpha = interleaved(H1.alpha.tensor(H2.alpha), 1)
+    beta = interleaved(H1.beta.tensor(H2.beta), 1)
     if not name and H1.name and H2.name:
         name = f"{H1.name}(x){H2.name}"
     return QuasiHopfAlgebra(H, Delta, counit, Phi, S, alpha, beta,

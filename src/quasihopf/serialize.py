@@ -20,9 +20,9 @@ from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         RightComoduleAlgebra)
 from .fields import GF, QQ, Field
 from .finalg import FinAlgebra
-from .linalg import LinMap
+from .linalg import LinMap, linmap_from_columns
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import TensorElt, linmap_from_fn
+from .tensors import TensorElt
 
 KINDS = ("quasi-hopf", "algebra", "module-algebra-left",
          "module-algebra-right", "bimodule-algebra", "comodule-algebra-left",
@@ -118,9 +118,7 @@ def map_from_json(field: Field, in_dims, out_dims, arr) -> LinMap:
             cols.setdefault(idx[:k], {})[idx[k:]] = c
 
     _unnest(field, in_dims + out_dims, arr, visit)
-    return linmap_from_fn(
-        field, in_dims, out_dims,
-        lambda idx: TensorElt(field, out_dims, cols.get(idx)))
+    return linmap_from_columns(field, in_dims, out_dims, cols)
 
 
 # -- plain algebras --------------------------------------------------------

@@ -11,21 +11,22 @@ a short program over these combinators:
 * ``fold_slots``  - permute, then multiply runs of slots into one slot
 * ``slotwise_prod`` - multiply elements of one tensor power slot by slot
 
-Linear maps are built from their values on basis tensors
-(``linmap_from_fn``) and composed through ``apply_at`` (``compose``).
-
-A formula evaluated on every basis tuple (a product on basis pairs, the
-two sides of an axiom on basis triples) is a slot program: a ``Program``
-chains the same combinator calls, slotwise multiplication by a fixed
-element included, and each basis vector it inserts is a variable
-(``Var``).  One executor, ``run_program``, runs a program for every
-value of its variables.  It opens each variable's loop at the
-first step that reads it, so each step runs once per value of the
-variables read up to it; an inserted sub-program is computed once per
-value of its own variables and kept for the run; and a basis vector is
-never built, its insert and a contraction right after it read the map's
-columns or the algebra's rows directly.  The values stream to a sink:
-``finalg.algebra_from_program`` keeps each as a sparse row, and
+A formula evaluated on every basis tuple (a structure map on basis
+elements, a product on basis pairs, the two sides of an axiom on basis
+triples) is a slot program: a ``Program`` chains the same combinator
+calls, slotwise multiplication by a fixed element included, and each
+basis vector it inserts is a variable (``Var``).  A flat input slot is
+one variable followed by ``apply_at`` of a ``linalg.reshape_map`` that
+splits it into its factors.  One executor, ``run_program``, runs a
+program for every value of its variables.  It opens each variable's
+loop at the first step that reads it, so each step runs once per value
+of the variables read up to it; an inserted sub-program is computed
+once per value of its own variables and kept for the run; and a basis
+vector is never built, its insert and a contraction right after it read
+the map's columns or the algebra's rows directly.  The values stream to
+a sink: ``linmap_from_program`` makes each the column of a linear map
+(every formula-built map is read off this way, and the same column sink
+gives the rows of ``finalg.algebra_from_program``), and
 ``program_mismatches`` compares two programs in lexicographic order
 (``finalg.program_report`` turns the mismatches into report lines).
 
@@ -270,12 +271,6 @@ class TensorElt:
         return _new(self.field, pick(self.dims),
                     {pick(idx): c for idx, c in self.num.items()}, self.den)
 
-    def drop_slot(self, pos: int, functional: LinMap) -> "TensorElt":
-        """Apply a functional (out_dims = ()) to one slot."""
-        if functional.out_dims != ():
-            raise ValueError("not a functional")
-        return self.apply_at(pos, functional)
-
     def insert(self, pos: int, other: "TensorElt") -> "TensorElt":
         """Tensor ``other`` into position ``pos``."""
         num = {ia[:pos] + ib + ia[pos:]: ca * cb
@@ -283,33 +278,6 @@ class TensorElt:
         return _normal(self.field,
                        self.dims[:pos] + other.dims + self.dims[pos:], num,
                        self.den * other.den)
-
-    def merge_slots(self, groups) -> "TensorElt":
-        """Fuse consecutive runs of slots into single slots of product
-        dimension (flat indexing); ``groups`` are the run lengths."""
-        if sum(groups) != len(self.dims):
-            raise ValueError("group lengths do not cover the slots")
-        new_dims = []
-        bounds = []
-        pos = 0
-        for g in groups:
-            new_dims.append(prod(self.dims[pos:pos + g]))
-            bounds.append((pos, pos + g))
-            pos += g
-        num = {tuple(flat_index(self.dims[lo:hi], idx[lo:hi])
-                     for lo, hi in bounds): c
-               for idx, c in self.num.items()}
-        return _new(self.field, tuple(new_dims), num, self.den)
-
-    def split_slot(self, pos: int, factors) -> "TensorElt":
-        """Refine slot ``pos`` into tensor factors (flat indexing)."""
-        factors = tuple(factors)
-        if prod(factors) != self.dims[pos]:
-            raise ValueError("factor dimensions do not match the slot")
-        new_dims = self.dims[:pos] + factors + self.dims[pos + 1:]
-        num = {idx[:pos] + unflatten(factors, idx[pos]) + idx[pos + 1:]: c
-               for idx, c in self.num.items()}
-        return _new(self.field, new_dims, num, self.den)
 
 
 def slotwise_mul(a: TensorElt, b: TensorElt, algebras) -> TensorElt:
@@ -338,7 +306,7 @@ def slotwise_mul(a: TensorElt, b: TensorElt, algebras) -> TensorElt:
     out = {}
     for ia, ca in a.num.items():
         cands = [nonzero[t][ia[t]] for t in range(k)]
-        if prod(map(len, cands)) <= len(bterms):
+        if not k or prod(map(len, cands)) <= len(bterms):
             # enumerate the right indices that are nonzero in every slot
             matches = [(ib, bterms[ib]) for ib in product(*cands)
                        if ib in bterms]
@@ -657,35 +625,30 @@ def program_mismatches(lhs: Program, rhs: Program, order,
     return [unflatten(dims, off) for off in sorted(bad)[:limit]]
 
 
-def one_den(pairs):
-    """``(D, lists)`` for ``(den, terms)`` pairs: each list scaled from
-    its ``den`` to D, the lcm of them all."""
-    D = lcm(*(d for d, _ in pairs))
-    return D, [lst if d == D else [(k, c * (D // d)) for k, c in lst]
-               for d, lst in pairs]
+def _columns(prog: Program, order, key=None):
+    """``(den, cols)``: the value of ``prog`` at each value tuple of
+    ``order``, in row-major order, as its terms sorted by multi-index
+    (or by ``key[multi-index]`` when a ``key`` is given) over one
+    denominator ``den``, the lcm of the values'.  Each value becomes
+    its column as the executor produces it."""
+    values = [None] * prod(v.dim for v in order)
+
+    def keep(off, t):
+        values[off] = (t.den, sorted(
+            t.num.items() if key is None
+            else [(key[idx], c) for idx, c in t.num.items()]))
+
+    run_program(prog, order, keep)
+    den = lcm(*(d for d, _ in values))
+    return den, [col if d == den else [(k, c * (den // d)) for k, c in col]
+                 for d, col in values]
 
 
-def linmap_from_fn(field: Field, in_dims, out_dims, fn) -> LinMap:
-    """The linear map whose value on the basis tensor at ``idx`` is
-    ``fn(idx)``, a TensorElt with dims == out_dims."""
-    in_dims, out_dims = tuple(in_dims), tuple(out_dims)
-    basis = list(product(*map(range, in_dims)))
-
-    def values():
-        for idx in basis:
-            res = fn(idx)
-            if res.dims != out_dims:
-                raise ValueError("fn returned wrong slot shape")
-            yield res
-
-    den, cols = one_den([(t.den, sorted(t.num.items())) for t in values()])
-    return LinMap(field, in_dims, out_dims, den, dict(zip(basis, cols)))
-
-
-def compose(f: LinMap, g: LinMap) -> LinMap:
-    """f o g, read off ``apply_at`` on each basis tensor."""
-    field = g.field
-    return linmap_from_fn(
-        field, g.in_dims, f.out_dims,
-        lambda idx: TensorElt.basis(field, g.in_dims, idx)
-        .apply_at(0, g).apply_at(0, f))
+def linmap_from_program(prog: Program, order) -> LinMap:
+    """The linear map whose value on the basis tensor at the multi-index
+    of the variables ``order`` is the value of ``prog`` there: its input
+    dims are the dims of ``order``, its output dims ``prog.dims``."""
+    in_dims = tuple(v.dim for v in order)
+    den, cols = _columns(prog, order)
+    return LinMap(prog.field, in_dims, prog.dims, den,
+                  dict(zip(product(*map(range, in_dims)), cols)))

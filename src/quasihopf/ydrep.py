@@ -29,10 +29,11 @@ from .actions import BimoduleAlgebra, LeftModuleAlgebra, bar_construction
 from .coactions import BicomoduleAlgebra, tilde_pq
 from .fields import Field
 from .finalg import FinAlgebra, Report, mul_linmap, program_report
-from .linalg import LinMap, prod, reshape_map, unflatten
+from .linalg import LinMap, reshape_map
 from .products import ProductAlgebra, diag_crossed, two_sided_smash
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import Program, TensorElt, Var, linmap_from_fn, slotwise_mul
+from .tensors import (Program, TensorElt, Var, linmap_from_program,
+                      slotwise_mul)
 
 
 # -- bimodule coalgebras -----------------------------------------------------
@@ -67,9 +68,6 @@ class BimoduleCoalgebra:
     @property
     def field(self) -> Field:
         return self.Hq.field
-
-    def basis_elt(self, i: int) -> TensorElt:
-        return TensorElt.basis(self.field, (self.dim,), (i,))
 
     def _act_phi(self, t: Program, phi: TensorElt, side: str) -> Program:
         """Multiply the three slots of ``t`` by the components of ``phi``
@@ -287,6 +285,13 @@ def yd_product(Ab: BicomoduleAlgebra, C: BimoduleCoalgebra,
     return dual, diag_crossed(dual, Ab, "bowtie", check=check)
 
 
+def _pairing(fld: Field, n: int) -> LinMap:
+    """<c^i, c_j> = delta_ij: the pairing of a space with its dual."""
+    return LinMap(fld, (n, n), (), 1, {
+        (i, j): [((), 1)] if i == j else []
+        for i in range(n) for j in range(n)})
+
+
 def yd_to_module(M: YDModule, prod: ProductAlgebra | None = None,
                  check: bool = True):
     """(c* >< u) m = <c*, q~2 . (u.m)_(1)> q~1 . (u.m)_(0): the left
@@ -297,20 +302,15 @@ def yd_to_module(M: YDModule, prod: ProductAlgebra | None = None,
     if prod is None:
         _, prod = yd_product(Ab, C, check=False)
     q = tilde_pq(Ab.right, check=False).q
-
-    def fn(idx):
-        k, im = idx
-        i, iu = unflatten((mC, mU), k)
-        t = TensorElt.basis(fld, (mU, mM), (iu, im)).apply_at(0, M.act)
-        t = t.apply_at(0, M.coact).insert(0, q)
-        # [q1, q2, m0, m1]
-        t = t.permute((0, 2, 1, 3)).apply_at(2, C.left)
-        t = t.apply_at(0, M.act)
-        # [q1 m0, q2 m1]
-        return TensorElt(fld, (mM,), {(a,): v for (a, c), v
-                                      in t.terms.items() if c == i})
-
-    act = linmap_from_fn(fld, (mC * mU, mM), (mM,), fn)
+    x, m = Var("x", mC * mU), Var("m", mM)
+    t = Program.basis(fld, x).apply_at(0, reshape_map(fld, (mC * mU,),
+                                                      (mC, mU)))
+    t = t.tensor(m).apply_at(1, M.act).apply_at(1, M.coact).insert(1, q)
+    # [c*, q1, q2, m0, m1]    m0 (x) m1 the coaction of u.m
+    t = t.permute((0, 1, 3, 2, 4)).apply_at(3, C.left).apply_at(1, M.act)
+    # [c*, q1 m0, q2 m1] -> <c*, q2 m1> q1 m0
+    act = linmap_from_program(
+        t.permute((1, 0, 2)).apply_at(1, _pairing(fld, mC)), (x, m))
     return FinModule(prod.result, mM, act, name=M.name, check=check)
 
 
@@ -332,9 +332,6 @@ class FinModule:
     @property
     def field(self) -> Field:
         return self.algebra.field
-
-    def basis_elt(self, i: int) -> TensorElt:
-        return TensorElt.basis(self.field, (self.dim,), (i,))
 
     def verify(self) -> Report:
         alg = self.algebra
@@ -363,39 +360,29 @@ def module_to_yd(M: FinModule, Ab: BicomoduleAlgebra, C: BimoduleCoalgebra,
     mU, mC, mM = Ab.A.dim, C.dim, M.dim
     if M.algebra.dim != mC * mU:
         raise ValueError("module is not over the matching diagonal product")
-    eps_terms = {}
-    for k in range(mC):
-        v = C.basis_elt(k).drop_slot(0, C.counit).terms.get((), fld.zero())
-        if v != fld.zero():
-            eps_terms[(k,)] = v
-    eps = TensorElt(fld, (mC,), eps_terms)
-
-    def act_fn(idx):
-        iu, im = idx
-        t = eps.tensor(TensorElt.basis(fld, (mU, mM), (iu, im)))
-        return t.merge_slots((2, 1)).apply_at(0, M.act)
-
-    act = linmap_from_fn(fld, (mU, mM), (mM,), act_fn)
+    # the counit of C as an element of C*
+    eps = TensorElt.from_num(fld, (mC,), {
+        k: c for k, col in C.counit.cols.items() for _, c in col},
+        C.counit.den)
+    merge = reshape_map(fld, (mC, mU), (mC * mU,))
+    u, m = Var("u", mU), Var("m", mM)
+    act = linmap_from_program(Program(eps).tensor(u).apply_at(0, merge)
+                              .tensor(m).apply_at(0, M.act), (u, m))
     p = tilde_pq(Ab.right, check=False).p
     dual_pairs = TensorElt(fld, (mC, mC),
                            {(i, i): fld.one() for i in range(mC)})
-
-    def coact_fn(idx):
-        m = TensorElt.basis(fld, (mM,), idx)
-        t = p.apply_at(0, Ab.lam).apply_at(2, Hq.SInv)
-        # [pm, p0, S]
-        t = t.insert(1, dual_pairs)
-        # [pm, cdual, cC, p0, S]
-        t = t.permute((0, 2, 4, 1, 3)).merge_slots((1, 1, 1, 2))
-        # [pm, cC, S, cdual (x) p0]
-        t = t.insert(4, m).apply_at(3, M.act)
-        # [pm, cC, S, m']
-        t = t.permute((3, 1, 0, 2)).apply_at(1, C.right)
-        # [m', cC pm, S]
-        t = t.permute((0, 2, 1)).apply_at(1, C.left)
-        return t
-
-    coact = linmap_from_fn(fld, (mM,), (mM, mC), coact_fn)
+    t = p.apply_at(0, Ab.lam).apply_at(2, Hq.SInv)
+    # [pm, p0, S]
+    t = t.insert(1, dual_pairs)
+    # [pm, cdual, cC, p0, S]
+    t = t.permute((0, 2, 4, 1, 3)).apply_at(3, merge)
+    # [pm, cC, S, cdual (x) p0]
+    t = Program(t).insert(4, m).apply_at(3, M.act)
+    # [pm, cC, S, m']
+    t = t.permute((3, 1, 0, 2)).apply_at(1, C.right)
+    # [m', cC pm, S]
+    coact = linmap_from_program(t.permute((0, 2, 1)).apply_at(1, C.left),
+                                (m,))
     return YDModule(Hq, Ab, C, mM, act, coact, name=M.name, check=check)
 
 
@@ -425,16 +412,13 @@ def yd_roundtrip_check(Hq: QuasiHopfAlgebra, Ab: BicomoduleAlgebra,
     mC = C.dim
     c, m = Var("c", mC), Var("m", yd.dim)
     gamma = gamma_map(dual, Ab, check=False)
-    pairing = LinMap(fld, (mC, mC), (), 1, {
-        (i, j): [((), 1)] if i == j else []
-        for i in range(mC) for j in range(mC)})
     rep.merge(program_report([
         ("embedding-pairing",
          Program.basis(fld, c).apply_at(0, gamma)
          .apply_at(0, reshape_map(fld, (mC, Ab.A.dim), (prod.result.dim,)))
          .insert(1, m).apply_at(0, back.act),
          Program.basis(fld, m).apply_at(0, yd.coact).insert(2, c)
-         .apply_at(1, pairing), (c, m))]))
+         .apply_at(1, _pairing(fld, mC)), (c, m))]))
     return rep
 
 
@@ -461,23 +445,23 @@ def sec8_correspondences(Hq: QuasiHopfAlgebra, Am: LeftModuleAlgebra,
     unitA = Am.unit_elt()
     unitH = Hq.unit_elt()
     unitD = TensorElt.from_vector(fld, Dbar.B.unit)
+    flat = reshape_map(fld, (mA, n, mD), (M.algebra.dim,))
+    m = Var("m", mM)
 
     def partial(pos, dim):
-        def fn(idx):
-            i, im = idx
-            parts = [unitA, unitH, unitD]
-            parts[pos] = TensorElt.basis(fld, (dim,), (i,))
-            t = parts[0].tensor(parts[1]).tensor(parts[2])
-            t = t.merge_slots((3,)).insert(1, M.basis_elt(im))
-            return t.apply_at(0, M.act)
-        return linmap_from_fn(fld, (dim, mM), (mM,), fn)
+        # acting by a basis element of the factor at pos, units elsewhere
+        x = Var("x", dim)
+        u1, u2 = (u for s, u in enumerate((unitA, unitH, unitD)) if s != pos)
+        return linmap_from_program(
+            Program(u1.tensor(u2)).insert(pos, x).apply_at(0, flat)
+            .insert(1, m).apply_at(0, M.act), (x, m))
 
     actA = partial(0, mA)
     actH = partial(1, n)
     actB = partial(2, mD)
 
     Aact, Bact, X = Am.action, Dbar.action, Hq.PhiInv
-    m, h = Var("m", mM), Var("h", n)
+    h = Var("h", n)
     a, a2 = Var("a", mA), Var("a'", mA)
     b, b2 = Var("b", mD), Var("b'", mD)
     rep.merge(program_report([
@@ -487,8 +471,7 @@ def sec8_correspondences(Hq: QuasiHopfAlgebra, Am: LeftModuleAlgebra,
          Program.basis(fld, b, m).apply_at(0, actB).insert(0, h)
          .apply_at(0, actH).insert(0, a).apply_at(0, actA),
          Program.basis(fld, a, h, b)
-         .apply_at(0, reshape_map(fld, (mA, n, mD), (M.algebra.dim,)))
-         .tensor(m).apply_at(0, M.act), (m, a, h, b)),
+         .apply_at(0, flat).tensor(m).apply_at(0, M.act), (m, a, h, b)),
         # left weak action relation against the associator
         ("left-action-associator",
          Program.basis(fld, a2, m).apply_at(0, actA).insert(0, a)
@@ -528,17 +511,12 @@ def sec8_correspondences(Hq: QuasiHopfAlgebra, Am: LeftModuleAlgebra,
     qR = Hq.canonical_qR()
     pR = Hq.canonical_pR()
 
-    def right_fn(idx):
-        im, idd = idx
-        t = qR.apply_at(1, Hq.S)
-        t = t.insert(2, TensorElt.basis(fld, (mD, mM), (idd, im)))
-        # [q1, Sq2, d, m]
-        t = t.apply_at(1, Dm.action).apply_at(1, actB)
-        return t.apply_at(0, actH)
-
-    actR = linmap_from_fn(fld, (mM, mD), (mM,), right_fn)
     Dact = Dm.action
     d, d2 = Var("d", mD), Var("d'", mD)
+    # [q1, S(q2), d, m] -> q1 |> ((S(q2).d) * m)
+    actR = linmap_from_program(
+        Program(qR.apply_at(1, Hq.S)).insert(2, d).apply_at(1, Dact)
+        .insert(2, m).apply_at(1, actB).apply_at(0, actH), (m, d))
     rep.merge(program_report([
         # the right action associates across the associator
         ("derived-right-associator",

@@ -3,7 +3,8 @@ import functools
 import pytest
 
 from quasihopf import corpus
-from quasihopf.tensors import TensorElt, linmap_from_fn
+from quasihopf.linalg import linmap_from_columns
+from quasihopf.tensors import TensorElt
 
 
 @functools.lru_cache(maxsize=None)
@@ -41,11 +42,12 @@ def doubled_column(lm, key):
     """``lm`` with the image of the input basis tensor ``key`` doubled: a
     corrupted structure map for the witness tests."""
 
-    def col(idx):
-        t = TensorElt.basis(lm.field, lm.in_dims, idx).apply_at(0, lm)
-        return t.scale(2) if idx == key else t
+    def image(idx, col):
+        t = TensorElt.from_num(lm.field, lm.out_dims, dict(col), lm.den)
+        return (t.scale(2) if idx == key else t).terms
 
-    return linmap_from_fn(lm.field, lm.in_dims, lm.out_dims, col)
+    return linmap_from_columns(lm.field, lm.in_dims, lm.out_dims, {
+        idx: image(idx, col) for idx, col in lm.cols.items()})
 
 
 def corrupt_one(t):

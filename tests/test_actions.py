@@ -13,7 +13,8 @@ from quasihopf.corpus import adjoint_module_algebra
 from quasihopf.fields import QQ
 from quasihopf.finalg import mul_linmap, opposite
 from quasihopf.quasihopf import tensor_qh
-from quasihopf.tensors import TensorElt, linmap_from_fn
+from quasihopf.linalg import linmap_from_columns, reshape_map
+from quasihopf.tensors import TensorElt
 
 from conftest import entry
 
@@ -119,7 +120,8 @@ def test_as_module_over_tensor(name):
                 phi = Du.basis_elt(k)
                 flat = TensorElt.basis(QQ if Hq.field.is_rational
                                        else Hq.field,
-                                       (n, n), (i, j)).merge_slots((2,))
+                                       (n, n), (i, j)).apply_at(
+                    0, reshape_map(Hq.field, (n, n), (n * n,)))
                 got = flat.tensor(phi).apply_at(0, mod.action)
                 want = h.tensor(phi).apply_at(0, Du.left).tensor(hp) \
                     .apply_at(0, Du.right)
@@ -180,11 +182,12 @@ def test_bimodule_verify_reports_a_corrupted_action():
     st = entry("H2")
     Hq, Du = st["H"], st["dual"]
 
-    def fn(idx):
+    def image(idx):
         v = TensorElt.basis(QQ, (2, 2), idx).apply_at(0, Du.left)
-        return v.scale(Fraction(1, 2)) if idx == (1, 0) else v
+        return (v.scale(Fraction(1, 2)) if idx == (1, 0) else v).terms
 
-    left = linmap_from_fn(QQ, (2, 2), (2,), fn)
+    left = linmap_from_columns(QQ, (2, 2), (2,),
+                               {idx: image(idx) for idx in Du.left.cols})
     rep = BimoduleAlgebra(Hq, Du.A, left, Du.right, check=False).verify()
     assert rep.failures == [
         "left-action-associative: basis (1, 1, 0)",

@@ -17,8 +17,9 @@ from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
 from quasihopf.fields import GF, QQ
 from quasihopf.finalg import (FinAlgebra, VerificationError, invert_mixed,
                               slotwise_unit)
-from quasihopf.linalg import prod, unflatten
-from quasihopf.tensors import TensorElt, linmap_from_fn, slotwise_mul
+from quasihopf.linalg import prod, reshape_map, unflatten
+from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_program,
+                               slotwise_mul)
 
 from conftest import corrupt_one, doubled_column, entry
 from test_linalg import ref_solve
@@ -154,12 +155,12 @@ def test_first_mixed_coaction_closed_form(name):
     A1, _, _ = lambda12_structures(Ab, check=False)
     n = Hq.n
 
-    def want_fn(idx):
-        t = TensorElt.basis(Hq.field, (n,), idx).apply_at(0, Hq.Delta)
-        t = t.apply_at(0, Hq.Delta).apply_at(2, Hq.SInv)
-        return t.permute((0, 2, 1)).merge_slots((2, 1))
-
-    want = linmap_from_fn(Hq.field, (n,), (n * n, n), want_fn)
+    h = Var("h", n)
+    t = Program.basis(Hq.field, h).apply_at(0, Hq.Delta)
+    t = t.apply_at(0, Hq.Delta).apply_at(2, Hq.SInv)
+    want = linmap_from_program(
+        t.permute((0, 2, 1))
+        .apply_at(0, reshape_map(Hq.field, (n, n), (n * n,))), (h,))
     assert A1.lam == want
 
 

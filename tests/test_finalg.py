@@ -13,7 +13,8 @@ from quasihopf.finalg import (FinAlgebra, Report, VerificationError,
                               invert_mixed, mul_linmap, opposite,
                               slotwise_unit, tensor_algebra,
                               verify_associative_unital)
-from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_fn,
+from quasihopf.linalg import linmap_from_columns, reshape_map
+from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_program,
                                slotwise_mul)
 
 from conftest import entry
@@ -86,20 +87,21 @@ def test_tensor_algebra_and_power():
     assert T.dim == 8
     assert verify_associative_unital(T).ok
     # (a x b)(a' x b') = aa' x bb' on basis pairs
+    flat = reshape_map(QQ, (2, 4), (8,))
     for i in range(2):
         for j in range(4):
             for k in range(2):
                 for l in range(4):
                     lhs = T.multiply(
                         TensorElt.basis(QQ, (2, 4), (i, j))
-                        .merge_slots((2,)).to_flat(),
+                        .apply_at(0, flat).to_flat(),
                         TensorElt.basis(QQ, (2, 4), (k, l))
-                        .merge_slots((2,)).to_flat())
+                        .apply_at(0, flat).to_flat())
                     a = A.multiply(basis_vec(QQ, 2, i), basis_vec(QQ, 2, k))
                     b = B.multiply(basis_vec(QQ, 4, j), basis_vec(QQ, 4, l))
                     want = TensorElt.from_flat(QQ, (2,), a).tensor(
                         TensorElt.from_flat(QQ, (4,), b))
-                    assert list(lhs) == list(want.merge_slots((2,)).to_flat())
+                    assert list(lhs) == list(want.apply_at(0, flat).to_flat())
     sq = tensor_algebra(A, A)
     assert sq.dim == 4
     assert verify_associative_unital(sq).ok
@@ -143,16 +145,17 @@ def test_check_algebra_map():
     # h -> eps(h) 1 is an algebra map of rank 1
     eps = sweedler4().counit
     one = TensorElt.from_flat(QQ, (4,), A.unit)
-    f = linmap_from_fn(QQ, (4,), (4,), lambda idx: TensorElt.basis(
-        QQ, (4,), idx).drop_slot(0, eps).tensor(one))
+    h = Var("h", 4)
+    f = linmap_from_program(
+        Program.basis(QQ, h).apply_at(0, eps).tensor(one), (h,))
     assert check_algebra_map(f, A, A).failures == ["bijective: rank 1 < 4"]
 
 
 def test_algebra_from_program():
     A = z2()
     # e_i e_j = e_{i+j mod 2}, read off a map rather than A's rows
-    add = linmap_from_fn(QQ, (2, 2), (2,), lambda idx: TensorElt.basis(
-        QQ, (2,), ((idx[0] + idx[1]) % 2,)))
+    add = linmap_from_columns(QQ, (2, 2), (2,), {
+        (a, b): {((a + b) % 2,): 1} for a in range(2) for b in range(2)})
     i, j = Var("i", 2), Var("j", 2)
     alg = algebra_from_program(Program.basis(QQ, i, j).apply_at(0, add),
                                [i], [j], TensorElt.basis(QQ, (2,), (0,)))
@@ -804,7 +807,7 @@ def test_inverter_matches_old_route_on_random_twists(name, kind, data):
         # (id - 1 eps) in each slot, plus 1 (x) 1: counit-normalized
         one = Hq.unit_elt()
         for pos in (0, 1):
-            t = t - t.drop_slot(pos, Hq.counit).insert(pos, one)
+            t = t - t.apply_at(pos, Hq.counit).insert(pos, one)
         t = t + Hq.unit_elt(2)
     elif kind == "zero":
         # a zero divisor tensored with anything is not invertible

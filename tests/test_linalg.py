@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasihopf.fields import GF, QQ
-from quasihopf.linalg import LinMap, flat_index, prod, solve, unflatten
+from quasihopf.linalg import (LinMap, flat_index, linmap_from_columns, prod,
+                              solve, unflatten)
 from quasihopf.serialize import map_from_json
-from quasihopf.tensors import TensorElt, compose, linmap_from_fn
+from quasihopf.tensors import Program, TensorElt, Var, linmap_from_program
 
 entries = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 
@@ -116,10 +117,21 @@ def linmap_from_rows(field, rows, in_dims=None, out_dims=None):
     """The LinMap whose (flat) matrix has the given rows of scalars."""
     in_dims = in_dims or (len(rows[0]),)
     out_dims = (len(rows),) if out_dims is None else out_dims
-    return linmap_from_fn(
-        field, in_dims, out_dims,
-        lambda idx: TensorElt.from_flat(
-            field, out_dims, [row[flat_index(in_dims, idx)] for row in rows]))
+    return linmap_from_columns(field, in_dims, out_dims, {
+        unflatten(in_dims, j): {unflatten(out_dims, i): row[j]
+                                for i, row in enumerate(rows)}
+        for j in range(prod(in_dims))})
+
+
+def basis_vars(dims):
+    return [Var(f"x{s}", d) for s, d in enumerate(dims)]
+
+
+def compose(f, g):
+    """f o g, read off the slot program g then f."""
+    xs = basis_vars(g.in_dims)
+    return linmap_from_program(
+        Program.basis(g.field, *xs).apply_at(0, g).apply_at(0, f), xs)
 
 
 def dense(lm):
@@ -207,12 +219,9 @@ def test_solve_inconsistent():
 
 def _kron(a, b):
     """a (x) b on two slots, through apply_at."""
-    field = a.field
-    dims = a.in_dims + b.in_dims
-    return linmap_from_fn(
-        field, dims, a.out_dims + b.out_dims,
-        lambda idx: TensorElt.basis(field, dims, idx)
-        .apply_at(0, a).apply_at(1, b))
+    xs = basis_vars(a.in_dims + b.in_dims)
+    return linmap_from_program(
+        Program.basis(a.field, *xs).apply_at(0, a).apply_at(1, b), xs)
 
 
 def test_kron_against_direct():
@@ -266,16 +275,14 @@ def test_linmap_shape_check():
     with pytest.raises(ValueError):
         LinMap(QQ, (2, 2), (6,), lm.den, lm.cols)
     with pytest.raises(ValueError):
-        linmap_from_fn(QQ, (2,), (3,),
-                       lambda idx: TensorElt.basis(QQ, (2,), idx))
+        Program.basis(QQ, Var("x", 2)).apply_at(0, lm)
 
 
 def test_canonical_form():
     # equal maps are equal however their scalars were written
     def one_by_one(field, num, den):
-        return linmap_from_fn(
-            field, (1,), (1,),
-            lambda idx: TensorElt.from_num(field, (1,), {(0,): num}, den))
+        t = TensorElt.from_num(field, (1,), {(0,): num}, den)
+        return linmap_from_columns(field, (1,), (1,), {(0,): t.terms})
 
     half = one_by_one(QQ, 1, 2)
     assert one_by_one(QQ, 2, 4) == half

@@ -15,6 +15,7 @@ from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
 from quasihopf.fields import QQ
 from quasihopf.finalg import (FinAlgebra, Report, opposite,
                               verify_associative_unital)
+from quasihopf.linalg import reshape_map
 from quasihopf.quasihopf import QuasiHopfAlgebra
 from quasihopf.products import (diag_crossed, diag_crossed_general, gen_smash,
                                 gen_two_sided_crossed, induced_costructures,
@@ -106,7 +107,8 @@ def test_smash_against_direct_hopf_formula(name):
                     t = t.apply_at(1, Am.action).mul_slots(0, 1, Am.A)
                     t = t.mul_slots(1, 2, Hq.H)
                     got = mul[ia * n + ih][ja * n + jh]
-                    assert list(t.merge_slots((2,)).to_flat()) == got
+                    t = t.apply_at(0, reshape_map(fld, (m, n), (m * n,)))
+                    assert list(t.to_flat()) == got
 
 
 @pytest.mark.parametrize("name", HOPF)
@@ -133,7 +135,8 @@ def test_two_sided_smash_against_direct_hopf_formula(name):
             t = t.apply_at(1, Am.action).mul_slots(0, 1, Am.A)
             t = t.mul_slots(1, 2, Hq.H)
             t = t.apply_at(2, Bm.action).mul_slots(2, 3, Bm.B)
-            assert list(t.merge_slots((3,)).to_flat()) == mul[i][j]
+            t = t.apply_at(0, reshape_map(fld, (m, n, m), (m * n * m,)))
+            assert list(t.to_flat()) == mul[i][j]
 
 
 @pytest.mark.parametrize("name", HOPF)
@@ -177,7 +180,7 @@ def test_product_units_and_embeddings(name):
     st = entry(name)
     Hq, Am = st["H"], st["module"]
     p = smash(Am, check=False)
-    want = Am.unit_elt().tensor(Hq.unit_elt()).merge_slots((2,)).to_flat()
+    want = Am.unit_elt().tensor(Hq.unit_elt()).to_flat()
     assert list(p.result.unit) == list(want)
 
 

@@ -7,7 +7,8 @@ from quasihopf.corpus import (cyclic_with_cocycle, group_algebra_z2, sweedler4,
 from quasihopf.fields import QQ
 from quasihopf.finalg import invert_mixed
 from quasihopf.quasihopf import QuasiHopfAlgebra, tensor_qh
-from quasihopf.tensors import TensorElt, linmap_from_fn, slotwise_prod
+from quasihopf.linalg import linmap_from_columns
+from quasihopf.tensors import TensorElt, slotwise_prod
 
 from conftest import doubled_column, entry
 
@@ -167,9 +168,11 @@ def test_verify_reports_a_corrupted_coproduct():
 
     def col(idx):
         t = TensorElt.basis(QQ, (2,), idx).apply_at(0, Hq.Delta)
-        return t + TensorElt.basis(QQ, (2, 2), (0, 0)) if idx == (1,) else t
+        return (t + TensorElt.basis(QQ, (2, 2), (0, 0)) if idx == (1,)
+                else t).terms
 
-    Delta = linmap_from_fn(QQ, (2,), (2, 2), col)
+    Delta = linmap_from_columns(QQ, (2,), (2, 2),
+                                {idx: col(idx) for idx in Hq.Delta.cols})
     bad = QuasiHopfAlgebra(Hq.H, Delta, Hq.counit, Hq.Phi, Hq.S, Hq.alpha,
                            Hq.beta, PhiInv=Hq.PhiInv, SInv=Hq.SInv)
     assert bad.verify().failures == [

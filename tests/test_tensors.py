@@ -10,9 +10,10 @@ from quasihopf.corpus import (cyclic_with_cocycle, group_algebra_z2,
                               sweedler4, twisted_z2)
 from quasihopf.fields import GF, QQ
 from quasihopf.finalg import FinAlgebra
-from quasihopf.linalg import flat_index, prod, unflatten
+from quasihopf.linalg import (flat_index, linmap_from_columns, prod,
+                              reshape_map, unflatten)
 from quasihopf import tensors as tensors_module
-from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_fn,
+from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_program,
                                program_mismatches, run_program, slotwise_mul)
 
 from test_linalg import dense, linmap_from_rows, ref_matmul
@@ -121,16 +122,28 @@ def test_insert_and_drop(t):
     H = group_algebra_z2()
     u = t.insert(1, H.unit_elt())
     assert u.dims == (2, 2, 3)
-    assert u.drop_slot(1, H.counit) == t
+    assert u.apply_at(1, H.counit) == t
 
 
 @given(tensors((2, 3, 2)))
 @settings(max_examples=30)
 def test_merge_split_roundtrip(t):
-    m = t.merge_slots((2, 1))
+    m = t.apply_at(0, reshape_map(QQ, (2, 3), (6,)))
     assert m.dims == (6, 2)
-    assert m.split_slot(0, (2, 3)) == t
-    assert t.merge_slots((3,)).split_slot(0, (2, 3, 2)) == t
+    assert m.apply_at(0, reshape_map(QQ, (6,), (2, 3))) == t
+    assert t.apply_at(0, reshape_map(QQ, (2, 3, 2), (12,))) \
+        .apply_at(0, reshape_map(QQ, (12,), (2, 3, 2))) == t
+
+
+def test_slotwise_mul_of_scalars():
+    # zero slots: the product of the two coefficients, zero included
+    for field, c in ((QQ, Fraction(2, 3)), (GF(5), 3)):
+        scalar = TensorElt.scalar(field, c)
+        zero = TensorElt.zero(field, ())
+        assert slotwise_mul(scalar, zero, []) == zero
+        assert slotwise_mul(zero, scalar, []) == zero
+        assert slotwise_mul(scalar, scalar, []) \
+            == TensorElt.scalar(field, field.mul(c, c))
 
 
 def test_slotwise_mul():
@@ -201,14 +214,6 @@ def test_slotwise_mul_sparse_right_factor():
     b = TensorElt(QQ, dims, {(1, 0, 1, 1): Fraction(2),
                            (0, 1, 1, 0): Fraction(-1)})
     assert slotwise_mul(a, b, H) == _slotwise_reference(a, b, [H] * 4)
-
-
-def test_linmap_from_fn_linearity():
-    H = sweedler4()
-    lm = linmap_from_fn(QQ, (4,), (4, 4),
-                        lambda idx: TensorElt.basis(QQ, (4,), idx)
-                        .apply_at(0, H.Delta))
-    assert lm == H.Delta
 
 
 def test_scale_and_zero():
@@ -311,11 +316,6 @@ def _ref_merge(dims, ta, groups):
             for idx, c in ta.items()}
 
 
-def _ref_split(ta, pos, factors):
-    return {idx[:pos] + unflatten(factors, idx[pos]) + idx[pos + 1:]: c
-            for idx, c in ta.items()}
-
-
 def _assert_canonical(t):
     assert t.den > 0
     if t.field.p is None:
@@ -377,6 +377,8 @@ def test_integer_core_matches_scalar_dicts(data, field):
     groups = data.draw(st.sampled_from([g for g in ((k,), (1, k - 1),
                                                     (k - 1, 1)) if all(g)]),
                        label="groups")
+    bounds = [sum(groups[:r]) for r in range(len(groups) + 1)]
+    merged = [prod(dims[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     cases = [
         (a.tensor(c), _ref_insert(field, ra, k, rc)),
@@ -387,8 +389,10 @@ def test_integer_core_matches_scalar_dicts(data, field):
         (a - b, _ref_add(field, ra, _ref_scale(field, rb, -1))),
         (a.scale(scalar), _ref_scale(field, ra, scalar)),
         (a.permute(perm), _ref_permute(ra, perm)),
-        (a.merge_slots(groups), _ref_merge(dims, ra, groups)),
-        (a.merge_slots((k,)).split_slot(0, dims), ra),
+        (a.apply_at(0, reshape_map(field, dims, merged)),
+         _ref_merge(dims, ra, groups)),
+        (a.apply_at(0, reshape_map(field, dims, (prod(dims),)))
+         .apply_at(0, reshape_map(field, (prod(dims),), dims)), ra),
         (slotwise_mul(a, b, alg), _ref_slotwise(field, ra, rb, alg)),
     ]
     if k > 1:
@@ -447,9 +451,9 @@ def _element(data, field, dims, max_terms=5):
 
 
 def _map(data, field, in_dims, out_dims):
-    cols = {idx: _element(data, field, out_dims, 3)
-            for idx in product(*map(range, in_dims))}
-    return linmap_from_fn(field, in_dims, out_dims, cols.__getitem__)
+    return linmap_from_columns(field, in_dims, out_dims, {
+        idx: _element(data, field, out_dims, 3).terms
+        for idx in product(*map(range, in_dims))})
 
 
 def _algebra(data, field, n):
@@ -499,7 +503,7 @@ def _program(data, field, pool, steps, depth=0):
                 prog = prog.mul_slots(a, b, _algebra(data, field, dims[a]))
         elif kind == "permute":
             prog = prog.permute(data.draw(st.permutations(range(len(dims)))))
-        elif kind == "slotwise" and dims:
+        elif kind == "slotwise":
             prog = _slotwise_step(data, field, prog)
     return prog
 
@@ -565,6 +569,12 @@ def test_executor_matches_per_tuple_evaluation(field_name, data):
     for off, t in got.items():
         want = _evaluate(prog, dict(zip(order, unflatten(dims, off))))
         assert t == want and t.dims == prog.dims
+    # the column sink: the map read column by column off step-by-step
+    # evaluation
+    assert linmap_from_program(prog, order) == linmap_from_columns(
+        field, dims, prog.dims, {
+            idx: _evaluate(prog, dict(zip(order, idx))).terms
+            for idx in product(*map(range, dims))})
     # two programs that differ in one map, compared in lexicographic order
     if prog.dims:
         d = prog.dims[0]
@@ -575,6 +585,14 @@ def test_executor_matches_per_tuple_evaluation(field_name, data):
                 if _evaluate(lhs, dict(zip(order, idx)))
                 != _evaluate(rhs, dict(zip(order, idx)))][:limit]
         assert program_mismatches(lhs, rhs, order, limit) == want
+
+
+def test_linmap_from_program_rebuilds_coproduct():
+    # the column sink on e_h -> Delta(h) gives Delta back exactly
+    H = sweedler4()
+    h = Var("h", 4)
+    assert linmap_from_program(Program.basis(QQ, h).apply_at(0, H.Delta),
+                               (h,)) == H.Delta
 
 
 @given(st.sampled_from(sorted(PROGRAM_FIELDS)), st.data())
@@ -638,10 +656,12 @@ def test_program_mismatches_matches_unstaged_reference(field_name, data):
         Var("w", data.draw(st.integers(1, 3))))
     d = base.dims[0]
     cols = {(i,): _element(data, field, (d,), 3) for i in range(d)}
-    m1 = linmap_from_fn(field, (d,), (d,), cols.__getitem__)
+    m1 = linmap_from_columns(field, (d,), (d,),
+                             {k: v.terms for k, v in cols.items()})
     changed = data.draw(st.integers(0, d - 1))
     cols[(changed,)] = cols[(changed,)] + _element(data, field, (d,), 2)
-    m2 = linmap_from_fn(field, (d,), (d,), cols.__getitem__)
+    m2 = linmap_from_columns(field, (d,), (d,),
+                             {k: v.terms for k, v in cols.items()})
     lhs = base.apply_at(0, m1)
     rhs = data.draw(st.sampled_from([base.apply_at(0, m2), lhs]))
     if data.draw(st.booleans()):
@@ -659,8 +679,8 @@ def test_executor_runs_each_step_once_per_value_read(monkeypatch):
     u, v, w = Var("u", 2), Var("v", 3), Var("w", 2)
 
     def scaled(c, in_dim=2):
-        return linmap_from_fn(fld, (in_dim,), (2,), lambda idx: TensorElt(
-            fld, (2,), {(idx[0] % 2,): c}))
+        return linmap_from_columns(fld, (in_dim,), (2,), {
+            (i,): {(i % 2,): c} for i in range(in_dim)})
 
     maps = {"none": scaled(1), "u": scaled(2), "uv": scaled(3, 3),
             "sub u": scaled(5), "sub uw": scaled(7), "uvw": scaled(11)}

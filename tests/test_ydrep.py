@@ -5,8 +5,8 @@ import pytest
 from quasihopf.actions import LeftModuleAlgebra
 from quasihopf.fields import QQ
 from quasihopf.finalg import FinAlgebra
-from quasihopf.linalg import LinMap
-from quasihopf.tensors import TensorElt, linmap_from_fn
+from quasihopf.linalg import LinMap, linmap_from_columns
+from quasihopf.tensors import Program, Var, linmap_from_program
 from quasihopf.ydrep import (BimoduleCoalgebra, FinModule, YDModule,
                              mixed_translation_identity, module_to_yd,
                              regular_bimodule_coalgebra, regular_module,
@@ -92,8 +92,8 @@ def test_broken_comultiplication_detected():
     Hq, C = st["H"], st["coalgebra"]
     n = Hq.n
     # a coproduct that is not counital on basis e_1
-    comul = linmap_from_fn(QQ, (n,), (n, n),
-                           lambda idx: TensorElt.basis(QQ, (n, n), (0, 0)))
+    comul = linmap_from_columns(QQ, (n,), (n, n),
+                                {(i,): {(0, 0): 1} for i in range(n)})
     bad = BimoduleCoalgebra(Hq, n, comul, C.counit, C.left, C.right,
                             check=False)
     # the (tag, basis tuple) pairs the hand-written loops reported
@@ -111,13 +111,12 @@ def test_broken_module_action_detected():
     Hq, Am = st["H"], st["module"]
     n = Hq.n
 
-    def bad_fn(idx):
-        t = TensorElt.basis(QQ, (n, n), idx)
-        return t.apply_at(0, Hq.S).permute((1, 0)).mul_slots(0, 1, Hq.H)
-
-    bad = LeftModuleAlgebra(Hq, Am.A,
-                            linmap_from_fn(QQ, (n, n), (n,), bad_fn),
-                            check=False)
+    # h.a = a S(h)
+    h, a = Var("h", n), Var("a", n)
+    bad_act = linmap_from_program(
+        Program.basis(QQ, a, h).apply_at(1, Hq.S).mul_slots(0, 1, Hq.H),
+        (h, a))
+    bad = LeftModuleAlgebra(Hq, Am.A, bad_act, check=False)
     rep = sec8_correspondences(Hq, bad, Am)
     # more than 10 failures, all of one relation: the first 10 in the
     # order (m, a, h) of the loops this check replaced
@@ -131,8 +130,8 @@ def test_fin_module_verify_rejects_non_action():
     Hq = st["H"]
     n = Hq.n
     # constant map is not unital
-    act = linmap_from_fn(QQ, (n, n), (n,),
-                         lambda idx: TensorElt.basis(QQ, (n,), (1,)))
+    act = linmap_from_columns(QQ, (n, n), (n,), {
+        (i, j): {(1,): 1} for i in range(n) for j in range(n)})
     with pytest.raises(Exception):
         FinModule(Hq.H, n, act, check=True)
 
