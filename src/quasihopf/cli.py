@@ -19,9 +19,10 @@ from . import corpus, serialize
 from .actions import (BimoduleAlgebra, LeftModuleAlgebra, RightModuleAlgebra,
                       trivial_right_action)
 from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                        RightComoduleAlgebra, verify_tilde_pq, tilde_pq)
+                        RightComoduleAlgebra, mixed_translation_identity,
+                        verify_tilde_pq, tilde_pq)
 from .finalg import (FinAlgebra, Report, VerificationError, invert_mixed,
-                     verify_associative_unital)
+                     program_report, verify_associative_unital)
 from .quasihopf import QuasiHopfAlgebra
 from .serialize import DocumentError
 from .tensors import TensorElt
@@ -86,10 +87,9 @@ def _identity_checks(obj):
         rep = verify_tilde_pq(src, tilde_pq(src, check=False))
         checks.append(("coaction translation elements", rep.failures))
     if isinstance(obj, BicomoduleAlgebra):
-        from .ydrep import mixed_translation_identity
-        rep = Report()
-        rep.check(mixed_translation_identity(obj), "mixed-translation",
-                  "gluing vs translation-element identity failed")
+        rep = program_report([
+            ("mixed-translation: gluing vs translation-element identity "
+             "failed", *mixed_translation_identity(obj), ())])
         checks.append(("mixed translation identity", rep.failures))
     return checks
 

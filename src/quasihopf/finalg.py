@@ -7,7 +7,8 @@ associativity scan packs each row into one int (Kronecker substitution).
 Tensor-product and opposite algebras, the inverse of an element of a
 slotwise product of algebras, and (anti)morphism checking live here,
 together with ``Report`` and ``program_report``, the one reporter of
-every identity checked as a pair of slot programs on all basis tuples.
+every identity checked as a pair of slot programs: on all basis tuples
+of its variables, or once when it has none.
 """
 
 from __future__ import annotations
@@ -59,14 +60,28 @@ class Report:
 
 def program_report(checks) -> Report:
     """The report of identities checked on every basis tuple: for each
-    ``(tag, lhs, rhs, variables)`` of ``checks``, the first 10 value
+    ``(label, lhs, rhs, variables)`` of ``checks``, the first 10 value
     tuples of the variables, in lexicographic order, at which the slot
-    programs ``lhs`` and ``rhs`` differ, each as ``"{tag}: basis {idx}"``."""
+    programs ``lhs`` and ``rhs`` differ, each as ``"{label}: basis
+    {idx}"``; an identity without variables fails as its label alone."""
     rep = Report()
-    for tag, lhs, rhs, order in checks:
+    for label, lhs, rhs, order in checks:
         for idx in program_mismatches(lhs, rhs, order, 10):
-            rep.add(tag, f"basis {idx}")
+            rep.add(label, f"basis {idx}" if order else "")
     return rep
+
+
+def inverse_checks(label: str, x: TensorElt, x_inv: TensorElt, algebras,
+                   names) -> list:
+    """The checks x x_inv = 1 and x_inv x = 1 in the slotwise product of
+    ``algebras``, failing as ``"{label}: {a} {b} != 1"`` and
+    ``"{label}: {b} {a} != 1"`` for the ``names`` (a, b) of x and x_inv."""
+    one = Program(slotwise_unit(x.field, algebras))
+    a, b = names
+    return [(f"{label}: {a} {b} != 1",
+             Program(x).slotwise_mul(x_inv, algebras), one, ()),
+            (f"{label}: {b} {a} != 1",
+             Program(x_inv).slotwise_mul(x, algebras), one, ())]
 
 
 class FinAlgebra:

@@ -7,9 +7,9 @@ unital algebra map on all basis pairs, the transcribed inverse composes
 to the identity on both sides (each composite read off the program of
 one map followed by the other), and the matrix inverse recomputed by
 Gaussian elimination agrees with the transcription.  The identities of
-the proofs that hold for every basis tuple (the factorizations of nu
-and Gamma, the second mu rearrangement) are pairs of slot programs
-compared by ``finalg.program_report``.
+the proofs (the factorizations of nu and Gamma on every basis tuple,
+the three mu rearrangements) are pairs of slot programs compared by
+``finalg.program_report``.
 
 * ``iso_theta``       - left diagonal product  ->  right diagonal product
 * ``iso_nu``          - three-factor crossed product -> diagonal product
@@ -178,7 +178,7 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr,
     # [phi, q1 a0, q2 a1, b]
     t = t.permute((0, 2, 1, 3)).apply_at(0, Abi.right)
     finv = linmap_from_program(t.permute((1, 0, 2)), (p, a, b))
-    rep = Report()
+    rep = None
     if check:
         # nu(a >< phi >< b) equals a Gamma(phi) b inside the target,
         # where Gamma(phi) = phi.S^{-1}(p~2) >< (p~1 (x) 1)
@@ -195,27 +195,31 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr,
             .tensor(unitP.tensor(Aco.unit_elt())).tensor(b).apply_at(1, flat) \
             .mul_slots(0, 1, alg)
         want = Program.basis(fld, a, p, b).apply_at(0, f).apply_at(0, flat)
-        rep.merge(program_report([("nu-factorization", got, want,
-                                   (p, a, b))]))
+        rep = program_report([("nu-factorization", got, want, (p, a, b))])
     return _certify(f, finv, source.result, target.result,
                     "three-factor to diagonal over tensor", check, rep)
 
 
 # -- mu: diagonal over a tensor bimodule vs two-sided smash ------------------
 
-def _mu_identity_of2(Ab: BicomoduleAlgebra, Om: TensorElt,
-                     q: TensorElt) -> bool:
-    """First rearrangement identity used in the proof that mu is
-    multiplicative; a fixed 5-slot tensor equation."""
+def _mu_identities(Ab: BicomoduleAlgebra, q: TensorElt) -> list:
+    """The three rearrangement identities used in the proof that mu is
+    multiplicative, as checks for ``finalg.program_report``: the first
+    and the third between fixed tensors, the second per basis pair
+    (u, u')."""
     Hq = Ab.Hq
     H = Hq.H
     Ualg = Ab.A
     Th = Ab.PhiLR
+    xl, xr = Ab.left.PhiLamInv, Ab.right.PhiRhoInv
+    Om = omega_from_coaction(two_sided_from_bicomodule(Ab, "l", check=False))
+    u, v = Var("u", Ualg.dim), Var("u'", Ualg.dim)
 
+    # first, a fixed 5-slot tensor equation
     # lhs: Th1_1 Om1 (x) Th1_2 Om2 (x) q1 (Th2 Om3)_0
     #      (x) Om5 S^-1(Th3)_1 (q2)_1 (Th2 Om3)_1(1)
     #      (x) Om4 S^-1(Th3)_2 (q2)_2 (Th2 Om3)_1(2)
-    t = Th.apply_at(0, Hq.Delta).apply_at(3, Hq.SInv)
+    t = Program(Th).apply_at(0, Hq.Delta).apply_at(3, Hq.SInv)
     t = t.apply_at(3, Hq.Delta)
     # [T1a, T1b, T2, S1, S2]
     t = t.insert(5, Om)
@@ -227,8 +231,8 @@ def _mu_identity_of2(Ab: BicomoduleAlgebra, Om: TensorElt,
     t = t.insert(2, q).apply_at(3, Hq.Delta)
     # 0=T1a 1=T1b 2=q1 3=q2a 4=q2b 5=M0 6=M1a 7=M1b 8=S1 9=S2
     # 10=O1 11=O2 12=O4 13=O5
-    lhs = fold_slots(t, [(0, 10), (1, 11), (2, 5), (13, 8, 3, 6),
-                         (12, 9, 4, 7)], [H, H, Ualg, H, H])
+    lhs1 = fold_slots(t, [(0, 10), (1, 11), (2, 5), (13, 8, 3, 6),
+                          (12, 9, 4, 7)], [H, H, Ualg, H, H])
 
     # rhs, with three copies T/U/V of the gluing element and two copies
     # q/Q of the canonical pair:
@@ -236,9 +240,7 @@ def _mu_identity_of2(Ab: BicomoduleAlgebra, Om: TensorElt,
     #   (x) xl3 q1 (U2 T2_[0] Q1 V2_0)_0 xr1
     #   (x) S^-1(U3 T3) q2 (U2 T2_[0] Q1 V2_0)_1 xr2
     #   (x) S^-1(V3) Q2 V2_1 xr3
-    xl = Ab.left.PhiLamInv
-    xr = Ab.right.PhiRhoInv
-    t = Th.apply_at(1, Ab.lam)
+    t = Program(Th).apply_at(1, Ab.lam)
     # [T1, T2m, T20, T3]
     t = t.insert(1, Th)
     # [T1, U1, U2, U3, T2m, T20, T3]
@@ -268,19 +270,9 @@ def _mu_identity_of2(Ab: BicomoduleAlgebra, Om: TensorElt,
     t = t.insert(0, xl)
     # [L1, L2, L3, T1, B0, C, D, E]
     t = t.mul_slots(0, 3, H).mul_slots(1, 3, H)
-    rhs = t.mul_slots(2, 3, Ualg)
-    return lhs == rhs
+    rhs1 = t.mul_slots(2, 3, Ualg)
 
-
-def _mu_identity_of3(Ab: BicomoduleAlgebra, q: TensorElt) -> Report:
-    """Second rearrangement identity, checked per basis pair (u, u')."""
-    Hq = Ab.Hq
-    H = Hq.H
-    Ualg = Ab.A
-    Th = Ab.PhiLR
-    xr = Ab.right.PhiRhoInv
-    u, v = Var("u", Ualg.dim), Var("u'", Ualg.dim)
-
+    # second, per basis pair (u, u')
     # lhs: Th1 u0m (x) (Q1 Th2_0)_0 xr1 u000 v0
     #      (x) (Q1 Th2_0)_1 xr2 u001(1) v1(1)
     #      (x) S^-1(Th3 u1) Q2 Th2_1 xr3 u001(2) v1(2)
@@ -301,8 +293,8 @@ def _mu_identity_of3(Ab: BicomoduleAlgebra, q: TensorElt) -> Report:
     t = t.mul_slots(5, 13, H)
     # 5 = T3 u1; then 13=v0, 14=v1a, 15=v1b
     t = t.apply_at(5, Hq.SInv)
-    lhs = fold_slots(t, [(0, 9), (1, 6, 10, 13), (2, 7, 11, 14),
-                         (5, 3, 4, 8, 12, 15)], [H, Ualg, H, H])
+    lhs2 = fold_slots(t, [(0, 9), (1, 6, 10, 13), (2, 7, 11, 14),
+                          (5, 3, 4, 8, 12, 15)], [H, Ualg, H, H])
 
     # rhs: um Th1 (x) (u0 Q1)_0 (Th2 v)_00 xr1
     #      (x) (u0 Q1)_1 (Th2 v)_01 xr2
@@ -320,30 +312,26 @@ def _mu_identity_of3(Ab: BicomoduleAlgebra, q: TensorElt) -> Report:
     t = t.apply_at(8, Hq.SInv)
     t = t.insert(9, xr)
     # 9=X1, 10=X2, 11=X3
-    rhs = fold_slots(t, [(1, 0), (2, 5, 9), (3, 6, 10),
-                         (8, 4, 7, 11)], [H, Ualg, H, H])
-    return program_report([("mu-rearrangement-2", lhs, rhs, (u, v))])
+    rhs2 = fold_slots(t, [(1, 0), (2, 5, 9), (3, 6, 10),
+                          (8, 4, 7, 11)], [H, Ualg, H, H])
 
-
-def _mu_identity_of4(Ab: BicomoduleAlgebra, q: TensorElt) -> bool:
-    """Th1 (x) q1 Th2_0 (x) S^-1(Th3) q2 Th2_1
-       = (q1)_[-1] th1 (x) (q1)_[0] th2 (x) q2 th3."""
-    Hq = Ab.Hq
-    H = Hq.H
-    Ualg = Ab.A
-    t = Ab.PhiLR.apply_at(1, Ab.rho)
+    # third: Th1 (x) q1 Th2_0 (x) S^-1(Th3) q2 Th2_1
+    #        = (q1)_[-1] th1 (x) (q1)_[0] th2 (x) q2 th3
+    t = Program(Th).apply_at(1, Ab.rho)
     # [T1, T20, T21, T3]
     t = t.insert(1, q)
     # [T1, q1, q2, T20, T21, T3]
     t = t.mul_slots(1, 3, Ualg)
     # [T1, Q, q2, T21, T3]
     t = t.apply_at(4, Hq.SInv)
-    lhs = fold_slots(t, [(0,), (1,), (4, 2, 3)], [H, Ualg, H])
-    t = q.apply_at(0, Ab.lam).insert(3, Ab.PhiLRInv)
+    lhs3 = fold_slots(t, [(0,), (1,), (4, 2, 3)], [H, Ualg, H])
+    t = Program(q).apply_at(0, Ab.lam).insert(3, Ab.PhiLRInv)
     # [q1m, q10, q2, t1, t2, t3]
     t = t.mul_slots(0, 3, H).mul_slots(1, 3, Ualg)
-    rhs = t.mul_slots(2, 3, H)
-    return lhs == rhs
+    rhs3 = t.mul_slots(2, 3, H)
+    return [("mu-rearrangement-1", lhs1, rhs1, ()),
+            ("mu-rearrangement-2", lhs2, rhs2, (u, v)),
+            ("mu-rearrangement-3", lhs3, rhs3, ())]
 
 
 def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
@@ -351,7 +339,7 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     """mu((a x b) >< u) = Th1.a # q~1 Th2_0 u_0 # b.S^-1(Th3) q~2 Th2_1
     u_1, from the diagonal product over the tensor bimodule to the
     two-sided generalized smash product; the three rearrangement
-    identities of the proof run as standalone tensor checks."""
+    identities of the proof are checked too."""
     Hq = Ab.Hq
     H = Hq.H
     Ualg = Ab.A
@@ -391,16 +379,9 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     t = t.insert(2, b).apply_at(2, Bm.action)
     # [A, M, B] -> source order (A, B, M)
     finv = linmap_from_program(t.permute((0, 2, 1)), (a, u, b))
-    rep = Report()
-    if check:
-        dl = two_sided_from_bicomodule(Ab, "l", check=False)
-        Om = omega_from_coaction(dl)
-        rep.check(_mu_identity_of2(Ab, Om, q), "mu-rearrangement-1")
-        rep.merge(_mu_identity_of3(Ab, q))
-        rep.check(_mu_identity_of4(Ab, q), "mu-rearrangement-3")
     return _certify(f, finv, source.result, target.result,
                     "diagonal over tensor bimodule to two-sided smash", check,
-                    rep)
+                    program_report(_mu_identities(Ab, q)) if check else None)
 
 
 def five_corollary(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
@@ -521,13 +502,11 @@ def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
     f, finv = (linmap_from_program(
         Program(x).insert(1, a).apply_at(0, Am.action).insert(2, b)
         .mul_slots(1, 2, Balg), (a, b)) for x in (U, UInv))
-    rep = Report()
-    if check:
-        v = Program(Am.unit_elt()).tensor(b)
-        rep.merge(program_report([("fixes-comodule", v.apply_at(0, f), v,
-                                   (b,))]))
+    v = Program(Am.unit_elt()).tensor(b)
     return _certify(f, finv, source.result, target.result,
-                    "smash twist equivalence", check, rep)
+                    "smash twist equivalence", check,
+                    program_report([("fixes-comodule", v.apply_at(0, f), v,
+                                     (b,))]) if check else None)
 
 
 # -- diagonal products as generalized smash products over H (x) H^op ---------

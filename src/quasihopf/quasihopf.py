@@ -6,10 +6,10 @@ only up to conjugation by Phi.  A quasi-Hopf algebra adds a bijective
 antipode S together with distinguished elements alpha, beta.
 
 All defining identities are checked on every basis element (or basis
-tuple) of the relevant tensor power; verification returns a Report.  An
-identity with a basis variable is a pair of slot programs (its two
-sides, each a ``tensors.Program`` over the variable) compared on every
-value by ``finalg.program_report``; one without is compared once.
+tuple) of the relevant tensor power; verification returns a Report.
+Every identity is a pair of slot programs (its two sides, each a
+``tensors.Program`` over the basis variables it has, if any) compared
+on every value by ``finalg.program_report``.
 The module also provides the opposite/coopposite variants, gauge
 twisting, the Drinfeld twist with its defining identities, and the
 canonical elements q_L, q_R, p_R with their intertwining relations.
@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finalg import (FinAlgebra, Report, check_algebra_map, invert_mixed,
-                     opposite, program_report, slotwise_unit, tensor_algebra)
+from .finalg import (FinAlgebra, Report, check_algebra_map, inverse_checks,
+                     invert_mixed, opposite, program_report, slotwise_unit,
+                     tensor_algebra)
 from .linalg import LinMap, reshape_map
 from .tensors import (Program, TensorElt, Var, fold_slots,
                       linmap_from_program, slotwise_prod)
@@ -81,47 +82,42 @@ class QuasiBialgebra:
         return h, e, e.apply_at(0, self.Delta)
 
     def verify(self) -> Report:
-        rep = Report()
         H, Delta, eps = self.H, self.Delta, self.counit
-        H2 = tensor_algebra(H, H)
-        rep.merge(_tag(check_algebra_map(Delta, H, H2), "coproduct"))
-        # counit multiplicativity and normalization
+        rep = _tag(check_algebra_map(Delta, H, tensor_algebra(H, H)),
+                   "coproduct")
         h, e, d = self._basis_var()
         h2 = Var("h'", self.n)
         hh = Program.basis(self.field, h, h2)
+        one = self.unit_elt()
         rep.merge(program_report([
+            # counit multiplicativity and normalization
             ("counit-multiplicative", hh.mul_slots(0, 1, H).apply_at(0, eps),
-             hh.apply_at(0, eps).apply_at(0, eps), (h, h2))]))
-        rep.check(self.eps_scalar(self.unit_elt()) == self.field.one(),
-                  "counit-unital", "eps(1) != 1")
-        # Phi is invertible with the stored inverse
-        one3 = self.unit_elt(3)
-        rep.check(slotwise_prod([self.Phi, self.PhiInv], self.H) == one3,
-                  "associator-inverse", "Phi PhiInv != 1")
-        rep.check(slotwise_prod([self.PhiInv, self.Phi], self.H) == one3,
-                  "associator-inverse", "PhiInv Phi != 1")
-        # (id x Delta)Delta(h) = Phi ((Delta x id)Delta(h)) Phi^{-1};
-        # (eps x id)Delta = id = (id x eps)Delta
-        rep.merge(program_report([
+             hh.apply_at(0, eps).apply_at(0, eps), (h, h2)),
+            ("counit-unital: eps(1) != 1", Program(one).apply_at(0, eps),
+             Program(self.unit_elt(0)), ()),
+            # Phi is invertible with the stored inverse
+            *inverse_checks("associator-inverse", self.Phi, self.PhiInv,
+                            [H] * 3, ("Phi", "PhiInv")),
+            # (id x Delta)Delta(h) = Phi ((Delta x id)Delta(h)) Phi^{-1};
+            # (eps x id)Delta = id = (id x eps)Delta
             ("coassociativity", d.apply_at(1, Delta),
              d.apply_at(0, Delta).slotwise_mul(self.Phi, H, left=True)
              .slotwise_mul(self.PhiInv, H), (h,)),
             ("counit-left", d.apply_at(0, eps), e, (h,)),
-            ("counit-right", d.apply_at(1, eps), e, (h,))]))
-        # pentagon:
-        # (1 x Phi)(id x Delta x id)(Phi)(Phi x 1)
-        #   = (id x id x Delta)(Phi) (Delta x id x id)(Phi)
-        lhs = slotwise_prod([self.unit_elt().tensor(self.Phi),
-                             self.Phi.apply_at(1, self.Delta),
-                             self.Phi.tensor(self.unit_elt())], self.H)
-        rhs = slotwise_prod([self.Phi.apply_at(2, self.Delta),
-                             self.Phi.apply_at(0, self.Delta)], self.H)
-        rep.check(lhs == rhs, "pentagon")
-        # counit kills the associator in every slot
-        one2 = self.unit_elt(2)
-        for pos, tag in ((1, "middle"), (0, "first"), (2, "last")):
-            rep.check(self.Phi.apply_at(pos, self.counit) == one2,
-                      "associator-counit", f"{tag} slot")
+            ("counit-right", d.apply_at(1, eps), e, (h,)),
+            # pentagon:
+            # (1 x Phi)(id x Delta x id)(Phi)(Phi x 1)
+            #   = (id x id x Delta)(Phi) (Delta x id x id)(Phi)
+            ("pentagon", Program(self.Phi).insert(0, one)
+             .slotwise_mul(self.Phi.apply_at(1, Delta), H)
+             .slotwise_mul(self.Phi.tensor(one), H),
+             Program(self.Phi).apply_at(2, Delta)
+             .slotwise_mul(self.Phi.apply_at(0, Delta), H), ()),
+            # counit kills the associator in every slot
+            *((f"associator-counit: {tag} slot",
+               Program(self.Phi).apply_at(pos, eps),
+               Program(self.unit_elt(2)), ())
+              for pos, tag in ((1, "middle"), (0, "first"), (2, "last")))]))
         return rep
 
 
@@ -158,29 +154,28 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         h, e, d = self._basis_var()
         rep.check(linmap_from_program(e.apply_at(0, self.SInv).apply_at(0, S),
                                       (h,)).is_identity(), "antipode-inverse")
+        one = Program(self.unit_elt())
         rep.merge(program_report([
             ("counit-antipode", e.apply_at(0, S).apply_at(0, eps),
-             e.apply_at(0, eps), (h,))]))
-        rep.check(self.field.mul(self.eps_scalar(self.alpha),
-                                 self.eps_scalar(self.beta))
-                  == self.field.one(), "normalization",
-                  "eps(alpha) eps(beta) != 1")
-        # S(h_1) alpha h_2 = eps(h) alpha,  h_1 beta S(h_2) = eps(h) beta
-        rep.merge(program_report([
-            (tag, fold_slots(d.apply_at(pos, S).insert(1, x), [(0, 1, 2)], H),
-             Program(x).insert(0, h).apply_at(0, eps), (h,))
-            for tag, pos, x in (("antipode-alpha", 0, self.alpha),
-                                ("antipode-beta", 1, self.beta))]))
-        # X^1 beta S(X^2) alpha X^3 = 1,  S(x^1) alpha x^2 beta S(x^3) = 1
-        one = self.unit_elt()
-        t = self.Phi.apply_at(1, self.S).insert(1, self.beta) \
-            .insert(3, self.alpha)
-        rep.check(fold_slots(t, [(0, 1, 2, 3, 4)], self.H) == one, "zigzag",
-                  "on the associator")
-        t = self.PhiInv.apply_at(0, self.S).apply_at(2, self.S) \
-            .insert(1, self.alpha).insert(3, self.beta)
-        rep.check(fold_slots(t, [(0, 1, 2, 3, 4)], self.H) == one, "zigzag",
-                  "on the inverse associator")
+             e.apply_at(0, eps), (h,)),
+            ("normalization: eps(alpha) eps(beta) != 1",
+             Program(self.alpha).tensor(self.beta).apply_at(0, eps)
+             .apply_at(0, eps), Program(self.unit_elt(0)), ()),
+            # S(h_1) alpha h_2 = eps(h) alpha,  h_1 beta S(h_2) = eps(h) beta
+            *((tag, fold_slots(d.apply_at(pos, S).insert(1, x), [(0, 1, 2)],
+                               H),
+               Program(x).insert(0, h).apply_at(0, eps), (h,))
+              for tag, pos, x in (("antipode-alpha", 0, self.alpha),
+                                  ("antipode-beta", 1, self.beta))),
+            # X^1 beta S(X^2) alpha X^3 = 1,  S(x^1) alpha x^2 beta S(x^3) = 1
+            ("zigzag: on the associator",
+             fold_slots(Program(self.Phi).apply_at(1, S).insert(1, self.beta)
+                        .insert(3, self.alpha), [(0, 1, 2, 3, 4)], H),
+             one, ()),
+            ("zigzag: on the inverse associator",
+             fold_slots(Program(self.PhiInv).apply_at(0, S).apply_at(2, S)
+                        .insert(1, self.alpha).insert(3, self.beta),
+                        [(0, 1, 2, 3, 4)], H), one, ())]))
         return rep
 
     # -- opposite / coopposite variants ---------------------------------------
@@ -292,32 +287,26 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         return self._drinfeld
 
     def verify_drinfeld(self) -> Report:
-        rep = Report()
         dt = self.drinfeld_twist()
-        one2 = self.unit_elt(2)
-        H = self.H
-        rep.check(slotwise_prod([dt.f, dt.f_inv], H) == one2,
-                  "twist-inverse", "f f^{-1} != 1")
-        rep.check(slotwise_prod([dt.f_inv, dt.f], H) == one2,
-                  "twist-inverse", "f^{-1} f != 1")
-        rep.check(slotwise_prod([dt.f, self.alpha.apply_at(0, self.Delta)], H)
-                  == dt.gamma, "twist-gamma")
-        rep.check(slotwise_prod([self.beta.apply_at(0, self.Delta), dt.f_inv],
-                                H) == dt.delta, "twist-delta")
-        # f Delta(S(h)) f^{-1} = (S x S)(swap Delta(h))
+        H, S, Delta = self.H, self.S, self.Delta
         h, e, d = self._basis_var()
-        rep.merge(program_report([
-            ("antipode-anticoalgebra",
-             e.apply_at(0, self.S).apply_at(0, self.Delta)
-             .slotwise_mul(dt.f, H, left=True).slotwise_mul(dt.f_inv, H),
-             d.permute((1, 0)).apply_at(0, self.S).apply_at(1, self.S),
-             (h,))]))
         # the associator twisted by f is (S x S x S)(X^3 (x) X^2 (x) X^1)
         twisted = self.gauge_twist(dt.f, FInv=dt.f_inv)
-        target = self.Phi.permute((2, 1, 0)) \
-            .apply_at(0, self.S).apply_at(1, self.S).apply_at(2, self.S)
-        rep.check(twisted.Phi == target, "twisted-associator")
-        return rep
+        return program_report([
+            *inverse_checks("twist-inverse", dt.f, dt.f_inv, [H] * 2,
+                            ("f", "f^{-1}")),
+            ("twist-gamma", Program(self.alpha).apply_at(0, Delta)
+             .slotwise_mul(dt.f, H, left=True), Program(dt.gamma), ()),
+            ("twist-delta", Program(self.beta).apply_at(0, Delta)
+             .slotwise_mul(dt.f_inv, H), Program(dt.delta), ()),
+            # f Delta(S(h)) f^{-1} = (S x S)(swap Delta(h))
+            ("antipode-anticoalgebra",
+             e.apply_at(0, S).apply_at(0, Delta)
+             .slotwise_mul(dt.f, H, left=True).slotwise_mul(dt.f_inv, H),
+             d.permute((1, 0)).apply_at(0, S).apply_at(1, S), (h,)),
+            ("twisted-associator", Program(twisted.Phi),
+             Program(self.Phi).permute((2, 1, 0)).apply_at(0, S)
+             .apply_at(1, S).apply_at(2, S), ())])
 
     # -- canonical elements -----------------------------------------------------
 
@@ -337,42 +326,41 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         return fold_slots(t, [(0,), (1, 2, 3)], self.H)
 
     def verify_canonical(self) -> Report:
-        rep = Report()
         qL, qR, pR = self.canonical_qL(), self.canonical_qR(), \
             self.canonical_pR()
-        H = self.H
+        H, S, Delta = self.H, self.S, self.Delta
         h, _, d = self._basis_var()
-        rep.merge(program_report([
+        return program_report([
             # (S(h_1) (x) 1) q_L Delta(h_2) = (1 (x) h) q_L
             ("left-intertwiner",
-             fold_slots(d.apply_at(0, self.S).apply_at(1, self.Delta)
+             fold_slots(d.apply_at(0, S).apply_at(1, Delta)
                         .insert(1, qL).permute((0, 1, 3, 2, 4)),
                         [(0, 1, 2), (3, 4)], H),
              Program(qL).insert(2, h).mul_slots(2, 1, H), (h,)),
             # (1 (x) S^{-1}(h_2)) q_R Delta(h_1) = (h (x) 1) q_R
             ("right-intertwiner",
-             fold_slots(d.apply_at(1, self.SInv).apply_at(0, self.Delta)
+             fold_slots(d.apply_at(1, self.SInv).apply_at(0, Delta)
                         .insert(2, qR).permute((2, 0, 4, 3, 1)),
                         [(0, 1), (2, 3, 4)], H),
-             Program(qR).insert(0, h).mul_slots(0, 1, H), (h,))]))
-        # X^1 p^1_1 (x) X^2 p^1_2 (x) X^3 p^2
-        #   = y^1 (x) y^2_1 p^1 (x) y^2_2 p^2 S(y^3)
-        lhs = slotwise_prod([self.Phi, pR.apply_at(0, self.Delta)], self.H)
-        t = self.PhiInv.apply_at(1, self.Delta).apply_at(3, self.S)
-        t = t.insert(3, pR).permute((0, 1, 3, 2, 4, 5))
-        rhs = fold_slots(t, [(0,), (1, 2), (3, 4, 5)], self.H)
-        rep.check(lhs == rhs, "pentagon-p")
-        # q^1_1 y^1 (x) q^1_2 y^2 (x) S(q^2 y^3)
-        #   = X^1 (x) q^1 X^2_1 (x) S(q^2 X^2_2) X^3
-        t = qR.apply_at(0, self.Delta).tensor(self.PhiInv)
-        t = t.mul_slots(2, 5, self.H).mul_slots(0, 3, self.H) \
-             .mul_slots(1, 3, self.H)
-        lhs = t.apply_at(2, self.S)
-        t = self.Phi.apply_at(1, self.Delta).insert(1, qR)
-        t = t.mul_slots(1, 3, self.H).mul_slots(2, 3, self.H)
-        rhs = t.apply_at(2, self.S).mul_slots(2, 3, self.H)
-        rep.check(lhs == rhs, "pentagon-q")
-        return rep
+             Program(qR).insert(0, h).mul_slots(0, 1, H), (h,)),
+            # X^1 p^1_1 (x) X^2 p^1_2 (x) X^3 p^2
+            #   = y^1 (x) y^2_1 p^1 (x) y^2_2 p^2 S(y^3)
+            ("pentagon-p",
+             Program(pR).apply_at(0, Delta).slotwise_mul(self.Phi, H,
+                                                         left=True),
+             fold_slots(Program(self.PhiInv).apply_at(1, Delta)
+                        .apply_at(3, S).insert(3, pR)
+                        .permute((0, 1, 3, 2, 4, 5)),
+                        [(0,), (1, 2), (3, 4, 5)], H), ()),
+            # q^1_1 y^1 (x) q^1_2 y^2 (x) S(q^2 y^3)
+            #   = X^1 (x) q^1 X^2_1 (x) S(q^2 X^2_2) X^3
+            ("pentagon-q",
+             Program(qR).apply_at(0, Delta).tensor(self.PhiInv)
+             .mul_slots(2, 5, H).mul_slots(0, 3, H).mul_slots(1, 3, H)
+             .apply_at(2, S),
+             Program(self.Phi).apply_at(1, Delta).insert(1, qR)
+             .mul_slots(1, 3, H).mul_slots(2, 3, H).apply_at(2, S)
+             .mul_slots(2, 3, H), ())])
 
 
 def tensor_qh(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra,
@@ -385,9 +373,10 @@ def tensor_qh(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra,
     n1, n2 = H1.n, H2.n
     N = n1 * n2
     field = H1.field
+    if not name and H1.name and H2.name:
+        name = f"{H1.name}(x){H2.name}"
     H = tensor_algebra(H1.H, H2.H)
-    H.name = name or (f"{H1.name}(x){H2.name}"
-                      if H1.name and H2.name else "")
+    H.name = name
 
     h = Var("h", N)
     # e_h is e_i (x) e_j for h = (i, j) flat
@@ -412,8 +401,6 @@ def tensor_qh(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra,
     PhiInv = interleaved(H1.PhiInv.tensor(H2.PhiInv), 3)
     alpha = interleaved(H1.alpha.tensor(H2.alpha), 1)
     beta = interleaved(H1.beta.tensor(H2.beta), 1)
-    if not name and H1.name and H2.name:
-        name = f"{H1.name}(x){H2.name}"
     return QuasiHopfAlgebra(H, Delta, counit, Phi, S, alpha, beta,
                             PhiInv=PhiInv, SInv=SInv, name=name)
 

@@ -39,13 +39,18 @@ def field_to_json(field: Field):
     return "Q" if field.is_rational else {"Fp": field.p}
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is a JSON integer (a bool is not one)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
-    if isinstance(obj, dict) and set(obj) == {"Fp"}:
+    if isinstance(obj, dict) and set(obj) == {"Fp"} and _is_int(obj["Fp"]):
         try:
-            return GF(int(obj["Fp"]))
-        except (TypeError, ValueError) as exc:
+            return GF(obj["Fp"])
+        except ValueError as exc:
             raise DocumentError(f"bad field {obj!r}: {exc}") from None
     raise DocumentError(f"bad field {obj!r}")
 
@@ -219,7 +224,7 @@ def _need(doc, key):
 
 def _dim(doc) -> int:
     d = _need(doc, "dim")
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise DocumentError(f"bad dim {d!r}")
     return d
 
@@ -346,10 +351,12 @@ def save_document(doc, path: str):
 
 def load_document(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:

@@ -27,8 +27,9 @@ the map's columns or the algebra's rows directly.  The values stream to
 a sink: ``linmap_from_program`` makes each the column of a linear map
 (every formula-built map is read off this way, and the same column sink
 gives the rows of ``finalg.algebra_from_program``), and
-``program_mismatches`` compares two programs in lexicographic order
-(``finalg.program_report`` turns the mismatches into report lines).
+``program_mismatches`` compares two programs in lexicographic order,
+once when they read no variable (``finalg.program_report`` turns the
+mismatches into report lines).
 
 An element is stored as integer numerators over one shared denominator:
 ``num`` maps multi-index tuples to nonzero ints and ``den`` is a
@@ -598,8 +599,9 @@ def run_program(prog: Program, order, sink) -> None:
 def program_mismatches(lhs: Program, rhs: Program, order,
                        limit: int | None = None) -> list:
     """The value tuples of ``order`` at which the two programs differ, in
-    lexicographic order, stopping after ``limit`` of them.  Each program
-    is compiled once, with the first variable of ``order`` bound from
+    lexicographic order, stopping after ``limit`` of them; with no
+    variables, ``[()]`` when the two values differ.  Each program is
+    compiled once, with the first variable of ``order`` bound from
     outside, and both run once per value of it, so only that share of
     one program's values is held at a time."""
     if lhs.dims != rhs.dims:
@@ -615,8 +617,9 @@ def program_mismatches(lhs: Program, rhs: Program, order,
 
     run_lhs, vals_lhs = _compile(lhs, order, want.__setitem__, head=True)
     run_rhs, vals_rhs = _compile(rhs, order, compare, head=True)
-    for i in range(dims[0]):
-        vals_lhs[0] = vals_rhs[0] = i
+    for i in range(prod(dims[:1])):
+        if order:
+            vals_lhs[0] = vals_rhs[0] = i
         base = i * chunk
         run_lhs()
         run_rhs()

@@ -26,14 +26,14 @@ by ``finalg.program_report``.
 from __future__ import annotations
 
 from .actions import BimoduleAlgebra, LeftModuleAlgebra, bar_construction
-from .coactions import BicomoduleAlgebra, tilde_pq
+from .coactions import (BicomoduleAlgebra, mixed_translation_identity,
+                        tilde_pq)
 from .fields import Field
 from .finalg import FinAlgebra, Report, mul_linmap, program_report
 from .linalg import LinMap, reshape_map
 from .products import ProductAlgebra, diag_crossed, two_sided_smash
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import (Program, TensorElt, Var, linmap_from_program,
-                      slotwise_mul)
+from .tensors import Program, TensorElt, Var, linmap_from_program
 
 
 # -- bimodule coalgebras -----------------------------------------------------
@@ -256,28 +256,6 @@ def _associativity(mul: LinMap, act: LinMap, m: Var, a: Var, a2: Var):
             .apply_at(0, act), (m, a, a2))
 
 
-def mixed_translation_identity(Ab: BicomoduleAlgebra) -> bool:
-    """th-bar1 th1 (x) th-bar2 th2_<0> p~1 (x) th-bar3 th2_<1> p~2 S(th3)
-    = (p~1)_[-1] (x) (p~1)_[0] (x) p~2, the helper identity behind the
-    coaction formula of the reverse translation."""
-    Hq = Ab.Hq
-    H = Hq.H
-    Ualg = Ab.A
-    p = tilde_pq(Ab.right, check=False).p
-    t = Ab.PhiLRInv.apply_at(1, Ab.rho).apply_at(3, Hq.S)
-    # [t1, t20, t21, St3]
-    t = t.insert(2, p)
-    # [t1, t20, p1, p2, t21, St3]
-    t = t.mul_slots(1, 2, Ualg)
-    # [t1, t20 p1, p2, t21, St3]
-    t = t.mul_slots(3, 2, H)
-    # [t1, M, t21 p2, St3]
-    t = t.mul_slots(2, 3, H)
-    lhs = slotwise_mul(Ab.PhiLRInv, t, [H, Ualg, H])
-    rhs = p.apply_at(0, Ab.lam)
-    return lhs == rhs
-
-
 def yd_product(Ab: BicomoduleAlgebra, C: BimoduleCoalgebra,
                check: bool = True):
     """The diagonal product C* >< A carrying the translated modules."""
@@ -393,13 +371,12 @@ def yd_roundtrip_check(Hq: QuasiHopfAlgebra, Ab: BicomoduleAlgebra,
     structure matrices, and the canonical bimodule embedding acts by the
     coaction pairing."""
     from .isomaps import gamma_map
-    rep = Report()
     dual, prod = yd_product(Ab, C, check=False)
     if M is None:
         M = regular_module(prod.result, check=False)
-    if not mixed_translation_identity(Ab):
-        rep.add("translation-identity",
-                "the canonical-pair rearrangement fails")
+    rep = program_report([
+        ("translation-identity: the canonical-pair rearrangement fails",
+         *mixed_translation_identity(Ab), ())])
     yd = module_to_yd(M, Ab, C, check=True)
     back = yd_to_module(yd, prod, check=True)
     rep.check(back.act == M.act, "roundtrip",

@@ -418,6 +418,17 @@ def test_hostile_document_exits_2(tmp_path, name):
     _verify_in_child(_hostile_documents(module_doc, tmp_path)[name])
 
 
+@pytest.mark.parametrize("key, value", [
+    ("field", {"Fp": 5.9}), ("field", {"Fp": " 5 "}),
+    ("field", {"Fp": float("inf")}), ("dim", True)])
+def test_non_integer_field_or_dim_exits_2(tmp_path, key, value):
+    # none of them is coerced: not to GF(5), and not to dimension 1
+    doc = serialize.to_document(entry("FpZn(5,2)")["H"].H)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(doc, **{key: value})))
+    assert f"bad {key}" in _verify_in_child(path)
+
+
 @pytest.mark.parametrize("inline", [False, True])
 def test_long_parent_chain_exits_2(tmp_path, inline):
     # 600 module-algebra documents, each naming the next as its parent,

@@ -114,6 +114,15 @@ def test_malformed_documents():
     doc["mul"][0] = doc["mul"][0][:1]
     with pytest.raises(DocumentError):
         from_document(doc)
+    # a modulus or dimension that is not a JSON integer, even one that
+    # would coerce to a valid one
+    alg = to_document(entry("FpZn(5,2)")["H"].H)
+    for field in (5.9, " 5 ", float("inf"), True, "5"):
+        with pytest.raises(DocumentError, match="bad field"):
+            from_document(dict(alg, field={"Fp": field}))
+    for dim in (True, 2.0, "2"):
+        with pytest.raises(DocumentError, match="bad dim"):
+            from_document(dict(alg, dim=dim))
 
 
 def test_load_errors(tmp_path):
@@ -122,6 +131,10 @@ def test_load_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     with pytest.raises(DocumentError):
+        load_structure(str(bad))
+    # Latin-1 bytes in a name
+    bad.write_bytes(b'{"kind": "algebra", "name": "\xe9"}')
+    with pytest.raises(DocumentError, match="not UTF-8"):
         load_structure(str(bad))
 
 

@@ -472,7 +472,8 @@ def _program(data, field, pool, steps, depth=0):
     of dimension at most three."""
     dims = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
     prog = Program(_element(data, field, dims))
-    kinds = ["var", "const", "apply", "mul", "permute", "slotwise"] \
+    kinds = (["var"] if pool else []) \
+        + ["const", "apply", "mul", "permute", "slotwise"] \
         + (["sub"] if depth == 0 else [])
     for _ in range(steps):
         kind = data.draw(st.sampled_from(kinds))
@@ -647,13 +648,18 @@ def _mismatches_reference(lhs, rhs, order, limit):
 def test_program_mismatches_matches_unstaged_reference(field_name, data):
     # both sides compiled once with the first variable bound from
     # outside: it may be read first, late, twice, or only inside a
-    # sub-program or by the last step
+    # sub-program or by the last step; or the programs read no variable
+    # and are compared once
     field = PROGRAM_FIELDS[field_name]
-    pool = [Var("u", data.draw(st.integers(1, 3))),
-            Var("v", data.draw(st.integers(1, 3)))]
-    base = _last_read(data, field, _program(
-        data, field, pool, data.draw(st.integers(1, 5))),
-        Var("w", data.draw(st.integers(1, 3))))
+    if data.draw(st.booleans()):
+        base = _program(data, field, [], data.draw(st.integers(1, 5))) \
+            .tensor(_element(data, field, (data.draw(st.integers(1, 3)),)))
+    else:
+        pool = [Var("u", data.draw(st.integers(1, 3))),
+                Var("v", data.draw(st.integers(1, 3)))]
+        base = _last_read(data, field, _program(
+            data, field, pool, data.draw(st.integers(1, 5))),
+            Var("w", data.draw(st.integers(1, 3))))
     d = base.dims[0]
     cols = {(i,): _element(data, field, (d,), 3) for i in range(d)}
     m1 = linmap_from_columns(field, (d,), (d,),

@@ -4,14 +4,14 @@ import pytest
 
 from quasihopf.actions import LeftModuleAlgebra
 from quasihopf.fields import QQ
-from quasihopf.finalg import FinAlgebra
+from quasihopf.coactions import mixed_translation_identity
+from quasihopf.finalg import FinAlgebra, program_report
 from quasihopf.linalg import LinMap, linmap_from_columns
 from quasihopf.tensors import Program, Var, linmap_from_program
 from quasihopf.ydrep import (BimoduleCoalgebra, FinModule, YDModule,
-                             mixed_translation_identity, module_to_yd,
-                             regular_bimodule_coalgebra, regular_module,
-                             sec8_correspondences, yd_product,
-                             yd_roundtrip_check, yd_to_module)
+                             module_to_yd, regular_bimodule_coalgebra,
+                             regular_module, sec8_correspondences,
+                             yd_product, yd_roundtrip_check, yd_to_module)
 
 from conftest import doubled_column, entry
 
@@ -59,7 +59,8 @@ def test_convolution_dual_matches_dual_bimodule(name):
 
 @pytest.mark.parametrize("name", ALL)
 def test_mixed_translation_identity(name):
-    assert mixed_translation_identity(entry(name)["bicomodule"])
+    program_report([("mixed-translation", *mixed_translation_identity(
+        entry(name)["bicomodule"]), ())]).require(name)
 
 
 @pytest.mark.parametrize("name", SMALL)
