@@ -10,12 +10,14 @@ together with the twist equivalence between them, and the transport of
 every structure across a gauge twist.
 
 Every identity is a pair of slot programs compared by
-``finalg.program_report``: on every value of its basis variable
-(coassociativity of a coaction on each basis element, the intertwining
-relations), or once when it has none (the pentagons, cocycles and
-cancellations between fixed tensors).  Working layouts are spelled out
-per formula; the
-recurring one is the five-slot layout (H, H, A, H, H).  Products whose
+``finalg.program_report``: on every basis pair (each coaction is an
+algebra map into A (x) H, H (x) B or H (x) A (x) H, checked factor by
+factor by ``finalg.algebra_map_checks``), on every value of its basis
+variable (coassociativity of a coaction on each basis element, the
+intertwining relations), or once when it has none (the pentagons,
+cocycles and cancellations between fixed tensors).  Working layouts are
+spelled out per formula; the recurring one is the five-slot layout
+(H, H, A, H, H).  Products whose
 written order runs right-to-left in some slots are evaluated with the
 opposite algebra in those slots.
 """
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finalg import (FinAlgebra, Report, check_algebra_map, inverse_checks,
+from .finalg import (FinAlgebra, Report, algebra_map_checks, inverse_checks,
                      invert_mixed, opposite, program_report, slotwise_unit,
                      tensor_algebra)
 from .linalg import LinMap, reshape_map
-from .quasihopf import QuasiHopfAlgebra, _tag, tensor_qh
+from .quasihopf import QuasiHopfAlgebra, tensor_qh
 from .tensors import (Program, TensorElt, Var, fold_slots,
                       linmap_from_program, slotwise_mul, slotwise_prod)
 
@@ -71,14 +73,13 @@ class RightComoduleAlgebra:
         Hq, A = self.Hq, self.A
         H = Hq.H
         algs3, algs4 = [A, H, H], [A, H, H, H]
-        rep = _tag(check_algebra_map(self.rho, A, tensor_algebra(A, H)),
-                   "coaction")
         a = Var("a", A.dim)
         e = Program.basis(self.field, a)
         r = e.apply_at(0, self.rho)
         PhiRho = Program(self.PhiRho)
         one2 = Program(self.unit_elt().tensor(Hq.unit_elt()))
-        rep.merge(program_report([
+        return program_report([
+            *algebra_map_checks("coaction/", self.rho, A, [A, H]),
             *inverse_checks("associator-inverse", self.PhiRho,
                             self.PhiRhoInv, algs3, ("PhiRho", "PhiRhoInv")),
             # PhiRho (rho x id)(rho(a)) = (id x Delta)(rho(a)) PhiRho
@@ -99,8 +100,7 @@ class RightComoduleAlgebra:
             ("coaction-counit", r.apply_at(1, Hq.counit), e, (a,)),
             *((f"associator-counit: slot {pos}",
                PhiRho.apply_at(pos, Hq.counit), one2, ()) for pos in (1, 2))
-        ]))
-        return rep
+        ])
 
 
 class LeftComoduleAlgebra:
@@ -139,14 +139,13 @@ class LeftComoduleAlgebra:
         Hq, B = self.Hq, self.B
         H = Hq.H
         algs3, algs4 = [H, H, B], [H, H, H, B]
-        rep = _tag(check_algebra_map(self.lam, B, tensor_algebra(H, B)),
-                   "coaction")
         b = Var("b", B.dim)
         e = Program.basis(self.field, b)
         lb = e.apply_at(0, self.lam)
         PhiLam = Program(self.PhiLam)
         one2 = Program(Hq.unit_elt().tensor(self.unit_elt()))
-        rep.merge(program_report([
+        return program_report([
+            *algebra_map_checks("coaction/", self.lam, B, [H, B]),
             *inverse_checks("associator-inverse", self.PhiLam,
                             self.PhiLamInv, algs3, ("PhiLam", "PhiLamInv")),
             # (id x lam)(lam(b)) PhiLam = PhiLam (Delta x id)(lam(b))
@@ -166,8 +165,7 @@ class LeftComoduleAlgebra:
             ("coaction-counit", lb.apply_at(0, Hq.counit), e, (b,)),
             *((f"associator-counit: slot {pos}",
                PhiLam.apply_at(pos, Hq.counit), one2, ()) for pos in (0, 1))
-        ]))
-        return rep
+        ])
 
 
 class BicomoduleAlgebra:
@@ -223,8 +221,9 @@ class BicomoduleAlgebra:
     def verify(self, subparts: bool = False) -> Report:
         rep = Report()
         if subparts:
-            rep.merge(_tag(self.left.verify(), "left"))
-            rep.merge(_tag(self.right.verify(), "right"))
+            for prefix, part in (("left", self.left), ("right", self.right)):
+                rep.failures += [f"{prefix}/{msg}"
+                                 for msg in part.verify().failures]
         Hq, A = self.Hq, self.A
         H = Hq.H
         PhiLam, PhiRho = self.left.PhiLam, self.right.PhiRho
@@ -329,16 +328,14 @@ class TwoSidedCoaction:
         Hq, A = self.Hq, self.A
         H = Hq.H
         algs5, algs7 = [H, H, A, H, H], [H, H, H, A, H, H, H]
-        rep = _tag(check_algebra_map(
-            self.delta, A,
-            tensor_algebra(tensor_algebra(H, A), H)), "coaction")
         u = Var("u", A.dim)
         e = Program.basis(self.field, u)
         d = e.apply_at(0, self.delta)
         Psi = Program(self.Psi)
         one1 = Hq.unit_elt()
         one3 = Program(slotwise_unit(self.field, [H, A, H]))
-        rep.merge(program_report([
+        return program_report([
+            *algebra_map_checks("coaction/", self.delta, A, [H, A, H]),
             *inverse_checks("psi-inverse", self.Psi, self.PsiInv, algs5,
                             ("Psi", "PsiInv")),
             # (id x delta x id)(delta(u)) Psi
@@ -365,8 +362,7 @@ class TwoSidedCoaction:
             ("psi-counit: inner slots",
              Psi.apply_at(3, Hq.counit).apply_at(1, Hq.counit), one3, ()),
             ("psi-counit: outer slots",
-             Psi.apply_at(4, Hq.counit).apply_at(0, Hq.counit), one3, ())]))
-        return rep
+             Psi.apply_at(4, Hq.counit).apply_at(0, Hq.counit), one3, ())])
 
 
 # -- canonical examples and constructors --------------------------------------
@@ -875,8 +871,8 @@ def lambda12_structures(Ab: BicomoduleAlgebra,
                         check: bool = True):
     """The two left comodule algebra structures over H (x) H^op carried
     by a bicomodule algebra.  Their mixed associators are computed as
-    inverses of the rearranged exchange elements and compared against
-    the closed forms; returns (A1, A2, K)."""
+    inverses of the rearranged exchange elements and, with ``check``,
+    compared against the closed forms; returns (A1, A2, K)."""
     Hq = Ab.Hq
     if K is None:
         K = tensor_qh(Hq, Hq.variant(op=True))
@@ -895,74 +891,80 @@ def lambda12_structures(Ab: BicomoduleAlgebra,
                             .apply_at(0, merge), (u,))
         for t in (e.apply_at(0, Ab.rho).apply_at(0, Ab.lam),
                   e.apply_at(0, Ab.lam).apply_at(1, Ab.rho)))
-    g = Hq.drinfeld_twist().f_inv
-    gS = g.apply_at(0, Hq.SInv).apply_at(1, Hq.SInv).permute((1, 0))
-    gS = gS.insert(0, Hq.unit_elt()).insert(2, Hq.unit_elt()) \
-        .insert(4, Ab.unit_elt())
 
-    # first structure: inverse of (Om1 x Om5) x (Om2 x Om4) x Om3
-    Om = omega_closed_left(Ab)
-    W1 = Om.permute((0, 4, 1, 3, 2))
-    fLR = Ab.PhiLR.apply_at(1, Ab.lam).apply_at(3, Hq.SInv)
-    fLR = fLR.insert(1, Hq.unit_elt()).permute((0, 1, 2, 4, 3))
-    fLam = Ab.left.PhiLam.insert(1, Hq.unit_elt()).insert(3, Hq.unit_elt())
-    fRho = Ab.right.PhiRhoInv.apply_at(0, Ab.lam).apply_at(0, Hq.Delta)
-    fRho = fRho.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv) \
-        .permute((0, 4, 1, 3, 2))
-    claimed1 = slotwise_prod([fLR, fLam, fRho, gS], mixed)
-    computed1 = invert_mixed(W1, mixed)
+    def gS():
+        g = Hq.drinfeld_twist().f_inv
+        t = g.apply_at(0, Hq.SInv).apply_at(1, Hq.SInv).permute((1, 0))
+        return t.insert(0, Hq.unit_elt()).insert(2, Hq.unit_elt()) \
+            .insert(4, Ab.unit_elt())
 
-    # second structure: inverse of (om1 x om5) x (om2 x om4) x om3
-    om = omega_closed_right(Ab)
-    W2 = om.permute((0, 4, 1, 3, 2))
-    gLam = Ab.left.PhiLam.apply_at(2, Ab.rho).apply_at(3, Hq.Delta)
-    gLam = gLam.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv) \
-        .permute((0, 4, 1, 3, 2))
-    gRho = Ab.right.PhiRhoInv.apply_at(1, Hq.SInv).apply_at(2, Hq.SInv) \
-        .permute((2, 1, 0))
-    gRho = gRho.insert(0, Hq.unit_elt()).insert(2, Hq.unit_elt())
-    gTh = Ab.PhiLRInv.apply_at(1, Ab.rho) \
-        .apply_at(2, Hq.SInv).apply_at(3, Hq.SInv)
-    gTh = gTh.permute((3, 0, 2, 1)).insert(0, Hq.unit_elt())
-    claimed2 = slotwise_prod([gTh, gRho, gLam, gS], mixed)
-    computed2 = invert_mixed(W2, mixed)
-    rep = Report()
-    for label, claimed, computed in (
-            ("first structure", claimed1, computed1),
-            ("second structure", claimed2, computed2)):
-        rep.check(computed is not None, "exchange-invertible", label)
-        if computed is not None:
-            rep.merge(program_report([(
-                f"coaction-associator-closed-form: {label}",
-                Program(claimed), Program(computed), ())]))
-    if check:
-        rep.require(Ab.name or "bicomodule algebra")
+    def closed_form_1():
+        fLR = Ab.PhiLR.apply_at(1, Ab.lam).apply_at(3, Hq.SInv)
+        fLR = fLR.insert(1, Hq.unit_elt()).permute((0, 1, 2, 4, 3))
+        fLam = Ab.left.PhiLam.insert(1, Hq.unit_elt()) \
+            .insert(3, Hq.unit_elt())
+        fRho = Ab.right.PhiRhoInv.apply_at(0, Ab.lam).apply_at(0, Hq.Delta)
+        fRho = fRho.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv) \
+            .permute((0, 4, 1, 3, 2))
+        return slotwise_prod([fLR, fLam, fRho, gS()], mixed)
+
+    def closed_form_2():
+        gLam = Ab.left.PhiLam.apply_at(2, Ab.rho).apply_at(3, Hq.Delta)
+        gLam = gLam.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv) \
+            .permute((0, 4, 1, 3, 2))
+        gRho = Ab.right.PhiRhoInv.apply_at(1, Hq.SInv) \
+            .apply_at(2, Hq.SInv).permute((2, 1, 0))
+        gRho = gRho.insert(0, Hq.unit_elt()).insert(2, Hq.unit_elt())
+        gTh = Ab.PhiLRInv.apply_at(1, Ab.rho) \
+            .apply_at(2, Hq.SInv).apply_at(3, Hq.SInv)
+        gTh = gTh.permute((3, 0, 2, 1)).insert(0, Hq.unit_elt())
+        return slotwise_prod([gTh, gRho, gLam, gS()], mixed)
 
     def merged(t):
         return t.apply_at(0, merge).apply_at(1, merge)
 
-    Phi1 = merged(computed1 or claimed1)
-    Phi2 = merged(computed2 or claimed2)
-    A1 = LeftComoduleAlgebra(K, A, lam1, Phi1, PhiLamInv=merged(W1),
-                             name=f"{Ab.name}_1" if Ab.name else "",
-                             check=check)
-    A2 = LeftComoduleAlgebra(K, A, lam2, Phi2, PhiLamInv=merged(W2),
-                             name=f"{Ab.name}_2" if Ab.name else "",
-                             check=check)
+    # the first structure inverts (Om1 x Om5) x (Om2 x Om4) x Om3, the
+    # second (om1 x om5) x (om2 x om4) x om3; a closed form is built to
+    # be compared, or to stand in for an exchange element that is not
+    # invertible
+    rep, parts = Report(), []
+    for label, Om, closed_form in (
+            ("first structure", omega_closed_left(Ab), closed_form_1),
+            ("second structure", omega_closed_right(Ab), closed_form_2)):
+        W = Om.permute((0, 4, 1, 3, 2))
+        computed = invert_mixed(W, mixed)
+        if check:
+            rep.check(computed is not None, "exchange-invertible", label)
+            if computed is not None:
+                rep.merge(program_report([(
+                    f"coaction-associator-closed-form: {label}",
+                    Program(closed_form()), Program(computed), ())]))
+        parts.append((closed_form() if computed is None else computed, W))
+    if check:
+        rep.require(Ab.name or "bicomodule algebra")
+    A1, A2 = (LeftComoduleAlgebra(K, A, lam, merged(Phi),
+                                  PhiLamInv=merged(W),
+                                  name=f"{Ab.name}_{s}" if Ab.name else "",
+                                  check=check)
+              for s, lam, (Phi, W) in zip((1, 2), (lam1, lam2), parts))
     return A1, A2, K
 
 
 def twist_equivalence_U(Ab: BicomoduleAlgebra, pair=None,
                         check: bool = True) -> TensorElt:
     """U = (Theta1 x S^{-1}(Theta3)) x Theta2, conjugating the first
-    mixed comodule structure into the second; also certifies the two
-    standalone exchange identities relating the side-l and side-r
-    elements.  Returns U with the H (x) H^op factor merged."""
+    mixed comodule structure into the second; with ``check``, also
+    certifies the two standalone exchange identities relating the side-l
+    and side-r elements.  Returns U with the H (x) H^op factor merged."""
     Hq = Ab.Hq
+    n = Hq.n
+    U3 = Ab.PhiLR.apply_at(2, Hq.SInv).permute((0, 2, 1))
+    merge = reshape_map(Ab.field, (n, n), (n * n,))
+    if not check:
+        return U3.apply_at(0, merge)
     H = Hq.H
     Hop = opposite(H)
     A = Ab.A
-    n = Hq.n
     f = Hq.drinfeld_twist().f
     Om = omega_closed_left(Ab)
     om = omega_closed_right(Ab)
@@ -974,7 +976,6 @@ def twist_equivalence_U(Ab: BicomoduleAlgebra, pair=None,
     # shared by both exchange identities
     tT = Ab.PhiLR.apply_at(0, Hq.Delta).apply_at(3, Hq.SInv) \
         .apply_at(3, Hq.Delta)
-    U3 = Ab.PhiLR.apply_at(2, Hq.SInv).permute((0, 2, 1))
     hT = Ab.PhiLR.apply_at(0, Hq.Delta).apply_at(2, Ab.rho)
     hT = hT.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv) \
         .permute((0, 1, 2, 4, 3))
@@ -1004,7 +1005,6 @@ def twist_equivalence_U(Ab: BicomoduleAlgebra, pair=None,
 
     # U conjugates the first mixed coaction into the second
     algsU = [H, Hop, A]
-    merge = reshape_map(Ab.field, (n, n), (n * n,))
     Uinv3 = invert_mixed(U3, algsU)
     rep.check(Uinv3 is not None, "u-invertible")
     if Uinv3 is not None:
@@ -1026,8 +1026,7 @@ def twist_equivalence_U(Ab: BicomoduleAlgebra, pair=None,
              .slotwise_mul(Uinv3.apply_at(0, merge).apply_at(0, K.Delta)
                            .apply_at(0, split).apply_at(2, split), mixed),
              Program(A2.PhiLam).apply_at(0, split).apply_at(2, split), ())]))
-    if check:
-        rep.require(Ab.name or "bicomodule algebra")
+    rep.require(Ab.name or "bicomodule algebra")
     return U3.apply_at(0, merge)
 
 

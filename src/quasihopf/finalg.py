@@ -1,14 +1,16 @@
 """Finite-dimensional unital algebras by structure constants.
 
 An algebra is stored once, as integer sparse rows over one denominator:
-the slot combinators, the exhaustive scans and the algebra-map checks
-all read that form, and a dense table is built only for documents.  The
-associativity scan packs each row into one int (Kronecker substitution).
-Tensor-product and opposite algebras, the inverse of an element of a
-slotwise product of algebras, and (anti)morphism checking live here,
-together with ``Report`` and ``program_report``, the one reporter of
-every identity checked as a pair of slot programs: on all basis tuples
-of its variables, or once when it has none.
+the slot combinators and the exhaustive scans read that form, and a
+dense table is built only for documents.  The associativity scan packs
+each row into one int (Kronecker substitution).  Tensor-product and
+opposite algebras and the inverse of an element of a slotwise product
+of algebras live here, together with ``Report`` and ``program_report``,
+the one reporter of every identity checked as a pair of slot programs:
+on all basis tuples of its variables, or once when it has none.  That
+a map is an (anti-)algebra map is two such pairs
+(``algebra_map_checks``), its target one algebra per output slot or
+one algebra on the flat output.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from itertools import product
 from math import gcd
 
 from .fields import Field
-from .linalg import LinMap, flat_index, int_entries, prod, solve
-from .tensors import (Program, TensorElt, _columns, program_mismatches,
+from .linalg import LinMap, flat_index, int_entries, prod, reshape_map, solve
+from .tensors import (Program, TensorElt, Var, _columns, program_mismatches,
                       slotwise_mul)
 
 
@@ -256,8 +258,7 @@ def opposite(A: FinAlgebra) -> FinAlgebra:
                                     name=f"{A.name}^op" if A.name else "")
 
 
-def tensor_algebra(A: FinAlgebra, B: FinAlgebra,
-                   op_flags=(False, False)) -> FinAlgebra:
+def tensor_algebra(A: FinAlgebra, B: FinAlgebra) -> FinAlgebra:
     """Componentwise product algebra on the flat tensor coordinates."""
     if A.field != B.field:
         raise ValueError("field mismatch")
@@ -265,10 +266,6 @@ def tensor_algebra(A: FinAlgebra, B: FinAlgebra,
     p = fld.p
     na, nb = A.dim, B.dim
     ra, rb = A.rows, B.rows
-    if op_flags[0]:
-        ra = [[ra[j][i] for j in range(na)] for i in range(na)]
-    if op_flags[1]:
-        rb = [[rb[j][i] for j in range(nb)] for i in range(nb)]
     rows = [[[(ka * nb + kb, ca * cb if p is None else ca * cb % p)
               for ka, ca in row_a for kb, cb in row_b]
              for row_a in ra[ia] for row_b in rb[ib]]
@@ -341,49 +338,44 @@ def invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
     return inv
 
 
-def check_algebra_map(f: LinMap, A: FinAlgebra, B: FinAlgebra,
-                      anti: bool = False, unital: bool = True) -> Report:
-    """Verify f: A -> B is an (anti)algebra map on all basis pairs;
-    reports bijectivity via rank.
+def algebra_map_checks(label: str, f: LinMap, A: FinAlgebra, algebras,
+                       anti: bool = False) -> list:
+    """The checks that f: A -> B is an algebra map, or with ``anti`` an
+    anti-algebra map: f(e_i e_j) = f(e_i) f(e_j), or f(e_j) f(e_i), on
+    every basis pair (i, j) of A, failing as ``"{label}multiplicative:
+    basis (i, j)"``, and f(1) = 1, failing as ``"{label}unital: f(1) !=
+    1"``.  The two images are multiplied slot by slot in ``algebras``:
+    one algebra per output slot of f, or one algebra on the flat output.
+    The input slots of f split the flat basis of A."""
+    field = A.field
+    flat = not isinstance(algebras, (list, tuple))
+    outs = [algebras] if flat else list(algebras)
+    chain = [f]
+    if f.in_dims != (A.dim,):
+        chain.insert(0, reshape_map(field, (A.dim,), f.in_dims))
+    if flat and f.out_dims != (algebras.dim,):
+        chain.append(reshape_map(field, f.out_dims, (algebras.dim,)))
 
-    With f = F / Df over integer columns F, both sides of
-    f(e_i e_j) = f(e_i) f(e_j) are scaled by Df^2 A.den B.den and
-    compared as integers (mod p over GF(p))."""
-    rep = Report()
-    nrows, n = prod(f.out_dims), prod(f.in_dims)
-    if nrows != B.dim or n != A.dim:
-        rep.add("shape", f"expected {B.dim}x{A.dim}, got {nrows}x{n}")
-        return rep
-    p = A.field.p
-    cols = [None] * n
-    for idx, col in f.cols.items():
-        cols[flat_index(f.in_dims, idx)] = [
-            (flat_index(f.out_dims, out), c) for out, c in col]
-    lscale, rscale = f.den * B.den, A.den
-    for i in range(n):
-        for j in range(n):
-            diff = {}
-            for k, c in A.rows[i][j]:
-                for r, x in cols[k]:
-                    diff[r] = diff.get(r, 0) + lscale * c * x
-            left, right = (cols[j], cols[i]) if anti else (cols[i], cols[j])
-            for r1, x1 in left:
-                rows_r1 = B.rows[r1]
-                for r2, x2 in right:
-                    x12 = rscale * x1 * x2
-                    for t, c in rows_r1[r2]:
-                        diff[t] = diff.get(t, 0) - x12 * c
-            if any(v if p is None else v % p for v in diff.values()):
-                rep.add("multiplicative", f"pair (e_{i}, e_{j})")
-    if unital:
-        image = TensorElt.from_flat(A.field, f.in_dims, A.unit).apply_at(0, f)
-        if image != TensorElt.from_flat(B.field, f.out_dims, B.unit):
-            rep.add("unital", "f(1) != 1")
-    if A.dim == B.dim:
-        rank = f.rank()
-        if rank != A.dim:
-            rep.add("bijective", f"rank {rank} < {A.dim}")
-    return rep
+    def image(prog):
+        for lm in chain:
+            prog = prog.apply_at(0, lm)
+        return prog
+
+    # the images of e_j, computed once each, go after those of e_i (before
+    # them with ``anti``), and slot s of one is multiplied by slot s of
+    # the other
+    k = len(outs)
+    i, j = Var("i", A.dim), Var("j", A.dim)
+    rhs = image(Program.basis(field, i)).insert(
+        0 if anti else k, image(Program.basis(field, j)))
+    for s, alg in enumerate(outs):
+        rhs = rhs.mul_slots(s, k, alg)
+    return [(f"{label}multiplicative",
+             image(Program.basis(field, i, j).mul_slots(0, 1, A)), rhs,
+             (i, j)),
+            (f"{label}unital: f(1) != 1",
+             image(Program(TensorElt.from_vector(field, A.unit))),
+             Program(slotwise_unit(field, outs)), ())]
 
 
 def mul_linmap(A: FinAlgebra) -> LinMap:

@@ -3,12 +3,13 @@
 Every map here is given by a closed formula, written as a slot program
 over the basis indices of its input and read off column by column
 (``tensors.linmap_from_program``), and certified three ways: it is a
-unital algebra map on all basis pairs, the transcribed inverse composes
-to the identity on both sides (each composite read off the program of
-one map followed by the other), and the matrix inverse recomputed by
-Gaussian elimination agrees with the transcription.  The identities of
-the proofs (the factorizations of nu and Gamma on every basis tuple,
-the three mu rearrangements) are pairs of slot programs compared by
+unital algebra map on all basis pairs (``finalg.algebra_map_checks``)
+of full rank, the transcribed inverse composes to the identity on both
+sides (each composite read off the program of one map followed by the
+other), and the matrix inverse recomputed by Gaussian elimination
+agrees with the transcription.  The identities of the proofs (the
+factorizations of nu and Gamma on every basis tuple, the three mu
+rearrangements) are pairs of slot programs compared by
 ``finalg.program_report``.
 
 * ``iso_theta``       - left diagonal product  ->  right diagonal product
@@ -43,7 +44,7 @@ from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         lambda12_structures, omega_from_coaction, pq_delta,
                         tensor_bicomodule, tilde_pq, twist_coaction,
                         twist_equivalence_U, two_sided_from_bicomodule)
-from .finalg import (FinAlgebra, Report, check_algebra_map, invert_mixed,
+from .finalg import (FinAlgebra, Report, algebra_map_checks, invert_mixed,
                      program_report, tensor_algebra)
 from .linalg import LinMap, reshape_map
 from .products import (_left_part, _right_part, diag_crossed,
@@ -83,7 +84,11 @@ def _certify(f: LinMap, finv: LinMap, source: FinAlgebra, target: FinAlgebra,
     certified first (failures join those already in ``rep``)."""
     if check:
         rep = Report() if rep is None else rep
-        rep.merge(check_algebra_map(f, source, target))
+        rep.merge(program_report(algebra_map_checks("", f, source, target)))
+        if source.dim == target.dim:
+            rank = f.rank()
+            rep.check(rank == source.dim, "bijective",
+                      f"rank {rank} < {source.dim}")
         rep.check(_composite(f, finv).is_identity(), "inverse",
                   "f o f^-1 != id")
         rep.check(_composite(finv, f).is_identity(), "inverse",

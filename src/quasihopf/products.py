@@ -49,7 +49,7 @@ from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         omega_from_coaction, regular_bicomodule,
                         two_sided_from_bicomodule)
 from .finalg import (FinAlgebra, Report, algebra_from_program,
-                     check_algebra_map, program_report,
+                     algebra_map_checks, program_report,
                      verify_associative_unital)
 from .linalg import LinMap, prod, reshape_map
 from .tensors import Program, TensorElt, Var, linmap_from_program
@@ -78,10 +78,11 @@ def _slot_embedding(field, dims, units, pos, width=1) -> LinMap:
 def _check_subalgebras(rep, alg, dims, units, subs, width=1):
     """Add to ``rep`` where the slot embedding of each (slot, subalgebra,
     label) of ``subs`` into ``alg`` fails to be an algebra map."""
-    for pos, sub, label in subs:
-        f = _slot_embedding(alg.field, dims, units, pos, width)
-        for msg in check_algebra_map(f, sub, alg).failures:
-            rep.add(f"embedding {label}", msg)
+    rep.merge(program_report([
+        check for pos, sub, label in subs
+        for check in algebra_map_checks(
+            f"embedding {label}: ",
+            _slot_embedding(alg.field, dims, units, pos, width), sub, alg)]))
 
 
 def _pair_vars(dims):
@@ -194,8 +195,8 @@ def _right_part(x) -> RightComoduleAlgebra:
     return x.right if isinstance(x, BicomoduleAlgebra) else x
 
 
-def gen_smash(Am: LeftModuleAlgebra, Bfr, check: bool = True,
-              kind: str = "GenSmash") -> ProductAlgebra:
+def gen_smash(Am: LeftModuleAlgebra, Bfr,
+              check: bool = True) -> ProductAlgebra:
     """A (x) left comodule algebra:
     (a x b)(a' x b') = (xl1.a)(xl2 b_-1 . a') x xl3 b_0 b'."""
     Bco = _left_part(Bfr)
@@ -208,11 +209,11 @@ def gen_smash(Am: LeftModuleAlgebra, Bfr, check: bool = True,
                       f"{Am.name}>*<{Bco.name}", check,
                       [(1, Balg, "comodule")])
     rep.require(alg.name)
-    return ProductAlgebra(alg, kind, (Am, Bfr), dims)
+    return ProductAlgebra(alg, "GenSmash", (Am, Bfr), dims)
 
 
-def right_gen_smash(Afr, Bm: RightModuleAlgebra, check: bool = True,
-                    kind: str = "RightGenSmash") -> ProductAlgebra:
+def right_gen_smash(Afr, Bm: RightModuleAlgebra,
+                    check: bool = True) -> ProductAlgebra:
     """Right comodule algebra (x) B:
     (a x b)(a' x b') = a a'_0 xr1 x (b.a'_1 xr2)(b'.xr3)."""
     Aco = _right_part(Afr)
@@ -225,7 +226,7 @@ def right_gen_smash(Afr, Bm: RightModuleAlgebra, check: bool = True,
                       f"{Aco.name}>!<{Bm.name}", check,
                       [(0, Aalg, "comodule")])
     rep.require(alg.name)
-    return ProductAlgebra(alg, kind, (Afr, Bm), dims)
+    return ProductAlgebra(alg, "RightGenSmash", (Afr, Bm), dims)
 
 
 # -- quasi-smash products (module algebras, not associative in general) -------
@@ -470,73 +471,41 @@ def _flat_basis(p: ProductAlgebra) -> Program:
         0, reshape_map(fld, (p.result.dim,), p.dims))
 
 
-def _induced_right(p: ProductAlgebra, Am: LeftModuleAlgebra,
-                   Ab: BicomoduleAlgebra,
+def _induced_right(p: ProductAlgebra, action: LinMap, Ab: BicomoduleAlgebra,
+                   units: TensorElt,
                    check: bool = True) -> RightComoduleAlgebra:
-    """rho(a x u) = (t1.a x t2 u_0) (x) t3 u_1 on a module-comodule
-    smash product."""
+    """rho(c x a x u) = (c x t1.a x t2 u_0) (x) t3 u_1 on a product whose
+    last factor is the bicomodule algebra ``Ab``, H acting on the factor
+    before it through ``action``; the factors before that are inert.
+    ``units`` is the unit of all the factors before ``Ab``."""
     Hq = Ab.Hq
+    k = len(units.dims) - 1
     merge = reshape_map(Hq.field, p.dims, (p.result.dim,))
-    t = _flat_basis(p).apply_at(1, Ab.rho).insert(0, Ab.PhiLRInv)
-    t = t.permute((0, 3, 1, 2, 4, 5)).apply_at(0, Am.action)
-    t = t.mul_slots(1, 3, Ab.A).mul_slots(2, 3, Hq.H)
+    t = _flat_basis(p).apply_at(k + 1, Ab.rho).insert(k, Ab.PhiLRInv)
+    t = t.permute((*range(k), k, k + 3, k + 1, k + 2, k + 4, k + 5))
+    t = t.apply_at(k, action).mul_slots(k + 1, k + 3, Ab.A) \
+        .mul_slots(k + 2, k + 3, Hq.H)
     rho = linmap_from_program(t.apply_at(0, merge), t.vars)
-    unitA = Am.unit_elt()
-    PhiRho = Ab.right.PhiRho.insert(0, unitA).apply_at(0, merge)
-    PhiRhoInv = Ab.right.PhiRhoInv.insert(0, unitA).apply_at(0, merge)
+    PhiRho = Ab.right.PhiRho.insert(0, units).apply_at(0, merge)
+    PhiRhoInv = Ab.right.PhiRhoInv.insert(0, units).apply_at(0, merge)
     return RightComoduleAlgebra(Hq, p.result, rho, PhiRho,
                                 PhiRhoInv=PhiRhoInv, name=p.result.name,
                                 check=check)
 
 
-def _induced_left(p: ProductAlgebra, Ab: BicomoduleAlgebra,
-                  Bm: RightModuleAlgebra,
+def _induced_left(p: ProductAlgebra, Ab: BicomoduleAlgebra, action: LinMap,
+                  units: TensorElt,
                   check: bool = True) -> LeftComoduleAlgebra:
-    """lam(u x b) = u_-1 t1 (x) (u_0 t2 x b.t3)."""
+    """lam(u x b x c) = u_-1 t1 (x) (u_0 t2 x b.t3 x c) on a product whose
+    first factor is the bicomodule algebra ``Ab``, H acting on the factor
+    after it through ``action``; the factors after that are inert.
+    ``units`` is the unit of all the factors after ``Ab``."""
     Hq = Ab.Hq
     merge = reshape_map(Hq.field, p.dims, (p.result.dim,))
     t = _flat_basis(p).apply_at(0, Ab.lam).insert(3, Ab.PhiLRInv)
     t = t.mul_slots(0, 3, Hq.H).mul_slots(1, 3, Ab.A)
-    t = t.apply_at(2, Bm.action)
+    t = t.apply_at(2, action)
     lam = linmap_from_program(t.apply_at(1, merge), t.vars)
-    unitB = Bm.unit_elt()
-    PhiLam = Ab.left.PhiLam.insert(3, unitB).apply_at(2, merge)
-    PhiLamInv = Ab.left.PhiLamInv.insert(3, unitB).apply_at(2, merge)
-    return LeftComoduleAlgebra(Hq, p.result, lam, PhiLam,
-                               PhiLamInv=PhiLamInv, name=p.result.name,
-                               check=check)
-
-
-def _induced_right_crossed(p: ProductAlgebra, Abi: BimoduleAlgebra,
-                           Bb: BicomoduleAlgebra,
-                           check: bool = True) -> RightComoduleAlgebra:
-    """rho(a x p x b) = (a x t1.p x t2 b_0) (x) t3 b_1 on a
-    generalized two-sided crossed product."""
-    Hq = Bb.Hq
-    merge = reshape_map(Hq.field, p.dims, (p.result.dim,))
-    t = _flat_basis(p).apply_at(2, Bb.rho).insert(1, Bb.PhiLRInv)
-    t = t.permute((0, 1, 4, 2, 3, 5, 6)).apply_at(1, Abi.left)
-    t = t.mul_slots(2, 4, Bb.A).mul_slots(3, 4, Hq.H)
-    rho = linmap_from_program(t.apply_at(0, merge), t.vars)
-    units = _right_part(p.factors[0]).unit_elt().tensor(Abi.unit_elt())
-    PhiRho = Bb.right.PhiRho.insert(0, units).apply_at(0, merge)
-    PhiRhoInv = Bb.right.PhiRhoInv.insert(0, units).apply_at(0, merge)
-    return RightComoduleAlgebra(Hq, p.result, rho, PhiRho,
-                                PhiRhoInv=PhiRhoInv, name=p.result.name,
-                                check=check)
-
-
-def _induced_left_crossed(p: ProductAlgebra, Ab: BicomoduleAlgebra,
-                          Abi: BimoduleAlgebra,
-                          check: bool = True) -> LeftComoduleAlgebra:
-    """lam(b x p x c) = b_-1 t1 (x) (b_0 t2 x p.t3 x c)."""
-    Hq = Ab.Hq
-    merge = reshape_map(Hq.field, p.dims, (p.result.dim,))
-    t = _flat_basis(p).apply_at(0, Ab.lam).insert(1, Ab.PhiLRInv)
-    t = t.mul_slots(0, 1, Hq.H).mul_slots(3, 1, Ab.A)
-    t = t.permute((0, 2, 3, 1, 4)).apply_at(2, Abi.right)
-    lam = linmap_from_program(t.apply_at(1, merge), t.vars)
-    units = Abi.unit_elt().tensor(_left_part(p.factors[2]).unit_elt())
     PhiLam = Ab.left.PhiLam.insert(3, units).apply_at(2, merge)
     PhiLamInv = Ab.left.PhiLamInv.insert(3, units).apply_at(2, merge)
     return LeftComoduleAlgebra(Hq, p.result, lam, PhiLam,
@@ -552,28 +521,34 @@ def induced_costructures(p: ProductAlgebra, check: bool = True):
     if p.kind == "Smash":
         Am = p.factors[0]
         Ab = regular_bicomodule(Am.Hq, check=False)
-        return _induced_right(p, Am, Ab, check=check)
+        return _induced_right(p, Am.action, Ab, Am.unit_elt(), check=check)
     if p.kind == "RightSmash":
         Bm = p.factors[0]
         Ab = regular_bicomodule(Bm.Hq, check=False)
-        return _induced_left(p, Ab, Bm, check=check)
+        return _induced_left(p, Ab, Bm.action, Bm.unit_elt(), check=check)
     if p.kind == "GenSmash":
         Am, Bfr = p.factors
         if not isinstance(Bfr, BicomoduleAlgebra):
             raise ValueError("comodule factor carries no right coaction")
-        return _induced_right(p, Am, Bfr, check=check)
+        return _induced_right(p, Am.action, Bfr, Am.unit_elt(),
+                              check=check)
     if p.kind == "RightGenSmash":
         Afr, Bm = p.factors
         if not isinstance(Afr, BicomoduleAlgebra):
             raise ValueError("comodule factor carries no left coaction")
-        return _induced_left(p, Afr, Bm, check=check)
+        return _induced_left(p, Afr, Bm.action, Bm.unit_elt(),
+                             check=check)
     if p.kind == "GenTwoSidedCrossed":
         Afr, Abi, Bfr = p.factors
         right = isinstance(Bfr, BicomoduleAlgebra)
         left = isinstance(Afr, BicomoduleAlgebra)
+        if left:
+            lc = _induced_left(p, Afr, Abi.right, Abi.unit_elt().tensor(
+                _left_part(Bfr).unit_elt()), check=check)
+        if right:
+            rc = _induced_right(p, Abi.left, Bfr, _right_part(Afr).unit_elt()
+                                .tensor(Abi.unit_elt()), check=check)
         if left and right:
-            lc = _induced_left_crossed(p, Afr, Abi, check=check)
-            rc = _induced_right_crossed(p, Abi, Bfr, check=check)
             fld = Afr.field
             N = prod(p.dims)
             unitH = Afr.Hq.unit_elt()
@@ -581,9 +556,7 @@ def induced_costructures(p: ProductAlgebra, check: bool = True):
             PhiLR = unitH.tensor(unitP).tensor(unitH)
             return BicomoduleAlgebra(lc, rc, PhiLR, PhiLRInv=PhiLR,
                                      name=p.result.name, check=check)
-        if right:
-            return _induced_right_crossed(p, Abi, Bfr, check=check)
-        if left:
-            return _induced_left_crossed(p, Afr, Abi, check=check)
+        if left or right:
+            return lc if left else rc
         raise ValueError("no bicomodule factor to induce a coaction from")
     raise ValueError(f"kind {p.kind!r} carries no induced costructure")

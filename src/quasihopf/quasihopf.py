@@ -9,7 +9,9 @@ All defining identities are checked on every basis element (or basis
 tuple) of the relevant tensor power; verification returns a Report.
 Every identity is a pair of slot programs (its two sides, each a
 ``tensors.Program`` over the basis variables it has, if any) compared
-on every value by ``finalg.program_report``.
+on every value by ``finalg.program_report``; that the coproduct is an
+algebra map into H (x) H and the antipode an anti-algebra map are such
+pairs too (``finalg.algebra_map_checks``).
 The module also provides the opposite/coopposite variants, gauge
 twisting, the Drinfeld twist with its defining identities, and the
 canonical elements q_L, q_R, p_R with their intertwining relations.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finalg import (FinAlgebra, Report, check_algebra_map, inverse_checks,
+from .finalg import (FinAlgebra, Report, algebra_map_checks, inverse_checks,
                      invert_mixed, opposite, program_report, slotwise_unit,
                      tensor_algebra)
 from .linalg import LinMap, reshape_map
@@ -83,13 +85,12 @@ class QuasiBialgebra:
 
     def verify(self) -> Report:
         H, Delta, eps = self.H, self.Delta, self.counit
-        rep = _tag(check_algebra_map(Delta, H, tensor_algebra(H, H)),
-                   "coproduct")
         h, e, d = self._basis_var()
         h2 = Var("h'", self.n)
         hh = Program.basis(self.field, h, h2)
         one = self.unit_elt()
-        rep.merge(program_report([
+        return program_report([
+            *algebra_map_checks("coproduct/", Delta, H, [H, H]),
             # counit multiplicativity and normalization
             ("counit-multiplicative", hh.mul_slots(0, 1, H).apply_at(0, eps),
              hh.apply_at(0, eps).apply_at(0, eps), (h, h2)),
@@ -117,8 +118,7 @@ class QuasiBialgebra:
             *((f"associator-counit: {tag} slot",
                Program(self.Phi).apply_at(pos, eps),
                Program(self.unit_elt(2)), ())
-              for pos, tag in ((1, "middle"), (0, "first"), (2, "last")))]))
-        return rep
+              for pos, tag in ((1, "middle"), (0, "first"), (2, "last")))])
 
 
 class QuasiHopfAlgebra(QuasiBialgebra):
@@ -149,13 +149,16 @@ class QuasiHopfAlgebra(QuasiBialgebra):
     def verify(self) -> Report:
         rep = super().verify()
         H, S, eps = self.H, self.S, self.counit
-        rep.merge(_tag(check_algebra_map(S, H, H, anti=True, unital=True),
-                       "antipode"))
+        rep.merge(program_report(algebra_map_checks("antipode/", S, H, H,
+                                                    anti=True)))
+        rank = S.rank()
+        rep.check(rank == self.n, "antipode/bijective",
+                  f"rank {rank} < {self.n}")
         h, e, d = self._basis_var()
-        rep.check(linmap_from_program(e.apply_at(0, self.SInv).apply_at(0, S),
-                                      (h,)).is_identity(), "antipode-inverse")
         one = Program(self.unit_elt())
         rep.merge(program_report([
+            ("antipode-inverse", e.apply_at(0, self.SInv).apply_at(0, S), e,
+             (h,)),
             ("counit-antipode", e.apply_at(0, S).apply_at(0, eps),
              e.apply_at(0, eps), (h,)),
             ("normalization: eps(alpha) eps(beta) != 1",
@@ -234,9 +237,7 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         Delta_F = linmap_from_program(
             d.slotwise_mul(F, self.H, left=True).slotwise_mul(FInv, self.H),
             (h,))
-        Phi_F = slotwise_prod([one.tensor(F), F.apply_at(1, self.Delta),
-                               self.Phi, FInv.apply_at(0, self.Delta),
-                               FInv.tensor(one)], self.H)
+        Phi_F = self._twisted_associator(F, FInv)
         PhiInv_F = slotwise_prod([F.tensor(one), F.apply_at(0, self.Delta),
                                   self.PhiInv, FInv.apply_at(1, self.Delta),
                                   one.tensor(FInv)], self.H)
@@ -248,6 +249,15 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         return QuasiHopfAlgebra(self.H, Delta_F, self.counit, Phi_F, self.S,
                                 alpha_F, beta_F, PhiInv=PhiInv_F,
                                 SInv=self.SInv, name=name)
+
+    def _twisted_associator(self, F: TensorElt,
+                            FInv: TensorElt) -> TensorElt:
+        """The associator of the gauge twist by F:
+        (1 x F) (id x Delta)(F) Phi (Delta x id)(F^{-1}) (F^{-1} x 1)."""
+        one = self.unit_elt()
+        return slotwise_prod([one.tensor(F), F.apply_at(1, self.Delta),
+                              self.Phi, FInv.apply_at(0, self.Delta),
+                              FInv.tensor(one)], self.H)
 
     # -- the Drinfeld twist ------------------------------------------------------
 
@@ -290,11 +300,14 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         dt = self.drinfeld_twist()
         H, S, Delta = self.H, self.S, self.Delta
         h, e, d = self._basis_var()
-        # the associator twisted by f is (S x S x S)(X^3 (x) X^2 (x) X^1)
-        twisted = self.gauge_twist(dt.f, FInv=dt.f_inv)
+        f, one = Program(dt.f), Program(self.unit_elt())
         return program_report([
             *inverse_checks("twist-inverse", dt.f, dt.f_inv, [H] * 2,
                             ("f", "f^{-1}")),
+            # (eps x id)(f) = 1 = (id x eps)(f)
+            ("twist-counit: first slot", f.apply_at(0, self.counit), one, ()),
+            ("twist-counit: second slot", f.apply_at(1, self.counit), one,
+             ()),
             ("twist-gamma", Program(self.alpha).apply_at(0, Delta)
              .slotwise_mul(dt.f, H, left=True), Program(dt.gamma), ()),
             ("twist-delta", Program(self.beta).apply_at(0, Delta)
@@ -304,7 +317,9 @@ class QuasiHopfAlgebra(QuasiBialgebra):
              e.apply_at(0, S).apply_at(0, Delta)
              .slotwise_mul(dt.f, H, left=True).slotwise_mul(dt.f_inv, H),
              d.permute((1, 0)).apply_at(0, S).apply_at(1, S), (h,)),
-            ("twisted-associator", Program(twisted.Phi),
+            # the associator twisted by f is (S x S x S)(X^3 (x) X^2 (x) X^1)
+            ("twisted-associator",
+             Program(self._twisted_associator(dt.f, dt.f_inv)),
              Program(self.Phi).permute((2, 1, 0)).apply_at(0, S)
              .apply_at(1, S).apply_at(2, S), ())])
 
@@ -411,9 +426,3 @@ class DrinfeldTwist:
     f_inv: TensorElt
     gamma: TensorElt
     delta: TensorElt
-
-
-def _tag(rep: Report, prefix: str) -> Report:
-    out = Report()
-    out.failures = [f"{prefix}/{msg}" for msg in rep.failures]
-    return out

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -58,11 +59,10 @@ def test_verify_corrupted_associator(tmp_path, capsys):
     assert "FAIL" in out and "pentagon" in out
 
 
-def test_verify_all_failures_in_one_format(tmp_path, capsys):
-    # the Sweedler4 bicomodule with one entry of phi_rho changed: every
-    # per-basis line reads "{tag}: basis {idx}", whichever check made it
-    doc = serialize.to_document(entry("Sweedler4")["bicomodule"])
-    doc["phi_rho"][0][0][1] = "1"
+def _verify_all_json(tmp_path, capsys, doc):
+    """{check name: failure list} of ``verify --suite=all --json
+    --all-failures`` on ``doc``, which must fail; every per-basis line
+    reads "{tag}: basis {idx}", whichever check made it."""
     path = tmp_path / "bad.json"
     serialize.save_document(doc, str(path))
     assert main(["verify", str(path), "--suite=all", "--json",
@@ -73,6 +73,14 @@ def test_verify_all_failures_in_one_format(tmp_path, capsys):
              if "basis" in line]
     assert lines and all(re.fullmatch(r"[a-z/-]+: basis \((\d+, )*\d+,?\)",
                                       line) for line in lines)
+    return checks
+
+
+def test_verify_all_failures_in_one_format(tmp_path, capsys):
+    # the Sweedler4 bicomodule with one entry of phi_rho changed
+    doc = serialize.to_document(entry("Sweedler4")["bicomodule"])
+    doc["phi_rho"][0][0][1] = "1"
+    checks = _verify_all_json(tmp_path, capsys, doc)
     assert checks["axioms"] == [
         "right/coaction-coassociative: basis (2,)",
         "right/coaction-coassociative: basis (3,)",
@@ -81,6 +89,38 @@ def test_verify_all_failures_in_one_format(tmp_path, capsys):
         "p-intertwiner: basis (2,)", "p-intertwiner: basis (3,)",
         "q-intertwiner: basis (2,)", "q-intertwiner: basis (3,)",
         "qp-cancel", "pq-cancel", "p-coproduct", "q-coproduct"]
+    # the same bicomodule with rho(e_2) doubled: the coaction fails to be
+    # an algebra map in the same format
+    doc = serialize.to_document(entry("Sweedler4")["bicomodule"])
+    doc["coaction_right"][2][2][2] = "2"
+    checks = _verify_all_json(tmp_path, capsys, doc)
+    assert checks["axioms"] == [
+        f"right/coaction/multiplicative: basis ({i}, {j})"
+        for i, j in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2))] + [
+        "right/coaction-coassociative: basis (1,)",
+        "right/coaction-coassociative: basis (2,)",
+        "right/coaction-counit: basis (2,)",
+        "coactions-quasi-commute: basis (3,)"]
+
+
+def test_verify_reports_twist_identities_of_a_doubled_associator(tmp_path,
+                                                                 capsys):
+    # with Phi doubled the Drinfeld twist f is not counit-normalised: the
+    # twist identities fail as a report, not as an exception
+    doc = serialize.to_document(entry("H2")["H"])
+    doc["phi"] = [[[str(2 * Fraction(c)) for c in row] for row in plane]
+                  for plane in doc["phi"]]
+    path = tmp_path / "bad.json"
+    serialize.save_document(doc, str(path))
+    assert main(["verify", str(path), "--suite=all"]) == 1
+    out, err = capsys.readouterr()
+    assert "verification failed:" not in out + err
+    twist = out.split("FAIL  twist identities\n")[1].splitlines()
+    assert [line.strip() for line in twist] == [
+        "twist-inverse: f f^{-1} != 1", "twist-inverse: f^{-1} f != 1",
+        "twist-counit: first slot", "twist-counit: second slot",
+        "twist-gamma", "twist-delta", "antipode-anticoalgebra: basis (0,)",
+        "antipode-anticoalgebra: basis (1,)", "twisted-associator"]
 
 
 def test_verify_singular_antipode(tmp_path, capsys):

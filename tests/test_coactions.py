@@ -342,7 +342,7 @@ def _sweedler_with_doubled_rho():
 
 def test_comodule_verifiers_report_a_corrupted_coaction():
     right, Ab = _sweedler_with_doubled_rho()
-    multiplicative = [f"coaction/multiplicative: pair (e_{i}, e_{j})"
+    multiplicative = [f"coaction/multiplicative: basis ({i}, {j})"
                       for i, j in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2))]
     assert right.verify().failures == multiplicative + [
         "coaction-coassociative: basis (1,)",
@@ -372,7 +372,7 @@ def test_left_comodule_verify_reports_a_corrupted_coaction():
                                Ab.left.PhiLam, PhiLamInv=Ab.left.PhiLamInv,
                                check=False)
     assert left.verify().failures == [
-        f"coaction/multiplicative: pair (e_{i}, e_{j})"
+        f"coaction/multiplicative: basis ({i}, {j})"
         for i, j in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2))] + [
         "coaction-coassociative: basis (2,)",
         "coaction-coassociative: basis (3,)", "coaction-counit: basis (2,)"]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from quasihopf.corpus import group_algebra_z2, sweedler4
 from quasihopf.fields import GF, MAX_MODULUS, QQ
 from quasihopf.finalg import (FinAlgebra, Report, VerificationError,
-                              algebra_from_program, check_algebra_map,
+                              algebra_from_program, algebra_map_checks,
                               invert_mixed, mul_linmap, opposite,
-                              slotwise_unit, tensor_algebra,
+                              program_report, slotwise_unit, tensor_algebra,
                               verify_associative_unital)
-from quasihopf.linalg import linmap_from_columns, reshape_map
-from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_program,
-                               slotwise_mul)
+from quasihopf.linalg import (flat_index, linmap_from_columns, reshape_map,
+                              unflatten)
+from quasihopf.tensors import Program, TensorElt, Var, slotwise_mul
 
 from conftest import entry
 from test_linalg import identity, ref_inv, ref_matmul, ref_solve
@@ -105,7 +106,7 @@ def test_tensor_algebra_and_power():
     sq = tensor_algebra(A, A)
     assert sq.dim == 4
     assert verify_associative_unital(sq).ok
-    assert sq == tensor_algebra(A, A, (True, True))
+    assert sq == tensor_algebra(opposite(A), opposite(A))
 
 
 def test_invert_element():
@@ -134,21 +135,144 @@ def test_invert_mixed_with_fractional_unit():
     assert invert_mixed(elt(Fraction(1, 2), 1), [A]) is None
 
 
-def test_check_algebra_map():
-    A = h4()
+# -- algebra-map checks against the hand-written loop ----------------------
+
+def _old_algebra_map_failures(f, A, B, anti=False):
+    """The multiplicative and unital lines of ``check_algebra_map`` as it
+    was written: a loop over the flat integer columns of f = F / Df,
+    both sides of f(e_i e_j) = f(e_i) f(e_j) scaled by Df^2 A.den B.den
+    and compared as integers (mod p over GF(p)), every failing pair
+    listed."""
+    out = []
+    n, p = A.dim, A.field.p
+    cols = [None] * n
+    for idx, col in f.cols.items():
+        cols[flat_index(f.in_dims, idx)] = [
+            (flat_index(f.out_dims, o), c) for o, c in col]
+    lscale, rscale = f.den * B.den, A.den
+    for i in range(n):
+        for j in range(n):
+            diff = {}
+            for k, c in A.rows[i][j]:
+                for r, x in cols[k]:
+                    diff[r] = diff.get(r, 0) + lscale * c * x
+            left, right = (cols[j], cols[i]) if anti else (cols[i], cols[j])
+            for r1, x1 in left:
+                for r2, x2 in right:
+                    for t, c in B.rows[r1][r2]:
+                        diff[t] = diff.get(t, 0) - rscale * x1 * x2 * c
+            if any(v if p is None else v % p for v in diff.values()):
+                out.append(f"multiplicative: pair (e_{i}, e_{j})")
+    image = TensorElt.from_flat(A.field, f.in_dims, A.unit).apply_at(0, f)
+    if image != TensorElt.from_flat(B.field, f.out_dims, B.unit):
+        out.append("unital: f(1) != 1")
+    return out
+
+
+def _base_algebra(field, table):
+    mul, unit = table
+    return FinAlgebra(field, [[[field.of_int(c) for c in row] for row in pl]
+                              for pl in mul],
+                      [field.of_int(c) for c in unit], check=False)
+
+
+@st.composite
+def algebra_maps(draw):
+    """(label, f, A, algebras, anti, B): a map f from a base algebra A,
+    checked in ``algebras`` (one per output slot, or one on the flat
+    output) whose tensor product is the flat algebra B.  f is e_a ->
+    phi(e_a) placed among units, phi the isomorphism onto A in a
+    unitriangular change of basis; an anti-map goes to the opposite.
+    Optionally f is doubled or one of its entries shifted."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    tables = _base_tables()
+    A = _base_algebra(field, draw(st.sampled_from(tables)))
+    C = _base_algebra(field, draw(st.sampled_from(tables[:3])))
+    n = A.dim
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry(a, b):
+        if a >= b:
+            return field.of_int(int(a == b))
+        if field.p is None:
+            return Fraction(rng.choice(QQ_SCALARS))
+        return rng.randrange(field.p)
+
+    P = [[entry(a, b) for b in range(n)] for a in range(n)]
+    Pinv = ref_inv(field.p, P)
+    cols = [[P[a][i] for a in range(n)] for i in range(n)]
+
+    def vec(v):
+        return [row[0] for row in ref_matmul(field.p, Pinv, [[c] for c in v])]
+
+    Bphi = FinAlgebra(field, [[vec(A.multiply(cols[i], cols[j]))
+                               for j in range(n)] for i in range(n)],
+                      vec(A.unit), check=False)
+    anti = draw(st.booleans())
+    if anti:
+        Bphi = opposite(Bphi)
+    shape = draw(st.sampled_from(["phi", "phi.1", "1.phi", "1.phi.1",
+                                  "phi.1 flat"]))
+    slots = {"phi": [Bphi], "phi.1": [Bphi, C], "1.phi": [C, Bphi],
+             "1.phi.1": [C, Bphi, C], "phi.1 flat": [Bphi, C]}[shape]
+    one = TensorElt.from_vector(field, C.unit)
+    pos = int(shape.startswith("1"))
+    images = {}
+    for a in range(n):
+        t = TensorElt.from_vector(field, vec(basis_vec(field, n, a)))
+        for _ in range(pos):
+            t = one.tensor(t)
+        for _ in range(pos + 1, len(slots)):
+            t = t.tensor(one)
+        images[a] = dict(t.terms)
+    mutation = draw(st.sampled_from(["none", "double", "shift"]))
+    if mutation == "double":
+        images = {a: {o: c * 2 for o, c in col.items()}
+                  for a, col in images.items()}
+    elif mutation == "shift":
+        a = draw(st.integers(0, n - 1))
+        o = tuple(draw(st.integers(0, alg.dim - 1)) for alg in slots)
+        images[a][o] = images[a].get(o, 0) + draw(
+            st.sampled_from(QQ_SCALARS[1:] if field.p is None
+                            else range(1, field.p)))
+    in_dims = (2, 2) if n == 4 and draw(st.booleans()) else (n,)
+    f = linmap_from_columns(field, in_dims, [alg.dim for alg in slots], {
+        unflatten(in_dims, a): col for a, col in images.items()})
+    B = slots[0]
+    for alg in slots[1:]:
+        B = tensor_algebra(B, alg)
+    algebras = B if shape in ("phi", "phi.1 flat") else slots
+    label = draw(st.sampled_from(["", "coaction/", "embedding H: "]))
+    return label, f, A, algebras, anti, B
+
+
+@given(algebra_maps())
+@settings(max_examples=120, deadline=None)
+def test_algebra_map_checks_match_the_hand_loop(case):
+    label, f, A, algebras, anti, B = case
+    old = _old_algebra_map_failures(f, A, B, anti)
+    pairs = [line for line in old if line.startswith("multiplicative")]
+    want = [re.sub(r"pair \(e_(\d+), e_(\d+)\)", r"basis (\1, \2)", line)
+            for line in pairs[:10]] + [line for line in old
+                                       if line.startswith("unital")]
+    got = program_report(algebra_map_checks(label, f, A, algebras, anti))
+    assert got.failures == [label + line for line in want]
+
+
+def test_algebra_map_checks_cover_passes_and_both_failures():
+    A, S = h4(), sweedler4().S
     ident = identity(QQ, 4)
-    assert check_algebra_map(ident, A, A, anti=False, unital=True).ok
-    S = sweedler4().S
     # the antipode is an anti-map, not a map (xg != gx in H4)
-    assert check_algebra_map(S, A, A, anti=True, unital=True).ok
-    assert not check_algebra_map(S, A, A, anti=False, unital=True).ok
-    # h -> eps(h) 1 is an algebra map of rank 1
-    eps = sweedler4().counit
-    one = TensorElt.from_flat(QQ, (4,), A.unit)
-    h = Var("h", 4)
-    f = linmap_from_program(
-        Program.basis(QQ, h).apply_at(0, eps).tensor(one), (h,))
-    assert check_algebra_map(f, A, A).failures == ["bijective: rank 1 < 4"]
+    for f, anti, ok in ((ident, False, True), (S, True, True),
+                        (S, False, False)):
+        assert program_report(algebra_map_checks("", f, A, A, anti)).ok \
+            == ok
+    # twice the identity fails on the 12 pairs with a nonzero product,
+    # of which 10 are listed, and at the unit
+    twice = linmap_from_columns(QQ, (4,), (4,), {(i,): {(i,): 2}
+                                                for i in range(4)})
+    got = program_report(algebra_map_checks("", twice, A, A)).failures
+    assert len(got) == 11 and got[-1] == "unital: f(1) != 1"
 
 
 def test_algebra_from_program():
@@ -490,15 +614,13 @@ def _triple_diffs(A):
 
 # -- tensor_algebra against the dense construction -------------------------
 
-def _dense_tensor_algebra(A, B, op_flags):
+def _dense_tensor_algebra(A, B):
     """tensor_algebra as it was written on the dense tables."""
-    fa = opposite(A) if op_flags[0] else A
-    fb = opposite(B) if op_flags[1] else B
     na, nb = A.dim, B.dim
     n = na * nb
     fld = A.field
     zero = fld.zero()
-    mul_a, mul_b = fa.mul, fb.mul
+    mul_a, mul_b = A.mul, B.mul
     mul = []
     for ia in range(na):
         for ib in range(nb):
@@ -527,9 +649,15 @@ def _dense_tensor_algebra(A, B, op_flags):
 OP_FLAGS = list(product([False, True], repeat=2))
 
 
-def _assert_same_tensor_algebra(A, B, op_flags):
-    got = tensor_algebra(A, B, op_flags)
-    want = _dense_tensor_algebra(A, B, op_flags)
+def _opposites(pair, op_flags):
+    """The algebras of ``pair``, each replaced by its opposite where its
+    flag is set."""
+    return [opposite(X) if op else X for X, op in zip(pair, op_flags)]
+
+
+def _assert_same_tensor_algebra(A, B):
+    got = tensor_algebra(A, B)
+    want = _dense_tensor_algebra(A, B)
     # repr compares entry for entry, the scalar types included
     assert repr(got.mul) == repr(want.mul)
     assert repr(got.unit) == repr(want.unit)
@@ -539,19 +667,20 @@ def _assert_same_tensor_algebra(A, B, op_flags):
 
 
 @given(st.sampled_from([QQ, GF(5), GF(7)]).flatmap(
-    lambda f: st.tuples(scan_tables(f), scan_tables(f))),
-    st.sampled_from(OP_FLAGS))
+    lambda f: st.tuples(scan_tables(f), scan_tables(f))))
 @settings(max_examples=40, deadline=None)
-def test_tensor_algebra_matches_dense_reference(pair, op_flags):
-    _assert_same_tensor_algebra(*pair, op_flags)
+def test_tensor_algebra_matches_dense_reference(pair):
+    _assert_same_tensor_algebra(*pair)
 
 
 @pytest.mark.parametrize("op_flags", OP_FLAGS)
 def test_tensor_algebra_corpus_matches_dense_reference(op_flags):
+    # on the corpus algebras and their opposites
     from quasihopf.corpus import cyclic_with_cocycle, twisted_z2
-    _assert_same_tensor_algebra(twisted_z2().H, h4(), op_flags)
+    _assert_same_tensor_algebra(*_opposites((twisted_z2().H, h4()),
+                                            op_flags))
     fp = cyclic_with_cocycle(5, 2).H
-    _assert_same_tensor_algebra(fp, fp, op_flags)
+    _assert_same_tensor_algebra(*_opposites((fp, fp), op_flags))
 
 
 # -- the integer-row FinAlgebra against the dense implementation -----------
@@ -763,8 +892,9 @@ def test_tensor_algebra_matches_dense_implementation(triple, op_flags):
         oa = dense_opposite(oa)
     if op_flags[1]:
         ob = dense_opposite(ob)
-    got = tensor_algebra(FinAlgebra(field, ta, ua, check=False),
-                         FinAlgebra(field, tb, ub, check=False), op_flags)
+    got = tensor_algebra(*_opposites(
+        (FinAlgebra(field, ta, ua, check=False),
+         FinAlgebra(field, tb, ub, check=False)), op_flags))
     want = dense_tensor(oa, ob)
     assert (got.den, got.rows) == want.int_rows()
     assert got.unit == want.unit

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from quasihopf import coactions, finalg, quasihopf
 from quasihopf.actions import RightModuleAlgebra, trivial_right_action
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                                 RightComoduleAlgebra, regular_left, tilde_pq,
-                                 twist_equivalence_U,
+                                 RightComoduleAlgebra, lambda12_structures,
+                                 regular_left, tilde_pq, twist_equivalence_U,
                                  two_sided_from_bicomodule)
 from quasihopf.fields import QQ
 from quasihopf.finalg import VerificationError, program_report
-from quasihopf.isomaps import (_mu_identities, diag_as_gen_smash,
+from quasihopf.isomaps import (_certify, _mu_identities, diag_as_gen_smash,
                                diag_flavor_twist_iso, five_corollary,
                                four_diagonal_isos, gamma_map,
                                hausser_nill_check, iso_mu, iso_nu,
@@ -17,7 +18,8 @@ from quasihopf.isomaps import (_mu_identities, diag_as_gen_smash,
                                iso_twist_invariance, quantum_double_gen_smash,
                                tensoring_iso, twist_comodule_by_U)
 from quasihopf.linalg import flat_index, prod, unflatten
-from quasihopf.tensors import TensorElt, slotwise_mul
+from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_program,
+                               slotwise_mul)
 
 from conftest import corrupt_one, doubled_column, entry
 
@@ -226,6 +228,38 @@ def test_comodule_twist_by_exchange_element():
 def test_twist_equivalence_certificate():
     for name in ("QZ2", "H2"):
         twist_equivalence_U(entry(name)["bicomodule"], check=True)
+
+
+@pytest.mark.parametrize("name", CHEAP)
+def test_unchecked_twist_equivalence_checks_nothing(name, monkeypatch):
+    Ab = entry(name)["bicomodule"]
+    pair = lambda12_structures(Ab, check=False)
+    U = twist_equivalence_U(Ab, pair=pair, check=True)
+
+    def refuse(checks):
+        raise AssertionError("an identity was checked")
+
+    for module in (coactions, finalg, quasihopf):
+        monkeypatch.setattr(module, "program_report", refuse)
+    assert twist_equivalence_U(Ab, pair=pair, check=False) == U
+    # the unchecked structures are the same without their closed forms
+    again = lambda12_structures(Ab, check=False)
+    assert [(A.lam, A.PhiLam, A.PhiLamInv) for A in again[:2]] \
+        == [(A.lam, A.PhiLam, A.PhiLamInv) for A in pair[:2]]
+
+
+def test_certify_reports_a_rank_one_algebra_map():
+    # h -> eps(h) 1 is a unital algebra map of H4 of rank 1
+    Hq = entry("Sweedler4")["H"]
+    A, h = Hq.H, Var("h", 4)
+    f = linmap_from_program(Program.basis(QQ, h).apply_at(0, Hq.counit)
+                            .tensor(Hq.unit_elt()), (h,))
+    with pytest.raises(VerificationError) as exc:
+        _certify(f, f, A, A, "rank one")
+    assert str(exc.value) == (
+        "rank one: bijective: rank 1 < 4; inverse: f o f^-1 != id; "
+        "inverse: f^-1 o f != id; "
+        "inverse: transcribed inverse differs from the recomputed one")
 
 
 # -- per-basis identities on corrupted inputs: the (tag, basis tuple)
