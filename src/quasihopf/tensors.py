@@ -9,6 +9,8 @@ a short program over these combinators:
 * ``permute``     - reorder slots
 * ``tensor``      - juxtapose elements
 * ``fold_slots``  - permute, then multiply runs of slots into one slot
+* ``slotwise_mul`` - multiply an element slot by slot into some slots of
+  another, each factor on the left or the right
 * ``slotwise_prod`` - multiply elements of one tensor power slot by slot
 
 A formula evaluated on every basis tuple (a structure map on basis
@@ -30,6 +32,25 @@ gives the rows of ``finalg.algebra_from_program``), and
 ``program_mismatches`` compares two programs in lexicographic order,
 once when they read no variable (``finalg.program_report`` turns the
 mismatches into report lines).
+
+Each compile first plans the program's steps, once, before any value is
+computed.  An inserted operand (a fixed element or a sub-program's
+value) whose every slot is then multiplied into a slot of the value,
+before any other step reads it, is fused with those ``mul_slots`` into
+one ``slotwise_mul`` step: one pass over (value terms x operand terms)
+that multiplies each operand slot into its partner on the side the
+``mul_slots`` had, so their tensor product is never built.  The fused
+step runs at the earliest point where its partner slots exist, not
+before the insert when the operand reads variables; when its partners
+are exactly the outputs of the map applied just before, and the value
+that map acts on has more terms than the map has columns, the fixed
+operand is folded into the map instead.  Every other ``mul_slots``
+moves to just after the step that makes one of its slots, passing only
+steps on other slots, so it never enters a deeper variable loop.  A
+plan changes the order in which contractions run, never which slots
+are multiplied nor in which order, so every bracketing is kept: with
+exact scalars every value is bit-identical to the program as written,
+over non-associative algebras too.
 
 An element is stored as integer numerators over one shared denominator:
 ``num`` maps multi-index tuples to nonzero ints and ``den`` is a
@@ -281,34 +302,57 @@ class TensorElt:
                        self.den * other.den)
 
 
-def slotwise_mul(a: TensorElt, b: TensorElt, algebras) -> TensorElt:
+def slotwise_mul(a: TensorElt, b: TensorElt, algebras, slots=None,
+                 left=None) -> TensorElt:
     """Product of two elements of A1 (x) ... (x) Ak, slot by slot.
 
-    ``algebras`` is one algebra per slot (a single algebra is broadcast).
-    For each term of ``a`` the terms of ``b`` are found either by looking
-    up every index whose product is nonzero in each slot or by scanning
-    ``b``, whichever visits fewer pairs.
+    ``algebras`` is one algebra per slot of ``b`` (a single algebra is
+    broadcast).  With ``slots``, ``b`` multiplies only some slots of
+    ``a``: slot r of ``b`` multiplies slot ``slots[r]`` of ``a`` and the
+    other slots of ``a`` are kept.  Each factor of ``b`` is on the right,
+    or on the left where ``left[r]`` is true.  For each term of ``a`` the
+    terms of ``b`` are found either by looking up every index whose
+    product is nonzero in each slot or by scanning ``b``, whichever
+    visits fewer pairs.
     """
-    k = len(a.dims)
-    if len(b.dims) != k:
-        raise ValueError("slot count mismatch")
+    n, k = len(a.dims), len(b.dims)
+    if slots is None:
+        if n != k:
+            raise ValueError("slot count mismatch")
+        slots = range(k)
+    if left is None:
+        left = (False,) * k
     if not isinstance(algebras, (list, tuple)):
         algebras = [algebras] * k
     den = a.den * b.den
-    srows = []
     for alg in algebras:
         den *= alg.den
-        srows.append(alg.rows)
-    # nonzero[t][i]: the right indices j with e_i e_j != 0 in slot t
-    nonzero = [[[j for j, row in enumerate(rows_i) if row] for rows_i in sr]
-               for sr in srows]
     bterms = b.num
+    # with no more terms in b than slots every pair is tried; otherwise
+    # the candidates of each index are looked up
+    scan = len(bterms) <= k
+    # lines[r][i]: the products of e_i, in slot slots[r] of a, with each
+    # e_j of slot r of b; partners[r][i]: the j whose product is nonzero
+    lines, partners = [], []
+    for alg, s, side in zip(algebras, slots, left):
+        rows, m = alg.rows, alg.dim
+        ln, nz = ([None] * m if side else rows), [None] * m
+        for i in set(map(itemgetter(s), a.num)) if side or not scan else ():
+            if side:
+                ln[i] = [row[i] for row in rows]
+            if not scan:
+                nz[i] = [j for j, p in enumerate(ln[i]) if p]
+        lines.append(ln)
+        partners.append(nz)
+    slot_of = list(enumerate(slots))
     groups = None
     out = {}
     for ia, ca in a.num.items():
-        cands = [nonzero[t][ia[t]] for t in range(k)]
-        if not k or prod(map(len, cands)) <= len(bterms):
-            # enumerate the right indices that are nonzero in every slot
+        if scan:
+            matches = bterms.items()
+        elif prod(map(len, cands := [nz[ia[s]] for nz, s in zip(
+                partners, slots)])) <= len(bterms):
+            # enumerate the b indices that are nonzero in every slot
             matches = [(ib, bterms[ib]) for ib in product(*cands)
                        if ib in bterms]
         else:
@@ -319,26 +363,27 @@ def slotwise_mul(a: TensorElt, b: TensorElt, algebras) -> TensorElt:
                 groups = {}
                 for ib, cb in bterms.items():
                     groups.setdefault(ib[0], []).append((ib, cb))
-            row0 = srows[0][ia[0]]
-            matches = [m for j, ms in groups.items() if row0[j] for m in ms]
+            ln0 = lines[0][ia[slots[0]]]
+            matches = [m for j, ms in groups.items() if ln0[j] for m in ms]
         for ib, cb in matches:
-            # expand the slotwise products, bailing out on a zero slot
-            partial = [((), ca * cb)]
-            for t in range(k):
-                row = srows[t][ia[t]][ib[t]]
+            # write the products into a copy of a's index, one copy while
+            # each product has one term, bailing out on a zero slot
+            idx, coef, partial = list(ia), ca * cb, None
+            for r, s in slot_of:
+                row = lines[r][ia[s]][ib[r]]
                 if not row:
-                    partial = []
                     break
-                if len(row) == 1:
-                    kk, mc = row[0]
-                    partial = [(pref + (kk,), coef * mc)
-                               for pref, coef in partial]
-                else:
-                    partial = [(pref + (kk,), coef * mc)
-                               for pref, coef in partial
-                               for kk, mc in row]
-            for idx, coef in partial:
-                out[idx] = out.get(idx, 0) + coef
+                if partial is None and len(row) == 1:
+                    idx[s], mc = row[0]
+                    coef *= mc
+                    continue
+                partial = [(p[:s] + [kk] + p[s + 1:], c * mc)
+                           for p, c in partial or [(idx, coef)]
+                           for kk, mc in row]
+            else:
+                for idx, coef in partial or [(idx, coef)]:
+                    idx = tuple(idx)
+                    out[idx] = out.get(idx, 0) + coef
     return _normal(a.field, a.dims, out, den)
 
 
@@ -412,6 +457,9 @@ class Program:
 
     def insert(self, pos: int, x) -> "Program":
         """Tensor ``x`` (a TensorElt, a Var or a Program) into ``pos``."""
+        if not 0 <= pos <= len(self.dims):
+            raise ValueError(f"insert position {pos} outside "
+                             f"[0, {len(self.dims)}]")
         dims, reads = ((x.dim,), (x,)) if isinstance(x, Var) \
             else (x.dims, getattr(x, "vars", ()))
         return self._then(("insert", pos, x),
@@ -422,22 +470,26 @@ class Program:
 
     def apply_at(self, pos: int, lm: LinMap) -> "Program":
         end = pos + len(lm.in_dims)
-        if self.dims[pos:end] != lm.in_dims:
+        if pos < 0 or self.dims[pos:end] != lm.in_dims or \
+                end > len(self.dims):
             raise ValueError(f"slots {self.dims[pos:end]} do not match map "
                              f"input {lm.in_dims}")
         return self._then(("apply_at", pos, lm),
                           self.dims[:pos] + lm.out_dims + self.dims[end:])
 
     def mul_slots(self, pos_a: int, pos_b: int, algebra) -> "Program":
-        if pos_a == pos_b or not (self.dims[pos_a] == self.dims[pos_b]
-                                  == algebra.dim):
+        n = len(self.dims)
+        if pos_a == pos_b or not (0 <= pos_a < n and 0 <= pos_b < n) or \
+                not self.dims[pos_a] == self.dims[pos_b] == algebra.dim:
             raise ValueError("slots must differ and match the algebra")
         return self._then(("mul_slots", pos_a, pos_b, algebra),
                           [d for t, d in enumerate(self.dims) if t != pos_b])
 
     def permute(self, perm) -> "Program":
-        return self._then(("permute", tuple(perm)),
-                          [self.dims[s] for s in perm])
+        perm = tuple(perm)
+        if sorted(perm) != list(range(len(self.dims))):
+            raise ValueError("not a permutation of the slots")
+        return self._then(("permute", perm), [self.dims[s] for s in perm])
 
     def slotwise_mul(self, x: TensorElt, algebras,
                      left: bool = False) -> "Program":
@@ -446,7 +498,239 @@ class Program:
         ``slotwise_mul(t, x, algebras)``."""
         if x.dims != self.dims:
             raise ValueError("slot shape mismatch")
-        return self._then(("slotwise_mul", x, algebras, left), self.dims)
+        k = len(x.dims)
+        if not isinstance(algebras, (list, tuple)):
+            algebras = [algebras] * k
+        return self._then(("slotwise_mul", x, tuple(algebras),
+                           tuple(range(k)), (left,) * k), self.dims)
+
+
+# -- the plan ------------------------------------------------------------------
+
+def _plan(prog: Program) -> tuple:
+    """The steps of ``prog`` in the order they run (see the module
+    docstring): each insert whose slots are all multiplied into slots of
+    the value becomes one slotwise step, folded into the map right before
+    it when those slots are its outputs and that pays, and every other
+    ``mul_slots`` moves to just after the step that makes one of its
+    slots.  Slots are tracked as labels: a step reads and writes labels,
+    and positions are recomputed from them."""
+    if not any(step[0] == "mul_slots" for step in prog.steps):
+        return prog.steps
+    ops, final = _label(prog)
+    anchors = {}
+    moved = False
+    for op in [op for op in ops if op[0][0] == "insert"
+               and not isinstance(op[0][2], Var) and op[2]]:
+        moved |= _fuse(ops, op, anchors)
+    n = 1
+    while n < len(ops):
+        (step, ins, _, _), prev = ops[n], ops[n - 1]
+        if step[0] == "slotwise_mul" and step[3] is None \
+                and isinstance(step[1], TensorElt) \
+                and prev[0][0] == "apply_at" and set(ins) == set(prev[2]) \
+                and _fold_pays(prog, ops, n - 1):
+            ops[n - 1:n + 1] = [_fold(prev, ops[n])]
+        else:
+            n += 1
+    for n, op in enumerate(ops):
+        if op[0][0] == "mul_slots":
+            anchors[op[2][0]] = op[1]
+            a, b = op[1]
+            k = n
+            while k and a not in ops[k - 1][2] and b not in ops[k - 1][2]:
+                k -= 1
+            if k < n:
+                ops.insert(k, ops.pop(n))
+                moved = True
+    return _emit(prog, ops, final, anchors) if moved else prog.steps
+
+
+def _label(prog: Program):
+    """``(ops, final)``: each step of ``prog`` as ``(step, labels read,
+    labels written, layout before)``, and the labels of the result in
+    order; the start's slots are labelled 0, 1, ... and each step's new
+    slots get fresh labels."""
+    layout = list(range(len(prog.start.dims)))
+    fresh = len(layout)
+    ops = []
+    for step in prog.steps:
+        kind, before = step[0], tuple(layout)
+        if kind == "permute":
+            layout = [before[s] for s in step[1]]
+            ops.append((step, (), (), before))
+            continue
+        if kind == "insert":
+            lo = hi = step[1]
+            width = 1 if isinstance(step[2], Var) else len(step[2].dims)
+        elif kind == "apply_at":
+            lo, hi = step[1], step[1] + len(step[2].in_dims)
+            width = len(step[2].out_dims)
+        elif kind == "mul_slots":
+            ins, outs = (before[step[1]], before[step[2]]), (fresh,)
+            layout[step[1]] = fresh
+            del layout[step[2]]
+        else:
+            ins = tuple(before[s] for s in step[3])
+            outs = tuple(range(fresh, fresh + len(ins)))
+            for s, w in zip(step[3], outs):
+                layout[s] = w
+        if kind in ("insert", "apply_at"):
+            ins, outs = before[lo:hi], tuple(range(fresh, fresh + width))
+            layout[lo:hi] = outs
+        fresh += len(outs)
+        ops.append((step, ins, outs, before))
+    return ops, tuple(layout)
+
+
+def _fuse(ops, insert, anchors) -> bool:
+    """Replace the op ``insert`` and the ``mul_slots`` that multiply each
+    of its slots into a slot of the value by one slotwise step, when
+    there is a point after the steps that make those slots and before
+    the first step that reads a product: the earliest such point, not
+    before the insert itself when the operand reads variables."""
+    readers, makers = {}, {}
+    for k, (_, ins, outs, _) in enumerate(ops):
+        for l in ins:
+            readers[l] = k
+        for l in outs:
+            makers[l] = k
+    i = makers[insert[2][0]]
+    x = insert[0][2]
+    muls, partners, prods, algebras, left = [], [], [], [], []
+    for xr in insert[2]:
+        k = readers.get(xr)
+        if k is None or ops[k][0][0] != "mul_slots":
+            return False
+        (a, b), (w,) = ops[k][1], ops[k][2]
+        muls.append(k)
+        partners.append(b if a == xr else a)
+        prods.append(w)
+        algebras.append(ops[k][0][3])
+        left.append(a == xr)
+    if not set(partners).isdisjoint(insert[2] + tuple(prods)):
+        return False
+    lo = max(makers.get(v, -1) for v in partners)
+    if isinstance(x, Program) and x.vars:
+        lo = max(lo, i)
+    if lo >= min(readers.get(w, len(ops)) for w in prods):
+        return False
+    for k in muls:
+        anchors[ops[k][2][0]] = ops[k][1]
+    ops.insert(lo + 1, (("slotwise_mul", x, tuple(algebras), None,
+                         tuple(left)), tuple(partners), tuple(prods), None))
+    for k in sorted([i, *muls], reverse=True):
+        del ops[k + (k > lo)]
+    return True
+
+
+def _fold_pays(prog: Program, ops, n: int) -> bool:
+    """Whether folding into the map of ``ops[n]`` costs less than the
+    slotwise step it saves: the step once per column of the map against
+    once per term of the value the map acts on, estimated as the start's
+    terms times those of each element and the dimension of each variable
+    inserted before it."""
+    terms = len(prog.start.num)
+    for (kind, *args), _, _, _ in ops[:n]:
+        if kind == "insert":
+            x = args[1]
+            terms *= x.dim if isinstance(x, Var) \
+                else len(x.num) if isinstance(x, TensorElt) else 1
+    return prod(ops[n][0][2].in_dims) < terms
+
+
+def _fold(apply_op, fused_op):
+    """The map of ``apply_op`` followed by the fused slotwise step
+    ``fused_op`` on all of its outputs, as one map: the step runs once
+    on each column."""
+    (_, pos, lm), ins, outs, before = apply_op
+    (_, x, algebras, _, left), partners, prods, _ = fused_op
+    slots = tuple(outs.index(v) for v in partners)
+    den, cols = _one_den([
+        (t.den, sorted(t.num.items())) for t in (
+            slotwise_mul(TensorElt.from_num(lm.field, lm.out_dims,
+                                            dict(col), lm.den),
+                         x, algebras, slots, left)
+            for col in lm.cols.values())])
+    products = dict(zip(partners, prods))
+    return (("apply_at", pos, LinMap(lm.field, lm.in_dims, lm.out_dims, den,
+                                     dict(zip(lm.cols, cols)))),
+            ins, tuple(products[v] for v in outs), before)
+
+
+def _emit(prog: Program, ops, final, anchors) -> tuple:
+    """The steps that run ``ops`` in their order, with positions read off
+    the current order of the labels.  A new slot goes where the steps as
+    written put it, relative to the slots still there; a product that
+    now exists earlier stands where its first factor stood.  A permute
+    is added only where a map needs its slots together and at the end."""
+    out = []
+    layout = list(range(len(prog.start.dims)))
+
+    def keyer(ref):
+        where = {l: r for r, l in enumerate(ref)}
+
+        def find(l):
+            if l in where:
+                return where[l]
+            for a in anchors.get(l, ()):
+                r = find(a)
+                if r is not None:
+                    return r
+            return None
+
+        def key(l):
+            r = find(l)
+            return len(ref) if r is None else r
+        return key
+
+    def arrange(order):
+        if order != layout:
+            perm = tuple(layout.index(l) for l in order)
+            if out and out[-1][0] == "permute":
+                last = out.pop()[1]
+                perm = tuple(last[s] for s in perm)
+            if perm != tuple(range(len(perm))):
+                out.append(("permute", perm))
+            layout[:] = order
+
+    for step, ins, outs, before in ops:
+        kind = step[0]
+        # the positions as written hold until the layouts part
+        written = tuple(layout) == before
+        if kind == "permute":
+            order = [before[s] for s in step[1]]
+            arrange(order if written else sorted(layout, key=keyer(order)))
+        elif kind in ("insert", "apply_at"):
+            pos = step[1]
+            if written:
+                pass
+            elif not ins:
+                key = keyer(before)
+                pos = next((r for r, l in enumerate(layout)
+                            if key(l) >= pos), len(layout))
+            else:
+                pos = layout.index(ins[0])
+                if tuple(layout[pos:pos + len(ins)]) != ins:
+                    key = keyer(before)
+                    rest = sorted((l for l in layout if l not in ins),
+                                  key=key)
+                    pos = sum(key(l) < key(ins[0]) for l in rest)
+                    arrange(rest[:pos] + list(ins) + rest[pos:])
+            out.append((kind, pos) + step[2:])
+            layout[pos:pos + len(ins)] = outs
+        elif kind == "mul_slots":
+            pa, pb = layout.index(ins[0]), layout.index(ins[1])
+            out.append((kind, pa, pb, step[3]))
+            layout[pa] = outs[0]
+            del layout[pb]
+        else:
+            at = tuple(layout.index(l) for l in ins)
+            out.append(step[:3] + (at, step[4]))
+            for s, w in zip(at, outs):
+                layout[s] = w
+    arrange(list(final))
+    return tuple(out)
 
 
 def _read_basis(t: TensorElt, plan, cols, den: int, dims, i: int):
@@ -502,10 +786,8 @@ def _op(step):
     """A step that reads no variable, as a function of the value."""
     if step[0] != "slotwise_mul":
         return methodcaller(*step)
-    _, x, algebras, left = step
-    if left:
-        return lambda t: slotwise_mul(x, t, algebras)
-    return lambda t: slotwise_mul(t, x, algebras)
+    _, x, algebras, slots, left = step
+    return lambda t: slotwise_mul(t, x, algebras, slots, left)
 
 
 def _compile(prog: Program, order, sink, head: bool = False):
@@ -534,14 +816,20 @@ def _compile(prog: Program, order, sink, head: bool = False):
 
     stride = strides(order)
 
-    def inserter(pos, sub):
-        """Insert the value of ``sub`` at its variables' current values;
-        all of its values are computed first, once."""
+    def inserter(step, sub):
+        """Run ``step`` with the value of ``sub`` at its variables'
+        current values; all of its values are computed first, once."""
         values = [None] * prod(v.dim for v in sub.vars)
         run_program(sub, sub.vars, values.__setitem__)
         key = strides(sub.vars).items()
-        return lambda t: lambda: t.insert(
-            pos, values[sum(vals[s] * st for s, st in key)])
+
+        def value():
+            return values[sum(vals[s] * st for s, st in key)]
+        if step[0] == "insert":
+            return lambda t: lambda: t.insert(step[1], value())
+        _, _, algebras, slots, left = step
+        return lambda t: lambda: slotwise_mul(t, value(), algebras, slots,
+                                              left)
 
     def stage(ops, new, prepare, nxt):
         """Run ``ops``, then ``nxt`` on ``prepare(t)()`` per value of ``new``."""
@@ -563,16 +851,17 @@ def _compile(prog: Program, order, sink, head: bool = False):
     # each segment: the steps that read no variable, then one that does,
     # in the loops of the variables it reads first
     segments, ops, bound = [], [], set(order[:1] if head else ())
-    steps = prog.steps + (None,)
+    steps = _plan(prog) + (None,)
     k = 0
     while steps[k] is not None:
         step, k = steps[k], k + 1
-        x = step[2] if step[0] == "insert" else None
+        x = step[2] if step[0] == "insert" else \
+            step[1] if step[0] == "slotwise_mul" else None
         if isinstance(x, Var):
             prepare, used = _reader(step[1], steps[k], x.dim, vals, slot[x])
             k += used
         elif isinstance(x, Program):
-            prepare = inserter(step[1], x)
+            prepare = inserter(step, x)
         else:
             ops.append(_op(step))
             continue
@@ -642,6 +931,12 @@ def _columns(prog: Program, order, key=None):
             else [(key[idx], c) for idx, c in t.num.items()]))
 
     run_program(prog, order, keep)
+    return _one_den(values)
+
+
+def _one_den(values):
+    """``(den, cols)``: the columns ``(d, terms)``, each over its own
+    denominator, over their lcm ``den``."""
     den = lcm(*(d for d, _ in values))
     return den, [col if d == den else [(k, c * (den // d)) for k, c in col]
                  for d, col in values]

@@ -133,10 +133,8 @@ def test_criterion_04_canonical_identities():
             d = two_sided_from_bicomodule(Ab, "l", check=False)
             verify_pq_delta(d, pq_delta(d, check=False)).require(name)
         # the three rearrangement identities behind the two-sided smash
-        # comparison; the 3-dimensional prime-field entry needs minutes
-        # of dense 14-slot contractions, so the prime-field instance
-        # runs on its 2-dimensional sibling to stay inside the budget
-        for st in (pairs[0][1], small):
+        # comparison, on both prime-field entries
+        for st in (pairs[0][1], small, pairs[1][1]):
             Ab = st["bicomodule"]
             q = tilde_pq(Ab.right, check=False).q
             program_report(_mu_identities(Ab, q)).require("rearrangements")

@@ -18,6 +18,7 @@ from quasihopf.fields import GF, QQ
 from quasihopf.finalg import (FinAlgebra, VerificationError, invert_mixed,
                               slotwise_unit)
 from quasihopf.linalg import prod, reshape_map, unflatten
+from quasihopf import tensors as tensors_module
 from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_program,
                                slotwise_mul)
 
@@ -101,6 +102,27 @@ def test_pq_delta_detects_corrupted_q(name):
     verify_pq_delta(d, pq).require(name)
     rep = verify_pq_delta(d, PQDelta(pq.p, corrupt_one(pq.q)))
     assert any(f.startswith("q-coproduct") for f in rep.failures)
+
+
+def test_pq_identities_on_fpzn73_stay_within_eight_slots(monkeypatch):
+    # every slot of FpZn(7,3) has dimension 3: the fixed p, q, f and q_L
+    # operands are multiplied in without their tensor product being
+    # built, so no intermediate holds more than 3**8 terms (59,049 = 3**10
+    # when each operand was inserted first)
+    Ab = entry("FpZn(7,3)")["bicomodule"]
+    d = two_sided_from_bicomodule(Ab, "l", check=False)
+    pq, tpq = pq_delta(d, check=False), tilde_pq(Ab.right, check=False)
+    peak = [0]
+    normal = tensors_module._normal
+
+    def recording(field, dims, num, den):
+        peak[0] = max(peak[0], len(num))
+        return normal(field, dims, num, den)
+
+    monkeypatch.setattr(tensors_module, "_normal", recording)
+    assert verify_pq_delta(d, pq).ok
+    assert verify_tilde_pq(Ab.right, tpq).ok
+    assert 0 < peak[0] <= 3 ** 8
 
 
 def test_pq_delta_detects_corrupted_qL(monkeypatch):

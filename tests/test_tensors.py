@@ -468,12 +468,13 @@ def _algebra(data, field, n):
 def _program(data, field, pool, steps, depth=0):
     """A random program over the variables ``pool``: inserts of variables
     (some read twice), constants and memoised sub-programs, maps on runs
-    of slots, products of slots and permutations, on at most four slots
-    of dimension at most three."""
+    of slots, products of slots, permutations and operands multiplied
+    into the value slot by slot, on at most four slots of dimension at
+    most three."""
     dims = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
     prog = Program(_element(data, field, dims))
     kinds = (["var"] if pool else []) \
-        + ["const", "apply", "mul", "permute", "slotwise"] \
+        + ["const", "apply", "mul", "permute", "slotwise", "fused"] \
         + (["sub"] if depth == 0 else [])
     for _ in range(steps):
         kind = data.draw(st.sampled_from(kinds))
@@ -506,6 +507,58 @@ def _program(data, field, pool, steps, depth=0):
             prog = prog.permute(data.draw(st.permutations(range(len(dims)))))
         elif kind == "slotwise":
             prog = _slotwise_step(data, field, prog)
+        elif kind == "fused" and dims:
+            prog = _fused_steps(data, field, prog, pool)
+    return prog
+
+
+def _fused_steps(data, field, prog, pool):
+    """``prog`` with a one- or two-slot operand inserted and each of its
+    slots then multiplied into its own slot of the value, on a random
+    side, with permutes and maps on the value's slots in between.  The
+    operand is a constant or, with a variable to read, a sub-program; the
+    slots it multiplies are maybe the outputs of a map just applied."""
+    dims = prog.dims
+    if data.draw(st.booleans(), label="after a map"):
+        at = data.draw(st.integers(0, len(dims) - 1))
+        out = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                       max_size=1 + (len(dims) < 4))))
+        prog = prog.apply_at(at, _map(data, field, dims[at:at + 1], out))
+        targets = list(range(at, at + len(out)))
+        dims = prog.dims
+    else:
+        k = data.draw(st.integers(1, min(2, len(dims))))
+        targets = data.draw(st.permutations(range(len(dims))))[:k]
+    xdims = tuple(dims[t] for t in targets)
+    if pool and data.draw(st.booleans(), label="sub-program"):
+        v = data.draw(st.sampled_from(pool))
+        x = Program.basis(field, v).apply_at(0, _map(data, field, (v.dim,),
+                                                     xdims))
+    else:
+        x = _element(data, field, xdims)
+    pos = data.draw(st.integers(0, len(dims)))
+    prog = prog.insert(pos, x)
+    # the value's slots keep their index as label, the operand's are
+    # ("x", r); a product takes the label of the value slot
+    layout = list(range(len(dims)))
+    layout[pos:pos] = [("x", r) for r in range(len(targets))]
+    for r in data.draw(st.permutations(range(len(targets)))):
+        between = data.draw(st.sampled_from(["none", "permute", "map"]))
+        if between == "permute":
+            perm = data.draw(st.permutations(range(len(layout))))
+            prog = prog.permute(perm)
+            layout = [layout[s] for s in perm]
+        elif between == "map":
+            s = data.draw(st.sampled_from([s for s, l in enumerate(layout)
+                                           if not isinstance(l, tuple)]))
+            d = prog.dims[s]
+            prog = prog.apply_at(s, _map(data, field, (d,), (d,)))
+        px, pv = layout.index(("x", r)), layout.index(targets[r])
+        a, b = (px, pv) if data.draw(st.booleans(), label="left") \
+            else (pv, px)
+        prog = prog.mul_slots(a, b, _algebra(data, field, prog.dims[a]))
+        layout[a] = targets[r]
+        del layout[b]
     return prog
 
 
@@ -522,8 +575,8 @@ def _evaluate(prog, env):
     t = prog.start
     for step in prog.steps:
         if step[0] == "slotwise_mul":
-            _, x, algebras, left = step
-            t = slotwise_mul(x, t, algebras) if left \
+            _, x, algebras, _, left = step
+            t = slotwise_mul(x, t, algebras) if any(left) \
                 else slotwise_mul(t, x, algebras)
             continue
         if step[0] != "insert":
@@ -588,6 +641,86 @@ def test_executor_matches_per_tuple_evaluation(field_name, data):
         assert program_mismatches(lhs, rhs, order, limit) == want
 
 
+def test_program_permute_rejects_a_non_permutation():
+    prog = Program(TensorElt.basis(QQ, (2, 3), (0, 0)))
+    with pytest.raises(ValueError, match="not a permutation of the slots"):
+        prog.permute((0, 0))
+    with pytest.raises(ValueError, match="not a permutation of the slots"):
+        prog.permute((0, 1, 2))
+    assert prog.permute([1, 0]).dims == (3, 2)
+
+
+def test_program_insert_rejects_a_position_outside_the_slots():
+    prog = Program(TensorElt.basis(QQ, (2, 3), (0, 0)))
+    x = TensorElt.basis(QQ, (2,), (1,))
+    for pos in (7, 3, -1):
+        with pytest.raises(ValueError, match=rf"position {pos} outside"):
+            prog.insert(pos, x)
+    with pytest.raises(ValueError):
+        prog.mul_slots(0, 2, group_algebra_z2().H)
+    with pytest.raises(ValueError):
+        prog.apply_at(-1, group_algebra_z2().Delta)
+    assert prog.insert(2, x).dims == (2, 3, 2)
+
+
+def _planned_kinds(prog, order):
+    """The kinds of the steps ``prog`` runs, after checking that its
+    values are those of step-by-step evaluation."""
+    got = {}
+    run_program(prog, order, got.__setitem__)
+    dims = tuple(v.dim for v in order)
+    assert got == {off: _evaluate(prog, dict(zip(order, unflatten(dims,
+                                                                  off))))
+                   for off in range(prod(dims))}
+    return [step[0] for step in tensors_module._plan(prog)]
+
+
+def test_plan_fuses_folds_and_hoists():
+    Hq = sweedler4()
+    H = Hq.H
+    t = TensorElt.from_flat(QQ, (4, 4), [Fraction(f % 5, 3)
+                                         for f in range(16)])
+    x = TensorElt.from_flat(QQ, (4, 4), [Fraction(f % 3 - 1, 2)
+                                         for f in range(16)])
+    u = Var("u", 4)
+    # x0 multiplied into the first slot from the right, x1 into the
+    # second from the left, a permute in between: one slotwise step
+    fused = Program(t).insert(1, x).mul_slots(0, 1, H).permute((1, 0, 2)) \
+        .mul_slots(0, 2, H)
+    assert _planned_kinds(fused, ()) == ["slotwise_mul", "permute"]
+    # the same multiplied into the two outputs of Delta: one map, as the
+    # value Delta acts on has more terms than the new map has entries
+    folded = Program(t.tensor(t)).tensor(u).apply_at(4, Hq.Delta) \
+        .insert(4, x).mul_slots(4, 6, H).mul_slots(5, 6, H)
+    steps = tensors_module._plan(folded)
+    assert _planned_kinds(folded, (u,)) == ["insert", "apply_at"]
+    assert steps[1][2] != Hq.Delta
+    # on e_u alone the map is kept, and the operand is multiplied into
+    # its outputs
+    kept = Program.basis(QQ, u).apply_at(0, Hq.Delta).insert(0, x) \
+        .mul_slots(0, 2, H).mul_slots(1, 2, H)
+    assert _planned_kinds(kept, (u,)) == ["insert", "apply_at",
+                                          "slotwise_mul"]
+    # a product of two fixed slots runs before the variable's loop opens
+    hoisted = Program(t).tensor(u).mul_slots(1, 0, H)
+    assert _planned_kinds(hoisted, (u,)) == ["mul_slots", "insert"]
+    # a fixed operand is multiplied in before the loop of w opens; one
+    # that reads u is not, so that w's loop does not run inside u's
+    w = Var("w", 2)
+    for operand, kinds in ((x, ["slotwise_mul", "insert"]),
+                           (Program.basis(QQ, u).apply_at(0, Hq.Delta),
+                            ["insert", "slotwise_mul"])):
+        prog = Program(t).tensor(w).insert(0, operand).mul_slots(2, 0, H) \
+            .mul_slots(2, 0, H)
+        assert _planned_kinds(prog, prog.vars) == kinds
+    # a slot of x read by a map before its product: nothing is fused,
+    # and the product of the other slot of x moves before the map
+    kept = Program(t).insert(1, x).apply_at(1, Hq.S).mul_slots(0, 1, H) \
+        .mul_slots(1, 2, H)
+    assert _planned_kinds(kept, ()) == ["insert", "mul_slots", "apply_at",
+                                        "mul_slots"]
+
+
 def test_linmap_from_program_rebuilds_coproduct():
     # the column sink on e_h -> Delta(h) gives Delta back exactly
     H = sweedler4()
@@ -620,8 +753,9 @@ def test_slotwise_step_matches_slotwise_mul(field_name, data):
         env = dict(zip(order, unflatten(dims, off)))
         assert t == _evaluate(prog, env) and t.dims == prog.dims
     # the step alone, on a value with mixed denominators or residues
-    _, x, algebras, left = next(s for s in prog.steps
-                                if s[0] == "slotwise_mul")
+    _, x, algebras, _, left = next(s for s in prog.steps
+                                   if s[0] == "slotwise_mul")
+    left = any(left)
     t = _element(data, field, x.dims, 6)
     values = []
     run_program(Program(t).slotwise_mul(x, algebras, left), (),
