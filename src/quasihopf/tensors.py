@@ -794,8 +794,9 @@ def _compile(prog: Program, order, sink, head: bool = False):
     """``(run, vals)``: ``run()`` evaluates ``prog`` for every value of
     the variables ``order`` and calls ``sink(offset, value)`` for each,
     ``offset`` being the row-major position of the value tuple.  The
-    steps are compiled once into nested loops, each variable's opened at
-    the first step that reads it (see the module docstring).  With
+    steps, in the order ``_plan`` gives them, are compiled once into
+    nested loops, each variable's opened at the first step that reads it
+    (see the module docstring).  With
     ``head`` the first variable of ``order`` has no loop: its steps read
     ``vals[0]``, set by the caller before each ``run()``, and it adds
     nothing to the offsets."""

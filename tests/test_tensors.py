@@ -689,7 +689,7 @@ def test_plan_fuses_folds_and_hoists():
         .mul_slots(0, 2, H)
     assert _planned_kinds(fused, ()) == ["slotwise_mul", "permute"]
     # the same multiplied into the two outputs of Delta: one map, as the
-    # value Delta acts on has more terms than the new map has entries
+    # value Delta acts on has more terms than Delta has columns
     folded = Program(t.tensor(t)).tensor(u).apply_at(4, Hq.Delta) \
         .insert(4, x).mul_slots(4, 6, H).mul_slots(5, 6, H)
     steps = tensors_module._plan(folded)
