@@ -1,8 +1,6 @@
 """Exact computational algebra for finite-dimensional quasi-Hopf algebras."""
 
 from .fields import GF, QQ, Field
-from .finalg import FinAlgebra, Report, VerificationError
-from .quasihopf import QuasiBialgebra, QuasiHopfAlgebra
 
 __all__ = [
     "Field", "QQ", "GF",
@@ -11,3 +9,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The algebra classes, imported on first use (the CLI may not)."""
+    if name not in __all__[3:]:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import finalg, quasihopf
+    return getattr(finalg, name, None) or getattr(quasihopf, name)

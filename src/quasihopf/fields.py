@@ -7,13 +7,17 @@ rationals, ``int`` residues in ``[0, p)`` over a prime field.  A
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic for
 # every n below this bound (Sorenson and Webster, 2015)
 MAX_MODULUS = 3317044064679887385961981 - 1
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# scalar text: [+-] ASCII digits, over the rationals then [/digits]
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _is_prime(p: int) -> bool:
@@ -85,18 +89,25 @@ class Field:
 
     # -- text encoding ---------------------------------------------------
 
-    def parse(self, text: str):
-        """Parse ``a`` or ``a/b`` (rationals) / a decimal integer (prime field)."""
-        text = text.strip()
-        if self.p is None:
+    def parse_ratio(self, text: str) -> tuple[int, int]:
+        """``text`` as ``(n, d)`` in lowest terms with d > 0; over a prime
+        field n is a residue and d is 1."""
+        m = _SCALAR.fullmatch(text := text.strip())
+        if m and (self.p is None or m[2] is None):
             try:
-                return Fraction(text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational scalar {text!r}: {exc}") from None
-        try:
-            return int(text, 10) % self.p
-        except ValueError:
-            raise ValueError(f"bad prime-field scalar {text!r}") from None
+                n, d = int(m[1]), int(m[2] or 1)
+            except ValueError:          # past the int digit limit
+                d = 0
+            if d:
+                g = gcd(n, d)
+                return (n // g, d // g) if self.p is None else (n % self.p, 1)
+        kind = "rational" if self.p is None else "prime-field"
+        raise ValueError(f"bad {kind} scalar {text!r}")
+
+    def parse(self, text: str):
+        """The field scalar of ``text`` (see ``parse_ratio``)."""
+        n, d = self.parse_ratio(text)
+        return Fraction(n, d) if self.p is None else n
 
     def fmt(self, a) -> str:
         return str(a)

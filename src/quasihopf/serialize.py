@@ -1,32 +1,63 @@
 """JSON definition documents for every structure kind.
 
 Scalars are stored as strings (``"3/4"`` over the rationals, decimal
-residues over a prime field) so export -> import is bit exact.  Linear
-maps are stored as dense nested arrays indexed input-first: the entry
-``arr[i][...][j][...]`` is the coefficient of the output basis tensor
-at the trailing indices in the image of the input basis tensor at the
-leading indices.  Dependent structures carry a ``"parent"`` field that
-is either a path to a quasi-Hopf document (relative to the referring
-file) or the document itself inlined.
+residues over a prime field; see ``fields`` for the grammar) so export
+-> import is bit exact.  Linear maps are stored as dense nested arrays
+indexed input-first: the entry ``arr[i][...][j][...]`` is the
+coefficient of the output basis tensor at the trailing indices in the
+image of the input basis tensor at the leading indices.  Dependent
+structures carry a ``"parent"`` field that is either a path to a
+quasi-Hopf document (relative to the referring file) or the document
+itself inlined.
+
+A document loads in two phases.  ``parse_document`` walks it and its
+parent chain with only ``fields``: it raises every DocumentError and
+leaves each array as integer numerators over one canonical denominator.
+``build`` hands those to the constructors; it is the first code that
+imports the algebra modules, and its errors are the mathematical ones.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import islice, product, repeat
+from math import gcd, lcm
+from operator import attrgetter
+from types import SimpleNamespace
 
-from .actions import BimoduleAlgebra, LeftModuleAlgebra, RightModuleAlgebra
-from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                        RightComoduleAlgebra)
 from .fields import GF, QQ, Field
-from .finalg import FinAlgebra
-from .linalg import LinMap, linmap_from_columns
-from .quasihopf import QuasiHopfAlgebra
-from .tensors import TensorElt
 
-KINDS = ("quasi-hopf", "algebra", "module-algebra-left",
-         "module-algebra-right", "bimodule-algebra", "comodule-algebra-left",
-         "comodule-algebra-right", "bicomodule-algebra")
+# kind: (class, attribute of its algebra, [(key, attribute, input slots,
+# output slots)] in constructor order), slots spelled in n = dim H and
+# m = dim of the algebra; a tensor has no input slots
+KINDS = {
+    "quasi-hopf": ("QuasiHopfAlgebra", "H", [
+        ("coproduct", "Delta", "n", "nn"), ("counit", "counit", "n", ""),
+        ("phi", "Phi", "", "nnn"), ("antipode", "S", "n", "n"),
+        ("alpha", "alpha", "", "n"), ("beta", "beta", "", "n")]),
+    "algebra": ("FinAlgebra", None, []),
+    "module-algebra-left": ("LeftModuleAlgebra", "A", [
+        ("action_left", "action", "nm", "m")]),
+    "module-algebra-right": ("RightModuleAlgebra", "B", [
+        ("action_right", "action", "mn", "m")]),
+    "bimodule-algebra": ("BimoduleAlgebra", "A", [
+        ("action_left", "left", "nm", "m"),
+        ("action_right", "right", "mn", "m")]),
+    "comodule-algebra-left": ("LeftComoduleAlgebra", "B", [
+        ("coaction_left", "lam", "m", "nm"),
+        ("phi_lambda", "PhiLam", "", "nnm")]),
+    "comodule-algebra-right": ("RightComoduleAlgebra", "A", [
+        ("coaction_right", "rho", "m", "mn"),
+        ("phi_rho", "PhiRho", "", "mnn")]),
+    "bicomodule-algebra": ("BicomoduleAlgebra", "A", [
+        ("coaction_left", "lam", "m", "nm"),
+        ("coaction_right", "rho", "m", "mn"),
+        ("phi_lambda", "left.PhiLam", "", "nnm"),
+        ("phi_rho", "right.PhiRho", "", "mnn"),
+        ("phi_lr", "PhiLR", "", "nmn")]),
+}
+_EXPORT = {cls: kind for kind, (cls, _, _) in KINDS.items()}
 
 
 class DocumentError(ValueError):
@@ -55,97 +86,100 @@ def field_from_json(obj) -> Field:
     raise DocumentError(f"bad field {obj!r}")
 
 
-def _nest(field: Field, dims, at):
-    """Nested array of scalar strings with ``at(idx)`` supplying entries."""
-    if not dims:
-        return field.fmt(at(()))
-
-    def rec(prefix, rest):
-        if not rest:
-            return field.fmt(at(prefix))
-        return [rec(prefix + (i,), rest[1:]) for i in range(rest[0])]
-
-    return rec((), tuple(dims))
+def _text(c: int, den: int) -> str:
+    """The scalar string of ``c / den``."""
+    g = gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
-def _unnest(field: Field, dims, arr, visit):
-    """Walk a nested array, calling ``visit(idx, scalar)`` per entry."""
-    def rec(prefix, rest, node):
-        if not rest:
-            if not isinstance(node, str):
-                raise DocumentError(f"scalar expected at {prefix}, "
-                                    f"got {type(node).__name__}")
-            try:
-                visit(prefix, field.parse(node))
-            except ValueError as exc:
-                raise DocumentError(str(exc)) from None
-            return
-        if not isinstance(node, list) or len(node) != rest[0]:
-            raise DocumentError(f"array of length {rest[0]} expected "
-                                f"at {prefix}")
-        for i, sub in enumerate(node):
-            rec(prefix + (i,), rest[1:], sub)
-
-    rec((), tuple(dims), arr)
+def _nest(dims, den, values):
+    """Nested array of shape ``dims`` of the scalar strings of the
+    integers ``values`` (row-major) over ``den``."""
+    flat = [_text(c, den) for c in values]
+    for d in reversed(dims[1:]):
+        flat = [flat[i:i + d] for i in range(0, len(flat), d)]
+    return flat if dims else flat[0]
 
 
-def tensor_to_json(t: TensorElt):
-    zero = t.field.zero()
-    return _nest(t.field, t.dims, lambda idx: t.terms.get(idx, zero))
+def _keys(dims):
+    return product(*map(range, dims))
 
 
-def tensor_from_json(field: Field, dims, arr) -> TensorElt:
-    terms = {}
-
-    def visit(idx, c):
-        if c != field.zero():
-            terms[idx] = c
-
-    _unnest(field, dims, arr, visit)
-    return TensorElt(field, tuple(dims), terms)
+def _at(dims, pos: int):    # the multi-index at row-major position pos
+    return next(islice(_keys(dims), pos, None))
 
 
-def map_to_json(lm: LinMap):
+class _Scalars(dict):
+    """One document's scalar strings, each parsed once: text -> (n, d)."""
+
+    def __init__(self, field: Field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, text):
+        if not isinstance(text, str):
+            raise TypeError(text)
+        try:
+            pair = self[text] = self.field.parse_ratio(text)
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
+        return pair
+
+
+def _parse_map(scalars: _Scalars, in_dims, out_dims, arr):
+    """``(den, cols)``, the arguments of ``LinMap``, from the nested array
+    ``arr`` over in_dims + out_dims: its entries as integers over one
+    canonical denominator.  The shape is checked level by level before
+    any scalar is read.  A tensor is the column ``()`` of a map without
+    input slots."""
+    dims = in_dims + out_dims
+    level = [arr]
+    for depth, d in enumerate(dims):
+        deeper = []
+        for node in level:
+            if not isinstance(node, list) or len(node) != d:
+                raise DocumentError(f"array of length {d} expected at "
+                                    f"{_at(dims[:depth], len(deeper) // d)}")
+            deeper += node
+        level = deeper
+    try:
+        pairs = [scalars[t] for t in level]
+    except TypeError:
+        pos = next(i for i, t in enumerate(level) if not isinstance(t, str))
+        raise DocumentError(f"scalar expected at {_at(dims, pos)}, got "
+                            f"{type(level[pos]).__name__}") from None
+    den = lcm(*{scalars[t][1] for t in set(level)})
+    nums = ([n for n, _ in pairs] if den == 1
+            else [n * (den // d) for n, d in pairs])
+    outs = list(_keys(out_dims))
+    rows = (nums[f:f + len(outs)] for f in range(0, len(nums), len(outs)))
+    return den, {idx: [(out, c) for out, c in zip(outs, row) if c]
+                 for idx, row in zip(_keys(in_dims), rows)}
+
+
+def tensor_to_json(t):
+    return _nest(t.dims, t.den, map(t.num.get, _keys(t.dims), repeat(0)))
+
+
+def tensor_from_json(field: Field, dims, arr):
+    from .tensors import TensorElt
+    den, cols = _parse_map(_Scalars(field), (), tuple(dims), arr)
+    return TensorElt.from_num(field, tuple(dims), dict(cols[()]), den)
+
+
+def map_to_json(lm):
     """Dense array over in_dims + out_dims, input indices leading."""
-    return tensor_to_json(TensorElt.from_num(
-        lm.field, lm.in_dims + lm.out_dims,
-        {idx + out: c for idx, col in lm.cols.items() for out, c in col},
-        lm.den))
+    outs = list(_keys(lm.out_dims))
+    return _nest(lm.in_dims + lm.out_dims, lm.den, [
+        c for idx in _keys(lm.in_dims)
+        for c in map(dict(lm.cols[idx]).get, outs, repeat(0))])
 
 
-def map_from_json(field: Field, in_dims, out_dims, arr) -> LinMap:
+def map_from_json(field: Field, in_dims, out_dims, arr):
+    from .linalg import LinMap
     in_dims, out_dims = tuple(in_dims), tuple(out_dims)
-    k = len(in_dims)
-    cols = {}
-
-    def visit(idx, c):
-        if c != field.zero():
-            cols.setdefault(idx[:k], {})[idx[k:]] = c
-
-    _unnest(field, in_dims + out_dims, arr, visit)
-    return linmap_from_columns(field, in_dims, out_dims, cols)
-
-
-# -- plain algebras --------------------------------------------------------
-
-def _algebra_fields(A: FinAlgebra):
-    fmt = A.field.fmt
-    return {
-        "mul": [[[fmt(c) for c in row] for row in plane] for plane in A.mul],
-        "unit": [fmt(c) for c in A.unit],
-    }
-
-
-def _algebra_from_fields(field: Field, dim: int, doc, name: str) -> FinAlgebra:
-    # the arrays are walked, and so checked against ``dim``, before any
-    # table of that size is allocated
-    flat, unit = [], []
-    _unnest(field, (dim, dim, dim), doc.get("mul"),
-            lambda idx, c: flat.append(c))
-    _unnest(field, (dim,), doc.get("unit"), lambda idx, c: unit.append(c))
-    mul = [[flat[(i * dim + j) * dim:(i * dim + j + 1) * dim]
-            for j in range(dim)] for i in range(dim)]
-    return FinAlgebra(field, mul, unit, name=name, check=False)
+    den, cols = _parse_map(_Scalars(field), in_dims, out_dims, arr)
+    return LinMap(field, in_dims, out_dims, den, cols)
 
 
 # -- documents per kind ----------------------------------------------------
@@ -157,62 +191,22 @@ def to_document(obj, parent=None):
     a path string, an already-built document dict, or None to inline
     the parent taken from the object itself.
     """
-    if isinstance(obj, QuasiHopfAlgebra):
-        n = obj.n
-        doc = {"kind": "quasi-hopf", "field": field_to_json(obj.field),
-               "dim": n, "name": obj.name}
-        doc.update(_algebra_fields(obj.H))
-        doc["coproduct"] = map_to_json(obj.Delta)
-        doc["counit"] = map_to_json(obj.counit)
-        doc["phi"] = tensor_to_json(obj.Phi)
-        doc["antipode"] = map_to_json(obj.S)
-        doc["alpha"] = tensor_to_json(obj.alpha)
-        doc["beta"] = tensor_to_json(obj.beta)
-        return doc
-    if isinstance(obj, FinAlgebra):
-        doc = {"kind": "algebra", "field": field_to_json(obj.field),
-               "dim": obj.dim, "name": obj.name}
-        doc.update(_algebra_fields(obj))
-        return doc
-
-    if parent is None:
-        parent = to_document(obj.Hq)
-    if isinstance(obj, LeftModuleAlgebra):
-        doc = {"kind": "module-algebra-left", "dim": obj.A.dim,
-               "name": obj.name, "action_left": map_to_json(obj.action)}
-        alg = obj.A
-    elif isinstance(obj, RightModuleAlgebra):
-        doc = {"kind": "module-algebra-right", "dim": obj.B.dim,
-               "name": obj.name, "action_right": map_to_json(obj.action)}
-        alg = obj.B
-    elif isinstance(obj, BimoduleAlgebra):
-        doc = {"kind": "bimodule-algebra", "dim": obj.A.dim,
-               "name": obj.name, "action_left": map_to_json(obj.left),
-               "action_right": map_to_json(obj.right)}
-        alg = obj.A
-    elif isinstance(obj, LeftComoduleAlgebra):
-        doc = {"kind": "comodule-algebra-left", "dim": obj.B.dim,
-               "name": obj.name, "coaction_left": map_to_json(obj.lam),
-               "phi_lambda": tensor_to_json(obj.PhiLam)}
-        alg = obj.B
-    elif isinstance(obj, RightComoduleAlgebra):
-        doc = {"kind": "comodule-algebra-right", "dim": obj.A.dim,
-               "name": obj.name, "coaction_right": map_to_json(obj.rho),
-               "phi_rho": tensor_to_json(obj.PhiRho)}
-        alg = obj.A
-    elif isinstance(obj, BicomoduleAlgebra):
-        doc = {"kind": "bicomodule-algebra", "dim": obj.A.dim,
-               "name": obj.name, "coaction_left": map_to_json(obj.lam),
-               "coaction_right": map_to_json(obj.rho),
-               "phi_lambda": tensor_to_json(obj.left.PhiLam),
-               "phi_rho": tensor_to_json(obj.right.PhiRho),
-               "phi_lr": tensor_to_json(obj.PhiLR)}
-        alg = obj.A
-    else:
+    kind = _EXPORT.get(type(obj).__name__)
+    if kind is None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    doc["field"] = field_to_json(alg.field)
-    doc.update(_algebra_fields(alg))
-    doc["parent"] = parent
+    _, alg_attr, arrays = KINDS[kind]
+    alg = attrgetter(alg_attr)(obj) if alg_attr else obj
+    n = alg.dim
+    mul = [c for plane in alg.rows for row in plane
+           for c in map(dict(row).get, range(n), repeat(0))]
+    doc = {"kind": kind, "field": field_to_json(alg.field), "dim": n,
+           "name": obj.name, "mul": _nest((n, n, n), alg.den, mul),
+           "unit": [alg.field.fmt(c) for c in alg.unit]}
+    for key, attr, ins, _ in arrays:
+        val = attrgetter(attr)(obj)
+        doc[key] = map_to_json(val) if ins else tensor_to_json(val)
+    if kind not in ("quasi-hopf", "algebra"):
+        doc["parent"] = to_document(obj.Hq) if parent is None else parent
     return doc
 
 
@@ -234,7 +228,7 @@ def _dim(doc) -> int:
 MAX_PARENT_CHAIN = 2
 
 
-def _parent(doc, base_dir, check, chain, parents):
+def _parent(doc, base_dir, chain, parents):
     """The quasi-Hopf parent of a dependent document; ``chain`` holds the
     documents on the parent chain down to this one, each by its resolved
     path (None for a document not read from a file)."""
@@ -256,89 +250,98 @@ def _parent(doc, base_dir, check, chain, parents):
         base_dir = os.path.dirname(os.path.abspath(path))
     if not isinstance(par, dict):
         raise DocumentError(f"bad parent {par!r}")
-    Hq = from_document(par, base_dir=base_dir, check=check,
-                       _ancestors=chain + (real,))
-    if not isinstance(Hq, QuasiHopfAlgebra):
+    parsed = parse_document(par, base_dir, parents, chain + (real,))
+    if parsed.kind != "quasi-hopf":
         raise DocumentError("parent must be a quasi-Hopf definition")
     if real is not None:
-        parents[real] = Hq
-    return Hq
+        parents[real] = parsed
+    return parsed
 
 
-def from_document(doc, base_dir: str = ".", check: bool = False,
-                  parents: dict | None = None, _ancestors=(None,)):
-    """Rebuild the structure a document defines.  Loads that share one
-    ``parents`` dict build each parent file once, keyed by resolved path.
-
-    Shape or scalar problems, and a parent chain that returns to a file
-    already on it or runs past ``MAX_PARENT_CHAIN`` documents, raise
-    DocumentError; mathematically inconsistent data
-    (non-invertible associators, failed axioms when ``check`` is set)
-    raise ValueError from the constructors.
-    """
+def parse_document(doc, base_dir: str = ".", parents: dict | None = None,
+                   _chain=(None,)):
+    """The parse phase: kind, field, dim, name, the arrays as integer
+    constructor arguments and the parent parsed alike; every document
+    error is raised here.  Parses that share one ``parents`` dict read
+    each parent file once, keyed by resolved path."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     kind = _need(doc, "kind")
     if kind not in KINDS:
         raise DocumentError(f"unknown kind {kind!r}")
     field = field_from_json(_need(doc, "field"))
-    dim = _dim(doc)
-    name = doc.get("name", "")
-    alg = _algebra_from_fields(field, dim, {"mul": _need(doc, "mul"),
-                                            "unit": _need(doc, "unit")}, name)
-    if kind == "algebra":
+    m = _dim(doc)
+    mul, unit = _need(doc, "mul"), _need(doc, "unit")
+    scalars = _Scalars(field)
+    alg = (_parse_map(scalars, (m, m), (m,), mul),
+           _parse_map(scalars, (), (m,), unit))
+    parent, n = None, m
+    if kind not in ("quasi-hopf", "algebra"):
+        parent = _parent(doc, base_dir, _chain,
+                         {} if parents is None else parents)
+        if parent.field != field:
+            raise DocumentError("field differs from the parent's")
+        n = parent.dim
+    slots = {"n": n, "m": m}
+    arrays = []
+    for key, _, ins, outs in KINDS[kind][2]:
+        ins, outs = (tuple(slots[c] for c in s) for s in (ins, outs))
+        arrays.append((ins, outs, *_parse_map(scalars, ins, outs,
+                                              _need(doc, key))))
+    return SimpleNamespace(kind=kind, field=field, dim=m, alg=alg,
+                           name=doc.get("name", ""), arrays=arrays,
+                           parent=parent, obj=None)
+
+
+def build(parsed, check: bool = False):
+    """The build phase: the structure a parsed document defines, a parent
+    shared by several parses built once.  Inconsistent data (singular
+    associators, failed axioms when ``check`` is set) raise ValueError."""
+    from .finalg import FinAlgebra, verify_associative_unital
+    from .linalg import LinMap
+    from .tensors import TensorElt
+    field, name, m = parsed.field, parsed.name, parsed.dim
+    (den, cols), (uden, ucol) = parsed.alg
+    rows = [[[(k, c) for (k,), c in cols[i, j]] for j in range(m)]
+            for i in range(m)]
+    unit = TensorElt.from_num(field, (m,), dict(ucol[()]), uden).to_flat()
+    alg = FinAlgebra.from_int_rows(field, den, rows, unit, name=name)
+    vals = [LinMap(field, ins, outs, d, cols) if ins
+            else TensorElt.from_num(field, outs, dict(cols[()]), d)
+            for ins, outs, d, cols in parsed.arrays]
+    if parsed.kind == "algebra":
         if check:
-            from .finalg import verify_associative_unital
             verify_associative_unital(alg).require(name or "algebra")
         return alg
-    if kind == "quasi-hopf":
-        n = dim
-        Delta = map_from_json(field, (n,), (n, n), _need(doc, "coproduct"))
-        counit = map_from_json(field, (n,), (), _need(doc, "counit"))
-        Phi = tensor_from_json(field, (n, n, n), _need(doc, "phi"))
-        S = map_from_json(field, (n,), (n,), _need(doc, "antipode"))
-        alpha = tensor_from_json(field, (n,), _need(doc, "alpha"))
-        beta = tensor_from_json(field, (n,), _need(doc, "beta"))
-        Hq = QuasiHopfAlgebra(alg, Delta, counit, Phi, S, alpha, beta,
-                              name=name)
+    if parsed.kind == "quasi-hopf":
+        from .quasihopf import QuasiHopfAlgebra
+        Hq = QuasiHopfAlgebra(alg, *vals, name=name)
         if check:
             Hq.verify().require(name or "quasi-Hopf algebra")
         return Hq
 
-    Hq = _parent(doc, base_dir, check, _ancestors,
-                 {} if parents is None else parents)
-    n, m = Hq.n, dim
-    if Hq.field != field:
-        raise DocumentError("field differs from the parent's")
-    if kind == "module-algebra-left":
-        act = map_from_json(field, (n, m), (m,), _need(doc, "action_left"))
-        return LeftModuleAlgebra(Hq, alg, act, name=name, check=check)
-    if kind == "module-algebra-right":
-        act = map_from_json(field, (m, n), (m,), _need(doc, "action_right"))
-        return RightModuleAlgebra(Hq, alg, act, name=name, check=check)
-    if kind == "bimodule-algebra":
-        lft = map_from_json(field, (n, m), (m,), _need(doc, "action_left"))
-        rgt = map_from_json(field, (m, n), (m,), _need(doc, "action_right"))
-        return BimoduleAlgebra(Hq, alg, lft, rgt, name=name, check=check)
-    if kind == "comodule-algebra-left":
-        lam = map_from_json(field, (m,), (n, m), _need(doc, "coaction_left"))
-        PhiLam = tensor_from_json(field, (n, n, m), _need(doc, "phi_lambda"))
-        return LeftComoduleAlgebra(Hq, alg, lam, PhiLam, name=name,
-                                   check=check)
-    if kind == "comodule-algebra-right":
-        rho = map_from_json(field, (m,), (m, n), _need(doc, "coaction_right"))
-        PhiRho = tensor_from_json(field, (m, n, n), _need(doc, "phi_rho"))
-        return RightComoduleAlgebra(Hq, alg, rho, PhiRho, name=name,
-                                    check=check)
-    # bicomodule-algebra
-    lam = map_from_json(field, (m,), (n, m), _need(doc, "coaction_left"))
-    rho = map_from_json(field, (m,), (m, n), _need(doc, "coaction_right"))
-    PhiLam = tensor_from_json(field, (n, n, m), _need(doc, "phi_lambda"))
-    PhiRho = tensor_from_json(field, (m, n, n), _need(doc, "phi_rho"))
-    PhiLR = tensor_from_json(field, (n, m, n), _need(doc, "phi_lr"))
-    left = LeftComoduleAlgebra(Hq, alg, lam, PhiLam, name=name, check=check)
-    right = RightComoduleAlgebra(Hq, alg, rho, PhiRho, name=name, check=check)
-    return BicomoduleAlgebra(left, right, PhiLR, name=name, check=check)
+    from . import actions, coactions
+    if parsed.parent.obj is None:
+        parsed.parent.obj = build(parsed.parent, check)
+    Hq = parsed.parent.obj
+    if parsed.kind == "bicomodule-algebra":
+        lam, rho, PhiLam, PhiRho, PhiLR = vals
+        left = coactions.LeftComoduleAlgebra(Hq, alg, lam, PhiLam,
+                                             name=name, check=check)
+        right = coactions.RightComoduleAlgebra(Hq, alg, rho, PhiRho,
+                                               name=name, check=check)
+        return coactions.BicomoduleAlgebra(left, right, PhiLR, name=name,
+                                           check=check)
+    cls = KINDS[parsed.kind][0]
+    cls = getattr(actions, cls, None) or getattr(coactions, cls)
+    return cls(Hq, alg, *vals, name=name, check=check)
+
+
+def from_document(doc, base_dir: str = ".", check: bool = False,
+                  parents: dict | None = None):
+    """``build`` of ``parse_document``: document errors come before any
+    mathematical one."""
+    return build(parse_document(doc, base_dir, parents), check)
 
 
 # -- files -----------------------------------------------------------------
@@ -366,9 +369,13 @@ def load_document(path: str):
     return doc
 
 
+def parse_file(path: str, parents: dict | None = None) -> Parsed:
+    """``parse_document`` of the document in the file ``path``."""
+    return parse_document(load_document(path),
+                          os.path.dirname(os.path.abspath(path)), parents,
+                          (os.path.realpath(path),))
+
+
 def load_structure(path: str, check: bool = False,
                    parents: dict | None = None):
-    doc = load_document(path)
-    return from_document(doc, base_dir=os.path.dirname(os.path.abspath(path)),
-                         check=check, parents=parents,
-                         _ancestors=(os.path.realpath(path),))
+    return build(parse_file(path, parents), check)

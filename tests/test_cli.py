@@ -205,15 +205,15 @@ def test_construct_builds_a_shared_parent_once(tmp_path, monkeypatch):
     a = _with_parent_file(tmp_path, st["module"], "a.json", "h.json")
     b = _with_parent_file(tmp_path, st["bicomodule"], "b.json", "h.json")
     built = []
-    from_document = serialize.from_document
+    build = serialize.build
 
-    def counting(doc, *args, **kwargs):
-        obj = from_document(doc, *args, **kwargs)
-        if doc.get("kind") == "quasi-hopf":
+    def counting(parsed, *args, **kwargs):
+        obj = build(parsed, *args, **kwargs)
+        if parsed.kind == "quasi-hopf":
             built.append(obj)
         return obj
 
-    monkeypatch.setattr(serialize, "from_document", counting)
+    monkeypatch.setattr(serialize, "build", counting)
     assert main(["construct", "gen-smash", a, b,
                  "--out", str(tmp_path / "x.json")]) == 0
     assert len(built) == 1
@@ -517,3 +517,47 @@ def test_parent_cycle_through_two_files(tmp_path):
             json.dumps(dict(module_doc, parent=f"{there}.json")))
     with pytest.raises(serialize.DocumentError, match="cyclic parent"):
         serialize.load_structure(str(tmp_path / "a.json"))
+
+
+_ALGEBRA_MODULES = ("tensors", "finalg", "quasihopf", "actions", "coactions",
+                    "corpus", "products")
+
+
+@pytest.mark.parametrize("name", ["cyclic-parent", "huge-prime", "huge-dim",
+                                  "truncated-array", "exponent"])
+def test_refused_document_loads_no_algebra_module(tmp_path, name):
+    # cli.main in a fresh interpreter: a document refused while it is
+    # parsed ends in exit 2 before any algebra module is imported
+    module_doc = serialize.to_document(entry("H2")["module"])
+    paths = _hostile_documents(module_doc, tmp_path)
+    paths["exponent"] = tmp_path / "exponent.json"
+    paths["exponent"].write_text(json.dumps(
+        dict(module_doc["parent"], unit=["1e10000000", "0"])))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = ("import json, sys\n"
+              "from quasihopf import cli\n"
+              f"rc = cli.main(['verify', {str(paths[name])!r}])\n"
+              "print(json.dumps([rc, sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    rc, modules = json.loads(proc.stdout)
+    assert rc == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not [m for m in _ALGEBRA_MODULES if f"quasihopf.{m}" in modules]
+
+
+def test_document_error_wins_over_a_mathematical_one(tmp_path, capsys):
+    # the parent's associator is singular and the action has a bad
+    # scalar: the document error is found first, so the exit code is 2
+    doc = serialize.to_document(entry("H2")["module"])
+    doc["parent"]["phi"] = [[["0", "0"], ["0", "0"]]] * 2
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert "associator is not invertible" in capsys.readouterr().err
+    doc["action_left"][0][0][0] = "1.5"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: bad rational scalar '1.5'\n"

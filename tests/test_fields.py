@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quasihopf.fields import GF, MAX_MODULUS, QQ, Field, _is_prime
@@ -86,3 +86,47 @@ def test_parse_rejects_garbage():
         QQ.parse("1.5x")
     with pytest.raises(ValueError):
         GF(5).parse("1/2")
+
+
+# -- the scalar grammar: [+-] ASCII digits, over QQ then an optional /digits
+
+digits = st.text(alphabet="0123456789", min_size=1, max_size=8)
+scalar_texts = st.builds(
+    lambda sign, num, den, pad: pad + sign + num + ("/" + den if den else "")
+    + pad,
+    st.sampled_from(["", "+", "-"]), digits,
+    st.one_of(st.none(), digits.filter(lambda d: int(d) != 0)),
+    st.sampled_from(["", " ", "\t"]))
+
+
+@given(scalar_texts)
+@example("2/4")
+@example("-0")
+@example("007")
+@example("0/5")
+@example("+3")
+@example(" -6/4 ")
+def test_rational_parse_agrees_with_fraction(text):
+    f = Fraction(text)
+    assert QQ.parse_ratio(text) == (f.numerator, f.denominator)
+    assert QQ.parse(text) == f
+
+
+@given(scalar_texts.filter(lambda t: "/" not in t))
+def test_prime_field_parse_agrees_with_int(text):
+    assert GF(7).parse_ratio(text) == (int(text) % 7, 1)
+    assert GF(7).parse(text) == int(text) % 7
+
+
+@pytest.mark.parametrize("text", ["1/0", "", "/3", "3/", "1.5", "1e3", "1_0",
+                                  "1e10000000", "0x10", "1/-2", "١٢",
+                                  "1" * 5000])
+def test_rational_parse_rejects_other_forms(text):
+    with pytest.raises(ValueError, match="bad rational scalar"):
+        QQ.parse(text)
+
+
+@pytest.mark.parametrize("text", ["1/2", "1.0", "1_0", "", "5e0"])
+def test_prime_field_parse_rejects_other_forms(text):
+    with pytest.raises(ValueError, match="bad prime-field scalar"):
+        GF(5).parse(text)

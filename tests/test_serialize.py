@@ -1,4 +1,6 @@
 import json
+import time
+from operator import attrgetter
 
 import pytest
 
@@ -7,7 +9,7 @@ from quasihopf.actions import BimoduleAlgebra, LeftModuleAlgebra
 from quasihopf.coactions import BicomoduleAlgebra
 from quasihopf.fields import GF, QQ
 from quasihopf.quasihopf import QuasiHopfAlgebra
-from quasihopf.serialize import (DocumentError, field_from_json,
+from quasihopf.serialize import (KINDS, DocumentError, field_from_json,
                                  field_to_json, from_document, load_structure,
                                  map_from_json, map_to_json, save_document,
                                  tensor_from_json, tensor_to_json,
@@ -146,3 +148,72 @@ def test_check_on_load_catches_bad_structure():
     from_document(doc, check=False)
     with pytest.raises(Exception):
         from_document(doc, check=True)
+
+
+# -- the parse phase ---------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["1/0", "", "/3", "3/", "1.5", "1e3", "1_0"])
+def test_bad_scalar_in_a_document(text):
+    doc = to_document(entry("H2")["module"])
+    doc["action_left"][1][0][1] = text
+    with pytest.raises(DocumentError, match="bad rational scalar"):
+        from_document(doc)
+
+
+def test_huge_exponent_scalar_is_refused_at_once():
+    doc = to_document(entry("H2")["H"])
+    doc["unit"][0] = "1e10000000"
+    t0 = time.perf_counter()
+    with pytest.raises(DocumentError, match="bad rational scalar"):
+        from_document(doc)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_scalar_type_and_shape_errors_name_the_index():
+    doc = to_document(entry("H2")["H"])
+    doc["phi"][1][0][1] = 3
+    with pytest.raises(DocumentError, match=r"scalar expected at \(1, 0, 1\), "
+                       "got int"):
+        from_document(doc)
+    doc = to_document(entry("H2")["H"])
+    doc["phi"][1][1] = ["0"]
+    with pytest.raises(DocumentError, match=r"length 2 expected at \(1, 1\)"):
+        from_document(doc)
+
+
+def test_document_error_comes_before_a_mathematical_one():
+    # a singular associator in the parent, which the quasi-Hopf
+    # constructor refuses, and a bad scalar in the module's action
+    doc = to_document(entry("H2")["module"])
+    doc["parent"]["phi"] = [[["0", "0"], ["0", "0"]]] * 2
+    with pytest.raises(ValueError, match="not invertible"):
+        from_document(doc)
+    doc["action_left"][0][0][0] = "x"
+    with pytest.raises(DocumentError, match="bad rational scalar 'x'"):
+        from_document(doc)
+
+
+def _same_structure(a, b, kind):
+    """``a`` and ``b`` hold equal integer forms of every array of ``kind``,
+    their algebras and, for a dependent kind, their parents'."""
+    _, alg, arrays = KINDS[kind]
+    pick = attrgetter(alg) if alg else (lambda x: x)
+    assert type(a) is type(b)
+    assert pick(a) == pick(b)
+    assert pick(a).name == pick(b).name
+    for _, attr, _, _ in arrays:
+        assert attrgetter(attr)(a) == attrgetter(attr)(b)
+    if kind not in ("quasi-hopf", "algebra"):
+        _same_structure(a.Hq, b.Hq, "quasi-hopf")
+
+
+@pytest.mark.parametrize("what", ["H", "module", "bicomodule", "dual"])
+@pytest.mark.parametrize("name", ALL)
+def test_export_load_export_is_byte_identical(tmp_path, name, what):
+    obj = entry(name)[what]
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_document(to_document(obj), str(first))
+    back = load_structure(str(first))
+    save_document(to_document(back), str(second))
+    assert first.read_bytes() == second.read_bytes()
+    _same_structure(back, obj, to_document(obj)["kind"])
