@@ -13,7 +13,7 @@ module algebra over H (x) H^op.
 from __future__ import annotations
 
 from .finalg import (FinAlgebra, Report, algebra_from_program,
-                     invert_mixed, program_report)
+                     invert_or_raise, program_report)
 from .linalg import LinMap, reshape_map
 from .quasihopf import QuasiHopfAlgebra
 from .tensors import Program, TensorElt, Var, linmap_from_program
@@ -259,9 +259,7 @@ def twist_action(x, F: TensorElt, FInv: TensorElt | None = None,
     """
     Hq = x.Hq
     if FInv is None:
-        FInv = invert_mixed(F, [Hq.H, Hq.H])
-        if FInv is None:
-            raise ValueError("twist is not invertible")
+        FInv = invert_or_raise(F, [Hq.H, Hq.H], "twist")
     if HF is None:
         HF = Hq.gauge_twist(F, FInv=FInv)
     if isinstance(x, LeftModuleAlgebra):

@@ -221,13 +221,11 @@ def _default_gauge(Hq):
 
 def _gauge_ok(Hq, F) -> bool:
     """Invertible with counit normalization on both slots."""
-    from .finalg import invert_mixed
-    if invert_mixed(F, [Hq.H, Hq.H]) is None:
+    try:
+        Hq.gauge_inverse(F)
+    except ValueError:
         return False
-    one = Hq.unit_elt()
-    eps1 = F.apply_at(0, Hq.counit)
-    eps2 = F.apply_at(1, Hq.counit)
-    return eps1 == one and eps2 == one
+    return True
 
 
 def cmd_theorem(args) -> int:

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finalg import (FinAlgebra, Report, algebra_map_checks, inverse_checks,
-                     invert_mixed, opposite, program_report, slotwise_unit,
-                     tensor_algebra)
+                     invert_mixed, invert_or_raise, opposite, program_report,
+                     slotwise_unit, tensor_algebra)
 from .linalg import LinMap, reshape_map
 from .quasihopf import QuasiHopfAlgebra, tensor_qh
 from .tensors import (Program, TensorElt, Var, fold_slots,
@@ -55,9 +55,8 @@ class RightComoduleAlgebra:
         self.PhiRho = PhiRho
         self.name = name or A.name
         if PhiRhoInv is None:
-            PhiRhoInv = invert_mixed(PhiRho, [A, Hq.H, Hq.H])
-            if PhiRhoInv is None:
-                raise ValueError("mixed associator is not invertible")
+            PhiRhoInv = invert_or_raise(PhiRho, [A, Hq.H, Hq.H],
+                                        "mixed associator")
         self.PhiRhoInv = PhiRhoInv
         if check:
             self.verify().require(self.name or "right comodule algebra")
@@ -121,9 +120,8 @@ class LeftComoduleAlgebra:
         self.PhiLam = PhiLam
         self.name = name or B.name
         if PhiLamInv is None:
-            PhiLamInv = invert_mixed(PhiLam, [Hq.H, Hq.H, B])
-            if PhiLamInv is None:
-                raise ValueError("mixed associator is not invertible")
+            PhiLamInv = invert_or_raise(PhiLam, [Hq.H, Hq.H, B],
+                                        "mixed associator")
         self.PhiLamInv = PhiLamInv
         if check:
             self.verify().require(self.name or "left comodule algebra")
@@ -188,9 +186,8 @@ class BicomoduleAlgebra:
         self.PhiLR = PhiLR
         self.name = name or left.name
         if PhiLRInv is None:
-            PhiLRInv = invert_mixed(PhiLR, [Hq.H, left.B, Hq.H])
-            if PhiLRInv is None:
-                raise ValueError("gluing element is not invertible")
+            PhiLRInv = invert_or_raise(PhiLR, [Hq.H, left.B, Hq.H],
+                                       "gluing element")
         self.PhiLRInv = PhiLRInv
         if check:
             self.verify().require(self.name or "bicomodule algebra")
@@ -263,14 +260,11 @@ class BicomoduleAlgebra:
              Program(self.unit_elt().tensor(Hq.unit_elt())), ())]))
         return rep
 
-    def opcop(self, Hoc: QuasiHopfAlgebra | None = None,
-              check: bool = True) -> "BicomoduleAlgebra":
+    def opcop(self) -> "BicomoduleAlgebra":
         """The opposite algebra with swapped coactions, a bicomodule
-        algebra over the op/cop parent; all three gluing tensors are
-        slot-reversed."""
-        Hq = self.Hq
-        if Hoc is None:
-            Hoc = Hq.variant(op=True, cop=True)
+        algebra over the op/cop parent, unchecked; all three gluing
+        tensors are slot-reversed."""
+        Hoc = self.Hq.variant(op=True, cop=True)
         Aop = opposite(self.A)
         u = Var("u", self.A.dim)
         e = Program.basis(self.field, u)
@@ -288,7 +282,7 @@ class BicomoduleAlgebra:
             name=left.name, check=False)
         return BicomoduleAlgebra(left, right, self.PhiLR.permute((2, 1, 0)),
                                  PhiLRInv=self.PhiLRInv.permute((2, 1, 0)),
-                                 name=left.name, check=check)
+                                 name=left.name, check=False)
 
 
 class TwoSidedCoaction:
@@ -310,9 +304,7 @@ class TwoSidedCoaction:
         self.Psi = Psi
         self.name = name or A.name
         if PsiInv is None:
-            PsiInv = invert_mixed(Psi, [Hq.H, Hq.H, A, Hq.H, Hq.H])
-            if PsiInv is None:
-                raise ValueError("Psi is not invertible")
+            PsiInv = invert_or_raise(Psi, [Hq.H, Hq.H, A, Hq.H, Hq.H], "Psi")
         self.PsiInv = PsiInv
         if check:
             self.verify().require(self.name or "two-sided coaction")
@@ -612,18 +604,26 @@ class OmegaElement:
     flavor: str
 
 
+def _omega_tail(Hq: QuasiHopfAlgebra, t: TensorElt) -> TensorElt:
+    """The unprimed exchange element from the five-slot ``t`` (PsiInv,
+    or its closed form): f multiplied into the last two slots, the two
+    crossed, then S^{-1} on each."""
+    H = Hq.H
+    t = t.insert(3, Hq.drinfeld_twist().f).permute((0, 1, 2, 3, 5, 4, 6))
+    t = t.mul_slots(3, 4, H).mul_slots(4, 5, H)
+    return t.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv)
+
+
 def omega_from_coaction(d: TwoSidedCoaction, primed: bool = False) -> TensorElt:
     """The exchange element of a two-sided coaction, layout
     (H, H, A, H, H); the primed variant is the one for products with
     the bimodule-algebra factor on the right."""
     Hq = d.Hq
-    H = Hq.H
-    dt = Hq.drinfeld_twist()
     if not primed:
-        t = d.PsiInv.insert(3, dt.f).permute((0, 1, 2, 3, 5, 4, 6))
-        t = t.mul_slots(3, 4, H).mul_slots(4, 5, H)
-        return t.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv)
-    t = d.Psi.insert(2, dt.f_inv).permute((0, 2, 1, 3, 4, 5, 6))
+        return _omega_tail(Hq, d.PsiInv)
+    H = Hq.H
+    t = d.Psi.insert(2, Hq.drinfeld_twist().f_inv) \
+        .permute((0, 2, 1, 3, 4, 5, 6))
     t = t.mul_slots(0, 1, H).mul_slots(1, 2, H)
     return t.apply_at(0, Hq.SInv).apply_at(1, Hq.SInv)
 
@@ -698,10 +698,7 @@ def omega_closed_left(Ab: BicomoduleAlgebra) -> TensorElt:
     tP = Ab.right.PhiRho.apply_at(0, Ab.lam).apply_at(0, Hq.Delta)
     tL = Ab.left.PhiLamInv.insert(3, Hq.unit_elt()).insert(4, Hq.unit_elt())
     tT = Ab.PhiLRInv.apply_at(1, Ab.lam).insert(4, Hq.unit_elt())
-    t = slotwise_prod([tP, tL, tT], algs5)
-    t = t.insert(3, Hq.drinfeld_twist().f).permute((0, 1, 2, 3, 5, 4, 6))
-    t = t.mul_slots(3, 4, H).mul_slots(4, 5, H)
-    return t.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv)
+    return _omega_tail(Hq, slotwise_prod([tP, tL, tT], algs5))
 
 
 def omega_closed_right(Ab: BicomoduleAlgebra) -> TensorElt:
@@ -713,31 +710,22 @@ def omega_closed_right(Ab: BicomoduleAlgebra) -> TensorElt:
     tL = Ab.left.PhiLamInv.apply_at(2, Ab.rho).apply_at(3, Hq.Delta)
     tP = Ab.right.PhiRho.insert(0, Hq.unit_elt()).insert(0, Hq.unit_elt())
     tT = Ab.PhiLR.apply_at(1, Ab.rho).insert(0, Hq.unit_elt())
-    t = slotwise_prod([tL, tP, tT], algs5)
-    t = t.insert(3, Hq.drinfeld_twist().f).permute((0, 1, 2, 3, 5, 4, 6))
-    t = t.mul_slots(3, 4, H).mul_slots(4, 5, H)
-    return t.apply_at(3, Hq.SInv).apply_at(4, Hq.SInv)
+    return _omega_tail(Hq, slotwise_prod([tL, tP, tT], algs5))
 
 
-def omega_elements(src, flavor: str, check: bool = True) -> OmegaElement:
-    """Build and certify an exchange element.
+def omega_elements(src: BicomoduleAlgebra, flavor: str,
+                   check: bool = True) -> OmegaElement:
+    """Build and certify an exchange element of a bicomodule algebra.
 
-    For a TwoSidedCoaction the flavors are "plain" and "primed".  For a
-    BicomoduleAlgebra they are "left" (side-l), "right" (side-r) and
-    their primed mates "left-primed"/"right-primed"; the unprimed ones
-    are also compared against their closed forms, the primed ones
-    against the slot-reversed elements of the op/cop structure.
+    The flavors are "left" (side-l), "right" (side-r) and their primed
+    mates "left-primed"/"right-primed"; the unprimed ones are also
+    compared against their closed forms, the primed ones against the
+    slot-reversed elements of the op/cop structure.  A two-sided
+    coaction's element is ``omega_from_coaction``, certified by
+    ``verify_omega``.
     """
-    if isinstance(src, TwoSidedCoaction):
-        if flavor not in ("plain", "primed"):
-            raise ValueError(f"unknown flavor {flavor!r}")
-        value = omega_from_coaction(src, primed=(flavor == "primed"))
-        if check:
-            verify_omega(src, value, primed=(flavor == "primed")) \
-                .require(src.name or "two-sided coaction")
-        return OmegaElement(value, flavor)
     if not isinstance(src, BicomoduleAlgebra):
-        raise TypeError("expected a two-sided coaction or a bicomodule")
+        raise TypeError("expected a bicomodule algebra")
     side = "l" if flavor.startswith("left") else "r"
     if flavor not in ("left", "right", "left-primed", "right-primed"):
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -751,8 +739,7 @@ def omega_elements(src, flavor: str, check: bool = True) -> OmegaElement:
                 else omega_closed_right(src))
         else:
             mate = two_sided_from_bicomodule(
-                src.opcop(check=False), "r" if side == "l" else "l",
-                check=False)
+                src.opcop(), "r" if side == "l" else "l", check=False)
             label, other = "omega-reversal", Program(
                 omega_from_coaction(mate)).permute((4, 3, 2, 1, 0))
         rep = verify_omega(d, value, primed=primed)
@@ -866,16 +853,13 @@ def verify_pq_delta(d: TwoSidedCoaction, pq: PQDelta) -> Report:
 
 # -- the two mixed comodule structures over H (x) H^op ------------------------
 
-def lambda12_structures(Ab: BicomoduleAlgebra,
-                        K: QuasiHopfAlgebra | None = None,
-                        check: bool = True):
-    """The two left comodule algebra structures over H (x) H^op carried
-    by a bicomodule algebra.  Their mixed associators are computed as
-    inverses of the rearranged exchange elements and, with ``check``,
-    compared against the closed forms; returns (A1, A2, K)."""
+def lambda12_structures(Ab: BicomoduleAlgebra, check: bool = True):
+    """The two left comodule algebra structures over K = H (x) H^op
+    carried by a bicomodule algebra.  Their mixed associators are
+    computed as inverses of the rearranged exchange elements and, with
+    ``check``, compared against the closed forms; returns (A1, A2, K)."""
     Hq = Ab.Hq
-    if K is None:
-        K = tensor_qh(Hq, Hq.variant(op=True))
+    K = tensor_qh(Hq, Hq.variant(op=True))
     H = Hq.H
     Hop = opposite(H)
     A = Ab.A
@@ -1040,9 +1024,7 @@ def twist_coaction(x, F: TensorElt, FInv: TensorElt | None = None,
     gluing element of a bicomodule algebra survives untouched."""
     Hq = x.Hq
     if FInv is None:
-        FInv = invert_mixed(F, [Hq.H, Hq.H])
-        if FInv is None:
-            raise ValueError("twist is not invertible")
+        FInv = invert_or_raise(F, [Hq.H, Hq.H], "twist")
     if HF is None:
         HF = Hq.gauge_twist(F, FInv=FInv)
     H = Hq.H

@@ -239,8 +239,6 @@ def quasi_hopf(name: str) -> QuasiHopfAlgebra:
         return sweedler4()
     if name.startswith("FpZn(") and name.endswith(")"):
         parts = [s.strip() for s in name[5:-1].split(",")]
-        if len(parts) == 3 and parts[2] == "standard":
-            parts = parts[:2]
         if len(parts) != 2:
             raise ValueError(f"bad cyclic-corpus name {name!r}")
         try:

@@ -110,10 +110,11 @@ class FinAlgebra:
 
     @classmethod
     def from_int_rows(cls, field: Field, den: int, rows, unit,
-                      name: str = "", check: bool = False) -> "FinAlgebra":
-        """An algebra from sparse rows already in canonical form."""
+                      name: str = "") -> "FinAlgebra":
+        """An algebra from sparse rows already in canonical form,
+        unchecked."""
         A = cls.__new__(cls)
-        A._set(field, den, rows, unit, name, check)
+        A._set(field, den, rows, unit, name, False)
         return A
 
     def _set(self, field, den, rows, unit, name, check):
@@ -335,6 +336,15 @@ def invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
         D * unit.den)
     if slotwise_mul(inv, t, algebras) != unit:
         return None
+    return inv
+
+
+def invert_or_raise(t: TensorElt, algebras, what: str) -> TensorElt:
+    """``invert_mixed(t, algebras)``, raising ValueError ``"{what} is not
+    invertible"`` when ``t`` has no inverse."""
+    inv = invert_mixed(t, algebras)
+    if inv is None:
+        raise ValueError(f"{what} is not invertible")
     return inv
 
 

@@ -44,8 +44,8 @@ from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                         lambda12_structures, omega_from_coaction, pq_delta,
                         tensor_bicomodule, tilde_pq, twist_coaction,
                         twist_equivalence_U, two_sided_from_bicomodule)
-from .finalg import (FinAlgebra, Report, algebra_map_checks, invert_mixed,
-                     program_report, tensor_algebra)
+from .finalg import (FinAlgebra, Report, algebra_map_checks,
+                     invert_or_raise, program_report, tensor_algebra)
 from .linalg import LinMap, reshape_map
 from .products import (_left_part, _right_part, diag_crossed,
                        diag_crossed_general, gen_smash, gen_two_sided_crossed,
@@ -134,16 +134,16 @@ def iso_theta(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
                     "left-right diagonal exchange", check)
 
 
-def four_diagonal_isos(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
-                       check: bool = True):
+def four_diagonal_isos(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra):
     """The four diagonal products of a bicomodule algebra are pairwise
-    isomorphic: theta links each left flavor to its right partner, and
-    the smash-twist equivalence links the two left flavors."""
+    isomorphic, each isomorphism certified: theta links each left flavor
+    to its right partner, and the smash-twist equivalence links the two
+    left flavors."""
     dl = two_sided_from_bicomodule(Ab, "l", check=False)
     dr = two_sided_from_bicomodule(Ab, "r", check=False)
-    th_l = iso_theta(Abi, dl, check=check)
-    th_r = iso_theta(Abi, dr, check=check)
-    tw = diag_flavor_twist_iso(Abi, Ab, check=check)
+    th_l = iso_theta(Abi, dl)
+    th_r = iso_theta(Abi, dr)
+    tw = diag_flavor_twist_iso(Abi, Ab)
     return {"bowtie->rbowtie": th_l, "btrl->rbtrl": th_r,
             "bowtie->btrl": tw}
 
@@ -390,13 +390,14 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
 
 
 def five_corollary(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
-                   Afr, Bfr, check: bool = True):
+                   Afr, Bfr):
     """A # (FA (x) FB) # B ~ (A (x) B) >< (FA (x) FB) ~ FA >< (A (x) B)
-    >< FB, realized by mu and nu over the tensor structures."""
+    >< FB, realized by mu and nu over the tensor structures, both
+    certified."""
     TAB = tensor_bicomodule(_right_part(Afr), _left_part(Bfr))
-    m = iso_mu(Am, Bm, TAB, check=check)
+    m = iso_mu(Am, Bm, TAB)
     AB = tensor_bimodule(Am, Bm, check=False)
-    n = iso_nu(Afr, AB, Bfr, check=check)
+    n = iso_nu(Afr, AB, Bfr)
     return {"diag-to-two-sided-smash": m, "three-factor-to-diag": n}
 
 
@@ -464,9 +465,7 @@ def twist_comodule_by_U(Bco: LeftComoduleAlgebra, U: TensorElt,
     H = Hq.H
     Balg = Bco.B
     if UInv is None:
-        UInv = invert_mixed(U, [H, Balg])
-        if UInv is None:
-            raise ValueError("U is not invertible")
+        UInv = invert_or_raise(U, [H, Balg], "U")
     b = Var("b", Balg.dim)
     t = Program(U.tensor(UInv)).insert(2, b).apply_at(2, Bco.lam)
     # [U1, U2, bm, b0, V1, V2]
@@ -495,9 +494,7 @@ def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
     H = Hq.H
     Balg = Bco.B
     if UInv is None:
-        UInv = invert_mixed(U, [H, Balg])
-        if UInv is None:
-            raise ValueError("U is not invertible")
+        UInv = invert_or_raise(U, [H, Balg], "U")
     if Btwisted is None:
         Btwisted = twist_comodule_by_U(Bco, U, UInv, check=check)
     source = gen_smash(Am, Bco, check=False)
@@ -554,8 +551,7 @@ def diag_flavor_twist_iso(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
     return iso
 
 
-def quantum_double_gen_smash(Hq: QuasiHopfAlgebra,
-                             check: bool = True) -> Report:
+def quantum_double_gen_smash(Hq: QuasiHopfAlgebra) -> Report:
     """The quantum double, realized as the diagonal product of the dual
     with H, written as a generalized smash product over H (x) H^op."""
     from .coactions import regular_bicomodule
@@ -563,7 +559,7 @@ def quantum_double_gen_smash(Hq: QuasiHopfAlgebra,
     dual = dual_of_bimodule_coalgebra(
         regular_bimodule_coalgebra(Hq, check=False), check=False)
     Ab = regular_bicomodule(Hq, check=False)
-    return diag_as_gen_smash(dual, Ab, check=check)
+    return diag_as_gen_smash(dual, Ab)
 
 
 # -- invariance under gauge twisting -----------------------------------------
@@ -580,9 +576,7 @@ def iso_twist_invariance(kind: str, inputs, F: TensorElt,
     """
     if FInv is None:
         Hq0 = inputs[0].Hq
-        FInv = invert_mixed(F, [Hq0.H, Hq0.H])
-        if FInv is None:
-            raise ValueError("twist is not invertible")
+        FInv = invert_or_raise(F, [Hq0.H, Hq0.H], "twist")
     if kind == "gen-smash":
         Am, Bfr = inputs
         Bco = _left_part(Bfr)

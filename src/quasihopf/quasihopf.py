@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finalg import (FinAlgebra, Report, algebra_map_checks, inverse_checks,
-                     invert_mixed, opposite, program_report, slotwise_unit,
+                     invert_or_raise, opposite, program_report, slotwise_unit,
                      tensor_algebra)
 from .linalg import LinMap, reshape_map
 from .tensors import (Program, TensorElt, Var, fold_slots,
@@ -49,9 +49,7 @@ class QuasiBialgebra:
         self.Phi = Phi
         self.name = name or H.name
         if PhiInv is None:
-            PhiInv = invert_mixed(Phi, [H] * 3)
-            if PhiInv is None:
-                raise ValueError("associator is not invertible")
+            PhiInv = invert_or_raise(Phi, [H] * 3, "associator")
         self.PhiInv = PhiInv
 
     def __repr__(self):
@@ -218,10 +216,11 @@ class QuasiHopfAlgebra(QuasiBialgebra):
 
     # -- gauge twisting --------------------------------------------------------
 
-    def gauge_twist(self, F: TensorElt,
-                    FInv: TensorElt | None = None) -> "QuasiHopfAlgebra":
-        """Twist by an invertible F in H (x) H with (eps x id)F =
-        (id x eps)F = 1; multiplication, counit and antipode survive."""
+    def gauge_inverse(self, F: TensorElt,
+                      FInv: TensorElt | None = None) -> TensorElt:
+        """``FInv``, or the inverse of F when it is None, after checking
+        that F is a gauge: an element of H (x) H with (eps x id)F =
+        (id x eps)F = 1, invertible; raises ValueError otherwise."""
         n = self.n
         if F.dims != (n, n):
             raise ValueError("twist must live in two tensor factors")
@@ -229,10 +228,15 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         if F.apply_at(0, self.counit) != one \
                 or F.apply_at(1, self.counit) != one:
             raise ValueError("twist is not counit-normalized")
-        if FInv is None:
-            FInv = invert_mixed(F, [self.H] * 2)
-            if FInv is None:
-                raise ValueError("twist is not invertible")
+        return invert_or_raise(F, [self.H] * 2, "twist") if FInv is None \
+            else FInv
+
+    def gauge_twist(self, F: TensorElt,
+                    FInv: TensorElt | None = None) -> "QuasiHopfAlgebra":
+        """Twist by a gauge F (see ``gauge_inverse``); multiplication,
+        counit and antipode survive."""
+        FInv = self.gauge_inverse(F, FInv)
+        one = self.unit_elt()
         h, _, d = self._basis_var()
         Delta_F = linmap_from_program(
             d.slotwise_mul(F, self.H, left=True).slotwise_mul(FInv, self.H),
@@ -378,8 +382,7 @@ class QuasiHopfAlgebra(QuasiBialgebra):
              .mul_slots(2, 3, H), ())])
 
 
-def tensor_qh(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra,
-              name: str = "") -> QuasiHopfAlgebra:
+def tensor_qh(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra) -> QuasiHopfAlgebra:
     """The tensor-product quasi-Hopf algebra H1 (x) H2: componentwise
     coproduct and antipode, interleaved associator
     (X^1 x Y^1) x (X^2 x Y^2) x (X^3 x Y^3), alpha x alpha, beta x beta."""
@@ -388,8 +391,7 @@ def tensor_qh(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra,
     n1, n2 = H1.n, H2.n
     N = n1 * n2
     field = H1.field
-    if not name and H1.name and H2.name:
-        name = f"{H1.name}(x){H2.name}"
+    name = f"{H1.name}(x){H2.name}" if H1.name and H2.name else ""
     H = tensor_algebra(H1.H, H2.H)
     H.name = name
 

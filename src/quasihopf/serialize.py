@@ -337,11 +337,11 @@ def build(parsed, check: bool = False):
     return cls(Hq, alg, *vals, name=name, check=check)
 
 
-def from_document(doc, base_dir: str = ".", check: bool = False,
-                  parents: dict | None = None):
+def from_document(doc, check: bool = False):
     """``build`` of ``parse_document``: document errors come before any
-    mathematical one."""
-    return build(parse_document(doc, base_dir, parents), check)
+    mathematical one.  A parent named by path is read relative to the
+    working directory."""
+    return build(parse_document(doc), check)
 
 
 # -- files -----------------------------------------------------------------
@@ -369,13 +369,12 @@ def load_document(path: str):
     return doc
 
 
-def parse_file(path: str, parents: dict | None = None) -> Parsed:
+def parse_file(path: str, parents: dict | None = None) -> SimpleNamespace:
     """``parse_document`` of the document in the file ``path``."""
     return parse_document(load_document(path),
                           os.path.dirname(os.path.abspath(path)), parents,
                           (os.path.realpath(path),))
 
 
-def load_structure(path: str, check: bool = False,
-                   parents: dict | None = None):
-    return build(parse_file(path, parents), check)
+def load_structure(path: str, check: bool = False):
+    return build(parse_file(path), check)

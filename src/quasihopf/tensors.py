@@ -345,26 +345,15 @@ def slotwise_mul(a: TensorElt, b: TensorElt, algebras, slots=None,
         lines.append(ln)
         partners.append(nz)
     slot_of = list(enumerate(slots))
-    groups = None
     out = {}
     for ia, ca in a.num.items():
-        if scan:
-            matches = bterms.items()
-        elif prod(map(len, cands := [nz[ia[s]] for nz, s in zip(
+        if not scan and prod(map(len, cands := [nz[ia[s]] for nz, s in zip(
                 partners, slots)])) <= len(bterms):
             # enumerate the b indices that are nonzero in every slot
             matches = [(ib, bterms[ib]) for ib in product(*cands)
                        if ib in bterms]
         else:
-            # fewer terms in b than candidates: scan b, grouped by its
-            # first slot so that pairs whose first slots multiply to zero
-            # are never visited
-            if groups is None:
-                groups = {}
-                for ib, cb in bterms.items():
-                    groups.setdefault(ib[0], []).append((ib, cb))
-            ln0 = lines[0][ia[slots[0]]]
-            matches = [m for j, ms in groups.items() if ln0[j] for m in ms]
+            matches = bterms.items()
         for ib, cb in matches:
             # write the products into a copy of a's index, one copy while
             # each product has one term, bailing out on a zero slot

@@ -270,15 +270,13 @@ def _pairing(fld: Field, n: int) -> LinMap:
         for i in range(n) for j in range(n)})
 
 
-def yd_to_module(M: YDModule, prod: ProductAlgebra | None = None,
-                 check: bool = True):
+def yd_to_module(M: YDModule, prod: ProductAlgebra, check: bool = True):
     """(c* >< u) m = <c*, q~2 . (u.m)_(1)> q~1 . (u.m)_(0): the left
-    module over C* >< A carried by a Yetter-Drinfeld module."""
+    module over ``prod``, the product C* >< A of ``yd_product``, carried
+    by a Yetter-Drinfeld module."""
     Ab, C = M.Ab, M.C
     fld = M.field
     mU, mC, mM = Ab.A.dim, C.dim, M.dim
-    if prod is None:
-        _, prod = yd_product(Ab, C, check=False)
     q = tilde_pq(Ab.right, check=False).q
     x, m = Var("x", mC * mU), Var("m", mM)
     t = Program.basis(fld, x).apply_at(0, reshape_map(fld, (mC * mU,),

@@ -60,7 +60,7 @@ def formula_maps(name: str) -> dict:
     K = tensor_qh(Hq, Hq.variant(op=True))
     for label in ("Delta", "counit", "S", "SInv"):
         out[f"tensor-qh-{label}"] = getattr(K, label)
-    oc = Ab.opcop(check=False)
+    oc = Ab.opcop()
     out["opcop-lam"], out["opcop-rho"] = oc.lam, oc.rho
     T = tensor_bicomodule(Ab.right, Ab.left, check=False)
     out["tensor-bicomodule-lam"], out["tensor-bicomodule-rho"] = T.lam, T.rho
