@@ -18,11 +18,21 @@ MAX_MODULUS = 3317044064679887385961981 - 1
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # scalar text: [+-] ASCII digits, over the rationals then [/digits]
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# the longest repr an error message quotes whole
+QUOTE_LIMIT = 100
+
+
+def quote(value) -> str:
+    """``repr(value)`` for an error message: whole when it has at most
+    QUOTE_LIMIT characters, else its first QUOTE_LIMIT and "...", so
+    that a huge input never makes a huge message."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
 
 
 def _is_prime(p: int) -> bool:
     if p > MAX_MODULUS:
-        raise ValueError(f"modulus {p} exceeds the supported maximum "
+        raise ValueError(f"modulus {quote(p)} exceeds the supported maximum "
                          f"{MAX_MODULUS}")
     if p < 2:
         return False
@@ -53,7 +63,7 @@ class Field:
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise ValueError(f"modulus {quote(p)} is not prime")
         self.p = p
 
     # -- identity / comparison ------------------------------------------
@@ -102,7 +112,7 @@ class Field:
                 g = gcd(n, d)
                 return (n // g, d // g) if self.p is None else (n % self.p, 1)
         kind = "rational" if self.p is None else "prime-field"
-        raise ValueError(f"bad {kind} scalar {text!r}")
+        raise ValueError(f"bad {kind} scalar {quote(text)}")
 
     def parse(self, text: str):
         """The field scalar of ``text`` (see ``parse_ratio``)."""

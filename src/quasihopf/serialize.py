@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import attrgetter
 from types import SimpleNamespace
 
-from .fields import GF, QQ, Field
+from .fields import GF, QQ, Field, quote
 
 # kind: (class, attribute of its algebra, [(key, attribute, input slots,
 # output slots)] in constructor order), slots spelled in n = dim H and
@@ -82,8 +82,8 @@ def field_from_json(obj) -> Field:
         try:
             return GF(obj["Fp"])
         except ValueError as exc:
-            raise DocumentError(f"bad field {obj!r}: {exc}") from None
-    raise DocumentError(f"bad field {obj!r}")
+            raise DocumentError(f"bad field {quote(obj)}: {exc}") from None
+    raise DocumentError(f"bad field {quote(obj)}")
 
 
 def _text(c: int, den: int) -> str:
@@ -219,7 +219,7 @@ def _need(doc, key):
 def _dim(doc) -> int:
     d = _need(doc, "dim")
     if not _is_int(d) or d < 1:
-        raise DocumentError(f"bad dim {d!r}")
+        raise DocumentError(f"bad dim {quote(d)}")
     return d
 
 
@@ -238,7 +238,7 @@ def _parent(doc, base_dir, chain, parents):
         path = par if os.path.isabs(par) else os.path.join(base_dir, par)
         real = os.path.realpath(path)
         if real in chain:
-            raise DocumentError(f"cyclic parent reference to {par!r}")
+            raise DocumentError(f"cyclic parent reference to {quote(par)}")
     if len(chain) >= MAX_PARENT_CHAIN:
         raise DocumentError(f"parent chain longer than {MAX_PARENT_CHAIN} "
                             "documents: a parent must be a quasi-Hopf "
@@ -249,7 +249,7 @@ def _parent(doc, base_dir, chain, parents):
         par = load_document(path)
         base_dir = os.path.dirname(os.path.abspath(path))
     if not isinstance(par, dict):
-        raise DocumentError(f"bad parent {par!r}")
+        raise DocumentError(f"bad parent {quote(par)}")
     parsed = parse_document(par, base_dir, parents, chain + (real,))
     if parsed.kind != "quasi-hopf":
         raise DocumentError("parent must be a quasi-Hopf definition")
@@ -267,8 +267,8 @@ def parse_document(doc, base_dir: str = ".", parents: dict | None = None,
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     kind = _need(doc, "kind")
-    if kind not in KINDS:
-        raise DocumentError(f"unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise DocumentError(f"unknown kind {quote(kind)}")
     field = field_from_json(_need(doc, "field"))
     m = _dim(doc)
     mul, unit = _need(doc, "mul"), _need(doc, "unit")
@@ -360,7 +360,7 @@ def load_document(path: str):
         raise DocumentError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path} is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # a JSONDecodeError, or an int too long
         raise DocumentError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError(f"{path} is nested too deeply") from None

@@ -458,6 +458,36 @@ def test_hostile_document_exits_2(tmp_path, name):
     _verify_in_child(_hostile_documents(module_doc, tmp_path)[name])
 
 
+@pytest.mark.parametrize("name", ["scalar", "parent"])
+def test_a_huge_value_gives_a_short_error_line(tmp_path, name):
+    # a 1,000,000-character scalar in the unit, or a 200,000-element
+    # parent list: each used to be echoed whole on the error line
+    module_doc = serialize.to_document(entry("H2")["module"])
+    doc = dict(module_doc["parent"], unit=["1" * 10 ** 6, "0"]) \
+        if name == "scalar" else dict(module_doc, parent=list(range(200000)))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    line = _verify_in_child(path)
+    assert len(line.encode()) + 1 <= 200
+    assert line.startswith("error: bad rational scalar '111" if name ==
+                           "scalar" else "error: bad parent [0, 1, 2")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"kind": {}, "field": "Q", "dim": 1}', "unknown kind {}"),
+    ('{"kind": ["algebra"], "field": "Q", "dim": 1}',
+     "unknown kind ['algebra']"),
+    ('{"kind": "algebra", "field": {"Fp": ' + "7" * 5000 + '}, "dim": 1}',
+     "is not valid JSON: Exceeds the limit")],
+    ids=["dict-kind", "list-kind", "5000-digit-integer"])
+def test_unhashable_kind_or_overlong_integer_exits_2(tmp_path, text,
+                                                    message):
+    # these ended in a traceback, or in exit 1
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert message in _verify_in_child(path)
+
+
 @pytest.mark.parametrize("key, value", [
     ("field", {"Fp": 5.9}), ("field", {"Fp": " 5 "}),
     ("field", {"Fp": float("inf")}), ("dim", True)])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quasihopf.fields import GF, MAX_MODULUS, QQ, Field, _is_prime
+from quasihopf.fields import (GF, MAX_MODULUS, QQ, QUOTE_LIMIT, Field,
+                              _is_prime, quote)
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
@@ -130,3 +131,22 @@ def test_rational_parse_rejects_other_forms(text):
 def test_prime_field_parse_rejects_other_forms(text):
     with pytest.raises(ValueError, match="bad prime-field scalar"):
         GF(5).parse(text)
+
+
+@pytest.mark.parametrize("value", ["1.5", "x" * (QUOTE_LIMIT - 2), 5.9,
+                                   {"Fp": " 5 "}, [1, 2, 3], None])
+def test_quote_keeps_a_short_value_whole(value):
+    assert quote(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", ["1" * 10 ** 6, list(range(200000)),
+                                   10 ** 4000, {"Fp": 10 ** 200}])
+def test_quote_cuts_a_long_value_to_a_prefix(value):
+    assert quote(value) == repr(value)[:QUOTE_LIMIT] + "..."
+
+
+def test_scalar_error_quotes_a_bounded_prefix():
+    with pytest.raises(ValueError) as exc:
+        QQ.parse("9" * 10 ** 6)
+    assert str(exc.value) == "bad rational scalar '" + "9" * (QUOTE_LIMIT - 1) \
+        + "..."

@@ -168,6 +168,18 @@ def test_induced_costructures(name):
     induced_costructures(p, check=True)
 
 
+@pytest.mark.parametrize("name", ["QZ2", "H2"])
+def test_induced_costructures_of_a_right_gen_smash(name):
+    # the left coaction a right generalized smash product inherits from
+    # its bicomodule factor, checked by its axiom suite; a factor with a
+    # right coaction only has none to give
+    st = entry(name)
+    Ab, Bm = st["bicomodule"], right_regular(st["H"])
+    induced_costructures(right_gen_smash(Ab, Bm, check=False), check=True)
+    with pytest.raises(ValueError, match="carries no left coaction"):
+        induced_costructures(right_gen_smash(Ab.right, Bm, check=False))
+
+
 def test_mismatched_parents_rejected():
     Am = entry("QZ2")["module"]
     Ab = entry("Sweedler4")["bicomodule"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from quasihopf.corpus import (cyclic_with_cocycle, group_algebra_z2,
                               sweedler4, twisted_z2)
 from quasihopf.fields import GF, QQ
-from quasihopf.finalg import FinAlgebra
+from quasihopf.finalg import FinAlgebra, mul_linmap
 from quasihopf.linalg import (flat_index, linmap_from_columns, prod,
                               reshape_map, unflatten)
 from quasihopf import tensors as tensors_module
@@ -719,6 +719,42 @@ def test_plan_fuses_folds_and_hoists():
         .mul_slots(1, 2, H)
     assert _planned_kinds(kept, ()) == ["insert", "mul_slots", "apply_at",
                                         "mul_slots"]
+
+
+def test_plan_merges_permutes_rearranges_and_refuses_overlaps():
+    # the branches of ``_fuse`` and ``_emit`` that the corpus programs do
+    # not reach, each checked against step-by-step evaluation
+    Hq = sweedler4()
+    H = Hq.H
+    t = TensorElt.from_flat(QQ, (4, 4), [Fraction(f % 5, 3)
+                                         for f in range(16)])
+    x = TensorElt.from_flat(QQ, (4, 4), [Fraction(f % 3 - 1, 2)
+                                         for f in range(16)])
+    y = TensorElt.from_vector(QQ, [Fraction(1, 2), 0, 3, -1])
+    u = Var("u", 4)
+    # the product of the two fixed slots moves before the loop of u, so
+    # the permutes that follow it are emitted next to each other: they
+    # merge into one, or into none when they cancel
+    hoisted = Program(t.insert(2, y)).tensor(u).mul_slots(0, 1, H)
+    assert _planned_kinds(hoisted.permute((1, 2, 0)).permute((1, 0, 2)),
+                          (u,)) == ["mul_slots", "insert", "permute"]
+    assert _planned_kinds(hoisted.permute((1, 0, 2)).permute((1, 0, 2)),
+                          (u,)) == ["mul_slots", "insert"]
+    # y multiplied from the left into the first slot: fused, its product
+    # stands where that slot was, not where y was inserted, so the two
+    # slots the multiplication map reads are brought together first
+    apart = Program(t.insert(2, y)).insert(3, y).mul_slots(3, 0, H) \
+        .apply_at(1, mul_linmap(H))
+    assert _planned_kinds(apart, ()) == ["slotwise_mul", "permute",
+                                         "apply_at"]
+    # an operand multiplied into itself, or into a product it made, is
+    # not fused
+    into_itself = Program(t).insert(0, x).mul_slots(0, 1, H)
+    assert _planned_kinds(into_itself, ()) == ["insert", "mul_slots"]
+    into_product = Program(t).insert(2, x).mul_slots(0, 2, H) \
+        .mul_slots(0, 2, H)
+    assert _planned_kinds(into_product, ()) == ["insert", "mul_slots",
+                                                "mul_slots"]
 
 
 def test_linmap_from_program_rebuilds_coproduct():
