@@ -1,13 +1,14 @@
 """A golden transcript of the command line.
 
-``session`` runs a fixed list of commands through ``cli.main`` in one
-process, in a scratch directory: every corpus export and its
+``transcript`` runs a fixed list of commands through ``cli.main`` in
+one process, in a temporary directory: every corpus export and its
 ``verify --suite=all``, the constructions and theorems of the
-benchmark's cli-session, four hostile documents and a few usage errors.
-Each record holds the command, its exit code, its stdout and stderr
-with timings masked, and the SHA-256 of every document it wrote.  The
-expected records in ``cli_transcript.json`` were taken before any of
-the code they cover was pruned; a refactor must leave them unchanged.
+benchmark's cli-session workload, four hostile documents and a few
+usage errors.  Each record holds the command, its exit code, its
+stdout and stderr with timings masked, and the SHA-256 of every
+document it wrote.  The expected records in ``cli_transcript.json``
+were taken before any of the code they cover was pruned; a refactor
+must leave them unchanged.
 
 To re-record (only when the command line is meant to change):
 ``PYTHONPATH=src python tests/test_cli_transcript.py``.
@@ -89,17 +90,17 @@ def _write_inputs():
             json.dump(doc, fh)
 
 
-def session(where: str) -> list:
+def transcript(where: str) -> list:
     """The transcript of the fixed command list, run in ``where``."""
     cwd = os.getcwd()
     os.chdir(where)
     try:
-        return _session()
+        return _commands()
     finally:
         os.chdir(cwd)
 
 
-def _session() -> list:
+def _commands() -> list:
     records = [_run(["corpus", "list"])]
     for entry in ENTRIES:
         for what in WHATS:
@@ -151,7 +152,7 @@ def _session() -> list:
 def test_cli_transcript_is_unchanged(tmp_path):
     with open(GOLDEN) as fh:
         golden = json.load(fh)
-    records = session(str(tmp_path))
+    records = transcript(str(tmp_path))
     assert [r["argv"] for r in records] == [r["argv"] for r in golden]
     for got, want in zip(records, golden):
         assert got == want, got["argv"]
@@ -160,8 +161,8 @@ def test_cli_transcript_is_unchanged(tmp_path):
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        transcript = session(tmp)
+        records = transcript(tmp)
     with open(GOLDEN, "w") as fh:
-        json.dump(transcript, fh, indent=1, sort_keys=True)
+        json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {GOLDEN}: {len(transcript)} commands", file=sys.stderr)
+    print(f"wrote {GOLDEN}: {len(records)} commands", file=sys.stderr)
