@@ -13,7 +13,7 @@ module algebra over H (x) H^op.
 from __future__ import annotations
 
 from .finalg import (FinAlgebra, Report, algebra_from_program,
-                     invert_or_raise, program_report)
+                     program_report)
 from .linalg import LinMap, reshape_map
 from .quasihopf import QuasiHopfAlgebra
 from .tensors import Program, TensorElt, Var, linmap_from_program
@@ -257,11 +257,7 @@ def twist_action(x, F: TensorElt, FInv: TensorElt | None = None,
     (G^1.p.F^1)(G^2.p'.F^2).  Unit and actions are unchanged; the
     parent becomes H twisted by F.
     """
-    Hq = x.Hq
-    if FInv is None:
-        FInv = invert_or_raise(F, [Hq.H, Hq.H], "twist")
-    if HF is None:
-        HF = Hq.gauge_twist(F, FInv=FInv)
+    FInv, HF = x.Hq.twisted(F, FInv, HF)
     if isinstance(x, LeftModuleAlgebra):
         a, a2 = Var("a", x.A.dim), Var("a'", x.A.dim)
         prog = Program(FInv).insert(1, a).apply_at(0, x.action) \

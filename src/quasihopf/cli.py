@@ -9,6 +9,7 @@ document refused while it is parsed never loads them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -329,6 +330,7 @@ def cmd_corpus(args) -> int:
 
 # -- entry point -----------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="quasihopf",

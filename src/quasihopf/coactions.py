@@ -1022,12 +1022,8 @@ def twist_coaction(x, F: TensorElt, FInv: TensorElt | None = None,
     twist by F: coactions are unchanged; the right mixed associator
     becomes (1 x F) PhiRho, the left one PhiLam (FInv x 1), and the
     gluing element of a bicomodule algebra survives untouched."""
-    Hq = x.Hq
-    if FInv is None:
-        FInv = invert_or_raise(F, [Hq.H, Hq.H], "twist")
-    if HF is None:
-        HF = Hq.gauge_twist(F, FInv=FInv)
-    H = Hq.H
+    FInv, HF = x.Hq.twisted(F, FInv, HF)
+    H = x.Hq.H
     if isinstance(x, RightComoduleAlgebra):
         oneA = x.unit_elt()
         algs = [x.A, H, H]

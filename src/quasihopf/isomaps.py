@@ -574,14 +574,11 @@ def iso_twist_invariance(kind: str, inputs, F: TensorElt,
     * ``two-sided-smash``: the map a#h#b -> F1.a # F2 h G1 # b.G2 is a
       verified isomorphism onto the product of the twisted inputs.
     """
-    if FInv is None:
-        Hq0 = inputs[0].Hq
-        FInv = invert_or_raise(F, [Hq0.H, Hq0.H], "twist")
+    Hq = inputs[0].Hq
+    FInv, HF = Hq.twisted(F, FInv)
     if kind == "gen-smash":
         Am, Bfr = inputs
         Bco = _left_part(Bfr)
-        Hq = Am.Hq
-        HF = Hq.gauge_twist(F, FInv=FInv)
         lhs = gen_smash(Am, Bco, check=False)
         rhs = gen_smash(twist_action(Am, F, FInv=FInv, HF=HF, check=False),
                         twist_coaction(Bco, F, FInv=FInv, HF=HF,
@@ -592,8 +589,6 @@ def iso_twist_invariance(kind: str, inputs, F: TensorElt,
         return rep
     if kind == "diag":
         Abi, Ab = inputs
-        Hq = Abi.Hq
-        HF = Hq.gauge_twist(F, FInv=FInv)
         AbiF = twist_action(Abi, F, FInv=FInv, HF=HF, check=False)
         AbF = twist_coaction(Ab, F, FInv=FInv, HF=HF, check=False)
         rep = Report()
@@ -606,9 +601,7 @@ def iso_twist_invariance(kind: str, inputs, F: TensorElt,
         return rep
     if kind == "two-sided-smash":
         Am, Bm = inputs
-        Hq = Am.Hq
         H = Hq.H
-        HF = Hq.gauge_twist(F, FInv=FInv)
         source = two_sided_smash(Am, Bm, check=False)
         AmF = twist_action(Am, F, FInv=FInv, HF=HF, check=False)
         BmF = twist_action(Bm, F, FInv=FInv, HF=HF, check=False)

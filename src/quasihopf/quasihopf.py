@@ -231,6 +231,14 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         return invert_or_raise(F, [self.H] * 2, "twist") if FInv is None \
             else FInv
 
+    def twisted(self, F: TensorElt, FInv: TensorElt | None = None,
+                HF: "QuasiHopfAlgebra | None" = None) -> tuple:
+        """``(FInv, HF)``: the inverse of the gauge F and H twisted by F,
+        each computed only when it is not given."""
+        if FInv is None:
+            FInv = invert_or_raise(F, [self.H, self.H], "twist")
+        return FInv, self.gauge_twist(F, FInv=FInv) if HF is None else HF
+
     def gauge_twist(self, F: TensorElt,
                     FInv: TensorElt | None = None) -> "QuasiHopfAlgebra":
         """Twist by a gauge F (see ``gauge_inverse``); multiplication,

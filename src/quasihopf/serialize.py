@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import attrgetter
 from types import SimpleNamespace
 
-from .fields import GF, QQ, Field, quote
+from .fields import GF, QQ, QUOTE_LIMIT, Field, quote
 
 # kind: (class, attribute of its algebra, [(key, attribute, input slots,
 # output slots)] in constructor order), slots spelled in n = dim H and
@@ -353,19 +353,22 @@ def save_document(doc, path: str):
 
 
 def load_document(path: str):
+    # a long path is cut, and the OSError then told by its strerror alone
+    name = path if len(path) <= QUOTE_LIMIT else path[:QUOTE_LIMIT] + "..."
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from None
+        why = exc if name == path else exc.strerror
+        raise DocumentError(f"cannot read {name}: {why}") from None
     except UnicodeDecodeError as exc:
-        raise DocumentError(f"{path} is not UTF-8 text: {exc}") from None
+        raise DocumentError(f"{name} is not UTF-8 text: {exc}") from None
     except ValueError as exc:       # a JSONDecodeError, or an int too long
-        raise DocumentError(f"{path} is not valid JSON: {exc}") from None
+        raise DocumentError(f"{name} is not valid JSON: {exc}") from None
     except RecursionError:
-        raise DocumentError(f"{path} is nested too deeply") from None
+        raise DocumentError(f"{name} is nested too deeply") from None
     if not isinstance(doc, dict):
-        raise DocumentError(f"{path} must hold a JSON object")
+        raise DocumentError(f"{name} must hold a JSON object")
     return doc
 
 

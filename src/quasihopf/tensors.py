@@ -57,12 +57,16 @@ An element is stored as integer numerators over one shared denominator:
 positive int, so the coefficient at ``idx`` is ``num[idx] / den``.  Over
 the rationals the pair is kept in lowest terms (``gcd(den, *num) == 1``);
 over GF(p) ``den`` is 1 and the numerators are residues in ``[0, p)``.
-The combinators accumulate plain ints, reading the integer columns a
-``LinMap`` holds and the integer rows a ``FinAlgebra`` holds, and
-normalise once at the end.  Field scalars (``Fraction`` over the
-rationals) appear only at the boundary: the constructor takes them, and
-``terms`` (a read-only {multi-index tuple: scalar} view) and ``to_flat``
-return them.
+Each combinator's loop is written once, as a step kernel (``_kernel``)
+on raw numerators, reading the integer columns of a ``LinMap`` and rows
+of a ``FinAlgebra``; a combinator call normalises its result.  The
+executor binds each step's kernel once and carries raw numerators: over
+GF(p) each kernel reduces mod p, over the rationals lowest terms are
+taken only where a value is held for an inner loop or sunk.  A held
+zero skips the loops beneath it, each value there being zero.  Field
+scalars (``Fraction`` over the rationals) appear only at the boundary:
+the constructor takes them, and ``terms`` (a read-only {multi-index
+tuple: scalar} view) and ``to_flat`` return them.
 The flat coordinate order is the row-major convention from linalg.
 """
 
@@ -70,9 +74,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd, lcm
-from operator import itemgetter, methodcaller
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .fields import Field
@@ -116,21 +121,122 @@ def _new(field: Field, dims, num, den) -> "TensorElt":
     return t
 
 
-def _normal(field: Field, dims, num, den) -> "TensorElt":
-    """An element from accumulated int numerators over ``den`` > 0:
-    zeros dropped, then reduced mod p or divided by the common gcd."""
-    p = field.p
-    if p is not None:
-        return _new(field, dims, {idx: r for idx, c in num.items()
-                                  if (r := c % p)}, 1)
+def _residues(num, p):
+    """``num`` mod ``p`` without zero residues; as it is if ``p`` is None."""
+    return num if p is None else {idx: r for idx, c in num.items()
+                                  if (r := c % p)}
+
+
+def _lowest(num, den):
+    """Rational numerators over ``den`` > 0 in lowest terms: zeros
+    dropped, then divided by the common gcd."""
     if 0 in num.values():
         num = {idx: c for idx, c in num.items() if c}
-    if den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            den //= g
-            num = {idx: c // g for idx, c in num.items()}
-    return _new(field, dims, num, den)
+    g = gcd(den, *num.values()) if den != 1 else 1
+    if g != 1:
+        den //= g
+        num = {idx: c // g for idx, c in num.items()}
+    return num, den
+
+
+def _normal(field: Field, dims, num, den) -> "TensorElt":
+    """An element from int numerators over ``den`` > 0, normalised."""
+    p = field.p
+    return _new(field, dims, *(_lowest(num, den) if p is None
+                               else (_residues(num, p), 1)))
+
+
+# -- step kernels --------------------------------------------------------------
+
+def _kernel(step, p=None):
+    """``(run, den)``: the loop of the Program step ``step``, constants
+    bound, from the value's numerators (and the operand's ``x``) to the
+    result's, mod ``p`` if given; the denominator gains ``den``."""
+    kind = step[0]
+    if kind == "permute":
+        pick = itemgetter(*step[1]) if len(step[1]) > 1 else None
+        return (lambda num: {pick(idx): c for idx, c in num.items()}
+                if pick else num), 1
+    if kind == "insert":
+        pos = step[1]
+        return (lambda num, x: _residues({
+            ia[:pos] + ib + ia[pos:]: ca * cb for ia, ca in num.items()
+            for ib, cb in x.items()}, p)), 1
+    if kind == "apply_at":
+        _, pos, lm = step
+        end, cols = pos + len(lm.in_dims), lm.cols
+
+        def run(num):
+            out = {}
+            get = out.get
+            for idx, c in num.items():
+                head, tail = idx[:pos], idx[end:]
+                for o, mc in cols[idx[pos:end]]:
+                    nid = head + o + tail
+                    out[nid] = get(nid, 0) + c * mc
+            return _residues(out, p)
+        return run, lm.den
+    if kind == "mul_slots":
+        _, pos_a, pos_b, alg = step
+        rows = alg.rows
+        dst = pos_a if pos_a < pos_b else pos_a - 1
+
+        def run(num):
+            out = {}
+            get = out.get
+            for idx, c in num.items():
+                base = list(idx)
+                del base[pos_b]
+                for k, mc in rows[idx[pos_a]][idx[pos_b]]:
+                    base[dst] = k
+                    nid = tuple(base)
+                    out[nid] = get(nid, 0) + c * mc
+            return _residues(out, p)
+        return run, alg.den
+    # slotwise_mul (see there): lines[r][i][j] is e_i, in the value's slot
+    # slots[r], times e_j of x's slot r; partners[r][i] the j where nonzero
+    _, _, algebras, slots, left = step
+    k, lines, partners = len(slots), [], []
+    for alg, side in zip(algebras, left):
+        lines.append(list(zip(*alg.rows)) if side else alg.rows)
+        partners.append([[j for j, q in enumerate(ln) if q]
+                         for ln in lines[-1]])
+    slot_of = list(enumerate(slots))
+
+    def run(num, x):
+        # with no more terms in x than slots every pair is tried;
+        # otherwise the candidates of each index are looked up
+        scan = len(x) <= k
+        out = {}
+        for ia, ca in num.items():
+            if not scan and prod(map(len, cands := [nz[ia[s]] for nz, s in zip(
+                    partners, slots)])) <= len(x):
+                # enumerate the x indices that are nonzero in every slot
+                matches = [(ib, x[ib]) for ib in product(*cands) if ib in x]
+            else:
+                matches = x.items()
+            for ib, cb in matches:
+                # write the products into a copy of the value's index, one
+                # copy while each product has one term, bailing out on a
+                # zero slot
+                idx, coef, partial = list(ia), ca * cb, None
+                for r, s in slot_of:
+                    row = lines[r][ia[s]][ib[r]]
+                    if not row:
+                        break
+                    if partial is None and len(row) == 1:
+                        idx[s], mc = row[0]
+                        coef *= mc
+                        continue
+                    partial = [(q[:s] + [kk] + q[s + 1:], c * mc)
+                               for q, c in partial or [(idx, coef)]
+                               for kk, mc in row]
+                else:
+                    for idx, coef in partial or [(idx, coef)]:
+                        idx = tuple(idx)
+                        out[idx] = out.get(idx, 0) + coef
+        return _residues(out, p)
+    return run, prod(alg.den for alg in algebras)
 
 
 class TensorElt:
@@ -233,32 +339,28 @@ class TensorElt:
 
     # -- combinators ---------------------------------------------------------
 
+    def _step(self, step, dims, x: "TensorElt | None" = None) -> "TensorElt":
+        """The Program step ``step``, with the operand ``x`` of an insert
+        or a slotwise step, run on this element; ``dims`` are the result's."""
+        run, den = _kernel(step)
+        num = run(self.num) if x is None else run(self.num, x.num)
+        return _normal(self.field, dims, num,
+                       self.den * den * (x.den if x else 1))
+
     def tensor(self, other: "TensorElt") -> "TensorElt":
         if self.field != other.field:
             raise ValueError("field mismatch")
-        num = {ia + ib: ca * cb for ia, ca in self.num.items()
-               for ib, cb in other.num.items()}
-        return _normal(self.field, self.dims + other.dims, num,
-                       self.den * other.den)
+        return self.insert(len(self.dims), other)
 
     def apply_at(self, pos: int, lm: LinMap) -> "TensorElt":
         """Apply ``lm`` to the ``len(lm.in_dims)`` slots starting at ``pos``."""
-        a = len(lm.in_dims)
-        end = pos + a
+        end = pos + len(lm.in_dims)
         if self.dims[pos:end] != lm.in_dims:
             raise ValueError(
                 f"slots {self.dims[pos:end]} do not match map input "
                 f"{lm.in_dims}")
-        new_dims = self.dims[:pos] + lm.out_dims + self.dims[end:]
-        cols = lm.cols
-        num = {}
-        get = num.get
-        for idx, c in self.num.items():
-            head, tail = idx[:pos], idx[end:]
-            for out, mc in cols[idx[pos:end]]:
-                nid = head + out + tail
-                num[nid] = get(nid, 0) + c * mc
-        return _normal(self.field, new_dims, num, self.den * lm.den)
+        return self._step(("apply_at", pos, lm), self.dims[:pos]
+                          + lm.out_dims + self.dims[end:])
 
     def mul_slots(self, pos_a: int, pos_b: int, algebra) -> "TensorElt":
         """Multiply slot ``pos_a`` by slot ``pos_b`` (in that order) inside
@@ -266,40 +368,22 @@ class TensorElt:
         ``pos_b`` is removed."""
         if pos_a == pos_b:
             raise ValueError("slots must differ")
-        n = algebra.dim
-        if self.dims[pos_a] != n or self.dims[pos_b] != n:
+        if self.dims[pos_a] != algebra.dim or self.dims[pos_b] != algebra.dim:
             raise ValueError("slot dimension does not match algebra")
-        D, rows = algebra.den, algebra.rows
-        dst = pos_a if pos_a < pos_b else pos_a - 1
-        new_dims = tuple(d for t, d in enumerate(self.dims) if t != pos_b)
-        num = {}
-        get = num.get
-        for idx, c in self.num.items():
-            base = list(idx)
-            del base[pos_b]
-            for k, mc in rows[idx[pos_a]][idx[pos_b]]:
-                base[dst] = k
-                nid = tuple(base)
-                num[nid] = get(nid, 0) + c * mc
-        return _normal(self.field, new_dims, num, self.den * D)
+        return self._step(("mul_slots", pos_a, pos_b, algebra), tuple(
+            d for t, d in enumerate(self.dims) if t != pos_b))
 
     def permute(self, perm) -> "TensorElt":
         """Reorder slots: output slot r carries the old slot ``perm[r]``."""
         if sorted(perm) != list(range(len(self.dims))):
             raise ValueError("not a permutation of the slots")
-        if len(perm) < 2:
-            return self
-        pick = itemgetter(*perm)
-        return _new(self.field, pick(self.dims),
-                    {pick(idx): c for idx, c in self.num.items()}, self.den)
+        return _new(self.field, tuple(map(self.dims.__getitem__, perm)),
+                    _kernel(("permute", perm))[0](self.num), self.den)
 
     def insert(self, pos: int, other: "TensorElt") -> "TensorElt":
         """Tensor ``other`` into position ``pos``."""
-        num = {ia[:pos] + ib + ia[pos:]: ca * cb
-               for ia, ca in self.num.items() for ib, cb in other.num.items()}
-        return _normal(self.field,
-                       self.dims[:pos] + other.dims + self.dims[pos:], num,
-                       self.den * other.den)
+        dims = self.dims[:pos] + other.dims + self.dims[pos:]
+        return self._step(("insert", pos, other), dims, other)
 
 
 def slotwise_mul(a: TensorElt, b: TensorElt, algebras, slots=None,
@@ -315,65 +399,16 @@ def slotwise_mul(a: TensorElt, b: TensorElt, algebras, slots=None,
     product is nonzero in each slot or by scanning ``b``, whichever
     visits fewer pairs.
     """
-    n, k = len(a.dims), len(b.dims)
+    k = len(b.dims)
     if slots is None:
-        if n != k:
+        if len(a.dims) != k:
             raise ValueError("slot count mismatch")
         slots = range(k)
     if left is None:
         left = (False,) * k
     if not isinstance(algebras, (list, tuple)):
         algebras = [algebras] * k
-    den = a.den * b.den
-    for alg in algebras:
-        den *= alg.den
-    bterms = b.num
-    # with no more terms in b than slots every pair is tried; otherwise
-    # the candidates of each index are looked up
-    scan = len(bterms) <= k
-    # lines[r][i]: the products of e_i, in slot slots[r] of a, with each
-    # e_j of slot r of b; partners[r][i]: the j whose product is nonzero
-    lines, partners = [], []
-    for alg, s, side in zip(algebras, slots, left):
-        rows, m = alg.rows, alg.dim
-        ln, nz = ([None] * m if side else rows), [None] * m
-        for i in set(map(itemgetter(s), a.num)) if side or not scan else ():
-            if side:
-                ln[i] = [row[i] for row in rows]
-            if not scan:
-                nz[i] = [j for j, p in enumerate(ln[i]) if p]
-        lines.append(ln)
-        partners.append(nz)
-    slot_of = list(enumerate(slots))
-    out = {}
-    for ia, ca in a.num.items():
-        if not scan and prod(map(len, cands := [nz[ia[s]] for nz, s in zip(
-                partners, slots)])) <= len(bterms):
-            # enumerate the b indices that are nonzero in every slot
-            matches = [(ib, bterms[ib]) for ib in product(*cands)
-                       if ib in bterms]
-        else:
-            matches = bterms.items()
-        for ib, cb in matches:
-            # write the products into a copy of a's index, one copy while
-            # each product has one term, bailing out on a zero slot
-            idx, coef, partial = list(ia), ca * cb, None
-            for r, s in slot_of:
-                row = lines[r][ia[s]][ib[r]]
-                if not row:
-                    break
-                if partial is None and len(row) == 1:
-                    idx[s], mc = row[0]
-                    coef *= mc
-                    continue
-                partial = [(p[:s] + [kk] + p[s + 1:], c * mc)
-                           for p, c in partial or [(idx, coef)]
-                           for kk, mc in row]
-            else:
-                for idx, coef in partial or [(idx, coef)]:
-                    idx = tuple(idx)
-                    out[idx] = out.get(idx, 0) + coef
-    return _normal(a.field, a.dims, out, den)
+    return a._step(("slotwise_mul", b, algebras, slots, left), a.dims, b)
 
 
 def slotwise_prod(factors, algebras) -> TensorElt:
@@ -722,34 +757,20 @@ def _emit(prog: Program, ops, final, anchors) -> tuple:
     return tuple(out)
 
 
-def _read_basis(t: TensorElt, plan, cols, den: int, dims, i: int):
-    """Insert e_i and contract it, reading the images off ``cols`` (over
-    ``den``): ``plan`` lists the terms of ``t`` as (slots before the
-    ones read, key slots before e_i, key slots after e_i, slots after,
-    coefficient); ``dims`` are the result's."""
-    num = {}
-    get = num.get
-    for head, pre, post, tail, c in plan:
-        for out, mc in cols[pre + (i,) + post]:
-            nid = head + out + tail
-            num[nid] = get(nid, 0) + c * mc
-    return _normal(t.field, dims, num, t.den * den)
-
-
-def _reader(pos: int, step, dim: int, vals, s: int):
-    """``(prepare, used)``: ``prepare(t)`` gives the function that
-    inserts e_i, i = ``vals[s]``, into ``t`` at ``pos`` through
-    ``_read_basis`` and, when ``step`` contracts e_i (``used``), runs
-    ``step`` too.  A contraction reads e_i as key position ``at`` with
-    the ``w`` slots of ``t`` from ``lo``, and writes its images in their
-    place."""
-    lo, w, at, den, out, used = pos, 0, 0, 1, (dim,), False
+def _reader(pos: int, step, dim: int, vals, s: int, p):
+    """``(prepare, used)``: ``prepare(num)`` gives the function that
+    inserts e_i, i = ``vals[s]``, into ``num`` at ``pos`` and, when
+    ``step`` contracts e_i (``used``), runs ``step`` too; it returns
+    ``(num, den)``, ``den`` the factor of the denominator.  A contraction
+    reads e_i as key position ``at`` with the ``w`` slots from ``lo``
+    off the map's columns or the algebra's rows, in their place."""
+    lo, w, at, den, used = pos, 0, 0, 1, False
     cols = {(i,): [((i,), 1)] for i in range(dim)}
     kind = step[0] if step else None
     if kind == "apply_at" and step[1] <= pos < step[1] + len(step[2].in_dims):
         lm = step[2]
         lo, w, at, used = step[1], len(lm.in_dims) - 1, pos - step[1], True
-        cols, den, out = lm.cols, lm.den, lm.out_dims
+        cols, den = lm.cols, lm.den
     elif kind == "mul_slots":
         _, a, b, alg = step
         b_pre = b if b < pos else b - 1
@@ -758,43 +779,42 @@ def _reader(pos: int, step, dim: int, vals, s: int):
         elif a == pos and (a if a < b else a - 1) == b_pre:
             lo, at, used = b_pre, 0, True   # e_i t[b], where t[b] was
         if used:
-            n, rows = alg.dim, alg.rows
-            w, den, out = 1, alg.den, (n,)
-            cols = {(x, y): [((k,), c) for k, c in rows[x][y]]
+            w, den, n = 1, alg.den, alg.dim
+            cols = {(x, y): [((k,), c) for k, c in alg.rows[x][y]]
                     for x in range(n) for y in range(n)}
 
-    def prepare(t):
+    def prepare(num):
         plan = [(idx[:lo], idx[lo:lo + at], idx[lo + at:lo + w],
-                 idx[lo + w:], c) for idx, c in t.num.items()]
-        dims = t.dims[:lo] + out + t.dims[lo + w:]
-        return lambda: _read_basis(t, plan, cols, den, dims, vals[s])
+                 idx[lo + w:], c) for idx, c in num.items()]
+
+        def value():
+            i = (vals[s],)
+            out = {}
+            get = out.get
+            for head, pre, post, tail, c in plan:
+                for o, mc in cols[pre + i + post]:
+                    nid = head + o + tail
+                    out[nid] = get(nid, 0) + c * mc
+            return _residues(out, p), den
+        return value
     return prepare, used
 
 
-def _op(step):
-    """A step that reads no variable, as a function of the value."""
-    if step[0] != "slotwise_mul":
-        return methodcaller(*step)
-    _, x, algebras, slots, left = step
-    return lambda t: slotwise_mul(t, x, algebras, slots, left)
-
-
-def _compile(prog: Program, order, sink, head: bool = False):
+def _compile(prog: Program, order, sink, skip=False, head: bool = False):
     """``(run, vals)``: ``run()`` evaluates ``prog`` for every value of
-    the variables ``order`` and calls ``sink(offset, value)`` for each,
-    ``offset`` being the row-major position of the value tuple.  The
-    steps, in the order ``_plan`` gives them, are compiled once into
-    nested loops, each variable's opened at the first step that reads it
-    (see the module docstring).  With
-    ``head`` the first variable of ``order`` has no loop: its steps read
-    ``vals[0]``, set by the caller before each ``run()``, and it adds
-    nothing to the offsets."""
+    the variables ``order`` and calls ``sink(offset, num, den)`` for
+    each, ``offset`` being the row-major position of the value tuple.
+    The steps ``_plan`` gives are compiled once into nested loops of
+    step kernels (see the module docstring); with ``skip`` a value
+    beneath a zero is not sunk.  With ``head`` the first variable of
+    ``order`` has no loop: its steps read ``vals[0]``, set by the caller
+    before each ``run()``, and it adds nothing to the offsets."""
     order = tuple(order)
     if len(set(order)) != len(order) or set(order) != set(prog.vars):
         raise ValueError("order must list each variable the program reads")
+    p = prog.field.p
     slot = {v: s for s, v in enumerate(order)}
     vals = [0] * len(order)     # the current value of each variable
-    offs = [0] * len(order)     # its share of the row-major position
 
     def strides(variables):
         """{slot: row-major stride} of ``variables``."""
@@ -806,41 +826,53 @@ def _compile(prog: Program, order, sink, head: bool = False):
 
     stride = strides(order)
 
+    def loops(variables):
+        """``[(((slot, i), ...), offset share)]`` per value tuple."""
+        at = [slot[v] for v in variables]
+        return [(tuple(zip(at, c)), sum(map(mul, c, map(stride.get, at))))
+                for c in product(*(range(v.dim) for v in variables))]
+
     def inserter(step, sub):
-        """Run ``step`` with the value of ``sub`` at its variables'
-        current values; all of its values are computed first, once."""
-        values = [None] * prod(v.dim for v in sub.vars)
-        run_program(sub, sub.vars, values.__setitem__)
+        """``step`` with the value of ``sub``, each computed once, first."""
+        values = [({}, 1)] * prod(v.dim for v in sub.vars)
+        _compile(sub, sub.vars, lambda off, num, den: values.__setitem__(
+            off, _lowest(num, den)), True)[0]()
         key = strides(sub.vars).items()
+        run, factor = _kernel(step, p)
 
-        def value():
-            return values[sum(vals[s] * st for s, st in key)]
-        if step[0] == "insert":
-            return lambda t: lambda: t.insert(step[1], value())
-        _, _, algebras, slots, left = step
-        return lambda t: lambda: slotwise_mul(t, value(), algebras, slots,
-                                              left)
+        def prepare(num):
+            def value():
+                x, den = values[sum(vals[s] * st for s, st in key)]
+                return run(num, x), den * factor
+            return value
+        return prepare
 
-    def stage(ops, new, prepare, nxt):
-        """Run ``ops``, then ``nxt`` on ``prepare(t)()`` per value of ``new``."""
-        combos = [tuple((slot[v], i, i * stride[slot[v]])
-                        for v, i in zip(new, combo))
-                  for combo in product(*(range(v.dim) for v in new))]
+    def stage(ops, factor, new, prepare, nxt, below):
+        """``ops``, then ``nxt`` on ``prepare(num)()`` per value of ``new``."""
+        combos = loops(new)
+        block = () if skip else [at for _, at in loops(below)]
 
-        def run(t):
+        def run(off, num, den):
             for op in ops:
-                t = op(t)
-            value = prepare(t)
-            for combo in combos:
-                for s, i, off in combo:
+                num = op(num)
+            num, den = _lowest(num, den * factor)
+            if not num:
+                for at in block:
+                    sink(off + at, num, den)
+                return
+            value = prepare(num)
+            for combo, at in combos:
+                for s, i in combo:
                     vals[s] = i
-                    offs[s] = off
-                nxt(value())
+                num, d = value()
+                nxt(off + at, num, den * d)
         return run
 
     # each segment: the steps that read no variable, then one that does,
-    # in the loops of the variables it reads first
-    segments, ops, bound = [], [], set(order[:1] if head else ())
+    # in the loops of the variables it reads first; the steps after the
+    # last read run before the sink
+    segments, ops, factor = [], [], 1
+    bound = set(order[:1] if head else ())
     steps = _plan(prog) + (None,)
     k = 0
     while steps[k] is not None:
@@ -848,23 +880,26 @@ def _compile(prog: Program, order, sink, head: bool = False):
         x = step[2] if step[0] == "insert" else \
             step[1] if step[0] == "slotwise_mul" else None
         if isinstance(x, Var):
-            prepare, used = _reader(step[1], steps[k], x.dim, vals, slot[x])
+            prepare, used = _reader(step[1], steps[k], x.dim, vals, slot[x], p)
             k += used
         elif isinstance(x, Program):
             prepare = inserter(step, x)
         else:
-            ops.append(_op(step))
+            run, den = _kernel(step, p)
+            ops.append(run if x is None else partial(run, x=x.num))
+            factor *= den if x is None else den * x.den
             continue
         new = [v for v in getattr(x, "vars", (x,)) if v not in bound]
-        segments.append((ops, new, prepare))
+        segments.append((ops, factor, new, prepare))
         bound.update(new)
-        ops = []
-    run = lambda t: sink(sum(offs), t)
+        ops, factor = [], 1
     if ops:
-        run = stage(ops, (), lambda t: lambda: t, run)
-    for ops, new, prepare in reversed(segments):
-        run = stage(ops, new, prepare, run)
-    return lambda: run(prog.start), vals
+        segments.append((ops, factor, [], lambda num: lambda: (num, 1)))
+    run, below = sink, []
+    for ops, factor, new, prepare in reversed(segments):
+        below = new + below
+        run = stage(ops, factor, new, prepare, run, below)
+    return lambda: run(0, prog.start.num, prog.start.den), vals
 
 
 def run_program(prog: Program, order, sink) -> None:
@@ -872,7 +907,8 @@ def run_program(prog: Program, order, sink) -> None:
     variable it reads, once) and call ``sink(offset, value)`` for each,
     ``offset`` being the row-major position of the value tuple; see
     ``_compile``."""
-    _compile(prog, order, sink)[0]()
+    _compile(prog, order, lambda off, num, den: sink(
+        off, _normal(prog.field, prog.dims, num, den)))[0]()
 
 
 def program_mismatches(lhs: Program, rhs: Program, order,
@@ -888,18 +924,21 @@ def program_mismatches(lhs: Program, rhs: Program, order,
     dims = tuple(v.dim for v in order)
     chunk = prod(dims[1:])
     want = [None] * chunk
-    bad, base = [], 0
+    bad, first = [], 0
 
-    def compare(off, t):
-        if t != want[off]:
-            bad.append(base + off)
+    def store(off, num, den):
+        want[off] = _lowest(num, den)
 
-    run_lhs, vals_lhs = _compile(lhs, order, want.__setitem__, head=True)
+    def compare(off, num, den):
+        if _lowest(num, den) != want[off]:
+            bad.append(first + off)
+
+    run_lhs, vals_lhs = _compile(lhs, order, store, head=True)
     run_rhs, vals_rhs = _compile(rhs, order, compare, head=True)
     for i in range(prod(dims[:1])):
         if order:
             vals_lhs[0] = vals_rhs[0] = i
-        base = i * chunk
+        first = i * chunk
         run_lhs()
         run_rhs()
         if limit is not None and len(bad) >= limit:
@@ -909,27 +948,29 @@ def program_mismatches(lhs: Program, rhs: Program, order,
 
 def _columns(prog: Program, order, key=None):
     """``(den, cols)``: the value of ``prog`` at each value tuple of
-    ``order``, in row-major order, as its terms sorted by multi-index
-    (or by ``key[multi-index]`` when a ``key`` is given) over one
-    denominator ``den``, the lcm of the values'.  Each value becomes
-    its column as the executor produces it."""
-    values = [None] * prod(v.dim for v in order)
+    ``order``, in row-major order, as its nonzero terms sorted by
+    multi-index (or by ``key[multi-index]``) over one denominator
+    ``den``; a skipped zero value keeps the empty column it starts as."""
+    values = [(1, [])] * prod(v.dim for v in order)
 
-    def keep(off, t):
-        values[off] = (t.den, sorted(
-            t.num.items() if key is None
-            else [(key[idx], c) for idx, c in t.num.items()]))
+    def keep(off, num, den):
+        values[off] = (den, sorted(
+            [(idx, c) for idx, c in num.items() if c] if key is None
+            else [(key[idx], c) for idx, c in num.items() if c]))
 
-    run_program(prog, order, keep)
+    _compile(prog, order, keep, True)[0]()
     return _one_den(values)
 
 
 def _one_den(values):
     """``(den, cols)``: the columns ``(d, terms)``, each over its own
-    denominator, over their lcm ``den``."""
+    denominator, over their lcm reduced to lowest terms."""
     den = lcm(*(d for d, _ in values))
-    return den, [col if d == den else [(k, c * (den // d)) for k, c in col]
-                 for d, col in values]
+    cols = [col if d == den else [(k, c * (den // d)) for k, c in col]
+            for d, col in values]
+    g = gcd(den, *(c for col in cols for _, c in col)) if den > 1 else 1
+    return den // g, cols if g == 1 else [[(k, c // g) for k, c in col]
+                                          for col in cols]
 
 
 def linmap_from_program(prog: Program, order) -> LinMap:

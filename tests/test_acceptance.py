@@ -173,6 +173,10 @@ def test_criterion_06_three_factor_coincidence():
     with criterion(6, "two iterated three-factor products agree "
                    "bit for bit", budget=120.0):
         hausser_nill_check(Ab, Du, Ab, Ab).require("H2")
+        # the dim-1024 products of Sweedler4, exhaustively
+        sw = entry("Sweedler4")
+        hausser_nill_check(sw["bicomodule"], sw["dual"], sw["bicomodule"],
+                           sw["bicomodule"]).require("Sweedler4")
         # a deliberately broken mixed associator on the middle factor
         # must surface as a named diagnostic
         Hq, Ab0 = qst["H"], qst["bicomodule"]

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -591,3 +592,27 @@ def test_document_error_wins_over_a_mathematical_one(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err == "error: bad rational scalar '1.5'\n"
+
+
+def test_a_long_parent_path_gives_a_short_error_line(tmp_path):
+    # a 100,000-character parent path used to be echoed whole, twice:
+    # once in the message and once inside the OSError's text
+    module_doc = serialize.to_document(entry("H2")["module"])
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(dict(module_doc, parent="p" * 10 ** 5)))
+    line = _verify_in_child(path)
+    assert len(line.encode()) + 1 <= 200
+    assert line.startswith(f"error: cannot read {tmp_path}")
+    assert line.endswith("...: " + os.strerror(errno.ENAMETOOLONG))
+
+
+def test_parser_is_built_once_and_still_refuses_bad_usage(tmp_path, capsys):
+    assert main(["corpus", "list"]) == 0
+    built = cli.build_parser.cache_info()
+    assert main(["theorem"]) == 2
+    assert "usage: quasihopf theorem" in capsys.readouterr().err
+    assert main(["verify", str(tmp_path / "missing.json")]) == 2
+    assert main(["corpus", "list"]) == 0
+    again = cli.build_parser.cache_info()
+    assert (again.misses, again.currsize) == (built.misses, 1)
+    assert again.hits == built.hits + 3

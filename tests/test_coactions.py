@@ -125,6 +125,28 @@ def test_pq_identities_on_fpzn73_stay_within_eight_slots(monkeypatch):
     assert 0 < peak[0] <= 3 ** 8
 
 
+def test_pq_identities_on_fpzn73_keep_executor_values_within_eight_slots(
+        monkeypatch):
+    # the executor runs the identities on raw numerators: every step
+    # kernel over GF(7) ends in ``_residues``, so its largest output is
+    # the largest intermediate the slot programs hold
+    Ab = entry("FpZn(7,3)")["bicomodule"]
+    d = two_sided_from_bicomodule(Ab, "l", check=False)
+    pq, tpq = pq_delta(d, check=False), tilde_pq(Ab.right, check=False)
+    peak = [0]
+    residues = tensors_module._residues
+
+    def recording(num, p):
+        out = residues(num, p)
+        peak[0] = max(peak[0], len(out))
+        return out
+
+    monkeypatch.setattr(tensors_module, "_residues", recording)
+    assert verify_pq_delta(d, pq).ok
+    assert verify_tilde_pq(Ab.right, tpq).ok
+    assert 3 ** 7 < peak[0] <= 3 ** 8
+
+
 def test_pq_delta_detects_corrupted_qL(monkeypatch):
     # q-factorization is the only identity that reads q_L; a corrupted
     # q fails it too, through its left side

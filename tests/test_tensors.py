@@ -869,23 +869,130 @@ def test_executor_runs_each_step_once_per_value_read(monkeypatch):
         .insert(3, sub).apply_at(0, maps["uvw"])
     calls = dict.fromkeys(maps, 0)
     label = {id(lm): key for key, lm in maps.items()}
-    apply_at, read = TensorElt.apply_at, tensors_module._read_basis
+    kernel, reader = tensors_module._kernel, tensors_module._reader
 
-    def counting_apply(t, pos, lm):
-        calls[label[id(lm)]] += 1
-        return apply_at(t, pos, lm)
+    def counting(key, run):
+        def counted(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return run(*args)
+        return counted
 
-    def counting_read(t, plan, cols, *args):
+    def counting_kernel(step, *args):
+        run, den = kernel(step, *args)
+        if step[0] == "apply_at":
+            run = counting(label[id(step[2])], run)
+        return run, den
+
+    def counting_reader(pos, step, *args):
         # a basis vector inserted alone, or read straight off the columns
         # of the map that contracts it
-        key = next((k for k, lm in maps.items() if lm.cols is cols), "e_u")
-        calls[key] = calls.get(key, 0) + 1
-        return read(t, plan, cols, *args)
+        prepare, used = reader(pos, step, *args)
+        key = label[id(step[2])] if used else "e_u"
+        return (lambda num: counting(key, prepare(num))), used
 
-    monkeypatch.setattr(TensorElt, "apply_at", counting_apply)
-    monkeypatch.setattr(tensors_module, "_read_basis", counting_read)
+    monkeypatch.setattr(tensors_module, "_kernel", counting_kernel)
+    monkeypatch.setattr(tensors_module, "_reader", counting_reader)
     offsets = []
     run_program(prog, (u, v, w), lambda off, t: offsets.append(off))
     assert sorted(offsets) == list(range(12))
     assert calls == {"none": 1, "e_u": 2, "u": 2, "uv": 6, "sub u": 2,
                      "sub uw": 4, "uvw": 12}
+
+
+def _zero_midway(field, dead, early):
+    """A program over u, v, w (dims 2, 3, 2) whose value cancels to zero
+    after u is read, for u == ``dead``, or with ``early`` before any
+    variable is read; and the step-by-step values."""
+    u, v, w = Var("u", 2), Var("v", 3), Var("w", 2)
+    minus = field.p - 1 if field.p else -1      # -1, as a residue over GF(p)
+    x = TensorElt(field, (2,), {(0,): 1, (1,): 1})
+    # the two terms of x meet in one entry and cancel where u == dead
+    meet = linmap_from_columns(field, (2, 2), (1,), {
+        (i, j): {(0,): 2 * (minus if i and j == dead else 1)}
+        for i in range(2) for j in range(2)})
+    prog = Program(x)
+    if early:
+        prog = prog.apply_at(0, linmap_from_columns(field, (2,), (2,), {
+            (0,): {(0,): 1}, (1,): {(0,): minus}}))
+    prog = prog.tensor(u).apply_at(0, meet) \
+        .tensor(v).apply_at(1, linmap_from_columns(field, (3,), (2,), {
+            (i,): {(i % 2,): i + 1} for i in range(3)})) \
+        .tensor(w).apply_at(2, linmap_from_columns(field, (2,), (2,), {
+            (i,): {(0,): 1, (1,): i + 2} for i in range(2)}))
+    return prog, (u, v, w)
+
+
+@pytest.mark.parametrize("early", [False, True], ids=["midway", "early"])
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_zero_values_skip_their_loops_under_every_sink(field, early,
+                                                       monkeypatch):
+    prog, (u, v, w) = _zero_midway(field, 1, early)
+    for order in ((u, v, w), (w, v, u), (v, u, w)):
+        dims = tuple(x.dim for x in order)
+        want = {off: _evaluate(prog, dict(zip(order, unflatten(dims, off))))
+                for off in range(prod(dims))}
+        assert sum(not t.is_zero() for t in want.values()) == \
+            (0 if early else 6)
+        got = {}
+        run_program(prog, order, got.__setitem__)
+        assert got == want
+        assert linmap_from_program(prog, order) == linmap_from_columns(
+            field, dims, prog.dims,
+            {unflatten(dims, off): t.terms for off, t in want.items()})
+    # beneath a zero nothing runs: v is read only for u = 0, w only for
+    # (0, v), and nothing at all after an early zero
+    reads, reader = [], tensors_module._reader
+
+    def counting_reader(pos, step, dim, vals, s, p):
+        prepare, used = reader(pos, step, dim, vals, s, p)
+
+        def counted(num):
+            value = prepare(num)
+            return lambda: reads.append(s) or value()
+        return counted, used
+
+    monkeypatch.setattr(tensors_module, "_reader", counting_reader)
+    run_program(prog, (u, v, w), lambda off, t: None)
+    assert sorted(reads) == ([] if early else [0] * 2 + [1] * 3 + [2] * 6)
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_a_mismatch_inside_a_zero_subtree_is_found(field, side):
+    # the staged program is zero beneath u == 1; the other side reads
+    # every value off one map, equal but for one entry inside that zero
+    # subtree, so only that value tuple differs, whichever side skips
+    prog, (u, v, w) = _zero_midway(field, 1, False)
+    for order in ((u, v, w), (w, v, u), (v, w, u)):
+        dims = tuple(x.dim for x in order)
+        cols = {idx: dict(_evaluate(prog, dict(zip(order, idx))).terms)
+                for idx in product(*map(range, dims))}
+        inside = tuple({u: 1, v: 2, w: 0}[x] for x in order)
+        assert not cols[inside]
+        cols[inside] = {(0, 1, 0): field.one()}
+        flat = Program.basis(field, *order).apply_at(0, linmap_from_columns(
+            field, dims, prog.dims, cols))
+        lhs, rhs = (prog, flat) if side == "lhs" else (flat, prog)
+        for limit in (None, 1):
+            assert program_mismatches(lhs, rhs, order, limit) == [inside] \
+                == _mismatches_reference(lhs, rhs, order, limit)
+
+
+def test_column_sink_den_is_the_lcm_of_the_reduced_columns():
+    # raw values over 36: columns over 2 and over 3, and one where two
+    # entries cancel and the rest is an integer, so the map is over 6
+    u = Var("u", 3)
+    x = TensorElt(QQ, (2,), {(0,): Fraction(1, 6), (1,): Fraction(1, 6)})
+    m = linmap_from_columns(QQ, (2, 3), (2,), {
+        (0, 0): {(0,): 1}, (1, 0): {(0,): 2},
+        (0, 1): {(1,): 1}, (1, 1): {(1,): 1},
+        (0, 2): {(0,): Fraction(5, 6), (1,): 1},
+        (1, 2): {(0,): Fraction(-5, 6), (1,): 5}})
+    prog = Program(x).tensor(u).apply_at(0, m)
+    values = [_evaluate(prog, {u: i}) for i in range(3)]
+    assert [t.den for t in values] == [2, 3, 1]
+    assert values[2].terms == {(1,): 1}
+    got = linmap_from_program(prog, (u,))
+    assert got.den == 6 == x.den * m.den // 6
+    assert got == linmap_from_columns(QQ, (3,), (2,), {
+        (i,): t.terms for i, t in enumerate(values)})
