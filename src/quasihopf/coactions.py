@@ -32,7 +32,7 @@ from .finalg import (FinAlgebra, Report, algebra_map_checks, inverse_checks,
 from .linalg import LinMap, reshape_map
 from .quasihopf import QuasiHopfAlgebra, tensor_qh
 from .tensors import (Program, TensorElt, Var, fold_slots,
-                      linmap_from_program, slotwise_mul, slotwise_prod)
+                      linmap_from_program, slotwise_prod)
 
 
 # -- comodule algebras --------------------------------------------------------
@@ -564,31 +564,26 @@ def two_sided_from_bicomodule(Ab: BicomoduleAlgebra, side: str = "l",
     if side == "l":
         delta = linmap_from_program(e.apply_at(0, Ab.rho).apply_at(0, Ab.lam),
                                     (u,))
-        inner = slotwise_mul(Ab.PhiLR.insert(3, oneH),
-                             Ab.right.PhiRhoInv.apply_at(0, Ab.lam),
-                             [H, A, H, H])
-        Psi = slotwise_mul(inner.apply_at(1, Ab.lam),
-                           Ab.left.PhiLam.insert(3, oneH).insert(4, oneH),
-                           [H, H, A, H, H])
-        inner = slotwise_mul(Ab.right.PhiRho.apply_at(0, Ab.lam),
-                             Ab.PhiLRInv.insert(3, oneH), [H, A, H, H])
-        PsiInv = slotwise_mul(
-            Ab.left.PhiLamInv.insert(3, oneH).insert(4, oneH),
-            inner.apply_at(1, Ab.lam), [H, H, A, H, H])
+        inner = Ab.PhiLR.insert(3, oneH).slotwise_mul(
+            Ab.right.PhiRhoInv.apply_at(0, Ab.lam), [H, A, H, H])
+        Psi = inner.apply_at(1, Ab.lam).slotwise_mul(
+            Ab.left.PhiLam.insert(3, oneH).insert(4, oneH), [H, H, A, H, H])
+        inner = Ab.right.PhiRho.apply_at(0, Ab.lam).slotwise_mul(
+            Ab.PhiLRInv.insert(3, oneH), [H, A, H, H])
+        PsiInv = Ab.left.PhiLamInv.insert(3, oneH).insert(4, oneH) \
+            .slotwise_mul(inner.apply_at(1, Ab.lam), [H, H, A, H, H])
     elif side == "r":
         delta = linmap_from_program(e.apply_at(0, Ab.lam).apply_at(1, Ab.rho),
                                     (u,))
-        inner = slotwise_mul(Ab.PhiLRInv.insert(0, oneH),
-                             Ab.left.PhiLam.apply_at(2, Ab.rho),
-                             [H, H, A, H])
-        Psi = slotwise_mul(inner.apply_at(2, Ab.rho),
-                           Ab.right.PhiRhoInv.insert(0, oneH).insert(0, oneH),
-                           [H, H, A, H, H])
-        inner = slotwise_mul(Ab.left.PhiLamInv.apply_at(2, Ab.rho),
-                             Ab.PhiLR.insert(0, oneH), [H, H, A, H])
-        PsiInv = slotwise_mul(
-            Ab.right.PhiRho.insert(0, oneH).insert(0, oneH),
-            inner.apply_at(2, Ab.rho), [H, H, A, H, H])
+        inner = Ab.PhiLRInv.insert(0, oneH).slotwise_mul(
+            Ab.left.PhiLam.apply_at(2, Ab.rho), [H, H, A, H])
+        Psi = inner.apply_at(2, Ab.rho).slotwise_mul(
+            Ab.right.PhiRhoInv.insert(0, oneH).insert(0, oneH),
+            [H, H, A, H, H])
+        inner = Ab.left.PhiLamInv.apply_at(2, Ab.rho).slotwise_mul(
+            Ab.PhiLR.insert(0, oneH), [H, H, A, H])
+        PsiInv = Ab.right.PhiRho.insert(0, oneH).insert(0, oneH) \
+            .slotwise_mul(inner.apply_at(2, Ab.rho), [H, H, A, H, H])
     else:
         raise ValueError("side must be 'l' or 'r'")
     name = f"{Ab.name}:{side}" if Ab.name else ""
@@ -1029,16 +1024,16 @@ def twist_coaction(x, F: TensorElt, FInv: TensorElt | None = None,
         algs = [x.A, H, H]
         return RightComoduleAlgebra(
             HF, x.A, x.rho,
-            slotwise_mul(F.insert(0, oneA), x.PhiRho, algs),
-            PhiRhoInv=slotwise_mul(x.PhiRhoInv, FInv.insert(0, oneA), algs),
+            F.insert(0, oneA).slotwise_mul(x.PhiRho, algs),
+            PhiRhoInv=x.PhiRhoInv.slotwise_mul(FInv.insert(0, oneA), algs),
             name=x.name, check=check)
     if isinstance(x, LeftComoduleAlgebra):
         oneB = x.unit_elt()
         algs = [H, H, x.B]
         return LeftComoduleAlgebra(
             HF, x.B, x.lam,
-            slotwise_mul(x.PhiLam, FInv.insert(2, oneB), algs),
-            PhiLamInv=slotwise_mul(F.insert(2, oneB), x.PhiLamInv, algs),
+            x.PhiLam.slotwise_mul(FInv.insert(2, oneB), algs),
+            PhiLamInv=F.insert(2, oneB).slotwise_mul(x.PhiLamInv, algs),
             name=x.name, check=check)
     if isinstance(x, BicomoduleAlgebra):
         left = twist_coaction(x.left, F, FInv=FInv, HF=HF, check=False)

@@ -21,8 +21,7 @@ from math import gcd
 
 from .fields import Field
 from .linalg import LinMap, flat_index, int_entries, prod, reshape_map, solve
-from .tensors import (Program, TensorElt, Var, _columns, program_mismatches,
-                      slotwise_mul)
+from .tensors import Program, TensorElt, Var, _columns, program_mismatches
 
 
 class VerificationError(Exception):
@@ -334,7 +333,7 @@ def invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
         idx: zr[0] * den
         for idx, zr in zip(product(*map(range, dims)), z) if zr[0]},
         D * unit.den)
-    if slotwise_mul(inv, t, algebras) != unit:
+    if inv.slotwise_mul(t, algebras) != unit:
         return None
     return inv
 

@@ -2,36 +2,37 @@
 
 Every composite structure map in this package (coactions of coactions,
 action-then-multiply chains, five-fold canonical elements) is written as
-a short program over these combinators:
+a short chain of these combinators, defined once, on ``Slots``, for
+elements and programs alike (a ``TensorElt`` runs each call at once, a
+``Program`` records it as a step):
 
+* ``insert``      - tensor an element into a position (``tensor``: last)
 * ``apply_at``    - apply a LinMap to one or more adjacent slots
 * ``mul_slots``   - multiply two slots inside an algebra factor
 * ``permute``     - reorder slots
-* ``tensor``      - juxtapose elements
+* ``slotwise_mul`` - multiply slot by slot by an element of the same
+  shape, its factors all on the left or all on the right
 * ``fold_slots``  - permute, then multiply runs of slots into one slot
-* ``slotwise_mul`` - multiply an element slot by slot into some slots of
-  another, each factor on the left or the right
 * ``slotwise_prod`` - multiply elements of one tensor power slot by slot
 
 A formula evaluated on every basis tuple (a structure map on basis
 elements, a product on basis pairs, the two sides of an axiom on basis
-triples) is a slot program: a ``Program`` chains the same combinator
-calls, slotwise multiplication by a fixed element included, and each
-basis vector it inserts is a variable (``Var``).  A flat input slot is
-one variable followed by ``apply_at`` of a ``linalg.reshape_map`` that
-splits it into its factors.  One executor, ``run_program``, runs a
-program for every value of its variables.  It opens each variable's
-loop at the first step that reads it, so each step runs once per value
-of the variables read up to it; an inserted sub-program is computed
-once per value of its own variables and kept for the run; and a basis
-vector is never built, its insert and a contraction right after it read
-the map's columns or the algebra's rows directly.  The values stream to
-a sink: ``linmap_from_program`` makes each the column of a linear map
-(every formula-built map is read off this way, and the same column sink
-gives the rows of ``finalg.algebra_from_program``), and
-``program_mismatches`` compares two programs in lexicographic order,
-once when they read no variable (``finalg.program_report`` turns the
-mismatches into report lines).
+triples) is a slot program: a ``Program`` chains the combinator calls,
+and each basis vector it inserts is a variable (``Var``).  A flat input
+slot is one variable followed by ``apply_at`` of a
+``linalg.reshape_map`` that splits it into its factors.  One executor,
+``run_program``, runs a program for every value of its variables.  It
+opens each variable's loop at the first step that reads it, so each step
+runs once per value of the variables read up to it; an inserted
+sub-program is computed once per value of its own variables and kept for
+the run; and a basis vector is never built, its insert and a contraction
+right after it read the map's columns or the algebra's rows directly.
+The values stream to a sink: ``linmap_from_program`` makes each the
+column of a linear map (every formula-built map is read off this way,
+and the same column sink gives the rows of
+``finalg.algebra_from_program``), and ``program_mismatches`` compares
+two programs in lexicographic order, once when they read no variable
+(``finalg.program_report`` turns the mismatches into report lines).
 
 Each compile first plans the program's steps, once, before any value is
 computed.  An inserted operand (a fixed element or a sub-program's
@@ -39,7 +40,8 @@ value) whose every slot is then multiplied into a slot of the value,
 before any other step reads it, is fused with those ``mul_slots`` into
 one ``slotwise_mul`` step: one pass over (value terms x operand terms)
 that multiplies each operand slot into its partner on the side the
-``mul_slots`` had, so their tensor product is never built.  The fused
+``mul_slots`` had, so their tensor product is never built; only such a
+planned step multiplies into some slots, each on its own side.  The fused
 step runs at the earliest point where its partner slots exist, not
 before the insert when the operand reads variables; when its partners
 are exactly the outputs of the map applied just before, and the value
@@ -59,7 +61,7 @@ the rationals the pair is kept in lowest terms (``gcd(den, *num) == 1``);
 over GF(p) ``den`` is 1 and the numerators are residues in ``[0, p)``.
 Each combinator's loop is written once, as a step kernel (``_kernel``)
 on raw numerators, reading the integer columns of a ``LinMap`` and rows
-of a ``FinAlgebra``; a combinator call normalises its result.  The
+of a ``FinAlgebra``; a call on a TensorElt normalises its result.  The
 executor binds each step's kernel once and carries raw numerators: over
 GF(p) each kernel reduces mod p, over the rationals lowest terms are
 taken only where a value is held for an inner loop or sunk.  A held
@@ -193,7 +195,8 @@ def _kernel(step, p=None):
                     out[nid] = get(nid, 0) + c * mc
             return _residues(out, p)
         return run, alg.den
-    # slotwise_mul (see there): lines[r][i][j] is e_i, in the value's slot
+    # slotwise_mul (see Slots; only a planned step takes some slots, each
+    # on its own side): lines[r][i][j] is e_i, in the value's slot
     # slots[r], times e_j of x's slot r; partners[r][i] the j where nonzero
     _, _, algebras, slots, left = step
     k, lines, partners = len(slots), [], []
@@ -239,7 +242,82 @@ def _kernel(step, p=None):
     return run, prod(alg.den for alg in algebras)
 
 
-class TensorElt:
+class Slots:
+    """The slot combinators, written once: each checks its slots and its
+    operand (a same-field TensorElt; a Program's ``insert`` also takes a
+    ``Var`` or a Program, ``_operands``), then hands the Program step to
+    ``_then``: a TensorElt runs it at once, a Program appends it."""
+
+    __slots__ = ()
+    _operands = ()
+
+    def _operand(self, x, operands=()):
+        if not isinstance(x, (TensorElt, *operands)):
+            raise ValueError(f"a {type(self).__name__} does not take a "
+                             f"{type(x).__name__} operand")
+        if not isinstance(x, Var) and x.field != self.field:
+            raise ValueError(f"operand over {x.field}, not {self.field}")
+
+    def insert(self, pos: int, x):
+        """Tensor ``x`` into position ``pos``."""
+        self._operand(x, self._operands)
+        if not 0 <= pos <= len(self.dims):
+            raise ValueError(f"insert position {pos} outside "
+                             f"[0, {len(self.dims)}]")
+        dims = (x.dim,) if isinstance(x, Var) else x.dims
+        return self._then(("insert", pos, x),
+                          self.dims[:pos] + dims + self.dims[pos:], x)
+
+    def tensor(self, x):
+        return self.insert(len(self.dims), x)
+
+    def apply_at(self, pos: int, lm: LinMap):
+        """Apply ``lm`` to the ``len(lm.in_dims)`` slots starting at ``pos``."""
+        end = pos + len(lm.in_dims)
+        if pos < 0 or end > len(self.dims) or \
+                self.dims[pos:end] != lm.in_dims:
+            raise ValueError(f"slots {self.dims[pos:end]} do not match map "
+                             f"input {lm.in_dims}")
+        return self._then(("apply_at", pos, lm),
+                          self.dims[:pos] + lm.out_dims + self.dims[end:])
+
+    def mul_slots(self, pos_a: int, pos_b: int, algebra):
+        """Multiply slot ``pos_a`` by slot ``pos_b`` (in that order) inside
+        ``algebra``; the product lands at ``pos_a``'s position and slot
+        ``pos_b`` is removed."""
+        n = len(self.dims)
+        if pos_a == pos_b or not (0 <= pos_a < n and 0 <= pos_b < n) or \
+                not self.dims[pos_a] == self.dims[pos_b] == algebra.dim:
+            raise ValueError("slots must differ and match the algebra")
+        return self._then(("mul_slots", pos_a, pos_b, algebra), tuple(
+            d for t, d in enumerate(self.dims) if t != pos_b))
+
+    def permute(self, perm):
+        """Reorder slots: output slot r carries the old slot ``perm[r]``."""
+        perm = tuple(perm)
+        if sorted(perm) != list(range(len(self.dims))):
+            raise ValueError("not a permutation of the slots")
+        return self._then(("permute", perm),
+                          tuple(map(self.dims.__getitem__, perm)))
+
+    def slotwise_mul(self, x: "TensorElt", algebras, left: bool = False):
+        """Multiply slot by slot by ``x``, each slot inside its algebra in
+        ``algebras`` (a single algebra is broadcast), ``x``'s factor on the
+        right, or on the left with ``left``.  For each term of the value
+        the terms of ``x`` are found either by looking up every index
+        whose product is nonzero in each slot or by scanning ``x``,
+        whichever visits fewer pairs."""
+        self._operand(x)
+        if x.dims != self.dims:
+            raise ValueError("slot shape mismatch")
+        k = len(x.dims)
+        if not isinstance(algebras, (list, tuple)):
+            algebras = [algebras] * k
+        return self._then(("slotwise_mul", x, tuple(algebras),
+                           tuple(range(k)), (left,) * k), self.dims, x)
+
+
+class TensorElt(Slots):
     """Sparse element of V1 (x) ... (x) Vk (dims = factor dimensions)."""
 
     __slots__ = ("field", "dims", "num", "den")
@@ -264,6 +342,15 @@ class TensorElt:
     def terms(self) -> Mapping:
         """The nonzero coefficients as field scalars, read-only."""
         return _Terms(self)
+
+    def _then(self, step, dims, x: "TensorElt | None" = None) -> "TensorElt":
+        """``step`` run and normalised (a permute only re-keys the terms)."""
+        run, den = _kernel(step)
+        if step[0] == "permute":
+            return _new(self.field, dims, run(self.num), self.den)
+        num = run(self.num) if x is None else run(self.num, x.num)
+        return _normal(self.field, dims, num,
+                       self.den * den * (x.den if x else 1))
 
     # -- constructors ------------------------------------------------------
 
@@ -337,85 +424,12 @@ class TensorElt:
                        {idx: v * cn for idx, v in self.num.items()},
                        self.den * cd)
 
-    # -- combinators ---------------------------------------------------------
-
-    def _step(self, step, dims, x: "TensorElt | None" = None) -> "TensorElt":
-        """The Program step ``step``, with the operand ``x`` of an insert
-        or a slotwise step, run on this element; ``dims`` are the result's."""
-        run, den = _kernel(step)
-        num = run(self.num) if x is None else run(self.num, x.num)
-        return _normal(self.field, dims, num,
-                       self.den * den * (x.den if x else 1))
-
-    def tensor(self, other: "TensorElt") -> "TensorElt":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        return self.insert(len(self.dims), other)
-
-    def apply_at(self, pos: int, lm: LinMap) -> "TensorElt":
-        """Apply ``lm`` to the ``len(lm.in_dims)`` slots starting at ``pos``."""
-        end = pos + len(lm.in_dims)
-        if self.dims[pos:end] != lm.in_dims:
-            raise ValueError(
-                f"slots {self.dims[pos:end]} do not match map input "
-                f"{lm.in_dims}")
-        return self._step(("apply_at", pos, lm), self.dims[:pos]
-                          + lm.out_dims + self.dims[end:])
-
-    def mul_slots(self, pos_a: int, pos_b: int, algebra) -> "TensorElt":
-        """Multiply slot ``pos_a`` by slot ``pos_b`` (in that order) inside
-        ``algebra``; the product lands at ``pos_a``'s position and slot
-        ``pos_b`` is removed."""
-        if pos_a == pos_b:
-            raise ValueError("slots must differ")
-        if self.dims[pos_a] != algebra.dim or self.dims[pos_b] != algebra.dim:
-            raise ValueError("slot dimension does not match algebra")
-        return self._step(("mul_slots", pos_a, pos_b, algebra), tuple(
-            d for t, d in enumerate(self.dims) if t != pos_b))
-
-    def permute(self, perm) -> "TensorElt":
-        """Reorder slots: output slot r carries the old slot ``perm[r]``."""
-        if sorted(perm) != list(range(len(self.dims))):
-            raise ValueError("not a permutation of the slots")
-        return _new(self.field, tuple(map(self.dims.__getitem__, perm)),
-                    _kernel(("permute", perm))[0](self.num), self.den)
-
-    def insert(self, pos: int, other: "TensorElt") -> "TensorElt":
-        """Tensor ``other`` into position ``pos``."""
-        dims = self.dims[:pos] + other.dims + self.dims[pos:]
-        return self._step(("insert", pos, other), dims, other)
-
-
-def slotwise_mul(a: TensorElt, b: TensorElt, algebras, slots=None,
-                 left=None) -> TensorElt:
-    """Product of two elements of A1 (x) ... (x) Ak, slot by slot.
-
-    ``algebras`` is one algebra per slot of ``b`` (a single algebra is
-    broadcast).  With ``slots``, ``b`` multiplies only some slots of
-    ``a``: slot r of ``b`` multiplies slot ``slots[r]`` of ``a`` and the
-    other slots of ``a`` are kept.  Each factor of ``b`` is on the right,
-    or on the left where ``left[r]`` is true.  For each term of ``a`` the
-    terms of ``b`` are found either by looking up every index whose
-    product is nonzero in each slot or by scanning ``b``, whichever
-    visits fewer pairs.
-    """
-    k = len(b.dims)
-    if slots is None:
-        if len(a.dims) != k:
-            raise ValueError("slot count mismatch")
-        slots = range(k)
-    if left is None:
-        left = (False,) * k
-    if not isinstance(algebras, (list, tuple)):
-        algebras = [algebras] * k
-    return a._step(("slotwise_mul", b, algebras, slots, left), a.dims, b)
-
 
 def slotwise_prod(factors, algebras) -> TensorElt:
     """The slotwise product of ``factors``, taken left to right."""
     out = factors[0]
     for f in factors[1:]:
-        out = slotwise_mul(out, f, algebras)
+        out = out.slotwise_mul(f, algebras)
     return out
 
 
@@ -446,7 +460,7 @@ class Var(NamedTuple):
     dim: int
 
 
-class Program:
+class Program(Slots):
     """A start element and a chain of ``insert``, ``apply_at``,
     ``mul_slots``, ``permute`` and ``slotwise_mul`` steps; an inserted
     operand is a TensorElt, a Var or a Program.  ``dims`` are the slot
@@ -455,6 +469,7 @@ class Program:
     """
 
     __slots__ = ("start", "steps", "dims", "vars")
+    _operands = (Var, Slots)
 
     def __init__(self, start: TensorElt, steps=(), dims=None, vars=()):
         self.start = start
@@ -474,59 +489,12 @@ class Program:
             prog = prog.tensor(v)
         return prog
 
-    def _then(self, step, dims, reads=()) -> "Program":
-        new = tuple(v for v in reads if v not in self.vars)
-        return Program(self.start, self.steps + (step,), dims,
-                       self.vars + new)
-
-    def insert(self, pos: int, x) -> "Program":
-        """Tensor ``x`` (a TensorElt, a Var or a Program) into ``pos``."""
-        if not 0 <= pos <= len(self.dims):
-            raise ValueError(f"insert position {pos} outside "
-                             f"[0, {len(self.dims)}]")
-        dims, reads = ((x.dim,), (x,)) if isinstance(x, Var) \
-            else (x.dims, getattr(x, "vars", ()))
-        return self._then(("insert", pos, x),
-                          self.dims[:pos] + dims + self.dims[pos:], reads)
-
-    def tensor(self, x) -> "Program":
-        return self.insert(len(self.dims), x)
-
-    def apply_at(self, pos: int, lm: LinMap) -> "Program":
-        end = pos + len(lm.in_dims)
-        if pos < 0 or self.dims[pos:end] != lm.in_dims or \
-                end > len(self.dims):
-            raise ValueError(f"slots {self.dims[pos:end]} do not match map "
-                             f"input {lm.in_dims}")
-        return self._then(("apply_at", pos, lm),
-                          self.dims[:pos] + lm.out_dims + self.dims[end:])
-
-    def mul_slots(self, pos_a: int, pos_b: int, algebra) -> "Program":
-        n = len(self.dims)
-        if pos_a == pos_b or not (0 <= pos_a < n and 0 <= pos_b < n) or \
-                not self.dims[pos_a] == self.dims[pos_b] == algebra.dim:
-            raise ValueError("slots must differ and match the algebra")
-        return self._then(("mul_slots", pos_a, pos_b, algebra),
-                          [d for t, d in enumerate(self.dims) if t != pos_b])
-
-    def permute(self, perm) -> "Program":
-        perm = tuple(perm)
-        if sorted(perm) != list(range(len(self.dims))):
-            raise ValueError("not a permutation of the slots")
-        return self._then(("permute", perm), [self.dims[s] for s in perm])
-
-    def slotwise_mul(self, x: TensorElt, algebras,
-                     left: bool = False) -> "Program":
-        """Multiply the value slot by slot by the fixed element ``x``:
-        ``slotwise_mul(x, t, algebras)`` when ``left``, else
-        ``slotwise_mul(t, x, algebras)``."""
-        if x.dims != self.dims:
-            raise ValueError("slot shape mismatch")
-        k = len(x.dims)
-        if not isinstance(algebras, (list, tuple)):
-            algebras = [algebras] * k
-        return self._then(("slotwise_mul", x, tuple(algebras),
-                           tuple(range(k)), (left,) * k), self.dims)
+    def _then(self, step, dims, x=None) -> "Program":
+        """This program with ``step`` appended; ``dims`` are the result's."""
+        reads = (x,) if isinstance(x, Var) else \
+            x.vars if isinstance(x, Program) else ()
+        return Program(self.start, self.steps + (step,), dims, self.vars
+                       + tuple(v for v in reads if v not in self.vars))
 
 
 # -- the plan ------------------------------------------------------------------
@@ -669,13 +637,11 @@ def _fold(apply_op, fused_op):
     on each column."""
     (_, pos, lm), ins, outs, before = apply_op
     (_, x, algebras, _, left), partners, prods, _ = fused_op
-    slots = tuple(outs.index(v) for v in partners)
+    run, factor = _kernel(("slotwise_mul", x, algebras, tuple(
+        outs.index(v) for v in partners), left), lm.field.p)
     den, cols = _one_den([
-        (t.den, sorted(t.num.items())) for t in (
-            slotwise_mul(TensorElt.from_num(lm.field, lm.out_dims,
-                                            dict(col), lm.den),
-                         x, algebras, slots, left)
-            for col in lm.cols.values())])
+        (lm.den * factor * x.den, sorted((k, c) for k, c in run(
+            dict(col), x.num).items() if c)) for col in lm.cols.values()])
     products = dict(zip(partners, prods))
     return (("apply_at", pos, LinMap(lm.field, lm.in_dims, lm.out_dims, den,
                                      dict(zip(lm.cols, cols)))),

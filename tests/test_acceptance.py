@@ -33,7 +33,7 @@ from quasihopf.products import (diag_crossed, diag_crossed_general, gen_smash,
                                 quasi_smash, right_gen_smash, right_smash,
                                 smash, two_sided_gen_smash, two_sided_smash)
 from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_program,
-                               slotwise_mul, slotwise_prod)
+                               slotwise_prod)
 from quasihopf.ydrep import sec8_correspondences, yd_roundtrip_check
 
 from conftest import entry
@@ -184,8 +184,8 @@ def test_criterion_06_three_factor_coincidence():
         algs = [Hq.H, Hq.H, Ab0.A]
         Lbad = LeftComoduleAlgebra(
             Hq, Ab0.A, Ab0.lam,
-            slotwise_mul(g, Ab0.left.PhiLam, algs),
-            PhiLamInv=slotwise_mul(Ab0.left.PhiLamInv, g, algs),
+            g.slotwise_mul(Ab0.left.PhiLam, algs),
+            PhiLamInv=Ab0.left.PhiLamInv.slotwise_mul(g, algs),
             check=False)
         AbBad = BicomoduleAlgebra(Lbad, Ab0.right, Ab0.PhiLR, check=False)
         rep = hausser_nill_check(Ab0, qst["dual"], AbBad, Ab0,

@@ -19,8 +19,7 @@ from quasihopf.finalg import (FinAlgebra, VerificationError, invert_mixed,
                               slotwise_unit)
 from quasihopf.linalg import prod, reshape_map, unflatten
 from quasihopf import tensors as tensors_module
-from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_program,
-                               slotwise_mul)
+from quasihopf.tensors import Program, TensorElt, Var, linmap_from_program
 
 from conftest import corrupt_one, doubled_column, entry
 from test_linalg import ref_solve
@@ -104,32 +103,11 @@ def test_pq_delta_detects_corrupted_q(name):
     assert any(f.startswith("q-coproduct") for f in rep.failures)
 
 
-def test_pq_identities_on_fpzn73_stay_within_eight_slots(monkeypatch):
-    # every slot of FpZn(7,3) has dimension 3: the fixed p, q, f and q_L
-    # operands are multiplied in without their tensor product being
-    # built, so no intermediate holds more than 3**8 terms (59,049 = 3**10
-    # when each operand was inserted first)
-    Ab = entry("FpZn(7,3)")["bicomodule"]
-    d = two_sided_from_bicomodule(Ab, "l", check=False)
-    pq, tpq = pq_delta(d, check=False), tilde_pq(Ab.right, check=False)
-    peak = [0]
-    normal = tensors_module._normal
-
-    def recording(field, dims, num, den):
-        peak[0] = max(peak[0], len(num))
-        return normal(field, dims, num, den)
-
-    monkeypatch.setattr(tensors_module, "_normal", recording)
-    assert verify_pq_delta(d, pq).ok
-    assert verify_tilde_pq(Ab.right, tpq).ok
-    assert 0 < peak[0] <= 3 ** 8
-
-
 def test_pq_identities_on_fpzn73_keep_executor_values_within_eight_slots(
         monkeypatch):
-    # the executor runs the identities on raw numerators: every step
-    # kernel over GF(7) ends in ``_residues``, so its largest output is
-    # the largest intermediate the slot programs hold
+    # every step kernel over GF(7) ends in ``_residues``, and so does a
+    # direct combinator call (through ``_normal``), so its largest output
+    # is the largest intermediate the identities hold
     Ab = entry("FpZn(7,3)")["bicomodule"]
     d = two_sided_from_bicomodule(Ab, "l", check=False)
     pq, tpq = pq_delta(d, check=False), tilde_pq(Ab.right, check=False)
@@ -264,13 +242,13 @@ def _invert_by_columns(t, algebras):
     cols = []
     for f in range(n):
         e = TensorElt.basis(field, dims, unflatten(dims, f))
-        cols.append(slotwise_mul(t, e, algebras).to_flat())
+        cols.append(t.slotwise_mul(e, algebras).to_flat())
     rows = [[cols[j][i] for j in range(n)] for i in range(n)]
     y = ref_solve(field.p, rows, unit.to_flat())
     if y is None:
         return None
     inv = TensorElt.from_flat(field, dims, y)
-    if slotwise_mul(inv, t, algebras) != unit:
+    if inv.slotwise_mul(t, algebras) != unit:
         return None
     return inv
 
@@ -337,7 +315,7 @@ def test_invert_mixed_matches_columns(data, field):
     got, want = invert_mixed(t, algs), _invert_by_columns(t, algs)
     assert got == want
     if got is not None:
-        assert slotwise_mul(got, t, algs) == slotwise_unit(field, algs)
+        assert got.slotwise_mul(t, algs) == slotwise_unit(field, algs)
 
 
 # a zero divisor of each H: 1 + g, the nilpotent x, an idempotent e_0

@@ -16,7 +16,7 @@ from quasihopf.finalg import (FinAlgebra, Report, VerificationError,
                               verify_associative_unital)
 from quasihopf.linalg import (flat_index, linmap_from_columns, reshape_map,
                               unflatten)
-from quasihopf.tensors import Program, TensorElt, Var, slotwise_mul
+from quasihopf.tensors import Program, TensorElt, Var
 
 from conftest import entry
 from test_linalg import identity, ref_inv, ref_matmul, ref_solve
@@ -113,7 +113,7 @@ def test_invert_element():
     A = z2()
     g = TensorElt.basis(QQ, (2,), (1,))
     inv = invert_mixed(g, [A])
-    assert slotwise_mul(inv, g, [A]) == slotwise_unit(QQ, [A])
+    assert inv.slotwise_mul(g, [A]) == slotwise_unit(QQ, [A])
     x = TensorElt.basis(QQ, (4,), (1,))
     assert invert_mixed(x, [h4()]) is None
 

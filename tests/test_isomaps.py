@@ -18,8 +18,7 @@ from quasihopf.isomaps import (_certify, _mu_identities, diag_as_gen_smash,
                                iso_twist_invariance, quantum_double_gen_smash,
                                tensoring_iso, twist_comodule_by_U)
 from quasihopf.linalg import flat_index, prod, unflatten
-from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_program,
-                               slotwise_mul)
+from quasihopf.tensors import Program, TensorElt, Var, linmap_from_program
 
 from conftest import corrupt_one, doubled_column, entry
 
@@ -156,8 +155,8 @@ def _hausser_nill_broken(scale):
     algs = [Hq.H, Hq.H, Ab.A]
     Lbad = LeftComoduleAlgebra(
         Hq, Ab.A, Ab.lam,
-        slotwise_mul(g, Ab.left.PhiLam, algs),
-        PhiLamInv=slotwise_mul(Ab.left.PhiLamInv, g, algs),
+        g.slotwise_mul(Ab.left.PhiLam, algs),
+        PhiLamInv=Ab.left.PhiLamInv.slotwise_mul(g, algs),
         check=False)
     AbBad = BicomoduleAlgebra(Lbad, Ab.right, Ab.PhiLR, check=False)
     products = {}

@@ -22,7 +22,7 @@ from quasihopf.products import (diag_crossed, diag_crossed_general, gen_smash,
                                 left_quasi_smash, quasi_smash, right_gen_smash,
                                 right_smash, smash, two_sided_gen_smash,
                                 two_sided_smash)
-from quasihopf.tensors import Program, TensorElt, Var, run_program, slotwise_mul
+from quasihopf.tensors import Program, TensorElt, Var, run_program
 
 from conftest import corrupt_one, entry
 
@@ -497,14 +497,14 @@ def broken_bicomodule(name, where):
         algs = [Hq.H, Hq.H, Ab.A]
         g = TensorElt.basis(Hq.field, (n, n, m), idx)
         bad = LeftComoduleAlgebra(
-            Hq, Ab.A, Ab.lam, slotwise_mul(g, Ab.left.PhiLam, algs),
-            PhiLamInv=slotwise_mul(Ab.left.PhiLamInv, g, algs), check=False)
+            Hq, Ab.A, Ab.lam, g.slotwise_mul(Ab.left.PhiLam, algs),
+            PhiLamInv=Ab.left.PhiLamInv.slotwise_mul(g, algs), check=False)
         return BicomoduleAlgebra(bad, Ab.right, Ab.PhiLR, check=False)
     algs = [Ab.A, Hq.H, Hq.H]
     g = TensorElt.basis(Hq.field, (m, n, n), idx)
     bad = RightComoduleAlgebra(
-        Hq, Ab.A, Ab.rho, slotwise_mul(g, Ab.right.PhiRho, algs),
-        PhiRhoInv=slotwise_mul(Ab.right.PhiRhoInv, g, algs), check=False)
+        Hq, Ab.A, Ab.rho, g.slotwise_mul(Ab.right.PhiRho, algs),
+        PhiRhoInv=Ab.right.PhiRhoInv.slotwise_mul(g, algs), check=False)
     return BicomoduleAlgebra(Ab.left, bad, Ab.PhiLR, check=False)
 
 

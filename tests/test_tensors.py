@@ -14,7 +14,7 @@ from quasihopf.linalg import (flat_index, linmap_from_columns, prod,
                               reshape_map, unflatten)
 from quasihopf import tensors as tensors_module
 from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_program,
-                               program_mismatches, run_program, slotwise_mul)
+                               program_mismatches, run_program)
 
 from test_linalg import dense, linmap_from_rows, ref_matmul
 
@@ -140,9 +140,9 @@ def test_slotwise_mul_of_scalars():
     for field, c in ((QQ, Fraction(2, 3)), (GF(5), 3)):
         scalar = TensorElt.scalar(field, c)
         zero = TensorElt.zero(field, ())
-        assert slotwise_mul(scalar, zero, []) == zero
-        assert slotwise_mul(zero, scalar, []) == zero
-        assert slotwise_mul(scalar, scalar, []) \
+        assert scalar.slotwise_mul(zero, []) == zero
+        assert zero.slotwise_mul(scalar, []) == zero
+        assert scalar.slotwise_mul(scalar, []) \
             == TensorElt.scalar(field, field.mul(c, c))
 
 
@@ -150,7 +150,7 @@ def test_slotwise_mul():
     H = group_algebra_z2().H
     a = TensorElt.basis(QQ, (2, 2), (1, 0))
     b = TensorElt.basis(QQ, (2, 2), (1, 1))
-    assert slotwise_mul(a, b, [H, H]) == TensorElt.basis(QQ, (2, 2), (0, 1))
+    assert a.slotwise_mul(b, [H, H]) == TensorElt.basis(QQ, (2, 2), (0, 1))
 
 
 # one algebra per case and the number of slots it is used on: FpZn(7,3)
@@ -201,8 +201,19 @@ def test_slotwise_mul_matches_reference(name, data):
         lambda v: TensorElt.from_flat(alg.field, dims, v))
     b = data.draw(st.one_of(dense, slot_tensors(alg.field, dims, 3)))
     algebras = [alg] * k
-    assert slotwise_mul(a, b, algebras) == _slotwise_reference(a, b,
-                                                               algebras)
+    assert a.slotwise_mul(b, algebras) == _slotwise_reference(a, b,
+                                                              algebras)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_slotwise_mul_on_the_left_matches_reference(data):
+    # Sweedler4 is not commutative: b.slotwise_mul(a, left=True) is a b
+    alg = sweedler4().H
+    dims = (alg.dim,) * 2
+    a, b = (data.draw(slot_tensors(alg.field, dims, 6)) for _ in "ab")
+    assert b.slotwise_mul(a, alg, left=True) \
+        == _slotwise_reference(a, b, [alg] * 2)
 
 
 def test_slotwise_mul_sparse_right_factor():
@@ -213,7 +224,7 @@ def test_slotwise_mul_sparse_right_factor():
     a = TensorElt.from_flat(QQ, dims, [Fraction(f + 1, 3) for f in range(16)])
     b = TensorElt(QQ, dims, {(1, 0, 1, 1): Fraction(2),
                            (0, 1, 1, 0): Fraction(-1)})
-    assert slotwise_mul(a, b, H) == _slotwise_reference(a, b, [H] * 4)
+    assert a.slotwise_mul(b, H) == _slotwise_reference(a, b, [H] * 4)
 
 
 def test_scale_and_zero():
@@ -393,7 +404,7 @@ def test_integer_core_matches_scalar_dicts(data, field):
          _ref_merge(dims, ra, groups)),
         (a.apply_at(0, reshape_map(field, dims, (prod(dims),)))
          .apply_at(0, reshape_map(field, (prod(dims),), dims)), ra),
-        (slotwise_mul(a, b, alg), _ref_slotwise(field, ra, rb, alg)),
+        (a.slotwise_mul(b, alg), _ref_slotwise(field, ra, rb, alg)),
     ]
     if k > 1:
         pa, pb = data.draw(st.permutations(range(k)), label="slots")[:2]
@@ -576,8 +587,8 @@ def _evaluate(prog, env):
     for step in prog.steps:
         if step[0] == "slotwise_mul":
             _, x, algebras, _, left = step
-            t = slotwise_mul(x, t, algebras) if any(left) \
-                else slotwise_mul(t, x, algebras)
+            t = t.slotwise_mul(x, algebras, left=True) if any(left) \
+                else t.slotwise_mul(x, algebras)
             continue
         if step[0] != "insert":
             t = getattr(t, step[0])(*step[1:])
@@ -642,25 +653,54 @@ def test_executor_matches_per_tuple_evaluation(field_name, data):
 
 
 def test_program_permute_rejects_a_non_permutation():
-    prog = Program(TensorElt.basis(QQ, (2, 3), (0, 0)))
-    with pytest.raises(ValueError, match="not a permutation of the slots"):
-        prog.permute((0, 0))
-    with pytest.raises(ValueError, match="not a permutation of the slots"):
-        prog.permute((0, 1, 2))
-    assert prog.permute([1, 0]).dims == (3, 2)
+    # an element and its program refuse alike
+    t = TensorElt.basis(QQ, (2, 3), (0, 0))
+    for target in (t, Program(t)):
+        for perm in ((0, 0), (0, 1, 2)):
+            with pytest.raises(ValueError,
+                               match="not a permutation of the slots"):
+                target.permute(perm)
+        assert target.permute([1, 0]).dims == (3, 2)
 
 
 def test_program_insert_rejects_a_position_outside_the_slots():
-    prog = Program(TensorElt.basis(QQ, (2, 3), (0, 0)))
+    t = TensorElt.basis(QQ, (2, 3), (0, 0))
     x = TensorElt.basis(QQ, (2,), (1,))
-    for pos in (7, 3, -1):
-        with pytest.raises(ValueError, match=rf"position {pos} outside"):
-            prog.insert(pos, x)
-    with pytest.raises(ValueError):
-        prog.mul_slots(0, 2, group_algebra_z2().H)
-    with pytest.raises(ValueError):
-        prog.apply_at(-1, group_algebra_z2().Delta)
-    assert prog.insert(2, x).dims == (2, 3, 2)
+    for target in (t, Program(t)):
+        for pos in (7, 3, -1):
+            with pytest.raises(ValueError, match=rf"position {pos} outside"):
+                target.insert(pos, x)
+        with pytest.raises(ValueError):
+            target.mul_slots(0, 2, group_algebra_z2().H)
+        with pytest.raises(ValueError):
+            target.apply_at(-1, group_algebra_z2().Delta)
+        assert target.insert(2, x).dims == (2, 3, 2)
+
+
+def test_elements_and_programs_refuse_the_same_calls():
+    # on the 3-slot associator of H2: slot -1 is slot 2, and slot 5 and
+    # position 9 do not exist; an operand over another field is refused,
+    # and a variable is taken by a program only
+    Hq = twisted_z2()
+    Phi = Hq.Phi
+    x = TensorElt.basis(QQ, (2,), (1,))
+    residue = TensorElt.basis(GF(5), (2,), (1,))
+    residues = TensorElt.basis(GF(5), Phi.dims, (1, 0, 1))
+    for target in (Phi, Program(Phi)):
+        for a, b in ((-1, 2), (0, 5)):
+            with pytest.raises(ValueError, match="slots must differ"):
+                target.mul_slots(a, b, Hq.H)
+        for pos in (9, -1):
+            with pytest.raises(ValueError, match=rf"position {pos} outside"):
+                target.insert(pos, x)
+        with pytest.raises(ValueError, match="operand over GF.5., not QQ"):
+            target.insert(0, residue)
+        with pytest.raises(ValueError, match="operand over GF.5., not QQ"):
+            target.slotwise_mul(residues, Hq.H)
+    u = Var("u", 2)
+    with pytest.raises(ValueError, match="TensorElt does not take a Var"):
+        Phi.insert(0, u)
+    assert Program(Phi).insert(0, u).dims == (2, 2, 2, 2)
 
 
 def _planned_kinds(prog, order):
@@ -796,8 +836,8 @@ def test_slotwise_step_matches_slotwise_mul(field_name, data):
     values = []
     run_program(Program(t).slotwise_mul(x, algebras, left), (),
                 lambda off, val: values.append(val))
-    assert values == [slotwise_mul(x, t, algebras) if left
-                      else slotwise_mul(t, x, algebras)]
+    assert values == [t.slotwise_mul(x, algebras, left=True) if left
+                      else t.slotwise_mul(x, algebras)]
 
 
 def _mismatches_reference(lhs, rhs, order, limit):
