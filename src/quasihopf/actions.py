@@ -227,9 +227,10 @@ def bimodule_to_right(A: BimoduleAlgebra,
     return RightModuleAlgebra(A.Hq, A.A, A.right, name=A.name, check=check)
 
 
-def tensor_bimodule(A: LeftModuleAlgebra, B: RightModuleAlgebra,
-                    check: bool = True) -> BimoduleAlgebra:
-    """A (x) B with componentwise product and h.(a x b).h' = h.a x b.h'."""
+def tensor_bimodule(A: LeftModuleAlgebra,
+                    B: RightModuleAlgebra) -> BimoduleAlgebra:
+    """A (x) B with componentwise product and h.(a x b).h' = h.a x b.h',
+    unchecked."""
     from .finalg import tensor_algebra
     if A.Hq is not B.Hq and A.Hq.H != B.Hq.H:
         raise ValueError("factors live over different parents")
@@ -246,30 +247,29 @@ def tensor_bimodule(A: LeftModuleAlgebra, B: RightModuleAlgebra,
     right = linmap_from_program(
         e.tensor(h).apply_at(1, B.action).apply_at(0, merge), (x, h))
     name = f"{A.name}(x){B.name}" if A.name and B.name else ""
-    return BimoduleAlgebra(Hq, AB, left, right, name=name, check=check)
+    return BimoduleAlgebra(Hq, AB, left, right, name=name, check=False)
 
 
-def twist_action(x, F: TensorElt, FInv: TensorElt | None = None,
-                 HF: QuasiHopfAlgebra | None = None, check: bool = True):
-    """Transport a (bi)module algebra across the gauge twist by F.
+def twist_action(x, F: TensorElt, FInv: TensorElt, HF: QuasiHopfAlgebra):
+    """Transport a (bi)module algebra across the gauge twist by F, with
+    inverse ``FInv`` (= G) and twisted parent ``HF``, unchecked.
 
     Left: a' product (G^1.a)(G^2.a'); right: (b.F^1)(b'.F^2); bimodule:
     (G^1.p.F^1)(G^2.p'.F^2).  Unit and actions are unchanged; the
     parent becomes H twisted by F.
     """
-    FInv, HF = x.Hq.twisted(F, FInv, HF)
     if isinstance(x, LeftModuleAlgebra):
         a, a2 = Var("a", x.A.dim), Var("a'", x.A.dim)
         prog = Program(FInv).insert(1, a).apply_at(0, x.action) \
             .insert(2, a2).apply_at(1, x.action).mul_slots(0, 1, x.A)
         A2 = algebra_from_program(prog, [a], [a2], x.unit_elt(), x.name)
-        return LeftModuleAlgebra(HF, A2, x.action, name=x.name, check=check)
+        return LeftModuleAlgebra(HF, A2, x.action, name=x.name, check=False)
     if isinstance(x, RightModuleAlgebra):
         b, b2 = Var("b", x.B.dim), Var("b'", x.B.dim)
         prog = Program(F).insert(0, b).apply_at(0, x.action) \
             .insert(1, b2).apply_at(1, x.action).mul_slots(0, 1, x.B)
         B2 = algebra_from_program(prog, [b], [b2], x.unit_elt(), x.name)
-        return RightModuleAlgebra(HF, B2, x.action, name=x.name, check=check)
+        return RightModuleAlgebra(HF, B2, x.action, name=x.name, check=False)
     if isinstance(x, BimoduleAlgebra):
         p, p2 = Var("p", x.A.dim), Var("p'", x.A.dim)
         prog = Program(FInv.tensor(F).permute((0, 2, 1, 3)))
@@ -279,15 +279,14 @@ def twist_action(x, F: TensorElt, FInv: TensorElt | None = None,
         A2 = algebra_from_program(prog.mul_slots(0, 1, x.A), [p], [p2],
                                   x.unit_elt(), x.name)
         return BimoduleAlgebra(HF, A2, x.left, x.right, name=x.name,
-                               check=check)
+                               check=False)
     raise TypeError("not a (bi)module algebra")
 
 
-def bar_construction(A: LeftModuleAlgebra,
-                     check: bool = True) -> RightModuleAlgebra:
-    """The reversed right module algebra: product a * a' = (g^1.a')(g^2.a)
-    with f^{-1} = g^1 x g^2 the inverse Drinfeld twist; action
-    a.h = S(h).a."""
+def bar_construction(A: LeftModuleAlgebra) -> RightModuleAlgebra:
+    """The reversed right module algebra, unchecked: product
+    a * a' = (g^1.a')(g^2.a) with f^{-1} = g^1 x g^2 the inverse
+    Drinfeld twist; action a.h = S(h).a."""
     Hq = A.Hq
     fld = Hq.field
     m = A.A.dim
@@ -301,7 +300,7 @@ def bar_construction(A: LeftModuleAlgebra,
     action = linmap_from_program(
         Program.basis(fld, h).apply_at(0, Hq.S).tensor(a)
         .apply_at(0, A.action), (a, h))
-    return RightModuleAlgebra(Hq, Abar, action, name=Abar.name, check=check)
+    return RightModuleAlgebra(Hq, Abar, action, name=Abar.name, check=False)
 
 
 def as_module_over_tensor(A: BimoduleAlgebra, HHop: QuasiHopfAlgebra,

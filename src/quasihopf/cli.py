@@ -243,6 +243,12 @@ def cmd_theorem(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     Hq, Am, Ab, Du = st["H"], st["module"], st["bicomodule"], st["dual"]
+
+    def trivial_right():
+        # H as a right module algebra over itself by the counit
+        return RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
+                                  name="Ht", check=False)
+
     t0 = time.time()
     checks = []
     if name == "hausser-nill":
@@ -261,8 +267,7 @@ def cmd_theorem(args) -> int:
         checks = _as_checks("four diagonal products isomorphic", rep)
     elif name == "five-corollary":
         from .isomaps import five_corollary, iso_mu
-        Bm = RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                                name="Ht", check=False)
+        Bm = trivial_right()
         rep = Report()
         try:
             iso_mu(Am, Bm, Ab)
@@ -284,8 +289,7 @@ def cmd_theorem(args) -> int:
         if not _gauge_ok(Hq, F):
             raise UsageError("twist is not a gauge: needs invertibility "
                              "and counit normalization in both slots")
-        Bm = RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                                name="Ht", check=False)
+        Bm = trivial_right()
         rep = Report()
         rep.merge(iso_twist_invariance("gen-smash", (Am, Ab), F))
         rep.merge(iso_twist_invariance("diag", (Du, Ab), F))

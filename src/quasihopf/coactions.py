@@ -419,9 +419,9 @@ def tensor_bicomodule(Afr: RightComoduleAlgebra, Bfr: LeftComoduleAlgebra,
                              name=AB.name, check=check)
 
 
-def bicomodule_tensor_with_algebra(Ab: BicomoduleAlgebra, C: FinAlgebra,
-                                   check: bool = True) -> BicomoduleAlgebra:
-    """A (x) C with everything trivial on the C factor."""
+def bicomodule_tensor_with_algebra(Ab: BicomoduleAlgebra,
+                                   C: FinAlgebra) -> BicomoduleAlgebra:
+    """A (x) C with everything trivial on the C factor, certified."""
     if Ab.field != C.field:
         raise ValueError("field mismatch")
     Hq = Ab.Hq
@@ -447,18 +447,20 @@ def bicomodule_tensor_with_algebra(Ab: BicomoduleAlgebra, C: FinAlgebra,
     right = RightComoduleAlgebra(Hq, AC, rho, PhiRho, PhiRhoInv=PhiRhoInv,
                                  name=AC.name, check=False)
     return BicomoduleAlgebra(left, right, PhiLR, PhiLRInv=PhiLRInv,
-                             name=AC.name, check=check)
+                             name=AC.name)
 
 
 # -- p-tilde / q-tilde for a right comodule algebra ---------------------------
 
 @dataclass
-class PQTilde:
+class CanonicalPair:
+    """A canonical pair (p, q): p-tilde and q-tilde of a right comodule
+    algebra, or p and q of a two-sided coaction."""
     p: TensorElt
     q: TensorElt
 
 
-def tilde_pq(Afr: RightComoduleAlgebra, check: bool = True) -> PQTilde:
+def tilde_pq(Afr: RightComoduleAlgebra, check: bool = True) -> CanonicalPair:
     """p = x~1 (x) x~2 beta S(x~3), q = X~1 (x) S^{-1}(alpha X~3) X~2,
     together with their intertwining and cancellation identities."""
     Hq = Afr.Hq
@@ -467,13 +469,13 @@ def tilde_pq(Afr: RightComoduleAlgebra, check: bool = True) -> PQTilde:
     p = fold_slots(t, [(0,), (1, 2, 3)], [Afr.A, H])
     t = Afr.PhiRho.insert(2, Hq.alpha).mul_slots(2, 3, H)
     q = t.apply_at(2, Hq.SInv).mul_slots(2, 1, H)
-    pq = PQTilde(p, q)
+    pq = CanonicalPair(p, q)
     if check:
         verify_tilde_pq(Afr, pq).require(Afr.name or "right comodule algebra")
     return pq
 
 
-def verify_tilde_pq(Afr: RightComoduleAlgebra, pq: PQTilde) -> Report:
+def verify_tilde_pq(Afr: RightComoduleAlgebra, pq: CanonicalPair) -> Report:
     Hq, A = Afr.Hq, Afr.A
     H = Hq.H
     p, q = pq.p, pq.q
@@ -596,7 +598,6 @@ def two_sided_from_bicomodule(Ab: BicomoduleAlgebra, side: str = "l",
 @dataclass
 class OmegaElement:
     value: TensorElt
-    flavor: str
 
 
 def _omega_tail(Hq: QuasiHopfAlgebra, t: TensorElt) -> TensorElt:
@@ -741,18 +742,12 @@ def omega_elements(src: BicomoduleAlgebra, flavor: str,
         rep.merge(program_report([(f"{label}: {flavor}", Program(value),
                                    other, ())]))
         rep.require(src.name or "bicomodule algebra")
-    return OmegaElement(value, flavor)
+    return OmegaElement(value)
 
 
 # -- p / q for a two-sided coaction -------------------------------------------
 
-@dataclass
-class PQDelta:
-    p: TensorElt
-    q: TensorElt
-
-
-def pq_delta(d: TwoSidedCoaction, check: bool = True) -> PQDelta:
+def pq_delta(d: TwoSidedCoaction, check: bool = True) -> CanonicalPair:
     """p = Psi2 S^{-1}(Psi1 beta) (x) Psi3 (x) Psi4 beta S(Psi5) and
     q = S(PsiBar1) alpha PsiBar2 (x) PsiBar3 (x)
     S^{-1}(alpha PsiBar5) PsiBar4, with their defining relations."""
@@ -766,13 +761,13 @@ def pq_delta(d: TwoSidedCoaction, check: bool = True) -> PQDelta:
     t = t.mul_slots(0, 1, H).mul_slots(0, 1, H)
     t = t.insert(3, Hq.alpha).mul_slots(3, 4, H)
     q = t.apply_at(3, Hq.SInv).mul_slots(3, 2, H)
-    pq = PQDelta(p, q)
+    pq = CanonicalPair(p, q)
     if check:
         verify_pq_delta(d, pq).require(d.name or "two-sided coaction")
     return pq
 
 
-def verify_pq_delta(d: TwoSidedCoaction, pq: PQDelta) -> Report:
+def verify_pq_delta(d: TwoSidedCoaction, pq: CanonicalPair) -> Report:
     Hq, A = d.Hq, d.A
     H = Hq.H
     p, q = pq.p, pq.q
@@ -1011,13 +1006,12 @@ def twist_equivalence_U(Ab: BicomoduleAlgebra, pair=None,
 
 # -- gauge twisting -----------------------------------------------------------
 
-def twist_coaction(x, F: TensorElt, FInv: TensorElt | None = None,
-                   HF: QuasiHopfAlgebra | None = None, check: bool = True):
+def twist_coaction(x, F: TensorElt, FInv: TensorElt, HF: QuasiHopfAlgebra):
     """Transport a comodule or bicomodule algebra across the gauge
-    twist by F: coactions are unchanged; the right mixed associator
+    twist by F, with inverse ``FInv`` and twisted parent ``HF``,
+    unchecked: coactions are unchanged; the right mixed associator
     becomes (1 x F) PhiRho, the left one PhiLam (FInv x 1), and the
     gluing element of a bicomodule algebra survives untouched."""
-    FInv, HF = x.Hq.twisted(F, FInv, HF)
     H = x.Hq.H
     if isinstance(x, RightComoduleAlgebra):
         oneA = x.unit_elt()
@@ -1026,7 +1020,7 @@ def twist_coaction(x, F: TensorElt, FInv: TensorElt | None = None,
             HF, x.A, x.rho,
             F.insert(0, oneA).slotwise_mul(x.PhiRho, algs),
             PhiRhoInv=x.PhiRhoInv.slotwise_mul(FInv.insert(0, oneA), algs),
-            name=x.name, check=check)
+            name=x.name, check=False)
     if isinstance(x, LeftComoduleAlgebra):
         oneB = x.unit_elt()
         algs = [H, H, x.B]
@@ -1034,10 +1028,10 @@ def twist_coaction(x, F: TensorElt, FInv: TensorElt | None = None,
             HF, x.B, x.lam,
             x.PhiLam.slotwise_mul(FInv.insert(2, oneB), algs),
             PhiLamInv=F.insert(2, oneB).slotwise_mul(x.PhiLamInv, algs),
-            name=x.name, check=check)
+            name=x.name, check=False)
     if isinstance(x, BicomoduleAlgebra):
-        left = twist_coaction(x.left, F, FInv=FInv, HF=HF, check=False)
-        right = twist_coaction(x.right, F, FInv=FInv, HF=HF, check=False)
-        return BicomoduleAlgebra(left, right, x.PhiLR, PhiLRInv=x.PhiLRInv,
-                                 name=x.name, check=check)
+        return BicomoduleAlgebra(twist_coaction(x.left, F, FInv, HF),
+                                 twist_coaction(x.right, F, FInv, HF),
+                                 x.PhiLR, PhiLRInv=x.PhiLRInv, name=x.name,
+                                 check=False)
     raise TypeError("not a comodule or bicomodule algebra")

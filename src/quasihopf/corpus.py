@@ -28,14 +28,13 @@ from .tensors import Program, TensorElt, Var, linmap_from_program
 MAX_DIM = 64
 
 
-def _algebra_from_table(field: Field, table, unit_index: int,
-                        name: str) -> FinAlgebra:
-    """table[i][j] is a dict {k: coeff} for e_i e_j."""
+def _algebra_from_table(field: Field, table, unit, name: str) -> FinAlgebra:
+    """table[i][j] is a dict {k: coeff} for e_i e_j; ``unit`` is the
+    coordinate vector of 1."""
     n = len(table)
     zero = field.zero()
     mul = [[[table[i][j].get(k, zero) for k in range(n)] for j in range(n)]
            for i in range(n)]
-    unit = [field.one() if i == unit_index else zero for i in range(n)]
     return FinAlgebra(field, mul, unit, name=name, check=False)
 
 
@@ -65,7 +64,7 @@ def _z2_ingredients():
 
 def group_algebra_z2() -> QuasiHopfAlgebra:
     field, table, coprod, counit_vals, antipode = _z2_ingredients()
-    H = _algebra_from_table(field, table, 0, "QZ2")
+    H = _algebra_from_table(field, table, [field.one(), field.zero()], "QZ2")
     Delta, counit, S = _maps_from_tables(field, 2, coprod, counit_vals,
                                          antipode)
     one = field.one()
@@ -78,7 +77,7 @@ def group_algebra_z2() -> QuasiHopfAlgebra:
 def twisted_z2() -> QuasiHopfAlgebra:
     """Z/2 group algebra with associator 1x1x1 - 2 pxpxp, p = (1-g)/2."""
     field, table, coprod, counit_vals, antipode = _z2_ingredients()
-    H = _algebra_from_table(field, table, 0, "H2")
+    H = _algebra_from_table(field, table, [field.one(), field.zero()], "H2")
     Delta, counit, S = _maps_from_tables(field, 2, coprod, counit_vals,
                                          antipode)
     quarter = Fraction(1, 4)
@@ -129,7 +128,8 @@ def sweedler4() -> QuasiHopfAlgebra:
         {bi(1, 0): one},      # S(g) = g
         {bi(0, 1): one},      # S(gx) = x
     ]
-    H = _algebra_from_table(field, table, 0, "Sweedler4")
+    H = _algebra_from_table(field, table, [one] + [field.zero()] * 3,
+                            "Sweedler4")
     Delta, counit, S = _maps_from_tables(field, 4, coprod, counit_vals,
                                          antipode)
     Phi = TensorElt.basis(field, (4, 4, 4), (0, 0, 0))
@@ -172,10 +172,7 @@ def cyclic_with_cocycle(p: int, n: int) -> QuasiHopfAlgebra:
     coprod = [{(j, (i - j) % n): one for j in range(n)} for i in range(n)]
     counit_vals = [one if i == 0 else field.zero() for i in range(n)]
     antipode = [{(-i) % n: one} for i in range(n)]
-    zero = field.zero()
-    mul = [[[table[i][j].get(k, zero) for k in range(n)] for j in range(n)]
-           for i in range(n)]
-    H = FinAlgebra(field, mul, [one] * n, name=f"FpZn({p},{n})", check=False)
+    H = _algebra_from_table(field, table, [one] * n, f"FpZn({p},{n})")
     Delta, counit, S = _maps_from_tables(field, n, coprod, counit_vals,
                                          antipode)
     phi_terms = {}

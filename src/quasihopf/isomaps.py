@@ -78,31 +78,26 @@ def _composite(f: LinMap, g: LinMap) -> LinMap:
 
 
 def _certify(f: LinMap, finv: LinMap, source: FinAlgebra, target: FinAlgebra,
-             provenance: str, check: bool = True,
-             rep: Report | None = None) -> VerifiedIso:
-    """The isomorphism ``f`` with inverse ``finv``; with ``check``,
-    certified first (failures join those already in ``rep``)."""
-    if check:
-        rep = Report() if rep is None else rep
-        rep.merge(program_report(algebra_map_checks("", f, source, target)))
-        if source.dim == target.dim:
-            rank = f.rank()
-            rep.check(rank == source.dim, "bijective",
-                      f"rank {rank} < {source.dim}")
-        rep.check(_composite(f, finv).is_identity(), "inverse",
-                  "f o f^-1 != id")
-        rep.check(_composite(finv, f).is_identity(), "inverse",
-                  "f^-1 o f != id")
-        rep.check(f.inverse() == finv, "inverse",
-                  "transcribed inverse differs from the recomputed one")
-        rep.require(provenance)
+             provenance: str, rep: Report | None = None) -> VerifiedIso:
+    """The isomorphism ``f`` with inverse ``finv``, certified first
+    (failures join those already in ``rep``)."""
+    rep = Report() if rep is None else rep
+    rep.merge(program_report(algebra_map_checks("", f, source, target)))
+    if source.dim == target.dim:
+        rank = f.rank()
+        rep.check(rank == source.dim, "bijective",
+                  f"rank {rank} < {source.dim}")
+    rep.check(_composite(f, finv).is_identity(), "inverse", "f o f^-1 != id")
+    rep.check(_composite(finv, f).is_identity(), "inverse", "f^-1 o f != id")
+    rep.check(f.inverse() == finv, "inverse",
+              "transcribed inverse differs from the recomputed one")
+    rep.require(provenance)
     return VerifiedIso(f, source, target, finv, provenance)
 
 
 # -- theta: left vs right diagonal crossed products --------------------------
 
-def iso_theta(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
-              check: bool = True) -> VerifiedIso:
+def iso_theta(Abi: BimoduleAlgebra, d: TwoSidedCoaction) -> VerifiedIso:
     """theta(phi >< u) = q2 u_0 >< S^{-1}(q1 u_-1).phi.(q3 u_1), from the
     left diagonal product to the right one over the same coaction."""
     Hq = Abi.Hq
@@ -131,7 +126,7 @@ def iso_theta(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
     # [u-1 p1 . phi, S^-1(u1 p3), u0 p2]
     finv = linmap_from_program(t.apply_at(0, Abi.right), (u, phi))
     return _certify(f, finv, source.result, target.result,
-                    "left-right diagonal exchange", check)
+                    "left-right diagonal exchange")
 
 
 def four_diagonal_isos(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra):
@@ -150,8 +145,7 @@ def four_diagonal_isos(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra):
 
 # -- nu: three-factor crossed product vs diagonal over a tensor --------------
 
-def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr,
-           check: bool = True) -> VerifiedIso:
+def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr) -> VerifiedIso:
     """nu(a >< phi >< b) = phi.S^{-1}(a_1 p~2) >< (a_0 p~1 (x) b), from
     the three-factor crossed product to the diagonal product over the
     tensor bicomodule; also certifies the factorization of nu through
@@ -183,26 +177,25 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr,
     # [phi, q1 a0, q2 a1, b]
     t = t.permute((0, 2, 1, 3)).apply_at(0, Abi.right)
     finv = linmap_from_program(t.permute((1, 0, 2)), (p, a, b))
-    rep = None
-    if check:
-        # nu(a >< phi >< b) equals a Gamma(phi) b inside the target,
-        # where Gamma(phi) = phi.S^{-1}(p~2) >< (p~1 (x) 1)
-        alg = target.result
-        unitP, unitB = Abi.unit_elt(), Bco.unit_elt()
-        flat = reshape_map(fld, (mP, mA, mB), (alg.dim,))
-        gamma = Program(pq.p.apply_at(1, Hq.SInv)).insert(0, p) \
-            .permute((0, 2, 1)).apply_at(0, Abi.right).insert(2, unitB) \
-            .apply_at(0, flat)
-        # (1 >< a >< 1) Gamma(phi), then times (1 >< 1 >< b), each factor
-        # flattened into the target
-        got = gamma.insert(0, unitB).insert(0, a).insert(0, unitP) \
-            .apply_at(0, flat).mul_slots(0, 1, alg) \
-            .tensor(unitP.tensor(Aco.unit_elt())).tensor(b).apply_at(1, flat) \
-            .mul_slots(0, 1, alg)
-        want = Program.basis(fld, a, p, b).apply_at(0, f).apply_at(0, flat)
-        rep = program_report([("nu-factorization", got, want, (p, a, b))])
-    return _certify(f, finv, source.result, target.result,
-                    "three-factor to diagonal over tensor", check, rep)
+    # nu(a >< phi >< b) equals a Gamma(phi) b inside the target,
+    # where Gamma(phi) = phi.S^{-1}(p~2) >< (p~1 (x) 1)
+    alg = target.result
+    unitP, unitB = Abi.unit_elt(), Bco.unit_elt()
+    flat = reshape_map(fld, (mP, mA, mB), (alg.dim,))
+    gamma = Program(pq.p.apply_at(1, Hq.SInv)).insert(0, p) \
+        .permute((0, 2, 1)).apply_at(0, Abi.right).insert(2, unitB) \
+        .apply_at(0, flat)
+    # (1 >< a >< 1) Gamma(phi), then times (1 >< 1 >< b), each factor
+    # flattened into the target
+    got = gamma.insert(0, unitB).insert(0, a).insert(0, unitP) \
+        .apply_at(0, flat).mul_slots(0, 1, alg) \
+        .tensor(unitP.tensor(Aco.unit_elt())).tensor(b).apply_at(1, flat) \
+        .mul_slots(0, 1, alg)
+    want = Program.basis(fld, a, p, b).apply_at(0, f).apply_at(0, flat)
+    return _certify(f, finv, source.result, alg,
+                    "three-factor to diagonal over tensor",
+                    program_report([("nu-factorization", got, want,
+                                     (p, a, b))]))
 
 
 # -- mu: diagonal over a tensor bimodule vs two-sided smash ------------------
@@ -340,7 +333,7 @@ def _mu_identities(Ab: BicomoduleAlgebra, q: TensorElt) -> list:
 
 
 def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
-           Ab: BicomoduleAlgebra, check: bool = True) -> VerifiedIso:
+           Ab: BicomoduleAlgebra) -> VerifiedIso:
     """mu((a x b) >< u) = Th1.a # q~1 Th2_0 u_0 # b.S^-1(Th3) q~2 Th2_1
     u_1, from the diagonal product over the tensor bimodule to the
     two-sided generalized smash product; the three rearrangement
@@ -348,7 +341,7 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     Hq = Ab.Hq
     H = Hq.H
     Ualg = Ab.A
-    AB = tensor_bimodule(Am, Bm, check=False)
+    AB = tensor_bimodule(Am, Bm)
     source = diag_crossed(AB, Ab, "bowtie", check=False)
     target = two_sided_gen_smash(Am, Ab, Bm, check=False)
     pq = tilde_pq(Ab.right, check=False)
@@ -385,8 +378,8 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     # [A, M, B] -> source order (A, B, M)
     finv = linmap_from_program(t.permute((0, 2, 1)), (a, u, b))
     return _certify(f, finv, source.result, target.result,
-                    "diagonal over tensor bimodule to two-sided smash", check,
-                    program_report(_mu_identities(Ab, q)) if check else None)
+                    "diagonal over tensor bimodule to two-sided smash",
+                    program_report(_mu_identities(Ab, q)))
 
 
 def five_corollary(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
@@ -396,8 +389,7 @@ def five_corollary(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     certified."""
     TAB = tensor_bicomodule(_right_part(Afr), _left_part(Bfr))
     m = iso_mu(Am, Bm, TAB)
-    AB = tensor_bimodule(Am, Bm, check=False)
-    n = iso_nu(Afr, AB, Bfr)
+    n = iso_nu(Afr, tensor_bimodule(Am, Bm), Bfr)
     return {"diag-to-two-sided-smash": m, "three-factor-to-diag": n}
 
 
@@ -457,15 +449,13 @@ def gamma_map(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
 # -- smash-product twist equivalence -----------------------------------------
 
 def twist_comodule_by_U(Bco: LeftComoduleAlgebra, U: TensorElt,
-                        UInv: TensorElt | None = None,
-                        check: bool = True) -> LeftComoduleAlgebra:
+                        UInv: TensorElt) -> LeftComoduleAlgebra:
     """The comodule algebra with coaction U lam(.) U^{-1} and mixed
-    associator (1 x U)(id x lam)(U) PhiLam (Delta x id)(U^{-1})."""
+    associator (1 x U)(id x lam)(U) PhiLam (Delta x id)(U^{-1}),
+    certified; ``UInv`` is the inverse of U."""
     Hq = Bco.Hq
     H = Hq.H
     Balg = Bco.B
-    if UInv is None:
-        UInv = invert_or_raise(U, [H, Balg], "U")
     b = Var("b", Balg.dim)
     t = Program(U.tensor(UInv)).insert(2, b).apply_at(2, Bco.lam)
     # [U1, U2, bm, b0, V1, V2]
@@ -480,23 +470,19 @@ def twist_comodule_by_U(Bco: LeftComoduleAlgebra, U: TensorElt,
                                Hq.unit_elt().tensor(UInv)], algs)
     name = f"{Bco.name}~U" if Bco.name else ""
     return LeftComoduleAlgebra(Hq, Balg, lam, PhiLam, PhiLamInv=PhiLamInv,
-                               name=name, check=check)
+                               name=name)
 
 
 def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
-                    UInv: TensorElt | None = None,
-                    Btwisted: LeftComoduleAlgebra | None = None,
-                    check: bool = True) -> VerifiedIso:
+                    Btwisted: LeftComoduleAlgebra | None = None
+                    ) -> VerifiedIso:
     """f(a x b) = U1.a x U2 b from A x B to A x B', where B' carries the
     U-twisted coaction; f fixes 1 x b pointwise."""
     Bco = _left_part(Bfr)
-    Hq = Am.Hq
-    H = Hq.H
     Balg = Bco.B
-    if UInv is None:
-        UInv = invert_or_raise(U, [H, Balg], "U")
+    UInv = invert_or_raise(U, [Am.Hq.H, Balg], "U")
     if Btwisted is None:
-        Btwisted = twist_comodule_by_U(Bco, U, UInv, check=check)
+        Btwisted = twist_comodule_by_U(Bco, U, UInv)
     source = gen_smash(Am, Bco, check=False)
     target = gen_smash(Am, Btwisted, check=False)
 
@@ -506,9 +492,9 @@ def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
         .mul_slots(1, 2, Balg), (a, b)) for x in (U, UInv))
     v = Program(Am.unit_elt()).tensor(b)
     return _certify(f, finv, source.result, target.result,
-                    "smash twist equivalence", check,
+                    "smash twist equivalence",
                     program_report([("fixes-comodule", v.apply_at(0, f), v,
-                                     (b,))]) if check else None)
+                                     (b,))]))
 
 
 # -- diagonal products as generalized smash products over H (x) H^op ---------
@@ -532,22 +518,21 @@ def diag_as_gen_smash(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
     return rep
 
 
-def diag_flavor_twist_iso(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
-                          check: bool = True) -> VerifiedIso:
+def diag_flavor_twist_iso(Abi: BimoduleAlgebra,
+                          Ab: BicomoduleAlgebra) -> VerifiedIso:
     """The two left diagonal products are isomorphic through the smash
     twist by the equivalence element of the two induced structures."""
     A1, A2, K = lambda12_structures(Ab, check=False)
     Kmod = as_module_over_tensor(Abi, K, check=False)
     U = twist_equivalence_U(Ab, pair=(A1, A2, K), check=False)
-    iso = iso_smash_twist(Kmod, A1, U, check=check)
-    if check:
-        # the twisted comodule really is the second induced structure,
-        # so the target is the other diagonal product
-        btr = diag_crossed(Abi, Ab, "btrl", check=False)
-        rep = Report()
-        rep.check(_same_product(iso.target, btr.result), "twist-target",
-                  "U-twisted smash product differs from the other flavor")
-        rep.require("diagonal flavor twist")
+    iso = iso_smash_twist(Kmod, A1, U)
+    # the twisted comodule really is the second induced structure, so
+    # the target is the other diagonal product
+    btr = diag_crossed(Abi, Ab, "btrl", check=False)
+    rep = Report()
+    rep.check(_same_product(iso.target, btr.result), "twist-target",
+              "U-twisted smash product differs from the other flavor")
+    rep.require("diagonal flavor twist")
     return iso
 
 
@@ -564,8 +549,7 @@ def quantum_double_gen_smash(Hq: QuasiHopfAlgebra) -> Report:
 
 # -- invariance under gauge twisting -----------------------------------------
 
-def iso_twist_invariance(kind: str, inputs, F: TensorElt,
-                         FInv: TensorElt | None = None, check: bool = True):
+def iso_twist_invariance(kind: str, inputs, F: TensorElt):
     """Carry a product across the gauge twist by F.
 
     * ``gen-smash``: (A x B) over H equals the product of the twisted
@@ -575,22 +559,21 @@ def iso_twist_invariance(kind: str, inputs, F: TensorElt,
       verified isomorphism onto the product of the twisted inputs.
     """
     Hq = inputs[0].Hq
-    FInv, HF = Hq.twisted(F, FInv)
+    FInv, HF = Hq.twisted(F)
     if kind == "gen-smash":
         Am, Bfr = inputs
         Bco = _left_part(Bfr)
         lhs = gen_smash(Am, Bco, check=False)
-        rhs = gen_smash(twist_action(Am, F, FInv=FInv, HF=HF, check=False),
-                        twist_coaction(Bco, F, FInv=FInv, HF=HF,
-                                       check=False), check=False)
+        rhs = gen_smash(twist_action(Am, F, FInv, HF),
+                        twist_coaction(Bco, F, FInv, HF), check=False)
         rep = Report()
         rep.check(_same_product(lhs.result, rhs.result), "twist-invariance",
                   "generalized smash product changed under the twist")
         return rep
     if kind == "diag":
         Abi, Ab = inputs
-        AbiF = twist_action(Abi, F, FInv=FInv, HF=HF, check=False)
-        AbF = twist_coaction(Ab, F, FInv=FInv, HF=HF, check=False)
+        AbiF = twist_action(Abi, F, FInv, HF)
+        AbF = twist_coaction(Ab, F, FInv, HF)
         rep = Report()
         for flavor in ("bowtie", "btrl"):
             lhs = diag_crossed(Abi, Ab, flavor, check=False)
@@ -603,9 +586,8 @@ def iso_twist_invariance(kind: str, inputs, F: TensorElt,
         Am, Bm = inputs
         H = Hq.H
         source = two_sided_smash(Am, Bm, check=False)
-        AmF = twist_action(Am, F, FInv=FInv, HF=HF, check=False)
-        BmF = twist_action(Bm, F, FInv=FInv, HF=HF, check=False)
-        target = two_sided_smash(AmF, BmF, check=False)
+        target = two_sided_smash(twist_action(Am, F, FInv, HF),
+                                 twist_action(Bm, F, FInv, HF), check=False)
 
         a, h, b = Var("a", Am.A.dim), Var("h", Hq.n), Var("b", Bm.B.dim)
 
@@ -619,7 +601,7 @@ def iso_twist_invariance(kind: str, inputs, F: TensorElt,
                 t.insert(2, b).apply_at(2, Bm.action), (a, h, b))
 
         return _certify(twist(F, FInv), twist(FInv, F), source.result,
-                        target.result, "two-sided smash twist", check)
+                        target.result, "two-sided smash twist")
     raise ValueError(f"unknown twist-invariance kind {kind!r}")
 
 

@@ -231,13 +231,10 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         return invert_or_raise(F, [self.H] * 2, "twist") if FInv is None \
             else FInv
 
-    def twisted(self, F: TensorElt, FInv: TensorElt | None = None,
-                HF: "QuasiHopfAlgebra | None" = None) -> tuple:
-        """``(FInv, HF)``: the inverse of the gauge F and H twisted by F,
-        each computed only when it is not given."""
-        if FInv is None:
-            FInv = invert_or_raise(F, [self.H, self.H], "twist")
-        return FInv, self.gauge_twist(F, FInv=FInv) if HF is None else HF
+    def twisted(self, F: TensorElt) -> tuple:
+        """``(FInv, HF)``: the inverse of the gauge F and H twisted by F."""
+        FInv = invert_or_raise(F, [self.H, self.H], "twist")
+        return FInv, self.gauge_twist(F, FInv=FInv)
 
     def gauge_twist(self, F: TensorElt,
                     FInv: TensorElt | None = None) -> "QuasiHopfAlgebra":

@@ -256,11 +256,11 @@ def _associativity(mul: LinMap, act: LinMap, m: Var, a: Var, a2: Var):
             .apply_at(0, act), (m, a, a2))
 
 
-def yd_product(Ab: BicomoduleAlgebra, C: BimoduleCoalgebra,
-               check: bool = True):
-    """The diagonal product C* >< A carrying the translated modules."""
-    dual = dual_of_bimodule_coalgebra(C, check=check)
-    return dual, diag_crossed(dual, Ab, "bowtie", check=check)
+def yd_product(Ab: BicomoduleAlgebra, C: BimoduleCoalgebra):
+    """The dual C* and the diagonal product C* >< A carrying the
+    translated modules, both unchecked."""
+    dual = dual_of_bimodule_coalgebra(C, check=False)
+    return dual, diag_crossed(dual, Ab, "bowtie", check=False)
 
 
 def _pairing(fld: Field, n: int) -> LinMap:
@@ -270,10 +270,10 @@ def _pairing(fld: Field, n: int) -> LinMap:
         for i in range(n) for j in range(n)})
 
 
-def yd_to_module(M: YDModule, prod: ProductAlgebra, check: bool = True):
+def yd_to_module(M: YDModule, prod: ProductAlgebra):
     """(c* >< u) m = <c*, q~2 . (u.m)_(1)> q~1 . (u.m)_(0): the left
     module over ``prod``, the product C* >< A of ``yd_product``, carried
-    by a Yetter-Drinfeld module."""
+    by a Yetter-Drinfeld module; certified."""
     Ab, C = M.Ab, M.C
     fld = M.field
     mU, mC, mM = Ab.A.dim, C.dim, M.dim
@@ -287,7 +287,7 @@ def yd_to_module(M: YDModule, prod: ProductAlgebra, check: bool = True):
     # [c*, q1 m0, q2 m1] -> <c*, q2 m1> q1 m0
     act = linmap_from_program(
         t.permute((1, 0, 2)).apply_at(1, _pairing(fld, mC)), (x, m))
-    return FinModule(prod.result, mM, act, name=M.name, check=check)
+    return FinModule(prod.result, mM, act, name=M.name)
 
 
 class FinModule:
@@ -321,10 +321,10 @@ class FinModule:
                                                    self.act, m, a, a2))])
 
 
-def regular_module(alg: FinAlgebra, check: bool = True) -> FinModule:
-    """The algebra acting on itself by left multiplication."""
+def regular_module(alg: FinAlgebra) -> FinModule:
+    """The algebra acting on itself by left multiplication, unchecked."""
     return FinModule(alg, alg.dim, mul_linmap(alg), name=alg.name,
-                     check=check)
+                     check=False)
 
 
 def module_to_yd(M: FinModule, Ab: BicomoduleAlgebra, C: BimoduleCoalgebra,
@@ -363,20 +363,18 @@ def module_to_yd(M: FinModule, Ab: BicomoduleAlgebra, C: BimoduleCoalgebra,
 
 
 def yd_roundtrip_check(Hq: QuasiHopfAlgebra, Ab: BicomoduleAlgebra,
-                       C: BimoduleCoalgebra,
-                       M: FinModule | None = None) -> Report:
-    """Both round trips of the two translations are the identity on the
-    structure matrices, and the canonical bimodule embedding acts by the
-    coaction pairing."""
+                       C: BimoduleCoalgebra) -> Report:
+    """Both round trips of the two translations, from the regular module
+    of C* >< A, are the identity on the structure matrices, and the
+    canonical bimodule embedding acts by the coaction pairing."""
     from .isomaps import gamma_map
-    dual, prod = yd_product(Ab, C, check=False)
-    if M is None:
-        M = regular_module(prod.result, check=False)
+    dual, prod = yd_product(Ab, C)
+    M = regular_module(prod.result)
     rep = program_report([
         ("translation-identity: the canonical-pair rearrangement fails",
          *mixed_translation_identity(Ab), ())])
     yd = module_to_yd(M, Ab, C, check=True)
-    back = yd_to_module(yd, prod, check=True)
+    back = yd_to_module(yd, prod)
     rep.check(back.act == M.act, "roundtrip",
               "module -> YD -> module changed the action")
     yd2 = module_to_yd(back, Ab, C, check=False)
@@ -400,9 +398,8 @@ def yd_roundtrip_check(Hq: QuasiHopfAlgebra, Ab: BicomoduleAlgebra,
 # -- module-category translations for the two-sided smash product ------------
 
 def sec8_correspondences(Hq: QuasiHopfAlgebra, Am: LeftModuleAlgebra,
-                         Dm: LeftModuleAlgebra,
-                         M: FinModule | None = None) -> Report:
-    """Split a left module over A # H # D-bar into its three partial
+                         Dm: LeftModuleAlgebra) -> Report:
+    """Split the regular module of A # H # D-bar into its three partial
     actions, verify every defining relation of the corresponding
     two-sided module category, derive the right D-action from the
     left one through the canonical pair, and certify both round trips."""
@@ -410,12 +407,9 @@ def sec8_correspondences(Hq: QuasiHopfAlgebra, Am: LeftModuleAlgebra,
     fld = Hq.field
     n = Hq.n
     mA, mD = Am.A.dim, Dm.A.dim
-    Dbar = bar_construction(Dm, check=False)
+    Dbar = bar_construction(Dm)
     prod = two_sided_smash(Am, Dbar, check=False)
-    if M is None:
-        M = regular_module(prod.result, check=False)
-    if M.algebra.dim != prod.result.dim:
-        raise ValueError("module is not over the two-sided smash product")
+    M = regular_module(prod.result)
     mM = M.dim
     unitA = Am.unit_elt()
     unitH = Hq.unit_elt()

@@ -217,7 +217,7 @@ def test_criterion_07_trivial_identifications():
             pq = tilde_pq(Ab.right, check=False)
             one2 = st["H"].unit_elt(2)
             assert pq.p == one2 and pq.q == one2
-            bar = bar_construction(st["module"], check=False)
+            bar = bar_construction(st["module"])
             assert bar.B.mul == opposite(st["module"].A).mul
 
 

@@ -41,7 +41,8 @@ def test_trivial_actions(name):
 @pytest.mark.parametrize("name", ALL)
 def test_bar_construction(name):
     Am = entry(name)["module"]
-    bar = bar_construction(Am, check=True)
+    bar = bar_construction(Am)
+    bar.verify().require(bar.name)
     assert isinstance(bar, RightModuleAlgebra)
 
 
@@ -51,7 +52,7 @@ def test_bar_is_opposite_for_coassociative_coproduct(name):
     # action is through the antipode
     st = entry(name)
     Hq, Am = st["H"], st["module"]
-    bar = bar_construction(Am, check=False)
+    bar = bar_construction(Am)
     assert bar.B.mul == opposite(Am.A).mul
     n = Hq.n
     for i in range(n):
@@ -87,7 +88,8 @@ def test_tensor_bimodule(name):
     Hq, Am = st["H"], st["module"]
     Bm = RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
                             check=False)
-    tensor_bimodule(Am, Bm, check=True)
+    AB = tensor_bimodule(Am, Bm)
+    AB.verify().require(AB.name)
 
 
 def test_twist_action_h2():
@@ -96,12 +98,14 @@ def test_twist_action_h2():
     q = Fraction(1, 4)
     F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
                                (1, 0): -q, (1, 1): q})
-    twisted = twist_action(Am, F, check=True)
+    FInv, HF = Hq.twisted(F)
+    twisted = twist_action(Am, F, FInv, HF)
+    twisted.verify().require(twisted.name)
     assert twisted.Hq.Phi == Hq.gauge_twist(F).Phi
-    twist_action(Du, F, check=True)
     Bm = RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
                             check=False)
-    twist_action(Bm, F, check=True)
+    for x in (Du, Bm):
+        twist_action(x, F, FInv, HF).verify().require(x.name)
 
 
 @pytest.mark.parametrize("name", ["QZ2", "H2"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                                 PQDelta, RightComoduleAlgebra,
+                                 CanonicalPair, RightComoduleAlgebra,
                                  bicomodule_tensor_with_algebra,
                                  lambda12_structures, omega_closed_left,
                                  omega_closed_right, omega_from_coaction,
@@ -99,7 +99,7 @@ def test_pq_delta_detects_corrupted_q(name):
     d = two_sided_from_bicomodule(Ab, "l", check=False)
     pq = pq_delta(d, check=False)
     verify_pq_delta(d, pq).require(name)
-    rep = verify_pq_delta(d, PQDelta(pq.p, corrupt_one(pq.q)))
+    rep = verify_pq_delta(d, CanonicalPair(pq.p, corrupt_one(pq.q)))
     assert any(f.startswith("q-coproduct") for f in rep.failures)
 
 
@@ -131,7 +131,7 @@ def test_pq_delta_detects_corrupted_qL(monkeypatch):
     Ab = entry("FpZn(5,2)")["bicomodule"]
     d = two_sided_from_bicomodule(Ab, "l", check=False)
     pq = pq_delta(d, check=False)
-    rep = verify_pq_delta(d, PQDelta(pq.p, corrupt_one(pq.q)))
+    rep = verify_pq_delta(d, CanonicalPair(pq.p, corrupt_one(pq.q)))
     assert "q-factorization" in rep.failures
     bad_qL = corrupt_one(d.Hq.canonical_qL())
     monkeypatch.setattr(d.Hq, "canonical_qL", lambda: bad_qL)
@@ -196,7 +196,7 @@ def test_tensor_bicomodule(name):
 def test_tensor_with_inert_algebra(name):
     st = entry(name)
     Ab = st["bicomodule"]
-    big = bicomodule_tensor_with_algebra(Ab, st["H"].H, check=True)
+    big = bicomodule_tensor_with_algebra(Ab, st["H"].H)
     assert big.A.dim == Ab.A.dim * st["H"].n
 
 
@@ -205,10 +205,12 @@ def test_twist_coaction_h2():
     q = Fraction(1, 4)
     F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
                                (1, 0): -q, (1, 1): q})
-    twisted = twist_coaction(Ab, F, check=True)
+    FInv, HF = Ab.Hq.twisted(F)
+    twisted = twist_coaction(Ab, F, FInv, HF)
+    twisted.verify().require(twisted.name)
     assert isinstance(twisted, BicomoduleAlgebra)
-    twist_coaction(Ab.left, F, check=True)
-    twist_coaction(Ab.right, F, check=True)
+    for part in (Ab.left, Ab.right):
+        twist_coaction(part, F, FInv, HF).verify().require(part.name)
 
 
 def test_noninvertible_gluing_rejected():

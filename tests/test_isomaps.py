@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from quasihopf import coactions, finalg, quasihopf
+from quasihopf import coactions, finalg, isomaps, quasihopf
 from quasihopf.actions import RightModuleAlgebra, trivial_right_action
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  RightComoduleAlgebra, lambda12_structures,
                                  regular_left, tilde_pq, twist_equivalence_U,
                                  two_sided_from_bicomodule)
 from quasihopf.fields import QQ
-from quasihopf.finalg import VerificationError, program_report
+from quasihopf.finalg import VerificationError, invert_mixed, program_report
 from quasihopf.isomaps import (_certify, _mu_identities, diag_as_gen_smash,
                                diag_flavor_twist_iso, five_corollary,
                                four_diagonal_isos, gamma_map,
@@ -221,7 +221,7 @@ def test_comodule_twist_by_exchange_element():
     q = Fraction(1, 4)
     U = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
                                (1, 0): -q, (1, 1): q})
-    twist_comodule_by_U(Bco, U, check=True)
+    twist_comodule_by_U(Bco, U, invert_mixed(U, [Hq.H, Bco.B]))
 
 
 def test_twist_equivalence_certificate():
@@ -327,3 +327,35 @@ def test_smash_twist_reports_an_unnormalised_twist():
                                             U, Btwisted=st["bicomodule"].left))
     assert msg.startswith("smash twist equivalence: fixes-comodule: basis "
                           "(0,); fixes-comodule: basis (1,); multiplicative:")
+
+
+def test_flavor_twist_reports_a_wrong_equivalence_element(monkeypatch):
+    # U = 1 x 1 + (1/2) p x 1 (x) 1_A with p = (1 - g)/2 is normalised and
+    # invertible, so the smash twist it defines certifies; but it does
+    # not carry the first induced structure into the second
+    st = entry("H2")
+    U = TensorElt(QQ, (4, 2), {(0, 0): Fraction(5, 4),
+                               (2, 0): Fraction(-1, 4)})
+    monkeypatch.setattr(isomaps, "twist_equivalence_U",
+                        lambda Ab, pair=None, check=True: U)
+    assert _failures(lambda: diag_flavor_twist_iso(
+        st["dual"], st["bicomodule"])) == "diagonal flavor twist: " \
+        "twist-target: U-twisted smash product differs from the other flavor"
+
+
+def test_diag_as_gen_smash_reports_corrupted_coactions():
+    # a doubled column of the left coaction breaks the first structure's
+    # product, one of the right coaction the second's; the bimodule
+    # factor is intact, so nothing else is checked or fails
+    st = entry("H2")
+    Ab = st["bicomodule"]
+    L, R = Ab.left, Ab.right
+    bad = BicomoduleAlgebra(
+        LeftComoduleAlgebra(L.Hq, L.B, doubled_column(L.lam, (0,)), L.PhiLam,
+                            PhiLamInv=L.PhiLamInv, check=False),
+        RightComoduleAlgebra(R.Hq, R.A, doubled_column(R.rho, (0,)),
+                             R.PhiRho, PhiRhoInv=R.PhiRhoInv, check=False),
+        Ab.PhiLR, PhiLRInv=Ab.PhiLRInv, check=False)
+    assert diag_as_gen_smash(st["dual"], bad).failures == [
+        "diag-as-smash: first structure vs left diagonal product",
+        "diag-as-smash: second structure vs other left diagonal"]

@@ -64,7 +64,7 @@ def formula_maps(name: str) -> dict:
     out["opcop-lam"], out["opcop-rho"] = oc.lam, oc.rho
     T = tensor_bicomodule(Ab.right, Ab.left, check=False)
     out["tensor-bicomodule-lam"], out["tensor-bicomodule-rho"] = T.lam, T.rho
-    TC = bicomodule_tensor_with_algebra(Ab, Hq.H, check=False)
+    TC = bicomodule_tensor_with_algebra(Ab, Hq.H)
     out["tensor-with-algebra-lam"] = TC.lam
     out["tensor-with-algebra-rho"] = TC.rho
     dl = two_sided_from_bicomodule(Ab, "l", check=False)
@@ -75,10 +75,10 @@ def formula_maps(name: str) -> dict:
     out["lambda1"], out["lambda2"] = A1.lam, A2.lam
     out["as-module-over-tensor"] = as_module_over_tensor(Du, K,
                                                          check=False).action
-    TB = tensor_bimodule(Am, Bm, check=False)
+    TB = tensor_bimodule(Am, Bm)
     out["tensor-bimodule-left"], out["tensor-bimodule-right"] = \
         TB.left, TB.right
-    out["bar-action"] = bar_construction(Am, check=False).action
+    out["bar-action"] = bar_construction(Am).action
     out["quasi-smash-action"] = quasi_smash(Ab, Du, check=False).action
     out["left-quasi-smash-action"] = left_quasi_smash(Du, Ab,
                                                       check=False).action
@@ -91,27 +91,24 @@ def formula_maps(name: str) -> dict:
     out["induced-crossed-lam"], out["induced-crossed-rho"] = co.lam, co.rho
     units = [Ab.unit_elt(), Du.unit_elt(), Ab.unit_elt()]
     out["slot-embedding"] = _slot_embedding(Hq.field, gtc.dims, units, 1)
-    th = iso_theta(Du, dl, check=False)
+    th = iso_theta(Du, dl)
     out["theta"], out["theta-inverse"] = th.f, th.inverse
-    nu = iso_nu(Ab, Du, Ab, check=False)
+    nu = iso_nu(Ab, Du, Ab)
     out["nu"], out["nu-inverse"] = nu.f, nu.inverse
-    mu = iso_mu(Am, Bm, Ab, check=False)
+    mu = iso_mu(Am, Bm, Ab)
     out["mu"], out["mu-inverse"] = mu.f, mu.inverse
     out["gamma"] = gamma_map(Du, Ab, check=False)
     Bco = regular_left(Hq, check=False)
-    out["twist-comodule-lam"] = twist_comodule_by_U(Bco, dt.f, dt.f_inv,
-                                                    check=False).lam
-    tw = iso_smash_twist(Am, Bco, dt.f, dt.f_inv, check=False)
+    out["twist-comodule-lam"] = twist_comodule_by_U(Bco, dt.f, dt.f_inv).lam
+    tw = iso_smash_twist(Am, Bco, dt.f)
     out["smash-twist"], out["smash-twist-inverse"] = tw.f, tw.inverse
-    ts = iso_twist_invariance("two-sided-smash", (Am, Bm), dt.f,
-                              FInv=dt.f_inv, check=False)
+    ts = iso_twist_invariance("two-sided-smash", (Am, Bm), dt.f)
     out["two-sided-smash-twist"] = ts.f
     out["two-sided-smash-twist-inverse"] = ts.inverse
-    _, prod = yd_product(Ab, C, check=False)
-    yd = module_to_yd(regular_module(prod.result, check=False), Ab, C,
-                      check=False)
+    _, prod = yd_product(Ab, C)
+    yd = module_to_yd(regular_module(prod.result), Ab, C, check=False)
     out["module-to-yd-act"], out["module-to-yd-coact"] = yd.act, yd.coact
-    out["yd-to-module-act"] = yd_to_module(yd, prod, check=False).act
+    out["yd-to-module-act"] = yd_to_module(yd, prod).act
     return out
 
 

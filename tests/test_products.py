@@ -624,7 +624,8 @@ def _lines(monkeypatch, build, prefix):
 
 def test_smash_reports_a_corrupted_associator(monkeypatch):
     # Sweedler's algebra with one entry of PhiInv off by one: 48 and 52
-    # failing (a, h, h') triples, the first 10 of each named
+    # failing (a, h, h') triples of absorb-right and absorb-left, the
+    # first 10 of each named
     st = entry("Sweedler4")
     Hq, Am = st["H"], st["module"]
     bad = QuasiHopfAlgebra(Hq.H, Hq.Delta, Hq.counit, Hq.Phi, Hq.S,

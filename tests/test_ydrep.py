@@ -4,16 +4,17 @@ import pytest
 
 from quasihopf.actions import LeftModuleAlgebra
 from quasihopf.fields import QQ
-from quasihopf.coactions import mixed_translation_identity
-from quasihopf.finalg import FinAlgebra, program_report
+from quasihopf.coactions import BicomoduleAlgebra, mixed_translation_identity
+from quasihopf.finalg import FinAlgebra, Report, program_report
 from quasihopf.linalg import LinMap, linmap_from_columns
+from quasihopf.products import diag_crossed
 from quasihopf.tensors import Program, Var, linmap_from_program
 from quasihopf.ydrep import (BimoduleCoalgebra, FinModule, YDModule,
                              module_to_yd, regular_bimodule_coalgebra,
                              regular_module, sec8_correspondences,
                              yd_product, yd_roundtrip_check, yd_to_module)
 
-from conftest import doubled_column, entry
+from conftest import corrupt_one, doubled_column, entry
 
 ALL = ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
 SMALL = ["QZ2", "H2", "Sweedler4"]
@@ -80,11 +81,14 @@ def test_module_translations(name):
 def test_yd_structures_verify(name):
     st = entry(name)
     Ab, C = st["bicomodule"], st["coalgebra"]
-    dual, prod = yd_product(Ab, C, check=True)
-    M = regular_module(prod.result, check=True)
+    dual, prod = yd_product(Ab, C)
+    dual.verify().require(dual.name)
+    diag_crossed(dual, Ab, "bowtie")  # the checked build of prod
+    M = regular_module(prod.result)
+    M.verify().require(M.name)
     yd = module_to_yd(M, Ab, C, check=True)
     assert isinstance(yd, YDModule)
-    back = yd_to_module(yd, prod, check=True)
+    back = yd_to_module(yd, prod)
     assert isinstance(back, FinModule)
 
 
@@ -139,13 +143,13 @@ def test_fin_module_verify_rejects_non_action():
 
 def test_regular_module():
     st = entry("Sweedler4")
-    regular_module(st["H"].H, check=True)
+    regular_module(st["H"].H).verify().require("Sweedler4")
 
 
 def test_yd_product_dimensions():
     st = entry("H2")
     Ab, C = st["bicomodule"], st["coalgebra"]
-    dual, prod = yd_product(Ab, C, check=False)
+    dual, prod = yd_product(Ab, C)
     assert prod.result.dim == C.dim * Ab.A.dim
 
 
@@ -155,8 +159,8 @@ def test_yd_product_dimensions():
 
 def _h2_yd_module():
     st = entry("H2")
-    _, prod = yd_product(st["bicomodule"], st["coalgebra"], check=False)
-    M = regular_module(prod.result, check=False)
+    _, prod = yd_product(st["bicomodule"], st["coalgebra"])
+    M = regular_module(prod.result)
     return M, module_to_yd(M, st["bicomodule"], st["coalgebra"], check=False)
 
 
@@ -191,3 +195,20 @@ def test_yd_roundtrip_reports_a_corrupted_embedding(monkeypatch):
     rep = yd_roundtrip_check(st["H"], st["bicomodule"], st["coalgebra"])
     assert rep.failures == [f"embedding-pairing: basis (1, {m})"
                             for m in range(4)]
+
+
+def test_yd_roundtrip_reports_a_corrupted_gluing_inverse(monkeypatch):
+    """The translation identity is a lemma of the bicomodule axioms, so
+    it cannot fail on its own: ``gluing-inverse`` implies it.  One entry
+    of PhiLRInv off by one breaks both, and the translated modules too;
+    their checks are silenced here so that the report comes back."""
+    st = entry("H2")
+    Ab = st["bicomodule"]
+    bad = BicomoduleAlgebra(Ab.left, Ab.right, Ab.PhiLR,
+                            PhiLRInv=corrupt_one(Ab.PhiLRInv), check=False)
+    assert bad.verify().failures == ["gluing-inverse: PhiLR PhiLRInv != 1",
+                                     "gluing-inverse: PhiLRInv PhiLR != 1"]
+    monkeypatch.setattr(Report, "require", lambda rep, context="": None)
+    rep = yd_roundtrip_check(st["H"], bad, st["coalgebra"])
+    assert rep.failures[0] == \
+        "translation-identity: the canonical-pair rearrangement fails"
