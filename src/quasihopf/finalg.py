@@ -93,9 +93,13 @@ class FinAlgebra:
     increasing k, zeros skipped.  The form is canonical: over QQ, ``den``
     is the lcm of the entries' denominators; over GF(p), ``den`` is 1 and
     the entries are nonzero residues.  ``mul`` is a dense view of it.
+    The rows are never changed after construction, so ``idempotents``,
+    whether the basis is one of orthogonal idempotents (e_i e_j = [i = j]
+    e_i), is read off them once.
     """
 
-    __slots__ = ("field", "dim", "den", "rows", "unit", "name")
+    __slots__ = ("field", "dim", "den", "rows", "unit", "name",
+                 "idempotents")
 
     def __init__(self, field: Field, mul, unit, name: str = "",
                  check: bool = True):
@@ -121,6 +125,9 @@ class FinAlgebra:
         self.dim = len(rows)
         self.den = den
         self.rows = rows
+        self.idempotents = den == 1 and all(
+            row == ([(i, 1)] if i == j else [])
+            for i, plane in enumerate(rows) for j, row in enumerate(plane))
         self.unit = list(unit)
         self.name = name
         if check:
@@ -298,13 +305,21 @@ def slotwise_unit(field: Field, algebras) -> TensorElt:
 def invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
     """Two-sided inverse of ``t`` in the slotwise product of
     ``algebras``, or None when ``t`` is not invertible; found by a linear
-    solve against the left-multiplication operator."""
+    solve against the left-multiplication operator, or, when every
+    algebra has a basis of orthogonal idempotents, as the coefficientwise
+    reciprocal, there being one when no coefficient is zero."""
     field = t.field
     unit = slotwise_unit(field, algebras)
     if t == unit:
         return t
     dims = t.dims
     n = prod(dims)
+    if all(alg.idempotents for alg in algebras):
+        p = field.p
+        inv = TensorElt(field, dims, {
+            idx: Fraction(t.den, c) if p is None else pow(c, -1, p)
+            for idx, c in t.num.items()})
+        return inv if inv.slotwise_mul(t, algebras) == unit else None
     # the matrix of e_f -> t e_f in one pass over the terms of t, as
     # integers over one denominator: each term expands slot by slot into
     # (column f, row, coefficient) triples

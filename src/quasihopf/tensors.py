@@ -65,7 +65,13 @@ of a ``FinAlgebra``; a call on a TensorElt normalises its result.  The
 executor binds each step's kernel once and carries raw numerators: over
 GF(p) each kernel reduces mod p, over the rationals lowest terms are
 taken only where a value is held for an inner loop or sunk.  A held
-zero skips the loops beneath it, each value there being zero.  Field
+zero skips the loops beneath it, each value there being zero.  On a
+basis of orthogonal idempotents (``FinAlgebra.idempotents``, e_i e_j =
+[i = j] e_i) a product multiplies matching coefficients: ``mul_slots``
+keeps the terms whose two slots agree, and ``slotwise_mul``, when every
+algebra of the step has such a basis, looks up for each term of the
+value the one term of the operand that agrees with it on the step's
+slots.  Field
 scalars (``Fraction`` over the rationals) appear only at the boundary:
 the constructor takes them, and ``terms`` (a read-only {multi-index
 tuple: scalar} view) and ``to_flat`` return them.
@@ -153,7 +159,9 @@ def _normal(field: Field, dims, num, den) -> "TensorElt":
 def _kernel(step, p=None):
     """``(run, den)``: the loop of the Program step ``step``, constants
     bound, from the value's numerators (and the operand's ``x``) to the
-    result's, mod ``p`` if given; the denominator gains ``den``."""
+    result's, mod ``p`` if given; the denominator gains ``den``.  The
+    multiplying steps take a dict lookup per term instead when their
+    algebras have bases of orthogonal idempotents."""
     kind = step[0]
     if kind == "permute":
         pick = itemgetter(*step[1]) if len(step[1]) > 1 else None
@@ -180,6 +188,12 @@ def _kernel(step, p=None):
         return run, lm.den
     if kind == "mul_slots":
         _, pos_a, pos_b, alg = step
+        if alg.idempotents:
+            # e_i e_j = [i = j] e_i: keep the terms whose slots agree and
+            # drop slot pos_b, a map injective on them
+            return (lambda num: {
+                idx[:pos_b] + idx[pos_b + 1:]: c for idx, c in num.items()
+                if idx[pos_a] == idx[pos_b]}), 1
         rows = alg.rows
         dst = pos_a if pos_a < pos_b else pos_a - 1
 
@@ -199,6 +213,17 @@ def _kernel(step, p=None):
     # on its own side): lines[r][i][j] is e_i, in the value's slot
     # slots[r], times e_j of x's slot r; partners[r][i] the j where nonzero
     _, _, algebras, slots, left = step
+    if slots and all(alg.idempotents for alg in algebras):
+        # each term meets the one term of x that agrees with it on the
+        # step's slots, on either side, and keeps its index
+        pick = itemgetter(*slots) if len(slots) > 1 else \
+            (lambda idx, s=slots[0]: (idx[s],))
+
+        def run(num, x):
+            get = x.get
+            return _residues({ia: ca * cb for ia, ca in num.items()
+                              if (cb := get(pick(ia)))}, p)
+        return run, 1
     k, lines, partners = len(slots), [], []
     for alg, side in zip(algebras, left):
         lines.append(list(zip(*alg.rows)) if side else alg.rows)

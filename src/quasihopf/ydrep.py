@@ -366,14 +366,20 @@ def yd_roundtrip_check(Hq: QuasiHopfAlgebra, Ab: BicomoduleAlgebra,
                        C: BimoduleCoalgebra) -> Report:
     """Both round trips of the two translations, from the regular module
     of C* >< A, are the identity on the structure matrices, and the
-    canonical bimodule embedding acts by the coaction pairing."""
+    canonical bimodule embedding acts by the coaction pairing.  When the
+    translated module is no Yetter-Drinfeld module, its failures end the
+    report: the round trips would start from it."""
     from .isomaps import gamma_map
     dual, prod = yd_product(Ab, C)
     M = regular_module(prod.result)
     rep = program_report([
         ("translation-identity: the canonical-pair rearrangement fails",
          *mixed_translation_identity(Ab), ())])
-    yd = module_to_yd(M, Ab, C, check=True)
+    yd = module_to_yd(M, Ab, C, check=False)
+    yd_rep = yd.verify()
+    rep.merge(yd_rep)
+    if not yd_rep.ok:
+        return rep
     back = yd_to_module(yd, prod)
     rep.check(back.act == M.act, "roundtrip",
               "module -> YD -> module changed the action")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from quasihopf.corpus import (cyclic_with_cocycle, group_algebra_z2,
                               sweedler4, twisted_z2)
 from quasihopf.fields import GF, QQ
-from quasihopf.finalg import FinAlgebra, mul_linmap
+from quasihopf.finalg import FinAlgebra, invert_mixed, mul_linmap
 from quasihopf.linalg import (flat_index, linmap_from_columns, prod,
                               reshape_map, unflatten)
 from quasihopf import tensors as tensors_module
@@ -225,6 +225,199 @@ def test_slotwise_mul_sparse_right_factor():
     b = TensorElt(QQ, dims, {(1, 0, 1, 1): Fraction(2),
                            (0, 1, 1, 0): Fraction(-1)})
     assert a.slotwise_mul(b, H) == _slotwise_reference(a, b, [H] * 4)
+
+
+# -- pointwise products on bases of orthogonal idempotents ------------------
+#
+# On such a basis (e_i e_j = [i = j] e_i) the kernels multiply matching
+# coefficients.  The references below use no kernel: each pair of terms
+# is expanded as dense coordinates, multiplied slot by slot with
+# FinAlgebra.multiply.
+
+def _diagonal_qq(scales=(1, 1, 1), off=None):
+    """QQ^3 on the basis e_0, e_1, e_2 with e_i e_i = ``scales[i]`` e_i;
+    ``off`` = (i, j, k) adds e_i e_j = e_k, and the result is no algebra,
+    so it is left unchecked."""
+    mul = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for i, c in enumerate(scales):
+        mul[i][i][i] = Fraction(c)
+    if off is not None:
+        i, j, k = off
+        mul[i][j][k] = Fraction(1)
+    return FinAlgebra(QQ, mul, [1 / Fraction(c) for c in scales],
+                      check=off is None)
+
+
+IDEMPOTENT_CASES = {"FpZn(7,3)": cyclic_with_cocycle(7, 3).H,
+                    "QQ^3": _diagonal_qq()}
+# each differs from QQ^3 in one respect and takes the general kernels;
+# the last has the rows of QQ^3 over the denominator 2
+NEAR_MISSES = {"e0e0=2e0": _diagonal_qq(scales=(2, 1, 1)),
+               "e0e1=e1": _diagonal_qq(off=(0, 1, 1)),
+               "den=2": _diagonal_qq(scales=(Fraction(1, 2),) * 3)}
+
+
+def _unit_vector(field, n, i):
+    return [field.one() if k == i else field.zero() for k in range(n)]
+
+
+def _dense_expand(field, dims, pieces):
+    """The flat coordinates of the sum of c v_1 (x) ... (x) v_k over the
+    ``pieces`` (c, [v_1, ..., v_k]), reduced mod p over GF(p)."""
+    out = [0] * prod(dims)
+    for c, vecs in pieces:
+        nonzero = [[(i, x) for i, x in enumerate(v) if x] for v in vecs]
+        for combo in product(*nonzero):
+            coef = c
+            for _, x in combo:
+                coef *= x
+            out[flat_index(dims, [i for i, _ in combo])] += coef
+    p = field.p
+    return [c % p for c in out] if p else out
+
+
+def _dense_slotwise(a, b, algebras, slots, lefts):
+    """The flat coordinates of ``a`` times ``b``, slot r of ``b``
+    multiplied into slot ``slots[r]`` of ``a``, from the left where
+    ``lefts[r]``."""
+    field, dims = a.field, a.dims
+
+    def pieces():
+        for ia, ca in a.terms.items():
+            for ib, cb in b.terms.items():
+                vecs = [_unit_vector(field, d, i) for d, i in zip(dims, ia)]
+                for r, s in enumerate(slots):
+                    u = _unit_vector(field, dims[s], ib[r])
+                    vecs[s] = algebras[r].multiply(
+                        *((u, vecs[s]) if lefts[r] else (vecs[s], u)))
+                yield ca * cb, vecs
+    return _dense_expand(field, dims, pieces())
+
+
+def _dense_mul_slots(a, pos_a, pos_b, alg):
+    """The flat coordinates of ``a.mul_slots(pos_a, pos_b, alg)``."""
+    field = a.field
+    dims = tuple(d for s, d in enumerate(a.dims) if s != pos_b)
+
+    def pieces():
+        for ia, ca in a.terms.items():
+            vecs = [_unit_vector(field, d, i) for d, i in zip(a.dims, ia)]
+            vecs[pos_a] = alg.multiply(vecs[pos_a], vecs[pos_b])
+            del vecs[pos_b]
+            yield ca, vecs
+    return _dense_expand(field, dims, pieces())
+
+
+def _value(prog):
+    """The value of a program that reads no variable, from the executor."""
+    got = {}
+    run_program(prog, (), got.__setitem__)
+    return got[0]
+
+
+def _fused(a, x, targets, lefts, alg):
+    """``a`` with ``x`` tensored on, slot r of ``x`` multiplied into slot
+    ``targets[r]`` of ``a`` (from the left where ``lefts[r]``) by
+    ``mul_slots``, and the products permuted back to ``a``'s order: the
+    plan runs it as one slotwise step on the slots ``targets``."""
+    k = len(a.dims)
+    prog = Program(a).tensor(x)
+    layout = list(range(k)) + [("x", r) for r in range(len(targets))]
+    for r, (s, left) in enumerate(zip(targets, lefts)):
+        px, pv = layout.index(("x", r)), layout.index(s)
+        pa, pb = (px, pv) if left else (pv, px)
+        prog = prog.mul_slots(pa, pb, alg)
+        layout[pa] = s
+        del layout[pb]
+    return prog.permute([layout.index(s) for s in range(k)])
+
+
+@pytest.mark.parametrize("name", sorted(IDEMPOTENT_CASES)
+                         + sorted(NEAR_MISSES))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_pointwise_kernels_match_dense_multiplication(name, data):
+    alg = IDEMPOTENT_CASES.get(name) or NEAR_MISSES[name]
+    assert alg.idempotents == (name in IDEMPOTENT_CASES)
+    if name == "den=2":
+        assert (alg.den, alg.rows) == (2, IDEMPOTENT_CASES["QQ^3"].rows)
+    field, n = alg.field, alg.dim
+    k = data.draw(st.integers(2, 4), label="slots")
+    dims = (n,) * k
+    a, b = (data.draw(slot_tensors(field, dims, n ** k), label=v)
+            for v in "ab")
+    algebras = [alg] * k
+    # every slot, the factors of b on the right and on the left, as an
+    # element and as a program
+    for left in (False, True):
+        want = _dense_slotwise(a, b, algebras, range(k), [left] * k)
+        assert a.slotwise_mul(b, algebras, left).to_flat() == want
+        assert _value(Program(a).slotwise_mul(b, algebras, left)) \
+            .to_flat() == want
+    # a planned step on some of the slots, each on its own side
+    m = data.draw(st.integers(1, k - 1), label="operand slots")
+    targets = data.draw(st.permutations(range(k)), label="targets")[:m]
+    lefts = data.draw(st.lists(st.booleans(), min_size=m, max_size=m),
+                      label="lefts")
+    x = data.draw(slot_tensors(field, (n,) * m, n ** m), label="x")
+    prog = _fused(a, x, targets, lefts, alg)
+    assert [step[3:] for step in tensors_module._plan(prog)
+            if step[0] == "slotwise_mul"] == [(tuple(targets), tuple(lefts))]
+    assert _value(prog).to_flat() == _dense_slotwise(a, x, [alg] * m,
+                                                     targets, lefts)
+    # two slots multiplied, the earlier one first and the later one first
+    pos_a, pos_b = sorted(data.draw(st.permutations(range(k)),
+                                    label="pair")[:2])
+    for i, j in ((pos_a, pos_b), (pos_b, pos_a)):
+        want = _dense_mul_slots(a, i, j, alg)
+        assert a.mul_slots(i, j, alg).to_flat() == want
+        assert _value(Program(a).mul_slots(i, j, alg)).to_flat() == want
+
+
+# the near miss whose one off-diagonal product breaks associativity has
+# no inverses to compare
+@pytest.mark.parametrize("name", sorted(IDEMPOTENT_CASES)
+                         + ["den=2", "e0e0=2e0"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_invert_mixed_matches_dense_multiplication(name, data):
+    alg = IDEMPOTENT_CASES.get(name) or NEAR_MISSES[name]
+    field, n = alg.field, alg.dim
+    k = data.draw(st.integers(1, 3), label="slots")
+    dims = (n,) * k
+    algebras = [alg] * k
+    full = st.lists(nonzero_scalars(field), min_size=n ** k,
+                    max_size=n ** k).map(
+        lambda v: TensorElt.from_flat(field, dims, v))
+    t = data.draw(st.one_of(full, slot_tensors(field, dims, n ** k)),
+                  label="t")
+    unit = _dense_expand(field, dims, [(1, [alg.unit] * k)])
+    inv = invert_mixed(t, algebras)
+    # t kills a basis tensor exactly when it has no inverse
+    kills = any(not any(_dense_slotwise(
+        t, TensorElt.basis(field, dims, idx), algebras, range(k),
+        [False] * k)) for idx in product(*map(range, dims)))
+    assert (inv is None) == kills
+    if inv is not None:
+        for x, y in ((t, inv), (inv, t)):
+            assert _dense_slotwise(x, y, algebras, range(k),
+                                   [False] * k) == unit
+
+
+def test_invert_mixed_refuses_an_exchange_element_missing_a_term():
+    from quasihopf.coactions import omega_elements
+    from quasihopf.corpus import structures
+    st_ = structures("FpZn(7,3)")
+    Hq, Ab = st_["H"], st_["bicomodule"]
+    Om = omega_elements(Ab, "left").value
+    algebras = [Hq.H, Hq.H, Ab.A, Hq.H, Hq.H]
+    assert all(alg.idempotents for alg in algebras)
+    assert len(Om.num) == prod(Om.dims)
+    assert invert_mixed(Om, algebras) is not None
+    num = dict(Om.num)
+    del num[min(num)]
+    assert invert_mixed(TensorElt.from_num(Om.field, Om.dims, num, Om.den),
+                        algebras) is None
 
 
 def test_scale_and_zero():
