@@ -54,10 +54,6 @@ def _emit(checks, as_json: bool, limit: int | None, extra=None):
     return PASS if ok else FAIL
 
 
-def _as_checks(name: str, rep):
-    return [(name, list(rep.failures))]
-
-
 # -- verify ----------------------------------------------------------------
 
 def _axiom_report(obj):
@@ -203,9 +199,24 @@ def cmd_construct(args) -> int:
 
 # -- theorems --------------------------------------------------------------
 
-THEOREMS = ("hausser-nill", "four-diagonal-isos", "five-corollary",
-            "twist-invariance", "yd-roundtrip", "sec8",
-            "quantum-double-smash")
+# name: the label of its report
+THEOREMS = {"hausser-nill": "three-factor coincidence",
+            "four-diagonal-isos": "four diagonal products isomorphic",
+            "five-corollary": "five products isomorphic",
+            "twist-invariance": "products invariant under the gauge twist",
+            "yd-roundtrip": "module / YD-module equivalence",
+            "sec8": "module-structure translations",
+            "quantum-double-smash": "quantum double as generalized smash"}
+
+
+def _structures(entry: str) -> dict:
+    """The corpus entry with its derived structures, unchecked; an
+    unknown entry is a usage error."""
+    from . import corpus
+    try:
+        return corpus.structures(entry, check=False)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _default_gauge(Hq):
@@ -234,49 +245,24 @@ def cmd_theorem(args) -> int:
     if name not in THEOREMS:
         raise UsageError(f"unknown theorem {name!r}; choose from "
                          + ", ".join(THEOREMS))
-    from . import corpus
+    from . import isomaps, ydrep
     from .actions import RightModuleAlgebra, trivial_right_action
-    from .finalg import Report, VerificationError
-    entry = args.entry
-    try:
-        st = corpus.structures(entry, check=False)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    entry, label = args.entry, THEOREMS[name]
+    st = _structures(entry)
     Hq, Am, Ab, Du = st["H"], st["module"], st["bicomodule"], st["dual"]
-
-    def trivial_right():
-        # H as a right module algebra over itself by the counit
-        return RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                                  name="Ht", check=False)
-
+    # H as a right module algebra over itself by the counit
+    Bm = RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
+                            name="Ht", check=False)
     t0 = time.time()
-    checks = []
     if name == "hausser-nill":
-        from .isomaps import hausser_nill_check
         products = {}
-        rep = hausser_nill_check(Ab, Du, Ab, Ab, products=products)
-        dim = products["left-nested"].dim
-        checks = _as_checks(f"three-factor coincidence (dim {dim})", rep)
+        rep = isomaps.hausser_nill_check(Ab, Du, Ab, Ab, products=products)
+        label += f" (dim {products['left-nested'].dim})"
     elif name == "four-diagonal-isos":
-        from .isomaps import four_diagonal_isos
-        rep = Report()
-        try:
-            four_diagonal_isos(Du, Ab)
-        except (ValueError, VerificationError) as exc:
-            rep.add("four-diagonal-isos", str(exc))
-        checks = _as_checks("four diagonal products isomorphic", rep)
+        rep = isomaps.four_diagonal_isos(Du, Ab)
     elif name == "five-corollary":
-        from .isomaps import five_corollary, iso_mu
-        Bm = trivial_right()
-        rep = Report()
-        try:
-            iso_mu(Am, Bm, Ab)
-            five_corollary(Am, Bm, Ab, Ab)
-        except (ValueError, VerificationError) as exc:
-            rep.add("five-product-chain", str(exc))
-        checks = _as_checks("five products isomorphic", rep)
+        rep = isomaps.five_corollary(Am, Bm, Ab)
     elif name == "twist-invariance":
-        from .isomaps import iso_twist_invariance
         if args.twist:
             doc = serialize.load_document(args.twist)
             fld = serialize.field_from_json(doc.get("field", "Q"))
@@ -289,29 +275,16 @@ def cmd_theorem(args) -> int:
         if not _gauge_ok(Hq, F):
             raise UsageError("twist is not a gauge: needs invertibility "
                              "and counit normalization in both slots")
-        Bm = trivial_right()
-        rep = Report()
-        rep.merge(iso_twist_invariance("gen-smash", (Am, Ab), F))
-        rep.merge(iso_twist_invariance("diag", (Du, Ab), F))
-        try:
-            iso_twist_invariance("two-sided-smash", (Am, Bm), F)
-        except (ValueError, VerificationError) as exc:
-            rep.add("two-sided-smash", str(exc))
-        checks = _as_checks("products invariant under the gauge twist", rep)
+        rep = isomaps.twist_invariance(Am, Bm, Du, Ab, F)
     elif name == "yd-roundtrip":
-        from .ydrep import yd_roundtrip_check
-        rep = yd_roundtrip_check(Hq, Ab, st["coalgebra"])
-        checks = _as_checks("module / YD-module equivalence", rep)
+        rep = ydrep.yd_roundtrip_check(Hq, Ab, st["coalgebra"])
     elif name == "sec8":
-        from .ydrep import sec8_correspondences
-        rep = sec8_correspondences(Hq, Am, Am)
-        checks = _as_checks("module-structure translations", rep)
-    elif name == "quantum-double-smash":
-        from .isomaps import quantum_double_gen_smash
-        rep = quantum_double_gen_smash(Hq)
-        checks = _as_checks("quantum double as generalized smash", rep)
+        rep = ydrep.sec8_correspondences(Hq, Am, Am)
+    else:
+        rep = isomaps.quantum_double_gen_smash(Hq)
     extra = {"entry": entry, "seconds": round(time.time() - t0, 3)}
-    return _emit(checks, args.json, None if args.all_failures else 10, extra)
+    return _emit([(label, rep.failures)], args.json,
+                 None if args.all_failures else 10, extra)
 
 
 # -- corpus ----------------------------------------------------------------
@@ -323,10 +296,7 @@ def cmd_corpus(args) -> int:
             print(name)
         return PASS
     # export
-    try:
-        st = corpus.structures(args.entry, check=False)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    st = _structures(args.entry)
     serialize.save_document(serialize.to_document(st[args.what]), args.out)
     print(f"wrote {args.out}")
     return PASS

@@ -50,6 +50,11 @@ class Report:
     def merge(self, other: "Report"):
         self.failures.extend(other.failures)
 
+    def merge_under(self, tag: str, other: "Report"):
+        """Merge the failures of ``other``, each as a detail of ``tag``."""
+        for line in other.failures:
+            self.add(tag, line)
+
     def require(self, context: str = ""):
         if self.failures:
             head = f"{context}: " if context else ""

@@ -12,6 +12,10 @@ factorizations of nu and Gamma on every basis tuple, the three mu
 rearrangements) are pairs of slot programs compared by
 ``finalg.program_report``.
 
+The builders return certified isomorphisms or raise; the theorems
+return a ``Report``, each failure of an isomorphism prefixed by its
+name, such as ``bowtie->rbowtie: multiplicative: basis (0, 2)``.
+
 * ``iso_theta``       - left diagonal product  ->  right diagonal product
 * ``iso_nu``          - three-factor crossed product -> diagonal product
                         over the tensor bicomodule
@@ -25,8 +29,10 @@ rearrangements) are pairs of slot programs compared by
 * ``diag_as_gen_smash`` / ``quantum_double_gen_smash``
                       - diagonal products as generalized smash products
                         over H (x) H^op
-* ``iso_twist_invariance`` - gauge twist carries each product to the
+* ``twist_invariance`` - gauge twist carries each product to the
                         product of the twisted inputs
+* ``iso_two_sided_twist`` - the two-sided smash product onto the one
+                        of the twisted inputs
 * ``tensoring_iso``   - tensoring the bicomodule factor by an ordinary
                         algebra commutes with the diagonal product
 * ``hausser_nill_check`` - the iterated three-factor products and the
@@ -35,7 +41,7 @@ rearrangements) are pairs of slot programs compared by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .actions import (BimoduleAlgebra, LeftModuleAlgebra, RightModuleAlgebra,
                       as_module_over_tensor, tensor_bimodule, twist_action)
@@ -77,12 +83,13 @@ def _composite(f: LinMap, g: LinMap) -> LinMap:
         Program.basis(g.field, *xs).apply_at(0, g).apply_at(0, f), xs)
 
 
-def _certify(f: LinMap, finv: LinMap, source: FinAlgebra, target: FinAlgebra,
-             provenance: str, rep: Report | None = None) -> VerifiedIso:
-    """The isomorphism ``f`` with inverse ``finv``, certified first
-    (failures join those already in ``rep``)."""
-    rep = Report() if rep is None else rep
-    rep.merge(program_report(algebra_map_checks("", f, source, target)))
+def _iso_report(f: LinMap, finv: LinMap, source: FinAlgebra,
+                target: FinAlgebra) -> Report:
+    """The certificate of ``f`` with inverse ``finv``: a unital algebra
+    map on all basis pairs, of full rank, whose transcribed inverse
+    composes to the identity on both sides and equals the recomputed
+    one."""
+    rep = program_report(algebra_map_checks("", f, source, target))
     if source.dim == target.dim:
         rank = f.rank()
         rep.check(rank == source.dim, "bijective",
@@ -91,8 +98,22 @@ def _certify(f: LinMap, finv: LinMap, source: FinAlgebra, target: FinAlgebra,
     rep.check(_composite(finv, f).is_identity(), "inverse", "f^-1 o f != id")
     rep.check(f.inverse() == finv, "inverse",
               "transcribed inverse differs from the recomputed one")
-    rep.require(provenance)
-    return VerifiedIso(f, source, target, finv, provenance)
+    return rep
+
+
+def _candidate(f: LinMap, finv: LinMap, source: FinAlgebra,
+               target: FinAlgebra, provenance: str,
+               rep: Report) -> tuple[VerifiedIso, Report]:
+    """The isomorphism ``f`` with inverse ``finv``, and its report: the
+    failures in ``rep``, then those of its certificate."""
+    rep.merge(_iso_report(f, finv, source, target))
+    return VerifiedIso(f, source, target, finv, provenance), rep
+
+
+def _certified(iso: VerifiedIso, rep: Report) -> VerifiedIso:
+    """``iso``, once its report ``rep`` passes."""
+    rep.require(iso.provenance)
+    return iso
 
 
 # -- theta: left vs right diagonal crossed products --------------------------
@@ -100,6 +121,11 @@ def _certify(f: LinMap, finv: LinMap, source: FinAlgebra, target: FinAlgebra,
 def iso_theta(Abi: BimoduleAlgebra, d: TwoSidedCoaction) -> VerifiedIso:
     """theta(phi >< u) = q2 u_0 >< S^{-1}(q1 u_-1).phi.(q3 u_1), from the
     left diagonal product to the right one over the same coaction."""
+    return _certified(*_theta(Abi, d))
+
+
+def _theta(Abi: BimoduleAlgebra,
+           d: TwoSidedCoaction) -> tuple[VerifiedIso, Report]:
     Hq = Abi.Hq
     H = Hq.H
     Ualg = d.A
@@ -125,22 +151,24 @@ def iso_theta(Abi: BimoduleAlgebra, d: TwoSidedCoaction) -> VerifiedIso:
     t = t.permute((0, 2, 1)).insert(1, phi).apply_at(0, Abi.left)
     # [u-1 p1 . phi, S^-1(u1 p3), u0 p2]
     finv = linmap_from_program(t.apply_at(0, Abi.right), (u, phi))
-    return _certify(f, finv, source.result, target.result,
-                    "left-right diagonal exchange")
+    return _candidate(f, finv, source.result, target.result,
+                      "left-right diagonal exchange", Report())
 
 
-def four_diagonal_isos(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra):
+def four_diagonal_isos(Abi: BimoduleAlgebra,
+                       Ab: BicomoduleAlgebra) -> Report:
     """The four diagonal products of a bicomodule algebra are pairwise
-    isomorphic, each isomorphism certified: theta links each left flavor
-    to its right partner, and the smash-twist equivalence links the two
-    left flavors."""
-    dl = two_sided_from_bicomodule(Ab, "l", check=False)
-    dr = two_sided_from_bicomodule(Ab, "r", check=False)
-    th_l = iso_theta(Abi, dl)
-    th_r = iso_theta(Abi, dr)
-    tw = diag_flavor_twist_iso(Abi, Ab)
-    return {"bowtie->rbowtie": th_l, "btrl->rbtrl": th_r,
-            "bowtie->btrl": tw}
+    isomorphic: theta links each left flavor to its right partner, and
+    the smash-twist equivalence links the two left flavors."""
+    rep = Report()
+    for name, (_, iso_rep) in (
+            ("bowtie->rbowtie",
+             _theta(Abi, two_sided_from_bicomodule(Ab, "l", check=False))),
+            ("btrl->rbtrl",
+             _theta(Abi, two_sided_from_bicomodule(Ab, "r", check=False))),
+            ("bowtie->btrl", _flavor_twist(Abi, Ab))):
+        rep.merge_under(name, iso_rep)
+    return rep
 
 
 # -- nu: three-factor crossed product vs diagonal over a tensor --------------
@@ -150,13 +178,17 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr) -> VerifiedIso:
     the three-factor crossed product to the diagonal product over the
     tensor bicomodule; also certifies the factorization of nu through
     the canonical embedding of the bimodule factor."""
+    return _certified(*_nu(Afr, Abi, Bfr))
+
+
+def _nu(Afr, Abi: BimoduleAlgebra, Bfr) -> tuple[VerifiedIso, Report]:
     Aco, Bco = _right_part(Afr), _left_part(Bfr)
     Hq = Abi.Hq
     H = Hq.H
     fld = Hq.field
     Aalg, Palg, Balg = Aco.A, Abi.A, Bco.B
     mA, mP, mB = Aalg.dim, Palg.dim, Balg.dim
-    TAB = tensor_bicomodule(Aco, Bco)
+    TAB = tensor_bicomodule(Aco, Bco, check=False)
     source = gen_two_sided_crossed(Afr, Abi, Bfr, check=False)
     target = diag_crossed(Abi, TAB, "bowtie", check=False)
     pq = tilde_pq(Aco, check=False)
@@ -192,10 +224,11 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr) -> VerifiedIso:
         .tensor(unitP.tensor(Aco.unit_elt())).tensor(b).apply_at(1, flat) \
         .mul_slots(0, 1, alg)
     want = Program.basis(fld, a, p, b).apply_at(0, f).apply_at(0, flat)
-    return _certify(f, finv, source.result, alg,
-                    "three-factor to diagonal over tensor",
-                    program_report([("nu-factorization", got, want,
-                                     (p, a, b))]))
+    rep = Report()
+    rep.merge_under("tensor-bicomodule", TAB.verify())
+    rep.merge(program_report([("nu-factorization", got, want, (p, a, b))]))
+    return _candidate(f, finv, source.result, alg,
+                      "three-factor to diagonal over tensor", rep)
 
 
 # -- mu: diagonal over a tensor bimodule vs two-sided smash ------------------
@@ -338,6 +371,11 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     u_1, from the diagonal product over the tensor bimodule to the
     two-sided generalized smash product; the three rearrangement
     identities of the proof are checked too."""
+    return _certified(*_mu(Am, Bm, Ab))
+
+
+def _mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
+        Ab: BicomoduleAlgebra) -> tuple[VerifiedIso, Report]:
     Hq = Ab.Hq
     H = Hq.H
     Ualg = Ab.A
@@ -377,20 +415,27 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     t = t.insert(2, b).apply_at(2, Bm.action)
     # [A, M, B] -> source order (A, B, M)
     finv = linmap_from_program(t.permute((0, 2, 1)), (a, u, b))
-    return _certify(f, finv, source.result, target.result,
-                    "diagonal over tensor bimodule to two-sided smash",
-                    program_report(_mu_identities(Ab, q)))
+    return _candidate(f, finv, source.result, target.result,
+                      "diagonal over tensor bimodule to two-sided smash",
+                      program_report(_mu_identities(Ab, q)))
 
 
 def five_corollary(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
-                   Afr, Bfr):
-    """A # (FA (x) FB) # B ~ (A (x) B) >< (FA (x) FB) ~ FA >< (A (x) B)
-    >< FB, realized by mu and nu over the tensor structures, both
-    certified."""
-    TAB = tensor_bicomodule(_right_part(Afr), _left_part(Bfr))
-    m = iso_mu(Am, Bm, TAB)
-    n = iso_nu(Afr, tensor_bimodule(Am, Bm), Bfr)
-    return {"diag-to-two-sided-smash": m, "three-factor-to-diag": n}
+                   Ab: BicomoduleAlgebra) -> Report:
+    """The five products over U = ``Ab`` are isomorphic: A # U # B ~
+    (A (x) B) >< U by mu, and A # (U (x) U) # B ~ (A (x) B) >< (U (x) U)
+    ~ U >< (A (x) B) >< U by mu and nu over the tensor structures, U
+    coacting from the right on the first tensor factor and from the
+    left on the second."""
+    TUU = tensor_bicomodule(Ab.right, Ab.left, check=False)
+    rep = Report()
+    for name, (_, iso_rep) in (
+            ("diag->two-sided-smash", _mu(Am, Bm, Ab)),
+            ("tensor-diag->two-sided-smash", _mu(Am, Bm, TUU)),
+            ("three-factor->tensor-diag",
+             _nu(Ab, tensor_bimodule(Am, Bm), Ab))):
+        rep.merge_under(name, iso_rep)
+    return rep
 
 
 # -- Gamma: the canonical bimodule embedding ---------------------------------
@@ -452,7 +497,7 @@ def twist_comodule_by_U(Bco: LeftComoduleAlgebra, U: TensorElt,
                         UInv: TensorElt) -> LeftComoduleAlgebra:
     """The comodule algebra with coaction U lam(.) U^{-1} and mixed
     associator (1 x U)(id x lam)(U) PhiLam (Delta x id)(U^{-1}),
-    certified; ``UInv`` is the inverse of U."""
+    unchecked; ``UInv`` is the inverse of U."""
     Hq = Bco.Hq
     H = Hq.H
     Balg = Bco.B
@@ -470,19 +515,28 @@ def twist_comodule_by_U(Bco: LeftComoduleAlgebra, U: TensorElt,
                                Hq.unit_elt().tensor(UInv)], algs)
     name = f"{Bco.name}~U" if Bco.name else ""
     return LeftComoduleAlgebra(Hq, Balg, lam, PhiLam, PhiLamInv=PhiLamInv,
-                               name=name)
+                               name=name, check=False)
 
 
 def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
                     Btwisted: LeftComoduleAlgebra | None = None
                     ) -> VerifiedIso:
     """f(a x b) = U1.a x U2 b from A x B to A x B', where B' carries the
-    U-twisted coaction; f fixes 1 x b pointwise."""
+    U-twisted coaction, certified unless given; f fixes 1 x b
+    pointwise."""
+    return _certified(*_smash_twist(Am, Bfr, U, Btwisted))
+
+
+def _smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
+                 Btwisted: LeftComoduleAlgebra | None
+                 ) -> tuple[VerifiedIso, Report]:
     Bco = _left_part(Bfr)
     Balg = Bco.B
     UInv = invert_or_raise(U, [Am.Hq.H, Balg], "U")
+    rep = Report()
     if Btwisted is None:
         Btwisted = twist_comodule_by_U(Bco, U, UInv)
+        rep.merge_under("twisted-comodule", Btwisted.verify())
     source = gen_smash(Am, Bco, check=False)
     target = gen_smash(Am, Btwisted, check=False)
 
@@ -491,22 +545,23 @@ def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
         Program(x).insert(1, a).apply_at(0, Am.action).insert(2, b)
         .mul_slots(1, 2, Balg), (a, b)) for x in (U, UInv))
     v = Program(Am.unit_elt()).tensor(b)
-    return _certify(f, finv, source.result, target.result,
-                    "smash twist equivalence",
-                    program_report([("fixes-comodule", v.apply_at(0, f), v,
-                                     (b,))]))
+    rep.merge(program_report([("fixes-comodule", v.apply_at(0, f), v,
+                               (b,))]))
+    return _candidate(f, finv, source.result, target.result,
+                      "smash twist equivalence", rep)
 
 
 # -- diagonal products as generalized smash products over H (x) H^op ---------
 
-def diag_as_gen_smash(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
-                      check: bool = True) -> Report:
+def diag_as_gen_smash(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra) -> Report:
     """Each left diagonal product of a bicomodule algebra equals, bit
     for bit, a generalized smash product over H (x) H^op built from the
-    corresponding induced comodule structure."""
+    corresponding induced comodule structure; the bimodule factor
+    passes the module algebra axioms over H (x) H^op."""
     rep = Report()
     A1, A2, K = lambda12_structures(Ab, check=False)
-    Kmod = as_module_over_tensor(Abi, K, check=check)
+    Kmod = as_module_over_tensor(Abi, K, check=False)
+    rep.merge_under("module-over-tensor", Kmod.verify())
     bow = diag_crossed(Abi, Ab, "bowtie", check=False)
     btr = diag_crossed(Abi, Ab, "btrl", check=False)
     s1 = gen_smash(Kmod, A1, check=False)
@@ -522,18 +577,21 @@ def diag_flavor_twist_iso(Abi: BimoduleAlgebra,
                           Ab: BicomoduleAlgebra) -> VerifiedIso:
     """The two left diagonal products are isomorphic through the smash
     twist by the equivalence element of the two induced structures."""
+    return _certified(*_flavor_twist(Abi, Ab))
+
+
+def _flavor_twist(Abi: BimoduleAlgebra,
+                  Ab: BicomoduleAlgebra) -> tuple[VerifiedIso, Report]:
     A1, A2, K = lambda12_structures(Ab, check=False)
     Kmod = as_module_over_tensor(Abi, K, check=False)
     U = twist_equivalence_U(Ab, pair=(A1, A2, K), check=False)
-    iso = iso_smash_twist(Kmod, A1, U)
+    iso, rep = _smash_twist(Kmod, A1, U, None)
     # the twisted comodule really is the second induced structure, so
     # the target is the other diagonal product
     btr = diag_crossed(Abi, Ab, "btrl", check=False)
-    rep = Report()
     rep.check(_same_product(iso.target, btr.result), "twist-target",
               "U-twisted smash product differs from the other flavor")
-    rep.require("diagonal flavor twist")
-    return iso
+    return replace(iso, provenance="diagonal flavor twist"), rep
 
 
 def quantum_double_gen_smash(Hq: QuasiHopfAlgebra) -> Report:
@@ -549,60 +607,61 @@ def quantum_double_gen_smash(Hq: QuasiHopfAlgebra) -> Report:
 
 # -- invariance under gauge twisting -----------------------------------------
 
-def iso_twist_invariance(kind: str, inputs, F: TensorElt):
-    """Carry a product across the gauge twist by F.
-
-    * ``gen-smash``: (A x B) over H equals the product of the twisted
-      inputs over the twisted parent (structure-constant equality).
-    * ``diag``: same for both left diagonal products of a bicomodule.
-    * ``two-sided-smash``: the map a#h#b -> F1.a # F2 h G1 # b.G2 is a
-      verified isomorphism onto the product of the twisted inputs.
-    """
-    Hq = inputs[0].Hq
-    FInv, HF = Hq.twisted(F)
-    if kind == "gen-smash":
-        Am, Bfr = inputs
-        Bco = _left_part(Bfr)
-        lhs = gen_smash(Am, Bco, check=False)
-        rhs = gen_smash(twist_action(Am, F, FInv, HF),
-                        twist_coaction(Bco, F, FInv, HF), check=False)
-        rep = Report()
+def twist_invariance(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
+                     Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
+                     F: TensorElt) -> Report:
+    """The gauge twist by F carries each product to the product of the
+    twisted inputs over the twisted parent: A x U and both left diagonal
+    products P >< U have equal structure constants, and A # H # B is
+    carried across by ``iso_two_sided_twist``, for A = ``Am``, B = ``Bm``,
+    P = ``Abi`` and U = ``Ab``."""
+    FInv, HF = Am.Hq.twisted(F)
+    AmF, AbiF = (twist_action(x, F, FInv, HF) for x in (Am, Abi))
+    AbF = twist_coaction(Ab, F, FInv, HF)
+    rep = Report()
+    rep.check(_same_product(gen_smash(Am, Ab, check=False).result,
+                            gen_smash(AmF, AbF, check=False).result),
+              "twist-invariance",
+              "generalized smash product changed under the twist")
+    for flavor in ("bowtie", "btrl"):
+        lhs = diag_crossed(Abi, Ab, flavor, check=False)
+        rhs = diag_crossed(AbiF, AbF, flavor, check=False)
         rep.check(_same_product(lhs.result, rhs.result), "twist-invariance",
-                  "generalized smash product changed under the twist")
-        return rep
-    if kind == "diag":
-        Abi, Ab = inputs
-        AbiF = twist_action(Abi, F, FInv, HF)
-        AbF = twist_coaction(Ab, F, FInv, HF)
-        rep = Report()
-        for flavor in ("bowtie", "btrl"):
-            lhs = diag_crossed(Abi, Ab, flavor, check=False)
-            rhs = diag_crossed(AbiF, AbF, flavor, check=False)
-            rep.check(_same_product(lhs.result, rhs.result),
-                      "twist-invariance",
-                      f"{flavor} diagonal product changed under the twist")
-        return rep
-    if kind == "two-sided-smash":
-        Am, Bm = inputs
-        H = Hq.H
-        source = two_sided_smash(Am, Bm, check=False)
-        target = two_sided_smash(twist_action(Am, F, FInv, HF),
-                                 twist_action(Bm, F, FInv, HF), check=False)
+                  f"{flavor} diagonal product changed under the twist")
+    rep.merge_under("two-sided-smash->twisted",
+                    _two_sided_twist(Am, Bm, F)[1])
+    return rep
 
-        a, h, b = Var("a", Am.A.dim), Var("h", Hq.n), Var("b", Bm.B.dim)
 
-        def twist(T, TInv):
-            t = Program(T.insert(2, TInv)).insert(2, h)
-            # [T1, T2, h, G1, G2]
-            t = t.mul_slots(1, 2, H).mul_slots(1, 2, H)
-            # [T1, T2 h G1, G2]
-            t = t.insert(1, a).apply_at(0, Am.action)
-            return linmap_from_program(
-                t.insert(2, b).apply_at(2, Bm.action), (a, h, b))
+def iso_two_sided_twist(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
+                        F: TensorElt) -> VerifiedIso:
+    """a # h # b -> F1.a # F2 h G1 # b.G2, with G = F^{-1}, from the
+    two-sided smash product onto the one of the inputs twisted by the
+    gauge F."""
+    return _certified(*_two_sided_twist(Am, Bm, F))
 
-        return _certify(twist(F, FInv), twist(FInv, F), source.result,
-                        target.result, "two-sided smash twist")
-    raise ValueError(f"unknown twist-invariance kind {kind!r}")
+
+def _two_sided_twist(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
+                     F: TensorElt) -> tuple[VerifiedIso, Report]:
+    Hq = Am.Hq
+    H = Hq.H
+    FInv, HF = Hq.twisted(F)
+    source = two_sided_smash(Am, Bm, check=False)
+    target = two_sided_smash(twist_action(Am, F, FInv, HF),
+                             twist_action(Bm, F, FInv, HF), check=False)
+    a, h, b = Var("a", Am.A.dim), Var("h", Hq.n), Var("b", Bm.B.dim)
+
+    def twist(T, TInv):
+        t = Program(T.insert(2, TInv)).insert(2, h)
+        # [T1, T2, h, G1, G2]
+        t = t.mul_slots(1, 2, H).mul_slots(1, 2, H)
+        # [T1, T2 h G1, G2]
+        t = t.insert(1, a).apply_at(0, Am.action)
+        return linmap_from_program(
+            t.insert(2, b).apply_at(2, Bm.action), (a, h, b))
+
+    return _candidate(twist(F, FInv), twist(FInv, F), source.result,
+                      target.result, "two-sided smash twist", Report())
 
 
 # -- tensoring the bicomodule factor by an ordinary algebra ------------------
@@ -634,15 +693,22 @@ def hausser_nill_check(Afr, Abi: BimoduleAlgebra, Bb: BicomoduleAlgebra,
                        products: dict | None = None) -> Report:
     """Both iterated three-factor crossed products and the two-sided
     generalized smash product of the quasi-smash factors coincide bit
-    for bit; the induced comodule structures pass their axiom suites.
+    for bit; with ``check_costructures``, the induced comodule structures
+    pass their axiom suites, both parts of a bicomodule algebra included.
     A ``products`` dict receives the three products by label."""
     rep = Report()
     t_left = gen_two_sided_crossed(Afr, Abi, Bb, check=False)
-    left_co = induced_costructures(t_left, check=check_costructures)
+    left_co = induced_costructures(t_left, check=False)
     lhs = gen_two_sided_crossed(left_co, Abi, Cfr, check=False)
     t_right = gen_two_sided_crossed(Bb, Abi, Cfr, check=False)
-    right_co = induced_costructures(t_right, check=check_costructures)
+    right_co = induced_costructures(t_right, check=False)
     rhs = gen_two_sided_crossed(Afr, Abi, right_co, check=False)
+    if check_costructures:
+        for label, co in (("left-nested", left_co),
+                          ("right-nested", right_co)):
+            axioms = co.verify(subparts=True) \
+                if isinstance(co, BicomoduleAlgebra) else co.verify()
+            rep.merge_under(f"{label} costructure", axioms)
     qa = quasi_smash(Afr, Abi, check=False)
     qc = left_quasi_smash(Abi, Cfr, check=False)
     mid = two_sided_gen_smash(qa, Bb, qc, check=False)

@@ -3,6 +3,7 @@ import functools
 import pytest
 
 from quasihopf import corpus
+from quasihopf.coactions import BicomoduleAlgebra, RightComoduleAlgebra
 from quasihopf.linalg import linmap_from_columns
 from quasihopf.tensors import TensorElt
 
@@ -48,6 +49,16 @@ def doubled_column(lm, key):
 
     return linmap_from_columns(lm.field, lm.in_dims, lm.out_dims, {
         idx: image(idx, col) for idx, col in lm.cols.items()})
+
+
+def sweedler_with_doubled_rho():
+    """The Sweedler4 bicomodule algebra with rho(e_2) doubled."""
+    Ab = entry("Sweedler4")["bicomodule"]
+    right = RightComoduleAlgebra(Ab.Hq, Ab.A, doubled_column(Ab.rho, (2,)),
+                                 Ab.right.PhiRho,
+                                 PhiRhoInv=Ab.right.PhiRhoInv, check=False)
+    return BicomoduleAlgebra(Ab.left, right, Ab.PhiLR, PhiLRInv=Ab.PhiLRInv,
+                             check=False)
 
 
 def corrupt_one(t):

@@ -13,7 +13,7 @@ from quasihopf import cli, corpus, products, serialize
 from quasihopf.actions import LeftModuleAlgebra
 from quasihopf.cli import main
 
-from conftest import entry
+from conftest import entry, sweedler_with_doubled_rho
 
 
 @pytest.fixture()
@@ -305,6 +305,37 @@ def test_hausser_nill_label_is_the_product_dim(capsys):
     assert main(["theorem", "hausser-nill", "FpZn(5,2)"]) == 0
     out = capsys.readouterr().out
     assert "three-factor coincidence (dim 32)" in out and "PASS" in out
+
+
+# the first failure line of each theorem that reads the right coaction,
+# on Sweedler4 with rho(e_2) doubled
+CORRUPTED_RHO_FIRST_FAILURE = {
+    "hausser-nill":
+        "left-nested costructure: left/coaction/multiplicative: basis (0, 52)",
+    "four-diagonal-isos": "bowtie->rbowtie: multiplicative: basis (0, 2)",
+    "five-corollary":
+        "diag->two-sided-smash: mu-rearrangement-2: basis (0, 1)",
+    "yd-roundtrip": "action-associative: basis (0, 1, 2)",
+}
+
+
+@pytest.mark.parametrize("name", cli.THEOREMS)
+def test_theorem_reports_a_corrupted_coaction(name, monkeypatch, capsys):
+    # a broken entry is a failing report on stdout, never an error line,
+    # and each failure names the identity that failed
+    st = dict(entry("Sweedler4"), bicomodule=sweedler_with_doubled_rho())
+    monkeypatch.setattr(corpus, "structures", lambda *args, **kwargs: st)
+    code = main(["theorem", name, "Sweedler4", "--json"])
+    out, err = capsys.readouterr()
+    assert err == ""
+    failures = json.loads(out)["checks"][0]["failures"]
+    if name in CORRUPTED_RHO_FIRST_FAILURE:
+        assert code == 1
+        assert not any(line.startswith(("four-diagonal-isos",
+                                        "five-product-chain",
+                                        "two-sided-smash"))
+                       for line in failures)
+        assert failures[0] == CORRUPTED_RHO_FIRST_FAILURE[name]
 
 
 # SHA-256 of each exported corpus document, recorded when the algebras

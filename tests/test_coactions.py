@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                                 CanonicalPair, RightComoduleAlgebra,
+                                 CanonicalPair,
                                  bicomodule_tensor_with_algebra,
                                  lambda12_structures, omega_closed_left,
                                  omega_closed_right, omega_from_coaction,
@@ -21,7 +21,8 @@ from quasihopf.linalg import prod, reshape_map, unflatten
 from quasihopf import tensors as tensors_module
 from quasihopf.tensors import Program, TensorElt, Var, linmap_from_program
 
-from conftest import corrupt_one, doubled_column, entry
+from conftest import (corrupt_one, doubled_column, entry,
+                      sweedler_with_doubled_rho)
 from test_linalg import ref_solve
 
 ALL = ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
@@ -354,18 +355,9 @@ def test_invert_mixed_reduces_sums_mod_p():
 # pairs are the ones the hand-written loops reported before these checks
 # became slot-program pairs, first 10 per tag --------------------------------
 
-def _sweedler_with_doubled_rho():
-    """The Sweedler4 bicomodule algebra with rho(e_2) doubled."""
-    Ab = entry("Sweedler4")["bicomodule"]
-    right = RightComoduleAlgebra(Ab.Hq, Ab.A, doubled_column(Ab.rho, (2,)),
-                                 Ab.right.PhiRho,
-                                 PhiRhoInv=Ab.right.PhiRhoInv, check=False)
-    return right, BicomoduleAlgebra(Ab.left, right, Ab.PhiLR,
-                                    PhiLRInv=Ab.PhiLRInv, check=False)
-
-
 def test_comodule_verifiers_report_a_corrupted_coaction():
-    right, Ab = _sweedler_with_doubled_rho()
+    Ab = sweedler_with_doubled_rho()
+    right = Ab.right
     multiplicative = [f"coaction/multiplicative: basis ({i}, {j})"
                       for i, j in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2))]
     assert right.verify().failures == multiplicative + [

@@ -10,17 +10,18 @@ from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  two_sided_from_bicomodule)
 from quasihopf.fields import QQ
 from quasihopf.finalg import VerificationError, invert_mixed, program_report
-from quasihopf.isomaps import (_certify, _mu_identities, diag_as_gen_smash,
+from quasihopf.isomaps import (_iso_report, _mu_identities, diag_as_gen_smash,
                                diag_flavor_twist_iso, five_corollary,
                                four_diagonal_isos, gamma_map,
                                hausser_nill_check, iso_mu, iso_nu,
                                iso_smash_twist, iso_theta,
-                               iso_twist_invariance, quantum_double_gen_smash,
-                               tensoring_iso, twist_comodule_by_U)
+                               quantum_double_gen_smash, tensoring_iso,
+                               twist_comodule_by_U, twist_invariance)
 from quasihopf.linalg import flat_index, prod, unflatten
 from quasihopf.tensors import Program, TensorElt, Var, linmap_from_program
 
-from conftest import corrupt_one, doubled_column, entry
+from conftest import (corrupt_one, doubled_column, entry,
+                      sweedler_with_doubled_rho)
 
 CHEAP = ["QZ2", "Sweedler4", "FpZn(5,2)"]
 
@@ -54,8 +55,7 @@ def test_theta(name):
 @pytest.mark.parametrize("name", CHEAP)
 def test_four_diagonal_isos(name):
     st = entry(name)
-    isos = four_diagonal_isos(st["dual"], st["bicomodule"])
-    assert set(isos) == {"bowtie->rbowtie", "btrl->rbtrl", "bowtie->btrl"}
+    four_diagonal_isos(st["dual"], st["bicomodule"]).require(name)
 
 
 @pytest.mark.parametrize("name", CHEAP)
@@ -70,7 +70,7 @@ def test_mu_and_five_products(name):
     Hq, Am, Ab = st["H"], st["module"], st["bicomodule"]
     Bm = right_regular(Hq)
     iso_mu(Am, Bm, Ab)
-    five_corollary(Am, Bm, Ab, Ab)
+    five_corollary(Am, Bm, Ab).require(name)
 
 
 def test_degenerate_closed_forms_on_group_algebra():
@@ -197,19 +197,13 @@ def test_hausser_nill_names_first_pair_across_denominators():
     assert rep.failures and rep.failures == _first_differences(products)
 
 
-@pytest.mark.parametrize("kind", ["gen-smash", "diag", "two-sided-smash"])
-def test_twist_invariance_h2(kind):
+def test_twist_invariance_h2():
     st = entry("H2")
     Hq, Am, Ab, Du = st["H"], st["module"], st["bicomodule"], st["dual"]
     q = Fraction(1, 4)
     F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
                                (1, 0): -q, (1, 1): q})
-    if kind == "gen-smash":
-        iso_twist_invariance(kind, (Am, Ab), F).require(kind)
-    elif kind == "diag":
-        iso_twist_invariance(kind, (Du, Ab), F).require(kind)
-    else:
-        iso_twist_invariance(kind, (Am, right_regular(Hq)), F)
+    twist_invariance(Am, right_regular(Hq), Du, Ab, F).require("H2")
 
 
 def test_comodule_twist_by_exchange_element():
@@ -221,7 +215,8 @@ def test_comodule_twist_by_exchange_element():
     q = Fraction(1, 4)
     U = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
                                (1, 0): -q, (1, 1): q})
-    twist_comodule_by_U(Bco, U, invert_mixed(U, [Hq.H, Bco.B]))
+    twist_comodule_by_U(Bco, U, invert_mixed(U, [Hq.H, Bco.B])).verify() \
+        .require("H2")
 
 
 def test_twist_equivalence_certificate():
@@ -254,7 +249,7 @@ def test_certify_reports_a_rank_one_algebra_map():
     f = linmap_from_program(Program.basis(QQ, h).apply_at(0, Hq.counit)
                             .tensor(Hq.unit_elt()), (h,))
     with pytest.raises(VerificationError) as exc:
-        _certify(f, f, A, A, "rank one")
+        _iso_report(f, f, A, A).require("rank one")
     assert str(exc.value) == (
         "rank one: bijective: rank 1 < 4; inverse: f o f^-1 != id; "
         "inverse: f^-1 o f != id; "
@@ -290,17 +285,10 @@ def test_gamma_map_reports_a_corrupted_associator():
                        for idx in ((0, 0), (0, 1), (1, 0), (1, 1))])
 
 
-def _sweedler_with_doubled_rho():
-    Ab = entry("Sweedler4")["bicomodule"]
-    return _with_right(Ab, RightComoduleAlgebra(
-        Ab.Hq, Ab.A, doubled_column(Ab.rho, (2,)), Ab.right.PhiRho,
-        PhiRhoInv=Ab.right.PhiRhoInv, check=False))
-
-
 def test_nu_reports_a_corrupted_coaction():
     # the first 10 failing (p, a, b), of the nu-factorization only
     st = entry("Sweedler4")
-    bad = _sweedler_with_doubled_rho()
+    bad = sweedler_with_doubled_rho()
     assert _failures(lambda: iso_nu(bad, st["dual"], st["bicomodule"])) \
         == "three-factor to diagonal over tensor: " + "; ".join(
             f"nu-factorization: basis {idx}" for idx in (
@@ -310,7 +298,7 @@ def test_nu_reports_a_corrupted_coaction():
 
 def test_mu_rearrangement_reports_a_corrupted_coaction():
     # 11 failing pairs (u, u'); the first 10 are named
-    bad = _sweedler_with_doubled_rho()
+    bad = sweedler_with_doubled_rho()
     rep = program_report(
         _mu_identities(bad, tilde_pq(bad.right, check=False).q)[1:2])
     assert rep.failures == [f"mu-rearrangement-2: basis {idx}" for idx in (
@@ -341,6 +329,10 @@ def test_flavor_twist_reports_a_wrong_equivalence_element(monkeypatch):
     assert _failures(lambda: diag_flavor_twist_iso(
         st["dual"], st["bicomodule"])) == "diagonal flavor twist: " \
         "twist-target: U-twisted smash product differs from the other flavor"
+    # the same failure through the theorem, under the isomorphism's name
+    assert four_diagonal_isos(st["dual"], st["bicomodule"]).failures == [
+        "bowtie->btrl: twist-target: U-twisted smash product differs from "
+        "the other flavor"]
 
 
 def test_diag_as_gen_smash_reports_corrupted_coactions():

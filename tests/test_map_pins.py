@@ -22,7 +22,7 @@ from quasihopf.coactions import (bicomodule_tensor_with_algebra,
                                  lambda12_structures, regular_left,
                                  tensor_bicomodule, two_sided_from_bicomodule)
 from quasihopf.isomaps import (gamma_map, iso_mu, iso_nu, iso_smash_twist,
-                               iso_theta, iso_twist_invariance,
+                               iso_theta, iso_two_sided_twist,
                                twist_comodule_by_U)
 from quasihopf.products import (_slot_embedding, gen_two_sided_crossed,
                                 induced_costructures, left_quasi_smash,
@@ -102,7 +102,7 @@ def formula_maps(name: str) -> dict:
     out["twist-comodule-lam"] = twist_comodule_by_U(Bco, dt.f, dt.f_inv).lam
     tw = iso_smash_twist(Am, Bco, dt.f)
     out["smash-twist"], out["smash-twist-inverse"] = tw.f, tw.inverse
-    ts = iso_twist_invariance("two-sided-smash", (Am, Bm), dt.f)
+    ts = iso_two_sided_twist(Am, Bm, dt.f)
     out["two-sided-smash-twist"] = ts.f
     out["two-sided-smash-twist-inverse"] = ts.inverse
     _, prod = yd_product(Ab, C)
