@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from quasihopf import coactions, finalg, isomaps, quasihopf
-from quasihopf.actions import RightModuleAlgebra, trivial_right_action
+from quasihopf.actions import (RightModuleAlgebra, trivial_right_action,
+                               twist_action)
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  RightComoduleAlgebra, lambda12_structures,
-                                 regular_left, tilde_pq, twist_equivalence_U,
+                                 regular_left, tilde_pq, twist_coaction,
+                                 twist_equivalence_U,
                                  two_sided_from_bicomodule)
 from quasihopf.fields import QQ
 from quasihopf.finalg import VerificationError, invert_mixed, program_report
@@ -14,10 +16,11 @@ from quasihopf.isomaps import (_iso_report, _mu_identities, diag_as_gen_smash,
                                diag_flavor_twist_iso, five_corollary,
                                four_diagonal_isos, gamma_map,
                                hausser_nill_check, iso_mu, iso_nu,
-                               iso_smash_twist, iso_theta,
+                               iso_smash_twist, iso_theta, iso_two_sided_twist,
                                quantum_double_gen_smash, tensoring_iso,
                                twist_comodule_by_U, twist_invariance)
 from quasihopf.linalg import flat_index, prod, unflatten
+from quasihopf.products import diag_crossed, gen_smash
 from quasihopf.tensors import Program, TensorElt, Var, linmap_from_program
 
 from conftest import (corrupt_one, doubled_column, entry,
@@ -197,7 +200,34 @@ def test_hausser_nill_names_first_pair_across_denominators():
     assert rep.failures and rep.failures == _first_differences(products)
 
 
-def test_twist_invariance_h2():
+@pytest.mark.parametrize("kind", ["gen-smash", "diag", "two-sided-smash"])
+def test_twist_invariance_h2(kind):
+    # each product on its own; ``twist_invariance`` bundles all three
+    st = entry("H2")
+    Hq, Am, Ab, Du = st["H"], st["module"], st["bicomodule"], st["dual"]
+    q = Fraction(1, 4)
+    F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
+                               (1, 0): -q, (1, 1): q})
+    FInv, HF = Hq.twisted(F)
+    AbF = twist_coaction(Ab, F, FInv, HF)
+    if kind == "gen-smash":
+        AmF = twist_action(Am, F, FInv, HF)
+        pairs = [(gen_smash(Am, Ab, check=False),
+                  gen_smash(AmF, AbF, check=False))]
+    elif kind == "diag":
+        DuF = twist_action(Du, F, FInv, HF)
+        pairs = [(diag_crossed(Du, Ab, flavor, check=False),
+                  diag_crossed(DuF, AbF, flavor, check=False))
+                 for flavor in ("bowtie", "btrl")]
+    else:
+        iso_two_sided_twist(Am, right_regular(Hq), F)
+        pairs = []
+    for lhs, rhs in pairs:
+        assert lhs.result.den == rhs.result.den
+        assert lhs.result.rows == rhs.result.rows
+
+
+def test_twist_invariance_h2_report():
     st = entry("H2")
     Hq, Am, Ab, Du = st["H"], st["module"], st["bicomodule"], st["dual"]
     q = Fraction(1, 4)
