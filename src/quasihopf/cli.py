@@ -56,16 +56,6 @@ def _emit(checks, as_json: bool, limit: int | None, extra=None):
 
 # -- verify ----------------------------------------------------------------
 
-def _axiom_report(obj):
-    from .coactions import BicomoduleAlgebra
-    from .finalg import FinAlgebra, verify_associative_unital
-    if isinstance(obj, FinAlgebra):
-        return verify_associative_unital(obj, limit=None)
-    if isinstance(obj, BicomoduleAlgebra):
-        return obj.verify(subparts=True)
-    return obj.verify()
-
-
 def _identity_checks(obj):
     """The canonical-element identity suite, where one applies."""
     from .coactions import (BicomoduleAlgebra, RightComoduleAlgebra,
@@ -91,9 +81,10 @@ def _identity_checks(obj):
 
 def cmd_verify(args) -> int:
     obj = serialize.load_structure(args.path, check=False)
+    from .coactions import axiom_report
     checks = []
     if args.suite in ("axioms", "all"):
-        checks.append(("axioms", _axiom_report(obj).failures))
+        checks.append(("axioms", axiom_report(obj).failures))
     if args.suite in ("identities", "all"):
         checks.extend(_identity_checks(obj))
     limit = None if args.all_failures else 10

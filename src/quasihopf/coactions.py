@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .finalg import (FinAlgebra, Report, algebra_map_checks, inverse_checks,
                      invert_mixed, invert_or_raise, opposite, program_report,
-                     slotwise_unit, tensor_algebra)
+                     slotwise_unit, tensor_algebra, verify_associative_unital)
 from .linalg import LinMap, reshape_map
 from .quasihopf import QuasiHopfAlgebra, tensor_qh
 from .tensors import (Program, TensorElt, Var, fold_slots,
@@ -283,6 +283,16 @@ class BicomoduleAlgebra:
         return BicomoduleAlgebra(left, right, self.PhiLR.permute((2, 1, 0)),
                                  PhiLRInv=self.PhiLRInv.permute((2, 1, 0)),
                                  name=left.name, check=False)
+
+
+def axiom_report(obj) -> Report:
+    """The full axiom suite of a structure: every basis pair of a plain
+    algebra, and both parts of a bicomodule algebra too."""
+    if isinstance(obj, FinAlgebra):
+        return verify_associative_unital(obj, limit=None)
+    if isinstance(obj, BicomoduleAlgebra):
+        return obj.verify(subparts=True)
+    return obj.verify()
 
 
 class TwoSidedCoaction:

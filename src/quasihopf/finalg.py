@@ -50,10 +50,12 @@ class Report:
     def merge(self, other: "Report"):
         self.failures.extend(other.failures)
 
-    def merge_under(self, tag: str, other: "Report"):
-        """Merge the failures of ``other``, each as a detail of ``tag``."""
+    def merge_under(self, tag: str, other: "Report") -> "Report":
+        """Merge the failures of ``other``, each as a detail of ``tag``;
+        return this report."""
         for line in other.failures:
             self.add(tag, line)
+        return self
 
     def require(self, context: str = ""):
         if self.failures:

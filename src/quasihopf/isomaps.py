@@ -41,17 +41,18 @@ name, such as ``bowtie->rbowtie: multiplicative: basis (0, 2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .actions import (BimoduleAlgebra, LeftModuleAlgebra, RightModuleAlgebra,
                       as_module_over_tensor, tensor_bimodule, twist_action)
 from .coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
-                        TwoSidedCoaction, bicomodule_tensor_with_algebra,
+                        TwoSidedCoaction, axiom_report,
+                        bicomodule_tensor_with_algebra,
                         lambda12_structures, omega_from_coaction, pq_delta,
                         tensor_bicomodule, tilde_pq, twist_coaction,
                         twist_equivalence_U, two_sided_from_bicomodule)
-from .finalg import (FinAlgebra, Report, algebra_map_checks,
-                     invert_or_raise, program_report, tensor_algebra)
+from .finalg import (FinAlgebra, Report, algebra_map_checks, invert_mixed,
+                     program_report, tensor_algebra)
 from .linalg import LinMap, reshape_map
 from .products import (_left_part, _right_part, diag_crossed,
                        diag_crossed_general, gen_smash, gen_two_sided_crossed,
@@ -83,13 +84,14 @@ def _composite(f: LinMap, g: LinMap) -> LinMap:
         Program.basis(g.field, *xs).apply_at(0, g).apply_at(0, f), xs)
 
 
-def _iso_report(f: LinMap, finv: LinMap, source: FinAlgebra,
-                target: FinAlgebra) -> Report:
-    """The certificate of ``f`` with inverse ``finv``: a unital algebra
-    map on all basis pairs, of full rank, whose transcribed inverse
-    composes to the identity on both sides and equals the recomputed
-    one."""
-    rep = program_report(algebra_map_checks("", f, source, target))
+def _iso_report(rep: Report, f: LinMap, finv: LinMap, source: FinAlgebra,
+                target: FinAlgebra) -> tuple[Report, tuple]:
+    """``rep`` extended by the certificate of ``f`` with inverse ``finv``
+    (a unital algebra map on all basis pairs, of full rank, whose
+    transcribed inverse composes to the identity on both sides and
+    equals the recomputed one), and the parts (f, source, target,
+    inverse) of the isomorphism it certifies."""
+    rep.merge(program_report(algebra_map_checks("", f, source, target)))
     if source.dim == target.dim:
         rank = f.rank()
         rep.check(rank == source.dim, "bijective",
@@ -98,22 +100,13 @@ def _iso_report(f: LinMap, finv: LinMap, source: FinAlgebra,
     rep.check(_composite(finv, f).is_identity(), "inverse", "f^-1 o f != id")
     rep.check(f.inverse() == finv, "inverse",
               "transcribed inverse differs from the recomputed one")
-    return rep
+    return rep, (f, source, target, finv)
 
 
-def _candidate(f: LinMap, finv: LinMap, source: FinAlgebra,
-               target: FinAlgebra, provenance: str,
-               rep: Report) -> tuple[VerifiedIso, Report]:
-    """The isomorphism ``f`` with inverse ``finv``, and its report: the
-    failures in ``rep``, then those of its certificate."""
-    rep.merge(_iso_report(f, finv, source, target))
-    return VerifiedIso(f, source, target, finv, provenance), rep
-
-
-def _certified(iso: VerifiedIso, rep: Report) -> VerifiedIso:
-    """``iso``, once its report ``rep`` passes."""
-    rep.require(iso.provenance)
-    return iso
+def _certified(provenance: str, rep: Report, parts: tuple) -> VerifiedIso:
+    """The isomorphism of ``parts``, once its report ``rep`` passes."""
+    rep.require(provenance)
+    return VerifiedIso(*parts, provenance)
 
 
 # -- theta: left vs right diagonal crossed products --------------------------
@@ -121,11 +114,10 @@ def _certified(iso: VerifiedIso, rep: Report) -> VerifiedIso:
 def iso_theta(Abi: BimoduleAlgebra, d: TwoSidedCoaction) -> VerifiedIso:
     """theta(phi >< u) = q2 u_0 >< S^{-1}(q1 u_-1).phi.(q3 u_1), from the
     left diagonal product to the right one over the same coaction."""
-    return _certified(*_theta(Abi, d))
+    return _certified("left-right diagonal exchange", *_theta(Abi, d))
 
 
-def _theta(Abi: BimoduleAlgebra,
-           d: TwoSidedCoaction) -> tuple[VerifiedIso, Report]:
+def _theta(Abi: BimoduleAlgebra, d: TwoSidedCoaction) -> tuple:
     Hq = Abi.Hq
     H = Hq.H
     Ualg = d.A
@@ -151,8 +143,7 @@ def _theta(Abi: BimoduleAlgebra,
     t = t.permute((0, 2, 1)).insert(1, phi).apply_at(0, Abi.left)
     # [u-1 p1 . phi, S^-1(u1 p3), u0 p2]
     finv = linmap_from_program(t.apply_at(0, Abi.right), (u, phi))
-    return _candidate(f, finv, source.result, target.result,
-                      "left-right diagonal exchange", Report())
+    return _iso_report(Report(), f, finv, source.result, target.result)
 
 
 def four_diagonal_isos(Abi: BimoduleAlgebra,
@@ -160,15 +151,11 @@ def four_diagonal_isos(Abi: BimoduleAlgebra,
     """The four diagonal products of a bicomodule algebra are pairwise
     isomorphic: theta links each left flavor to its right partner, and
     the smash-twist equivalence links the two left flavors."""
-    rep = Report()
-    for name, (_, iso_rep) in (
-            ("bowtie->rbowtie",
-             _theta(Abi, two_sided_from_bicomodule(Ab, "l", check=False))),
-            ("btrl->rbtrl",
-             _theta(Abi, two_sided_from_bicomodule(Ab, "r", check=False))),
-            ("bowtie->btrl", _flavor_twist(Abi, Ab))):
-        rep.merge_under(name, iso_rep)
-    return rep
+    dl, dr = (two_sided_from_bicomodule(Ab, side, check=False)
+              for side in ("l", "r"))
+    return Report().merge_under("bowtie->rbowtie", _theta(Abi, dl)[0]) \
+        .merge_under("btrl->rbtrl", _theta(Abi, dr)[0]) \
+        .merge_under("bowtie->btrl", _flavor_twist(Abi, Ab)[0])
 
 
 # -- nu: three-factor crossed product vs diagonal over a tensor --------------
@@ -178,10 +165,11 @@ def iso_nu(Afr, Abi: BimoduleAlgebra, Bfr) -> VerifiedIso:
     the three-factor crossed product to the diagonal product over the
     tensor bicomodule; also certifies the factorization of nu through
     the canonical embedding of the bimodule factor."""
-    return _certified(*_nu(Afr, Abi, Bfr))
+    return _certified("three-factor to diagonal over tensor",
+                      *_nu(Afr, Abi, Bfr))
 
 
-def _nu(Afr, Abi: BimoduleAlgebra, Bfr) -> tuple[VerifiedIso, Report]:
+def _nu(Afr, Abi: BimoduleAlgebra, Bfr) -> tuple:
     Aco, Bco = _right_part(Afr), _left_part(Bfr)
     Hq = Abi.Hq
     H = Hq.H
@@ -224,11 +212,9 @@ def _nu(Afr, Abi: BimoduleAlgebra, Bfr) -> tuple[VerifiedIso, Report]:
         .tensor(unitP.tensor(Aco.unit_elt())).tensor(b).apply_at(1, flat) \
         .mul_slots(0, 1, alg)
     want = Program.basis(fld, a, p, b).apply_at(0, f).apply_at(0, flat)
-    rep = Report()
-    rep.merge_under("tensor-bicomodule", TAB.verify())
+    rep = Report().merge_under("tensor-bicomodule", TAB.verify())
     rep.merge(program_report([("nu-factorization", got, want, (p, a, b))]))
-    return _candidate(f, finv, source.result, alg,
-                      "three-factor to diagonal over tensor", rep)
+    return _iso_report(rep, f, finv, source.result, alg)
 
 
 # -- mu: diagonal over a tensor bimodule vs two-sided smash ------------------
@@ -371,11 +357,12 @@ def iso_mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     u_1, from the diagonal product over the tensor bimodule to the
     two-sided generalized smash product; the three rearrangement
     identities of the proof are checked too."""
-    return _certified(*_mu(Am, Bm, Ab))
+    return _certified("diagonal over tensor bimodule to two-sided smash",
+                      *_mu(Am, Bm, Ab))
 
 
 def _mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
-        Ab: BicomoduleAlgebra) -> tuple[VerifiedIso, Report]:
+        Ab: BicomoduleAlgebra) -> tuple:
     Hq = Ab.Hq
     H = Hq.H
     Ualg = Ab.A
@@ -415,9 +402,8 @@ def _mu(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     t = t.insert(2, b).apply_at(2, Bm.action)
     # [A, M, B] -> source order (A, B, M)
     finv = linmap_from_program(t.permute((0, 2, 1)), (a, u, b))
-    return _candidate(f, finv, source.result, target.result,
-                      "diagonal over tensor bimodule to two-sided smash",
-                      program_report(_mu_identities(Ab, q)))
+    return _iso_report(program_report(_mu_identities(Ab, q)), f, finv,
+                       source.result, target.result)
 
 
 def five_corollary(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
@@ -428,14 +414,10 @@ def five_corollary(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     coacting from the right on the first tensor factor and from the
     left on the second."""
     TUU = tensor_bicomodule(Ab.right, Ab.left, check=False)
-    rep = Report()
-    for name, (_, iso_rep) in (
-            ("diag->two-sided-smash", _mu(Am, Bm, Ab)),
-            ("tensor-diag->two-sided-smash", _mu(Am, Bm, TUU)),
-            ("three-factor->tensor-diag",
-             _nu(Ab, tensor_bimodule(Am, Bm), Ab))):
-        rep.merge_under(name, iso_rep)
-    return rep
+    return Report().merge_under("diag->two-sided-smash", _mu(Am, Bm, Ab)[0]) \
+        .merge_under("tensor-diag->two-sided-smash", _mu(Am, Bm, TUU)[0]) \
+        .merge_under("three-factor->tensor-diag",
+                     _nu(Ab, tensor_bimodule(Am, Bm), Ab)[0])
 
 
 # -- Gamma: the canonical bimodule embedding ---------------------------------
@@ -524,16 +506,20 @@ def iso_smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
     """f(a x b) = U1.a x U2 b from A x B to A x B', where B' carries the
     U-twisted coaction, certified unless given; f fixes 1 x b
     pointwise."""
-    return _certified(*_smash_twist(Am, Bfr, U, Btwisted))
+    return _certified("smash twist equivalence",
+                      *_smash_twist(Am, Bfr, U, Btwisted))
 
 
 def _smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
-                 Btwisted: LeftComoduleAlgebra | None
-                 ) -> tuple[VerifiedIso, Report]:
+                 Btwisted: LeftComoduleAlgebra | None) -> tuple:
+    """The twist's report, and its parts unless U has no inverse."""
     Bco = _left_part(Bfr)
     Balg = Bco.B
-    UInv = invert_or_raise(U, [Am.Hq.H, Balg], "U")
+    UInv = invert_mixed(U, [Am.Hq.H, Balg])
     rep = Report()
+    if UInv is None:
+        rep.add("U is not invertible")
+        return rep, None
     if Btwisted is None:
         Btwisted = twist_comodule_by_U(Bco, U, UInv)
         rep.merge_under("twisted-comodule", Btwisted.verify())
@@ -547,8 +533,7 @@ def _smash_twist(Am: LeftModuleAlgebra, Bfr, U: TensorElt,
     v = Program(Am.unit_elt()).tensor(b)
     rep.merge(program_report([("fixes-comodule", v.apply_at(0, f), v,
                                (b,))]))
-    return _candidate(f, finv, source.result, target.result,
-                      "smash twist equivalence", rep)
+    return _iso_report(rep, f, finv, source.result, target.result)
 
 
 # -- diagonal products as generalized smash products over H (x) H^op ---------
@@ -577,21 +562,21 @@ def diag_flavor_twist_iso(Abi: BimoduleAlgebra,
                           Ab: BicomoduleAlgebra) -> VerifiedIso:
     """The two left diagonal products are isomorphic through the smash
     twist by the equivalence element of the two induced structures."""
-    return _certified(*_flavor_twist(Abi, Ab))
+    return _certified("diagonal flavor twist", *_flavor_twist(Abi, Ab))
 
 
-def _flavor_twist(Abi: BimoduleAlgebra,
-                  Ab: BicomoduleAlgebra) -> tuple[VerifiedIso, Report]:
+def _flavor_twist(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra) -> tuple:
     A1, A2, K = lambda12_structures(Ab, check=False)
     Kmod = as_module_over_tensor(Abi, K, check=False)
     U = twist_equivalence_U(Ab, pair=(A1, A2, K), check=False)
-    iso, rep = _smash_twist(Kmod, A1, U, None)
-    # the twisted comodule really is the second induced structure, so
-    # the target is the other diagonal product
-    btr = diag_crossed(Abi, Ab, "btrl", check=False)
-    rep.check(_same_product(iso.target, btr.result), "twist-target",
-              "U-twisted smash product differs from the other flavor")
-    return replace(iso, provenance="diagonal flavor twist"), rep
+    rep, parts = _smash_twist(Kmod, A1, U, None)
+    if parts is not None:
+        # the twisted comodule really is the second induced structure,
+        # so the target (parts[2]) is the other diagonal product
+        btr = diag_crossed(Abi, Ab, "btrl", check=False)
+        rep.check(_same_product(parts[2], btr.result), "twist-target",
+                  "U-twisted smash product differs from the other flavor")
+    return rep, parts
 
 
 def quantum_double_gen_smash(Hq: QuasiHopfAlgebra) -> Report:
@@ -628,9 +613,8 @@ def twist_invariance(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
         rhs = diag_crossed(AbiF, AbF, flavor, check=False)
         rep.check(_same_product(lhs.result, rhs.result), "twist-invariance",
                   f"{flavor} diagonal product changed under the twist")
-    rep.merge_under("two-sided-smash->twisted",
-                    _two_sided_twist(Am, Bm, F)[1])
-    return rep
+    return rep.merge_under("two-sided-smash->twisted",
+                           _two_sided_twist(Am, Bm, F)[0])
 
 
 def iso_two_sided_twist(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
@@ -638,11 +622,11 @@ def iso_two_sided_twist(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     """a # h # b -> F1.a # F2 h G1 # b.G2, with G = F^{-1}, from the
     two-sided smash product onto the one of the inputs twisted by the
     gauge F."""
-    return _certified(*_two_sided_twist(Am, Bm, F))
+    return _certified("two-sided smash twist", *_two_sided_twist(Am, Bm, F))
 
 
 def _two_sided_twist(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
-                     F: TensorElt) -> tuple[VerifiedIso, Report]:
+                     F: TensorElt) -> tuple:
     Hq = Am.Hq
     H = Hq.H
     FInv, HF = Hq.twisted(F)
@@ -660,8 +644,8 @@ def _two_sided_twist(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
         return linmap_from_program(
             t.insert(2, b).apply_at(2, Bm.action), (a, h, b))
 
-    return _candidate(twist(F, FInv), twist(FInv, F), source.result,
-                      target.result, "two-sided smash twist", Report())
+    return _iso_report(Report(), twist(F, FInv), twist(FInv, F),
+                       source.result, target.result)
 
 
 # -- tensoring the bicomodule factor by an ordinary algebra ------------------
@@ -706,9 +690,7 @@ def hausser_nill_check(Afr, Abi: BimoduleAlgebra, Bb: BicomoduleAlgebra,
     if check_costructures:
         for label, co in (("left-nested", left_co),
                           ("right-nested", right_co)):
-            axioms = co.verify(subparts=True) \
-                if isinstance(co, BicomoduleAlgebra) else co.verify()
-            rep.merge_under(f"{label} costructure", axioms)
+            rep.merge_under(f"{label} costructure", axiom_report(co))
     qa = quasi_smash(Afr, Abi, check=False)
     qc = left_quasi_smash(Abi, Cfr, check=False)
     mid = two_sided_gen_smash(qa, Bb, qc, check=False)

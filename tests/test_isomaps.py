@@ -11,7 +11,8 @@ from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  twist_equivalence_U,
                                  two_sided_from_bicomodule)
 from quasihopf.fields import QQ
-from quasihopf.finalg import VerificationError, invert_mixed, program_report
+from quasihopf.finalg import (Report, VerificationError, invert_mixed,
+                             program_report)
 from quasihopf.isomaps import (_iso_report, _mu_identities, diag_as_gen_smash,
                                diag_flavor_twist_iso, five_corollary,
                                four_diagonal_isos, gamma_map,
@@ -59,6 +60,15 @@ def test_theta(name):
 def test_four_diagonal_isos(name):
     st = entry(name)
     four_diagonal_isos(st["dual"], st["bicomodule"]).require(name)
+
+
+def test_four_diagonal_isos_names_each_isomorphism():
+    # a doubled column of rho breaks all three isomorphisms; each failure
+    # line is headed by the name of its isomorphism
+    rep = four_diagonal_isos(entry("Sweedler4")["dual"],
+                             sweedler_with_doubled_rho())
+    assert {line.split(": ")[0] for line in rep.failures} == {
+        "bowtie->rbowtie", "btrl->rbtrl", "bowtie->btrl"}
 
 
 @pytest.mark.parametrize("name", CHEAP)
@@ -279,7 +289,7 @@ def test_certify_reports_a_rank_one_algebra_map():
     f = linmap_from_program(Program.basis(QQ, h).apply_at(0, Hq.counit)
                             .tensor(Hq.unit_elt()), (h,))
     with pytest.raises(VerificationError) as exc:
-        _iso_report(f, f, A, A).require("rank one")
+        _iso_report(Report(), f, f, A, A)[0].require("rank one")
     assert str(exc.value) == (
         "rank one: bijective: rank 1 < 4; inverse: f o f^-1 != id; "
         "inverse: f^-1 o f != id; "
@@ -363,6 +373,19 @@ def test_flavor_twist_reports_a_wrong_equivalence_element(monkeypatch):
     assert four_diagonal_isos(st["dual"], st["bicomodule"]).failures == [
         "bowtie->btrl: twist-target: U-twisted smash product differs from "
         "the other flavor"]
+
+
+def test_flavor_twist_reports_a_singular_equivalence_element(monkeypatch):
+    # U = 0 has no inverse: the builder raises, the theorem reports it
+    st = entry("H2")
+    monkeypatch.setattr(isomaps, "twist_equivalence_U",
+                        lambda Ab, pair=None, check=True:
+                        TensorElt(QQ, (4, 2), {}))
+    assert _failures(lambda: diag_flavor_twist_iso(
+        st["dual"], st["bicomodule"])) == \
+        "diagonal flavor twist: U is not invertible"
+    assert four_diagonal_isos(st["dual"], st["bicomodule"]).failures == [
+        "bowtie->btrl: U is not invertible"]
 
 
 def test_diag_as_gen_smash_reports_corrupted_coactions():
