@@ -132,10 +132,14 @@ class LinMap:
     ``[(output multi-index, den * c), ...]`` in increasing output order,
     zeros skipped.  The form is canonical: over QQ, ``den`` is the lcm of
     the entries' denominators; over GF(p), ``den`` is 1 and the entries
-    are nonzero residues.
+    are nonzero residues.  The columns are never changed after
+    construction, so two flags are read off them once: ``disjoint``, no
+    two columns share an output, and ``unit``, every entry is 1 over
+    ``den`` 1.  A map with both re-keys the terms it acts on.
     """
 
-    __slots__ = ("field", "in_dims", "out_dims", "den", "cols")
+    __slots__ = ("field", "in_dims", "out_dims", "den", "cols", "disjoint",
+                 "unit")
 
     def __init__(self, field: Field, in_dims, out_dims, den: int, cols):
         """``cols`` holds one column per input basis tensor, already in
@@ -147,6 +151,10 @@ class LinMap:
             raise ValueError("one column per input basis tensor expected")
         self.den = den
         self.cols = cols
+        outs = [out for col in cols.values() for out, _ in col]
+        self.disjoint = len(set(outs)) == len(outs)
+        self.unit = den == 1 and all(
+            c == 1 for col in cols.values() for _, c in col)
 
     def __eq__(self, other):
         return (isinstance(other, LinMap) and self.field == other.field

@@ -61,11 +61,18 @@ the rationals the pair is kept in lowest terms (``gcd(den, *num) == 1``);
 over GF(p) ``den`` is 1 and the numerators are residues in ``[0, p)``.
 Each combinator's loop is written once, as a step kernel (``_kernel``)
 on raw numerators, reading the integer columns of a ``LinMap`` and rows
-of a ``FinAlgebra``; a call on a TensorElt normalises its result.  The
-executor binds each step's kernel once and carries raw numerators: over
-GF(p) each kernel reduces mod p, over the rationals lowest terms are
-taken only where a value is held for an inner loop or sunk.  A held
-zero skips the loops beneath it, each value there being zero.  On a
+of a ``FinAlgebra``, in one pass over the value's terms.  A map whose
+columns share no output (``LinMap.disjoint``) re-keys each term without
+accumulating, copying its coefficient when every entry is 1
+(``LinMap.unit``).  Over GF(p) a kernel that does not accumulate
+(``insert``, the idempotent ``slotwise_mul`` join, a disjoint
+``apply_at``) reduces each product as it makes it, a product of nonzero
+residues mod a prime never being 0; only the accumulating loops reduce
+their sums after (``_residues``).  Over the rationals lowest terms are
+taken where a call on a TensorElt returns, and in the executor, which
+binds each step's kernel once and carries raw numerators, only where a
+value is held for an inner loop or sunk.  A held zero skips the loops
+beneath it, each value there being zero.  On a
 basis of orthogonal idempotents (``FinAlgebra.idempotents``, e_i e_j =
 [i = j] e_i) a product multiplies matching coefficients: ``mul_slots``
 keeps the terms whose two slots agree, and ``slotwise_mul``, when every
@@ -159,9 +166,11 @@ def _normal(field: Field, dims, num, den) -> "TensorElt":
 def _kernel(step, p=None):
     """``(run, den)``: the loop of the Program step ``step``, constants
     bound, from the value's numerators (and the operand's ``x``) to the
-    result's, mod ``p`` if given; the denominator gains ``den``.  The
-    multiplying steps take a dict lookup per term instead when their
-    algebras have bases of orthogonal idempotents."""
+    result's, as residues without zeros if ``p`` is given; the
+    denominator gains ``den``.  The multiplying steps take a dict lookup
+    per term instead when their algebras have bases of orthogonal
+    idempotents, and a map with disjoint columns a dict comprehension
+    (see the module docstring)."""
     kind = step[0]
     if kind == "permute":
         pick = itemgetter(*step[1]) if len(step[1]) > 1 else None
@@ -169,12 +178,28 @@ def _kernel(step, p=None):
                 if pick else num), 1
     if kind == "insert":
         pos = step[1]
-        return (lambda num, x: _residues({
-            ia[:pos] + ib + ia[pos:]: ca * cb for ia, ca in num.items()
-            for ib, cb in x.items()}, p)), 1
+        if p is None:
+            return (lambda num, x: {
+                ia[:pos] + ib + ia[pos:]: ca * cb for ia, ca in num.items()
+                for ib, cb in x.items()}), 1
+        return (lambda num, x: {
+            ia[:pos] + ib + ia[pos:]: ca * cb % p for ia, ca in num.items()
+            for ib, cb in x.items()}), 1
     if kind == "apply_at":
         _, pos, lm = step
         end, cols = pos + len(lm.in_dims), lm.cols
+        if lm.unit and lm.disjoint:
+            return (lambda num: {
+                idx[:pos] + o + idx[end:]: c for idx, c in num.items()
+                for o, _ in cols[idx[pos:end]]}), 1
+        if lm.disjoint and p is None:
+            return (lambda num: {
+                idx[:pos] + o + idx[end:]: c * mc for idx, c in num.items()
+                for o, mc in cols[idx[pos:end]]}), lm.den
+        if lm.disjoint:
+            return (lambda num: {
+                idx[:pos] + o + idx[end:]: c * mc % p
+                for idx, c in num.items() for o, mc in cols[idx[pos:end]]}), 1
 
         def run(num):
             out = {}
@@ -221,8 +246,11 @@ def _kernel(step, p=None):
 
         def run(num, x):
             get = x.get
-            return _residues({ia: ca * cb for ia, ca in num.items()
-                              if (cb := get(pick(ia)))}, p)
+            if p is None:
+                return {ia: ca * cb for ia, ca in num.items()
+                        if (cb := get(pick(ia)))}
+            return {ia: ca * cb % p for ia, ca in num.items()
+                    if (cb := get(pick(ia)))}
         return run, 1
     k, lines, partners = len(slots), [], []
     for alg, side in zip(algebras, left):
@@ -369,13 +397,16 @@ class TensorElt(Slots):
         return _Terms(self)
 
     def _then(self, step, dims, x: "TensorElt | None" = None) -> "TensorElt":
-        """``step`` run and normalised (a permute only re-keys the terms)."""
-        run, den = _kernel(step)
-        if step[0] == "permute":
-            return _new(self.field, dims, run(self.num), self.den)
+        """``step`` run by its kernel, which over GF(p) gives residues
+        already; over the rationals the result is taken to lowest terms
+        (a permute only re-keys the terms)."""
+        p = self.field.p
+        run, den = _kernel(step, p)
         num = run(self.num) if x is None else run(self.num, x.num)
-        return _normal(self.field, dims, num,
-                       self.den * den * (x.den if x else 1))
+        if p is not None or step[0] == "permute":
+            return _new(self.field, dims, num, self.den)
+        return _new(self.field, dims,
+                    *_lowest(num, self.den * den * (x.den if x else 1)))
 
     # -- constructors ------------------------------------------------------
 

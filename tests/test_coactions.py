@@ -106,21 +106,37 @@ def test_pq_delta_detects_corrupted_q(name):
 
 def test_pq_identities_on_fpzn73_keep_executor_values_within_eight_slots(
         monkeypatch):
-    # every step kernel over GF(7) ends in ``_residues``, and so does a
-    # direct combinator call (through ``_normal``), so its largest output
-    # is the largest intermediate the identities hold
+    # every value the identities hold is the output of a step kernel (in
+    # the executor and in a direct combinator call) or of a basis read,
+    # so the largest of those is the largest intermediate
     Ab = entry("FpZn(7,3)")["bicomodule"]
     d = two_sided_from_bicomodule(Ab, "l", check=False)
     pq, tpq = pq_delta(d, check=False), tilde_pq(Ab.right, check=False)
     peak = [0]
-    residues = tensors_module._residues
+    kernel, reader = tensors_module._kernel, tensors_module._reader
 
-    def recording(num, p):
-        out = residues(num, p)
-        peak[0] = max(peak[0], len(out))
-        return out
+    def record(num):
+        peak[0] = max(peak[0], len(num))
+        return num
 
-    monkeypatch.setattr(tensors_module, "_residues", recording)
+    def recording_kernel(step, p=None):
+        run, den = kernel(step, p)
+        return (lambda num, *x, **kw: record(run(num, *x, **kw))), den
+
+    def recording_reader(*args):
+        prepare, used = reader(*args)
+
+        def prepared(num):
+            value = prepare(num)
+
+            def recorded():
+                num, den = value()
+                return record(num), den
+            return recorded
+        return prepared, used
+
+    monkeypatch.setattr(tensors_module, "_kernel", recording_kernel)
+    monkeypatch.setattr(tensors_module, "_reader", recording_reader)
     assert verify_pq_delta(d, pq).ok
     assert verify_tilde_pq(Ab.right, tpq).ok
     assert 3 ** 7 < peak[0] <= 3 ** 8

@@ -1229,3 +1229,127 @@ def test_column_sink_den_is_the_lcm_of_the_reduced_columns():
     assert got.den == 6 == x.den * m.den // 6
     assert got == linmap_from_columns(QQ, (3,), (2,), {
         (i,): t.terms for i, t in enumerate(values)})
+
+
+# -- maps whose columns are disjoint or have unit entries ----------------------
+#
+# A map whose columns share no output re-keys each term into terms no
+# other term meets, and with unit entries it copies the coefficients; the
+# references below sum every product, reading the map's dense rows.
+
+FLAG_FIELDS = {"QQ": QQ, "GF7": GF(7), "GF(2^61-1)": GF(2 ** 61 - 1)}
+
+
+def _flagged_map(data, field):
+    """A map from one or two slots to at most two (none: a functional),
+    its columns drawn disjoint or freely, some of them empty, its entries
+    all 1 or drawn."""
+    in_dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                       max_size=2), label="in"))
+    out_dims = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2),
+                               label="out"))
+    keys = list(product(*map(range, in_dims)))
+    outs = list(product(*map(range, out_dims)))
+    if data.draw(st.booleans(), label="disjoint"):
+        # each output in at most one column, the owner -1 for none
+        owner = data.draw(st.lists(st.integers(-1, len(keys) - 1),
+                                   min_size=len(outs), max_size=len(outs)))
+        support = {k: [o for o, w in zip(outs, owner) if w == j]
+                   for j, k in enumerate(keys)}
+    else:
+        support = {k: data.draw(st.lists(st.sampled_from(outs), unique=True,
+                                          max_size=3)) for k in keys}
+    ones = data.draw(st.booleans(), label="unit")
+    return linmap_from_columns(field, in_dims, out_dims, {
+        k: {o: field.one() if ones else data.draw(_scalar(field))
+            for o in col} for k, col in support.items()})
+
+
+def _map_rows(lm):
+    """The dense rows of ``lm`` as field scalars, read off its columns."""
+    rows = [[0] * prod(lm.in_dims) for _ in range(prod(lm.out_dims))]
+    for k, col in lm.cols.items():
+        for o, c in col:
+            rows[flat_index(lm.out_dims, o)][flat_index(lm.in_dims, k)] = \
+                Fraction(c, lm.den) if lm.field.p is None else c
+    return rows
+
+
+def _brute_flags(lm):
+    """``(disjoint, unit)`` read pair by pair off the dense rows."""
+    rows = _map_rows(lm)
+    disjoint = all(sum(1 for c in row if c) <= 1 for row in rows)
+    unit = all(c == 1 for row in rows for c in row if c)
+    return disjoint, unit
+
+
+def _check_apply_at(lm, t, pos):
+    """``t.apply_at(pos, lm)`` against the dense reference, directly and
+    in the executor beneath a variable; returns the direct result."""
+    field = lm.field
+    want = _ref_apply_at(field, t.dims, dict(t.terms), pos, _map_rows(lm),
+                         lm.in_dims, lm.out_dims)
+    got = t.apply_at(pos, lm)
+    _assert_canonical(got)
+    assert got.terms == want
+    v = Var("v", 2)
+    values = {}
+    run_program(Program(t).insert(0, v).apply_at(pos + 1, lm), (v,),
+                values.__setitem__)
+    for i in range(2):
+        assert values[i].terms == {(i,) + idx: c for idx, c in want.items()}
+    return got
+
+
+@given(st.sampled_from(sorted(FLAG_FIELDS)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_map_flags_and_one_pass_kernels_match_dense_reference(field_name,
+                                                              data):
+    field = FLAG_FIELDS[field_name]
+    lm = _flagged_map(data, field)
+    assert (lm.disjoint, lm.unit) == _brute_flags(lm)
+    pre = tuple(data.draw(st.lists(st.integers(1, 2), max_size=1)))
+    post = tuple(data.draw(st.lists(st.integers(1, 2), max_size=1)))
+    t = _element(data, field, pre + lm.in_dims + post, 8)
+    got = _check_apply_at(lm, t, len(pre))
+    # a basis vector contracted through the map reads its columns back
+    xs = [Var(f"x{s}", d) for s, d in enumerate(lm.in_dims)]
+    assert linmap_from_program(Program.basis(field, *xs).apply_at(0, lm),
+                               xs) == lm
+    # the other direct calls give canonical results too: residues in
+    # [1, p) over den 1 over GF(p), lowest terms over QQ
+    n = 3
+    alg = cyclic_with_cocycle(7, n).H if field.p == 7 else _algebra(
+        data, field, n)
+    a = _element(data, field, (n, n), 6)
+    for out in (got.insert(0, a), got.tensor(a), a.slotwise_mul(a, alg),
+                a.slotwise_mul(_element(data, field, (n, n)), alg, left=True),
+                a.mul_slots(0, 1, alg), a.mul_slots(1, 0, alg),
+                a.permute((1, 0))):
+        _assert_canonical(out)
+
+
+# each differs from RE_KEY in one respect; the first shares an output and
+# accumulates, the other two multiply their entries in
+RE_KEY = {(0,): {(1,): 1}, (1,): {(0,): 1, (2,): 1}, (2,): {}}
+MAP_NEAR_MISSES = {
+    "re-key": (RE_KEY, (True, True)),
+    "shared output": ({**RE_KEY, (2,): {(1,): 1}}, (False, True)),
+    "den=2": ({k: {o: Fraction(1, 2) for o in col}
+               for k, col in RE_KEY.items()}, (True, False)),
+    "entry 2": ({**RE_KEY, (1,): {(0,): 2, (2,): 1}}, (True, False))}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_NEAR_MISSES))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_map_near_misses_keep_their_entries(name, data):
+    cols, flags = MAP_NEAR_MISSES[name]
+    lm = linmap_from_columns(QQ, (3,), (3,), cols)
+    assert (lm.disjoint, lm.unit) == flags == _brute_flags(lm)
+    if name == "den=2":
+        assert lm.den == 2 and all(c == 1 for col in lm.cols.values()
+                                   for _, c in col)
+    pos = data.draw(st.integers(0, 1))
+    t = _element(data, QQ, (2,) * pos + (3,) + (2,) * (1 - pos), 6)
+    _check_apply_at(lm, t, pos)
