@@ -215,6 +215,12 @@ class BicomoduleAlgebra:
     def unit_elt(self) -> TensorElt:
         return self.left.unit_elt()
 
+    def gluing_report(self) -> Report:
+        """PhiLR PhiLRInv = 1 = PhiLRInv PhiLR, checked by each theorem too."""
+        return program_report(inverse_checks(
+            "gluing-inverse", self.PhiLR, self.PhiLRInv,
+            [self.Hq.H, self.A, self.Hq.H], ("PhiLR", "PhiLRInv")))
+
     def verify(self, subparts: bool = False) -> Report:
         rep = Report()
         if subparts:
@@ -228,9 +234,8 @@ class BicomoduleAlgebra:
         PhiLR = Program(self.PhiLR)
         u = Var("u", A.dim)
         e = Program.basis(self.field, u)
+        rep.merge(self.gluing_report())
         rep.merge(program_report([
-            *inverse_checks("gluing-inverse", self.PhiLR, self.PhiLRInv,
-                            algs3, ("PhiLR", "PhiLRInv")),
             # PhiLR (lam x id)(rho(u)) = (id x rho)(lam(u)) PhiLR
             ("coactions-quasi-commute",
              e.apply_at(0, self.rho).apply_at(0, self.lam)

@@ -16,11 +16,10 @@ one algebra on the flat output.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from .fields import Field
-from .linalg import LinMap, flat_index, int_entries, prod, reshape_map, solve
+from .linalg import LinMap, int_entries, prod, reshape_map, solve, unflatten
 from .tensors import Program, TensorElt, Var, _columns, program_mismatches
 
 
@@ -199,7 +198,7 @@ def verify_associative_unital(A: FinAlgebra, limit: int | None = 10) -> Report:
         for tag, detail, left in (("unit-left", f"1*e_{i} != e_{i}", True),
                                   ("unit-right", f"e_{i}*1 != e_{i}", False)):
             acc = {i: -unit.den * A.den}
-            for (a,), c in unit.num.items():
+            for a, c in unit.num.items():
                 for k, x in rows[a][i] if left else rows[i][a]:
                     acc[k] = acc.get(k, 0) + c * x
             if any(v if p is None else v % p for v in acc.values()):
@@ -325,7 +324,7 @@ def invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
         p = field.p
         inv = TensorElt(field, dims, {
             idx: Fraction(t.den, c) if p is None else pow(c, -1, p)
-            for idx, c in t.num.items()})
+            for idx, c in zip(t.terms, t.num.values())})
         return inv if inv.slotwise_mul(t, algebras) == unit else None
     # the matrix of e_f -> t e_f in one pass over the terms of t, as
     # integers over one denominator: each term expands slot by slot into
@@ -334,9 +333,9 @@ def invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
     for alg in algebras:
         den *= alg.den
     acc = [[0] * n for _ in range(n)]
-    for ia, ca in t.num.items():
+    for fa, ca in t.num.items():
         partial = [(0, 0, ca)]
-        for d, alg, i in zip(dims, algebras, ia):
+        for d, alg, i in zip(dims, algebras, unflatten(dims, fa)):
             row = alg.rows[i]
             partial = [(f * d + j, r * d + k, c * mc)
                        for f, r, c in partial
@@ -344,17 +343,15 @@ def invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
         for f, r, c in partial:
             acc[r][f] += c
     b = [[0] for _ in range(n)]
-    for idx, c in unit.num.items():
-        b[flat_index(dims, idx)][0] = c
+    for f, c in unit.num.items():
+        b[f][0] = c
     # (acc / den) y = unit is acc z = unit.num with y = den z / unit.den
     sol = solve(field.p, acc, b)
     if sol is None:
         return None
     D, z = sol
     inv = TensorElt.from_num(field, dims, {
-        idx: zr[0] * den
-        for idx, zr in zip(product(*map(range, dims)), z) if zr[0]},
-        D * unit.den)
+        f: zr[0] * den for f, zr in enumerate(z) if zr[0]}, D * unit.den)
     if inv.slotwise_mul(t, algebras) != unit:
         return None
     return inv
@@ -412,9 +409,8 @@ def algebra_map_checks(label: str, f: LinMap, A: FinAlgebra, algebras,
 def mul_linmap(A: FinAlgebra) -> LinMap:
     """The multiplication of A as a LinMap (n, n) -> (n,)."""
     n = A.dim
-    return LinMap(A.field, (n, n), (n,), A.den, {
-        (i, j): [((k,), c) for k, c in A.rows[i][j]]
-        for i in range(n) for j in range(n)})
+    return LinMap(A.field, (n, n), (n,), A.den,
+                  dict(enumerate(row for plane in A.rows for row in plane)))
 
 
 def algebra_from_program(prog: Program, left, right, unit_tensor: TensorElt,
@@ -428,9 +424,8 @@ def algebra_from_program(prog: Program, left, right, unit_tensor: TensorElt,
     if tuple(v.dim for v in right) != dims or prog.dims != dims:
         raise ValueError("program does not map pairs of basis elements "
                          "into their space")
-    flat = {idx: f for f, idx in enumerate(product(*map(range, dims)))}
-    n = len(flat)
-    den, rows = _columns(prog, tuple(left) + tuple(right), flat)
+    n = prod(dims)
+    den, rows = _columns(prog, tuple(left) + tuple(right))
     return FinAlgebra.from_int_rows(
         prog.field, den, [rows[i * n:(i + 1) * n] for i in range(n)],
         unit_tensor.to_flat(), name=name)

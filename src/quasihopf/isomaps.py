@@ -153,7 +153,8 @@ def four_diagonal_isos(Abi: BimoduleAlgebra,
     the smash-twist equivalence links the two left flavors."""
     dl, dr = (two_sided_from_bicomodule(Ab, side, check=False)
               for side in ("l", "r"))
-    return Report().merge_under("bowtie->rbowtie", _theta(Abi, dl)[0]) \
+    return Ab.gluing_report().merge_under("bowtie->rbowtie",
+                                          _theta(Abi, dl)[0]) \
         .merge_under("btrl->rbtrl", _theta(Abi, dr)[0]) \
         .merge_under("bowtie->btrl", _flavor_twist(Abi, Ab)[0])
 
@@ -414,7 +415,8 @@ def five_corollary(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     coacting from the right on the first tensor factor and from the
     left on the second."""
     TUU = tensor_bicomodule(Ab.right, Ab.left, check=False)
-    return Report().merge_under("diag->two-sided-smash", _mu(Am, Bm, Ab)[0]) \
+    return Ab.gluing_report() \
+        .merge_under("diag->two-sided-smash", _mu(Am, Bm, Ab)[0]) \
         .merge_under("tensor-diag->two-sided-smash", _mu(Am, Bm, TUU)[0]) \
         .merge_under("three-factor->tensor-diag",
                      _nu(Ab, tensor_bimodule(Am, Bm), Ab)[0])
@@ -603,7 +605,7 @@ def twist_invariance(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     FInv, HF = Am.Hq.twisted(F)
     AmF, AbiF = (twist_action(x, F, FInv, HF) for x in (Am, Abi))
     AbF = twist_coaction(Ab, F, FInv, HF)
-    rep = Report()
+    rep = Ab.gluing_report()
     rep.check(_same_product(gen_smash(Am, Ab, check=False).result,
                             gen_smash(AmF, AbF, check=False).result),
               "twist-invariance",
@@ -680,7 +682,7 @@ def hausser_nill_check(Afr, Abi: BimoduleAlgebra, Bb: BicomoduleAlgebra,
     for bit; with ``check_costructures``, the induced comodule structures
     pass their axiom suites, both parts of a bicomodule algebra included.
     A ``products`` dict receives the three products by label."""
-    rep = Report()
+    rep = Bb.gluing_report()
     t_left = gen_two_sided_crossed(Afr, Abi, Bb, check=False)
     left_co = induced_costructures(t_left, check=False)
     lhs = gen_two_sided_crossed(left_co, Abi, Cfr, check=False)

@@ -127,12 +127,12 @@ class LinMap:
 
     ``in_dims``/``out_dims`` are tuples of factor dimensions; maps with
     empty ``out_dims`` are functionals.  The map is stored as integer
-    sparse columns over one denominator ``den``: ``cols[idx]`` lists the
-    image of the input basis tensor at multi-index ``idx`` as
-    ``[(output multi-index, den * c), ...]`` in increasing output order,
-    zeros skipped.  The form is canonical: over QQ, ``den`` is the lcm of
-    the entries' denominators; over GF(p), ``den`` is 1 and the entries
-    are nonzero residues.  The columns are never changed after
+    sparse columns over one denominator ``den``, keyed by row-major
+    offsets: ``cols[f]`` lists the image of the input basis tensor at
+    offset ``f`` as ``[(output offset, den * c), ...]`` in increasing
+    order, zeros skipped.  The form is canonical: over QQ, ``den`` is the
+    lcm of the entries' denominators; over GF(p), ``den`` is 1 and the
+    entries are nonzero residues.  The columns are never changed after
     construction, so two flags are read off them once: ``disjoint``, no
     two columns share an output, and ``unit``, every entry is 1 over
     ``den`` 1.  A map with both re-keys the terms it acts on.
@@ -167,15 +167,14 @@ class LinMap:
 
     def is_identity(self) -> bool:
         return (self.in_dims == self.out_dims and self.den == 1
-                and all(col == [(idx, 1)] for idx, col in self.cols.items()))
+                and all(col == [(f, 1)] for f, col in self.cols.items()))
 
     def _int_rows(self):
         """The dense integer matrix den * M, one row per output."""
         rows = [[0] * prod(self.in_dims) for _ in range(prod(self.out_dims))]
-        for idx, col in self.cols.items():
-            j = flat_index(self.in_dims, idx)
+        for j, col in self.cols.items():
             for out, c in col:
-                rows[flat_index(self.out_dims, out)][j] = c
+                rows[out][j] = c
         return rows
 
     def rank(self) -> int:
@@ -196,22 +195,21 @@ class LinMap:
         g = gcd(D, self.den)
         D, scale = D // g, self.den // g
         # column j of X is the image of e_j, listed by output row i
-        cols = {unflatten(self.out_dims, j):
-                [(unflatten(self.in_dims, i), x[i][j] * scale)
-                 for i in range(n) if x[i][j]] for j in range(n)}
+        cols = {j: [(i, x[i][j] * scale) for i in range(n) if x[i][j]]
+                for j in range(n)}
         return LinMap(self.field, self.out_dims, self.in_dims, D, cols)
 
 
 def linmap_from_columns(field: Field, in_dims, out_dims, cols) -> LinMap:
-    """The map whose image of the input basis tensor at ``idx`` is
-    ``cols.get(idx)``, an {output multi-index: field scalar} dict
-    (None for zero)."""
+    """The map whose image of the input basis tensor at multi-index
+    ``idx`` is ``cols.get(idx)``, an {output multi-index: field scalar}
+    dict (None for zero)."""
     in_dims, out_dims = tuple(in_dims), tuple(out_dims)
-    keys = [unflatten(in_dims, f) for f in range(prod(in_dims))]
-    den, lists = int_entries(field, [
-        sorted((out, c) for out, c in (cols.get(idx) or {}).items() if c)
-        for idx in keys])
-    return LinMap(field, in_dims, out_dims, den, dict(zip(keys, lists)))
+    den, lists = int_entries(field, [sorted(
+        (flat_index(out_dims, out), c)
+        for out, c in (cols.get(unflatten(in_dims, f)) or {}).items() if c)
+        for f in range(prod(in_dims))])
+    return LinMap(field, in_dims, out_dims, den, dict(enumerate(lists)))
 
 
 def reshape_map(field: Field, in_dims, out_dims) -> LinMap:
@@ -221,6 +219,4 @@ def reshape_map(field: Field, in_dims, out_dims) -> LinMap:
     n = prod(in_dims)
     if prod(out_dims) != n:
         raise ValueError("slot dimensions differ in total")
-    return LinMap(field, in_dims, out_dims, 1, {
-        unflatten(in_dims, f): [(unflatten(out_dims, f), 1)]
-        for f in range(n)})
+    return LinMap(field, in_dims, out_dims, 1, {f: [(f, 1)] for f in range(n)})

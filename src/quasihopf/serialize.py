@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from itertools import islice, product, repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -151,28 +151,27 @@ def _parse_map(scalars: _Scalars, in_dims, out_dims, arr):
     den = lcm(*{scalars[t][1] for t in set(level)})
     nums = ([n for n, _ in pairs] if den == 1
             else [n * (den // d) for n, d in pairs])
-    outs = list(_keys(out_dims))
-    rows = (nums[f:f + len(outs)] for f in range(0, len(nums), len(outs)))
-    return den, {idx: [(out, c) for out, c in zip(outs, row) if c]
-                 for idx, row in zip(_keys(in_dims), rows)}
+    w = prod(out_dims)
+    return den, {f: [(o, c) for o, c in enumerate(nums[f * w:(f + 1) * w])
+                     if c] for f in range(prod(in_dims))}
 
 
 def tensor_to_json(t):
-    return _nest(t.dims, t.den, map(t.num.get, _keys(t.dims), repeat(0)))
+    return _nest(t.dims, t.den, map(t.num.get, range(prod(t.dims)), repeat(0)))
 
 
 def tensor_from_json(field: Field, dims, arr):
     from .tensors import TensorElt
     den, cols = _parse_map(_Scalars(field), (), tuple(dims), arr)
-    return TensorElt.from_num(field, tuple(dims), dict(cols[()]), den)
+    return TensorElt.from_num(field, tuple(dims), dict(cols[0]), den)
 
 
 def map_to_json(lm):
     """Dense array over in_dims + out_dims, input indices leading."""
-    outs = list(_keys(lm.out_dims))
+    outs = range(prod(lm.out_dims))
     return _nest(lm.in_dims + lm.out_dims, lm.den, [
-        c for idx in _keys(lm.in_dims)
-        for c in map(dict(lm.cols[idx]).get, outs, repeat(0))])
+        c for f in range(prod(lm.in_dims))
+        for c in map(dict(lm.cols[f]).get, outs, repeat(0))])
 
 
 def map_from_json(field: Field, in_dims, out_dims, arr):
@@ -302,12 +301,11 @@ def build(parsed, check: bool = False):
     from .tensors import TensorElt
     field, name, m = parsed.field, parsed.name, parsed.dim
     (den, cols), (uden, ucol) = parsed.alg
-    rows = [[[(k, c) for (k,), c in cols[i, j]] for j in range(m)]
-            for i in range(m)]
-    unit = TensorElt.from_num(field, (m,), dict(ucol[()]), uden).to_flat()
+    rows = [[cols[i * m + j] for j in range(m)] for i in range(m)]
+    unit = TensorElt.from_num(field, (m,), dict(ucol[0]), uden).to_flat()
     alg = FinAlgebra.from_int_rows(field, den, rows, unit, name=name)
     vals = [LinMap(field, ins, outs, d, cols) if ins
-            else TensorElt.from_num(field, outs, dict(cols[()]), d)
+            else TensorElt.from_num(field, outs, dict(cols[0]), d)
             for ins, outs, d, cols in parsed.arrays]
     if parsed.kind == "algebra":
         if check:

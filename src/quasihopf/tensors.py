@@ -55,44 +55,47 @@ exact scalars every value is bit-identical to the program as written,
 over non-associative algebras too.
 
 An element is stored as integer numerators over one shared denominator:
-``num`` maps multi-index tuples to nonzero ints and ``den`` is a
-positive int, so the coefficient at ``idx`` is ``num[idx] / den``.  Over
-the rationals the pair is kept in lowest terms (``gcd(den, *num) == 1``);
+``num`` maps the row-major offset (``linalg.flat_index``) of each
+multi-index to a nonzero int and ``den`` is a positive int.  Over the
+rationals the pair is kept in lowest terms (``gcd(den, *num) == 1``);
 over GF(p) ``den`` is 1 and the numerators are residues in ``[0, p)``.
-Each combinator's loop is written once, as a step kernel (``_kernel``)
-on raw numerators, reading the integer columns of a ``LinMap`` and rows
-of a ``FinAlgebra``, in one pass over the value's terms.  A map whose
-columns share no output (``LinMap.disjoint``) re-keys each term without
-accumulating, copying its coefficient when every entry is 1
-(``LinMap.unit``).  Over GF(p) a kernel that does not accumulate
-(``insert``, the idempotent ``slotwise_mul`` join, a disjoint
-``apply_at``) reduces each product as it makes it, a product of nonzero
+Multi-index tuples and field scalars (``Fraction`` over the rationals)
+appear only where values enter or leave (the constructor, ``basis``,
+``terms``, ``to_flat``).  Each combinator's loop is written once, as a
+step kernel (``_kernel``) on raw numerators, reading the integer columns
+of a ``LinMap`` and rows of a ``FinAlgebra``, in one pass that re-keys
+each term by int arithmetic on strides fixed in advance: a step
+replacing the M offsets of the slots lo..hi, T the size of the slots
+after them, reads block offset m as ``f // T % M`` and moves the key by
+``(o - m) T`` to block offset o, and by ``f // (M T) * K`` when the
+block grows by K / T (``_rekey``); a permute reads the slots it moves
+through a table.  A map whose columns share no output
+(``LinMap.disjoint``) re-keys each term without accumulating, copying
+its coefficient when every entry is 1 (``LinMap.unit``).  Over GF(p) a
+kernel that does not accumulate (``insert``, the idempotent
+``slotwise_mul`` join, a disjoint ``apply_at`` or contraction of a basis
+vector) reduces each product as it makes it, a product of nonzero
 residues mod a prime never being 0; only the accumulating loops reduce
-their sums after (``_residues``).  Over the rationals lowest terms are
+their sums after (``_residues``). Over the rationals lowest terms are
 taken where a call on a TensorElt returns, and in the executor, which
 binds each step's kernel once and carries raw numerators, only where a
 value is held for an inner loop or sunk.  A held zero skips the loops
-beneath it, each value there being zero.  On a
-basis of orthogonal idempotents (``FinAlgebra.idempotents``, e_i e_j =
-[i = j] e_i) a product multiplies matching coefficients: ``mul_slots``
-keeps the terms whose two slots agree, and ``slotwise_mul``, when every
-algebra of the step has such a basis, looks up for each term of the
-value the one term of the operand that agrees with it on the step's
-slots.  Field
-scalars (``Fraction`` over the rationals) appear only at the boundary:
-the constructor takes them, and ``terms`` (a read-only {multi-index
-tuple: scalar} view) and ``to_flat`` return them.
-The flat coordinate order is the row-major convention from linalg.
+beneath it, each value there being zero.  On a basis of orthogonal
+idempotents (``FinAlgebra.idempotents``, e_i e_j = [i = j] e_i) a
+product multiplies matching coefficients: ``mul_slots`` keeps the terms
+whose two slots agree, and ``slotwise_mul``, when every algebra of the
+step has such a basis, looks up for each term of the value the one term
+of the operand that agrees with it on the step's slots.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from .fields import Field
@@ -102,25 +105,24 @@ from .linalg import LinMap, flat_index, prod, unflatten
 class _Terms(Mapping):
     """Read-only {multi-index tuple: field scalar} view of a TensorElt."""
 
-    __slots__ = ("_num", "_den", "_rational")
+    __slots__ = ("_t",)
 
     def __init__(self, t: "TensorElt"):
-        self._num = t.num
-        self._den = t.den
-        self._rational = t.field.p is None
+        self._t = t
 
     def __getitem__(self, idx):
-        n = self._num[idx]
-        return Fraction(n, self._den) if self._rational else n
+        t = self._t
+        if not (isinstance(idx, tuple) and len(idx) == len(t.dims) and all(
+                0 <= i < d for i, d in zip(idx, t.dims))):
+            raise KeyError(idx)
+        n = t.num[flat_index(t.dims, idx)]
+        return Fraction(n, t.den) if t.field.p is None else n
 
     def __iter__(self):
-        return iter(self._num)
+        return map(partial(unflatten, self._t.dims), self._t.num)
 
     def __len__(self):
-        return len(self._num)
-
-    def __contains__(self, idx):
-        return idx in self._num
+        return len(self._t.num)
 
     def __repr__(self):
         return repr(dict(self))
@@ -163,136 +165,171 @@ def _normal(field: Field, dims, num, den) -> "TensorElt":
 
 # -- step kernels --------------------------------------------------------------
 
-def _kernel(step, p=None):
-    """``(run, den)``: the loop of the Program step ``step``, constants
-    bound, from the value's numerators (and the operand's ``x``) to the
-    result's, as residues without zeros if ``p`` is given; the
-    denominator gains ``den``.  The multiplying steps take a dict lookup
-    per term instead when their algebras have bases of orthogonal
-    idempotents, and a map with disjoint columns a dict comprehension
-    (see the module docstring)."""
+@lru_cache(maxsize=256)
+def _gather(dims, slots) -> tuple:
+    """Per offset over ``dims``, that of its indices at ``slots``."""
+    sub = [dims[s] for s in slots]
+    return tuple([flat_index(sub, map(idx.__getitem__, slots))
+                  for idx in product(*map(range, dims))])
+
+
+def _rekey(dims, lo, hi, size, cols, p, disjoint=True, unit=True):
+    """The kernel that replaces the slots ``lo``..``hi`` of a value over
+    ``dims`` by a block of ``size`` offsets, block offset m by each ``(o,
+    c)`` of ``cols[m]``, times c (see the module docstring)."""
+    T, M = prod(dims[hi:]), prod(dims[lo:hi])
+    B, K = M * T, (size - M) * T if lo else 0
+    ds = [[((o - m) * T, c) for o, c in cols[m]] for m in range(M)]
+    if not disjoint:
+        def run(num):
+            out = {}
+            get = out.get
+            for f, c in num.items():
+                b = f + f // B * K
+                for d, mc in ds[f // T % M]:
+                    out[b + d] = get(b + d, 0) + c * mc
+            return _residues(out, p)
+        return run
+    if unit and not K:
+        return lambda num: {f + d: c for f, c in num.items()
+                            for d, _ in ds[f // T % M]}
+    if unit or p is None:
+        return lambda num: {f + f // B * K + d: c * mc for f, c in num.items()
+                            for d, mc in ds[f // T % M]}
+    return lambda num: {f + f // B * K + d: c * mc % p for f, c in num.items()
+                        for d, mc in ds[f // T % M]}
+
+
+def _kernel(step, dims, p=None):
+    """``(run, den)``: the loop of the Program step ``step`` on a value
+    over ``dims``, constants bound, from the value's numerators (and the
+    operand's ``x``) to the result's, as residues without zeros if ``p``
+    is given; the denominator gains ``den``.  The multiplying steps take
+    a dict lookup per term instead when their algebras have bases of
+    orthogonal idempotents, and a map with disjoint columns a dict
+    comprehension (see the module docstring)."""
     kind = step[0]
     if kind == "permute":
-        pick = itemgetter(*step[1]) if len(step[1]) > 1 else None
-        return (lambda num: {pick(idx): c for idx, c in num.items()}
-                if pick else num), 1
+        moved = [r for r, s in enumerate(step[1]) if r != s] or [0]
+        lo, hi = moved[0], moved[-1] + 1
+        tab = _gather(dims[lo:hi], tuple(s - lo for s in step[1][lo:hi]))
+        return _rekey(dims, lo, hi, len(tab), [[(g, 1)] for g in tab], p), 1
     if kind == "insert":
-        pos = step[1]
-        if p is None:
-            return (lambda num, x: {
-                ia[:pos] + ib + ia[pos:]: ca * cb for ia, ca in num.items()
-                for ib, cb in x.items()}), 1
-        return (lambda num, x: {
-            ia[:pos] + ib + ia[pos:]: ca * cb % p for ia, ca in num.items()
-            for ib, cb in x.items()}), 1
+        T = prod(dims[step[1]:])
+        K = (prod(step[2].dims) - 1) * T
+
+        def run(num, x):
+            xs = [(o * T, c) for o, c in x.items()]
+            if p is None:
+                return {f + f // T * K + o: ca * cb for f, ca in num.items()
+                        for o, cb in xs}
+            return {f + f // T * K + o: ca * cb % p for f, ca in num.items()
+                    for o, cb in xs}
+        return run, 1
     if kind == "apply_at":
         _, pos, lm = step
-        end, cols = pos + len(lm.in_dims), lm.cols
-        if lm.unit and lm.disjoint:
-            return (lambda num: {
-                idx[:pos] + o + idx[end:]: c for idx, c in num.items()
-                for o, _ in cols[idx[pos:end]]}), 1
-        if lm.disjoint and p is None:
-            return (lambda num: {
-                idx[:pos] + o + idx[end:]: c * mc for idx, c in num.items()
-                for o, mc in cols[idx[pos:end]]}), lm.den
-        if lm.disjoint:
-            return (lambda num: {
-                idx[:pos] + o + idx[end:]: c * mc % p
-                for idx, c in num.items() for o, mc in cols[idx[pos:end]]}), 1
-
-        def run(num):
-            out = {}
-            get = out.get
-            for idx, c in num.items():
-                head, tail = idx[:pos], idx[end:]
-                for o, mc in cols[idx[pos:end]]:
-                    nid = head + o + tail
-                    out[nid] = get(nid, 0) + c * mc
-            return _residues(out, p)
-        return run, lm.den
+        return _rekey(dims, pos, pos + len(lm.in_dims), prod(lm.out_dims),
+                      lm.cols, p, lm.disjoint, lm.unit), lm.den
     if kind == "mul_slots":
-        _, pos_a, pos_b, alg = step
+        _, a, b, alg = step
+        n, Sa, Sb = alg.dim, prod(dims[a + 1:]), prod(dims[b + 1:])
         if alg.idempotents:
             # e_i e_j = [i = j] e_i: keep the terms whose slots agree and
-            # drop slot pos_b, a map injective on them
+            # drop slot b, a map injective on them
             return (lambda num: {
-                idx[:pos_b] + idx[pos_b + 1:]: c for idx, c in num.items()
-                if idx[pos_a] == idx[pos_b]}), 1
-        rows = alg.rows
-        dst = pos_a if pos_a < pos_b else pos_a - 1
+                f - (q - q // n) * Sb: c for f, c in num.items()
+                if (q := f // Sb) % n == f // Sa % n}), 1
+        rows, Sd = alg.rows, Sa // n if a < b else Sa
 
         def run(num):
             out = {}
             get = out.get
-            for idx, c in num.items():
-                base = list(idx)
-                del base[pos_b]
-                for k, mc in rows[idx[pos_a]][idx[pos_b]]:
-                    base[dst] = k
-                    nid = tuple(base)
-                    out[nid] = get(nid, 0) + c * mc
+            for f, c in num.items():
+                q, i = f // Sb, f // Sa % n
+                base = f - (q - q // n) * Sb - i * Sd
+                for k, mc in rows[i][q % n]:
+                    out[base + k * Sd] = get(base + k * Sd, 0) + c * mc
             return _residues(out, p)
         return run, alg.den
     # slotwise_mul (see Slots; only a planned step takes some slots, each
-    # on its own side): lines[r][i][j] is e_i, in the value's slot
-    # slots[r], times e_j of x's slot r; partners[r][i] the j where nonzero
+    # on its own side): slot_of[r] is (ln, st, w, n), ln[i][j] being e_i,
+    # in the value's slot slots[r] of stride st, times e_j of x's slot r
+    # of stride w; partners[r][i] the shares j w of x's offset where
+    # nonzero
     _, _, algebras, slots, left = step
     if slots and all(alg.idempotents for alg in algebras):
         # each term meets the one term of x that agrees with it on the
-        # step's slots, on either side, and keeps its index
-        pick = itemgetter(*slots) if len(slots) > 1 else \
-            (lambda idx, s=slots[0]: (idx[s],))
+        # step's slots, on either side, and keeps its key; x's offset is
+        # read off the block of slots lo..hi by a table
+        lo, hi = min(slots), max(slots) + 1
+        tab = _gather(dims[lo:hi], tuple(s - lo for s in slots))
+        T, M = prod(dims[hi:]), len(tab)
 
         def run(num, x):
             get = x.get
             if p is None:
-                return {ia: ca * cb for ia, ca in num.items()
-                        if (cb := get(pick(ia)))}
-            return {ia: ca * cb % p for ia, ca in num.items()
-                    if (cb := get(pick(ia)))}
+                return {f: ca * cb for f, ca in num.items()
+                        if (cb := get(tab[f // T % M]))}
+            return {f: ca * cb % p for f, ca in num.items()
+                    if (cb := get(tab[f // T % M]))}
         return run, 1
-    k, lines, partners = len(slots), [], []
-    for alg, side in zip(algebras, left):
-        lines.append(list(zip(*alg.rows)) if side else alg.rows)
-        partners.append([[j for j, q in enumerate(ln) if q]
-                         for ln in lines[-1]])
-    slot_of = list(enumerate(slots))
+    slot_of, partners = [], []
+    for r, (alg, side, s) in enumerate(zip(algebras, left, slots)):
+        w, ln = prod(dims[t] for t in slots[r + 1:]), \
+            list(zip(*alg.rows)) if side else alg.rows
+        slot_of.append((ln, prod(dims[s + 1:]), w, alg.dim))
+        partners.append([[j * w for j, q in enumerate(row) if q]
+                         for row in ln])
 
     def run(num, x):
         # with no more terms in x than slots every pair is tried;
         # otherwise the candidates of each index are looked up
-        scan = len(x) <= k
+        scan = len(x) <= len(slots)
         out = {}
-        for ia, ca in num.items():
-            if not scan and prod(map(len, cands := [nz[ia[s]] for nz, s in zip(
-                    partners, slots)])) <= len(x):
-                # enumerate the x indices that are nonzero in every slot
-                matches = [(ib, x[ib]) for ib in product(*cands) if ib in x]
+        get = out.get
+        for fa, ca in num.items():
+            if not scan and prod(map(len, cands := [nz[fa // st % n] for nz, (
+                    _, st, _, n) in zip(partners, slot_of)])) <= len(x):
+                # enumerate the x offsets that are nonzero in every slot
+                matches = [(g, x[g]) for g in map(sum, product(*cands))
+                           if g in x]
             else:
                 matches = x.items()
-            for ib, cb in matches:
-                # write the products into a copy of the value's index, one
-                # copy while each product has one term, bailing out on a
-                # zero slot
-                idx, coef, partial = list(ia), ca * cb, None
-                for r, s in slot_of:
-                    row = lines[r][ia[s]][ib[r]]
+            for g, cb in matches:
+                # move the key by each product's index, one key while
+                # each product has one term, bailing out on a zero slot
+                key, coef, partial = fa, ca * cb, None
+                for ln, st, w, n in slot_of:
+                    i = fa // st % n
+                    row = ln[i][g // w % n]
                     if not row:
                         break
                     if partial is None and len(row) == 1:
-                        idx[s], mc = row[0]
-                        coef *= mc
+                        key, coef = key + (row[0][0] - i) * st, \
+                            coef * row[0][1]
                         continue
-                    partial = [(q[:s] + [kk] + q[s + 1:], c * mc)
-                               for q, c in partial or [(idx, coef)]
+                    partial = [(q + (kk - i) * st, c * mc)
+                               for q, c in partial or [(key, coef)]
                                for kk, mc in row]
                 else:
-                    for idx, coef in partial or [(idx, coef)]:
-                        idx = tuple(idx)
-                        out[idx] = out.get(idx, 0) + coef
+                    for key, coef in partial or [(key, coef)]:
+                        out[key] = get(key, 0) + coef
         return _residues(out, p)
     return run, prod(alg.den for alg in algebras)
+
+
+def _shape(step, dims) -> tuple:
+    """The slot dimensions of the result of ``step`` on ``dims``."""
+    kind, pos = step[0], step[1]
+    if kind == "insert":
+        x = (step[2].dim,) if isinstance(step[2], Var) else step[2].dims
+        return dims[:pos] + x + dims[pos:]
+    if kind == "apply_at":
+        lm = step[2]
+        return dims[:pos] + lm.out_dims + dims[pos + len(lm.in_dims):]
+    if kind == "mul_slots":
+        return dims[:step[2]] + dims[step[2] + 1:]
+    return tuple(map(dims.__getitem__, pos)) if kind == "permute" else dims
 
 
 class Slots:
@@ -317,9 +354,7 @@ class Slots:
         if not 0 <= pos <= len(self.dims):
             raise ValueError(f"insert position {pos} outside "
                              f"[0, {len(self.dims)}]")
-        dims = (x.dim,) if isinstance(x, Var) else x.dims
-        return self._then(("insert", pos, x),
-                          self.dims[:pos] + dims + self.dims[pos:], x)
+        return self._then(("insert", pos, x), x)
 
     def tensor(self, x):
         return self.insert(len(self.dims), x)
@@ -331,8 +366,7 @@ class Slots:
                 self.dims[pos:end] != lm.in_dims:
             raise ValueError(f"slots {self.dims[pos:end]} do not match map "
                              f"input {lm.in_dims}")
-        return self._then(("apply_at", pos, lm),
-                          self.dims[:pos] + lm.out_dims + self.dims[end:])
+        return self._then(("apply_at", pos, lm))
 
     def mul_slots(self, pos_a: int, pos_b: int, algebra):
         """Multiply slot ``pos_a`` by slot ``pos_b`` (in that order) inside
@@ -342,16 +376,14 @@ class Slots:
         if pos_a == pos_b or not (0 <= pos_a < n and 0 <= pos_b < n) or \
                 not self.dims[pos_a] == self.dims[pos_b] == algebra.dim:
             raise ValueError("slots must differ and match the algebra")
-        return self._then(("mul_slots", pos_a, pos_b, algebra), tuple(
-            d for t, d in enumerate(self.dims) if t != pos_b))
+        return self._then(("mul_slots", pos_a, pos_b, algebra))
 
     def permute(self, perm):
         """Reorder slots: output slot r carries the old slot ``perm[r]``."""
         perm = tuple(perm)
         if sorted(perm) != list(range(len(self.dims))):
             raise ValueError("not a permutation of the slots")
-        return self._then(("permute", perm),
-                          tuple(map(self.dims.__getitem__, perm)))
+        return self._then(("permute", perm))
 
     def slotwise_mul(self, x: "TensorElt", algebras, left: bool = False):
         """Multiply slot by slot by ``x``, each slot inside its algebra in
@@ -367,7 +399,7 @@ class Slots:
         if not isinstance(algebras, (list, tuple)):
             algebras = [algebras] * k
         return self._then(("slotwise_mul", x, tuple(algebras),
-                           tuple(range(k)), (left,) * k), self.dims, x)
+                           tuple(range(k)), (left,) * k), x)
 
 
 class TensorElt(Slots):
@@ -377,18 +409,15 @@ class TensorElt(Slots):
 
     def __init__(self, field: Field, dims, terms=None):
         """``terms`` maps multi-indices to field scalars (ints or
-        Fractions); denominators are cleared once, here."""
+        Fractions); offsets are taken and denominators cleared, here."""
         self.field = field
-        self.dims = tuple(dims)
+        self.dims = dims = tuple(dims)
         terms = terms or {}
-        if field.p is None:
-            den = lcm(*(c.denominator for c in terms.values()))
-            num = {tuple(idx): c.numerator * (den // c.denominator)
-                   for idx, c in terms.items()}
-        else:
-            den = 1
-            num = {tuple(idx): c for idx, c in terms.items()}
-        canon = _normal(field, self.dims, num, den)
+        den = 1 if field.p else lcm(*(c.denominator for c in terms.values()))
+        canon = _normal(field, dims, {
+            flat_index(dims, idx): c if field.p else
+            c.numerator * (den // c.denominator) for idx, c in terms.items()},
+            den)
         self.num, self.den = canon.num, canon.den
 
     @property
@@ -396,12 +425,12 @@ class TensorElt(Slots):
         """The nonzero coefficients as field scalars, read-only."""
         return _Terms(self)
 
-    def _then(self, step, dims, x: "TensorElt | None" = None) -> "TensorElt":
+    def _then(self, step, x: "TensorElt | None" = None) -> "TensorElt":
         """``step`` run by its kernel, which over GF(p) gives residues
         already; over the rationals the result is taken to lowest terms
         (a permute only re-keys the terms)."""
-        p = self.field.p
-        run, den = _kernel(step, p)
+        p, dims = self.field.p, _shape(step, self.dims)
+        run, den = _kernel(step, self.dims, p)
         num = run(self.num) if x is None else run(self.num, x.num)
         if p is not None or step[0] == "permute":
             return _new(self.field, dims, num, self.den)
@@ -416,12 +445,12 @@ class TensorElt(Slots):
 
     @staticmethod
     def basis(field: Field, dims, idx) -> "TensorElt":
-        return _new(field, tuple(dims), {tuple(idx): 1}, 1)
+        return _new(field, tuple(dims), {flat_index(dims, idx): 1}, 1)
 
     @staticmethod
     def from_num(field: Field, dims, num, den: int) -> "TensorElt":
-        """The element with coefficients ``num[idx] / den`` for int
-        numerators and ``den`` > 0."""
+        """The element with coefficients ``num[f] / den`` for int
+        numerators keyed by offset and ``den`` > 0."""
         return _normal(field, tuple(dims), num, den)
 
     @staticmethod
@@ -430,9 +459,8 @@ class TensorElt(Slots):
 
     @staticmethod
     def from_flat(field: Field, dims, vec) -> "TensorElt":
-        dims = tuple(dims)
         return TensorElt(field, dims, {
-            idx: c for idx, c in zip(product(*map(range, dims)), vec) if c})
+            unflatten(dims, f): c for f, c in enumerate(vec) if c})
 
     @staticmethod
     def from_vector(field: Field, vec) -> "TensorElt":
@@ -442,9 +470,8 @@ class TensorElt(Slots):
     def to_flat(self):
         out = [self.field.zero()] * prod(self.dims)
         den = self.den if self.field.p is None else None
-        for idx, c in self.num.items():
-            out[flat_index(self.dims, idx)] = c if den is None \
-                else Fraction(c, den)
+        for f, c in self.num.items():
+            out[f] = c if den is None else Fraction(c, den)
         return out
 
     # -- ring-module operations ---------------------------------------------
@@ -465,9 +492,9 @@ class TensorElt(Slots):
             raise ValueError("slot shape mismatch")
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
-        num = {idx: c * fa for idx, c in self.num.items()}
-        for idx, c in other.num.items():
-            num[idx] = num.get(idx, 0) + c * fb
+        num = {f: c * fa for f, c in self.num.items()}
+        for f, c in other.num.items():
+            num[f] = num.get(f, 0) + c * fb
         return _normal(self.field, self.dims, num, den)
 
     def __sub__(self, other: "TensorElt") -> "TensorElt":
@@ -477,7 +504,7 @@ class TensorElt(Slots):
         """Multiply by a field scalar (an int or a Fraction)."""
         cn, cd = c.numerator, c.denominator
         return _normal(self.field, self.dims,
-                       {idx: v * cn for idx, v in self.num.items()},
+                       {f: v * cn for f, v in self.num.items()},
                        self.den * cd)
 
 
@@ -545,11 +572,12 @@ class Program(Slots):
             prog = prog.tensor(v)
         return prog
 
-    def _then(self, step, dims, x=None) -> "Program":
-        """This program with ``step`` appended; ``dims`` are the result's."""
+    def _then(self, step, x=None) -> "Program":
+        """This program with ``step`` appended."""
         reads = (x,) if isinstance(x, Var) else \
             x.vars if isinstance(x, Program) else ()
-        return Program(self.start, self.steps + (step,), dims, self.vars
+        return Program(self.start, self.steps + (step,),
+                       _shape(step, self.dims), self.vars
                        + tuple(v for v in reads if v not in self.vars))
 
 
@@ -694,7 +722,7 @@ def _fold(apply_op, fused_op):
     (_, pos, lm), ins, outs, before = apply_op
     (_, x, algebras, _, left), partners, prods, _ = fused_op
     run, factor = _kernel(("slotwise_mul", x, algebras, tuple(
-        outs.index(v) for v in partners), left), lm.field.p)
+        outs.index(v) for v in partners), left), lm.out_dims, lm.field.p)
     den, cols = _one_den([
         (lm.den * factor * x.den, sorted((k, c) for k, c in run(
             dict(col), x.num).items() if c)) for col in lm.cols.values()])
@@ -779,20 +807,24 @@ def _emit(prog: Program, ops, final, anchors) -> tuple:
     return tuple(out)
 
 
-def _reader(pos: int, step, dim: int, vals, s: int, p):
+def _reader(pos: int, step, dims, vals, s: int, p):
     """``(prepare, used)``: ``prepare(num)`` gives the function that
-    inserts e_i, i = ``vals[s]``, into ``num`` at ``pos`` and, when
-    ``step`` contracts e_i (``used``), runs ``step`` too; it returns
-    ``(num, den)``, ``den`` the factor of the denominator.  A contraction
-    reads e_i as key position ``at`` with the ``w`` slots from ``lo``
-    off the map's columns or the algebra's rows, in their place."""
-    lo, w, at, den, used = pos, 0, 0, 1, False
-    cols = {(i,): [((i,), 1)] for i in range(dim)}
+    inserts e_i, i = ``vals[s]``, into ``num`` at ``pos`` (``dims`` the
+    slots with e_i in place) and, when ``step`` contracts e_i (``used``),
+    runs ``step`` too; it returns ``(num, den)``, ``den`` the factor of
+    the denominator.  A contraction reads the ``w`` slots from ``lo``,
+    e_i at ``at`` among them, off one column of the map or row of the
+    algebra, its ``size`` outputs in their place, in one comprehension
+    when no two columns share an output (see ``_kernel``)."""
+    dim, used = dims[pos], False
+    lo, w, at, den, size = pos, 0, 0, 1, dim
+    cols, disjoint, unit = [[(i, 1)] for i in range(dim)], True, True
     kind = step[0] if step else None
     if kind == "apply_at" and step[1] <= pos < step[1] + len(step[2].in_dims):
         lm = step[2]
         lo, w, at, used = step[1], len(lm.in_dims) - 1, pos - step[1], True
-        cols, den = lm.cols, lm.den
+        cols, den, size = lm.cols, lm.den, prod(lm.out_dims)
+        disjoint, unit = lm.disjoint, lm.unit
     elif kind == "mul_slots":
         _, a, b, alg = step
         b_pre = b if b < pos else b - 1
@@ -801,23 +833,35 @@ def _reader(pos: int, step, dim: int, vals, s: int, p):
         elif a == pos and (a if a < b else a - 1) == b_pre:
             lo, at, used = b_pre, 0, True   # e_i t[b], where t[b] was
         if used:
-            w, den, n = 1, alg.den, alg.dim
-            cols = {(x, y): [((k,), c) for k, c in alg.rows[x][y]]
-                    for x in range(n) for y in range(n)}
+            w, den, size = 1, alg.den, alg.dim
+            cols = [row for plane in alg.rows for row in plane]
+            disjoint = unit = alg.idempotents
+    rest = dims[:pos] + dims[pos + 1:]
+    T, M, post = prod(rest[lo + w:]), prod(rest[lo:lo + w]), \
+        prod(rest[lo + at:lo + w])
+    cols = [[(o * T, c) for o, c in cols[m]] for m in range(len(cols))]
 
     def prepare(num):
-        plan = [(idx[:lo], idx[lo:lo + at], idx[lo + at:lo + w],
-                 idx[lo + w:], c) for idx, c in num.items()]
+        # each term as (its key but for the block, the block's column
+        # less e_i's share, its numerator)
+        plan = [(q // M * size * T + f % T,
+                 (m := q % M) + m // post * (dim - 1) * post, c)
+                for f, c in num.items() for q in [f // T]]
 
         def value():
-            i = (vals[s],)
-            out = {}
-            get = out.get
-            for head, pre, post, tail, c in plan:
-                for o, mc in cols[pre + i + post]:
-                    nid = head + o + tail
-                    out[nid] = get(nid, 0) + c * mc
-            return _residues(out, p), den
+            i = vals[s] * post
+            if not disjoint:
+                out = {}
+                get = out.get
+                for b, m, c in plan:
+                    for o, mc in cols[m + i]:
+                        out[b + o] = get(b + o, 0) + c * mc
+                return _residues(out, p), den
+            if unit or p is None:
+                return {b + o: c * mc for b, m, c in plan
+                        for o, mc in cols[m + i]}, den
+            return {b + o: c * mc % p for b, m, c in plan
+                    for o, mc in cols[m + i]}, den
         return value
     return prepare, used
 
@@ -854,13 +898,14 @@ def _compile(prog: Program, order, sink, skip=False, head: bool = False):
         return [(tuple(zip(at, c)), sum(map(mul, c, map(stride.get, at))))
                 for c in product(*(range(v.dim) for v in variables))]
 
-    def inserter(step, sub):
-        """``step`` with the value of ``sub``, each computed once, first."""
+    def inserter(step, sub, dims):
+        """``step`` on a value over ``dims`` with the value of ``sub``,
+        each computed once, first."""
         values = [({}, 1)] * prod(v.dim for v in sub.vars)
         _compile(sub, sub.vars, lambda off, num, den: values.__setitem__(
             off, _lowest(num, den)), True)[0]()
         key = strides(sub.vars).items()
-        run, factor = _kernel(step, p)
+        run, factor = _kernel(step, dims, p)
 
         def prepare(num):
             def value():
@@ -896,18 +941,19 @@ def _compile(prog: Program, order, sink, skip=False, head: bool = False):
     segments, ops, factor = [], [], 1
     bound = set(order[:1] if head else ())
     steps = _plan(prog) + (None,)
-    k = 0
+    k, dims = 0, prog.start.dims
     while steps[k] is not None:
         step, k = steps[k], k + 1
         x = step[2] if step[0] == "insert" else \
             step[1] if step[0] == "slotwise_mul" else None
+        before, dims = dims, _shape(step, dims)
         if isinstance(x, Var):
-            prepare, used = _reader(step[1], steps[k], x.dim, vals, slot[x], p)
-            k += used
+            prepare, used = _reader(step[1], steps[k], dims, vals, slot[x], p)
+            dims, k = _shape(steps[k], dims) if used else dims, k + used
         elif isinstance(x, Program):
-            prepare = inserter(step, x)
+            prepare = inserter(step, x, before)
         else:
-            run, den = _kernel(step, p)
+            run, den = _kernel(step, before, p)
             ops.append(run if x is None else partial(run, x=x.num))
             factor *= den if x is None else den * x.den
             continue
@@ -968,17 +1014,16 @@ def program_mismatches(lhs: Program, rhs: Program, order,
     return [unflatten(dims, off) for off in sorted(bad)[:limit]]
 
 
-def _columns(prog: Program, order, key=None):
+def _columns(prog: Program, order):
     """``(den, cols)``: the value of ``prog`` at each value tuple of
-    ``order``, in row-major order, as its nonzero terms sorted by
-    multi-index (or by ``key[multi-index]``) over one denominator
-    ``den``; a skipped zero value keeps the empty column it starts as."""
+    ``order``, in row-major order, as its nonzero terms sorted by offset
+    (one int object per offset) over one denominator ``den``; a skipped
+    zero value keeps the empty column it starts as."""
     values = [(1, [])] * prod(v.dim for v in order)
+    at = list(range(prod(prog.dims)))
 
     def keep(off, num, den):
-        values[off] = (den, sorted(
-            [(idx, c) for idx, c in num.items() if c] if key is None
-            else [(key[idx], c) for idx, c in num.items() if c]))
+        values[off] = (den, sorted([(at[f], c) for f, c in num.items() if c]))
 
     _compile(prog, order, keep, True)[0]()
     return _one_den(values)
@@ -999,7 +1044,6 @@ def linmap_from_program(prog: Program, order) -> LinMap:
     """The linear map whose value on the basis tensor at the multi-index
     of the variables ``order`` is the value of ``prog`` there: its input
     dims are the dims of ``order``, its output dims ``prog.dims``."""
-    in_dims = tuple(v.dim for v in order)
     den, cols = _columns(prog, order)
-    return LinMap(prog.field, in_dims, prog.dims, den,
-                  dict(zip(product(*map(range, in_dims)), cols)))
+    return LinMap(prog.field, tuple(v.dim for v in order), prog.dims, den,
+                  dict(enumerate(cols)))

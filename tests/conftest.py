@@ -4,7 +4,7 @@ import pytest
 
 from quasihopf import corpus
 from quasihopf.coactions import BicomoduleAlgebra, RightComoduleAlgebra
-from quasihopf.linalg import linmap_from_columns
+from quasihopf.linalg import linmap_from_columns, unflatten
 from quasihopf.tensors import TensorElt
 
 
@@ -43,12 +43,12 @@ def doubled_column(lm, key):
     """``lm`` with the image of the input basis tensor ``key`` doubled: a
     corrupted structure map for the witness tests."""
 
-    def image(idx, col):
+    def image(f, col):
         t = TensorElt.from_num(lm.field, lm.out_dims, dict(col), lm.den)
-        return (t.scale(2) if idx == key else t).terms
+        return (t.scale(2) if unflatten(lm.in_dims, f) == key else t).terms
 
     return linmap_from_columns(lm.field, lm.in_dims, lm.out_dims, {
-        idx: image(idx, col) for idx, col in lm.cols.items()})
+        unflatten(lm.in_dims, f): image(f, col) for f, col in lm.cols.items()})
 
 
 def sweedler_with_doubled_rho():

@@ -191,7 +191,8 @@ def test_bimodule_verify_reports_a_corrupted_action():
         return (v.scale(Fraction(1, 2)) if idx == (1, 0) else v).terms
 
     left = linmap_from_columns(QQ, (2, 2), (2,),
-                               {idx: image(idx) for idx in Du.left.cols})
+                               {(i, j): image((i, j)) for i in range(2)
+                                for j in range(2)})
     rep = BimoduleAlgebra(Hq, Du.A, left, Du.right, check=False).verify()
     assert rep.failures == [
         "left-action-associative: basis (1, 1, 0)",

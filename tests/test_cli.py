@@ -12,8 +12,9 @@ import pytest
 from quasihopf import cli, corpus, products, serialize
 from quasihopf.actions import LeftModuleAlgebra
 from quasihopf.cli import main
+from quasihopf.coactions import BicomoduleAlgebra
 
-from conftest import entry, sweedler_with_doubled_rho
+from conftest import corrupt_one, entry, sweedler_with_doubled_rho
 
 
 @pytest.fixture()
@@ -334,6 +335,25 @@ def test_theorem_reports_a_corrupted_coaction(name, monkeypatch, capsys):
         assert not {line.split(": ")[0] for line in failures} & {
             "four-diagonal-isos", "five-product-chain", "two-sided-smash"}
         assert failures[0] == CORRUPTED_RHO_FIRST_FAILURE[name]
+
+
+@pytest.mark.parametrize("name", ["hausser-nill", "twist-invariance",
+                                  "yd-roundtrip"])
+def test_theorem_checks_the_gluing_element_it_reads(name, monkeypatch,
+                                                    capsys):
+    # one coefficient of PhiLR off by one and PhiLRInv left as it was: the
+    # products read only PhiLRInv, so only the gluing check can tell
+    Ab = entry("Sweedler4")["bicomodule"]
+    bad = BicomoduleAlgebra(Ab.left, Ab.right, corrupt_one(Ab.PhiLR),
+                            PhiLRInv=Ab.PhiLRInv, check=False)
+    st = dict(entry("Sweedler4"), bicomodule=bad)
+    monkeypatch.setattr(corpus, "structures", lambda *args, **kwargs: st)
+    code = main(["theorem", name, "Sweedler4", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    failures = json.loads(out)["checks"][0]["failures"]
+    assert failures[:2] == ["gluing-inverse: PhiLR PhiLRInv != 1",
+                            "gluing-inverse: PhiLRInv PhiLR != 1"]
 
 
 # SHA-256 of each exported corpus document, recorded when the algebras

@@ -119,8 +119,8 @@ def test_pq_identities_on_fpzn73_keep_executor_values_within_eight_slots(
         peak[0] = max(peak[0], len(num))
         return num
 
-    def recording_kernel(step, p=None):
-        run, den = kernel(step, p)
+    def recording_kernel(step, *args):
+        run, den = kernel(step, *args)
         return (lambda num, *x, **kw: record(run(num, *x, **kw))), den
 
     def recording_reader(*args):

@@ -14,8 +14,7 @@ from quasihopf.finalg import (FinAlgebra, Report, VerificationError,
                               invert_mixed, mul_linmap, opposite,
                               program_report, slotwise_unit, tensor_algebra,
                               verify_associative_unital)
-from quasihopf.linalg import (flat_index, linmap_from_columns, reshape_map,
-                              unflatten)
+from quasihopf.linalg import linmap_from_columns, reshape_map, unflatten
 from quasihopf.tensors import Program, TensorElt, Var
 
 from conftest import entry
@@ -146,9 +145,8 @@ def _old_algebra_map_failures(f, A, B, anti=False):
     out = []
     n, p = A.dim, A.field.p
     cols = [None] * n
-    for idx, col in f.cols.items():
-        cols[flat_index(f.in_dims, idx)] = [
-            (flat_index(f.out_dims, o), c) for o, c in col]
+    for j, col in f.cols.items():
+        cols[j] = col
     lscale, rscale = f.den * B.den, A.den
     for i in range(n):
         for j in range(n):

@@ -37,8 +37,7 @@ def right_regular(Hq):
 
 def flat_col(lm, j):
     """Column j of the flat matrix of ``lm``, as [(row, den * entry)]."""
-    return [(flat_index(lm.out_dims, out), c)
-            for out, c in lm.cols[unflatten(lm.in_dims, j)]]
+    return lm.cols[j]
 
 
 def is_permutation(lm):

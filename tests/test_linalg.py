@@ -260,11 +260,10 @@ def test_transpose_and_sparse_col():
     a = linmap_from_rows(QQ, rows)
     at = linmap_from_rows(QQ, [list(c) for c in zip(*rows)])
     assert a.den == 1 and at.den == 1
-    assert a.cols == {(0,): [((0,), 1), ((1,), 2)], (1,): [((1,), 3)]}
-    assert at.cols == {(0,): [((0,), 1)], (1,): [((0,), 2), ((1,), 3)]}
+    assert a.cols == {0: [(0, 1), (1, 2)], 1: [(1, 3)]}
+    assert at.cols == {0: [(0, 1)], 1: [(0, 2), (1, 3)]}
     half = linmap_from_rows(QQ, [[Fraction(1, 2), Fraction(1, 3)]])
-    assert half.den == 6 and half.cols == {(0,): [((0,), 3)],
-                                            (1,): [((0,), 2)]}
+    assert half.den == 6 and half.cols == {0: [(0, 3)], 1: [(0, 2)]}
 
 
 def test_linmap_shape_check():
@@ -281,14 +280,14 @@ def test_linmap_shape_check():
 def test_canonical_form():
     # equal maps are equal however their scalars were written
     def one_by_one(field, num, den):
-        t = TensorElt.from_num(field, (1,), {(0,): num}, den)
+        t = TensorElt.from_num(field, (1,), {0: num}, den)
         return linmap_from_columns(field, (1,), (1,), {(0,): t.terms})
 
     half = one_by_one(QQ, 1, 2)
     assert one_by_one(QQ, 2, 4) == half
     assert map_from_json(QQ, (1,), (1,), [["2/4"]]) == half
     assert linmap_from_rows(QQ, [[2]]).inverse() == half
-    assert (half.den, half.cols) == (2, {(0,): [((0,), 1)]})
+    assert (half.den, half.cols) == (2, {0: [(0, 1)]})
     assert one_by_one(QQ, 2, 2).is_identity() and not half.is_identity()
     # den * A^-1 shares a factor with the denominator of the solve
     quarter = linmap_from_rows(QQ, [[Fraction(1, 2), 0], [0, Fraction(1, 4)]])
@@ -298,7 +297,7 @@ def test_canonical_form():
     assert one_by_one(F, 9, 1) == two
     assert map_from_json(F, (1,), (1,), [["9"]]) == two
     assert linmap_from_rows(F, [[4]]).inverse() == two
-    assert (two.den, two.cols) == (1, {(0,): [((0,), 2)]})
+    assert (two.den, two.cols) == (1, {0: [(0, 2)]})
 
 
 # -- the integer elimination against the reference -------------------------

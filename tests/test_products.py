@@ -559,14 +559,12 @@ def algebra_from_pair_fn(field, dims, pair_fn, unit_tensor):
     executor replaced, copied)."""
     dims = tuple(dims)
     basis = list(product(*map(range, dims)))
-    flat = {idx: f for f, idx in enumerate(basis)}
     values = []
     for idx_i in basis:
         for idx_j in basis:
             res = pair_fn(idx_i, idx_j)
             assert res.dims == dims
-            values.append((res.den, sorted((flat[idx], c)
-                                           for idx, c in res.num.items())))
+            values.append((res.den, sorted(res.num.items())))
     den = lcm(*(d for d, _ in values))
     rows = [[(k, c * (den // d)) for k, c in lst] for d, lst in values]
     n = len(basis)

@@ -172,7 +172,7 @@ def test_verify_reports_a_corrupted_coproduct():
                 else t).terms
 
     Delta = linmap_from_columns(QQ, (2,), (2, 2),
-                                {idx: col(idx) for idx in Hq.Delta.cols})
+                                {(i,): col((i,)) for i in range(2)})
     bad = QuasiHopfAlgebra(Hq.H, Delta, Hq.counit, Hq.Phi, Hq.S, Hq.alpha,
                            Hq.beta, PhiInv=Hq.PhiInv, SInv=Hq.SInv)
     assert bad.verify().failures == [

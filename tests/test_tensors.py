@@ -626,13 +626,13 @@ def test_canonical_form(data, field):
 def test_mixed_denominators_share_one_denominator():
     t = TensorElt(QQ, (3,), {(0,): Fraction(1, 3), (1,): Fraction(-1, 6),
                              (2,): 2})
-    assert (t.num, t.den) == ({(0,): 2, (1,): -1, (2,): 12}, 6)
+    assert (t.num, t.den) == ({0: 2, 1: -1, 2: 12}, 6)
     assert t.terms == {(0,): Fraction(1, 3), (1,): Fraction(-1, 6),
                        (2,): Fraction(2)}
     assert all(isinstance(c, Fraction) for c in t.to_flat())
     # a sum whose terms cancel the denominator drops back to lowest terms
     u = t + TensorElt(QQ, (3,), {(0,): Fraction(2, 3), (1,): Fraction(1, 6)})
-    assert (u.num, u.den) == ({(0,): 1, (2,): 2}, 1)
+    assert (u.num, u.den) == ({0: 1, 2: 2}, 1)
     assert TensorElt(GF(5), (2,), {(0,): 7, (1,): -5}).terms == {(0,): 2}
 
 
@@ -1270,8 +1270,7 @@ def _map_rows(lm):
     rows = [[0] * prod(lm.in_dims) for _ in range(prod(lm.out_dims))]
     for k, col in lm.cols.items():
         for o, c in col:
-            rows[flat_index(lm.out_dims, o)][flat_index(lm.in_dims, k)] = \
-                Fraction(c, lm.den) if lm.field.p is None else c
+            rows[o][k] = Fraction(c, lm.den) if lm.field.p is None else c
     return rows
 
 
@@ -1353,3 +1352,167 @@ def test_map_near_misses_keep_their_entries(name, data):
     pos = data.draw(st.integers(0, 1))
     t = _element(data, QQ, (2,) * pos + (3,) + (2,) * (1 - pos), 6)
     _check_apply_at(lm, t, pos)
+
+
+# -- offset keys against a dense reference ------------------------------------
+#
+# Every kernel re-keys a term by int arithmetic on its row-major offset.
+# The references below read the operands only through their flat
+# coordinates (``to_flat``) and products of basis vectors only through
+# ``FinAlgebra.multiply``, and walk multi-indices, so they share nothing
+# with the key layout.
+
+OFFSET_FIELDS = {"QQ": QQ, "GF5": GF(5)}
+
+
+def _coords(t):
+    """{multi-index: scalar} of the nonzero flat coordinates of ``t``."""
+    return {idx: c for idx, c in zip(product(*map(range, t.dims)),
+                                     t.to_flat()) if c}
+
+
+def _flat_ref(field, dims, pairs):
+    """The flat coordinates over ``dims`` of the sum of ``pairs``."""
+    out = dict.fromkeys(product(*map(range, dims)), field.zero())
+    for idx, c in pairs:
+        out[idx] += c
+    return [c % field.p if field.p else c for c in out.values()]
+
+
+def _times(alg, i, j):
+    """e_i e_j in ``alg``, through ``multiply`` on coordinate vectors."""
+    unit = [[int(a == b) for b in range(alg.dim)] for a in range(alg.dim)]
+    return [(k, c) for k, c in enumerate(alg.multiply(unit[i], unit[j]))
+            if c]
+
+
+def _diagonal(field, n):
+    """k^n: a basis of orthogonal idempotents."""
+    one, zero = field.one(), field.zero()
+    return FinAlgebra(field, [[[one if i == j == k else zero
+                                for k in range(n)] for j in range(n)]
+                               for i in range(n)], [one] * n, check=False)
+
+
+def _kernel_flat(step, t, x=None):
+    """The flat coordinates of the kernel of ``step`` run on ``t``."""
+    p = t.field.p
+    run, den = tensors_module._kernel(step, t.dims, p)
+    num = run(t.num) if x is None else run(t.num, x.num)
+    return TensorElt.from_num(t.field, tensors_module._shape(step, t.dims),
+                              num, t.den * den * (x.den if x else 1)).to_flat()
+
+
+@pytest.mark.parametrize("kind", ["insert", "apply_at", "mul_slots",
+                                  "permute", "slotwise_mul"])
+@given(st.sampled_from(sorted(OFFSET_FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_offset_kernels_match_dense_reference(kind, field_name, data):
+    field = OFFSET_FIELDS[field_name]
+    dims = list(data.draw(st.lists(st.integers(1, 3), max_size=3),
+                          label="dims"))
+    if kind == "insert":
+        t = _element(data, field, tuple(dims), 8)
+        x = _element(data, field, tuple(data.draw(
+            st.lists(st.integers(1, 3), max_size=2), label="x dims")), 4)
+        for pos in range(len(dims) + 1):       # both ends and between
+            want = _flat_ref(field, t.dims[:pos] + x.dims + t.dims[pos:], (
+                (ia[:pos] + ib + ia[pos:], ca * cb)
+                for ia, ca in _coords(t).items()
+                for ib, cb in _coords(x).items()))
+            assert t.insert(pos, x).to_flat() == want
+        return
+    if kind == "apply_at":
+        # one or two slots to none, one or two (1 -> 0, 1 -> 2, 2 -> 1 ...)
+        lm = _flagged_map(data, field)
+        pos = data.draw(st.integers(0, len(dims)))
+        t = _element(data, field, tuple(dims[:pos]) + lm.in_dims
+                     + tuple(dims[pos:]), 8)
+        end = pos + len(lm.in_dims)
+        cols = {idx: _coords(TensorElt.basis(field, lm.in_dims, idx)
+                             .apply_at(0, lm))
+                for idx in product(*map(range, lm.in_dims))}
+        want = _flat_ref(field, t.dims[:pos] + lm.out_dims + t.dims[end:], (
+            (ia[:pos] + o + ia[end:], ca * c) for ia, ca in _coords(t).items()
+            for o, c in cols[ia[pos:end]].items()))
+        assert t.apply_at(pos, lm).to_flat() == want
+        # the executor reads the basis vector the map contracts off its
+        # columns, for the first input slot of the map
+        v = Var("v", lm.in_dims[0])
+        u = _element(data, field, t.dims[:pos] + t.dims[pos + 1:], 6)
+        got = {}
+        run_program(Program(u).insert(pos, v).apply_at(pos, lm), (v,),
+                    got.__setitem__)
+        assert got == {i: u.insert(pos, TensorElt.basis(field, (v.dim,), (
+            i,))).apply_at(pos, lm) for i in range(v.dim)}
+        return
+    if kind == "permute":
+        t = _element(data, field, tuple(dims), 8)
+        perm = data.draw(st.permutations(range(len(dims))))
+        want = _flat_ref(field, tuple(dims[s] for s in perm), (
+            (tuple(ia[s] for s in perm), ca) for ia, ca in _coords(t).items()))
+        assert t.permute(perm).to_flat() == want
+        return
+    n = data.draw(st.integers(1, 3), label="n")
+    diagonal = data.draw(st.booleans(), label="idempotents")
+    if kind == "mul_slots":
+        # a and b in either order, anywhere among the other slots
+        dims += [n, n]
+        order = data.draw(st.permutations(range(len(dims))))
+        dims = [dims[s] for s in order]
+        a, b = order.index(len(dims) - 2), order.index(len(dims) - 1)
+        alg = _diagonal(field, n) if diagonal else _algebra(data, field, n)
+        t = _element(data, field, tuple(dims), 8)
+        pairs = []
+        for ia, ca in _coords(t).items():
+            for k, c in _times(alg, ia[a], ia[b]):
+                idx = list(ia)
+                idx[a] = k
+                del idx[b]
+                pairs.append((tuple(idx), ca * c))
+        want = _flat_ref(field, tuple(d for s, d in enumerate(dims)
+                                      if s != b), pairs)
+        assert t.mul_slots(a, b, alg).to_flat() == want
+        return
+    # two or more slots, not adjacent nor in order, each multiplied by a
+    # slot of x on its own side, as a planned step takes them
+    dims += [n, n]
+    slots = data.draw(st.permutations(range(len(dims))))[
+        :data.draw(st.integers(2, len(dims)), label="k")]
+    algebras = [_diagonal(field, dims[s]) if diagonal
+                else _algebra(data, field, dims[s]) for s in slots]
+    left = tuple(data.draw(st.lists(st.booleans(), min_size=len(slots),
+                                    max_size=len(slots)), label="left"))
+    t = _element(data, field, tuple(dims), 8)
+    x = _element(data, field, tuple(dims[s] for s in slots), 6)
+    pairs = []
+    for ia, ca in _coords(t).items():
+        for ib, cb in _coords(x).items():
+            partial = [(list(ia), ca * cb)]
+            for r, (s, alg, side) in enumerate(zip(slots, algebras, left)):
+                i, j = (ib[r], ia[s]) if side else (ia[s], ib[r])
+                partial = [(idx[:s] + [k] + idx[s + 1:], c * mc)
+                           for idx, c in partial
+                           for k, mc in _times(alg, i, j)]
+            pairs += [(tuple(idx), c) for idx, c in partial]
+    step = ("slotwise_mul", x, tuple(algebras), tuple(slots), left)
+    assert _kernel_flat(step, t, x) == _flat_ref(field, tuple(dims), pairs)
+
+
+@given(st.sampled_from(sorted(OFFSET_FIELDS)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_terms_keep_their_multi_indices_and_order(field_name, data):
+    # offsets are row-major, so sorting the terms by multi-index is
+    # sorting them by offset, and the view iterates in the order of num
+    field = OFFSET_FIELDS[field_name]
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), max_size=3)))
+    t = _element(data, field, dims, 10)
+    assert list(t.terms) == [unflatten(dims, f) for f in t.num]
+    assert [flat_index(dims, idx) for idx, _ in sorted(t.terms.items())] \
+        == sorted(t.num)
+    assert dict(t.terms) == _coords(t)
+    assert TensorElt(field, dims, t.terms) == t
+    # a multi-index outside the dims is no key, even where its offset is
+    for bad in [(0,) * (len(dims) + 1), 0] + (
+            [dims, (-1,) + dims[1:]] if dims else []):
+        assert bad not in t.terms and t.terms.get(bad) is None

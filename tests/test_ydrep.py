@@ -31,18 +31,18 @@ def direct_dual(Hq):
     n = Hq.n
     rows = [[[] for _ in range(n)] for _ in range(n)]
     for k in range(n):
-        for (i, j), c in Hq.Delta.cols[(k,)]:
-            rows[i][j].append((k, c))
+        for o, c in Hq.Delta.cols[k]:
+            rows[o // n][o % n].append((k, c))
     unit = [Hq.eps_scalar(Hq.basis_elt(k)) for k in range(n)]
     A = FinAlgebra.from_int_rows(Hq.field, Hq.Delta.den, rows, unit)
-    left = {(a, i): [] for a in range(n) for i in range(n)}
-    right = {(i, a): [] for i in range(n) for a in range(n)}
+    left = {f: [] for f in range(n * n)}
+    right = {f: [] for f in range(n * n)}
     for j in range(n):
         for a in range(n):
             for i, c in Hq.H.rows[j][a]:
-                left[(a, i)].append(((j,), c))
+                left[a * n + i].append((j, c))
             for i, c in Hq.H.rows[a][j]:
-                right[(i, a)].append(((j,), c))
+                right[i * n + a].append((j, c))
     return (A, LinMap(Hq.field, (n, n), (n,), Hq.H.den, left),
             LinMap(Hq.field, (n, n), (n,), Hq.H.den, right))
 
@@ -201,7 +201,8 @@ def test_yd_roundtrip_reports_a_corrupted_gluing_inverse():
     """The translation identity is a lemma of the bicomodule axioms, so
     it cannot fail on its own: ``gluing-inverse`` implies it.  One entry
     of PhiLRInv off by one breaks both, and the translated module too,
-    whose failures follow in the report instead of being raised."""
+    whose failures follow in the report instead of being raised; the
+    report opens with the gluing check the theorem makes first."""
     st = entry("H2")
     Ab = st["bicomodule"]
     bad = BicomoduleAlgebra(Ab.left, Ab.right, Ab.PhiLR,
@@ -216,5 +217,7 @@ def test_yd_roundtrip_reports_a_corrupted_gluing_inverse():
     assert module_failures[:2] == ["unit-action: basis (0,)",
                                    "unit-action: basis (1,)"]
     assert rep.failures == [
+        "gluing-inverse: PhiLR PhiLRInv != 1",
+        "gluing-inverse: PhiLRInv PhiLR != 1",
         "translation-identity: the canonical-pair rearrangement fails",
         *module_failures]
