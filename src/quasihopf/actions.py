@@ -12,46 +12,39 @@ module algebra over H (x) H^op.
 
 from __future__ import annotations
 
-from .finalg import (FinAlgebra, Report, algebra_from_program,
+from .finalg import (FinAlgebra, Report, algebra_from_program, opposite,
                      program_report)
 from .linalg import LinMap, reshape_map
 from .quasihopf import QuasiHopfAlgebra
-from .tensors import Program, TensorElt, Var, linmap_from_program
+from .tensors import Program, TensorElt, Var, linmap_from_program, permuted
 
 
 def _action_laws(Hq: QuasiHopfAlgebra, A: FinAlgebra, act: LinMap,
                  left: bool, unit: TensorElt):
     """The unit, associativity, multiplicativity and unitality laws of a
-    left (or right) H-action on A, as (lhs, rhs, variables):
-    1.a = a, h.(h'.a) = (hh').a, h.(aa') = (h_1.a)(h_2.a'),
-    h.1 = eps(h) 1, and their mirror images."""
+    left H-action on A, as (lhs, rhs, variables): 1.a = a,
+    h.(h'.a) = (hh').a, h.(aa') = (h_1.a)(h_2.a'), h.1 = eps(h) 1.  A
+    right action's are the left laws of its mirror, each variable tuple
+    reversed into the right-hand order (a,), (a, h', h), (a', a, h), (h,)
+    so that every witness reads as in (a.h).h' = a.(hh')."""
+    if not left:
+        return [(lhs, rhs, vs[::-1]) for lhs, rhs, vs in _action_laws(
+            Hq.opcop(), opposite(A), permuted(act, (1, 0), (0,)), True,
+            unit)]
     fld, n, m = A.field, Hq.n, A.dim
     h, h2, a, a2 = Var("h", n), Var("h'", n), Var("a", m), Var("a'", m)
     one = Program(Hq.unit_elt())
-    unital = Program(unit).insert(0, h).apply_at(0, Hq.counit)
-    if left:
-        return [
-            (one.tensor(a).apply_at(0, act), Program.basis(fld, a), (a,)),
-            (Program.basis(fld, h, h2, a).apply_at(1, act).apply_at(0, act),
-             Program.basis(fld, h, h2).mul_slots(0, 1, Hq.H).tensor(a)
-             .apply_at(0, act), (h, h2, a)),
-            (Program.basis(fld, h, a, a2).mul_slots(1, 2, A).apply_at(0, act),
-             Program.basis(fld, h).apply_at(0, Hq.Delta).insert(1, a)
-             .apply_at(0, act).insert(2, a2).apply_at(1, act)
-             .mul_slots(0, 1, A), (h, a, a2)),
-            (Program(unit).insert(0, h).apply_at(0, act), unital, (h,))]
     return [
-        (one.insert(0, a).apply_at(0, act), Program.basis(fld, a), (a,)),
-        (Program.basis(fld, a, h).apply_at(0, act).tensor(h2)
-         .apply_at(0, act),
-         Program.basis(fld, a, h, h2).mul_slots(1, 2, Hq.H).apply_at(0, act),
-         (a, h, h2)),
-        (Program.basis(fld, a, a2).mul_slots(0, 1, A).tensor(h)
-         .apply_at(0, act),
-         Program.basis(fld, h).apply_at(0, Hq.Delta).insert(0, a)
-         .apply_at(0, act).insert(1, a2).apply_at(1, act)
-         .mul_slots(0, 1, A), (a, a2, h)),
-        (Program(unit).tensor(h).apply_at(0, act), unital, (h,))]
+        (one.tensor(a).apply_at(0, act), Program.basis(fld, a), (a,)),
+        (Program.basis(fld, h, h2, a).apply_at(1, act).apply_at(0, act),
+         Program.basis(fld, h, h2).mul_slots(0, 1, Hq.H).tensor(a)
+         .apply_at(0, act), (h, h2, a)),
+        (Program.basis(fld, h, a, a2).mul_slots(1, 2, A).apply_at(0, act),
+         Program.basis(fld, h).apply_at(0, Hq.Delta).insert(1, a)
+         .apply_at(0, act).insert(2, a2).apply_at(1, act)
+         .mul_slots(0, 1, A), (h, a, a2)),
+        (Program(unit).insert(0, h).apply_at(0, act),
+         Program(unit).insert(0, h).apply_at(0, Hq.counit), (h,))]
 
 
 def _pentagon(A: FinAlgebra, start: TensorElt, offset: int, *acts):
@@ -91,6 +84,12 @@ class LeftModuleAlgebra:
     def unit_elt(self) -> TensorElt:
         return TensorElt.from_vector(self.field, self.A.unit)
 
+    def mirror(self) -> "RightModuleAlgebra":
+        """A^op, H^{op,cop} acting by a.h = h.a, unchecked."""
+        return RightModuleAlgebra(self.Hq.opcop(), opposite(self.A),
+                                  permuted(self.action, (1, 0), (0,)),
+                                  name=self.name, check=False)
+
     def verify(self) -> Report:
         Hq, A, act = self.Hq, self.A, self.action
         unit, assoc, mult, unital = _action_laws(Hq, A, act, True,
@@ -121,6 +120,12 @@ class RightModuleAlgebra:
 
     def unit_elt(self) -> TensorElt:
         return TensorElt.from_vector(self.field, self.B.unit)
+
+    def mirror(self) -> LeftModuleAlgebra:
+        """B^op, H^{op,cop} acting by h.b = b.h, unchecked."""
+        return LeftModuleAlgebra(self.Hq.opcop(), opposite(self.B),
+                                 permuted(self.action, (1, 0), (0,)),
+                                 name=self.name, check=False)
 
     def verify(self) -> Report:
         Hq, B, act = self.Hq, self.B, self.action
@@ -159,6 +164,13 @@ class BimoduleAlgebra:
     def unit_elt(self) -> TensorElt:
         return TensorElt.from_vector(self.field, self.A.unit)
 
+    def mirror(self) -> "BimoduleAlgebra":
+        """A^op over H^{op,cop}, acted on by h'.p.h = h.p.h', unchecked."""
+        return BimoduleAlgebra(self.Hq.opcop(), opposite(self.A),
+                               permuted(self.right, (1, 0), (0,)),
+                               permuted(self.left, (1, 0), (0,)),
+                               name=self.name, check=False)
+
     def verify(self) -> Report:
         Hq, A, left, right = self.Hq, self.A, self.left, self.right
         lu, la, lm, l1 = _action_laws(Hq, A, left, True, self.unit_elt())
@@ -183,10 +195,8 @@ class BimoduleAlgebra:
 # -- constructions ------------------------------------------------------------
 
 def trivial_left_action(Hq: QuasiHopfAlgebra, A: FinAlgebra) -> LinMap:
-    """h.a = eps(h) a."""
-    h, a = Var("h", Hq.n), Var("a", A.dim)
-    return linmap_from_program(
-        Program.basis(Hq.field, h, a).apply_at(0, Hq.counit), (h, a))
+    """h.a = eps(h) a: the trivial right action, its inputs swapped."""
+    return permuted(trivial_right_action(Hq, A), (1, 0), (0,))
 
 
 def trivial_right_action(Hq: QuasiHopfAlgebra, A: FinAlgebra) -> LinMap:

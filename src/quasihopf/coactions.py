@@ -32,7 +32,7 @@ from .finalg import (FinAlgebra, Report, algebra_map_checks, inverse_checks,
 from .linalg import LinMap, reshape_map
 from .quasihopf import QuasiHopfAlgebra, tensor_qh
 from .tensors import (Program, TensorElt, Var, fold_slots,
-                      linmap_from_program, slotwise_prod)
+                      linmap_from_program, permuted, slotwise_prod)
 
 
 # -- comodule algebras --------------------------------------------------------
@@ -67,6 +67,14 @@ class RightComoduleAlgebra:
 
     def unit_elt(self) -> TensorElt:
         return TensorElt.from_vector(self.field, self.A.unit)
+
+    def mirror(self) -> "LeftComoduleAlgebra":
+        """A^op over H^{op,cop}, lam = rho and PhiLam = PhiRho reversed."""
+        return LeftComoduleAlgebra(
+            self.Hq.opcop(), opposite(self.A),
+            permuted(self.rho, (0,), (1, 0)), self.PhiRho.permute((2, 1, 0)),
+            PhiLamInv=self.PhiRhoInv.permute((2, 1, 0)), name=self.name,
+            check=False)
 
     def verify(self) -> Report:
         Hq, A = self.Hq, self.A
@@ -132,6 +140,14 @@ class LeftComoduleAlgebra:
 
     def unit_elt(self) -> TensorElt:
         return TensorElt.from_vector(self.field, self.B.unit)
+
+    def mirror(self) -> RightComoduleAlgebra:
+        """B^op over H^{op,cop}, rho = lam and PhiRho = PhiLam reversed."""
+        return RightComoduleAlgebra(
+            self.Hq.opcop(), opposite(self.B),
+            permuted(self.lam, (0,), (1, 0)), self.PhiLam.permute((2, 1, 0)),
+            PhiRhoInv=self.PhiLamInv.permute((2, 1, 0)), name=self.name,
+            check=False)
 
     def verify(self) -> Report:
         Hq, B = self.Hq, self.B
@@ -266,28 +282,13 @@ class BicomoduleAlgebra:
         return rep
 
     def opcop(self) -> "BicomoduleAlgebra":
-        """The opposite algebra with swapped coactions, a bicomodule
-        algebra over the op/cop parent, unchecked; all three gluing
-        tensors are slot-reversed."""
-        Hoc = self.Hq.variant(op=True, cop=True)
-        Aop = opposite(self.A)
-        u = Var("u", self.A.dim)
-        e = Program.basis(self.field, u)
-        lam2 = linmap_from_program(e.apply_at(0, self.rho).permute((1, 0)),
-                                   (u,))
-        rho2 = linmap_from_program(e.apply_at(0, self.lam).permute((1, 0)),
-                                   (u,))
-        left = LeftComoduleAlgebra(
-            Hoc, Aop, lam2, self.right.PhiRho.permute((2, 1, 0)),
-            PhiLamInv=self.right.PhiRhoInv.permute((2, 1, 0)),
+        """The mirror: A^op over H^{op,cop}, the mirrored right part its
+        left part and vice versa, the gluing pair reversed, unchecked."""
+        return BicomoduleAlgebra(
+            self.right.mirror(), self.left.mirror(),
+            self.PhiLR.permute((2, 1, 0)),
+            PhiLRInv=self.PhiLRInv.permute((2, 1, 0)),
             name=f"{self.name}^opcop" if self.name else "", check=False)
-        right = RightComoduleAlgebra(
-            Hoc, Aop, rho2, self.left.PhiLam.permute((2, 1, 0)),
-            PhiRhoInv=self.left.PhiLamInv.permute((2, 1, 0)),
-            name=left.name, check=False)
-        return BicomoduleAlgebra(left, right, self.PhiLR.permute((2, 1, 0)),
-                                 PhiLRInv=self.PhiLRInv.permute((2, 1, 0)),
-                                 name=left.name, check=False)
 
 
 def axiom_report(obj) -> Report:
@@ -330,6 +331,19 @@ class TwoSidedCoaction:
 
     def unit_elt(self) -> TensorElt:
         return TensorElt.from_vector(self.field, self.A.unit)
+
+    def mirror(self) -> "TwoSidedCoaction":
+        """A^op over H^{op,cop} with delta slot-reversed, unchecked; its
+        Psi is PsiInv slot-reversed, its PsiInv Psi slot-reversed.  The
+        reversed psi-cocycle puts Phi^{-1}_321 (x) 1 (x) Phi_321 where
+        H^{op,cop} has Phi_321 (x) 1 (x) Phi^{-1}_321; inverting both
+        sides restores it.  A plain reversal of Psi fails psi-cocycle
+        wherever Phi is not symmetric under reversal, as on FpZn(7,3)."""
+        rev = (4, 3, 2, 1, 0)
+        return TwoSidedCoaction(
+            self.Hq.opcop(), opposite(self.A),
+            permuted(self.delta, (0,), (2, 1, 0)), self.PsiInv.permute(rev),
+            PsiInv=self.Psi.permute(rev), name=self.name, check=False)
 
     def verify(self) -> Report:
         Hq, A = self.Hq, self.A
@@ -571,39 +585,31 @@ def mixed_translation_identity(Ab: BicomoduleAlgebra):
 def two_sided_from_bicomodule(Ab: BicomoduleAlgebra, side: str = "l",
                               check: bool = True) -> TwoSidedCoaction:
     """The two-sided coaction obtained by nesting the coactions:
-    side "l" applies the left coaction last, side "r" the right one."""
-    Hq = Ab.Hq
-    H = Hq.H
-    A = Ab.A
-    u = Var("u", A.dim)
-    e = Program.basis(Ab.field, u)
-    oneH = Hq.unit_elt()
-    if side == "l":
-        delta = linmap_from_program(e.apply_at(0, Ab.rho).apply_at(0, Ab.lam),
-                                    (u,))
-        inner = Ab.PhiLR.insert(3, oneH).slotwise_mul(
-            Ab.right.PhiRhoInv.apply_at(0, Ab.lam), [H, A, H, H])
-        Psi = inner.apply_at(1, Ab.lam).slotwise_mul(
-            Ab.left.PhiLam.insert(3, oneH).insert(4, oneH), [H, H, A, H, H])
-        inner = Ab.right.PhiRho.apply_at(0, Ab.lam).slotwise_mul(
-            Ab.PhiLRInv.insert(3, oneH), [H, A, H, H])
-        PsiInv = Ab.left.PhiLamInv.insert(3, oneH).insert(4, oneH) \
-            .slotwise_mul(inner.apply_at(1, Ab.lam), [H, H, A, H, H])
-    elif side == "r":
-        delta = linmap_from_program(e.apply_at(0, Ab.lam).apply_at(1, Ab.rho),
-                                    (u,))
-        inner = Ab.PhiLRInv.insert(0, oneH).slotwise_mul(
-            Ab.left.PhiLam.apply_at(2, Ab.rho), [H, H, A, H])
-        Psi = inner.apply_at(2, Ab.rho).slotwise_mul(
-            Ab.right.PhiRhoInv.insert(0, oneH).insert(0, oneH),
-            [H, H, A, H, H])
-        inner = Ab.left.PhiLamInv.apply_at(2, Ab.rho).slotwise_mul(
-            Ab.PhiLR.insert(0, oneH), [H, H, A, H])
-        PsiInv = Ab.right.PhiRho.insert(0, oneH).insert(0, oneH) \
-            .slotwise_mul(inner.apply_at(2, Ab.rho), [H, H, A, H, H])
-    else:
+    side "l" applies the left coaction last, side "r" the right one,
+    read back as the mirror of side "l" of the mirror ``Ab.opcop()``."""
+    if side not in ("l", "r"):
         raise ValueError("side must be 'l' or 'r'")
+    Hq = Ab.Hq
+    A = Ab.A
     name = f"{Ab.name}:{side}" if Ab.name else ""
+    if side == "r":
+        m = two_sided_from_bicomodule(Ab.opcop(), check=False).mirror()
+        return TwoSidedCoaction(Hq, A, m.delta, m.Psi, PsiInv=m.PsiInv,
+                                name=name, check=check)
+    H = Hq.H
+    oneH = Hq.unit_elt()
+    u = Var("u", A.dim)
+    delta = linmap_from_program(
+        Program.basis(Ab.field, u).apply_at(0, Ab.rho).apply_at(0, Ab.lam),
+        (u,))
+    inner = Ab.PhiLR.insert(3, oneH).slotwise_mul(
+        Ab.right.PhiRhoInv.apply_at(0, Ab.lam), [H, A, H, H])
+    Psi = inner.apply_at(1, Ab.lam).slotwise_mul(
+        Ab.left.PhiLam.insert(3, oneH).insert(4, oneH), [H, H, A, H, H])
+    inner = Ab.right.PhiRho.apply_at(0, Ab.lam).slotwise_mul(
+        Ab.PhiLRInv.insert(3, oneH), [H, A, H, H])
+    PsiInv = Ab.left.PhiLamInv.insert(3, oneH).insert(4, oneH) \
+        .slotwise_mul(inner.apply_at(1, Ab.lam), [H, H, A, H, H])
     return TwoSidedCoaction(Hq, A, delta, Psi, PsiInv=PsiInv, name=name,
                             check=check)
 
@@ -643,51 +649,33 @@ def verify_omega(d: TwoSidedCoaction, Om: TensorElt,
                  primed: bool = False) -> Report:
     """The intertwining identity (per basis element) and the seven-slot
     cocycle identity of an exchange element, its counit normalisation
-    (eps (x) eps (x) id (x) eps (x) eps)(Om) = 1_A, and invertibility."""
+    (eps (x) eps (x) id (x) eps (x) eps)(Om) = 1_A, and invertibility; a
+    primed element is checked slot-reversed, as the mirror's unprimed one."""
+    if primed:
+        return verify_omega(d.mirror(), Om.permute((4, 3, 2, 1, 0)))
     Hq, A = d.Hq, d.A
     H = Hq.H
     Hop = opposite(H)
-    one1 = Hq.unit_elt()
     u = Var("u", A.dim)
     du = Program.basis(d.field, u).apply_at(0, d.delta)
-    if not primed:
-        algs5 = [H, H, A, Hop, Hop]
-        algs7 = [H, H, H, A, Hop, Hop, Hop]
-        intertwiner = (
-            du.apply_at(1, d.delta).apply_at(3, Hq.SInv)
-            .apply_at(4, Hq.SInv).slotwise_mul(Om, algs5, left=True),
-            du.apply_at(0, Hq.Delta).apply_at(3, Hq.SInv)
-            .apply_at(3, Hq.Delta).permute((0, 1, 2, 4, 3))
-            .slotwise_mul(Om, algs5))
-        cocycle = (
-            Program(Hq.Phi).insert(3, d.unit_elt())
-            .tensor(Hq.PhiInv.permute((2, 1, 0)))
-            .slotwise_mul(Om.apply_at(0, Hq.Delta).apply_at(5, Hq.Delta)
-                          .permute((0, 1, 2, 3, 4, 6, 5)), algs7)
-            .slotwise_mul(Om.apply_at(2, d.delta).apply_at(4, Hq.SInv),
-                          algs7),
-            Program(Om).apply_at(1, Hq.Delta).apply_at(4, Hq.Delta)
-            .permute((0, 1, 2, 3, 5, 4, 6))
-            .slotwise_mul(Om.insert(0, one1).insert(6, one1), algs7))
-    else:
-        Aop = opposite(A)
-        algs5 = [H, H, Aop, Hop, Hop]
-        algs7 = [H, H, H, Aop, Hop, Hop, Hop]
-        intertwiner = (
-            du.apply_at(1, d.delta).apply_at(0, Hq.SInv)
-            .apply_at(1, Hq.SInv).slotwise_mul(Om, algs5, left=True),
-            du.apply_at(0, Hq.SInv).apply_at(0, Hq.Delta)
-            .permute((1, 0, 2, 3)).apply_at(3, Hq.Delta)
-            .slotwise_mul(Om, algs5))
-        cocycle = (
-            Program(Hq.Phi).permute((2, 1, 0)).insert(3, d.unit_elt())
-            .tensor(Hq.PhiInv)
-            .slotwise_mul(Om.apply_at(1, Hq.Delta).apply_at(4, Hq.Delta)
-                          .permute((0, 2, 1, 3, 4, 5, 6)), algs7)
-            .slotwise_mul(Om.insert(0, one1).insert(6, one1), algs7),
-            Program(Om).apply_at(0, Hq.Delta).apply_at(5, Hq.Delta)
-            .slotwise_mul(Om.apply_at(2, d.delta).apply_at(2, Hq.SInv),
-                          algs7))
+    algs5 = [H, H, A, Hop, Hop]
+    algs7 = [H, H, H, A, Hop, Hop, Hop]
+    intertwiner = (
+        du.apply_at(1, d.delta).apply_at(3, Hq.SInv)
+        .apply_at(4, Hq.SInv).slotwise_mul(Om, algs5, left=True),
+        du.apply_at(0, Hq.Delta).apply_at(3, Hq.SInv)
+        .apply_at(3, Hq.Delta).permute((0, 1, 2, 4, 3))
+        .slotwise_mul(Om, algs5))
+    cocycle = (
+        Program(Hq.Phi).insert(3, d.unit_elt())
+        .tensor(Hq.PhiInv.permute((2, 1, 0)))
+        .slotwise_mul(Om.apply_at(0, Hq.Delta).apply_at(5, Hq.Delta)
+                      .permute((0, 1, 2, 3, 4, 6, 5)), algs7)
+        .slotwise_mul(Om.apply_at(2, d.delta).apply_at(4, Hq.SInv), algs7),
+        Program(Om).apply_at(1, Hq.Delta).apply_at(4, Hq.Delta)
+        .permute((0, 1, 2, 3, 5, 4, 6))
+        .slotwise_mul(Om.insert(0, Hq.unit_elt()).insert(6, Hq.unit_elt()),
+                      algs7))
     counit = Program(Om)
     for pos in (4, 3, 1, 0):
         counit = counit.apply_at(pos, Hq.counit)
@@ -731,8 +719,8 @@ def omega_elements(src: BicomoduleAlgebra, flavor: str,
     The flavors are "left" (side-l), "right" (side-r) and their primed
     mates "left-primed"/"right-primed"; the unprimed ones are also
     compared against their closed forms, the primed ones against the
-    slot-reversed elements of the op/cop structure.  A two-sided
-    coaction's element is ``omega_from_coaction``, certified by
+    slot-reversed unprimed elements of the mirrored coactions.  A
+    two-sided coaction's element is ``omega_from_coaction``, certified by
     ``verify_omega``.
     """
     if not isinstance(src, BicomoduleAlgebra):
@@ -749,10 +737,8 @@ def omega_elements(src: BicomoduleAlgebra, flavor: str,
                 omega_closed_left(src) if side == "l"
                 else omega_closed_right(src))
         else:
-            mate = two_sided_from_bicomodule(
-                src.opcop(), "r" if side == "l" else "l", check=False)
             label, other = "omega-reversal", Program(
-                omega_from_coaction(mate)).permute((4, 3, 2, 1, 0))
+                omega_from_coaction(d.mirror())).permute((4, 3, 2, 1, 0))
         rep = verify_omega(d, value, primed=primed)
         rep.merge(program_report([(f"{label}: {flavor}", Program(value),
                                    other, ())]))

@@ -8,7 +8,9 @@ identities on basis tuples, as pairs of slot programs compared by
 ``finalg.program_report``.  The quasi-smash constructors return module
 algebras instead (their products are only quasi-associative).
 
-Kinds:
+Kinds (the right-handed ``RightSmash``, ``RightGenSmash``, ``QuasiSmash``,
+``DiagRGeneralDelta`` and ``RDiag*`` run the program of their left twin
+on the mirrors, read back by ``_mirrored``):
 
 * ``Smash`` / ``RightSmash``            - A#H and H#B
 * ``GenSmash`` / ``RightGenSmash``      - A (x) comodule algebra
@@ -128,17 +130,13 @@ def _act_then_coact(dims, Phi, action, Aalg, lam, Balg, H):
     return prog, pv
 
 
-def _coact_then_act(dims, rho, Phi, Aalg, action, Balg, H):
-    """(a x b)(a' x b') = a a'_0 x1 x (b.a'_1 x2)(b'.x3) for a right
-    coaction ``rho`` on A, a right H-action on B and an associator
-    ``Phi`` = x1 x x2 x x3 in A (x) H (x) H."""
-    (a, b), (a2, b2) = pv = _pair_vars(dims)
-    prog = Program.basis(Phi.field, a2).apply_at(0, rho).tensor(Phi) \
-        .mul_slots(1, 3, H) \
-        .insert(3, b2).apply_at(3, action) \
-        .insert(1, b).apply_at(1, action).mul_slots(1, 3, Balg) \
-        .insert(0, a).mul_slots(0, 1, Aalg).mul_slots(0, 2, Aalg)
-    return prog, pv
+def _mirrored(prog, pv):
+    """A product program of mirrors and its pair variables ``pv`` read
+    back: x.y in A^op being y x in A, the two sides of the pair swap,
+    and each side's factors and the result's slots are reversed."""
+    left, right = pv
+    return prog.permute(range(len(prog.dims))[::-1]), (right[::-1],
+                                                        left[::-1])
 
 
 def smash(Am: LeftModuleAlgebra, check: bool = True) -> ProductAlgebra:
@@ -175,12 +173,11 @@ def smash(Am: LeftModuleAlgebra, check: bool = True) -> ProductAlgebra:
 
 def right_smash(Bm: RightModuleAlgebra, check: bool = True) -> ProductAlgebra:
     """H#B: (h#b)(h'#b') = h h'_1 x1 # (b.h'_2 x2)(b'.x3)."""
-    Hq = Bm.Hq
-    H = Hq.H
-    Balg = Bm.B
-    n, mB = Hq.n, Balg.dim
-    dims = (n, mB)
-    prog = _coact_then_act(dims, Hq.Delta, Hq.PhiInv, H, Bm.action, Balg, H)
+    Hq, M = Bm.Hq, Bm.mirror()
+    H, Hm = Hq.H, M.Hq
+    dims = (Hq.n, Bm.B.dim)
+    prog = _mirrored(*_act_then_coact(dims[::-1], Hm.PhiInv, M.action, M.A,
+                                      Hm.Delta, Hm.H, Hm.H))
     alg, rep = _build(*prog, [Hq.unit_elt(), Bm.unit_elt()],
                       f"{Hq.name}#{Bm.name}", check, [(0, H, "H")])
     rep.require(alg.name)
@@ -217,11 +214,12 @@ def right_gen_smash(Afr, Bm: RightModuleAlgebra,
     """Right comodule algebra (x) B:
     (a x b)(a' x b') = a a'_0 xr1 x (b.a'_1 xr2)(b'.xr3)."""
     Aco = _right_part(Afr)
-    Hq = _same_parent(Aco, Bm)
+    _same_parent(Aco, Bm)
     Aalg, Balg = Aco.A, Bm.B
     dims = (Aalg.dim, Balg.dim)
-    prog = _coact_then_act(dims, Aco.rho, Aco.PhiRhoInv, Aalg, Bm.action,
-                           Balg, Hq.H)
+    M, C = Bm.mirror(), Aco.mirror()
+    prog = _mirrored(*_act_then_coact(dims[::-1], C.PhiLamInv, M.action,
+                                      M.A, C.lam, C.B, C.Hq.H))
     alg, rep = _build(*prog, [Aco.unit_elt(), Bm.unit_elt()],
                       f"{Aco.name}>!<{Bm.name}", check,
                       [(0, Aalg, "comodule")])
@@ -242,8 +240,9 @@ def quasi_smash(Afr, Abi: BimoduleAlgebra,
     mA, mP = Aalg.dim, Palg.dim
     fld = Hq.field
     dims = (mA, mP)
-    prog = _coact_then_act(dims, Aco.rho, Aco.PhiRhoInv, Aalg, Abi.right,
-                           Palg, Hq.H)
+    M, C = Abi.mirror(), Aco.mirror()
+    prog = _mirrored(*_act_then_coact(dims[::-1], C.PhiLamInv, M.left, M.A,
+                                      C.lam, C.B, C.Hq.H))
     alg, _ = _build(*prog, [Aco.unit_elt(), Abi.unit_elt()],
                     f"{Aco.name}#~{Abi.name}", False)
     h, x = Var("h", Hq.n), Var("x", alg.dim)
@@ -295,48 +294,31 @@ def _diag_left_program(Abi, d, Om):
     return prog, pv
 
 
-def _diag_right_program(Abi, d, Omp):
-    """(u >< p)(u' >< p') = u u'_0 O'3 ><
-    (O'2 S^{-1}(u'_-1).p.u'_1 O'4)(O'1.p'.O'5)."""
-    Hq, H = Abi.Hq, Abi.Hq.H
-    Palg, Ualg = Abi.A, d.A
-    (u, p), (u2, p2) = pv = _pair_vars((Ualg.dim, Palg.dim))
-    prog = Program(Omp).insert(0, u2).apply_at(0, d.delta) \
-        .apply_at(0, Hq.SInv).mul_slots(4, 0, H).mul_slots(1, 5, H) \
-        .insert(0, u).mul_slots(0, 1, Ualg).mul_slots(0, 4, Ualg) \
-        .insert(4, p).apply_at(3, Abi.left) \
-        .permute((0, 2, 3, 1, 4)).apply_at(2, Abi.right) \
-        .insert(2, p2).apply_at(1, Abi.left) \
-        .permute((0, 2, 1, 3)).apply_at(2, Abi.right) \
-        .mul_slots(1, 2, Palg)
-    return prog, pv
-
-
 def diag_crossed_general(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
                          side: str = "left", check: bool = True,
                          kind: str | None = None,
                          factors: tuple | None = None,
                          Om: TensorElt | None = None) -> ProductAlgebra:
     """Diagonal crossed product of a bimodule algebra with the algebra
-    carrying a two-sided coaction, on either side."""
+    carrying a two-sided coaction, on either side; the right one is the
+    left one of the mirrors, the primed element reversed as theirs."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
     Hq = _same_parent(Abi, d)
     fld = Hq.field
+    if Om is None:
+        Om = omega_from_coaction(d, primed=side == "right")
     if side == "left":
-        if Om is None:
-            Om = omega_from_coaction(d)
         prog = _diag_left_program(Abi, d, Om)
         units = [Abi.unit_elt(), d.unit_elt()]
         sub_pos = 1
         kind = kind or "DiagLGeneralDelta"
-    elif side == "right":
-        if Om is None:
-            Om = omega_from_coaction(d, primed=True)
-        prog = _diag_right_program(Abi, d, Om)
+    else:
+        prog = _mirrored(*_diag_left_program(
+            Abi.mirror(), d.mirror(), Om.permute((4, 3, 2, 1, 0))))
         units = [d.unit_elt(), Abi.unit_elt()]
         sub_pos = 0
         kind = kind or "DiagRGeneralDelta"
-    else:
-        raise ValueError("side must be 'left' or 'right'")
     name = f"{Abi.name}><{d.name}" if side == "left" \
         else f"{d.name}><{Abi.name}"
     alg, rep = _build(*prog, units, name, check, [(sub_pos, d.A, "middle")])

@@ -26,7 +26,7 @@ from .finalg import (FinAlgebra, Report, algebra_map_checks, inverse_checks,
                      tensor_algebra)
 from .linalg import LinMap, reshape_map
 from .tensors import (Program, TensorElt, Var, fold_slots,
-                      linmap_from_program, slotwise_prod)
+                      linmap_from_program, permuted, slotwise_prod)
 
 
 class QuasiBialgebra:
@@ -141,6 +141,7 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         self.alpha = alpha
         self.beta = beta
         self._drinfeld: DrinfeldTwist | None = None
+        self._opcop: QuasiHopfAlgebra | None = None
 
     # -- verification --------------------------------------------------------
 
@@ -185,11 +186,7 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         """The same data with multiplication and/or comultiplication
         reversed, carrying the matching associator, antipode, alpha, beta."""
         H = opposite(self.H) if op else self.H
-        if cop:
-            h, _, d = self._basis_var()
-            Delta = linmap_from_program(d.permute((1, 0)), (h,))
-        else:
-            Delta = self.Delta
+        Delta = permuted(self.Delta, (0,), (1, 0)) if cop else self.Delta
         if op and cop:
             Phi, PhiInv = self.Phi.permute((2, 1, 0)), \
                 self.PhiInv.permute((2, 1, 0))
@@ -213,6 +210,14 @@ class QuasiHopfAlgebra(QuasiBialgebra):
         name = f"{self.name}^{{{tags}}}" if self.name else ""
         return QuasiHopfAlgebra(H, Delta, self.counit, Phi, S, alpha, beta,
                                 PhiInv=PhiInv, SInv=SInv, name=name)
+
+    def opcop(self) -> "QuasiHopfAlgebra":
+        """H^{op,cop}, the parent of each ``mirror``, built once; its own
+        op/cop parent is this algebra."""
+        if self._opcop is None:
+            self._opcop = self.variant(op=True, cop=True)
+            self._opcop._opcop = self
+        return self._opcop
 
     # -- gauge twisting --------------------------------------------------------
 

@@ -1047,3 +1047,14 @@ def linmap_from_program(prog: Program, order) -> LinMap:
     den, cols = _columns(prog, order)
     return LinMap(prog.field, tuple(v.dim for v in order), prog.dims, den,
                   dict(enumerate(cols)))
+
+
+def permuted(lm: LinMap, ins, outs) -> LinMap:
+    """``lm`` with its input and output slots reordered as ``permute``
+    does, by ``ins`` and ``outs``: its columns re-keyed, not recomputed."""
+    in_dims = tuple(lm.in_dims[s] for s in ins)
+    src = _gather(in_dims, tuple(map(tuple(ins).index, range(len(ins)))))
+    dst = _gather(lm.out_dims, tuple(outs))
+    return LinMap(lm.field, in_dims, tuple(lm.out_dims[s] for s in outs),
+                  lm.den, {g: sorted([(dst[o], c) for o, c in lm.cols[f]])
+                           for g, f in enumerate(src)})

@@ -180,3 +180,60 @@ def test_verify_reports_a_corrupted_coproduct():
         "coassociativity: basis (1,)", "counit-left: basis (1,)",
         "counit-right: basis (1,)", "pentagon",
         "antipode-alpha: basis (1,)", "antipode-beta: basis (1,)"]
+
+
+# -- the parent tags no other test names: one corrupted input each.  The
+# op/cop parent of every mirror is checked by this verify alone. ----------
+
+def _qz2_with(**data):
+    """QZ2 (basis 1, g) with some of its data replaced."""
+    Hq = entry("QZ2")["H"]
+    parts = dict(H=Hq.H, Delta=Hq.Delta, counit=Hq.counit, Phi=Hq.Phi,
+                 S=Hq.S, alpha=Hq.alpha, beta=Hq.beta, PhiInv=Hq.PhiInv,
+                 SInv=Hq.SInv)
+    parts.update(data)
+    return QuasiHopfAlgebra(**parts)
+
+
+def test_verify_reports_a_wrong_antipode_inverse():
+    # Sweedler4's antipode has order 4, so S is not its own inverse
+    Hq = entry("Sweedler4")["H"]
+    bad = QuasiHopfAlgebra(Hq.H, Hq.Delta, Hq.counit, Hq.Phi, Hq.S,
+                           Hq.alpha, Hq.beta, PhiInv=Hq.PhiInv, SInv=Hq.S)
+    assert bad.verify().failures == ["antipode-inverse: basis (1,)",
+                                     "antipode-inverse: basis (3,)"]
+
+
+def test_verify_reports_a_singular_antipode():
+    """S(g) = 0.  ``antipode/bijective`` implies ``antipode-inverse``:
+    S(S^{-1}(h)) = h on every basis element makes S onto, so a rank
+    below dim H always fails that check too."""
+    S = linmap_from_columns(QQ, (2,), (2,), {(0,): {(0,): 1}})
+    assert _qz2_with(S=S).verify().failures == [
+        "antipode/multiplicative: basis (1, 1)",
+        "antipode/bijective: rank 1 < 2", "antipode-inverse: basis (1,)",
+        "counit-antipode: basis (1,)", "antipode-alpha: basis (1,)",
+        "antipode-beta: basis (1,)"]
+
+
+def test_verify_reports_an_antipode_that_moves_the_counit():
+    """S(g) = -g, still a bijective anti-algebra map.  ``counit-antipode``
+    never fails alone: applying eps to S(h_1) alpha h_2 = eps(h) alpha
+    gives eps(S(h)) eps(alpha) = eps(h) eps(alpha) once eps is
+    multiplicative, and eps(alpha) != 0 by the normalization, so it
+    fails only with ``antipode-alpha``, ``counit-multiplicative`` or the
+    normalization."""
+    S = linmap_from_columns(QQ, (2,), (2,), {(0,): {(0,): 1},
+                                             (1,): {(1,): -1}})
+    assert _qz2_with(S=S, SInv=S).verify().failures == [
+        "counit-antipode: basis (1,)", "antipode-alpha: basis (1,)",
+        "antipode-beta: basis (1,)"]
+
+
+def test_verify_reports_a_counit_that_is_not_multiplicative():
+    # eps(g) = 2, so eps(g g) = 1 != 4
+    counit = doubled_column(entry("QZ2")["H"].counit, (1,))
+    assert _qz2_with(counit=counit).verify().failures == [
+        "counit-multiplicative: basis (1, 1)", "counit-left: basis (1,)",
+        "counit-right: basis (1,)", "antipode-alpha: basis (1,)",
+        "antipode-beta: basis (1,)"]
