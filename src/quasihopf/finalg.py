@@ -3,19 +3,23 @@
 An algebra is stored once, as integer sparse rows over one denominator:
 the slot combinators and the exhaustive scans read that form, and a
 dense table is built only for documents.  The associativity scan packs
-each row into one int (Kronecker substitution).  Tensor-product and
-opposite algebras and the inverse of an element of a slotwise product
-of algebras live here, together with ``Report`` and ``program_report``,
-the one reporter of every identity checked as a pair of slot programs:
-on all basis tuples of its variables, or once when it has none.  That
-a map is an (anti-)algebra map is two such pairs
-(``algebra_map_checks``), its target one algebra per output slot or
-one algebra on the flat output.
+each row into one int (Kronecker substitution) and gives each distinct
+row an id: (e_i e_j) e_k is computed once per (id of e_i e_j, k) and
+e_i (e_j e_k) once per (i, id of e_j e_k), in n D + D packed values
+for D distinct rows; the n^3 triples are then tuple compares.
+Tensor-product and opposite algebras and the inverse of an element of
+a slotwise product of algebras live here, together with ``Report`` and
+``program_report``, the one reporter of every identity checked as a
+pair of slot programs: on all basis tuples of its variables, or once
+when it has none.  That a map is an (anti-)algebra map is two such
+pairs (``algebra_map_checks``), its target one algebra per output slot
+or one algebra on the flat output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .fields import Field
@@ -212,14 +216,23 @@ def _assoc_defects(A: FinAlgebra, limit: int | None) -> list:
     """The basis triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
     in lexicographic order, stopping after ``limit`` of them.
 
-    The sides are compared exactly on the integer rows (both carry D^2;
+    The sides are compared exactly on the integer rows (both carry den^2;
     over GF(p), mod p).  Each row is packed once into one int (Kronecker
     substitution), ``packed[l][k] = sum(c << (w * t) for t, c in
-    rows[l][k])``, and a triple costs a few int multiply-adds:
+    rows[l][k])``, so that a side is a few int multiply-adds and
 
         d = sum(c * packed[l][k] for l, c in rows[i][j])
             - sum(c * packed[i][m] for m, c in rows[j][k])
           = sum(s_t << (w * t)),   s_t = coordinate t of the difference.
+
+    Each distinct row gets an id, keyed by its packed int (one to one,
+    by the width argument below); ``rid[i][j]`` is that of e_i e_j.
+    The left side depends only on (rid[i][j], k): its tuple over k is
+    built once per id, on first use.  The right side depends only on
+    (i, rid[j][k]): ``right_i`` holds it once per id, read through
+    ``rid[j]`` for the tuple over k.  With D ids the sums cost O(n D)
+    multiply-adds, the n^3 comparisons are tuple compares walked per k
+    only where they differ, and the caches add n D + D packed values.
 
     Width: with M the largest |row entry|, each side's coordinate sums
     at most n products of two entries, so |s_t| <= 2 n M^2 < 2^(w-1).
@@ -229,9 +242,6 @@ def _assoc_defects(A: FinAlgebra, limit: int | None) -> list:
     test over QQ.  Over GF(p), d plus 2^(w-1) in every slot has the
     digits s_t + 2^(w-1) in [0, 2^w); a nonzero d is read back digit by
     digit, each s_t compared mod p.
-
-    The packed table holds n^3 w bits: 45 KB at n = 32 with w = 11, and
-    under 1 MB at n = 64 while w < 32.
     """
     n, p, rows = A.dim, A.field.p, A.rows
     M = max((abs(c) for plane in rows for row in plane for _, c in row),
@@ -239,19 +249,28 @@ def _assoc_defects(A: FinAlgebra, limit: int | None) -> list:
     w = (2 * n * M * M).bit_length() + 1
     packed = [[sum(c << (w * t) for t, c in row) for row in plane]
               for plane in rows]
+    cols = list(zip(*packed))
+    ids = {}
+    rid = [[ids.setdefault(v, len(ids)) for v in plane] for plane in packed]
+    distinct = list(dict(zip(chain(*packed), chain(*rows))).values())
+    lefts = [None] * len(distinct)
     mask, half = (1 << w) - 1, 1 << (w - 1)
     bias = sum(half << (w * t) for t in range(n))
     bad = []
     for i in range(n):
-        packed_i = packed[i]
+        packed_i, rid_i = packed[i], rid[i]
+        right_i = [sum(c * packed_i[m] for m, c in row) for row in distinct]
         for j in range(n):
-            left = [(c, packed[l]) for l, c in rows[i][j]]
-            for k, rows_jk in enumerate(rows[j]):
-                d = 0
-                for c, packed_l in left:
-                    d += c * packed_l[k]
-                for m, c in rows_jk:
-                    d -= c * packed_i[m]
+            left = lefts[rid_i[j]]
+            if left is None:
+                left = lefts[rid_i[j]] = tuple(
+                    sum(c * col[l] for l, c in distinct[rid_i[j]])
+                    for col in cols)
+            right = tuple(map(right_i.__getitem__, rid[j]))
+            if left == right:
+                continue
+            for k in range(n):
+                d = left[k] - right[k]
                 if d and p is not None:
                     d += bias
                     d = any(((d >> (w * t) & mask) - half) % p

@@ -273,6 +273,10 @@ def yd_to_module(M: YDModule, prod: ProductAlgebra):
     """(c* >< u) m = <c*, q~2 . (u.m)_(1)> q~1 . (u.m)_(0): the left
     module over ``prod``, the product C* >< A of ``yd_product``, carried
     by a Yetter-Drinfeld module; certified."""
+    return _yd_to_module(M, prod, True)
+
+
+def _yd_to_module(M: YDModule, prod: ProductAlgebra, check: bool):
     Ab, C = M.Ab, M.C
     fld = M.field
     mU, mC, mM = Ab.A.dim, C.dim, M.dim
@@ -286,7 +290,7 @@ def yd_to_module(M: YDModule, prod: ProductAlgebra):
     # [c*, q1 m0, q2 m1] -> <c*, q2 m1> q1 m0
     act = linmap_from_program(
         t.permute((1, 0, 2)).apply_at(1, _pairing(fld, mC)), (x, m))
-    return FinModule(prod.result, mM, act, name=M.name)
+    return FinModule(prod.result, mM, act, name=M.name, check=check)
 
 
 class FinModule:
@@ -367,7 +371,8 @@ def yd_roundtrip_check(Hq: QuasiHopfAlgebra, Ab: BicomoduleAlgebra,
     of C* >< A, are the identity on the structure matrices, and the
     canonical bimodule embedding acts by the coaction pairing.  When the
     translated module is no Yetter-Drinfeld module, its failures end the
-    report: the round trips would start from it."""
+    report: the round trips would start from it.  The module translated
+    back is reported, not raised, under ``yd-to-module``."""
     from .isomaps import gamma_map
     dual, prod = yd_product(Ab, C)
     M = regular_module(prod.result)
@@ -380,7 +385,8 @@ def yd_roundtrip_check(Hq: QuasiHopfAlgebra, Ab: BicomoduleAlgebra,
     rep.merge(yd_rep)
     if not yd_rep.ok:
         return rep
-    back = yd_to_module(yd, prod)
+    back = _yd_to_module(yd, prod, False)
+    rep.merge_under("yd-to-module", back.verify())
     rep.check(back.act == M.act, "roundtrip",
               "module -> YD -> module changed the action")
     yd2 = module_to_yd(back, Ab, C, check=False)

@@ -14,7 +14,8 @@ from quasihopf.finalg import (FinAlgebra, Report, VerificationError,
                               invert_mixed, mul_linmap, opposite,
                               program_report, slotwise_unit, tensor_algebra,
                               verify_associative_unital)
-from quasihopf.linalg import linmap_from_columns, reshape_map, unflatten
+from quasihopf.linalg import (linmap_from_columns, prod, reshape_map,
+                              unflatten)
 from quasihopf.tensors import Program, TensorElt, Var
 
 from conftest import entry
@@ -608,6 +609,141 @@ def _triple_diffs(A):
             for t, x in rows[i][m]:
                 diff[t] = diff.get(t, 0) - c * x
         yield diff
+
+
+# -- the scan on tables whose rows repeat ---------------------------------
+
+def _group_algebra(field, orders, bits, phi):
+    """The group algebra of Z/m_1 x ... on the flat basis of the group,
+    twisted by the cocycle (-1)^(g B h) phi(g) phi(h) / phi(g h): a
+    bilinear sign cocycle, B the 0/1 matrix ``bits`` (used only when
+    every order is even), times the coboundary of ``phi``, with phi(0)
+    = 1 so that e_0 is the unit."""
+    elems = list(product(*(range(m) for m in orders)))
+    index = {g: a for a, g in enumerate(elems)}
+    even = all(m % 2 == 0 for m in orders)
+    n = len(elems)
+    mul = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
+    for a, g in enumerate(elems):
+        for b, h in enumerate(elems):
+            gh = tuple((x + y) % m for x, y, m in zip(g, h, orders))
+            sign = (-1) ** sum(bits[s][t] * g[s] * h[t]
+                               for s in range(len(orders))
+                               for t in range(len(orders))) if even else 1
+            c = Fraction(sign * phi[a] * phi[b], phi[index[gh]])
+            mul[a][b][index[gh]] = _in_field(field, c)
+    return FinAlgebra(field, mul, basis_vec(field, n, 0), check=False)
+
+
+def _in_field(field, c):
+    c = Fraction(c)
+    if field.p is None:
+        return c
+    return c.numerator * pow(c.denominator, -1, field.p) % field.p
+
+
+def _matrix_units(field):
+    mat2, unit = _base_tables()[1]
+    return FinAlgebra(field, [[[field.of_int(c) for c in row] for row in pl]
+                              for pl in mat2],
+                      [field.of_int(c) for c in unit], check=False)
+
+
+@st.composite
+def monomial_tables(draw, field):
+    """A table in which every product of basis elements is a multiple of
+    one basis element, so that rows repeat: a twisted group algebra with
+    cocycle values +-1, +-2 (and their quotients), the 2x2 matrix units,
+    or the tensor product of two of them, on a permuted and rescaled
+    basis, optionally with one entry shifted."""
+    scalars = [1, -1, 2, Fraction(1, 2), -2]
+
+    def factor(most):
+        orders = draw(st.sampled_from([o for o in [(2,), (3,), (4,), (2, 2),
+                                                   "mat"]
+                                       if (4 if o == "mat" else prod(o))
+                                       <= most]))
+        if orders == "mat":
+            return _matrix_units(field)
+        n = prod(orders)
+        bits = [[draw(st.integers(0, 1)) for _ in orders] for _ in orders]
+        phi = [1] + [draw(st.sampled_from(scalars)) for _ in range(n - 1)]
+        return _group_algebra(field, orders, bits, phi)
+
+    A = factor(4)
+    if draw(st.booleans()):
+        A = tensor_algebra(A, factor(8 // A.dim))
+    n, mul, unit = A.dim, A.mul, A.unit
+    perm = draw(st.permutations(range(n)))
+    scale = [_in_field(field, draw(st.sampled_from(scalars)))
+             for _ in range(n)]
+    inv = [_in_field(field, Fraction(1, s)) for s in scale]
+    # f_a = scale[a] e_perm[a], so e_k = f_a / scale[a] for perm[a] = k
+    where = {k: a for a, k in enumerate(perm)}
+
+    def times(*cs):
+        out = field.one()
+        for c in cs:
+            out = field.mul(out, c)
+        return out
+
+    table = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for k, c in enumerate(mul[perm[a]][perm[b]]):
+                if c != 0:
+                    table[a][b][where[k]] = times(scale[a], scale[b], c,
+                                                  inv[where[k]])
+    new_unit = [times(unit[perm[a]], inv[a]) for a in range(n)]
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        delta = draw(st.sampled_from(QQ_SCALARS[1:] if field.p is None
+                                     else range(1, field.p)))
+        table[i][j][k] = _in_field(field, table[i][j][k] + delta)
+    return FinAlgebra(field, table, new_unit, check=False)
+
+
+def _distinct_rows(A):
+    return len({tuple(row) for plane in A.rows for row in plane})
+
+
+@given(st.sampled_from([QQ, GF(5), GF(7)]).flatmap(monomial_tables),
+       st.sampled_from([None, 1, 3, 10]))
+@settings(max_examples=60, deadline=None)
+def test_scan_matches_references_on_monomial_tables(A, limit):
+    assert scan_defects(A, limit) == as_failures(dense_defects(A, limit))
+    assert verify_associative_unital(A, limit).failures \
+        == old_failures(A, limit)
+
+
+def test_monomial_tables_repeat_rows():
+    # twisted Z/4 on a rescaled basis: 16 rows, each c e_k for one of 4
+    # basis elements and few values of c
+    A = _group_algebra(QQ, (4,), [[1]], [1, 2, -1, Fraction(1, 2)])
+    assert verify_associative_unital(A, limit=None).ok
+    assert _distinct_rows(A) < A.dim ** 2
+    B = tensor_algebra(A, _matrix_units(QQ))
+    assert B.dim == 16 and _distinct_rows(B) < B.dim ** 2 // 4
+    assert verify_associative_unital(B, limit=None).ok
+
+
+def test_scan_on_the_dim_32_crossed_product_with_one_entry_shifted():
+    from quasihopf.coactions import tensor_bicomodule
+    from quasihopf.products import gen_two_sided_crossed
+    st_ = entry("H2")
+    Ab, Du = st_["bicomodule"], st_["dual"]
+    Ab4 = tensor_bicomodule(Ab.right, Ab.left, check=False)
+    A = gen_two_sided_crossed(Ab4, Du, Ab4, check=False).result
+    # 1,024 rows, 48 of them distinct
+    assert (A.dim, _distinct_rows(A)) == (32, 48)
+    assert verify_associative_unital(A, limit=None).ok
+    mul = A.mul
+    mul[5][9][3] += Fraction(1, 3)
+    B = FinAlgebra(QQ, mul, A.unit, check=False)
+    for limit in (None, 1, 3, 10):
+        got = verify_associative_unital(B, limit).failures
+        assert got == old_failures(B, limit)
+        assert len(got) == (len(dict_defects(B)) if limit is None else limit)
 
 
 # -- tensor_algebra against the dense construction -------------------------

@@ -5,7 +5,7 @@ import pytest
 from quasihopf.actions import LeftModuleAlgebra
 from quasihopf.fields import QQ
 from quasihopf.coactions import BicomoduleAlgebra, mixed_translation_identity
-from quasihopf.finalg import FinAlgebra, program_report
+from quasihopf.finalg import FinAlgebra, VerificationError, program_report
 from quasihopf.linalg import LinMap, linmap_from_columns
 from quasihopf.products import diag_crossed
 from quasihopf.tensors import Program, Var, linmap_from_program
@@ -221,3 +221,70 @@ def test_yd_roundtrip_reports_a_corrupted_gluing_inverse():
         "gluing-inverse: PhiLRInv PhiLR != 1",
         "translation-identity: the canonical-pair rearrangement fails",
         *module_failures]
+
+
+def test_yd_roundtrip_reports_a_module_translated_back_that_is_none(
+        monkeypatch):
+    """A pairing with one column doubled makes the module translated back
+    from the Yetter-Drinfeld module no module: its failures are reported
+    under ``yd-to-module``, and the round trips and the embedding run on
+    it and fail too."""
+    from quasihopf import ydrep
+    pairing = ydrep._pairing
+    monkeypatch.setattr(ydrep, "_pairing", lambda fld, n:
+                        doubled_column(pairing(fld, n), (0, 0)))
+    st = entry("H2")
+    rep = yd_roundtrip_check(st["H"], st["bicomodule"], st["coalgebra"])
+    assert rep.failures[:6] == [
+        *(f"yd-to-module: unit-action: basis ({m},)" for m in range(4)),
+        "yd-to-module: action-associative: basis (0, 0, 0)",
+        "yd-to-module: action-associative: basis (0, 0, 1)"]
+    assert rep.failures[14:] == [
+        "roundtrip: module -> YD -> module changed the action",
+        "roundtrip: YD -> module -> YD changed the structures",
+        "embedding-pairing: basis (0, 2)", "embedding-pairing: basis (0, 3)",
+        "embedding-pairing: basis (1, 0)", "embedding-pairing: basis (1, 1)"]
+    # the certifying translation still raises for its other callers
+    _, prod = yd_product(st["bicomodule"], st["coalgebra"])
+    yd = module_to_yd(regular_module(prod.result), st["bicomodule"],
+                      st["coalgebra"], check=False)
+    with pytest.raises(VerificationError, match="unit-action: basis"):
+        yd_to_module(yd, prod)
+
+
+def _h2_coalgebra_with(**maps):
+    C = entry("H2")["coalgebra"]
+    parts = dict(comul=C.comul, counit=C.counit, left=C.left, right=C.right)
+    parts.update(maps)
+    return BimoduleCoalgebra(C.Hq, C.dim, check=False, **parts)
+
+
+def test_bimodule_coalgebra_reports_a_corrupted_counit():
+    """The counit doubled at (1,) fails ``counit-left-module`` and
+    ``counit-right-module`` at both h, with the two counit laws.  Neither
+    module tag has been seen to fail alone on H2, and no implication is
+    proved: a left action on which 1 acts by 0 fails
+    ``counit-left-module`` with ``comul-coassociative`` only, so the
+    counit laws are not what always comes with it."""
+    C = entry("H2")["coalgebra"]
+    bad = _h2_coalgebra_with(counit=doubled_column(C.counit, (1,)))
+    assert bad.verify().failures == [
+        "counit-left: basis (1,)", "counit-right: basis (1,)",
+        "counit-left-module: basis (1, 0)", "counit-left-module: basis (1, 1)",
+        "counit-right-module: basis (1, 0)",
+        "counit-right-module: basis (1, 1)"]
+
+
+def test_bimodule_coalgebra_reports_a_corrupted_left_action():
+    """The left action doubled at (h, c) = (1, 1) breaks
+    ``comul-coassociative`` at c = 1, where the associator acts on the
+    iterated comultiplication of e_1, with the module tags and
+    ``actions-commute``.  On H2 it has not been seen to fail alone
+    either: every doubled or zeroed column of one action that breaks it
+    also breaks a module tag.  No implication is proved."""
+    C = entry("H2")["coalgebra"]
+    bad = _h2_coalgebra_with(left=doubled_column(C.left, (1, 1)))
+    assert bad.verify().failures == [
+        "comul-coassociative: basis (1,)", "comul-left-module: basis (1, 1)",
+        "counit-left-module: basis (1, 1)",
+        "actions-commute: basis (1, 0, 1)", "actions-commute: basis (1, 1, 1)"]
