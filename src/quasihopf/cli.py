@@ -210,14 +210,30 @@ def _structures(entry: str) -> dict:
         raise UsageError(str(exc)) from None
 
 
-def _default_gauge(Hq):
-    """A nontrivial gauge for the 2-dimensional entries, 1x1 otherwise."""
-    from .tensors import TensorElt
-    n, fld = Hq.n, Hq.field
-    if n == 2 and fld.is_rational:
-        q = Fraction(1, 4)
-        return TensorElt(fld, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                                       (1, 0): -q, (1, 1): q})
+# the gauge F of ``theorem twist-invariance`` without ``--twist``, by
+# entry, as its coefficients on the basis tensors e_i (x) e_j.  On the
+# 2-dimensional entries F = 1 (x) 1 + q (1 - g) (x) (1 - g), q = 1/4.  On
+# Sweedler4 F = 1 (x) 1 + (1/3) x (x) x, with x = e_1: invertible as
+# x^2 = 0 and normalised as eps(x) = 0.  On FpZn(7,3) F = sum c(i, j)
+# 1_i (x) 1_j with c = 1 on the axes, which normalises F, and
+# c(i, j) = 1 + i + 3j mod 7, never 0, off them.  Every gauge of that
+# form leaves the associator of FpZn(5,2) fixed, so it keeps 1 (x) 1, as
+# does an entry not named here.
+_Q = Fraction(1, 4)
+_GAUGES = {
+    "QZ2": {(0, 0): 1 + _Q, (0, 1): -_Q, (1, 0): -_Q, (1, 1): _Q},
+    "H2": {(0, 0): 1 + _Q, (0, 1): -_Q, (1, 0): -_Q, (1, 1): _Q},
+    "Sweedler4": {(0, 0): 1, (1, 1): Fraction(1, 3)},
+    "FpZn(7,3)": {(i, j): 1 if 0 in (i, j) else (1 + i + 3 * j) % 7
+                  for i in range(3) for j in range(3)},
+}
+
+
+def _default_gauge(entry: str, Hq):
+    """The gauge of ``entry`` in ``_GAUGES``, 1x1 otherwise."""
+    if entry in _GAUGES:
+        from .tensors import TensorElt
+        return TensorElt(Hq.field, (Hq.n, Hq.n), _GAUGES[entry])
     one = Hq.unit_elt()
     return one.tensor(one)
 
@@ -262,7 +278,7 @@ def cmd_theorem(args) -> int:
             F = serialize.tensor_from_json(fld, (Hq.n, Hq.n),
                                            doc.get("tensor"))
         else:
-            F = _default_gauge(Hq)
+            F = _default_gauge(entry, Hq)
         if not _gauge_ok(Hq, F):
             raise UsageError("twist is not a gauge: needs invertibility "
                              "and counit normalization in both slots")

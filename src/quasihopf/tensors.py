@@ -43,16 +43,13 @@ that multiplies each operand slot into its partner on the side the
 ``mul_slots`` had, so their tensor product is never built; only such a
 planned step multiplies into some slots, each on its own side.  The fused
 step runs at the earliest point where its partner slots exist, not
-before the insert when the operand reads variables; when its partners
-are exactly the outputs of the map applied just before, and the value
-that map acts on has more terms than the map has columns, the fixed
-operand is folded into the map instead.  Every other ``mul_slots``
-moves to just after the step that makes one of its slots, passing only
-steps on other slots, so it never enters a deeper variable loop.  A
-plan changes the order in which contractions run, never which slots
-are multiplied nor in which order, so every bracketing is kept: with
-exact scalars every value is bit-identical to the program as written,
-over non-associative algebras too.
+before the insert when the operand reads variables.  Every other
+``mul_slots`` moves to just after the step that makes one of its slots,
+passing only steps on other slots, so it never enters a deeper variable
+loop.  A plan changes the order in which contractions run, never which
+slots are multiplied nor in which order, so every bracketing is kept:
+with exact scalars every value is bit-identical to the program as
+written, over non-associative algebras too.
 
 An element is stored as integer numerators over one shared denominator:
 ``num`` maps the row-major offset (``linalg.flat_index``) of each
@@ -586,11 +583,10 @@ class Program(Slots):
 def _plan(prog: Program) -> tuple:
     """The steps of ``prog`` in the order they run (see the module
     docstring): each insert whose slots are all multiplied into slots of
-    the value becomes one slotwise step, folded into the map right before
-    it when those slots are its outputs and that pays, and every other
-    ``mul_slots`` moves to just after the step that makes one of its
-    slots.  Slots are tracked as labels: a step reads and writes labels,
-    and positions are recomputed from them."""
+    the value becomes one slotwise step, and every other ``mul_slots``
+    moves to just after the step that makes one of its slots.  Slots are
+    tracked as labels: a step reads and writes labels, and positions are
+    recomputed from them."""
     if not any(step[0] == "mul_slots" for step in prog.steps):
         return prog.steps
     ops, final = _label(prog)
@@ -599,16 +595,6 @@ def _plan(prog: Program) -> tuple:
     for op in [op for op in ops if op[0][0] == "insert"
                and not isinstance(op[0][2], Var) and op[2]]:
         moved |= _fuse(ops, op, anchors)
-    n = 1
-    while n < len(ops):
-        (step, ins, _, _), prev = ops[n], ops[n - 1]
-        if step[0] == "slotwise_mul" and step[3] is None \
-                and isinstance(step[1], TensorElt) \
-                and prev[0][0] == "apply_at" and set(ins) == set(prev[2]) \
-                and _fold_pays(prog, ops, n - 1):
-            ops[n - 1:n + 1] = [_fold(prev, ops[n])]
-        else:
-            n += 1
     for n, op in enumerate(ops):
         if op[0][0] == "mul_slots":
             anchors[op[2][0]] = op[1]
@@ -698,38 +684,6 @@ def _fuse(ops, insert, anchors) -> bool:
     for k in sorted([i, *muls], reverse=True):
         del ops[k + (k > lo)]
     return True
-
-
-def _fold_pays(prog: Program, ops, n: int) -> bool:
-    """Whether folding into the map of ``ops[n]`` costs less than the
-    slotwise step it saves: the step once per column of the map against
-    once per term of the value the map acts on, estimated as the start's
-    terms times those of each element and the dimension of each variable
-    inserted before it."""
-    terms = len(prog.start.num)
-    for (kind, *args), _, _, _ in ops[:n]:
-        if kind == "insert":
-            x = args[1]
-            terms *= x.dim if isinstance(x, Var) \
-                else len(x.num) if isinstance(x, TensorElt) else 1
-    return prod(ops[n][0][2].in_dims) < terms
-
-
-def _fold(apply_op, fused_op):
-    """The map of ``apply_op`` followed by the fused slotwise step
-    ``fused_op`` on all of its outputs, as one map: the step runs once
-    on each column."""
-    (_, pos, lm), ins, outs, before = apply_op
-    (_, x, algebras, _, left), partners, prods, _ = fused_op
-    run, factor = _kernel(("slotwise_mul", x, algebras, tuple(
-        outs.index(v) for v in partners), left), lm.out_dims, lm.field.p)
-    den, cols = _one_den([
-        (lm.den * factor * x.den, sorted((k, c) for k, c in run(
-            dict(col), x.num).items() if c)) for col in lm.cols.values()])
-    products = dict(zip(partners, prods))
-    return (("apply_at", pos, LinMap(lm.field, lm.in_dims, lm.out_dims, den,
-                                     dict(zip(lm.cols, cols)))),
-            ins, tuple(products[v] for v in outs), before)
 
 
 def _emit(prog: Program, ops, final, anchors) -> tuple:
@@ -1017,8 +971,9 @@ def program_mismatches(lhs: Program, rhs: Program, order,
 def _columns(prog: Program, order):
     """``(den, cols)``: the value of ``prog`` at each value tuple of
     ``order``, in row-major order, as its nonzero terms sorted by offset
-    (one int object per offset) over one denominator ``den``; a skipped
-    zero value keeps the empty column it starts as."""
+    (one int object per offset) over one denominator ``den``, the lcm of
+    the values' denominators reduced to lowest terms; a skipped zero
+    value keeps the empty column it starts as."""
     values = [(1, [])] * prod(v.dim for v in order)
     at = list(range(prod(prog.dims)))
 
@@ -1026,12 +981,6 @@ def _columns(prog: Program, order):
         values[off] = (den, sorted([(at[f], c) for f, c in num.items() if c]))
 
     _compile(prog, order, keep, True)[0]()
-    return _one_den(values)
-
-
-def _one_den(values):
-    """``(den, cols)``: the columns ``(d, terms)``, each over its own
-    denominator, over their lcm reduced to lowest terms."""
     den = lcm(*(d for d, _ in values))
     cols = [col if d == den else [(k, c * (den // d)) for k, c in col]
             for d, col in values]

@@ -4,7 +4,7 @@ import pytest
 
 from quasihopf import corpus
 from quasihopf.coactions import BicomoduleAlgebra, RightComoduleAlgebra
-from quasihopf.linalg import linmap_from_columns, unflatten
+from quasihopf.linalg import flat_index, linmap_from_columns, unflatten
 from quasihopf.tensors import TensorElt
 
 
@@ -41,7 +41,14 @@ def fp73():
 
 def doubled_column(lm, key):
     """``lm`` with the image of the input basis tensor ``key`` doubled: a
-    corrupted structure map for the witness tests."""
+    corrupted structure map for the witness tests.  A key that is no
+    input basis tuple of ``lm`` raises ``KeyError``, and one whose image
+    is zero ``ValueError``: doubling either would change nothing."""
+    if not (isinstance(key, tuple) and len(key) == len(lm.in_dims)
+            and all(0 <= i < d for i, d in zip(key, lm.in_dims))):
+        raise KeyError(f"{key} is no input basis tuple of dims {lm.in_dims}")
+    if not lm.cols[flat_index(lm.in_dims, key)]:
+        raise ValueError(f"the image of {key} is zero")
 
     def image(f, col):
         t = TensorElt.from_num(lm.field, lm.out_dims, dict(col), lm.den)

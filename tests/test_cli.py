@@ -13,6 +13,7 @@ from quasihopf import cli, corpus, products, serialize
 from quasihopf.actions import LeftModuleAlgebra
 from quasihopf.cli import main
 from quasihopf.coactions import BicomoduleAlgebra
+from quasihopf.tensors import TensorElt
 
 from conftest import corrupt_one, entry, sweedler_with_doubled_rho
 
@@ -452,6 +453,30 @@ def test_construct_bytes_are_pinned(tmp_path, monkeypatch, entry_name, kind):
 
 def test_theorem_twist_invariance(capsys):
     assert main(["theorem", "twist-invariance", "QZ2"]) == 0
+
+
+@pytest.mark.parametrize("name", ["Sweedler4", "FpZn(7,3)"])
+def test_theorem_twist_invariance_twists_by_a_gauge_that_moves_phi(name,
+                                                                   capsys):
+    # the default gauge is not 1x1 and changes the associator, so the
+    # theorem compares products over two different quasi-Hopf algebras
+    Hq = entry(name)["H"]
+    F = cli._default_gauge(name, Hq)
+    one = Hq.unit_elt()
+    assert F != one.tensor(one) and cli._gauge_ok(Hq, F)
+    assert Hq.twisted(F)[1].Phi != Hq.Phi
+    assert main(["theorem", "twist-invariance", name]) == 0
+
+
+def test_no_diagonal_gauge_moves_the_associator_of_fpzn52():
+    # so its default gauge stays 1x1
+    Hq = entry("FpZn(5,2)")["H"]
+    for c in range(1, 5):
+        F = TensorElt(Hq.field, (2, 2), {(0, 0): 1, (0, 1): 1, (1, 0): 1,
+                                         (1, 1): c})
+        assert Hq.twisted(F)[1].Phi == Hq.Phi
+    one = Hq.unit_elt()
+    assert cli._default_gauge("FpZn(5,2)", Hq) == one.tensor(one)
 
 
 def test_theorem_unknown_name_and_entry():

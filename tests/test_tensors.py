@@ -908,7 +908,7 @@ def _planned_kinds(prog, order):
     return [step[0] for step in tensors_module._plan(prog)]
 
 
-def test_plan_fuses_folds_and_hoists():
+def test_plan_fuses_and_hoists():
     Hq = sweedler4()
     H = Hq.H
     t = TensorElt.from_flat(QQ, (4, 4), [Fraction(f % 5, 3)
@@ -921,19 +921,17 @@ def test_plan_fuses_folds_and_hoists():
     fused = Program(t).insert(1, x).mul_slots(0, 1, H).permute((1, 0, 2)) \
         .mul_slots(0, 2, H)
     assert _planned_kinds(fused, ()) == ["slotwise_mul", "permute"]
-    # the same multiplied into the two outputs of Delta: one map, as the
-    # value Delta acts on has more terms than Delta has columns
-    folded = Program(t.tensor(t)).tensor(u).apply_at(4, Hq.Delta) \
+    # the same multiplied into the two outputs of Delta: Delta is kept
+    # as it is, and the operand is one slotwise step on its outputs, on
+    # a value with more terms than Delta has columns and on e_u alone
+    wide = Program(t.tensor(t)).tensor(u).apply_at(4, Hq.Delta) \
         .insert(4, x).mul_slots(4, 6, H).mul_slots(5, 6, H)
-    steps = tensors_module._plan(folded)
-    assert _planned_kinds(folded, (u,)) == ["insert", "apply_at"]
-    assert steps[1][2] != Hq.Delta
-    # on e_u alone the map is kept, and the operand is multiplied into
-    # its outputs
-    kept = Program.basis(QQ, u).apply_at(0, Hq.Delta).insert(0, x) \
+    narrow = Program.basis(QQ, u).apply_at(0, Hq.Delta).insert(0, x) \
         .mul_slots(0, 2, H).mul_slots(1, 2, H)
-    assert _planned_kinds(kept, (u,)) == ["insert", "apply_at",
-                                          "slotwise_mul"]
+    for prog in (wide, narrow):
+        assert _planned_kinds(prog, (u,)) == ["insert", "apply_at",
+                                              "slotwise_mul"]
+        assert tensors_module._plan(prog)[1][2] is Hq.Delta
     # a product of two fixed slots runs before the variable's loop opens
     hoisted = Program(t).tensor(u).mul_slots(1, 0, H)
     assert _planned_kinds(hoisted, (u,)) == ["mul_slots", "insert"]
@@ -952,6 +950,24 @@ def test_plan_fuses_folds_and_hoists():
         .mul_slots(1, 2, H)
     assert _planned_kinds(kept, ()) == ["insert", "mul_slots", "apply_at",
                                         "mul_slots"]
+
+
+@given(st.sampled_from(sorted(PROGRAM_FIELDS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_plan_applies_only_the_maps_the_program_names(field_name, data):
+    # a plan reorders steps and fuses operands, and never makes a map:
+    # each map it applies is one of the program's own, also where a fused
+    # operand is multiplied into the outputs of a map
+    field = PROGRAM_FIELDS[field_name]
+    pool = [Var("u", data.draw(st.integers(1, 3))),
+            Var("v", data.draw(st.integers(1, 3)))]
+    prog = _program(data, field, pool, data.draw(st.integers(1, 6)))
+    if prog.dims:
+        prog = _fused_steps(data, field, prog, pool)
+    maps = [step[2] for step in prog.steps if step[0] == "apply_at"]
+    for step in tensors_module._plan(prog):
+        if step[0] == "apply_at":
+            assert any(step[2] is lm for lm in maps)
 
 
 def test_plan_merges_permutes_rearranges_and_refuses_overlaps():

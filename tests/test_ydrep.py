@@ -130,6 +130,39 @@ def test_broken_module_action_detected():
         (0, 2, 2), (0, 2, 3), (0, 3, 1), (0, 3, 2))]
 
 
+# the adjoint action with one column doubled, passed as the A or the D of
+# the two-sided smash: each relation that fails, with its first witness
+SEC8_CORRUPTIONS = {
+    ("H2", (1, 1), "Am"): [
+        "recombination: basis (4, 1, 1, 0)",
+        "left-action-associator: basis (4, 1, 1)",
+        "left-action-H-compat: basis (4, 1, 1)"],
+    ("Sweedler4", (0, 1), "Dm"): [
+        "recombination: basis (0, 0, 0, 1)",
+        "right-action-associator: basis (0, 0, 1)",
+        "right-action-H-compat: basis (0, 1, 0)",
+        "weak-actions-exchange: basis (0, 1, 0)",
+        "derived-right-associator: basis (0, 0, 1)",
+        "derived-right-H-compat: basis (0, 1, 0)",
+        "roundtrip-weak-action: basis (0, 1)",
+        "roundtrip-right-action: basis (0, 1)",
+        "two-sided-exchange: basis (0, 1, 0)"]}
+
+
+@pytest.mark.parametrize("name,key,role", sorted(SEC8_CORRUPTIONS))
+def test_module_translations_report_a_corrupted_action(name, key, role):
+    st = entry(name)
+    Hq, Am = st["H"], st["module"]
+    bad = LeftModuleAlgebra(Hq, Am.A, doubled_column(Am.action, key),
+                            check=False)
+    rep = sec8_correspondences(Hq, bad, Am) if role == "Am" \
+        else sec8_correspondences(Hq, Am, bad)
+    first = {}
+    for line in rep.failures:
+        first.setdefault(line.split(": ")[0], line)
+    assert list(first.values()) == SEC8_CORRUPTIONS[(name, key, role)]
+
+
 def test_fin_module_verify_rejects_non_action():
     st = entry("QZ2")
     Hq = st["H"]
@@ -273,6 +306,14 @@ def test_bimodule_coalgebra_reports_a_corrupted_counit():
         "counit-left-module: basis (1, 0)", "counit-left-module: basis (1, 1)",
         "counit-right-module: basis (1, 0)",
         "counit-right-module: basis (1, 1)"]
+
+
+def test_doubled_column_refuses_a_corruption_that_changes_nothing():
+    # H2's counit has no input (2,); Sweedler4's counit is zero at x
+    with pytest.raises(KeyError, match=r"\(2,\) is no input basis tuple"):
+        doubled_column(entry("H2")["H"].counit, (2,))
+    with pytest.raises(ValueError, match=r"image of \(1,\) is zero"):
+        doubled_column(entry("Sweedler4")["H"].counit, (1,))
 
 
 def test_bimodule_coalgebra_reports_a_corrupted_left_action():
