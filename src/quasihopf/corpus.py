@@ -15,6 +15,7 @@ exhaustive axiom checkers.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .fields import GF, QQ, Field
@@ -203,21 +204,44 @@ def adjoint_module_algebra(Hq: QuasiHopfAlgebra, check: bool = True):
     return LeftModuleAlgebra(Hq, Hq.H, action, name=Hq.name, check=check)
 
 
-def structures(name: str, check: bool = True) -> dict:
-    """The named entry with its canonical derived structures: the
-    adjoint module algebra, H as a bicomodule algebra over itself, and
-    the dual bimodule algebra."""
-    from .coactions import regular_bicomodule
-    from .ydrep import dual_of_bimodule_coalgebra, regular_bimodule_coalgebra
-    Hq = quasi_hopf(name)
-    coalgebra = regular_bimodule_coalgebra(Hq, check=check)
-    return {
-        "H": Hq,
-        "module": adjoint_module_algebra(Hq, check=check),
-        "bicomodule": regular_bicomodule(Hq, check=check),
-        "dual": dual_of_bimodule_coalgebra(coalgebra, check=check),
-        "coalgebra": coalgebra,
-    }
+# key: (module, builder, the structure it takes), listed after "H"; each
+# module is imported through __import__, which -X importtime reports
+_DERIVED = {"module": ("corpus", "adjoint_module_algebra", "H"),
+            "bicomodule": ("coactions", "regular_bicomodule", "H"),
+            "dual": ("ydrep", "dual_of_bimodule_coalgebra", "coalgebra"),
+            "coalgebra": ("ydrep", "regular_bimodule_coalgebra", "H")}
+
+
+class _Structures(Mapping):
+    """One entry's structures, each built on its first read and kept."""
+
+    def __init__(self, Hq: QuasiHopfAlgebra, check: bool):
+        self._built, self._check = {"H": Hq, **dict.fromkeys(_DERIVED)}, check
+
+    def __getitem__(self, key: str):
+        if self._built[key] is None:
+            name, builder, arg = _DERIVED[key]
+            module = __import__(name, globals(), None, [builder], 1)
+            self._built[key] = getattr(module, builder)(self[arg], self._check)
+        return self._built[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._built
+
+    def __iter__(self):
+        return iter(self._built)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+
+def structures(name: str, check: bool = True) -> Mapping:
+    """The named entry's ``H`` and its canonical derived structures (the
+    adjoint ``module`` algebra, H as a ``bicomodule`` algebra over itself,
+    the ``dual`` bimodule algebra and the ``coalgebra`` it dualises), as a
+    read-only mapping.  An unknown name raises ``ValueError`` here; each
+    other structure is built, and with ``check`` verified, on first read."""
+    return _Structures(quasi_hopf(name), check)
 
 
 # -- the registry -------------------------------------------------------------

@@ -187,6 +187,12 @@ def _rekey(dims, lo, hi, size, cols, p, disjoint=True, unit=True):
                     out[b + d] = get(b + d, 0) + c * mc
             return _residues(out, p)
         return run
+    if unit and all(len(d) == 1 for d in ds):
+        d1 = [d for (d, _), in ds]
+        if not K:
+            return lambda num: {f + d1[f // T % M]: c for f, c in num.items()}
+        return lambda num: {f + f // B * K + d1[f // T % M]: c
+                            for f, c in num.items()}
     if unit and not K:
         return lambda num: {f + d: c for f, c in num.items()
                             for d, _ in ds[f // T % M]}

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from quasihopf import cli
 from quasihopf.actions import (RightModuleAlgebra, bar_construction,
                                trivial_right_action)
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
@@ -222,21 +223,30 @@ def test_criterion_07_trivial_identifications():
 
 
 def test_criterion_08_twist_invariance():
-    st = entry("H2")
-    Hq, Am, Ab, Du = st["H"], st["module"], st["bicomodule"], st["dual"]
-    F = gauge_f(Hq)
+    # every entry with a default gauge, each twisted by it; on QZ2 and H2
+    # that gauge moves only alpha and beta, on Sweedler4 and FpZn(7,3) Phi
+    H2 = entry("H2")["H"]
+    assert cli._default_gauge("H2", H2) == gauge_f(H2)
     with criterion(8, "every construction is invariant under a gauge "
                    "transformation"):
-        FInv = invert_mixed(F, [Hq.H, Hq.H])
-        HF = Hq.gauge_twist(F, FInv=FInv)
-        HF.verify().require("twisted algebra")
-        HF.verify_canonical().require("twisted algebra")
-        twist_invariance(Am, right_regular(Hq), Du, Ab, F) \
-            .require("twist invariance")
-        # the twisted canonical element in closed form
-        swapped = FInv.permute((1, 0)).apply_at(0, Hq.S).apply_at(1, Hq.S)
-        assert HF.drinfeld_twist().f \
-            == slotwise_prod([swapped, Hq.drinfeld_twist().f, FInv], Hq.H)
+        for name in cli._GAUGES:
+            st = entry(name)
+            Hq, Am, Ab, Du = (st["H"], st["module"], st["bicomodule"],
+                              st["dual"])
+            F = cli._default_gauge(name, Hq)
+            FInv = invert_mixed(F, [Hq.H, Hq.H])
+            HF = Hq.gauge_twist(F, FInv=FInv)
+            HF.verify().require("twisted algebra")
+            HF.verify_canonical().require("twisted algebra")
+            twist_invariance(Am, right_regular(Hq), Du, Ab, F) \
+                .require("twist invariance")
+            # the twisted canonical element in closed form
+            swapped = FInv.permute((1, 0)).apply_at(0, Hq.S) \
+                .apply_at(1, Hq.S)
+            assert HF.drinfeld_twist().f \
+                == slotwise_prod([swapped, Hq.drinfeld_twist().f, FInv], Hq.H)
+            if name in ("Sweedler4", "FpZn(7,3)"):
+                assert HF.Phi != Hq.Phi
 
 
 def test_criterion_09_yd_representation_suite():

@@ -356,6 +356,28 @@ def test_smash_twist_reports_an_unnormalised_twist():
                           "(0,); fixes-comodule: basis (1,); multiplicative:")
 
 
+def test_smash_twist_reports_a_corrupted_comodule():
+    """The H2 regular left comodule algebra with one entry of PhiLam off
+    by one, twisted by an invertible normalised U.  Twisting by U carries
+    comodule algebras to comodule algebras and back (by U^{-1}), so
+    ``twisted-comodule`` fails exactly when the input comodule does; here
+    with the same tags."""
+    st = entry("H2")
+    Bco = regular_left(st["H"], check=False)
+    bad = LeftComoduleAlgebra(Bco.Hq, Bco.B, Bco.lam, corrupt_one(Bco.PhiLam),
+                              PhiLamInv=Bco.PhiLamInv, check=False)
+    q = Fraction(1, 4)
+    U = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
+                               (1, 0): -q, (1, 1): q})
+    tags = ["associator-inverse: PhiLam PhiLamInv != 1",
+            "associator-inverse: PhiLamInv PhiLam != 1", "coaction-pentagon",
+            "associator-counit: slot 0", "associator-counit: slot 1"]
+    assert bad.verify().failures == tags
+    assert _failures(lambda: iso_smash_twist(st["module"], bad, U)) == \
+        "smash twist equivalence: " + "; ".join(
+            f"twisted-comodule: {tag}" for tag in tags)
+
+
 def test_flavor_twist_reports_a_wrong_equivalence_element(monkeypatch):
     # U = 1 x 1 + (1/2) p x 1 (x) 1_A with p = (1 - g)/2 is normalised and
     # invertible, so the smash twist it defines certifies; but it does

@@ -237,3 +237,21 @@ def test_verify_reports_a_counit_that_is_not_multiplicative():
         "counit-multiplicative: basis (1, 1)", "counit-left: basis (1,)",
         "counit-right: basis (1,)", "antipode-alpha: basis (1,)",
         "antipode-beta: basis (1,)"]
+
+
+def test_verify_reports_a_counit_that_is_not_unital():
+    """eps(1) = 2.  ``counit-unital`` never fails alone: eps(1) =
+    eps(1 1) = eps(1)^2 makes a multiplicative eps with eps(1) != 1 send
+    1 to 0, and then eps(h) = eps(h) eps(1) = 0 for every h, so
+    (eps x id) Delta(h) = 0 != h fails ``counit-left``."""
+    counit = doubled_column(entry("QZ2")["H"].counit, (0,))
+    assert _qz2_with(counit=counit).verify().failures == [
+        "counit-multiplicative: basis (0, 0)",
+        "counit-multiplicative: basis (0, 1)",
+        "counit-multiplicative: basis (1, 0)",
+        "counit-multiplicative: basis (1, 1)",
+        "counit-unital: eps(1) != 1", "counit-left: basis (0,)",
+        "counit-right: basis (0,)", "associator-counit: middle slot",
+        "associator-counit: first slot", "associator-counit: last slot",
+        "normalization: eps(alpha) eps(beta) != 1",
+        "antipode-alpha: basis (0,)", "antipode-beta: basis (0,)"]

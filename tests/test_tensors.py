@@ -1344,6 +1344,43 @@ def test_map_flags_and_one_pass_kernels_match_dense_reference(field_name,
         _assert_canonical(out)
 
 
+def _one_output_map(data, field, grow):
+    """A map with disjoint unit columns of one output each: an injection
+    of the input basis into the output basis, a bijection onto a block of
+    the same size unless ``grow``."""
+    in_dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                       max_size=2), label="in"))
+    n = prod(in_dims)
+    out_dims = ((n + data.draw(st.integers(1, 3), label="growth"),) if grow
+                else tuple(data.draw(st.permutations(in_dims), label="out")))
+    outs = data.draw(st.permutations(range(prod(out_dims))), label="outs")
+    return linmap_from_columns(field, in_dims, out_dims, {
+        unflatten(in_dims, f): {unflatten(out_dims, outs[f]): field.one()}
+        for f in range(n)})
+
+
+@given(st.sampled_from(sorted(FLAG_FIELDS)), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_one_output_maps_re_key_by_a_shift_per_block_offset(field_name,
+                                                             grow, data):
+    # every permute, and S and S^{-1} on FpZn(7,3), are such maps; with a
+    # slot before the map, a growing block also moves each term by the
+    # offset of that slot
+    field = FLAG_FIELDS[field_name]
+    lm = _one_output_map(data, field, grow)
+    assert (lm.disjoint, lm.unit) == (True, True)
+    assert all(len(col) == 1 for col in lm.cols.values())
+    pre = tuple(data.draw(st.lists(st.integers(2, 3), min_size=int(grow),
+                                   max_size=1), label="pre"))
+    post = tuple(data.draw(st.lists(st.integers(1, 2), max_size=1),
+                           label="post"))
+    t = _element(data, field, pre + lm.in_dims + post, 8)
+    _check_apply_at(lm, t, len(pre))
+    perm = data.draw(st.permutations(range(len(t.dims))), label="perm")
+    assert t.permute(tuple(perm)).terms == {
+        tuple(idx[s] for s in perm): c for idx, c in t.terms.items()}
+
+
 # each differs from RE_KEY in one respect; the first shares an output and
 # accumulates, the other two multiply their entries in
 RE_KEY = {(0,): {(1,): 1}, (1,): {(0,): 1, (2,): 1}, (2,): {}}
