@@ -351,7 +351,7 @@ def invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
     den = t.den
     for alg in algebras:
         den *= alg.den
-    acc = [[0] * n for _ in range(n)]
+    acc = [{} for _ in range(n)]
     for fa, ca in t.num.items():
         partial = [(0, 0, ca)]
         for d, alg, i in zip(dims, algebras, unflatten(dims, fa)):
@@ -360,17 +360,15 @@ def invert_mixed(t: TensorElt, algebras) -> TensorElt | None:
                        for f, r, c in partial
                        for j in range(d) for k, mc in row[j]]
         for f, r, c in partial:
-            acc[r][f] += c
-    b = [[0] for _ in range(n)]
-    for f, c in unit.num.items():
-        b[f][0] = c
+            acc[r][f] = acc[r].get(f, 0) + c
     # (acc / den) y = unit is acc z = unit.num with y = den z / unit.den
-    sol = solve(field.p, acc, b)
+    sol = solve(field.p, acc, [{0: unit.num[f]} if f in unit.num else {}
+                               for f in range(n)], n)
     if sol is None:
         return None
     D, z = sol
     inv = TensorElt.from_num(field, dims, {
-        f: zr[0] * den for f, zr in enumerate(z) if zr[0]}, D * unit.den)
+        f: zr[0] * den for f, zr in enumerate(z) if zr}, D * unit.den)
     if inv.slotwise_mul(t, algebras) != unit:
         return None
     return inv

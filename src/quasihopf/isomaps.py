@@ -92,13 +92,13 @@ def _iso_report(rep: Report, f: LinMap, finv: LinMap, source: FinAlgebra,
     equals the recomputed one), and the parts (f, source, target,
     inverse) of the isomorphism it certifies."""
     rep.merge(program_report(algebra_map_checks("", f, source, target)))
-    if source.dim == target.dim:
-        rank = f.rank()
-        rep.check(rank == source.dim, "bijective",
-                  f"rank {rank} < {source.dim}")
+    # one elimination: a square map of full rank is invertible
+    inv = f.inverse()
+    if source.dim == target.dim and inv is None:
+        rep.add("bijective", f"rank {f.rank()} < {source.dim}")
     rep.check(_composite(f, finv).is_identity(), "inverse", "f o f^-1 != id")
     rep.check(_composite(finv, f).is_identity(), "inverse", "f^-1 o f != id")
-    rep.check(f.inverse() == finv, "inverse",
+    rep.check(inv == finv, "inverse",
               "transcribed inverse differs from the recomputed one")
     return rep, (f, source, target, finv)
 

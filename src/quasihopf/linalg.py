@@ -6,7 +6,8 @@ the basis tensor e_{i1} (x) ... (x) e_{ik} of V1 (x) ... (x) Vk has flat
 index sum_j i_j * prod_{l>j} dim(V_l).  A linear map V1 (x) ... (x) Vk
 -> W1 (x) ... (x) Wm is stored as integer sparse columns over one
 denominator; rank, inverse and linear solves all go through one
-fraction-free row reduction.
+fraction-free row reduction on sparse integer rows, ``{column: int}``
+dicts holding only nonzero entries.
 """
 
 from __future__ import annotations
@@ -50,21 +51,23 @@ def int_entries(field: Field, lists):
 # -- elimination -----------------------------------------------------------
 
 def _eliminate(p, rows, m: int):
-    """Reduce the integer ``rows`` in place to reduced echelon form in
-    their first ``m`` columns (later columns are carried along) and
-    return the pivot columns, in order.
+    """Reduce the sparse integer ``rows``, ``{column: int}`` dicts without
+    zero entries, in place to reduced echelon form in their first ``m``
+    columns (later columns are carried along); return the pivot columns.
 
-    Over GF(p) the entries must be residues; each pivot row is scaled to
-    1 and subtracted mod p.  Over QQ a row r is combined with the pivot
-    row P as (d/g) r - (e/g) P, where d and e are their entries in the
-    pivot column and g = gcd(d, e), and is then divided by the gcd of its
-    entries, so no Fractions arise.  A row whose entry in the pivot
-    column is zero is left as it is.
+    Each column's pivot is the unused row nonzero there with the fewest
+    entries, which keeps fill-in low.  Every other row r nonzero there
+    becomes (d/g) r - (e/g) P, where d and e are the entries of the pivot
+    row P and of r in that column and g = gcd(d, e).  Over QQ the row is
+    then divided by the gcd of its entries, so no Fractions arise; over
+    GF(p) the entries are residues, P is scaled to 1 and the row is
+    reduced mod p.
     """
     pivots = []
     for col in range(m):
         top = len(pivots)
-        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        piv = min((r for r in range(top, len(rows)) if col in rows[r]),
+                  key=lambda r: len(rows[r]), default=None)
         if piv is None:
             continue
         rows[top], rows[piv] = rows[piv], rows[top]
@@ -72,52 +75,53 @@ def _eliminate(p, rows, m: int):
         d = prow[col]
         if p is not None and d != 1:
             s = pow(d, -1, p)
-            prow = rows[top] = [x * s % p for x in prow]
+            prow = rows[top] = {k: x * s % p for k, x in prow.items()}
+            d = 1
         for r, row in enumerate(rows):
-            e = row[col]
-            if not e or r == top:
-                continue
-            if p is not None:
-                rows[r] = [(x - e * y) % p for x, y in zip(row, prow)]
+            e = row.get(col)
+            if e is None or r == top:
                 continue
             g = gcd(d, e)
             a, b = d // g, e // g
-            new = [a * x - b * y for x, y in zip(row, prow)]
-            c = gcd(*new)
-            rows[r] = [x // c for x in new] if c > 1 else new
+            new = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
+            for k, y in prow.items():
+                v = new.get(k, 0) - b * y
+                if p is not None:
+                    v %= p
+                if v:
+                    new[k] = v
+                else:
+                    del new[k]
+            if p is None and (c := gcd(*new.values())) > 1:
+                new = {k: x // c for k, x in new.items()}
+            rows[r] = new
         pivots.append(col)
     return pivots
 
 
-def solve(p, a, b):
-    """Exact solution X of A X = B over QQ (``p`` None) or GF(p), for
-    integer rows ``a`` (n x m) and ``b`` (n x k, one row per row of a):
-    ``(D, x)`` with X = x / D, x being m rows of k integers, in lowest
+def solve(p, a, b, m: int):
+    """Exact solution X of A X = B over QQ (``p`` None) or GF(p), for the
+    sparse integer rows ``a`` (in ``m`` unknowns) and ``b`` (one row per
+    row of a): ``(D, x)`` with X = x / D, x being m sparse rows, in lowest
     terms with D > 0 (over GF(p), D is 1 and x holds residues).  None when
-    a column of B is not in the column span of A.  Free variables are
-    set to zero.
+    a column of B is not in the column span of A.  Free variables are set
+    to zero, so the choice of pivot rows does not show.
     """
-    m = len(a[0])
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    if p is not None:
-        rows = [[x % p for x in row] for row in rows]
+    rows = [{**ra, **{m + k: x for k, x in rb.items()}}
+            for ra, rb in zip(a, b)]
+    rows = [{k: v for k, x in row.items() if (v := x if p is None else x % p)}
+            for row in rows]
     pivots = _eliminate(p, rows, m)
-    if any(any(row[m:]) for row in rows[len(pivots):]):
+    if any(rows[len(pivots):]):
         return None
-    x = [[0] * len(b[0]) for _ in range(m)]
-    if p is not None:
-        for row, col in zip(rows, pivots):
-            x[col] = row[m:]
-        return 1, x
+    # over GF(p) every pivot is 1, and so is D
     D = lcm(*(row[col] for row, col in zip(rows, pivots)))
+    x = [{} for _ in range(m)]
     for row, col in zip(rows, pivots):
         s = D // row[col]
-        x[col] = [c * s for c in row[m:]]
-    g = gcd(D, *(c for xr in x for c in xr))
-    if g > 1:
-        D //= g
-        x = [[c // g for c in xr] for xr in x]
-    return D, x
+        x[col] = {k - m: c * s for k, c in row.items() if k >= m}
+    g = gcd(D, *(c for xr in x for c in xr.values()))
+    return D // g, [{k: c // g for k, c in xr.items()} for xr in x]
 
 
 # -- linear maps -----------------------------------------------------------
@@ -169,34 +173,27 @@ class LinMap:
         return (self.in_dims == self.out_dims and self.den == 1
                 and all(col == [(f, 1)] for f, col in self.cols.items()))
 
-    def _int_rows(self):
-        """The dense integer matrix den * M, one row per output."""
-        rows = [[0] * prod(self.in_dims) for _ in range(prod(self.out_dims))]
-        for j, col in self.cols.items():
-            for out, c in col:
-                rows[out][j] = c
-        return rows
-
     def rank(self) -> int:
-        return len(_eliminate(self.field.p, self._int_rows(),
-                              prod(self.in_dims)))
+        """The rank, read off M^T: its sparse rows are the stored columns."""
+        return len(_eliminate(self.field.p, [
+            dict(col) for col in self.cols.values()], prod(self.out_dims)))
 
     def inverse(self) -> "LinMap | None":
         """The inverse map, or None when the map is not invertible."""
         n = prod(self.in_dims)
         if prod(self.out_dims) != n:
             return None
-        # M X = I with M = A / den is A X' = I with X = den X'
-        sol = solve(self.field.p, self._int_rows(),
-                    [[int(i == j) for j in range(n)] for i in range(n)])
+        # M^T Y = I with M = A / den is A^T Y' = I with Y = den Y', and
+        # row j of Y is column j of M^-1
+        sol = solve(self.field.p, [dict(self.cols[j]) for j in range(n)],
+                    [{j: 1} for j in range(n)], n)
         if sol is None:
             return None
-        D, x = sol
+        D, y = sol
         g = gcd(D, self.den)
         D, scale = D // g, self.den // g
-        # column j of X is the image of e_j, listed by output row i
-        cols = {j: [(i, x[i][j] * scale) for i in range(n) if x[i][j]]
-                for j in range(n)}
+        cols = {j: [(i, c * scale) for i, c in sorted(yr.items())]
+                for j, yr in enumerate(y)}
         return LinMap(self.field, self.out_dims, self.in_dims, D, cols)
 
 

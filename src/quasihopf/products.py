@@ -42,7 +42,7 @@ is not associative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 from .actions import BimoduleAlgebra, LeftModuleAlgebra, RightModuleAlgebra
@@ -296,8 +296,6 @@ def _diag_left_program(Abi, d, Om):
 
 def diag_crossed_general(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
                          side: str = "left", check: bool = True,
-                         kind: str | None = None,
-                         factors: tuple | None = None,
                          Om: TensorElt | None = None) -> ProductAlgebra:
     """Diagonal crossed product of a bimodule algebra with the algebra
     carrying a two-sided coaction, on either side; the right one is the
@@ -312,13 +310,13 @@ def diag_crossed_general(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
         prog = _diag_left_program(Abi, d, Om)
         units = [Abi.unit_elt(), d.unit_elt()]
         sub_pos = 1
-        kind = kind or "DiagLGeneralDelta"
+        kind = "DiagLGeneralDelta"
     else:
         prog = _mirrored(*_diag_left_program(
             Abi.mirror(), d.mirror(), Om.permute((4, 3, 2, 1, 0))))
         units = [d.unit_elt(), Abi.unit_elt()]
         sub_pos = 0
-        kind = kind or "DiagRGeneralDelta"
+        kind = "DiagRGeneralDelta"
     name = f"{Abi.name}><{d.name}" if side == "left" \
         else f"{d.name}><{Abi.name}"
     alg, rep = _build(*prog, units, name, check, [(sub_pos, d.A, "middle")])
@@ -334,7 +332,7 @@ def diag_crossed_general(Abi: BimoduleAlgebra, d: TwoSidedCoaction,
              .mul_slots(0, 1, alg),
              Program.basis(fld, first, second).apply_at(0, flat), (p, u))]))
     rep.require(name)
-    return ProductAlgebra(alg, kind, factors or (Abi, d), prog[0].dims)
+    return ProductAlgebra(alg, kind, (Abi, d), prog[0].dims)
 
 
 _DIAG_FLAVORS = {
@@ -354,8 +352,8 @@ def diag_crossed(Abi: BimoduleAlgebra, Ab: BicomoduleAlgebra,
     nest, primed, side, kind = _DIAG_FLAVORS[flavor]
     d = two_sided_from_bicomodule(Ab, nest, check=False)
     Om = omega_from_coaction(d, primed=primed)
-    return diag_crossed_general(Abi, d, side, check=check, kind=kind,
-                                factors=(Abi, Ab), Om=Om)
+    return replace(diag_crossed_general(Abi, d, side, check=check, Om=Om),
+                   kind=kind, factors=(Abi, Ab))
 
 
 # -- three-factor products ----------------------------------------------------
@@ -392,8 +390,8 @@ def gen_two_sided_crossed(Afr, Abi: BimoduleAlgebra, Bfr,
 
 
 def two_sided_gen_smash(Am: LeftModuleAlgebra, Ab: BicomoduleAlgebra,
-                        Bm: RightModuleAlgebra, check: bool = True,
-                        kind: str = "TwoSidedGenSmash") -> ProductAlgebra:
+                        Bm: RightModuleAlgebra,
+                        check: bool = True) -> ProductAlgebra:
     """Module # bicomodule # module:
     (a, u, b)(a', u', b') = (xl1.a)(xl2 u_-1 t1.a') x
     xl3 u_0 t2 u'_0 xr1 x (b.t3 u'_1 xr2)(b'.xr3)."""
@@ -421,7 +419,7 @@ def two_sided_gen_smash(Am: LeftModuleAlgebra, Ab: BicomoduleAlgebra,
                       f"{Am.name}#{Ab.name}#{Bm.name}", check,
                       [(1, Ualg, "middle")])
     rep.require(alg.name)
-    return ProductAlgebra(alg, kind, (Am, Ab, Bm), dims)
+    return ProductAlgebra(alg, "TwoSidedGenSmash", (Am, Ab, Bm), dims)
 
 
 def two_sided_smash(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
@@ -430,7 +428,8 @@ def two_sided_smash(Am: LeftModuleAlgebra, Bm: RightModuleAlgebra,
     into it are verified to be algebra maps too."""
     Hq = _same_parent(Am, Bm)
     Ab = regular_bicomodule(Hq, check=False)
-    p = two_sided_gen_smash(Am, Ab, Bm, check=check, kind="TwoSidedSmash")
+    p = replace(two_sided_gen_smash(Am, Ab, Bm, check=check),
+                kind="TwoSidedSmash")
     if check:
         # i(a#h) = a#h#1 and j(h#b) = 1#h#b
         units = [Am.unit_elt(), Hq.unit_elt(), Bm.unit_elt()]

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from quasihopf import coactions, finalg, isomaps, quasihopf
+from quasihopf import (cli, coactions, corpus, finalg, isomaps, linalg,
+                       quasihopf)
 from quasihopf.actions import (RightModuleAlgebra, trivial_right_action,
                                twist_action)
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
@@ -59,6 +60,28 @@ def test_theta(name):
 def test_four_diagonal_isos(name):
     st = entry(name)
     four_diagonal_isos(st["dual"], st["bicomodule"]).require(name)
+
+
+def test_twisted_sweedler_theorems_pass_through_1024_unknown_solves(
+        monkeypatch):
+    # Sweedler4 twisted by its default gauge: the quantum double and the
+    # four diagonal products each invert an operator on 1,024 unknowns
+    Hq = entry("Sweedler4")["H"]
+    HF = Hq.twisted(cli._default_gauge("Sweedler4", Hq))[1]
+    st = corpus._Structures(HF, False)
+    unknowns, linalg_solve = [], linalg.solve
+
+    def solve(p, a, b, m):
+        unknowns.append(m)
+        return linalg_solve(p, a, b, m)
+
+    monkeypatch.setattr(linalg, "solve", solve)
+    monkeypatch.setattr(finalg, "solve", solve)
+    isomaps.quantum_double_gen_smash(HF).require("Sweedler4^F")
+    assert max(unknowns) == 1024
+    unknowns.clear()
+    four_diagonal_isos(st["dual"], st["bicomodule"]).require("Sweedler4^F")
+    assert max(unknowns) == 1024
 
 
 def test_four_diagonal_isos_names_each_isomorphism():

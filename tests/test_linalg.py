@@ -1,13 +1,13 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasihopf.fields import GF, QQ
-from quasihopf.linalg import (LinMap, flat_index, linmap_from_columns, prod,
-                              solve, unflatten)
+from quasihopf.linalg import (LinMap, _eliminate, flat_index,
+                              linmap_from_columns, prod, solve, unflatten)
 from quasihopf.serialize import map_from_json
 from quasihopf.tensors import Program, TensorElt, Var, linmap_from_program
 
@@ -111,6 +111,21 @@ def ref_matmul(p, a, b):
     return out if p is None else [[c % p for c in row] for row in out]
 
 
+def sparse(row):
+    """The ``{column: int}`` row of a dense row, zeros skipped."""
+    return {k: c for k, c in enumerate(row) if c}
+
+
+def dense_solve(p, a, b):
+    """``solve`` on the dense integer rows ``a`` and ``b``, its solution
+    read back as m dense rows of len(b[0]) integers."""
+    sol = solve(p, [sparse(r) for r in a], [sparse(r) for r in b], len(a[0]))
+    if sol is None:
+        return None
+    D, x = sol
+    return D, [[xr.get(k, 0) for k in range(len(b[0]))] for xr in x]
+
+
 # -- dense views of maps ---------------------------------------------------
 
 def linmap_from_rows(field, rows, in_dims=None, out_dims=None):
@@ -204,8 +219,8 @@ def test_solve_consistent(a, x):
     rows = [[c * a.den for c in row] for row in dense(a)]
     b = [sum(r * c for r, c in zip(row, x)) for row in dense(a)]
     D = lcm(*(c.denominator for c in b))
-    got = solve(None, [[int(c) for c in row] for row in rows],
-                [[int(c * a.den * D)] for c in b])
+    got = dense_solve(None, [[int(c) for c in row] for row in rows],
+                      [[int(c * a.den * D)] for c in b])
     assert got is not None
     den, y = got
     y = [Fraction(c[0], den * D) for c in y]
@@ -213,8 +228,8 @@ def test_solve_consistent(a, x):
 
 
 def test_solve_inconsistent():
-    assert solve(None, [[1, 0], [1, 0]], [[1], [2]]) is None
-    assert solve(5, [[1, 0], [1, 0]], [[1], [2]]) is None
+    assert dense_solve(None, [[1, 0], [1, 0]], [[1], [2]]) is None
+    assert dense_solve(5, [[1, 0], [1, 0]], [[1], [2]]) is None
 
 
 def _kron(a, b):
@@ -327,7 +342,9 @@ def test_elimination_matches_reference(data, p):
     m = data.draw(st.integers(1, 5), label="cols")
     # over GF(p): unreduced ints, negatives included
     scalar = qq_scalars() if p is None else st.integers(-3 * p, 3 * p)
-    if data.draw(st.booleans(), label="low rank"):
+    shape = data.draw(st.sampled_from(["full", "low rank", "sparse"]),
+                      label="shape")
+    if shape == "low rank":
         # a product through r < min(n, m) columns is singular
         r = data.draw(st.integers(0, min(n, m) - 1), label="r")
         left = data.draw(st.lists(st.lists(scalar, min_size=r, max_size=r),
@@ -339,6 +356,18 @@ def test_elimination_matches_reference(data, p):
                 for lrow in left]
         if p is not None:
             rows = [[int(c) for c in row] for row in rows]
+    elif shape == "sparse":
+        # mostly zeros, with whole zero rows and zero columns
+        n = data.draw(st.integers(1, 8), label="sparse rows")
+        m = data.draw(st.integers(1, 8), label="sparse cols")
+        rows = [[0] * m for _ in range(n)]
+        zero_rows = data.draw(st.sets(st.integers(0, n - 1)), label="0 rows")
+        zero_cols = data.draw(st.sets(st.integers(0, m - 1)), label="0 cols")
+        for i, j, c in data.draw(st.lists(st.tuples(
+                st.integers(0, n - 1), st.integers(0, m - 1), scalar),
+                max_size=2 * max(n, m)), label="entries"):
+            if i not in zero_rows and j not in zero_cols:
+                rows[i][j] = c
     else:
         rows = data.draw(st.lists(st.lists(scalar, min_size=m, max_size=m),
                                   min_size=n, max_size=n), label="A")
@@ -346,16 +375,27 @@ def test_elimination_matches_reference(data, p):
     field = QQ if p is None else GF(p)
 
     a_int, b_int = _int_system(rows, b)
-    got = solve(p, a_int, b_int)
+    got = dense_solve(p, a_int, b_int)
     want = ref_solve(p, rows, b)
     if want is None:
         assert got is None
     else:
         den, x = got
         assert den > 0 and all(type(c[0]) is int for c in x)
+        assert gcd(den, *(c[0] for c in x)) == 1
         assert [Fraction(c[0], den) if p is None else c[0] for c in x] == want
         if p is not None:
             assert den == 1 and all(0 <= c[0] < p for c in x)
+
+    # the eliminated rows keep no zero entry, and their pivots are the
+    # reference's rank
+    reduced = [{k: v for k, c in enumerate(row + bv)
+                if (v := c if p is None else c % p)}
+               for row, bv in zip(a_int, b_int)]
+    pivots = _eliminate(p, reduced, m)
+    assert all(c for row in reduced for c in row.values())
+    assert len(pivots) == ref_rank(p, rows)
+    assert all(row[col] for row, col in zip(reduced, pivots))
 
     lm = linmap_from_rows(field, rows)
     assert lm.rank() == ref_rank(p, rows)
@@ -370,7 +410,29 @@ def test_elimination_matches_reference(data, p):
 def test_solve_free_variables_and_zero_rows():
     # free variables are set to zero, and a zero row of A with a nonzero
     # right-hand side is inconsistent
-    assert solve(None, [[2, 4, 6]], [[3]]) == (2, [[3], [0], [0]])
-    assert solve(None, [[0, 0], [1, 1]], [[0], [5]]) == (1, [[5], [0]])
-    assert solve(None, [[0, 0], [1, 1]], [[1], [5]]) is None
-    assert solve(7, [[3, 6], [1, 2]], [[1], [5]]) == (1, [[5], [0]])
+    assert dense_solve(None, [[2, 4, 6]], [[3]]) == (2, [[3], [0], [0]])
+    assert dense_solve(None, [[0, 0], [1, 1]], [[0], [5]]) == (1, [[5], [0]])
+    assert dense_solve(None, [[0, 0], [1, 1]], [[1], [5]]) is None
+    assert dense_solve(7, [[3, 6], [1, 2]], [[1], [5]]) == (1, [[5], [0]])
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_sparse_singular_and_inconsistent_systems(p):
+    # the rows x_1, ..., x_39 and x_1 again on 40 unknowns: rank 39, no
+    # inverse, and x_1 = 1, x_1 = 2 has no solution
+    n = 40
+    a = [{i + 1: 1} for i in range(n - 1)] + [{1: 1}]
+    assert len(_eliminate(p, [dict(r) for r in a], n)) == n - 1
+    b = [{} for _ in range(n)]
+    b[0], b[-1] = {0: 1}, {0: 2}
+    assert solve(p, a, b, n) is None
+    field = QQ if p is None else GF(p)
+    cols = {(j,): {(i,): 1 for i, row in enumerate(a) if j in row}
+            for j in range(n)}
+    lm = linmap_from_columns(field, (n,), (n,), cols)
+    assert lm.rank() == n - 1 and lm.inverse() is None
+    # with x_1 = 1 in both its rows the system is consistent, and the
+    # free variable x_0 is set to zero
+    b[-1] = {0: 1}
+    D, x = solve(p, a, b, n)
+    assert D == 1 and x[1] == {0: 1} and not any(x[:1] + x[2:])

@@ -80,6 +80,26 @@ def test_diag_general_delta(name):
                              Om=omega_from_coaction(d, primed=primed))
 
 
+def test_kinds_and_factors_of_the_relabelled_products():
+    # diag_crossed and two_sided_smash relabel the product they build
+    st = entry("QZ2")
+    Hq, Am, Ab, Du = st["H"], st["module"], st["bicomodule"], st["dual"]
+    Bm = right_regular(Hq)
+    for flavor, kind in (("bowtie", "DiagBowtie"), ("btrl", "DiagBtrl"),
+                         ("rbowtie", "RDiagBowtie"), ("rbtrl", "RDiagBtrl")):
+        p = diag_crossed(Du, Ab, flavor, check=False)
+        assert (p.kind, p.factors) == (kind, (Du, Ab))
+    d = two_sided_from_bicomodule(Ab, "l", check=False)
+    for side, kind in (("left", "DiagLGeneralDelta"),
+                       ("right", "DiagRGeneralDelta")):
+        p = diag_crossed_general(Du, d, side, check=False)
+        assert (p.kind, p.factors) == (kind, (Du, d))
+    p = two_sided_gen_smash(Am, Ab, Bm, check=False)
+    assert (p.kind, p.factors) == ("TwoSidedGenSmash", (Am, Ab, Bm))
+    p = two_sided_smash(Am, Bm, check=True)
+    assert p.kind == "TwoSidedSmash" and p.factors[::2] == (Am, Bm)
+
+
 @pytest.mark.parametrize("name", ["QZ2", "H2"])
 def test_gen_two_sided_crossed(name):
     st = entry(name)
