@@ -25,11 +25,12 @@ slot is one variable followed by ``apply_at`` of a
 opens each variable's loop at the first step that reads it, so each step
 runs once per value of the variables read up to it; an inserted
 sub-program is computed once per value of its own variables and kept for
-the run; and a basis vector is never built, its insert and a contraction
-right after it read the map's columns or the algebra's rows directly.
-The values stream to a sink: ``linmap_from_program`` makes each the
-column of a linear map (every formula-built map is read off this way,
-and the same column sink gives the rows of
+the run; and a basis vector is never built: its insert, with a
+contraction right after it, is one ``_rekey`` kernel per value (below)
+on the map's columns or the algebra's rows with the vector's index fixed
+(``_reader``).  The values stream to a sink: ``linmap_from_program``
+makes each the column of a linear map (every formula-built map is read
+off this way, and the same column sink gives the rows of
 ``finalg.algebra_from_program``), and ``program_mismatches`` compares
 two programs in lexicographic order, once when they read no variable
 (``finalg.program_report`` turns the mismatches into report lines).
@@ -65,24 +66,24 @@ each term by int arithmetic on strides fixed in advance: a step
 replacing the M offsets of the slots lo..hi, T the size of the slots
 after them, reads block offset m as ``f // T % M`` and moves the key by
 ``(o - m) T`` to block offset o, and by ``f // (M T) * K`` when the
-block grows by K / T (``_rekey``); a permute reads the slots it moves
-through a table.  A map whose columns share no output
-(``LinMap.disjoint``) re-keys each term without accumulating, copying
-its coefficient when every entry is 1 (``LinMap.unit``).  Over GF(p) a
-kernel that does not accumulate (``insert``, the idempotent
-``slotwise_mul`` join, a disjoint ``apply_at`` or contraction of a basis
-vector) reduces each product as it makes it, a product of nonzero
-residues mod a prime never being 0; only the accumulating loops reduce
-their sums after (``_residues``). Over the rationals lowest terms are
-taken where a call on a TensorElt returns, and in the executor, which
-binds each step's kernel once and carries raw numerators, only where a
-value is held for an inner loop or sunk.  A held zero skips the loops
-beneath it, each value there being zero.  On a basis of orthogonal
-idempotents (``FinAlgebra.idempotents``, e_i e_j = [i = j] e_i) a
-product multiplies matching coefficients: ``mul_slots`` keeps the terms
-whose two slots agree, and ``slotwise_mul``, when every algebra of the
-step has such a basis, looks up for each term of the value the one term
-of the operand that agrees with it on the step's slots.
+block grows by K / T (``_rekey``, also each variable's read); a permute
+reads the slots it moves through a table.  A map whose columns share no
+output (``LinMap.disjoint``) re-keys each term without accumulating,
+copying its coefficient when every entry is 1 (``LinMap.unit``).  Over
+GF(p) a kernel that does not accumulate (``insert``, the idempotent
+``slotwise_mul`` join, a disjoint ``_rekey``) reduces each product as it
+makes it, a product of nonzero residues mod a prime never being 0; only
+the accumulating loops reduce their sums after (``_residues``).  Over
+the rationals lowest terms are taken where a call on a TensorElt
+returns, and in the executor, which binds each step's kernel once and
+carries raw numerators, only where a value is held for an inner loop or
+sunk.  A held zero skips the loops beneath it, each value there being
+zero.  On a basis of orthogonal idempotents (``FinAlgebra.idempotents``,
+e_i e_j = [i = j] e_i) a product multiplies matching coefficients:
+``mul_slots`` keeps the terms whose two slots agree, and
+``slotwise_mul``, when every algebra of the step has such a basis, looks
+up for each term of the value the one term of the operand that agrees
+with it on the step's slots.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def _rekey(dims, lo, hi, size, cols, p, disjoint=True, unit=True):
             out = {}
             get = out.get
             for f, c in num.items():
-                b = f + f // B * K
+                b = f + f // B * K if K else f
                 for d, mc in ds[f // T % M]:
                     out[b + d] = get(b + d, 0) + c * mc
             return _residues(out, p)
@@ -768,14 +769,14 @@ def _emit(prog: Program, ops, final, anchors) -> tuple:
 
 
 def _reader(pos: int, step, dims, vals, s: int, p):
-    """``(prepare, used)``: ``prepare(num)`` gives the function that
-    inserts e_i, i = ``vals[s]``, into ``num`` at ``pos`` (``dims`` the
-    slots with e_i in place) and, when ``step`` contracts e_i (``used``),
-    runs ``step`` too; it returns ``(num, den)``, ``den`` the factor of
-    the denominator.  A contraction reads the ``w`` slots from ``lo``,
-    e_i at ``at`` among them, off one column of the map or row of the
-    algebra, its ``size`` outputs in their place, in one comprehension
-    when no two columns share an output (see ``_kernel``)."""
+    """``(read, used)``: ``read(num)`` inserts e_i, i = ``vals[s]``, into
+    ``num`` at ``pos`` (``dims`` the slots with e_i in place) and, when
+    ``step`` contracts e_i (``used``), runs ``step`` too; it returns
+    ``(num, den)``, ``den`` the factor of the denominator.  Each value i
+    is one ``_rekey`` kernel over the slots without e_i, built here: it
+    replaces the ``w`` slots from ``lo`` (e_i at ``at`` among them) by the
+    ``size`` outputs of the map's columns or the algebra's rows with e_i's
+    index fixed to i; a bare insert is the block of no slots at ``pos``."""
     dim, used = dims[pos], False
     lo, w, at, den, size = pos, 0, 0, 1, dim
     cols, disjoint, unit = [[(i, 1)] for i in range(dim)], True, True
@@ -797,33 +798,12 @@ def _reader(pos: int, step, dims, vals, s: int, p):
             cols = [row for plane in alg.rows for row in plane]
             disjoint = unit = alg.idempotents
     rest = dims[:pos] + dims[pos + 1:]
-    T, M, post = prod(rest[lo + w:]), prod(rest[lo:lo + w]), \
-        prod(rest[lo + at:lo + w])
-    cols = [[(o * T, c) for o, c in cols[m]] for m in range(len(cols))]
-
-    def prepare(num):
-        # each term as (its key but for the block, the block's column
-        # less e_i's share, its numerator)
-        plan = [(q // M * size * T + f % T,
-                 (m := q % M) + m // post * (dim - 1) * post, c)
-                for f, c in num.items() for q in [f // T]]
-
-        def value():
-            i = vals[s] * post
-            if not disjoint:
-                out = {}
-                get = out.get
-                for b, m, c in plan:
-                    for o, mc in cols[m + i]:
-                        out[b + o] = get(b + o, 0) + c * mc
-                return _residues(out, p), den
-            if unit or p is None:
-                return {b + o: c * mc for b, m, c in plan
-                        for o, mc in cols[m + i]}, den
-            return {b + o: c * mc % p for b, m, c in plan
-                    for o, mc in cols[m + i]}, den
-        return value
-    return prepare, used
+    M, post = prod(rest[lo:lo + w]), prod(rest[lo + at:lo + w])
+    # the column of each block offset m with e_0 in place; e_i's is i * post on
+    ms = [m + m // post * (dim - 1) * post for m in range(M)]
+    kernels = [_rekey(rest, lo, lo + w, size, [cols[m + i * post] for m in ms],
+                      p, disjoint, unit) for i in range(dim)]
+    return (lambda num: (kernels[vals[s]](num), den)), used
 
 
 def _compile(prog: Program, order, sink, skip=False, head: bool = False):
@@ -867,15 +847,13 @@ def _compile(prog: Program, order, sink, skip=False, head: bool = False):
         key = strides(sub.vars).items()
         run, factor = _kernel(step, dims, p)
 
-        def prepare(num):
-            def value():
-                x, den = values[sum(vals[s] * st for s, st in key)]
-                return run(num, x), den * factor
-            return value
-        return prepare
+        def read(num):
+            x, den = values[sum(vals[s] * st for s, st in key)]
+            return run(num, x), den * factor
+        return read
 
-    def stage(ops, factor, new, prepare, nxt, below):
-        """``ops``, then ``nxt`` on ``prepare(num)()`` per value of ``new``."""
+    def stage(ops, factor, new, read, nxt, below):
+        """``ops``, then ``nxt`` on ``read(num)`` per value of ``new``."""
         combos = loops(new)
         block = () if skip else [at for _, at in loops(below)]
 
@@ -887,12 +865,11 @@ def _compile(prog: Program, order, sink, skip=False, head: bool = False):
                 for at in block:
                     sink(off + at, num, den)
                 return
-            value = prepare(num)
             for combo, at in combos:
                 for s, i in combo:
                     vals[s] = i
-                num, d = value()
-                nxt(off + at, num, den * d)
+                out, d = read(num)
+                nxt(off + at, out, den * d)
         return run
 
     # each segment: the steps that read no variable, then one that does,
@@ -908,25 +885,25 @@ def _compile(prog: Program, order, sink, skip=False, head: bool = False):
             step[1] if step[0] == "slotwise_mul" else None
         before, dims = dims, _shape(step, dims)
         if isinstance(x, Var):
-            prepare, used = _reader(step[1], steps[k], dims, vals, slot[x], p)
+            read, used = _reader(step[1], steps[k], dims, vals, slot[x], p)
             dims, k = _shape(steps[k], dims) if used else dims, k + used
         elif isinstance(x, Program):
-            prepare = inserter(step, x, before)
+            read = inserter(step, x, before)
         else:
             run, den = _kernel(step, before, p)
             ops.append(run if x is None else partial(run, x=x.num))
             factor *= den if x is None else den * x.den
             continue
         new = [v for v in getattr(x, "vars", (x,)) if v not in bound]
-        segments.append((ops, factor, new, prepare))
+        segments.append((ops, factor, new, read))
         bound.update(new)
         ops, factor = [], 1
     if ops:
-        segments.append((ops, factor, [], lambda num: lambda: (num, 1)))
+        segments.append((ops, factor, [], lambda num: (num, 1)))
     run, below = sink, []
-    for ops, factor, new, prepare in reversed(segments):
+    for ops, factor, new, read in reversed(segments):
         below = new + below
-        run = stage(ops, factor, new, prepare, run, below)
+        run = stage(ops, factor, new, read, run, below)
     return lambda: run(0, prog.start.num, prog.start.den), vals
 
 

@@ -124,16 +124,12 @@ def test_pq_identities_on_fpzn73_keep_executor_values_within_eight_slots(
         return (lambda num, *x, **kw: record(run(num, *x, **kw))), den
 
     def recording_reader(*args):
-        prepare, used = reader(*args)
+        read, used = reader(*args)
 
-        def prepared(num):
-            value = prepare(num)
-
-            def recorded():
-                num, den = value()
-                return record(num), den
-            return recorded
-        return prepared, used
+        def recorded(num):
+            num, den = read(num)
+            return record(num), den
+        return recorded, used
 
     monkeypatch.setattr(tensors_module, "_kernel", recording_kernel)
     monkeypatch.setattr(tensors_module, "_reader", recording_reader)

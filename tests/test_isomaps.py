@@ -4,8 +4,8 @@ import pytest
 
 from quasihopf import (cli, coactions, corpus, finalg, isomaps, linalg,
                        quasihopf)
-from quasihopf.actions import (RightModuleAlgebra, trivial_right_action,
-                               twist_action)
+from quasihopf.actions import (LeftModuleAlgebra, RightModuleAlgebra,
+                               trivial_right_action, twist_action)
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  RightComoduleAlgebra, lambda12_structures,
                                  regular_left, tilde_pq, twist_coaction,
@@ -106,6 +106,66 @@ def test_mu_and_five_products(name):
     Bm = right_regular(Hq)
     iso_mu(Am, Bm, Ab)
     five_corollary(Am, Bm, Ab).require(name)
+
+
+def _doubled_action(name, side, key):
+    """The module algebra and H acting on itself from the right of the
+    corpus entry ``name``, the action of ``side`` ("left" or "right")
+    with the image of ``key`` doubled."""
+    Hq, Am = entry(name)["H"], entry(name)["module"]
+    Bm = right_regular(Hq)
+    if side == "left":
+        return LeftModuleAlgebra(Hq, Am.A, doubled_column(Am.action, key),
+                                 check=False), Bm
+    return Am, RightModuleAlgebra(Hq, Bm.B, doubled_column(Bm.action, key),
+                                  check=False)
+
+
+def _prefixes(rep):
+    """The isomorphism prefix of each failure line, in order, once each."""
+    return list(dict.fromkeys(line.split(": ")[0] for line in rep.failures))
+
+
+def test_five_corollary_fails_nu_alone_on_a_doubled_left_action():
+    # e_1.e_0 doubled in H2's module algebra leaves both mu isomorphisms
+    # certified and breaks nu over the tensor structures
+    Am, Bm = _doubled_action("H2", "left", (1, 0))
+    rep = five_corollary(Am, Bm, entry("H2")["bicomodule"])
+    assert _prefixes(rep) == ["three-factor->tensor-diag"]
+    assert rep.failures[0] == \
+        "three-factor->tensor-diag: nu-factorization: basis (0, 0, 0)"
+
+
+def test_five_corollary_names_mu_over_the_tensor_bicomodule():
+    """e_0.e_1 doubled in QZ2's right regular module.  The prefix
+    ``tensor-diag->two-sided-smash`` never fails alone: mu over U (x) U
+    reads the actions and coactions that mu over U reads, and each
+    single doubled column of an action or coaction map, and each
+    corrupted associator, of QZ2 and H2 that fails it also fails
+    ``diag->two-sided-smash``, which comes first in the report."""
+    Am, Bm = _doubled_action("QZ2", "right", (0, 1))
+    rep = five_corollary(Am, Bm, entry("QZ2")["bicomodule"])
+    assert _prefixes(rep) == ["diag->two-sided-smash",
+                              "tensor-diag->two-sided-smash",
+                              "three-factor->tensor-diag"]
+    assert rep.failures[0] == \
+        "diag->two-sided-smash: multiplicative: basis (0, 1)"
+    assert next(line for line in rep.failures if line.startswith(
+        "tensor-diag->")) == \
+        "tensor-diag->two-sided-smash: multiplicative: basis (0, 2)"
+
+
+def test_twist_invariance_fails_the_two_sided_twist_alone():
+    # only the two-sided smash product reads the right module algebra
+    st = entry("H2")
+    Am, Bm = _doubled_action("H2", "right", (1, 0))
+    q = Fraction(1, 4)
+    F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
+                               (1, 0): -q, (1, 1): q})
+    rep = twist_invariance(Am, Bm, st["dual"], st["bicomodule"], F)
+    assert _prefixes(rep) == ["two-sided-smash->twisted"]
+    assert rep.failures[0] == \
+        "two-sided-smash->twisted: multiplicative: basis (0, 1)"
 
 
 def test_degenerate_closed_forms_on_group_algebra():

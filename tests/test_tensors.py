@@ -1135,9 +1135,9 @@ def test_executor_runs_each_step_once_per_value_read(monkeypatch):
     def counting_reader(pos, step, *args):
         # a basis vector inserted alone, or read straight off the columns
         # of the map that contracts it
-        prepare, used = reader(pos, step, *args)
+        read, used = reader(pos, step, *args)
         key = label[id(step[2])] if used else "e_u"
-        return (lambda num: counting(key, prepare(num))), used
+        return counting(key, read), used
 
     monkeypatch.setattr(tensors_module, "_kernel", counting_kernel)
     monkeypatch.setattr(tensors_module, "_reader", counting_reader)
@@ -1193,12 +1193,8 @@ def test_zero_values_skip_their_loops_under_every_sink(field, early,
     reads, reader = [], tensors_module._reader
 
     def counting_reader(pos, step, dim, vals, s, p):
-        prepare, used = reader(pos, step, dim, vals, s, p)
-
-        def counted(num):
-            value = prepare(num)
-            return lambda: reads.append(s) or value()
-        return counted, used
+        read, used = reader(pos, step, dim, vals, s, p)
+        return (lambda num: reads.append(s) or read(num)), used
 
     monkeypatch.setattr(tensors_module, "_reader", counting_reader)
     run_program(prog, (u, v, w), lambda off, t: None)
@@ -1256,12 +1252,12 @@ def test_column_sink_den_is_the_lcm_of_the_reduced_columns():
 FLAG_FIELDS = {"QQ": QQ, "GF7": GF(7), "GF(2^61-1)": GF(2 ** 61 - 1)}
 
 
-def _flagged_map(data, field):
-    """A map from one or two slots to at most two (none: a functional),
-    its columns drawn disjoint or freely, some of them empty, its entries
-    all 1 or drawn."""
-    in_dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
-                                       max_size=2), label="in"))
+def _flagged_map(data, field, ins=(1, 2)):
+    """A map from ``ins[0]`` to ``ins[1]`` slots (one or two) to at most
+    two (none: a functional), its columns drawn disjoint or freely, some
+    of them empty, its entries all 1 or drawn."""
+    in_dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=ins[0],
+                                       max_size=ins[1]), label="in"))
     out_dims = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2),
                                label="out"))
     keys = list(product(*map(range, in_dims)))
@@ -1342,6 +1338,29 @@ def test_map_flags_and_one_pass_kernels_match_dense_reference(field_name,
                 a.mul_slots(0, 1, alg), a.mul_slots(1, 0, alg),
                 a.permute((1, 0))):
         _assert_canonical(out)
+
+
+@given(st.sampled_from(sorted(FLAG_FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_variable_read_at_each_input_of_a_map_block_matches_evaluate(
+        field_name, data):
+    # the map contracts the variable at every input position of its block
+    # (slots after it: post > 1; slots before it: at > 0), with the block
+    # first in the value (lo == 0) or last, after slots that stay (lo > 0,
+    # the block growing or shrinking by K != 0)
+    field = FLAG_FIELDS[field_name]
+    lm = _flagged_map(data, field, (2, 3))
+    rest = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                    max_size=2), label="rest"))
+    for lo in (0, len(rest)):
+        for at, dim in enumerate(lm.in_dims):
+            v = Var("v", dim)
+            u = _element(data, field, rest[:lo] + lm.in_dims[:at]
+                         + lm.in_dims[at + 1:] + rest[lo:], 8)
+            prog = Program(u).insert(lo + at, v).apply_at(lo, lm)
+            got = {}
+            run_program(prog, (v,), got.__setitem__)
+            assert got == {i: _evaluate(prog, {v: i}) for i in range(dim)}
 
 
 def _one_output_map(data, field, grow):
