@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import serialize
 from .serialize import DocumentError
@@ -210,34 +209,6 @@ def _structures(entry: str) -> dict:
         raise UsageError(str(exc)) from None
 
 
-# the gauge F of ``theorem twist-invariance`` without ``--twist``, by
-# entry, as its coefficients on the basis tensors e_i (x) e_j.  On the
-# 2-dimensional entries F = 1 (x) 1 + q (1 - g) (x) (1 - g), q = 1/4.  On
-# Sweedler4 F = 1 (x) 1 + (1/3) x (x) x, with x = e_1: invertible as
-# x^2 = 0 and normalised as eps(x) = 0.  On FpZn(7,3) F = sum c(i, j)
-# 1_i (x) 1_j with c = 1 on the axes, which normalises F, and
-# c(i, j) = 1 + i + 3j mod 7, never 0, off them.  Every gauge of that
-# form leaves the associator of FpZn(5,2) fixed, so it keeps 1 (x) 1, as
-# does an entry not named here.
-_Q = Fraction(1, 4)
-_GAUGES = {
-    "QZ2": {(0, 0): 1 + _Q, (0, 1): -_Q, (1, 0): -_Q, (1, 1): _Q},
-    "H2": {(0, 0): 1 + _Q, (0, 1): -_Q, (1, 0): -_Q, (1, 1): _Q},
-    "Sweedler4": {(0, 0): 1, (1, 1): Fraction(1, 3)},
-    "FpZn(7,3)": {(i, j): 1 if 0 in (i, j) else (1 + i + 3 * j) % 7
-                  for i in range(3) for j in range(3)},
-}
-
-
-def _default_gauge(entry: str, Hq):
-    """The gauge of ``entry`` in ``_GAUGES``, 1x1 otherwise."""
-    if entry in _GAUGES:
-        from .tensors import TensorElt
-        return TensorElt(Hq.field, (Hq.n, Hq.n), _GAUGES[entry])
-    one = Hq.unit_elt()
-    return one.tensor(one)
-
-
 def _gauge_ok(Hq, F) -> bool:
     """Invertible with counit normalization on both slots."""
     try:
@@ -252,7 +223,7 @@ def cmd_theorem(args) -> int:
     if name not in THEOREMS:
         raise UsageError(f"unknown theorem {name!r}; choose from "
                          + ", ".join(THEOREMS))
-    from . import isomaps, ydrep
+    from . import corpus, isomaps, ydrep
     from .actions import RightModuleAlgebra, trivial_right_action
     entry, label = args.entry, THEOREMS[name]
     st = _structures(entry)
@@ -278,7 +249,7 @@ def cmd_theorem(args) -> int:
             F = serialize.tensor_from_json(fld, (Hq.n, Hq.n),
                                            doc.get("tensor"))
         else:
-            F = _default_gauge(entry, Hq)
+            F = corpus.default_gauge(entry, Hq)
         if not _gauge_ok(Hq, F):
             raise UsageError("twist is not a gauge: needs invertibility "
                              "and counit normalization in both slots")

@@ -1,20 +1,23 @@
-"""Builtin verified example structures.
-
-Four families:
+"""Builtin verified example structures, one row each in ``_TABLE``: the
+name, the builder and the default gauge.
 
 * ``QZ2``        - the rational group algebra of Z/2 (ordinary Hopf)
 * ``H2``         - the same algebra with the nontrivial associator
                    1x1x1 - 2 pxpxp, p = (1-g)/2, alpha = g
 * ``Sweedler4``  - the 4-dimensional Hopf algebra with S^2 != id
 * ``FpZn(p,n)``  - F_p[Z/n] on idempotents, twisted by the cocycle
-                   omega(i,j,k) = zeta^(i*floor((j+k)/n)), p = 1 mod n
+                   omega(i,j,k) = zeta^(i*floor((j+k)/n)), p = 1 mod n;
+                   rows FpZn(7,3), FpZn(5,2), others built by name
 
-Every builder is deterministic; tests verify each entry against the
-exhaustive axiom checkers.
+Adding an entry is one row plus its pins; every test that runs on all
+entries picks it up.  Every builder is deterministic; tests verify each
+entry against the exhaustive axiom checkers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -53,47 +56,31 @@ def _maps_from_tables(field: Field, n: int, coprod, counit_vals, antipode):
 
 # -- Z/2 group algebra, plain and twisted -----------------------------------
 
-def _z2_ingredients():
-    field = QQ
-    one = field.one()
+def _z2(name: str, Phi: TensorElt, alpha: TensorElt) -> QuasiHopfAlgebra:
+    """QQ[Z/2] on the basis (1, g) with the self-inverse associator
+    ``Phi``, ``alpha`` and beta = 1."""
+    one = QQ.one()
     table = [[{(i + j) % 2: one} for j in range(2)] for i in range(2)]
-    coprod = [{(i, i): one} for i in range(2)]
-    counit_vals = [one, one]
-    antipode = [{i: one} for i in range(2)]
-    return field, table, coprod, counit_vals, antipode
+    H = _algebra_from_table(QQ, table, [one, QQ.zero()], name)
+    Delta, counit, S = _maps_from_tables(
+        QQ, 2, [{(i, i): one} for i in range(2)], [one, one],
+        [{i: one} for i in range(2)])
+    beta = TensorElt.basis(QQ, (2,), (0,))
+    return QuasiHopfAlgebra(H, Delta, counit, Phi, S, alpha, beta,
+                            PhiInv=Phi, SInv=S, name=name)
 
 
 def group_algebra_z2() -> QuasiHopfAlgebra:
-    field, table, coprod, counit_vals, antipode = _z2_ingredients()
-    H = _algebra_from_table(field, table, [field.one(), field.zero()], "QZ2")
-    Delta, counit, S = _maps_from_tables(field, 2, coprod, counit_vals,
-                                         antipode)
-    one = field.one()
-    Phi = TensorElt.basis(field, (2, 2, 2), (0, 0, 0))
-    unit1 = TensorElt.basis(field, (2,), (0,))
-    return QuasiHopfAlgebra(H, Delta, counit, Phi, S, unit1, unit1,
-                            PhiInv=Phi, SInv=S, name="QZ2")
+    return _z2("QZ2", TensorElt.basis(QQ, (2, 2, 2), (0, 0, 0)),
+               TensorElt.basis(QQ, (2,), (0,)))
 
 
 def twisted_z2() -> QuasiHopfAlgebra:
     """Z/2 group algebra with associator 1x1x1 - 2 pxpxp, p = (1-g)/2."""
-    field, table, coprod, counit_vals, antipode = _z2_ingredients()
-    H = _algebra_from_table(field, table, [field.one(), field.zero()], "H2")
-    Delta, counit, S = _maps_from_tables(field, 2, coprod, counit_vals,
-                                         antipode)
-    quarter = Fraction(1, 4)
-    terms = {}
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                sign = -1 if (i + j + k) % 2 else 1
-                terms[(i, j, k)] = -quarter * sign
-    terms[(0, 0, 0)] += field.one()
-    Phi = TensorElt(field, (2, 2, 2), terms)
-    alpha = TensorElt.basis(field, (2,), (1,))
-    beta = TensorElt.basis(field, (2,), (0,))
-    return QuasiHopfAlgebra(H, Delta, counit, Phi, S, alpha, beta,
-                            PhiInv=Phi, SInv=S, name="H2")
+    terms = {idx: Fraction((-1) ** sum(idx), -4) + (idx == (0, 0, 0))
+             for idx in itertools.product(range(2), repeat=3)}
+    return _z2("H2", TensorElt(QQ, (2, 2, 2), terms),
+               TensorElt.basis(QQ, (2,), (1,)))
 
 
 # -- the 4-dimensional Hopf algebra with S^2 != id ---------------------------
@@ -244,30 +231,64 @@ def structures(name: str, check: bool = True) -> Mapping:
     return _Structures(quasi_hopf(name), check)
 
 
-# -- the registry -------------------------------------------------------------
+# -- the table --------------------------------------------------------------
+
+# The default gauge F by which ``theorem twist-invariance`` twists an
+# entry, as coefficients on e_i (x) e_j.  On the 2-dimensional entries
+# F = 1 (x) 1 + q (1 - g) (x) (1 - g), q = 1/4.  On Sweedler4
+# F = 1 (x) 1 + (1/3) x (x) x, x = e_1: invertible as x^2 = 0, normalised
+# as eps(x) = 0.  On FpZn(7,3) F = sum c(i, j) 1_i (x) 1_j with c = 1 on
+# the axes, which normalises F, and c(i, j) = 1 + i + 3j mod 7, never 0,
+# off them.  Every gauge of that form fixes the associator of FpZn(5,2),
+# so it has none, like a parsed FpZn(p,n): those keep 1 (x) 1.
+_Q = Fraction(1, 4)
+_Z2_GAUGE = {(0, 0): 1 + _Q, (0, 1): -_Q, (1, 0): -_Q, (1, 1): _Q}
+
+# name: (builder, default gauge or None), in the order of ``names()``
+_TABLE = {
+    "QZ2": (group_algebra_z2, _Z2_GAUGE),
+    "H2": (twisted_z2, _Z2_GAUGE),
+    "Sweedler4": (sweedler4, {(0, 0): 1, (1, 1): Fraction(1, 3)}),
+    "FpZn(7,3)": (functools.partial(cyclic_with_cocycle, 7, 3),
+                  {(i, j): 1 if 0 in (i, j) else (1 + i + 3 * j) % 7
+                   for i in range(3) for j in range(3)}),
+    "FpZn(5,2)": (functools.partial(cyclic_with_cocycle, 5, 2), None),
+}
+
+
+def _row(name: str) -> tuple:
+    """The named entry's ``(builder, gauge)``, read without building; a
+    name ``FpZn(p,n)`` is looked up under its canonical spelling."""
+    if name in _TABLE:
+        return _TABLE[name]
+    if not (name.startswith("FpZn(") and name.endswith(")")):
+        raise ValueError(f"unknown corpus entry {name!r}")
+    parts = [s.strip() for s in name[5:-1].split(",")]
+    if len(parts) != 2:
+        raise ValueError(f"bad cyclic-corpus name {name!r}")
+    try:
+        p, n = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"bad cyclic-corpus name {name!r}") from None
+    if n > MAX_DIM:
+        raise ValueError(f"{name}: n = {n} exceeds the "
+                         f"{MAX_DIM}-dimensional envelope")
+    return _TABLE.get(f"FpZn({p},{n})",
+                      (functools.partial(cyclic_with_cocycle, p, n), None))
+
 
 def names():
-    return ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
+    return list(_TABLE)
 
 
 def quasi_hopf(name: str) -> QuasiHopfAlgebra:
     """Build the named corpus quasi-Hopf algebra."""
-    if name == "QZ2":
-        return group_algebra_z2()
-    if name == "H2":
-        return twisted_z2()
-    if name == "Sweedler4":
-        return sweedler4()
-    if name.startswith("FpZn(") and name.endswith(")"):
-        parts = [s.strip() for s in name[5:-1].split(",")]
-        if len(parts) != 2:
-            raise ValueError(f"bad cyclic-corpus name {name!r}")
-        try:
-            p, n = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad cyclic-corpus name {name!r}") from None
-        if n > MAX_DIM:
-            raise ValueError(f"{name}: n = {n} exceeds the "
-                             f"{MAX_DIM}-dimensional envelope")
-        return cyclic_with_cocycle(p, n)
-    raise ValueError(f"unknown corpus entry {name!r}")
+    return _row(name)[0]()
+
+
+def default_gauge(name: str, Hq: QuasiHopfAlgebra) -> TensorElt:
+    """The default gauge of the named entry, built as ``Hq``; 1 (x) 1 for
+    an entry without one."""
+    gauge = _row(name)[1]
+    return (Hq.unit_elt(2) if gauge is None
+            else TensorElt(Hq.field, (Hq.n, Hq.n), gauge))

@@ -1,8 +1,7 @@
 import functools
 
-import pytest
-
 from quasihopf import corpus
+from quasihopf.actions import RightModuleAlgebra, trivial_right_action
 from quasihopf.coactions import BicomoduleAlgebra, RightComoduleAlgebra
 from quasihopf.linalg import flat_index, linmap_from_columns, unflatten
 from quasihopf.tensors import TensorElt
@@ -14,29 +13,35 @@ def entry(name: str) -> dict:
     return corpus.structures(name, check=False)
 
 
-@pytest.fixture(scope="session")
-def qz2():
-    return entry("QZ2")
+# property: its value on an entry's H, built under ``name``
+_PROPERTIES = {
+    "rational": lambda name, Hq: Hq.field.is_rational,
+    "dim": lambda name, Hq: Hq.n,
+    "hopf": lambda name, Hq: Hq.Phi == Hq.unit_elt(3),
+    "moves_phi": lambda name, Hq: (
+        Hq.twisted(corpus.default_gauge(name, Hq))[1].Phi != Hq.Phi),
+}
 
 
-@pytest.fixture(scope="session")
-def h2():
-    return entry("H2")
+@functools.lru_cache(maxsize=None)
+def _property(name: str, key: str):
+    return _PROPERTIES[key](name, entry(name)["H"])
 
 
-@pytest.fixture(scope="session")
-def sw4():
-    return entry("Sweedler4")
+def entries(**want) -> list:
+    """The corpus entries, in table order, whose H has every property in
+    ``want``: ``rational`` (over QQ, not GF(p)), ``dim``, ``hopf`` (a
+    trivial associator) and ``moves_phi`` (twisting by the default gauge
+    changes the associator).  ``entries()`` builds nothing."""
+    return [name for name in corpus.names()
+            if all(_property(name, key) == value
+                   for key, value in want.items())]
 
 
-@pytest.fixture(scope="session")
-def fp52():
-    return entry("FpZn(5,2)")
-
-
-@pytest.fixture(scope="session")
-def fp73():
-    return entry("FpZn(7,3)")
+def right_regular(Hq):
+    """H as a right module algebra over itself by the counit, unchecked."""
+    return RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
+                              name="Ht", check=False)
 
 
 def doubled_column(lm, key):

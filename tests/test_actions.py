@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quasihopf import corpus
 from quasihopf.actions import (BimoduleAlgebra, LeftModuleAlgebra,
                                RightModuleAlgebra, as_module_over_tensor,
                                bar_construction, bimodule_to_left,
@@ -9,36 +10,33 @@ from quasihopf.actions import (BimoduleAlgebra, LeftModuleAlgebra,
                                left_to_bimodule, right_to_bimodule,
                                tensor_bimodule, trivial_left_action,
                                trivial_right_action, twist_action)
-from quasihopf.corpus import adjoint_module_algebra
 from quasihopf.fields import QQ
 from quasihopf.finalg import mul_linmap, opposite
 from quasihopf.quasihopf import tensor_qh
 from quasihopf.linalg import linmap_from_columns, reshape_map
 from quasihopf.tensors import TensorElt
 
-from conftest import entry
-
-ALL = ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
+from conftest import entries, entry, right_regular
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_adjoint_module_algebra(name):
     entry(name)["module"].verify().require(name)
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_dual_bimodule_algebra(name):
     entry(name)["dual"].verify().require(name)
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_trivial_actions(name):
     Hq = entry(name)["H"]
     LeftModuleAlgebra(Hq, Hq.H, trivial_left_action(Hq, Hq.H), check=True)
     RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H), check=True)
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_bar_construction(name):
     Am = entry(name)["module"]
     bar = bar_construction(Am)
@@ -46,7 +44,7 @@ def test_bar_construction(name):
     assert isinstance(bar, RightModuleAlgebra)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "Sweedler4"])
+@pytest.mark.parametrize("name", entries(hopf=True))
 def test_bar_is_opposite_for_coassociative_coproduct(name):
     # with the canonical twist trivial the bar product is a'a and the
     # action is through the antipode
@@ -64,15 +62,14 @@ def test_bar_is_opposite_for_coassociative_coproduct(name):
             assert got == want
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2", "Sweedler4"])
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_bimodule_conversions(name):
     st = entry(name)
     Hq, Am, Du = st["H"], st["module"], st["dual"]
     bi = left_to_bimodule(Am, check=True)
     back = bimodule_to_left(bi, check=True)
     assert back.action == Am.action
-    Bm = RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                            check=False)
+    Bm = right_regular(Hq)
     bi2 = right_to_bimodule(Bm, check=True)
     assert bimodule_to_right(bi2, check=True).action == Bm.action
     # the dual carries nontrivial actions on both sides
@@ -82,12 +79,11 @@ def test_bimodule_conversions(name):
         bimodule_to_right(Du, check=False)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2", "Sweedler4"])
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_tensor_bimodule(name):
     st = entry(name)
     Hq, Am = st["H"], st["module"]
-    Bm = RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                            check=False)
+    Bm = right_regular(Hq)
     AB = tensor_bimodule(Am, Bm)
     AB.verify().require(AB.name)
 
@@ -95,20 +91,17 @@ def test_tensor_bimodule(name):
 def test_twist_action_h2():
     st = entry("H2")
     Hq, Am, Du = st["H"], st["module"], st["dual"]
-    q = Fraction(1, 4)
-    F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                               (1, 0): -q, (1, 1): q})
+    F = corpus.default_gauge("H2", Hq)
     FInv, HF = Hq.twisted(F)
     twisted = twist_action(Am, F, FInv, HF)
     twisted.verify().require(twisted.name)
     assert twisted.Hq.Phi == Hq.gauge_twist(F).Phi
-    Bm = RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                            check=False)
+    Bm = right_regular(Hq)
     for x in (Du, Bm):
         twist_action(x, F, FInv, HF).verify().require(x.name)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_as_module_over_tensor(name):
     st = entry(name)
     Hq, Du = st["H"], st["dual"]

@@ -15,7 +15,8 @@ from quasihopf.cli import main
 from quasihopf.coactions import BicomoduleAlgebra
 from quasihopf.tensors import TensorElt
 
-from conftest import corrupt_one, entry, sweedler_with_doubled_rho
+from conftest import (corrupt_one, entries, entry, right_regular,
+                      sweedler_with_doubled_rho)
 
 
 @pytest.fixture()
@@ -154,10 +155,8 @@ def test_verify_dependent_kinds(h2_files, capsys):
 def test_construct_two_sided_smash_and_reverify(h2_files, tmp_path, capsys):
     # a right module file: reuse the bimodule's forgetful right action
     st = entry("H2")
-    from quasihopf.actions import RightModuleAlgebra, trivial_right_action
     Hq = st["H"]
-    Bm = RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                            check=False)
+    Bm = right_regular(Hq)
     bpath = tmp_path / "b.json"
     serialize.save_document(serialize.to_document(Bm), str(bpath))
     out = tmp_path / "prod.json"
@@ -455,13 +454,13 @@ def test_theorem_twist_invariance(capsys):
     assert main(["theorem", "twist-invariance", "QZ2"]) == 0
 
 
-@pytest.mark.parametrize("name", ["Sweedler4", "FpZn(7,3)"])
+@pytest.mark.parametrize("name", entries(moves_phi=True))
 def test_theorem_twist_invariance_twists_by_a_gauge_that_moves_phi(name,
                                                                    capsys):
     # the default gauge is not 1x1 and changes the associator, so the
     # theorem compares products over two different quasi-Hopf algebras
     Hq = entry(name)["H"]
-    F = cli._default_gauge(name, Hq)
+    F = corpus.default_gauge(name, Hq)
     one = Hq.unit_elt()
     assert F != one.tensor(one) and cli._gauge_ok(Hq, F)
     assert Hq.twisted(F)[1].Phi != Hq.Phi
@@ -476,7 +475,7 @@ def test_no_diagonal_gauge_moves_the_associator_of_fpzn52():
                                          (1, 1): c})
         assert Hq.twisted(F)[1].Phi == Hq.Phi
     one = Hq.unit_elt()
-    assert cli._default_gauge("FpZn(5,2)", Hq) == one.tensor(one)
+    assert corpus.default_gauge("FpZn(5,2)", Hq) == one.tensor(one)
 
 
 def test_theorem_unknown_name_and_entry():

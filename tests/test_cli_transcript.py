@@ -22,12 +22,11 @@ import os
 import re
 import sys
 
-from quasihopf import cli
+from quasihopf import cli, corpus
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "cli_transcript.json")
 
-ENTRIES = ("QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)")
 WHATS = ("H", "module", "bicomodule", "dual")
 CONSTRUCTS = (("smash", ("module",)),
               ("gen-smash", ("module", "bicomodule")),
@@ -102,11 +101,11 @@ def transcript(where: str) -> list:
 
 def _commands() -> list:
     records = [_run(["corpus", "list"])]
-    for entry in ENTRIES:
+    for entry in corpus.names():
         for what in WHATS:
             records.append(_run(["corpus", "export", entry, "--what", what,
                                  "--out", f"{entry}_{what}.json"]))
-    for entry in ENTRIES:
+    for entry in corpus.names():
         for what in WHATS:
             records.append(_run(["verify", f"{entry}_{what}.json",
                                  "--suite=all"]))

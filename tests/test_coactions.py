@@ -18,38 +18,35 @@ from quasihopf.fields import GF, QQ
 from quasihopf.finalg import (FinAlgebra, VerificationError, invert_mixed,
                               slotwise_unit)
 from quasihopf.linalg import prod, reshape_map, unflatten
+from quasihopf import corpus
 from quasihopf import tensors as tensors_module
 from quasihopf.tensors import Program, TensorElt, Var, linmap_from_program
 
-from conftest import (corrupt_one, doubled_column, entry,
+from conftest import (corrupt_one, doubled_column, entries, entry,
                       sweedler_with_doubled_rho)
 from test_linalg import ref_solve
 
-ALL = ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
-SMALL = ["QZ2", "H2", "Sweedler4"]
-PRIME = ["FpZn(5,2)", "FpZn(7,3)"]
 
-
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_regular_bicomodule(name):
     entry(name)["bicomodule"].verify(subparts=True).require(name)
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_regular_one_sided(name):
     Hq = entry(name)["H"]
     regular_left(Hq, check=True)
     regular_right(Hq, check=True)
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_coaction_translation_elements(name):
     Ab = entry(name)["bicomodule"]
     pq = tilde_pq(Ab.right, check=False)
     verify_tilde_pq(Ab.right, pq).require(name)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "Sweedler4"])
+@pytest.mark.parametrize("name", entries(hopf=True))
 def test_translation_elements_trivial_for_hopf(name):
     # with a trivial associator and alpha = beta = 1 the translation
     # elements collapse to 1 x 1
@@ -60,7 +57,7 @@ def test_translation_elements_trivial_for_hopf(name):
     assert pq.q == one2
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", entries(rational=True))
 @pytest.mark.parametrize("side", ["l", "r"])
 def test_two_sided_coaction(name, side):
     Ab = entry(name)["bicomodule"]
@@ -68,7 +65,7 @@ def test_two_sided_coaction(name, side):
     d.verify().require(f"{name} side {side}")
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 @pytest.mark.parametrize("primed", [False, True])
 def test_omega_elements(name, primed):
     Ab = entry(name)["bicomodule"]
@@ -77,7 +74,7 @@ def test_omega_elements(name, primed):
     verify_omega(d, Om, primed=primed).require(name)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_omega_closed_forms_match_coaction(name):
     Ab = entry(name)["bicomodule"]
     dl = two_sided_from_bicomodule(Ab, "l", check=False)
@@ -86,7 +83,7 @@ def test_omega_closed_forms_match_coaction(name):
     assert omega_closed_right(Ab) == omega_from_coaction(dr)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_pq_delta(name):
     Ab = entry(name)["bicomodule"]
     d = two_sided_from_bicomodule(Ab, "l", check=False)
@@ -94,7 +91,7 @@ def test_pq_delta(name):
     verify_pq_delta(d, pq).require(name)
 
 
-@pytest.mark.parametrize("name", PRIME)
+@pytest.mark.parametrize("name", entries(rational=False))
 def test_pq_delta_detects_corrupted_q(name):
     Ab = entry(name)["bicomodule"]
     d = two_sided_from_bicomodule(Ab, "l", check=False)
@@ -151,7 +148,7 @@ def test_pq_delta_detects_corrupted_qL(monkeypatch):
     assert verify_pq_delta(d, pq).failures == ["q-factorization"]
 
 
-@pytest.mark.parametrize("name", ["QZ2", "Sweedler4"])
+@pytest.mark.parametrize("name", entries(hopf=True))
 @pytest.mark.parametrize("primed", [False, True])
 def test_omega_rejects_scaled_element(name, primed):
     # every identity but the counit normalisation is homogeneous in Om
@@ -163,7 +160,7 @@ def test_omega_rejects_scaled_element(name, primed):
     assert rep.failures == ["omega-counit"]
 
 
-@pytest.mark.parametrize("name", PRIME)
+@pytest.mark.parametrize("name", entries(rational=False))
 @pytest.mark.parametrize("primed", [False, True])
 def test_omega_detects_corrupted_element(name, primed):
     Ab = entry(name)["bicomodule"]
@@ -174,14 +171,14 @@ def test_omega_detects_corrupted_element(name, primed):
     assert any(f.startswith("omega-cocycle") for f in rep.failures)
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_mixed_comodule_structures(name):
     Ab = entry(name)["bicomodule"]
     A1, A2, K = lambda12_structures(Ab, check=True)
     twist_equivalence_U(Ab, pair=(A1, A2, K), check=True)
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_first_mixed_coaction_closed_form(name):
     # on the regular bicomodule the first mixed coaction sends h to
     # (h_(1,1) x S^{-1}(h_2)) x h_(1,2)
@@ -199,13 +196,13 @@ def test_first_mixed_coaction_closed_form(name):
     assert A1.lam == want
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_tensor_bicomodule(name):
     Ab = entry(name)["bicomodule"]
     tensor_bicomodule(Ab.right, Ab.left, check=True)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_tensor_with_inert_algebra(name):
     st = entry(name)
     Ab = st["bicomodule"]
@@ -215,9 +212,7 @@ def test_tensor_with_inert_algebra(name):
 
 def test_twist_coaction_h2():
     Ab = entry("H2")["bicomodule"]
-    q = Fraction(1, 4)
-    F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                               (1, 0): -q, (1, 1): q})
+    F = corpus.default_gauge("H2", Ab.Hq)
     FInv, HF = Ab.Hq.twisted(F)
     twisted = twist_coaction(Ab, F, FInv, HF)
     twisted.verify().require(twisted.name)
@@ -294,10 +289,9 @@ HALF_G = FinAlgebra(QQ, [[[1, 0], [0, 1]], [[0, 1], [Fraction(1, 4), 0]]],
 def _slot_algebras(field, draw):
     """Two or three slots: corpus algebras over ``field`` and random
     tables with entries drawn from ``_scalars(field)``."""
+    pool = [entry(n)["H"].H for n in entries() if entry(n)["H"].field == field]
     if field.p is None:
-        pool = [entry(n)["H"].H for n in SMALL] + [HALF_G]
-    else:
-        pool = [entry(n)["H"].H for n in PRIME if entry(n)["H"].field == field]
+        pool.append(HALF_G)
     k = draw(st.integers(2, 3))
     algs = []
     for _ in range(k):

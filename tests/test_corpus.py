@@ -1,5 +1,6 @@
-"""``corpus.structures``: a read-only mapping whose structures are built,
-each by the module behind it, on their first read."""
+"""``corpus``: the table of entries, read and looked up without building
+any other row, and ``structures``, a read-only mapping whose structures
+are built, each by the module behind it, on their first read."""
 
 import json
 import os
@@ -9,11 +10,11 @@ from collections.abc import Mapping
 
 import pytest
 
-from quasihopf import corpus, ydrep
+from quasihopf import cli, corpus, isomaps, ydrep
 from quasihopf.actions import LeftModuleAlgebra
-from quasihopf.finalg import VerificationError
+from quasihopf.finalg import Report, VerificationError
 
-from conftest import doubled_column
+from conftest import doubled_column, entries, entry
 
 KEYS = ["H", "module", "bicomodule", "dual", "coalgebra"]
 ADJOINT = corpus.adjoint_module_algebra
@@ -118,3 +119,75 @@ def test_reading_two_structures_imports_only_their_modules():
     assert before == []
     assert after == ["quasihopf.ydrep", "quasihopf.products",
                      "quasihopf.actions"]
+
+
+# -- the table --------------------------------------------------------------
+
+def _wrapped_builders(monkeypatch):
+    """Wrap the builder of every row so that each call is recorded by the
+    name of its row; return the list of those names."""
+    calls = []
+
+    def wrapped(name, build):
+        def counted():
+            calls.append(name)
+            return build()
+        return counted
+
+    monkeypatch.setattr(corpus, "_TABLE", {
+        name: (wrapped(name, build), gauge)
+        for name, (build, gauge) in corpus._TABLE.items()})
+    return calls
+
+
+def test_listing_and_lookup_build_only_the_named_row(monkeypatch):
+    calls = _wrapped_builders(monkeypatch)
+    names = corpus.names()
+    assert names == list(corpus._TABLE) and calls == []
+    for name in names:
+        Hq = corpus.quasi_hopf(name)
+        corpus.default_gauge(name, Hq)
+        assert calls == [name]
+        calls.clear()
+    # a parsed name reaches its canonical row
+    corpus.quasi_hopf("FpZn(7, 3)")
+    assert calls == ["FpZn(7,3)"]
+
+
+# every spelling that quasi_hopf accepts for FpZn(7,3)
+SPELLINGS = ["FpZn(7,3)", "FpZn(7, 3)", "FpZn( 7 ,3 )", "FpZn(7,03)",
+             "FpZn(07,3)", "FpZn(+7,3)"]
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_every_spelling_gets_the_gauge_of_its_row(spelling, monkeypatch):
+    Hq = corpus.quasi_hopf(spelling)
+    assert Hq.name == "FpZn(7,3)"
+    want = corpus.default_gauge("FpZn(7,3)", Hq)
+    assert want != Hq.unit_elt(2)
+    assert corpus.default_gauge(spelling, Hq) == want
+    # and the command line twists by it
+    twists = []
+
+    def twist_invariance(Am, Bm, Du, Ab, F):
+        twists.append(F)
+        return Report()
+
+    monkeypatch.setattr(isomaps, "twist_invariance", twist_invariance)
+    assert cli.main(["theorem", "twist-invariance", spelling]) == 0
+    assert twists == [want]
+
+
+@pytest.mark.parametrize("name", entries())
+def test_no_default_gauge_is_vacuous(name):
+    # a row with a gauge twists by a gauge that moves Delta, Phi, alpha
+    # or beta; a row without one keeps 1 (x) 1
+    Hq = entry(name)["H"]
+    F = corpus.default_gauge(name, Hq)
+    if corpus._TABLE[name][1] is None:
+        assert F == Hq.unit_elt(2)
+        return
+    assert cli._gauge_ok(Hq, F)
+    HF = Hq.twisted(F)[1]
+    assert (HF.Delta, HF.Phi, HF.alpha, HF.beta) \
+        != (Hq.Delta, Hq.Phi, Hq.alpha, Hq.beta)

@@ -18,7 +18,7 @@ from quasihopf.linalg import (linmap_from_columns, prod, reshape_map,
                               unflatten)
 from quasihopf.tensors import Program, TensorElt, Var
 
-from conftest import entry
+from conftest import entries, entry
 from test_linalg import identity, ref_inv, ref_matmul, ref_solve
 
 
@@ -1045,10 +1045,7 @@ def _old_inverse(t, H):
     return None if y is None else TensorElt.from_flat(t.field, t.dims, y)
 
 
-CORPUS = ["QZ2", "H2", "Sweedler4", "FpZn(5,2)", "FpZn(7,3)"]
-
-
-@pytest.mark.parametrize("name", CORPUS)
+@pytest.mark.parametrize("name", entries())
 def test_inverter_matches_old_route_on_associators(name):
     Hq = entry(name)["H"]
     H = Hq.H
@@ -1057,7 +1054,7 @@ def test_inverter_matches_old_route_on_associators(name):
         assert got is not None and got == _old_inverse(t, H)
 
 
-@given(st.sampled_from(CORPUS), st.sampled_from(["gauge", "raw", "zero"]),
+@given(st.sampled_from(entries()), st.sampled_from(["gauge", "raw", "zero"]),
        st.data())
 @settings(max_examples=60, deadline=None)
 def test_inverter_matches_old_route_on_random_twists(name, kind, data):

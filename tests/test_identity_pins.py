@@ -25,7 +25,6 @@ from unittest import mock
 import pytest
 
 from quasihopf import cli, coactions
-from quasihopf.actions import RightModuleAlgebra, trivial_right_action
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  RightComoduleAlgebra, TwoSidedCoaction,
                                  lambda12_structures, omega_elements,
@@ -37,8 +36,9 @@ from quasihopf.finalg import Report, VerificationError
 from quasihopf.isomaps import iso_mu
 from quasihopf.quasihopf import QuasiHopfAlgebra
 
-from conftest import corrupt_one, entry
+from conftest import corrupt_one, entry, right_regular
 
+# the entries whose outcomes identity_pins.json holds
 NAMES = ["H2", "FpZn(5,2)"]
 PINS_FILE = os.path.join(os.path.dirname(__file__), "identity_pins.json")
 
@@ -115,8 +115,7 @@ def _cases(name):
         out[f"Ab {key}: lambda12"] = _outcome(
             lambda: lambda12_structures(bad))
         out[f"Ab {key}: U"] = _outcome(lambda: twist_equivalence_U(bad))
-        Bm = RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                                name="Ht", check=False)
+        Bm = right_regular(Hq)
         out[f"Ab {key}: mu"] = _outcome(lambda: iso_mu(st["module"], Bm, bad))
     # the closed forms, and the op/cop mates of the primed elements, off
     # by one in one entry

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from quasihopf import (cli, coactions, corpus, finalg, isomaps, linalg,
-                       quasihopf)
+from quasihopf import coactions, corpus, finalg, isomaps, linalg, quasihopf
 from quasihopf.actions import (LeftModuleAlgebra, RightModuleAlgebra,
-                               trivial_right_action, twist_action)
+                               twist_action)
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  RightComoduleAlgebra, lambda12_structures,
                                  regular_left, tilde_pq, twist_coaction,
@@ -25,15 +24,12 @@ from quasihopf.linalg import flat_index, prod, unflatten
 from quasihopf.products import diag_crossed, gen_smash
 from quasihopf.tensors import Program, TensorElt, Var, linmap_from_program
 
-from conftest import (corrupt_one, doubled_column, entry,
-                      sweedler_with_doubled_rho)
+from conftest import (corrupt_one, doubled_column, entries, entry,
+                      right_regular, sweedler_with_doubled_rho)
 
+# a fixed sample that no property of H selects: the Hopf entries and
+# FpZn(5,2)
 CHEAP = ["QZ2", "Sweedler4", "FpZn(5,2)"]
-
-
-def right_regular(Hq):
-    return RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                              name="Ht", check=False)
 
 
 def flat_col(lm, j):
@@ -67,7 +63,7 @@ def test_twisted_sweedler_theorems_pass_through_1024_unknown_solves(
     # Sweedler4 twisted by its default gauge: the quantum double and the
     # four diagonal products each invert an operator on 1,024 unknowns
     Hq = entry("Sweedler4")["H"]
-    HF = Hq.twisted(cli._default_gauge("Sweedler4", Hq))[1]
+    HF = Hq.twisted(corpus.default_gauge("Sweedler4", Hq))[1]
     st = corpus._Structures(HF, False)
     unknowns, linalg_solve = [], linalg.solve
 
@@ -99,7 +95,7 @@ def test_nu(name):
     iso_nu(st["bicomodule"], st["dual"], st["bicomodule"])
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_mu_and_five_products(name):
     st = entry(name)
     Hq, Am, Ab = st["H"], st["module"], st["bicomodule"]
@@ -159,9 +155,7 @@ def test_twist_invariance_fails_the_two_sided_twist_alone():
     # only the two-sided smash product reads the right module algebra
     st = entry("H2")
     Am, Bm = _doubled_action("H2", "right", (1, 0))
-    q = Fraction(1, 4)
-    F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                               (1, 0): -q, (1, 1): q})
+    F = corpus.default_gauge("H2", st["H"])
     rep = twist_invariance(Am, Bm, st["dual"], st["bicomodule"], F)
     assert _prefixes(rep) == ["two-sided-smash->twisted"]
     assert rep.failures[0] == \
@@ -205,7 +199,7 @@ def test_diag_as_gen_smash(name):
     diag_as_gen_smash(st["dual"], st["bicomodule"]).require(name)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_diag_flavor_twist(name):
     st = entry(name)
     diag_flavor_twist_iso(st["dual"], st["bicomodule"])
@@ -226,9 +220,7 @@ def test_smash_twist_equivalence():
     st = entry("H2")
     Hq, Am = st["H"], st["module"]
     Bco = regular_left(Hq, check=False)
-    q = Fraction(1, 4)
-    U = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                               (1, 0): -q, (1, 1): q})
+    U = corpus.default_gauge("H2", Hq)
     iso = iso_smash_twist(Am, Bco, U)
     assert prod(iso.f.out_dims) == 4
     assert iso.apply(iso.source.unit) == iso.target.unit
@@ -297,9 +289,7 @@ def test_twist_invariance_h2(kind):
     # each product on its own; ``twist_invariance`` bundles all three
     st = entry("H2")
     Hq, Am, Ab, Du = st["H"], st["module"], st["bicomodule"], st["dual"]
-    q = Fraction(1, 4)
-    F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                               (1, 0): -q, (1, 1): q})
+    F = corpus.default_gauge("H2", Hq)
     FInv, HF = Hq.twisted(F)
     AbF = twist_coaction(Ab, F, FInv, HF)
     if kind == "gen-smash":
@@ -322,9 +312,7 @@ def test_twist_invariance_h2(kind):
 def test_twist_invariance_h2_report():
     st = entry("H2")
     Hq, Am, Ab, Du = st["H"], st["module"], st["bicomodule"], st["dual"]
-    q = Fraction(1, 4)
-    F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                               (1, 0): -q, (1, 1): q})
+    F = corpus.default_gauge("H2", Hq)
     twist_invariance(Am, right_regular(Hq), Du, Ab, F).require("H2")
 
 
@@ -334,15 +322,13 @@ def test_comodule_twist_by_exchange_element():
     st = entry("H2")
     Hq = st["H"]
     Bco = regular_left(Hq, check=False)
-    q = Fraction(1, 4)
-    U = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                               (1, 0): -q, (1, 1): q})
+    U = corpus.default_gauge("H2", Hq)
     twist_comodule_by_U(Bco, U, invert_mixed(U, [Hq.H, Bco.B])).verify() \
         .require("H2")
 
 
 def test_twist_equivalence_certificate():
-    for name in ("QZ2", "H2"):
+    for name in entries(rational=True, dim=2):
         twist_equivalence_U(entry(name)["bicomodule"], check=True)
 
 
@@ -449,9 +435,7 @@ def test_smash_twist_reports_a_corrupted_comodule():
     Bco = regular_left(st["H"], check=False)
     bad = LeftComoduleAlgebra(Bco.Hq, Bco.B, Bco.lam, corrupt_one(Bco.PhiLam),
                               PhiLamInv=Bco.PhiLamInv, check=False)
-    q = Fraction(1, 4)
-    U = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                               (1, 0): -q, (1, 1): q})
+    U = corpus.default_gauge("H2", st["H"])
     tags = ["associator-inverse: PhiLam PhiLamInv != 1",
             "associator-inverse: PhiLamInv PhiLam != 1", "coaction-pentagon",
             "associator-counit: slot 0", "associator-counit: slot 1"]

@@ -15,9 +15,8 @@ import json
 
 import pytest
 
-from quasihopf.actions import (RightModuleAlgebra, as_module_over_tensor,
-                               bar_construction, tensor_bimodule,
-                               trivial_left_action, trivial_right_action)
+from quasihopf.actions import (as_module_over_tensor, bar_construction,
+                               tensor_bimodule, trivial_left_action)
 from quasihopf.coactions import (bicomodule_tensor_with_algebra,
                                  lambda12_structures, regular_left,
                                  tensor_bicomodule, two_sided_from_bicomodule)
@@ -32,8 +31,9 @@ from quasihopf.serialize import map_to_json
 from quasihopf.ydrep import (module_to_yd, regular_module, yd_product,
                              yd_to_module)
 
-from conftest import entry
+from conftest import entry, right_regular
 
+# the entries whose digests PINS holds
 ENTRIES = ["H2", "FpZn(5,2)", "Sweedler4"]
 
 
@@ -46,8 +46,7 @@ def formula_maps(name: str) -> dict:
     st = entry(name)
     Hq, Am, Ab, Du, C = (st["H"], st["module"], st["bicomodule"],
                          st["dual"], st["coalgebra"])
-    Bm = RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                            name="Ht", check=False)
+    Bm = right_regular(Hq)
     dt = Hq.drinfeld_twist()
     out = {"adjoint-action": Am.action,
            "trivial-left": trivial_left_action(Hq, Hq.H),

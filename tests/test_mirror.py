@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from quasihopf.actions import RightModuleAlgebra, trivial_right_action
 from quasihopf.coactions import (TwoSidedCoaction, axiom_report,
                                  two_sided_from_bicomodule)
 from quasihopf.fields import QQ
@@ -22,9 +21,8 @@ from quasihopf.products import diag_crossed_general
 from quasihopf.tensors import (Program, TensorElt, Var, linmap_from_program,
                                permuted)
 
-from conftest import entry
+from conftest import entries, entry, right_regular
 
-ALL = ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
 KINDS = ["module", "trivial-right", "dual", "bicomodule", "bicomodule-left",
          "bicomodule-right", "two-sided:l", "two-sided:r"]
 REV5 = (4, 3, 2, 1, 0)
@@ -34,8 +32,7 @@ def _structure(name, kind):
     st = entry(name)
     Hq, Ab = st["H"], st["bicomodule"]
     if kind == "trivial-right":
-        return RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                                  name="Ht", check=False)
+        return right_regular(Hq)
     if kind.startswith("bicomodule-"):
         return getattr(Ab, kind.split("-")[1])
     if kind.startswith("two-sided:"):
@@ -64,7 +61,7 @@ def _assert_same(x, y):
             _assert_same(value, other)
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_opcop_parent_is_quasi_hopf_and_an_involution(name):
     Hq = entry(name)["H"]
     Hoc = Hq.opcop()
@@ -74,7 +71,7 @@ def test_opcop_parent_is_quasi_hopf_and_an_involution(name):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_mirror_satisfies_the_axioms_of_its_kind(name, kind):
     x = _structure(name, kind)
     m = _mirror(x)
@@ -83,7 +80,7 @@ def test_mirror_satisfies_the_axioms_of_its_kind(name, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_mirror_twice_is_the_identity(name, kind):
     x = _structure(name, kind)
     _assert_same(x, _mirror(_mirror(x)))
@@ -93,7 +90,7 @@ def test_plain_reversal_of_psi_fails_only_off_a_symmetric_associator():
     # the mirror takes Psi^{-1} slot-reversed as its Psi; Psi itself
     # reversed passes only where Phi is symmetric under reversal, which
     # FpZn(7,3) alone is not
-    for name in ALL:
+    for name in entries():
         Hq = entry(name)["H"]
         x = two_sided_from_bicomodule(entry(name)["bicomodule"], "l",
                                       check=False)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from quasihopf import products
-from quasihopf.actions import (LeftModuleAlgebra, RightModuleAlgebra,
-                               trivial_right_action)
+from quasihopf.actions import LeftModuleAlgebra
 from quasihopf.coactions import (BicomoduleAlgebra, LeftComoduleAlgebra,
                                  RightComoduleAlgebra, omega_from_coaction, tensor_bicomodule,
                                  two_sided_from_bicomodule)
@@ -24,18 +23,10 @@ from quasihopf.products import (diag_crossed, diag_crossed_general, gen_smash,
                                 two_sided_smash)
 from quasihopf.tensors import Program, TensorElt, Var, run_program
 
-from conftest import corrupt_one, entry
-
-SMALL = ["QZ2", "H2", "Sweedler4"]
-HOPF = ["QZ2", "Sweedler4"]
+from conftest import corrupt_one, entries, entry, right_regular
 
 
-def right_regular(Hq):
-    return RightModuleAlgebra(Hq, Hq.H, trivial_right_action(Hq, Hq.H),
-                              name="Ht", check=False)
-
-
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_smash_products(name):
     st = entry(name)
     Hq, Am = st["H"], st["module"]
@@ -45,7 +36,7 @@ def test_smash_products(name):
     two_sided_smash(Am, right_regular(Hq), check=True)
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_generalized_smash_products(name):
     st = entry(name)
     Am, Ab = st["module"], st["bicomodule"]
@@ -54,7 +45,7 @@ def test_generalized_smash_products(name):
     two_sided_gen_smash(Am, Ab, right_regular(st["H"]), check=True)
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_quasi_smash_products(name):
     st = entry(name)
     Ab, Du = st["bicomodule"], st["dual"]
@@ -62,7 +53,7 @@ def test_quasi_smash_products(name):
     left_quasi_smash(Du, Ab, check=True)
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", entries(rational=True))
 @pytest.mark.parametrize("flavor", ["bowtie", "btrl", "rbowtie", "rbtrl"])
 def test_diagonal_crossed_products(name, flavor):
     st = entry(name)
@@ -70,7 +61,7 @@ def test_diagonal_crossed_products(name, flavor):
     verify_associative_unital(p.result, limit=3).require(f"{name} {flavor}")
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_diag_general_delta(name):
     st = entry(name)
     d = two_sided_from_bicomodule(st["bicomodule"], "l", check=False)
@@ -100,14 +91,14 @@ def test_kinds_and_factors_of_the_relabelled_products():
     assert p.kind == "TwoSidedSmash" and p.factors[::2] == (Am, Bm)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_gen_two_sided_crossed(name):
     st = entry(name)
     Ab, Du = st["bicomodule"], st["dual"]
     gen_two_sided_crossed(Ab, Du, Ab, check=True)
 
 
-@pytest.mark.parametrize("name", HOPF)
+@pytest.mark.parametrize("name", entries(hopf=True))
 def test_smash_against_direct_hopf_formula(name):
     # ordinary Hopf case: (a#h)(a'#h') = a(h_1.a') # h_2 h', coded here
     # straight from the coproduct as an independent table
@@ -131,7 +122,7 @@ def test_smash_against_direct_hopf_formula(name):
                     assert list(t.to_flat()) == got
 
 
-@pytest.mark.parametrize("name", HOPF)
+@pytest.mark.parametrize("name", entries(hopf=True))
 def test_two_sided_smash_against_direct_hopf_formula(name):
     # (a#h#b)(a'#h'#b') = a(h_1.a') # h_2 h'_1 # (b.h'_2)b'
     st = entry(name)
@@ -159,7 +150,7 @@ def test_two_sided_smash_against_direct_hopf_formula(name):
             assert list(t.to_flat()) == mul[i][j]
 
 
-@pytest.mark.parametrize("name", HOPF)
+@pytest.mark.parametrize("name", entries(hopf=True))
 def test_diag_flavors_coincide_for_hopf(name):
     st = entry(name)
     Du, Ab = st["dual"], st["bicomodule"]
@@ -168,7 +159,7 @@ def test_diag_flavors_coincide_for_hopf(name):
     assert b.result.mul == t.result.mul
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_diag_flavors_coincide_on_tensor_bicomodule(name):
     # when the bicomodule splits as right (x) left comodule factors the
     # two nested coactions agree, so both flavors give one algebra
@@ -181,14 +172,14 @@ def test_diag_flavors_coincide_on_tensor_bicomodule(name):
     assert b.result.mul == t.result.mul
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_induced_costructures(name):
     st = entry(name)
     p = gen_smash(st["module"], st["bicomodule"], check=False)
     induced_costructures(p, check=True)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_induced_costructures_of_a_right_gen_smash(name):
     # the left coaction a right generalized smash product inherits from
     # its bicomodule factor, checked by its axiom suite; a factor with a
@@ -207,7 +198,7 @@ def test_mismatched_parents_rejected():
         gen_smash(Am, Ab, check=False)
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_product_units_and_embeddings(name):
     st = entry(name)
     Hq, Am = st["H"], st["module"]
@@ -603,10 +594,7 @@ def assert_same_table(label, got, dims, pair, unit):
             assert repr(grow) == repr(wrow), f"{label}: e_{i} e_{j}"
 
 
-ALL_ENTRIES = ["QZ2", "H2", "FpZn(5,2)", "FpZn(7,3)", "Sweedler4"]
-
-
-@pytest.mark.parametrize("name", ALL_ENTRIES)
+@pytest.mark.parametrize("name", entries())
 def test_staged_products_match_per_pair_programs(name):
     for label, (build, ref) in staged_cases(
             name, entry(name)["bicomodule"]).items():
@@ -614,7 +602,7 @@ def test_staged_products_match_per_pair_programs(name):
 
 
 @pytest.mark.parametrize("where", sorted(BREAKS))
-@pytest.mark.parametrize("name", ALL_ENTRIES)
+@pytest.mark.parametrize("name", entries())
 def test_staged_products_match_on_broken_associator(name, where):
     cases = staged_cases(name, broken_bicomodule(name, where))
     non_associative = 0

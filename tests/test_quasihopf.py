@@ -2,36 +2,33 @@ from fractions import Fraction
 
 import pytest
 
-from quasihopf.corpus import (cyclic_with_cocycle, group_algebra_z2, sweedler4,
-                              twisted_z2)
+from quasihopf.corpus import (cyclic_with_cocycle, default_gauge,
+                              group_algebra_z2, sweedler4, twisted_z2)
 from quasihopf.fields import QQ
 from quasihopf.finalg import invert_mixed
 from quasihopf.quasihopf import QuasiHopfAlgebra, tensor_qh
 from quasihopf.linalg import linmap_from_columns
 from quasihopf.tensors import TensorElt, slotwise_prod
 
-from conftest import doubled_column, entry
-
-ALL = ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
-HOPF = ["QZ2", "Sweedler4"]
+from conftest import doubled_column, entries, entry
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_axioms(name):
     entry(name)["H"].verify().require(name)
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_canonical_elements(name):
     entry(name)["H"].verify_canonical().require(name)
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_drinfeld_identities(name):
     entry(name)["H"].verify_drinfeld().require(name)
 
 
-@pytest.mark.parametrize("name", HOPF)
+@pytest.mark.parametrize("name", entries(hopf=True))
 def test_hopf_case_has_trivial_twist_data(name):
     # for a coassociative coproduct the associator is 1x1x1, the
     # canonical twist collapses to 1x1 and q_R = p_R = 1x1, even when
@@ -75,7 +72,7 @@ def test_cyclic_cocycle_values():
         assert c == pow(zeta, i * ((j + k) // 3), 7)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2", "Sweedler4"])
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_variants_are_quasi_hopf(name):
     Hq = entry(name)["H"]
     for op, cop in ((True, False), (False, True), (True, True)):
@@ -91,9 +88,7 @@ def test_tensor_product_is_quasi_hopf():
 
 def test_gauge_twist_gives_quasi_hopf():
     Hq = twisted_z2()
-    q = Fraction(1, 4)
-    F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                               (1, 0): -q, (1, 1): q})
+    F = default_gauge("H2", Hq)
     HF = Hq.gauge_twist(F)
     HF.verify().require("twisted")
     HF.verify_canonical().require("twisted")
@@ -102,9 +97,7 @@ def test_gauge_twist_gives_quasi_hopf():
 
 def test_gauge_twist_roundtrip():
     Hq = twisted_z2()
-    q = Fraction(1, 4)
-    F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                               (1, 0): -q, (1, 1): q})
+    F = default_gauge("H2", Hq)
     FInv = invert_mixed(F, [Hq.H, Hq.H])
     back = Hq.gauge_twist(F).gauge_twist(FInv)
     assert back.Phi == Hq.Phi
@@ -122,9 +115,7 @@ def test_gauge_twist_rejects_bad_f():
 def test_twist_of_drinfeld_element():
     # f for the twisted algebra: f_F = (S x S)(swap F^{-1}) f F^{-1}
     Hq = twisted_z2()
-    q = Fraction(1, 4)
-    F = TensorElt(QQ, (2, 2), {(0, 0): 1 + q, (0, 1): -q,
-                               (1, 0): -q, (1, 1): q})
+    F = default_gauge("H2", Hq)
     FInv = invert_mixed(F, [Hq.H, Hq.H])
     HF = Hq.gauge_twist(F, FInv=FInv)
     lhs = HF.drinfeld_twist().f

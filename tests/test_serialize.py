@@ -15,9 +15,7 @@ from quasihopf.serialize import (KINDS, DocumentError, field_from_json,
                                  tensor_from_json, tensor_to_json,
                                  to_document)
 
-from conftest import entry
-
-ALL = ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
+from conftest import entries, entry
 
 
 def test_field_json():
@@ -31,7 +29,7 @@ def test_field_json():
         field_from_json({"Fp": 6})
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_quasi_hopf_roundtrip_bit_exact(name):
     Hq = entry(name)["H"]
     doc = to_document(Hq)
@@ -50,6 +48,8 @@ def test_quasi_hopf_roundtrip_bit_exact(name):
     assert json.loads(json.dumps(doc)) == doc
 
 
+# a fixed sample, no property of H: a trivial, a rational and a mod-p
+# associator
 @pytest.mark.parametrize("name", ["QZ2", "H2", "FpZn(7,3)"])
 def test_dependent_structures_roundtrip(name):
     st = entry(name)
@@ -208,7 +208,7 @@ def _same_structure(a, b, kind):
 
 
 @pytest.mark.parametrize("what", ["H", "module", "bicomodule", "dual"])
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_export_load_export_is_byte_identical(tmp_path, name, what):
     obj = entry(name)[what]
     first, second = tmp_path / "a.json", tmp_path / "b.json"

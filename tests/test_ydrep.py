@@ -14,13 +14,10 @@ from quasihopf.ydrep import (BimoduleCoalgebra, FinModule, YDModule,
                              regular_module, sec8_correspondences,
                              yd_product, yd_roundtrip_check, yd_to_module)
 
-from conftest import corrupt_one, doubled_column, entry
-
-ALL = ["QZ2", "H2", "Sweedler4", "FpZn(7,3)", "FpZn(5,2)"]
-SMALL = ["QZ2", "H2", "Sweedler4"]
+from conftest import corrupt_one, doubled_column, entries, entry
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_regular_bimodule_coalgebra(name):
     entry(name)["coalgebra"].verify().require(name)
 
@@ -47,7 +44,7 @@ def direct_dual(Hq):
             LinMap(Hq.field, (n, n), (n,), Hq.H.den, right))
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_convolution_dual_matches_dual_bimodule(name):
     st = entry(name)
     Du = st["dual"]
@@ -58,26 +55,26 @@ def test_convolution_dual_matches_dual_bimodule(name):
     assert Du.name == f"{st['H'].name}*"
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", entries())
 def test_mixed_translation_identity(name):
     program_report([("mixed-translation", *mixed_translation_identity(
         entry(name)["bicomodule"]), ())]).require(name)
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_yd_roundtrip(name):
     st = entry(name)
     yd_roundtrip_check(st["H"], st["bicomodule"], st["coalgebra"]) \
         .require(name)
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", entries(rational=True))
 def test_module_translations(name):
     st = entry(name)
     sec8_correspondences(st["H"], st["module"], st["module"]).require(name)
 
 
-@pytest.mark.parametrize("name", ["QZ2", "H2"])
+@pytest.mark.parametrize("name", entries(rational=True, dim=2))
 def test_yd_structures_verify(name):
     st = entry(name)
     Ab, C = st["bicomodule"], st["coalgebra"]
