@@ -17,7 +17,6 @@ entry against the exhaustive axiom checkers.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -77,8 +76,14 @@ def group_algebra_z2() -> QuasiHopfAlgebra:
 
 def twisted_z2() -> QuasiHopfAlgebra:
     """Z/2 group algebra with associator 1x1x1 - 2 pxpxp, p = (1-g)/2."""
-    terms = {idx: Fraction((-1) ** sum(idx), -4) + (idx == (0, 0, 0))
-             for idx in itertools.product(range(2), repeat=3)}
+    quarter = Fraction(1, 4)
+    terms = {}
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                sign = -1 if (i + j + k) % 2 else 1
+                terms[(i, j, k)] = -quarter * sign
+    terms[(0, 0, 0)] += QQ.one()
     return _z2("H2", TensorElt(QQ, (2, 2, 2), terms),
                TensorElt.basis(QQ, (2,), (1,)))
 

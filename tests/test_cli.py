@@ -461,8 +461,7 @@ def test_theorem_twist_invariance_twists_by_a_gauge_that_moves_phi(name,
     # theorem compares products over two different quasi-Hopf algebras
     Hq = entry(name)["H"]
     F = corpus.default_gauge(name, Hq)
-    one = Hq.unit_elt()
-    assert F != one.tensor(one) and cli._gauge_ok(Hq, F)
+    assert F != Hq.unit_elt(2) and cli._gauge_ok(Hq, F)
     assert Hq.twisted(F)[1].Phi != Hq.Phi
     assert main(["theorem", "twist-invariance", name]) == 0
 
@@ -474,8 +473,7 @@ def test_no_diagonal_gauge_moves_the_associator_of_fpzn52():
         F = TensorElt(Hq.field, (2, 2), {(0, 0): 1, (0, 1): 1, (1, 0): 1,
                                          (1, 1): c})
         assert Hq.twisted(F)[1].Phi == Hq.Phi
-    one = Hq.unit_elt()
-    assert corpus.default_gauge("FpZn(5,2)", Hq) == one.tensor(one)
+    assert corpus.default_gauge("FpZn(5,2)", Hq) == Hq.unit_elt(2)
 
 
 def test_theorem_unknown_name_and_entry():
